@@ -18,6 +18,20 @@ from typing import List, Optional
 from . import cosets, decomp, hasse, seidel, strata, verify
 from .fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 from .rootsys import RootSystemError
+from .weyl import WeylError
+
+# Library errors by exit code: 1 for input the program cannot serve
+# (including an --out path it cannot write), 2 for a failed certificate.
+INPUT_ERRORS = (
+    FixtureError,
+    RootSystemError,
+    cosets.CosetError,
+    strata.StrataError,
+    hasse.HasseError,
+    WeylError,
+    OSError,
+)
+VERIFICATION_ERRORS = (seidel.SeidelError, decomp.DecompositionError)
 
 
 def _fixture_from_args(args) -> Fixture:
@@ -189,9 +203,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FixtureError, RootSystemError, cosets.CosetError, strata.StrataError, hasse.HasseError) as exc:
+    except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except VERIFICATION_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

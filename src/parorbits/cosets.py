@@ -125,9 +125,6 @@ class DoubleCoset:
     def size(self) -> int:
         return len(self.members)
 
-    def member_elements(self) -> Tuple[WeylElement, ...]:
-        return tuple(self.pq.elements[k] for k in self.members)
-
 
 def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCoset, ...]:
     """Partition of the quotient into orbits of the left W_P action.
@@ -177,38 +174,16 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
     return tuple(sorted(out, key=lambda dc: (dc.w_min.length, dc.w_min.window)))
 
 
-def certify_interval(dc: DoubleCoset, pq: Optional[ParabolicQuotient] = None) -> bool:
+def certify_interval(dc: DoubleCoset) -> bool:
     """Check members == Bruhat interval [w_min, w_max], independently.
 
     Uses only the subword-property comparator over the whole quotient, so
     it does not trust how the double coset was generated.
     """
-    pq = pq if pq is not None else dc.pq
     member_set = set(dc.members)
     interval = set()
-    for k, x in enumerate(pq.elements):
+    for k, x in enumerate(dc.pq.elements):
         if weyl.bruhat_leq(dc.w_min, x) and weyl.bruhat_leq(x, dc.w_max):
             interval.add(k)
     return interval == member_set
 
-
-def quotient_json(pq: ParabolicQuotient) -> dict:
-    """Stable JSON form: elements sorted by (length, window), covers by index."""
-    omitted = sorted(frozenset(pq.rs.nodes) - pq.j_q)
-    return {
-        "type": pq.rs.type_label,
-        "rank": pq.rs.rank,
-        "q_node": omitted[0] if len(omitted) == 1 else omitted,
-        "elements": [
-            {"window": weyl.window_str(w.window), "length": w.length}
-            for w in pq.elements
-        ],
-        "covers": [
-            {
-                "from": c.u,
-                "to": c.w,
-                "root": [int(x) for x in pq.rs.positive_roots[c.root]],
-            }
-            for c in pq.covers
-        ],
-    }

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Optional, Tuple
 
 from . import cosets, hasse, strata, weyl
 from .cosets import ParabolicQuotient
@@ -75,10 +76,10 @@ def phi(stratum: OrbitStratum, u: weyl.WeylElement) -> weyl.WeylElement:
     return image
 
 
-def phi_map(stratum: OrbitStratum, fq: Optional[ParabolicQuotient] = None) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
+def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     """Certified bijection from the flag quotient onto the stratum members."""
     pq = stratum.dc.pq
-    fq = fq if fq is not None else flag_quotient(stratum)
+    fq = flag_quotient(stratum)
     member_set = set(stratum.dc.members)
     images = []
     for u in fq.elements:
@@ -150,9 +151,8 @@ def build_decomposition(fix: Fixture) -> DecomposedDiagram:
     return DecomposedDiagram(fix, pq, diagram, sts, vs, cross, comparisons)
 
 
-def verify_decomposition(fix: Fixture) -> dict:
+def decomposition_report(dec: DecomposedDiagram) -> dict:
     """Per-stratum pass/fail report for the flag-diagram identification."""
-    dec = build_decomposition(fix)
     strata_report = []
     for comp in dec.comparisons:
         strata_report.append(
@@ -168,7 +168,7 @@ def verify_decomposition(fix: Fixture) -> dict:
         for e in dec.cross_edges
     )
     return {
-        "fixture": fix.label,
+        "fixture": dec.fixture.label,
         "strata": strata_report,
         "cross_edges": len(dec.cross_edges),
         "all_pass": dec.all_pass() and cross_ok,
@@ -179,25 +179,12 @@ def verify_decomposition(fix: Fixture) -> dict:
 # emission
 
 
-def _vertex_positions(dec_pq: ParabolicQuotient) -> List[Tuple[int, int]]:
-    """(degree, centered slot) per vertex, stable within each degree."""
-    by_degree: Dict[int, List[int]] = {}
-    for k, w in enumerate(dec_pq.elements):
-        by_degree.setdefault(w.length, []).append(k)
-    pos = [(0, 0)] * len(dec_pq.elements)
-    for degree, members in sorted(by_degree.items()):
-        for slot, k in enumerate(members):
-            pos[k] = (degree, slot)
-    return pos
-
-
 def _emit_json(
-    label: str,
-    space: str,
+    fix: Fixture,
     pq: ParabolicQuotient,
     diagram: HasseDiagram,
     vertex_stratum: Optional[Tuple[int, ...]],
-    strata_payload: Optional[list],
+    sts: Optional[Tuple[OrbitStratum, ...]],
 ) -> str:
     vertices = []
     for k, w in enumerate(pq.elements):
@@ -211,21 +198,21 @@ def _emit_json(
         if vertex_stratum is not None:
             entry["cross"] = vertex_stratum[e.u] != vertex_stratum[e.w]
         edges.append(entry)
-    payload = {"fixture": label, "space": space, "vertices": vertices, "edges": edges}
-    if strata_payload is not None:
-        payload["strata"] = strata_payload
+    payload = {"fixture": fix.label, "space": fix.space_label, "vertices": vertices, "edges": edges}
+    if sts is not None:
+        payload["strata"] = [strata.stratum_json(st) for st in sts]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit_dot(
-    label: str,
+    fix: Fixture,
     pq: ParabolicQuotient,
     diagram: HasseDiagram,
     vertex_stratum: Optional[Tuple[int, ...]],
-    stratum_delta: Optional[Tuple[int, ...]],
+    sts: Optional[Tuple[OrbitStratum, ...]],
 ) -> str:
     lines = [
-        'digraph "%s" {' % label,
+        'digraph "%s" {' % fix.label,
         "  rankdir=LR;",
         "  node [shape=circle, style=filled, fixedsize=true, width=0.25, fontsize=6];",
     ]
@@ -233,7 +220,7 @@ def _emit_dot(
         attrs = ['label="%s"' % weyl.window_str(w.window)]
         if vertex_stratum is not None:
             si = vertex_stratum[k]
-            attrs.append('class="stratum%d"' % stratum_delta[si])
+            attrs.append('class="stratum%d"' % sts[si].delta)
             attrs.append('fillcolor="%s"' % PALETTE[si % len(PALETTE)])
         lines.append("  n%d [%s];" % (k, ", ".join(attrs)))
     for e in diagram.edges:
@@ -246,30 +233,31 @@ def _emit_dot(
 
 
 def _emit_tikz(
+    fix: Fixture,
     pq: ParabolicQuotient,
     diagram: HasseDiagram,
     vertex_stratum: Optional[Tuple[int, ...]],
+    sts: Optional[Tuple[OrbitStratum, ...]],
 ) -> str:
     colors = ("blue", "red", "green!60!black", "orange", "violet", "brown")
-    pos = _vertex_positions(pq)
-    counts: Dict[int, int] = {}
-    for degree, _ in pos:
-        counts[degree] = counts.get(degree, 0) + 1
+    # elements are sorted by length, so each degree is a run of indices
+    counts = pq.rank_counts()
+    first = [0, *accumulate(counts)]
     lines = [
         "\\documentclass[tikz]{standalone}",
         "\\begin{document}",
         "\\begin{tikzpicture}[x=2em, y=2em,",
         "  every node/.style={draw, circle, minimum size=4pt, inner sep=0pt}]",
     ]
-    for k in range(len(pq.elements)):
-        degree, slot = pos[k]
-        y = slot - (counts[degree] - 1) / 2.0
+    for k, w in enumerate(pq.elements):
+        degree = w.length
+        # y = h/2 in exact half-units, centred within the degree
+        h = 2 * (k - first[degree]) - (counts[degree] - 1)
+        y = "%s%d.%d" % ("-" if h < 0 else "", abs(h) // 2, 5 * (abs(h) % 2))
         fill = ""
         if vertex_stratum is not None:
             fill = "fill=%s" % colors[vertex_stratum[k] % len(colors)]
-        lines.append(
-            "  \\node[%s] (n%d) at (%d, %.1f) {};" % (fill, k, degree, y)
-        )
+        lines.append("  \\node[%s] (n%d) at (%d, %s) {};" % (fill, k, degree, y))
     for e in diagram.edges:
         style = []
         if vertex_stratum is not None and vertex_stratum[e.u] == vertex_stratum[e.w]:
@@ -282,42 +270,28 @@ def _emit_tikz(
     return "\n".join(lines) + "\n"
 
 
-def emit(dec: DecomposedDiagram, fmt: str, path: Optional[str] = None) -> str:
-    deltas = tuple(st.delta for st in dec.strata)
-    if fmt == "json":
-        text = _emit_json(
-            dec.fixture.label,
-            dec.fixture.space_label,
-            dec.pq,
-            dec.diagram,
-            dec.vertex_stratum,
-            [strata.stratum_json(st) for st in dec.strata],
-        )
-    elif fmt == "dot":
-        text = _emit_dot(dec.fixture.label, dec.pq, dec.diagram, dec.vertex_stratum, deltas)
-    elif fmt == "tikz":
-        text = _emit_tikz(dec.pq, dec.diagram, dec.vertex_stratum)
-    else:
+_EMITTERS = {"dot": _emit_dot, "tikz": _emit_tikz, "json": _emit_json}
+
+
+def _emit(
+    fmt: str,
+    fix: Fixture,
+    pq: ParabolicQuotient,
+    diagram: HasseDiagram,
+    vertex_stratum: Optional[Tuple[int, ...]] = None,
+    sts: Optional[Tuple[OrbitStratum, ...]] = None,
+) -> str:
+    if fmt not in _EMITTERS:
         raise ValueError("unknown format %r (expected dot, tikz or json)" % fmt)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return _EMITTERS[fmt](fix, pq, diagram, vertex_stratum, sts)
 
 
-def emit_plain(fix: Fixture, fmt: str, path: Optional[str] = None) -> str:
+def emit(dec: DecomposedDiagram, fmt: str) -> str:
+    """Orbit-colored diagram of the decomposition in `fmt` (dot, tikz or json)."""
+    return _emit(fmt, dec.fixture, dec.pq, dec.diagram, dec.vertex_stratum, dec.strata)
+
+
+def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
     pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-    diagram = hasse.build_hasse(pq, {fix.q_node: 1})
-    if fmt == "json":
-        text = _emit_json(fix.label, fix.space_label, pq, diagram, None, None)
-    elif fmt == "dot":
-        text = _emit_dot(fix.label, pq, diagram, None, None)
-    elif fmt == "tikz":
-        text = _emit_tikz(pq, diagram, None)
-    else:
-        raise ValueError("unknown format %r (expected dot, tikz or json)" % fmt)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return _emit(fmt, fix, pq, hasse.build_hasse(pq, {fix.q_node: 1}))

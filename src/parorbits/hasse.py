@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from .cosets import ParabolicQuotient
-from . import weyl
 
 
 class HasseError(ValueError):
@@ -45,12 +44,6 @@ class HasseDiagram:
     weight: Weight
     edges: Tuple[Edge, ...]
 
-    def vertex_count(self) -> int:
-        return len(self.quotient.elements)
-
-    def edge_dict(self) -> Dict[Tuple[int, int], int]:
-        return {(e.u, e.w): e.mult for e in self.edges}
-
     def total_multiplicity(self) -> int:
         return sum(e.mult for e in self.edges)
 
@@ -77,22 +70,6 @@ def pairing_with_coroot(pq: ParabolicQuotient, weight: Weight, root_idx: int) ->
     return sum(c * coords[n - 1] for n, c in weight)
 
 
-def chevalley_edges(
-    pq: ParabolicQuotient, u_idx: int, weight: Mapping[int, int] | Weight
-) -> List[Tuple[int, int]]:
-    """Multiplicity-weighted covers above one vertex: list of (w_idx, mult)."""
-    wt = normalize_weight(weight)
-    _validate_weight(pq, wt)
-    out = []
-    for cover in pq.covers:
-        if cover.u != u_idx:
-            continue
-        mult = pairing_with_coroot(pq, wt, cover.root)
-        if mult > 0:
-            out.append((cover.w, mult))
-    return out
-
-
 def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> HasseDiagram:
     wt = normalize_weight(weight)
     _validate_weight(pq, wt)
@@ -103,11 +80,6 @@ def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> Ha
             edges.append(Edge(cover.u, cover.w, mult, cover.root))
     edges.sort()
     return HasseDiagram(pq, wt, tuple(edges))
-
-
-def poincare_poly(pq: ParabolicQuotient) -> List[int]:
-    """Vertex counts per degree (coefficients of the rank generating function)."""
-    return list(pq.rank_counts())
 
 
 def weighted_path_count(diagram: HasseDiagram, reverse: bool = False) -> int:
@@ -137,18 +109,3 @@ def weighted_path_count(diagram: HasseDiagram, reverse: bool = False) -> int:
         for w, mult in outgoing.get(k, []):
             counts[k] += counts[w] * mult
     return counts[0]
-
-
-def diagram_json(diagram: HasseDiagram, strata: Tuple[int, ...] | None = None) -> dict:
-    """Stable JSON graph; vertex order is the quotient's element order."""
-    pq = diagram.quotient
-    vertices = []
-    for k, w in enumerate(pq.elements):
-        entry = {"window": weyl.window_str(w.window), "length": w.length}
-        if strata is not None:
-            entry["stratum"] = strata[k]
-        vertices.append(entry)
-    return {
-        "vertices": vertices,
-        "edges": [{"from": e.u, "to": e.w, "mult": e.mult} for e in diagram.edges],
-    }

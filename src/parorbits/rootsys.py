@@ -101,9 +101,6 @@ class RootSystem:
     def fundamental_coweight(self, i: int) -> Vector:
         return self.fundamental_coweights[i - 1]
 
-    def root_index(self, root: Vector) -> int:
-        return self.positive_roots.index(tuple(Fraction(x) for x in root))
-
     def positive_roots_of(self, nodes: FrozenSet[int]) -> Tuple[int, ...]:
         """Indices of positive roots supported inside a node subset."""
         return tuple(

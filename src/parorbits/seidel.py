@@ -40,45 +40,28 @@ class QuantumTerm:
     class_index: WeylElement
 
 
-def v_elt(rs: RootSystem, i: int, certify: bool = True) -> SeidelElement:
+def v_elt(rs: RootSystem, i: int) -> SeidelElement:
     """Seidel element of node i, built as w_0 * w_(0,P_i).
 
-    The defining coweight equation is always checked exactly.  Minimality
-    is certified by brute force over every shorter group element up to
-    rank 5; past that the certificate is a seeded sample of random short
-    words (full enumeration grows past desk scale).
+    Certified exactly at every rank.  The stabiliser of the dominant
+    coweight omega_i^vee is W_J with J the nodes other than i, so the
+    solutions u of u * omega_i^vee = w_0 * omega_i^vee form the coset
+    w_0 W_J; its shortest element is the unique one with no right descent
+    in J.  Both conditions are checked.
     """
     if i not in rootsys.cominuscule_nodes(rs):
         raise SeidelError(
             "node %d is not cominuscule for %s_%d" % (i, rs.type_label, rs.rank)
         )
+    j_set = [k for k in rs.nodes if k != i]
     w0 = weyl.longest(rs, rs.nodes)
-    w0_levi = weyl.longest(rs, [k for k in rs.nodes if k != i])
-    v = weyl.multiply(w0, w0_levi)
+    v = weyl.multiply(w0, weyl.longest(rs, j_set))
     omega = rs.fundamental_coweight(i)
-    target = weyl.act(w0, omega)
-    if weyl.act(v, omega) != target:
+    if weyl.act(v, omega) != weyl.act(w0, omega):
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
-    if certify:
-        for u in _minimality_candidates(rs, v.length):
-            if u.length < v.length and weyl.act(u, omega) == target:
-                raise SeidelError(
-                    "shorter element %r satisfies the coweight equation" % (u,)
-                )
+    if not weyl.is_min_rep(v, j_set):
+        raise SeidelError("Seidel element %r of node %d is not minimal in w_0 W_J" % (v, i))
     return SeidelElement(rs, i, v)
-
-
-def _minimality_candidates(rs: RootSystem, bound: int):
-    if rs.rank <= 5:
-        return weyl.full_group(rs)
-    import random
-
-    rng = random.Random(20260808)
-    out = []
-    for _ in range(500):
-        word = [rng.randrange(1, rs.rank + 1) for _ in range(rng.randrange(bound))]
-        out.append(weyl.from_word(rs, word))
-    return out
 
 
 def seidel_apply(se: SeidelElement, w: WeylElement, fix: Fixture) -> QuantumTerm:
@@ -89,7 +72,7 @@ def seidel_apply(se: SeidelElement, w: WeylElement, fix: Fixture) -> QuantumTerm
 
 def seidel_table(fix: Fixture) -> List[Tuple[WeylElement, QuantumTerm]]:
     """The full operator table over the quotient, in element order."""
-    se = v_elt(fix.rs, fix.p_node, certify=False)
+    se = v_elt(fix.rs, fix.p_node)
     pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
     return [(w, seidel_apply(se, w, fix)) for w in pq.elements]
 

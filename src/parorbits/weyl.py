@@ -155,10 +155,6 @@ def inverse(w: WeylElement) -> WeylElement:
     return WeylElement(w.rs, tuple(out))
 
 
-def length(w: WeylElement) -> int:
-    return w.length
-
-
 def act(w: WeylElement, v: Sequence[Fraction]) -> Vector:
     """Signed-permutation action on an ambient (co)weight vector."""
     if len(v) != w.rs.dim:
@@ -172,13 +168,6 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for k in word:
         w = multiply(w, simple_reflection(rs, k))
     return w
-
-
-def descents(w: WeylElement, nodes: Iterable[int]) -> List[int]:
-    """Right descents among `nodes`: k with length(w s_k) < length(w)."""
-    return [
-        k for k in sorted(nodes) if _root_is_negative(w.window, w.rs.simple_roots[k - 1])
-    ]
 
 
 def first_descent(w: WeylElement, nodes: Sequence[int]) -> int:

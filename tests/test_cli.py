@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from parorbits import cli
+from parorbits import cli, decomp, seidel, weyl
 
 
 def run_cli(capsys, argv):
@@ -171,3 +171,48 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert out_path.read_text().startswith('digraph "A3/P2+P2"')
+
+
+FIGURE_ARGV = [
+    "diagram", "--type", "C", "--rank", "4", "--grassmannian", "2", "--cominuscule", "4",
+]
+
+
+def test_failed_certificates_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(weyl, "is_min_rep", lambda w, j_set: False)
+    code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not minimal" in err
+    monkeypatch.undo()
+    # a cell map without the w_min shift leaves the stratum
+    monkeypatch.setattr(decomp, "phi", lambda stratum, u: u)
+    code, out, err = run_cli(capsys, FIGURE_ARGV)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cell map") and err.count("\n") == 1
+
+
+def test_weyl_error_exits_1(monkeypatch, capsys):
+    def fail(fix):
+        raise weyl.WeylError("operands live in different Weyl groups")
+
+    monkeypatch.setattr(seidel, "table_rows", fail)
+    code, out, err = run_cli(capsys, ["quantum", "--type", "A", "--rank", "3", "--grassmannian", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: operands live in different Weyl groups\n"
+
+
+def test_output_into_missing_directory_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "diagram.dot"
+    code, out, err = run_cli(capsys, FIGURE_ARGV + ["--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_empty_sweep_is_not_a_pass(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--max-rank-a", "0", "--max-rank-b", "0", "--max-rank-c", "0", "--max-rank-d", "0"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: empty sweep: the rank caps admit no fixture\n"

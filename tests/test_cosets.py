@@ -9,7 +9,6 @@ from parorbits.cosets import (
     certify_interval,
     double_cosets,
     enumerate_WQ,
-    quotient_json,
 )
 from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
@@ -102,17 +101,6 @@ def test_type_d_picard_two_rejected():
     d4 = build("D", 4)
     with pytest.raises(CosetError):
         enumerate_WQ(d4, frozenset({1, 2, 4}))  # omits node 3 = n-1
-
-
-def test_quotient_json_schema():
-    pq = enumerate_WQ(build("A", 3), frozenset({1, 3}))
-    payload = quotient_json(pq)
-    assert payload["type"] == "A" and payload["rank"] == 3 and payload["q_node"] == 2
-    assert payload["elements"][0] == {"window": "(1,2,3,4)", "length": 0}
-    lengths = [e["length"] for e in payload["elements"]]
-    assert lengths == sorted(lengths)
-    for c in payload["covers"]:
-        assert set(c) == {"from", "to", "root"}
 
 
 def test_levi_subsystem_quotient():

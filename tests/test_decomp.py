@@ -3,7 +3,13 @@ import json
 import pytest
 
 from parorbits import graphiso, strata
-from parorbits.decomp import build_decomposition, emit, emit_plain, phi_map, verify_decomposition
+from parorbits.decomp import (
+    build_decomposition,
+    decomposition_report,
+    emit,
+    emit_plain,
+    phi_map,
+)
 from parorbits.fixtures import Fixture
 
 from conftest import load_golden
@@ -45,7 +51,7 @@ def test_phi_endpoints_and_bijection():
 
 
 def test_verify_ig28():
-    report = verify_decomposition(Fixture("C", 4, 2, 4))
+    report = decomposition_report(build_decomposition(Fixture("C", 4, 2, 4)))
     assert report["all_pass"]
     assert [(s["flag"], s["scale"], s["pass"]) for s in report["strata"]] == [
         ("G(2,4)", 1, True),
@@ -56,7 +62,7 @@ def test_verify_ig28():
 
 
 def test_verify_og39():
-    report = verify_decomposition(Fixture("B", 4, 3, 1))
+    report = decomposition_report(build_decomposition(Fixture("B", 4, 3, 1)))
     assert report["all_pass"]
     assert [(s["flag"], s["scale"]) for s in report["strata"]] == [
         ("OG(2,7)", 1),
@@ -66,7 +72,7 @@ def test_verify_og39():
 
 
 def test_verify_og29():
-    report = verify_decomposition(Fixture("B", 4, 2, 1))
+    report = decomposition_report(build_decomposition(Fixture("B", 4, 2, 1)))
     assert report["all_pass"]
     assert [s["scale"] for s in report["strata"]] == [1, 1, 1]
 
@@ -174,6 +180,10 @@ def test_tikz_output_content():
     assert text.startswith("\\documentclass[tikz]{standalone}")
     assert text.count("\\node[") == 32
     assert text.count("double") == 24  # 20 doubled strata edges + 4 doubled cross edges
+    # y is centred within each degree in exact half-units
+    plain = emit_plain(Fixture("A", 3, 2, 2), "tikz")
+    assert "(n2) at (2, -0.5)" in plain and "(n3) at (2, 0.5)" in plain
+    assert "(n4) at (3, 0.0)" in plain
 
 
 def test_json_output_schema():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -5,8 +6,9 @@ import pytest
 
 from parorbits import cosets, hasse, weyl
 from parorbits.cosets import build_quotient, enumerate_WQ
+from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture
-from parorbits.hasse import HasseError, build_hasse, chevalley_edges, poincare_poly
+from parorbits.hasse import HasseError, build_hasse
 from parorbits.rootsys import build
 
 FIXTURES = [
@@ -56,18 +58,18 @@ def test_og39_edge_profile():
 
 def test_poincare_polys():
     g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
-    assert poincare_poly(g24) == [1, 1, 2, 1, 1]
+    assert g24.rank_counts() == (1, 1, 2, 1, 1)
     p3 = enumerate_WQ(build("A", 3), frozenset({2, 3}))
-    assert poincare_poly(p3) == [1, 1, 1, 1]
+    assert p3.rank_counts() == (1, 1, 1, 1)
     ig = enumerate_WQ(build("C", 4), frozenset({1, 3, 4}))
-    counts = poincare_poly(ig)
+    counts = ig.rank_counts()
     assert sum(counts) == 24 and counts == counts[::-1]
 
 
 def test_chevalley_edges_single_vertex():
     pq = enumerate_WQ(build("A", 3), frozenset({1, 3}))
-    out = chevalley_edges(pq, 0, {2: 1})
-    assert out == [(1, 1)]
+    hd = build_hasse(pq, {2: 1})
+    assert [(e.w, e.mult) for e in hd.edges if e.u == 0] == [(1, 1)]
 
 
 def test_weight_validation():
@@ -136,7 +138,11 @@ def test_levi_flag_diagram():
 
 
 def test_diagram_json_shape():
-    pq, hd = _diagram(Fixture("A", 3, 2, 2))
-    payload = hasse.diagram_json(hd)
+    payload = json.loads(emit_plain(Fixture("A", 3, 2, 2), "json"))
+    assert payload["fixture"] == "A3/P2+P2" and payload["space"] == "G(2,4)"
     assert len(payload["vertices"]) == 6
+    assert payload["vertices"][0] == {"window": "(1,2,3,4)", "length": 0}
+    lengths = [v["length"] for v in payload["vertices"]]
+    assert lengths == sorted(lengths)
     assert payload["edges"][0] == {"from": 0, "to": 1, "mult": 1}
+    assert all(set(e) == {"from", "to", "mult"} for e in payload["edges"])

@@ -1,6 +1,6 @@
 import pytest
 
-from parorbits import cosets, seidel, strata, weyl
+from parorbits import cosets, rootsys, seidel, strata, weyl
 from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 from parorbits.seidel import (
@@ -48,8 +48,35 @@ def test_v_elt_rejects_non_cominuscule():
         v_elt(build("B", 4), 2)
 
 
+def _brute_force_seidel_element(rs, i):
+    """Test-only oracle: the shortest solution of the coweight equation,
+    found by scanning the whole group, with the number of such solutions."""
+    omega = rs.fundamental_coweight(i)
+    target = weyl.act(weyl.longest(rs, rs.nodes), omega)
+    solutions = [u for u in weyl.full_group(rs) if weyl.act(u, omega) == target]
+    shortest = min(u.length for u in solutions)
+    return [u for u in solutions if u.length == shortest]
+
+
+def test_v_elt_matches_brute_force_oracle():
+    cases = 0
+    for t, ranks in (("A", range(1, 6)), ("B", range(2, 6)), ("C", range(2, 6)), ("D", range(4, 6))):
+        for n in ranks:
+            rs = build(t, n)
+            for i in sorted(rootsys.cominuscule_nodes(rs)):
+                assert _brute_force_seidel_element(rs, i) == [v_elt(rs, i).v], (t, n, i)
+                cases += 1
+    assert cases == 29
+
+
+def test_v_elt_exact_beyond_rank_five():
+    c7 = build("C", 7)
+    assert v_elt(c7, 7).v.window == (-7, -6, -5, -4, -3, -2, -1)
+    d7 = build("D", 7)
+    assert v_elt(d7, 1).v.length == len(d7.positive_roots) - len(build("D", 6).positive_roots)
+
+
 def test_v_elt_certified_at_rank_five():
-    # full brute-force minimality over all 3840 elements
     v5 = v_elt(build("C", 5), 5)
     assert v5.v.window == (-5, -4, -3, -2, -1)
     d5 = v_elt(build("D", 5), 1)
@@ -109,7 +136,7 @@ def test_top_class_q_exresponse():
 
 def test_composition_path_independence():
     for fix in FIXTURES:
-        se = v_elt(fix.rs, fix.p_node, certify=False)
+        se = v_elt(fix.rs, fix.p_node)
         pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
         vv = weyl.multiply(se.v, se.v)
         for w in pq.elements:
@@ -169,7 +196,7 @@ def test_quantum_degree_values():
 
 def test_degree_bookkeeping():
     for fix in FIXTURES:
-        se = v_elt(fix.rs, fix.p_node, certify=False)
+        se = v_elt(fix.rs, fix.p_node)
         pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
         v_class = weyl.min_rep(se.v, fix.j_q)
         qdeg = quantum_q_degree(fix)
