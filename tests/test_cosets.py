@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -10,6 +11,7 @@ from parorbits.cosets import (
     double_cosets,
     enumerate_WQ,
 )
+from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 
@@ -101,6 +103,24 @@ def test_type_d_picard_two_rejected():
     d4 = build("D", 4)
     with pytest.raises(CosetError):
         enumerate_WQ(d4, frozenset({1, 2, 4}))  # omits node 3 = n-1
+
+
+def test_quotient_json_schema():
+    # the quotient's JSON form is the public plain emission of its diagram
+    fix = Fixture("A", 3, 2, 2)
+    pq = enumerate_WQ(fix.rs, fix.j_q)
+    payload = json.loads(emit_plain(fix, "json"))
+    assert payload["fixture"] == "A3/P2+P2"
+    assert payload["vertices"][0] == {"window": "(1,2,3,4)", "length": 0}
+    assert payload["vertices"] == [
+        {"window": weyl.window_str(w.window), "length": w.length} for w in pq.elements
+    ]
+    lengths = [v["length"] for v in payload["vertices"]]
+    assert lengths == sorted(lengths)
+    for e in payload["edges"]:
+        assert set(e) == {"from", "to", "mult"}
+    # on the Grassmannian G(2,4) every Bruhat cover carries multiplicity 1
+    assert [(e["from"], e["to"]) for e in payload["edges"]] == [(c.u, c.w) for c in pq.covers]
 
 
 def test_levi_subsystem_quotient():
