@@ -138,8 +138,16 @@ def cmd_list(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse answers a malformed command line with a usage block and exit
+    # 2; report it like any other bad input: one `error:` line, exit 1.
+    # Subparsers are built from the same class, so they inherit this.
+    def error(self, message):
+        self.exit(1, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parorbits",
         description="Parabolic orbit strata, Seidel quantum tables and Hasse "
         "diagram decompositions of classical Grassmannians.",

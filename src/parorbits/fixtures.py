@@ -3,11 +3,15 @@
 A fixture names X = G/Q for a maximal parabolic Q = P_(q_node) together
 with a cominuscule node p_node defining the acting parabolic P.  Fixture
 labels follow the convention "<Type><rank>/P<q_node>+P<p_node>".
+
+The quotient of a fixture is built by enumerating its Weyl group, so a
+fixture is refused when |W| exceeds `MAX_GROUP_ORDER`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import FrozenSet, List
 
 from . import rootsys
@@ -18,6 +22,19 @@ class FixtureError(ValueError):
     """Fixture outside the supported classical families."""
 
 
+#: Largest Weyl group a fixture may enumerate: |W(B6)| = |W(C6)| = 46,080.
+#: It admits every fixture of rank <= 6 and A7 (|W| = 40,320); A8 and every
+#: B, C, D of rank >= 7 are refused.
+MAX_GROUP_ORDER = 46_080
+
+
+def group_order(type_label: str, rank: int) -> int:
+    """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n."""
+    if type_label == "A":
+        return factorial(rank + 1)
+    return 2 ** (rank - 1 if type_label == "D" else rank) * factorial(rank)
+
+
 @dataclass(frozen=True)
 class Fixture:
     type_label: str
@@ -26,7 +43,14 @@ class Fixture:
     p_node: int
 
     def __post_init__(self):
-        rs = rootsys.build(self.type_label, self.rank)  # validates type and rank
+        rootsys.check_rank(self.type_label, self.rank)
+        order = group_order(self.type_label, self.rank)
+        if order > MAX_GROUP_ORDER:
+            raise FixtureError(
+                "%s%d: |W| = %d exceeds the enumeration bound %d"
+                % (self.type_label, self.rank, order, MAX_GROUP_ORDER)
+            )
+        rs = rootsys.build(self.type_label, self.rank)
         n = rs.rank
         if not 1 <= self.q_node <= n:
             raise FixtureError("q_node %d out of range 1..%d" % (self.q_node, n))
@@ -80,17 +104,19 @@ class Fixture:
 def parse_fixture(text: str) -> Fixture:
     """Parse "C,4,2,4" or "C4/P2+P4" into a fixture."""
     text = text.strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 4:
-            raise FixtureError("expected TYPE,RANK,Q_NODE,P_NODE: %r" % text)
-        return Fixture(parts[0], int(parts[1]), int(parts[2]), int(parts[3]))
     try:
-        head, tail = text.split("/")
-        q_part, p_part = tail.split("+")
-        return Fixture(head[0], int(head[1:]), int(q_part[1:]), int(p_part[1:]))
+        if "," in text:
+            t, n, q, p = (part.strip() for part in text.split(","))
+        else:
+            head, tail = text.split("/")
+            q, p = tail.split("+")
+            t, n, q, p = head[0], head[1:], q[1:], p[1:]
+        fields = t, int(n), int(q), int(p)
     except (ValueError, IndexError) as exc:
-        raise FixtureError("cannot parse fixture %r" % text) from exc
+        raise FixtureError(
+            "cannot parse fixture %r: expected TYPE,RANK,Q_NODE,P_NODE or e.g. C4/P2+P4" % text
+        ) from exc
+    return Fixture(*fields)
 
 
 def sweep_fixtures(

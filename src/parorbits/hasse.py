@@ -31,8 +31,7 @@ Weight = Tuple[Tuple[int, int], ...]  # sorted ((node, coefficient), ...)
 
 
 def normalize_weight(weight: Mapping[int, int] | Iterable[Tuple[int, int]]) -> Weight:
-    items = dict(weight).items() if isinstance(weight, Mapping) else dict(weight).items()
-    out = tuple(sorted((int(n), int(c)) for n, c in items if c))
+    out = tuple(sorted((int(n), int(c)) for n, c in dict(weight).items() if c))
     if any(c < 0 for _, c in out):
         raise HasseError("weight coefficients must be non-negative")
     return out

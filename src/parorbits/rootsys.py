@@ -2,8 +2,15 @@
 
 All vectors live in a fixed integer ambient lattice (Z^(n+1) for A_n,
 Z^n otherwise) so that the Weyl group acts by signed coordinate
-permutations.  Every quantity is exact: integers or `fractions.Fraction`,
-never floats.
+permutations.  Roots and coroots are `int` tuples in all four
+realizations; `fractions.Fraction` appears only in the fundamental
+coweights and in pairings with them.  No floats anywhere.
+
+The fundamental coweights are the dual basis of the simple roots
+(<alpha_i, omega_j^vee> = delta_ij, checked on every build), so the
+simple-root coordinates of a root are its pairings with them: root
+heights, supports, coroot coordinates and `eta` all come from that one
+pairing.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -18,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[int, ...]
+Coweight = Tuple[Fraction, ...]
 
 TYPE_LABELS = ("A", "B", "C", "D")
 
@@ -32,22 +40,14 @@ class RootSystemError(ValueError):
     """Invalid root-system request (bad type label or rank out of range)."""
 
 
-def _vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+def _unit(dim: int, k: int, value: int = 1) -> Vector:
+    return tuple(value if t == k else 0 for t in range(dim))
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise RootSystemError(
-            "dimension mismatch: %d-vector paired with %d-vector" % (len(u), len(v))
-        )
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _basis_vector(dim: int, k: int, value=1) -> Vector:
-    v = [Fraction(0)] * dim
-    v[k] = Fraction(value)
-    return tuple(v)
+def _div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    assert r == 0, "inexact division %d / %d" % (a, b)
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +65,8 @@ class RootSystem:
     simple_roots: Tuple[Vector, ...]
     simple_coroots: Tuple[Vector, ...]
     cartan_matrix: Tuple[Tuple[int, ...], ...]
-    fundamental_coweights: Tuple[Vector, ...]
+    fundamental_coweights: Tuple[Coweight, ...]
     positive_roots: Tuple[Vector, ...]
-    positive_coroots: Tuple[Vector, ...]
-    #: expansion of each positive root over the simple roots (integers)
-    root_coords: Tuple[Tuple[int, ...], ...]
     #: expansion of each positive coroot over the simple coroots (integers)
     coroot_coords: Tuple[Tuple[int, ...], ...]
     #: simple-root support of each positive root, as a frozenset of nodes
@@ -98,7 +95,7 @@ class RootSystem:
     def simple_coroot(self, i: int) -> Vector:
         return self.simple_coroots[i - 1]
 
-    def fundamental_coweight(self, i: int) -> Vector:
+    def fundamental_coweight(self, i: int) -> Coweight:
         return self.fundamental_coweights[i - 1]
 
     def positive_roots_of(self, nodes: FrozenSet[int]) -> Tuple[int, ...]:
@@ -121,111 +118,56 @@ class RootSystem:
 
 def _simple_roots(type_label: str, rank: int) -> Tuple[Vector, ...]:
     n = rank
-    if type_label == "A":
-        dim = n + 1
-        return tuple(
-            tuple(
-                Fraction(1) if k == i else Fraction(-1) if k == i + 1 else Fraction(0)
-                for k in range(dim)
-            )
-            for i in range(n)
-        )
+    dim = n + 1 if type_label == "A" else n
     chain = [
-        tuple(
-            Fraction(1) if k == i else Fraction(-1) if k == i + 1 else Fraction(0)
-            for k in range(n)
-        )
-        for i in range(n - 1)
+        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
+        for i in range(dim - 1)
     ]
+    if type_label == "A":
+        return tuple(chain)
     if type_label == "B":
-        last = _basis_vector(n, n - 1, 1)
+        last = _unit(n, n - 1, 1)
     elif type_label == "C":
-        last = _basis_vector(n, n - 1, 2)
+        last = _unit(n, n - 1, 2)
     else:  # D
-        v = [Fraction(0)] * n
-        v[n - 2] = Fraction(1)
-        v[n - 1] = Fraction(1)
-        last = tuple(v)
+        last = tuple(1 if k >= n - 2 else 0 for k in range(n))
     return tuple(chain + [last])
 
 
 def _coroot(root: Vector) -> Vector:
-    norm = _dot(root, root)
-    return tuple(2 * x / norm for x in root)
+    norm = pair(root, root)
+    return tuple(_div(2 * x, norm) for x in root)
 
 
-def _positive_roots(
-    type_label: str, rank: int, simple: Tuple[Vector, ...]
-) -> Tuple[Vector, ...]:
-    """Positive roots of the fixed classical realization, sorted by height."""
-    n = rank
-    roots = []
-    if type_label == "A":
-        dim = n + 1
+def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
+    """Positive roots of the fixed classical realization, unsorted."""
+    signs = (-1,) if type_label == "A" else (-1, 1)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sj in signs:
+                v = [0] * dim
+                v[i], v[j] = 1, sj
+                yield tuple(v)
+    if type_label in ("B", "C"):
         for i in range(dim):
-            for j in range(i + 1, dim):
-                v = [Fraction(0)] * dim
-                v[i], v[j] = Fraction(1), Fraction(-1)
-                roots.append(tuple(v))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for sj in (-1, 1):
-                    v = [Fraction(0)] * n
-                    v[i], v[j] = Fraction(1), Fraction(sj)
-                    roots.append(tuple(v))
-        if type_label == "B":
-            roots.extend(_basis_vector(n, i, 1) for i in range(n))
-        elif type_label == "C":
-            roots.extend(_basis_vector(n, i, 2) for i in range(n))
-
-    def height_key(v: Vector):
-        coords = solve_in_basis(simple, v)
-        assert coords is not None and all(c >= 0 for c in coords)
-        return (sum(coords), v)
-
-    return tuple(sorted(roots, key=height_key))
+            yield _unit(dim, i, 1 if type_label == "B" else 2)
 
 
-def solve_in_basis(
-    basis: Sequence[Vector], target: Sequence[Fraction]
-) -> Optional[Tuple[Fraction, ...]]:
-    """Exact coordinates of `target` over `basis`, or None if outside the span.
-
-    Plain fraction-exact Gaussian elimination on the augmented system; the
-    basis vectors may live in a higher-dimensional ambient space (type A).
-    """
-    m = len(basis)
-    dim = len(target)
-    rows = [[Fraction(basis[j][r]) for j in range(m)] + [Fraction(target[r])] for r in range(dim)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((k for k in range(r, dim) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(dim):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    # consistency: rows below the pivot block must have zero RHS
-    for k in range(r, dim):
-        if rows[k][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for row_idx, c in enumerate(pivots):
-        sol[c] = rows[row_idx][m]
-    return tuple(sol)
+def _simple_coordinates(
+    simple: Tuple[Vector, ...], fcw: Tuple[Coweight, ...], beta: Vector
+) -> Tuple[int, ...]:
+    """Coordinates of a positive root over the simple roots: its pairings
+    with the dual basis, checked to be non-negative integers that rebuild it."""
+    coords = tuple(pair(beta, c) for c in fcw)
+    assert all(c.denominator == 1 and c >= 0 for c in coords), "not a positive root"
+    coords = tuple(int(c) for c in coords)
+    rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, simple)) for k in range(len(beta)))
+    assert rebuilt == beta, "root outside the span of the simple roots"
+    return coords
 
 
-@lru_cache(maxsize=None)
-def build(type_label: str, rank: int) -> RootSystem:
-    """Construct (and cache) the root system of the given classical type."""
+def check_rank(type_label: str, rank: int) -> None:
+    """Raise unless the type label is classical and the rank within its bound."""
     if type_label not in TYPE_LABELS:
         raise RootSystemError(
             "unknown type label %r: expected one of A, B, C, D" % (type_label,)
@@ -236,31 +178,31 @@ def build(type_label: str, rank: int) -> RootSystem:
             "rank %d is below the bound for type %s (need rank >= %d)"
             % (rank, type_label, bound)
         )
+
+
+@lru_cache(maxsize=None)
+def build(type_label: str, rank: int) -> RootSystem:
+    """Construct (and cache) the root system of the given classical type."""
+    check_rank(type_label, rank)
     simple = _simple_roots(type_label, rank)
-    dim = rank + 1 if type_label == "A" else rank
+    dim = len(simple[0])
     coroots = tuple(_coroot(a) for a in simple)
-    cartan = tuple(
-        tuple(int(_dot(simple[i], coroots[j])) for j in range(rank))
-        for i in range(rank)
-    )
-    positive = _positive_roots(type_label, rank, simple)
-    pos_coroots = tuple(_coroot(b) for b in positive)
-
-    root_coords = []
-    for beta in positive:
-        coords = solve_in_basis(simple, beta)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        root_coords.append(tuple(int(c) for c in coords))
-    coroot_coords = []
-    for betav in pos_coroots:
-        coords = solve_in_basis(coroots, betav)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        coroot_coords.append(tuple(int(c) for c in coords))
-    support = tuple(
-        frozenset(i + 1 for i, c in enumerate(cs) if c != 0) for cs in root_coords
-    )
-
+    cartan = tuple(tuple(pair(a, c) for c in coroots) for a in simple)
     fcw = _fundamental_coweights(type_label, rank, dim)
+    coords = {
+        beta: _simple_coordinates(simple, fcw, beta)
+        for beta in _positive_roots(type_label, dim)
+    }
+    positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
+    # beta^vee = 2 beta / |beta|^2 = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
+    norms = tuple(pair(a, a) for a in simple)
+    coroot_coords = tuple(
+        tuple(_div(c * norm, pair(beta, beta)) for c, norm in zip(coords[beta], norms))
+        for beta in positive
+    )
+    support = tuple(
+        frozenset(i + 1 for i, c in enumerate(coords[beta]) if c) for beta in positive
+    )
     rs = RootSystem(
         type_label=type_label,
         rank=rank,
@@ -270,35 +212,25 @@ def build(type_label: str, rank: int) -> RootSystem:
         cartan_matrix=cartan,
         fundamental_coweights=fcw,
         positive_roots=positive,
-        positive_coroots=pos_coroots,
-        root_coords=tuple(root_coords),
-        coroot_coords=tuple(coroot_coords),
+        coroot_coords=coroot_coords,
         root_support=support,
     )
     _check_invariants(rs)
     return rs
 
 
-def _fundamental_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...]:
+def _fundamental_coweights(type_label: str, rank: int, dim: int) -> Tuple[Coweight, ...]:
     n = rank
-    out = []
-    if type_label == "A":
-        # integer lift e_1+...+e_i; pairings with the (sum-zero) roots are
-        # unaffected by the central direction (1,...,1)
-        for i in range(1, n + 1):
-            out.append(_vec([1] * i + [0] * (dim - i)))
-    elif type_label == "B":
-        for i in range(1, n + 1):
-            out.append(_vec([1] * i + [0] * (n - i)))
-    elif type_label == "C":
-        for i in range(1, n):
-            out.append(_vec([1] * i + [0] * (n - i)))
-        out.append(tuple(Fraction(1, 2) for _ in range(n)))
-    else:  # D
-        for i in range(1, n - 1):
-            out.append(_vec([1] * i + [0] * (n - i)))
-        out.append(tuple([Fraction(1, 2)] * (n - 1) + [Fraction(-1, 2)]))
-        out.append(tuple(Fraction(1, 2) for _ in range(n)))
+    # omega_i^vee = e_1 + ... + e_i except at the spin nodes of D and node n
+    # of C.  In type A this is an integer lift: pairings with the (sum-zero)
+    # roots are unaffected by the central direction (1,...,1).
+    chain = {"A": n, "B": n, "C": n - 1, "D": n - 2}[type_label]
+    out = [tuple(Fraction(1 if k < i else 0) for k in range(dim)) for i in range(1, chain + 1)]
+    half = Fraction(1, 2)
+    if type_label == "D":
+        out.append((half,) * (n - 1) + (-half,))
+    if type_label in ("C", "D"):
+        out.append((half,) * n)
     return tuple(out)
 
 
@@ -307,7 +239,7 @@ def _check_invariants(rs: RootSystem) -> None:
     for i in range(n):
         for j in range(n):
             assert rs.cartan_matrix[i][i] == 2
-            pairing = _dot(rs.simple_roots[i], rs.fundamental_coweights[j])
+            pairing = pair(rs.simple_roots[i], rs.fundamental_coweights[j])
             assert pairing == (1 if i == j else 0), "coweight pairing broken"
     expected = {
         "A": n * (n + 1) // 2,
@@ -330,29 +262,33 @@ def cominuscule_nodes(rs: RootSystem) -> FrozenSet[int]:
     return frozenset({1, n - 1, n})
 
 
-def pair(root: Sequence[Fraction], coweight: Sequence[Fraction]) -> Fraction:
-    """Natural pairing of a root (weight vector) with a coweight."""
-    return _dot(tuple(Fraction(x) for x in root), tuple(Fraction(x) for x in coweight))
+def pair(u: Sequence, v: Sequence) -> int | Fraction:
+    """Natural pairing of a root (weight vector) with a coweight or coroot.
+
+    Exact in the type of its entries: `int` for two integer vectors,
+    `Fraction` as soon as a coweight enters.
+    """
+    if len(u) != len(v):
+        raise RootSystemError(
+            "dimension mismatch: %d-vector paired with %d-vector" % (len(u), len(v))
+        )
+    return sum(a * b for a, b in zip(u, v))
 
 
-def coroot_coordinates(rs: RootSystem, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Exact expansion of a coweight over the simple coroots.
+def eta(rs: RootSystem, v: Sequence, j: int) -> Fraction:
+    """Coefficient of the j-th simple coroot in the expansion of `v`.
+
+    This is the image of `v` under the projection to the coroot lattice
+    modulo the coroots of the maximal parabolic omitting node j.  As
+    alpha_i^vee = 2 alpha_i / |alpha_i|^2 and the coweights are dual to the
+    simple roots, it equals (|alpha_j|^2 / 2) <v, omega_j^vee>.
 
     Raises if the vector is outside the rational span of the coroots
     (possible in type A, whose coroot span is the sum-zero sublattice).
     """
-    coords = solve_in_basis(rs.simple_coroots, tuple(Fraction(x) for x in v))
-    if coords is None:
-        raise RootSystemError("vector is not in the span of the coroots")
-    return coords
-
-
-def eta(rs: RootSystem, v: Sequence[Fraction], j: int) -> Fraction:
-    """Coefficient of the j-th simple coroot in the expansion of `v`.
-
-    This is the image of `v` under the projection to the coroot lattice
-    modulo the coroots of the maximal parabolic omitting node j.
-    """
     if not 1 <= j <= rs.rank:
         raise RootSystemError("node %d out of range 1..%d" % (j, rs.rank))
-    return coroot_coordinates(rs, v)[j - 1]
+    if rs.type_label == "A" and sum(v) != 0:
+        raise RootSystemError("vector is not in the span of the coroots")
+    alpha = rs.simple_root(j)
+    return Fraction(pair(alpha, alpha), 2) * pair(v, rs.fundamental_coweight(j))

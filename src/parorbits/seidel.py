@@ -120,7 +120,7 @@ def quantum_q_degree(fix: Fixture) -> int:
     for k, beta in enumerate(rs.positive_roots):
         if rs.root_support[k] <= fix.j_q:
             continue
-        total += int(rootsys.pair(beta, rs.simple_coroot(fix.q_node)))
+        total += rootsys.pair(beta, rs.simple_coroot(fix.q_node))
     return total
 
 

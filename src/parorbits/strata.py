@@ -251,7 +251,7 @@ def _orderings(rs: RootSystem, comp: Sequence[int]) -> Tuple[str, List[List[int]
     norm = {x: rootsys.pair(rs.simple_root(x), rs.simple_root(x)) for x in comp}
     norms = sorted(set(norm.values()))
     if r == 1:
-        t = {1: "B", 2: "A", 4: "C"}[int(norms[0])]
+        t = {1: "B", 2: "A", 4: "C"}[norms[0]]
         return t, [comp]
     if len(norms) > 1:
         # one short end (type B, norms 2..2,1) or one long end (type C,

@@ -11,7 +11,6 @@ to negative roots, which agrees with the type-specific inversion formulas
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -72,8 +71,8 @@ def _validate_window(rs: RootSystem, window: Window) -> None:
         raise WeylError("type D windows need an even number of signs: %s" % (window,))
 
 
-def _act_coords(window: Window, v: Sequence[Fraction]) -> Vector:
-    out = [Fraction(0)] * len(window)
+def _act_coords(window: Window, v: Sequence) -> Tuple:
+    out = [0] * len(window)
     for pos, b in enumerate(window):
         if b > 0:
             out[b - 1] = v[pos]
@@ -123,7 +122,9 @@ def simple_reflection(rs: RootSystem, k: int) -> WeylElement:
 def reflection(rs: RootSystem, root: Vector) -> WeylElement:
     """The reflection in `root` as a window element."""
     norm = sum(y * y for y in root)
-    coroot = tuple(2 * x / norm for x in root)
+    if any(2 * x % norm for x in root):
+        raise WeylError("%s has no integral coroot" % (root,))
+    coroot = tuple(2 * x // norm for x in root)
     window = []
     for k in range(rs.dim):
         image = [-coroot[k] * root[t] for t in range(rs.dim)]
@@ -155,11 +156,11 @@ def inverse(w: WeylElement) -> WeylElement:
     return WeylElement(w.rs, tuple(out))
 
 
-def act(w: WeylElement, v: Sequence[Fraction]) -> Vector:
+def act(w: WeylElement, v: Sequence) -> Tuple:
     """Signed-permutation action on an ambient (co)weight vector."""
     if len(v) != w.rs.dim:
         raise WeylError("vector has dimension %d, expected %d" % (len(v), w.rs.dim))
-    return _act_coords(w.window, tuple(Fraction(x) for x in v))
+    return _act_coords(w.window, v)
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:

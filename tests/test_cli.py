@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from parorbits import cli, decomp, seidel, weyl
 
 
@@ -216,3 +218,48 @@ def test_empty_sweep_is_not_a_pass(capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: empty sweep: the rank caps admit no fixture\n"
+
+
+def run_cli_exiting(capsys, argv):
+    """Exit status, stdout and stderr of a command that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_usage_errors_exit_1_with_one_line(capsys):
+    for argv in (
+        ["diagram", "--type", "E", "--rank", "4", "--grassmannian", "2"],
+        ["diagram", "--type", "C", "--rank", "x", "--grassmannian", "2"],
+        ["verify", "--no-such-flag"],
+        [],
+    ):
+        code, out, err = run_cli_exiting(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    code, out, err = run_cli(capsys, ["verify", "--fixture", "C,x,2,4"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot parse fixture") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["diagram", "--help"]):
+        code, out, _ = run_cli_exiting(capsys, argv)
+        assert code == 0 and out.startswith("usage: parorbits")
+
+
+def test_group_size_bound_refused_before_enumeration(monkeypatch, capsys):
+    def unreachable(rs, j_set):
+        raise AssertionError("enumerate_group reached for %r" % (rs,))
+
+    monkeypatch.setattr(weyl, "enumerate_group", unreachable)
+    for argv in (
+        ["diagram", "--type", "C", "--rank", "12", "--grassmannian", "3", "--cominuscule", "12"],
+        ["strata", "--type", "A", "--rank", "8", "--grassmannian", "4"],
+        ["verify", "--fixture", "B7/P3+P1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "exceeds the enumeration bound 46080" in err

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from parorbits import rootsys, weyl
+from parorbits import seidel, weyl
 from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, eta, pair
 
 SMALL = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]
@@ -153,5 +153,101 @@ def test_coweight_move_in_coroot_lattice():
         for j in rs.nodes:
             v = rs.fundamental_coweight(j)
             diff = tuple(a - b for a, b in zip(v, weyl.act(w, v)))
-            coords = rootsys.coroot_coordinates(rs, diff)
-            assert all(c.denominator == 1 for c in coords)
+            for k in rs.nodes:
+                assert eta(rs, diff, k).denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: fraction-exact Gaussian elimination, against which the
+# dual-basis pairings of `rootsys` are compared.
+
+ORACLE_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+)
+
+
+def solve_in_basis(basis, target):
+    """Exact coordinates of `target` over `basis`, or None if outside the span."""
+    m = len(basis)
+    dim = len(target)
+    rows = [[Fraction(basis[j][r]) for j in range(m)] + [Fraction(target[r])] for r in range(dim)]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pivot = next((k for k in range(r, dim) if rows[k][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for k in range(dim):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[k][m] != 0 for k in range(r, dim)):
+        return None
+    sol = [Fraction(0)] * m
+    for row_idx, c in enumerate(pivots):
+        sol[c] = rows[row_idx][m]
+    return tuple(sol)
+
+
+def _oracle_positive_roots(rs):
+    """Positive roots as the orbit of the simple roots under the simple
+    reflections, kept where the solver finds non-negative coordinates,
+    sorted by (height, vector)."""
+    roots = set(rs.simple_roots)
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a, c in zip(rs.simple_roots, rs.simple_coroots):
+                image = tuple(x - pair(v, c) * y for x, y in zip(v, a))
+                if image not in roots:
+                    roots.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    coords = {v: solve_in_basis(rs.simple_roots, v) for v in roots}
+    positive = [v for v in roots if all(c >= 0 for c in coords[v])]
+    return tuple(sorted(positive, key=lambda v: (sum(coords[v]), v))), coords
+
+
+@pytest.mark.parametrize("t,n", ORACLE_SYSTEMS)
+def test_dual_basis_matches_gaussian_oracle(t, n):
+    rs = build(t, n)
+    positive, coords = _oracle_positive_roots(rs)
+    assert rs.positive_roots == positive
+    for k, beta in enumerate(rs.positive_roots):
+        support = frozenset(i + 1 for i, c in enumerate(coords[beta]) if c != 0)
+        assert rs.root_support[k] == support
+        norm = pair(beta, beta)
+        coroot = tuple(Fraction(2 * x, norm) for x in beta)
+        assert rs.coroot_coords[k] == solve_in_basis(rs.simple_coroots, coroot)
+
+
+@pytest.mark.parametrize("t,n", ORACLE_SYSTEMS)
+def test_eta_matches_gaussian_oracle(t, n):
+    rs = build(t, n)
+    moves = [weyl.longest(rs, rs.nodes)]
+    moves += [seidel.v_elt(rs, i).v for i in sorted(cominuscule_nodes(rs))]
+    for w in moves:
+        winv = weyl.inverse(w)
+        for i in rs.nodes:
+            omega = rs.fundamental_coweight(i)
+            diff = tuple(a - b for a, b in zip(omega, weyl.act(winv, omega)))
+            expected = solve_in_basis(rs.simple_coroots, diff)
+            assert expected is not None
+            assert tuple(eta(rs, diff, j) for j in rs.nodes) == expected
+
+
+@pytest.mark.parametrize("t,n", ORACLE_SYSTEMS)
+def test_root_data_is_integer(t, n):
+    rs = build(t, n)
+    for vectors in (rs.simple_roots, rs.simple_coroots, rs.positive_roots, rs.coroot_coords):
+        for vec in vectors:
+            assert all(type(x) is int for x in vec)

@@ -1,7 +1,7 @@
 import pytest
 
-from parorbits import cosets, weyl
-from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
+from parorbits import cosets, rootsys, weyl
+from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, FixtureError, group_order, sweep_fixtures
 from parorbits.strata import (
     StrataError,
     d_geometric,
@@ -174,3 +174,14 @@ def test_invalid_fixtures_rejected():
         Fixture("B", 4, 2, 2)  # not cominuscule
     with pytest.raises(FixtureError):
         Fixture("C", 4, 5, 4)  # q_node out of range
+
+
+def test_group_order_bound():
+    for t, n in (("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4)):
+        assert group_order(t, n) == len(weyl.full_group(rootsys.build(t, n)))
+    assert max(group_order(t, 6) for t in "BCD") == group_order("C", 6) == MAX_GROUP_ORDER
+    assert group_order("A", 7) == 40320
+    sweep_fixtures(7, 6, 6, 6)  # every fixture of rank <= 6 and of A7 is admitted
+    for args in (("A", 8, 4, 4), ("B", 7, 3, 1), ("C", 7, 3, 7), ("D", 7, 3, 7)):
+        with pytest.raises(FixtureError):
+            Fixture(*args)

@@ -41,6 +41,10 @@ def test_window_validation():
     with pytest.raises(WeylError):
         element(c4, (1, 1, 2, 3))
     assert element(d4, (-1, -2, 3, 4)).window == (-1, -2, 3, 4)
+    with pytest.raises(WeylError):
+        weyl.reflection(c4, (1, 1, 1, 0))  # not a root: 2x/|x|^2 is not integral
+    with pytest.raises(WeylError):
+        weyl.reflection(a3, (1, 1, 0, 0))  # a root of D4, not of A3: signs in type A
 
 
 def test_act_examples():
