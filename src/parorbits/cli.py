@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
         payload = verify.corrupted_oracle_selftest()
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0 if payload["self_test_corrupt"]["detected"] else 2
-    fixture = parse_fixture(args.fixture) if args.fixture else None
+    fixture = parse_fixture(args.fixture) if args.fixture is not None else None
     report = verify.run_verify(
         max_a=args.max_rank_a,
         max_b=args.max_rank_b,

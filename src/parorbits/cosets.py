@@ -73,12 +73,7 @@ def build_quotient(
         nodes = frozenset(rs.nodes)
     if not j_q <= nodes:
         raise CosetError("J_Q %s is not contained in the node set %s" % (sorted(j_q), sorted(nodes)))
-    group = weyl.enumerate_group(rs, nodes)
-    seen = {}
-    for w in group:
-        rep = weyl.min_rep(w, j_q)
-        seen.setdefault(rep.window, rep)
-    elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.window)))
+    elements = weyl.enumerate_group(rs, nodes, j_q)
     index = {w.window: k for k, w in enumerate(elements)}
 
     ambient_roots = set(rs.positive_roots_of(nodes))
@@ -127,12 +122,8 @@ class DoubleCoset:
 
 
 def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCoset, ...]:
-    """Partition of the quotient into orbits of the left W_P action.
-
-    Orbits are computed by closing each element under w -> min_rep(s_p w)
-    over the generators of W_P, mirroring the double-coset description
-    W_P \\ W / W_Q.
-    """
+    """Partition of the quotient into orbits of the left W_P action, i.e. the
+    double cosets W_P \\ W / W_Q, by closing under the generators of W_P."""
     j_p_set = frozenset(j_p)
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
@@ -151,8 +142,8 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
             k = stack.pop()
             w = pq.elements[k]
             for s in gens:
-                image = weyl.min_rep(weyl.multiply(s, w), pq.j_q)
-                m = index[image.window]
+                # Deodhar's lemma: s*w is in W^Q, or it lies in the coset of w
+                m = index.get(weyl.multiply(s, w).window, k)
                 if assigned[m] < 0:
                     assigned[m] = cls_id
                     members.append(m)

@@ -5,7 +5,8 @@ ambient lattice of the root system.  Type A windows are plain permutations
 of {1..n+1}; types B and C allow any sign pattern; type D requires an even
 number of negative entries.  Length is the number of positive roots sent
 to negative roots, which agrees with the type-specific inversion formulas
-(cross-checked in the tests).
+(cross-checked in the tests).  `enumerate_group` lists the minimal
+representatives of W_L / W_J without enumerating W_L.
 """
 
 from __future__ import annotations
@@ -250,22 +251,23 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(rs: RootSystem, j_set: FrozenSet[int]) -> Tuple[WeylElement, ...]:
-    """All elements of the standard parabolic W_J, sorted by (length, window)."""
-    gens = [simple_reflection(rs, k) for k in sorted(j_set)]
+def enumerate_group(
+    rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int] = frozenset()
+) -> Tuple[WeylElement, ...]:
+    """Minimal representatives of W_L / W_J (L = `nodes`; all of W_L for J
+    empty), sorted by (length, window): breadth-first by left simple
+    reflections s of L, keeping s*w when it has no right descent in J.  By
+    Deodhar's lemma (s*w is in W^J or s*w W_J = w W_J), this reaches all of W^J."""
+    gens = [simple_reflection(rs, k) for k in sorted(nodes)]
     seen = {identity(rs).window: identity(rs)}
     frontier = [identity(rs)]
     while frontier:
         nxt = []
         for w in frontier:
             for s in gens:
-                ws = multiply(w, s)
-                if ws.window not in seen:
-                    seen[ws.window] = ws
-                    nxt.append(ws)
+                sw = multiply(s, w)
+                if sw.window not in seen and is_min_rep(sw, j_set):
+                    seen[sw.window] = sw
+                    nxt.append(sw)
         frontier = nxt
     return tuple(sorted(seen.values(), key=lambda w: (w.length, w.window)))
-
-
-def full_group(rs: RootSystem) -> Tuple[WeylElement, ...]:
-    return enumerate_group(rs, frozenset(rs.nodes))

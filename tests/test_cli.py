@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -238,9 +239,10 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         code, out, err = run_cli_exiting(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    code, out, err = run_cli(capsys, ["verify", "--fixture", "C,x,2,4"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: cannot parse fixture") and err.count("\n") == 1
+    for label in ("C,x,2,4", ""):
+        code, out, err = run_cli(capsys, ["verify", "--fixture", label])
+        assert (code, out) == (1, ""), label
+        assert err.startswith("error: cannot parse fixture") and err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):
@@ -250,16 +252,21 @@ def test_help_exits_0(capsys):
 
 
 def test_group_size_bound_refused_before_enumeration(monkeypatch, capsys):
-    def unreachable(rs, j_set):
-        raise AssertionError("enumerate_group reached for %r" % (rs,))
+    def unreachable(*args):
+        raise AssertionError("enumerate_group reached for %r" % (args,))
 
     monkeypatch.setattr(weyl, "enumerate_group", unreachable)
     for argv in (
         ["diagram", "--type", "C", "--rank", "12", "--grassmannian", "3", "--cominuscule", "12"],
         ["strata", "--type", "A", "--rank", "8", "--grassmannian", "4"],
         ["verify", "--fixture", "B7/P3+P1"],
+        # refused without computing |W| = 2^n n! or printing its thousands of digits
+        ["diagram", "--type", "C", "--rank", "2000", "--grassmannian", "1"],
+        ["strata", "--type", "D", "--rank", str(10**6), "--grassmannian", "2", "--cominuscule", "1"],
     ):
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "exceeds the enumeration bound 46080" in err

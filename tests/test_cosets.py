@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from math import comb
 
 import pytest
 
-from parorbits import cosets, weyl
+from parorbits import cosets, decomp, strata, weyl
 from parorbits.cosets import (
     CosetError,
     build_quotient,
@@ -12,8 +13,8 @@ from parorbits.cosets import (
     enumerate_WQ,
 )
 from parorbits.decomp import emit_plain
-from parorbits.fixtures import Fixture
-from parorbits.rootsys import build
+from parorbits.fixtures import Fixture, sweep_fixtures
+from parorbits.rootsys import RANK_BOUNDS, build
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -129,3 +130,145 @@ def test_levi_subsystem_quotient():
     fq = build_quotient(c4, frozenset({2}), frozenset({1, 2, 3}))
     assert len(fq.elements) == 12  # two-step flags of C^4
     assert fq.rank_counts() == (1, 2, 3, 3, 2, 1)
+
+
+def full_group_quotient(rs, j_q, nodes):
+    """Test-only oracle, the path `build_quotient` replaced: all of W_L,
+    then `min_rep` of every element, then dedupe.  Covers are u -> u*s_beta
+    one step longer, over every positive root."""
+    seen = {}
+    for w in weyl.enumerate_group(rs, nodes):
+        rep = weyl.min_rep(w, j_q)
+        seen.setdefault(rep.window, rep)
+    elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.window)))
+    index = {w.window: k for k, w in enumerate(elements)}
+    reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
+    covers = []
+    for u_idx, u in enumerate(elements):
+        for root_idx, s in enumerate(reflections):
+            w = weyl.multiply(u, s)
+            if w.window in index and w.length == u.length + 1:
+                covers.append((u_idx, index[w.window], root_idx))
+    return elements, tuple(sorted(covers))
+
+
+def min_rep_closure(pq, j_p):
+    """Test-only oracle: orbits of W_P on W^Q by closing under min_rep(s*w)."""
+    gens = [weyl.simple_reflection(pq.rs, p) for p in sorted(j_p)]
+    orbits, assigned = [], set()
+    for start in range(len(pq.elements)):
+        if start in assigned:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            w = pq.elements[stack.pop()]
+            for s in gens:
+                m = pq.index_of(weyl.min_rep(weyl.multiply(s, w), pq.j_q))
+                if m not in orbit:
+                    orbit.add(m)
+                    stack.append(m)
+        assigned |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize(
+    "t,n",
+    [("A", n) for n in range(1, 7)]
+    + [(t, n) for t in "BC" for n in range(2, 6)]
+    + [("D", 4), ("D", 5)],
+)
+def test_quotient_matches_full_group_oracle(t, n):
+    rs = build(t, n)
+    nodes = frozenset(rs.nodes)
+    for q in rs.nodes:
+        pq = build_quotient(rs, nodes - {q})
+        assert (pq.elements, pq.covers) == full_group_quotient(rs, nodes - {q}, nodes), q
+
+
+def test_flag_quotients_match_full_group_oracle():
+    seen = set()
+    for fix in sweep_fixtures(5, 5, 5, 5):
+        for fq in map(decomp.flag_quotient, strata.stratify(fix)[1]):
+            key = (fq.rs, fq.j_q, fq.nodes)
+            if key not in seen:
+                seen.add(key)
+                assert (fq.elements, fq.covers) == full_group_quotient(*key), fq
+    assert len(seen) == 144
+
+
+def test_double_cosets_match_min_rep_closure():
+    for fix in sweep_fixtures(5, 5, 5, 5):
+        pq = enumerate_WQ(fix.rs, fix.j_q)
+        members = sorted(dc.members for dc in double_cosets(pq, fix.j_p))
+        assert members == min_rep_closure(pq, fix.j_p), fix.label
+
+
+def _quotient_order(t, n, m):
+    """|W^Q| for the maximal parabolic Q = P_m, in closed form."""
+    if t == "A":
+        return comb(n + 1, m)
+    if t == "D" and m >= n - 1:
+        return 2 ** (n - 1)
+    return 2**m * comb(n, m)
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t in "ABCD" for n in (6, 7, 8)])
+def test_quotient_size_closed_forms(t, n):
+    # every element is a distinct minimal representative, so a count equal
+    # to |W^Q| means the enumeration is all of W^Q; this stands in for the
+    # full-group oracle at B6, C6 and D6, where it would take tens of seconds
+    rs = build(t, n)
+    nodes = frozenset(rs.nodes)
+    for m in rs.nodes:
+        j_q = nodes - {m}
+        elements = weyl.enumerate_group(rs, nodes, j_q)
+        assert len(elements) == _quotient_order(t, n, m), m
+        assert len({w.window for w in elements}) == len(elements)
+        assert all(weyl.is_min_rep(w, j_q) for w in elements)
+
+
+def test_deodhar_lemma_on_random_windows():
+    # for w in W^J and a simple reflection s, either s*w is in W^J or
+    # s*w = w*t for a simple reflection t in J
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        t = data.draw(st.sampled_from("ABCD"))
+        rs = build(t, data.draw(st.integers(RANK_BOUNDS[t], 10)))
+        window = data.draw(st.permutations(range(1, rs.dim + 1)))
+        if t != "A":
+            window = [b * data.draw(st.sampled_from((1, -1))) for b in window]
+            if t == "D" and sum(b < 0 for b in window) % 2:
+                window[-1] = -window[-1]
+        j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
+        k = data.draw(st.sampled_from(rs.nodes))
+        w = weyl.min_rep(weyl.element(rs, window), j_set)
+        sw = weyl.multiply(weyl.simple_reflection(rs, k), w)
+        assert weyl.is_min_rep(sw, j_set) or any(
+            sw == weyl.multiply(w, weyl.simple_reflection(rs, j)) for j in j_set
+        )
+
+    check()
+
+
+def test_decomposition_enumerates_no_group(monkeypatch):
+    # building the B6/P5+P1 decomposition from cold enumerates nothing
+    # larger than its quotient (|W^Q| = 192; the whole of W(B6) is 46,080)
+    fix = Fixture("B", 6, 5, 1)
+    original = weyl.enumerate_group
+    sizes = []
+
+    def spy(*args):
+        result = original(*args)
+        sizes.append(len(result))
+        return result
+
+    cosets.build_quotient.cache_clear()
+    monkeypatch.setattr(weyl, "enumerate_group", spy)
+    dec = decomp.build_decomposition(fix)
+    assert len(dec.pq.elements) == 192
+    assert sizes and max(sizes) <= 192

@@ -10,8 +10,8 @@ from parorbits.weyl import (
     act,
     bruhat_leq,
     element,
+    enumerate_group,
     from_word,
-    full_group,
     identity,
     inverse,
     longest,
@@ -68,9 +68,10 @@ def test_length_and_group_axioms():
     assert longest(d4, d4.nodes).length == 12
     s1 = from_word(a3, [1])
     assert multiply(s1, s1) == identity(a3)
-    for w in full_group(build("B", 2)):
+    b2 = build("B", 2)
+    for w in enumerate_group(b2, frozenset(b2.nodes)):
         assert inverse(w).length == w.length
-        assert multiply(w, inverse(w)) == identity(build("B", 2))
+        assert multiply(w, inverse(w)) == identity(b2)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +88,8 @@ def test_length_and_group_axioms():
     ],
 )
 def test_group_orders(t, n, order):
-    assert len(full_group(build(t, n))) == order
+    rs = build(t, n)
+    assert len(enumerate_group(rs, frozenset(rs.nodes))) == order
     expected = {
         "A": factorial(n + 1),
         "B": 2**n * factorial(n),
@@ -129,13 +131,13 @@ def _sum_pair(x, y):
 @pytest.mark.parametrize("t,n", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
 def test_length_matches_inversion_formula(t, n):
     rs = build(t, n)
-    for w in full_group(rs):
+    for w in enumerate_group(rs, frozenset(rs.nodes)):
         assert w.length == _length_by_inversion_formula(rs, w.window)
 
 
 def test_reduced_words_roundtrip():
     rs = build("B", 3)
-    for w in full_group(rs):
+    for w in enumerate_group(rs, frozenset(rs.nodes)):
         word = reduced_word(w)
         assert len(word) == w.length
         assert from_word(rs, word) == w
@@ -158,7 +160,7 @@ def test_min_rep_examples():
 def test_min_rep_idempotent_and_shorter():
     rs = build("C", 3)
     rng = random.Random(7)
-    group = full_group(rs)
+    group = enumerate_group(rs, frozenset(rs.nodes))
     for _ in range(100):
         w = rng.choice(group)
         rep = min_rep(w, [1, 3])
@@ -170,7 +172,7 @@ def test_min_rep_idempotent_and_shorter():
 def test_act_is_group_action():
     rs = build("B", 3)
     rng = random.Random(11)
-    group = full_group(rs)
+    group = enumerate_group(rs, frozenset(rs.nodes))
     coweights = [rs.fundamental_coweight(i) for i in rs.nodes]
     for _ in range(200):
         u, w = rng.choice(group), rng.choice(group)
@@ -180,7 +182,7 @@ def test_act_is_group_action():
 
 def _cover_closure_leq(rs):
     """Independent Bruhat oracle: transitive closure of reflection covers."""
-    group = sorted(full_group(rs), key=lambda w: (w.length, w.window))
+    group = sorted(enumerate_group(rs, frozenset(rs.nodes)), key=lambda w: (w.length, w.window))
     index = {w.window: k for k, w in enumerate(group)}
     reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
     n = len(group)
@@ -210,7 +212,7 @@ def test_bruhat_agrees_with_cover_closure(t, n):
 def test_bruhat_basics():
     rs = build("A", 3)
     w0 = longest(rs, rs.nodes)
-    for w in full_group(rs):
+    for w in enumerate_group(rs, frozenset(rs.nodes)):
         assert bruhat_leq(identity(rs), w)
         assert bruhat_leq(w, w)
         assert bruhat_leq(w, w0)
