@@ -85,7 +85,7 @@ def build_quotient(
         for root_idx in candidate_roots:
             w = weyl.multiply(u, reflection_by_index(rs, root_idx))
             w_idx = index.get(w.window)
-            if w_idx is not None and w.length == lu + 1:
+            if w_idx is not None and elements[w_idx].length == lu + 1:
                 covers.append(Cover(u_idx, w_idx, root_idx))
     covers.sort()
     return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index)
@@ -166,15 +166,22 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
 
 
 def certify_interval(dc: DoubleCoset) -> bool:
-    """Check members == Bruhat interval [w_min, w_max], independently.
+    """Check members == Bruhat interval [w_min, w_max] of the quotient.
 
-    Uses only the subword-property comparator over the whole quotient, so
-    it does not trust how the double coset was generated.
+    Bruhat order on W^Q is graded by length and is the transitive closure
+    of its covers (Bjorner-Brenti, Thm 2.5.5), so the interval is the
+    up-set of w_min met with the down-set of w_max in the cover graph; one
+    pass each way suffices, as covers are sorted by source and elements by
+    length.  Trusts `pq.covers` (right multiplication by reflections), not
+    how `double_cosets` built the stratum (the left W_P action).
     """
-    member_set = set(dc.members)
-    interval = set()
-    for k, x in enumerate(dc.pq.elements):
-        if weyl.bruhat_leq(dc.w_min, x) and weyl.bruhat_leq(x, dc.w_max):
-            interval.add(k)
-    return interval == member_set
-
+    pq = dc.pq
+    up = {pq.index_of(dc.w_min)}
+    for c in pq.covers:
+        if c.u in up:
+            up.add(c.w)
+    down = {pq.index_of(dc.w_max)}
+    for c in reversed(pq.covers):
+        if c.w in down:
+            down.add(c.u)
+    return up & down == set(dc.members)

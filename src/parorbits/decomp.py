@@ -67,8 +67,11 @@ def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
 
 def phi(stratum: OrbitStratum, u: weyl.WeylElement) -> weyl.WeylElement:
     """Cell map of the stratum: u -> u * w_min, certified length-additive."""
+    pq = stratum.dc.pq
     image = weyl.multiply(u, stratum.dc.w_min)
-    if image.length != u.length + stratum.dc.w_min.length:
+    idx = pq.index.get(image.window)
+    length = image.length if idx is None else pq.elements[idx].length
+    if length != u.length + stratum.dc.w_min.length:
         raise DecompositionError(
             "cell map is not length-additive at %r (stratum delta=%d of %s)"
             % (u, stratum.delta, stratum.fixture.label)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from parorbits import cosets, decomp, strata, weyl
+from parorbits import cosets, decomp, strata, verify, weyl
 from parorbits.cosets import (
     CosetError,
     build_quotient,
@@ -79,25 +79,68 @@ def test_double_cosets_partition():
         assert len(seen) == len(set(seen))
 
 
+def bruhat_interval(dc):
+    """Test-only oracle, the scan `certify_interval` replaced: the quotient
+    elements x with w_min <= x <= w_max by the subword property."""
+    return {
+        k
+        for k, x in enumerate(dc.pq.elements)
+        if weyl.bruhat_leq(dc.w_min, x) and weyl.bruhat_leq(x, dc.w_max)
+    }
+
+
 def test_certify_interval():
     g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
     assert dcs[0].size == 1 and certify_interval(dcs[0])
-    for fix in FIXTURES:
+    for fix in list(sweep_fixtures(5, 5, 5, 5)) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
         pq = enumerate_WQ(fix.rs, fix.j_q)
         for dc in double_cosets(pq, fix.j_p):
-            assert certify_interval(dc)
+            assert bruhat_interval(dc) == set(dc.members), fix.label
+            assert certify_interval(dc), fix.label
 
 
 def test_certify_interval_negative_control():
     g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
-    middle = double_cosets(g24, frozenset({1, 3}))[1]
+    dcs = double_cosets(g24, frozenset({1, 3}))
+    middle = dcs[1]
     extremes = {g24.index_of(middle.w_min), g24.index_of(middle.w_max)}
     interior = [k for k in middle.members if k not in extremes]
-    corrupted = dataclasses.replace(
-        middle, members=tuple(k for k in middle.members if k != interior[0])
-    )
-    assert not certify_interval(corrupted)
+    dropped = tuple(k for k in middle.members if k != interior[0])
+    added = tuple(sorted(middle.members + dcs[2].members))  # from the stratum above
+    for members in (dropped, added):
+        corrupted = dataclasses.replace(middle, members=members)
+        assert bruhat_interval(corrupted) != set(members)
+        assert not certify_interval(corrupted)
+
+
+@pytest.mark.parametrize(
+    "t,n",
+    [("A", n) for n in range(1, 6)]
+    + [(t, n) for t in "BC" for n in range(2, 6)]
+    + [("D", 4), ("D", 5)],
+)
+def test_cover_closure_is_bruhat_order(t, n):
+    # Bjorner-Brenti Thm 2.5.5, which certify_interval relies on: Bruhat
+    # order on W^Q is the transitive closure of the cover relation
+    rs = build(t, n)
+    nodes = frozenset(rs.nodes)
+    for q in rs.nodes:
+        if t == "D" and q == n - 1:
+            continue
+        pq = enumerate_WQ(rs, nodes - {q})
+        above = [[] for _ in pq.elements]
+        for c in pq.covers:
+            above[c.u].append(c.w)
+        for i, u in enumerate(pq.elements):
+            reach, stack = {i}, [i]
+            while stack:
+                for k in above[stack.pop()]:
+                    if k not in reach:
+                        reach.add(k)
+                        stack.append(k)
+            for j, w in enumerate(pq.elements):
+                assert weyl.bruhat_leq(u, w) == (j in reach), (q, u, w)
 
 
 def test_type_d_picard_two_rejected():
@@ -272,3 +315,34 @@ def test_decomposition_enumerates_no_group(monkeypatch):
     dec = decomp.build_decomposition(fix)
     assert len(dec.pq.elements) == 192
     assert sizes and max(sizes) <= 192
+
+
+def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
+    # cold B6/P5+P1 decomposition plus its interval check: no Bruhat
+    # comparison, and no length computed beyond the one per quotient element
+    # that enumerate_group sorts by
+    fix = Fixture("B", 6, 5, 1)
+    orig_enumerate, orig_leq, orig_length = weyl.enumerate_group, weyl.bruhat_leq, weyl._length
+    counts = {"enumerated": 0, "bruhat_leq": 0, "_length": 0}
+
+    def enumerate_spy(*args):
+        result = orig_enumerate(*args)
+        counts["enumerated"] += len(result)
+        return result
+
+    def leq_spy(*args):
+        counts["bruhat_leq"] += 1
+        return orig_leq(*args)
+
+    def length_spy(*args):
+        counts["_length"] += 1
+        return orig_length(*args)
+
+    cosets.build_quotient.cache_clear()
+    weyl.enumerate_group.cache_clear()
+    monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
+    monkeypatch.setattr(weyl, "bruhat_leq", leq_spy)
+    monkeypatch.setattr(weyl, "_length", length_spy)
+    assert verify._check_interval(decomp.build_decomposition(fix))
+    assert counts["bruhat_leq"] == 0
+    assert 0 < counts["_length"] <= counts["enumerated"], counts
