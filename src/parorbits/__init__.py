@@ -5,7 +5,7 @@ Exact arithmetic throughout (integers and fractions); every structure is
 immutable after construction and safe to share across threads.
 """
 
-from . import cosets, decomp, fixtures, graphiso, hasse, rootsys, seidel, strata, verify, weyl
+from . import cosets, decomp, fixtures, hasse, rootsys, seidel, strata, verify, weyl
 from .fixtures import Fixture
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "cosets",
     "decomp",
     "fixtures",
-    "graphiso",
     "hasse",
     "rootsys",
     "seidel",

@@ -11,7 +11,7 @@ the coefficient of the t-th simple coroot in beta^vee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .cosets import ParabolicQuotient
 
@@ -42,9 +42,6 @@ class HasseDiagram:
     quotient: ParabolicQuotient
     weight: Weight
     edges: Tuple[Edge, ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(e.mult for e in self.edges)
 
 
 def _validate_weight(pq: ParabolicQuotient, weight: Weight) -> None:
@@ -79,32 +76,3 @@ def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> Ha
             edges.append(Edge(cover.u, cover.w, mult, cover.root))
     edges.sort()
     return HasseDiagram(pq, wt, tuple(edges))
-
-
-def weighted_path_count(diagram: HasseDiagram, reverse: bool = False) -> int:
-    """Sum over maximal chains of the product of edge multiplicities.
-
-    Computed bottom-to-top, or top-to-bottom on the transposed diagram when
-    `reverse` is set; the two agree for these self-dual diagrams.
-    """
-    pq = diagram.quotient
-    n = len(pq.elements)
-    counts = [0] * n
-    if not reverse:
-        counts[0] = 1
-        order = range(n)
-        incoming: Dict[int, List[Tuple[int, int]]] = {}
-        for e in diagram.edges:
-            incoming.setdefault(e.w, []).append((e.u, e.mult))
-        for k in order:
-            for u, mult in incoming.get(k, []):
-                counts[k] += counts[u] * mult
-        return counts[n - 1]
-    counts[n - 1] = 1
-    outgoing: Dict[int, List[Tuple[int, int]]] = {}
-    for e in diagram.edges:
-        outgoing.setdefault(e.u, []).append((e.w, e.mult))
-    for k in range(n - 1, -1, -1):
-        for w, mult in outgoing.get(k, []):
-            counts[k] += counts[w] * mult
-    return counts[0]

@@ -6,20 +6,23 @@ element; it acts on Schubert classes by
 
     sigma_v * sigma_w = q^delta(w) sigma_[v w],
 
-where the class index is reduced to its minimal coset representative and
-delta is the stratum exponent of `strata`.  The induced map on classes is
-a bijection whose iterates accumulate q-exponents linearly.
+where the class index is reduced to its minimal coset representative.
+The q-exponent delta(w) is the label of the orbit stratum that holds w, so
+the table reads it from the strata of `strata.stratify`, which certify it
+constant on each stratum.  The induced map on classes is a bijection whose
+iterates accumulate q-exponents linearly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from . import cosets, rootsys, strata, weyl
+from . import rootsys, strata, weyl
+from .cosets import ParabolicQuotient
 from .fixtures import Fixture
 from .rootsys import RootSystem
+from .strata import OrbitStratum
 from .weyl import WeylElement
 
 
@@ -27,20 +30,7 @@ class SeidelError(ValueError):
     """Invalid node or failed certification."""
 
 
-@dataclass(frozen=True, eq=False)
-class SeidelElement:
-    rs: RootSystem
-    i: int
-    v: WeylElement
-
-
-@dataclass(frozen=True)
-class QuantumTerm:
-    q_exp: int
-    class_index: WeylElement
-
-
-def v_elt(rs: RootSystem, i: int) -> SeidelElement:
+def v_elt(rs: RootSystem, i: int) -> WeylElement:
     """Seidel element of node i, built as w_0 * w_(0,P_i).
 
     Certified exactly at every rank.  The stabiliser of the dominant
@@ -61,32 +51,27 @@ def v_elt(rs: RootSystem, i: int) -> SeidelElement:
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
     if not weyl.is_min_rep(v, j_set):
         raise SeidelError("Seidel element %r of node %d is not minimal in w_0 W_J" % (v, i))
-    return SeidelElement(rs, i, v)
+    return v
 
 
-def seidel_apply(se: SeidelElement, w: WeylElement, fix: Fixture) -> QuantumTerm:
-    """One quantum product: q-exponent delta(w), class index of v*w."""
-    image = weyl.min_rep(weyl.multiply(se.v, w), fix.j_q)
-    return QuantumTerm(strata.delta(fix, w), image)
+def seidel_table(
+    fix: Fixture, pq: ParabolicQuotient, sts: Sequence[OrbitStratum]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The Seidel operator on the classes of `pq`, as (perm, qexp).
 
-
-def seidel_table(fix: Fixture) -> List[Tuple[WeylElement, QuantumTerm]]:
-    """The full operator table over the quotient, in element order."""
-    se = v_elt(fix.rs, fix.p_node)
-    pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-    return [(w, seidel_apply(se, w, fix)) for w in pq.elements]
-
-
-def seidel_permutation(fix: Fixture) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Induced map on element indices plus the q-exponent per source."""
-    pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-    table = seidel_table(fix)
-    perm = []
-    qexp = []
-    for w, term in table:
-        perm.append(pq.index_of(term.class_index))
-        qexp.append(term.q_exp)
-    return tuple(perm), tuple(qexp)
+    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`.
+    qexp[k] is the delta of the stratum that holds class k, and perm[k] is
+    the index of the class of v * w_k, v the Seidel element of the fixture.
+    """
+    v = v_elt(fix.rs, fix.p_node)
+    qexp = [0] * len(pq.elements)
+    for st in sts:
+        for k in st.dc.members:
+            qexp[k] = st.delta
+    perm = tuple(
+        pq.index_of(weyl.min_rep(weyl.multiply(v, w), fix.j_q)) for w in pq.elements
+    )
+    return perm, tuple(qexp)
 
 
 def permutation_order(perm: Tuple[int, ...]) -> int:
@@ -126,14 +111,14 @@ def quantum_q_degree(fix: Fixture) -> int:
 
 def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     """Serializable operator table: window, length, q_exp, image_window."""
-    rows = []
-    for w, term in seidel_table(fix):
-        rows.append(
-            {
-                "window": weyl.window_str(w.window),
-                "length": w.length,
-                "q_exp": term.q_exp,
-                "image_window": weyl.window_str(term.class_index.window),
-            }
-        )
-    return rows
+    pq, sts = strata.stratify(fix)
+    perm, qexp = seidel_table(fix, pq, sts)
+    return [
+        {
+            "window": weyl.window_str(w.window),
+            "length": w.length,
+            "q_exp": qexp[k],
+            "image_window": weyl.window_str(pq.elements[perm[k]].window),
+        }
+        for k, w in enumerate(pq.elements)
+    ]

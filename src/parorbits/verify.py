@@ -69,7 +69,7 @@ def _check_seidel(
     dec: DecomposedDiagram, perm: Tuple[int, ...], qexp: Tuple[int, ...]
 ) -> Dict[str, bool]:
     fix, pq = dec.fixture, dec.pq
-    v = seidel.v_elt(fix.rs, fix.p_node).v
+    v = seidel.v_elt(fix.rs, fix.p_node)
     bijection = sorted(perm) == list(range(len(perm)))
 
     # two applications land on the class of the squared element; the
@@ -114,11 +114,12 @@ def _iterate(perm: Tuple[int, ...], start: int, steps: int) -> int:
 def verify_fixture(fix: Fixture) -> dict:
     """Every invariant suite on one fixture; deterministic report.
 
-    The decomposition and the Seidel permutation are each built once, and
-    every check reads from them.
+    The decomposition and the Seidel table are each built once, the table
+    from the decomposition's quotient and strata, and every check reads
+    from them.
     """
     dec = decomp.build_decomposition(fix)
-    perm, qexp = seidel.seidel_permutation(fix)
+    perm, qexp = seidel.seidel_table(fix, dec.pq, dec.strata)
     decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
     checks["interval"] = _check_interval(dec)
@@ -151,7 +152,7 @@ def type_a_composition_report(max_rank: int = 4) -> dict:
         rs = rootsys.build("A", n)
         velems = {0: weyl.identity(rs)}
         for i in range(1, n + 1):
-            velems[i] = seidel.v_elt(rs, i).v
+            velems[i] = seidel.v_elt(rs, i)
         ok = True
         for i in range(1, n + 1):
             for k in range(1, n + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
@@ -21,7 +21,7 @@ Window = Tuple[int, ...]
 
 
 class WeylError(ValueError):
-    """Invalid window, word, or mismatched operands."""
+    """Invalid window or node, or mismatched operands."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,6 @@ class WeylElement:
 def window_str(window: Window) -> str:
     """Canonical string form, e.g. "(3,-1,2)"."""
     return "(" + ",".join(str(b) for b in window) + ")"
-
-
-def parse_window(text: str) -> Window:
-    return tuple(int(tok) for tok in text.strip().lstrip("(").rstrip(")").split(","))
 
 
 def _validate_window(rs: RootSystem, window: Window) -> None:
@@ -164,34 +160,11 @@ def act(w: WeylElement, v: Sequence) -> Tuple:
     return _act_coords(w.window, v)
 
 
-def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Product of simple reflections, applied left to right."""
-    w = identity(rs)
-    for k in word:
-        w = multiply(w, simple_reflection(rs, k))
-    return w
-
-
 def first_descent(w: WeylElement, nodes: Sequence[int]) -> int:
     for k in nodes:
         if _root_is_negative(w.window, w.rs.simple_roots[k - 1]):
             return k
     return 0
-
-
-def reduced_word(w: WeylElement) -> Tuple[int, ...]:
-    """Canonical reduced word by smallest-descent stripping."""
-    word: List[int] = []
-    cur = w
-    nodes = cur.rs.nodes
-    while True:
-        k = first_descent(cur, nodes)
-        if not k:
-            break
-        word.append(k)
-        cur = multiply(cur, simple_reflection(cur.rs, k))
-    word.reverse()
-    return tuple(word)
 
 
 def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:

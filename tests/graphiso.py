@@ -7,7 +7,9 @@ relaxed to adjacency-only (reference diagrams often style cross edges
 without encoding their weight).
 
 Graphs here have at most a few dozen vertices, so iterated signature
-refinement plus a small backtracking search is plenty.
+refinement plus a small backtracking search is plenty.  Test-only: the
+decomposition and acceptance tests compare computed diagrams with the
+golden figures through it.
 """
 
 from __future__ import annotations

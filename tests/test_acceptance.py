@@ -7,7 +7,8 @@ Everything is exact; the only tolerances are the stated runtime budgets.
 
 import time
 
-from parorbits import cli, decomp, graphiso, verify, weyl
+import graphiso
+from parorbits import cli, decomp, verify, weyl
 from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 

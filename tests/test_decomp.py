@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from parorbits import graphiso, strata
+import graphiso
+from parorbits import strata
 from parorbits.decomp import (
     build_decomposition,
     decomposition_report,

@@ -1,4 +1,4 @@
-from parorbits.graphiso import ColoredGraph, isomorphic
+from graphiso import ColoredGraph, isomorphic
 
 
 def _chain(mults, colors):

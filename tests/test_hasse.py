@@ -29,6 +29,37 @@ def _diagram(fix):
     return pq, build_hasse(pq, {fix.q_node: 1})
 
 
+def total_multiplicity(diagram):
+    return sum(e.mult for e in diagram.edges)
+
+
+def weighted_path_count(diagram, reverse=False):
+    """Sum over maximal chains of the product of edge multiplicities.
+
+    Computed bottom-to-top, or top-to-bottom on the transposed diagram when
+    `reverse` is set; the two agree for these self-dual diagrams.
+    """
+    n = len(diagram.quotient.elements)
+    counts = [0] * n
+    if not reverse:
+        counts[0] = 1
+        incoming = {}
+        for e in diagram.edges:
+            incoming.setdefault(e.w, []).append((e.u, e.mult))
+        for k in range(n):
+            for u, mult in incoming.get(k, []):
+                counts[k] += counts[u] * mult
+        return counts[n - 1]
+    counts[n - 1] = 1
+    outgoing = {}
+    for e in diagram.edges:
+        outgoing.setdefault(e.u, []).append((e.w, e.mult))
+    for k in range(n - 1, -1, -1):
+        for w, mult in outgoing.get(k, []):
+            counts[k] += counts[w] * mult
+    return counts[0]
+
+
 def test_projective_space_chain():
     pq, hd = _diagram(Fixture("A", 3, 1, 1))
     assert len(pq.elements) == 4
@@ -45,7 +76,7 @@ def test_g24_diagram():
 def test_ig28_edge_profile():
     pq, hd = _diagram(Fixture("C", 4, 2, 4))
     assert len(pq.elements) == 24
-    assert len(hd.edges) == 37 and hd.total_multiplicity() == 40
+    assert len(hd.edges) == 37 and total_multiplicity(hd) == 40
     doubles = [(pq.elements[e.u].length, pq.elements[e.w].length) for e in hd.edges if e.mult == 2]
     assert doubles == [(5, 6)] * 3
 
@@ -53,7 +84,7 @@ def test_ig28_edge_profile():
 def test_og39_edge_profile():
     pq, hd = _diagram(Fixture("B", 4, 3, 1))
     assert len(pq.elements) == 32
-    assert len(hd.edges) == 58 and hd.total_multiplicity() == 82
+    assert len(hd.edges) == 58 and total_multiplicity(hd) == 82
 
 
 def test_poincare_polys():
@@ -103,7 +134,7 @@ def test_type_a_diagrams_are_multiplicity_free():
 def test_path_count_self_duality():
     for fix in FIXTURES:
         pq, hd = _diagram(fix)
-        assert hasse.weighted_path_count(hd) == hasse.weighted_path_count(hd, reverse=True)
+        assert weighted_path_count(hd) == weighted_path_count(hd, reverse=True)
 
 
 def _borel_hirzebruch_degree(fix):
@@ -124,7 +155,7 @@ def _borel_hirzebruch_degree(fix):
 def test_path_count_matches_degree_oracle():
     for fix in FIXTURES:
         pq, hd = _diagram(fix)
-        assert hasse.weighted_path_count(hd) == _borel_hirzebruch_degree(fix)
+        assert weighted_path_count(hd) == _borel_hirzebruch_degree(fix)
 
 
 def test_levi_flag_diagram():
@@ -134,7 +165,7 @@ def test_levi_flag_diagram():
     hd = build_hasse(fq, {1: 1, 3: 1})
     doubles = [(fq.elements[e.u].length, fq.elements[e.w].length) for e in hd.edges if e.mult == 2]
     assert doubles == [(2, 3)] * 3
-    assert hasse.weighted_path_count(hd) == hasse.weighted_path_count(hd, reverse=True)
+    assert weighted_path_count(hd) == weighted_path_count(hd, reverse=True)
 
 
 def test_diagram_json_shape():

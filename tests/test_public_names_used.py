@@ -1,0 +1,50 @@
+"""Guard against regrowth: every public name of the library is used by it.
+
+A public top-level function or class of `src/parorbits`, or a public
+method of a public class, that no code in `src/parorbits` refers to
+outside its own definition is either dead or serves only the tests, and
+test-only code lives under `tests/`.  References are matched by name
+(`f(...)`, `x.f`), so two definitions that share a name share their uses.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "parorbits"
+
+EXEMPT = {
+    # only the tests and the benchmark call it: the benchmark counts its
+    # calls, so it stays until the benchmark stops counting it
+    "weyl.bruhat_leq",
+}
+
+
+def _references(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_definitions(tree, module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield "%s.%s" % (module, node.name), node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield "%s.%s.%s" % (module, node.name, item.name), item
+
+
+def test_every_public_name_is_used_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        qualified
+        for module, tree in trees.items()
+        for qualified, node in _public_definitions(tree, module)
+        if qualified not in EXEMPT and uses[node.name] <= _references(node)[node.name]
+    ]
+    assert not unused, "public names that no code in src/parorbits uses: %s" % ", ".join(unused)

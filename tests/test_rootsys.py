@@ -6,6 +6,8 @@ import pytest
 from parorbits import seidel, weyl
 from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, eta, pair
 
+from words import from_word
+
 SMALL = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]
 
 
@@ -149,7 +151,7 @@ def test_eta_nonnegative_integer_on_coweight_moves(t, n):
 def test_coweight_move_in_coroot_lattice():
     for t, n in SMALL[:4]:
         rs = build(t, n)
-        w = weyl.from_word(rs, list(rs.nodes) + list(rs.nodes)[::-1])
+        w = from_word(rs, list(rs.nodes) + list(rs.nodes)[::-1])
         for j in rs.nodes:
             v = rs.fundamental_coweight(j)
             diff = tuple(a - b for a, b in zip(v, weyl.act(w, v)))
@@ -234,7 +236,7 @@ def test_dual_basis_matches_gaussian_oracle(t, n):
 def test_eta_matches_gaussian_oracle(t, n):
     rs = build(t, n)
     moves = [weyl.longest(rs, rs.nodes)]
-    moves += [seidel.v_elt(rs, i).v for i in sorted(cominuscule_nodes(rs))]
+    moves += [seidel.v_elt(rs, i) for i in sorted(cominuscule_nodes(rs))]
     for w in moves:
         winv = weyl.inverse(w)
         for i in rs.nodes:

@@ -1,17 +1,17 @@
 import pytest
 
 from parorbits import cosets, rootsys, seidel, strata, weyl
-from parorbits.fixtures import Fixture
+from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
 from parorbits.seidel import (
     SeidelError,
     permutation_order,
     quantum_q_degree,
-    seidel_apply,
-    seidel_permutation,
     seidel_table,
     v_elt,
 )
+
+from words import from_word
 
 FIXTURES = [
     Fixture("A", 3, 1, 3),
@@ -27,20 +27,26 @@ FIXTURES = [
 ]
 
 
+def _table(fix):
+    """Quotient of the fixture with its Seidel table (perm, qexp)."""
+    pq, sts = strata.stratify(fix)
+    return (pq, *seidel_table(fix, pq, sts))
+
+
 def test_v_elt_examples():
     a1 = build("A", 1)
-    assert v_elt(a1, 1).v == weyl.from_word(a1, [1])
+    assert v_elt(a1, 1) == from_word(a1, [1])
     a3 = build("A", 3)
-    assert v_elt(a3, 1).v.window == (4, 1, 2, 3)
+    assert v_elt(a3, 1).window == (4, 1, 2, 3)
     # type C: the minimal all-negating element is the sign-reversing
     # involution composed with the order reversal, of length 10
     c4 = build("C", 4)
     v4 = v_elt(c4, 4)
-    assert v4.v.window == (-4, -3, -2, -1)
-    assert v4.v.length == 10
+    assert v4.window == (-4, -3, -2, -1)
+    assert v4.length == 10
     omega = c4.fundamental_coweight(4)
     w0 = weyl.longest(c4, c4.nodes)
-    assert weyl.act(v4.v, omega) == weyl.act(w0, omega)
+    assert weyl.act(v4, omega) == weyl.act(w0, omega)
 
 
 def test_v_elt_rejects_non_cominuscule():
@@ -64,23 +70,23 @@ def test_v_elt_matches_brute_force_oracle():
         for n in ranks:
             rs = build(t, n)
             for i in sorted(rootsys.cominuscule_nodes(rs)):
-                assert _brute_force_seidel_element(rs, i) == [v_elt(rs, i).v], (t, n, i)
+                assert _brute_force_seidel_element(rs, i) == [v_elt(rs, i)], (t, n, i)
                 cases += 1
     assert cases == 29
 
 
 def test_v_elt_exact_beyond_rank_five():
     c7 = build("C", 7)
-    assert v_elt(c7, 7).v.window == (-7, -6, -5, -4, -3, -2, -1)
+    assert v_elt(c7, 7).window == (-7, -6, -5, -4, -3, -2, -1)
     d7 = build("D", 7)
-    assert v_elt(d7, 1).v.length == len(d7.positive_roots) - len(build("D", 6).positive_roots)
+    assert v_elt(d7, 1).length == len(d7.positive_roots) - len(build("D", 6).positive_roots)
 
 
 def test_v_elt_certified_at_rank_five():
     v5 = v_elt(build("C", 5), 5)
-    assert v5.v.window == (-5, -4, -3, -2, -1)
+    assert v5.window == (-5, -4, -3, -2, -1)
     d5 = v_elt(build("D", 5), 1)
-    assert d5.v.length == len(build("D", 5).positive_roots) - len(
+    assert d5.length == len(build("D", 5).positive_roots) - len(
         build("D", 4).positive_roots
     )
 
@@ -89,42 +95,61 @@ def test_type_a_seidel_elements_are_rotations():
     for n in range(1, 5):
         rs = build("A", n)
         for i in range(1, n + 1):
-            v = v_elt(rs, i).v
+            v = v_elt(rs, i)
             expected = tuple((k - i - 1) % (n + 1) + 1 for k in range(1, n + 2))
             assert v.window == expected
 
 
 def test_seidel_apply_examples():
     fix = Fixture("A", 3, 2, 2)
-    se = v_elt(fix.rs, 2)
-    term = seidel_apply(se, weyl.identity(fix.rs), fix)
-    assert term.q_exp == 0
-    assert term.class_index == weyl.min_rep(se.v, fix.j_q)
-    top = weyl.element(fix.rs, (3, 4, 1, 2))
-    term = seidel_apply(se, top, fix)
-    assert term.q_exp == 2 and term.class_index == weyl.identity(fix.rs)
+    v = v_elt(fix.rs, 2)
+    pq, perm, qexp = _table(fix)
+    k = pq.index_of(weyl.identity(fix.rs))
+    assert qexp[k] == 0
+    assert pq.elements[perm[k]] == weyl.min_rep(v, fix.j_q)
+    top = pq.index_of(weyl.element(fix.rs, (3, 4, 1, 2)))
+    assert qexp[top] == 2 and pq.elements[perm[top]] == weyl.identity(fix.rs)
 
 
 def test_bijection_on_classes():
     for fix in FIXTURES:
-        perm, _ = seidel_permutation(fix)
+        _, perm, _ = _table(fix)
         assert sorted(perm) == list(range(len(perm)))
 
 
 def test_projective_space_table_is_cyclic():
     # dual hyperplane fixture: q shows up exactly once, at the top class
     fix = Fixture("A", 3, 1, 3)
-    rows = seidel_table(fix)
-    qs = [term.q_exp for _, term in rows]
+    pq, perm, qexp = _table(fix)
+    qs = list(qexp)
     assert qs == [0, 0, 0, 1]
-    images = [term.class_index.length for _, term in rows]
+    images = [pq.elements[j].length for j in perm]
     assert images == [1, 2, 3, 0]
 
 
 def test_g24_q_exponents():
     fix = Fixture("A", 3, 2, 2)
-    qs = [term.q_exp for _, term in seidel_table(fix)]
+    _, _, qexp = _table(fix)
+    qs = list(qexp)
     assert qs == [0, 1, 1, 1, 1, 2]
+
+
+def _seidel_apply_oracle(v, w, fix):
+    """Test-only oracle: the per-class quantum product, with delta computed
+    afresh from coweights instead of read from the stratum."""
+    return strata.delta(fix, w), weyl.min_rep(weyl.multiply(v, w), fix.j_q)
+
+
+def test_seidel_table_matches_per_class_oracle():
+    fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
+    assert len(fixtures) == 106
+    for fix in fixtures:
+        v = v_elt(fix.rs, fix.p_node)
+        pq, perm, qexp = _table(fix)
+        for k, w in enumerate(pq.elements):
+            q, image = _seidel_apply_oracle(v, w, fix)
+            assert qexp[k] == q, (fix.label, w)
+            assert pq.elements[perm[k]] == image, (fix.label, w)
 
 
 def test_top_class_q_exresponse():
@@ -136,19 +161,17 @@ def test_top_class_q_exresponse():
 
 def test_composition_path_independence():
     for fix in FIXTURES:
-        se = v_elt(fix.rs, fix.p_node)
-        pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-        vv = weyl.multiply(se.v, se.v)
-        for w in pq.elements:
-            t1 = seidel_apply(se, w, fix)
-            t2 = seidel_apply(se, t1.class_index, fix)
+        v = v_elt(fix.rs, fix.p_node)
+        pq, perm, _ = _table(fix)
+        vv = weyl.multiply(v, v)
+        for k, w in enumerate(pq.elements):
             direct = weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
-            assert t2.class_index == direct
+            assert pq.elements[perm[perm[k]]] == direct
 
 
 def test_finite_order_and_orbit_q_constant():
     for fix in FIXTURES:
-        perm, qexp = seidel_permutation(fix)
+        _, perm, qexp = _table(fix)
         order = permutation_order(perm)
         assert order <= len(weyl.enumerate_group(fix.rs, frozenset(fix.rs.nodes)))
         totals = set()
@@ -167,7 +190,7 @@ def test_type_a_cyclic_composition_law():
         rs = build("A", n)
         velems = {0: weyl.identity(rs)}
         for i in range(1, n + 1):
-            velems[i] = v_elt(rs, i).v
+            velems[i] = v_elt(rs, i)
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 assert weyl.multiply(velems[i], velems[k]) == velems[(i + k) % (n + 1)]
@@ -176,16 +199,14 @@ def test_type_a_cyclic_composition_law():
 def test_type_a_orders_commute_on_quantum_terms():
     fix = Fixture("A", 3, 2, 1)
     other = Fixture("A", 3, 2, 3)
-    se1 = v_elt(fix.rs, 1)
-    se3 = v_elt(fix.rs, 3)
-    pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-    for w in pq.elements:
-        a1 = seidel_apply(se1, w, fix)
-        a13 = seidel_apply(se3, a1.class_index, other)
-        b3 = seidel_apply(se3, w, other)
-        b31 = seidel_apply(se1, b3.class_index, fix)
-        assert a13.class_index == b31.class_index
-        assert a1.q_exp + a13.q_exp == b3.q_exp + b31.q_exp
+    pq, perm1, q1 = _table(fix)
+    pq3, perm3, q3 = _table(other)
+    assert pq3.elements == pq.elements
+    for k in range(len(pq.elements)):
+        a1, b3 = perm1[k], perm3[k]
+        a13, b31 = perm3[a1], perm1[b3]
+        assert a13 == b31
+        assert q1[k] + q3[a1] == q3[k] + q1[b3]
 
 
 def test_quantum_degree_values():
@@ -196,12 +217,12 @@ def test_quantum_degree_values():
 
 def test_degree_bookkeeping():
     for fix in FIXTURES:
-        se = v_elt(fix.rs, fix.p_node)
-        pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
-        v_class = weyl.min_rep(se.v, fix.j_q)
+        v = v_elt(fix.rs, fix.p_node)
+        pq, perm, qexp = _table(fix)
+        v_class = weyl.min_rep(v, fix.j_q)
         qdeg = quantum_q_degree(fix)
-        for w, term in seidel_table(fix):
-            assert v_class.length + w.length == term.q_exp * qdeg + term.class_index.length
+        for k, w in enumerate(pq.elements):
+            assert v_class.length + w.length == qexp[k] * qdeg + pq.elements[perm[k]].length
 
 
 def test_table_rows_schema():

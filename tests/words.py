@@ -1,0 +1,31 @@
+"""Test-only words in the simple reflections.
+
+The library never needs a word: it builds Weyl elements from windows and
+strips descents directly.  Tests use words to write small elements by
+hand and to check lengths against reduced words.
+"""
+
+from parorbits import weyl
+
+
+def from_word(rs, word):
+    """Product of simple reflections, applied left to right."""
+    w = weyl.identity(rs)
+    for k in word:
+        w = weyl.multiply(w, weyl.simple_reflection(rs, k))
+    return w
+
+
+def reduced_word(w):
+    """Canonical reduced word by smallest-descent stripping."""
+    word = []
+    cur = w
+    nodes = cur.rs.nodes
+    while True:
+        k = weyl.first_descent(cur, nodes)
+        if not k:
+            break
+        word.append(k)
+        cur = weyl.multiply(cur, weyl.simple_reflection(cur.rs, k))
+    word.reverse()
+    return tuple(word)
