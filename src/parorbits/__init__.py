@@ -1,7 +1,7 @@
 """Parabolic orbit strata and Hasse-diagram decompositions of classical
 Grassmannians, with the cominuscule Seidel quantum action.
 
-Exact arithmetic throughout (integers and fractions); every structure is
+Exact integer arithmetic throughout; every structure is
 immutable after construction and safe to share across threads.
 """
 

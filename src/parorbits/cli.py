@@ -73,7 +73,7 @@ def cmd_diagram(args) -> int:
         _write_output(decomp.emit_plain(fix, args.format), args.out)
         return 0
     dec = decomp.build_decomposition(fix)
-    if args.certify == "on" and not dec.all_pass():
+    if not dec.all_pass():
         print("error: stratum/flag diagram mismatch in %s" % fix.label, file=sys.stderr)
         return 2
     _write_output(decomp.emit(dec, args.format), args.out)
@@ -83,16 +83,16 @@ def cmd_diagram(args) -> int:
 def cmd_strata(args) -> int:
     fix = _fixture_from_args(args)
     pq, sts = strata.stratify(fix)
+    certified = all(cosets.certify_interval(st.dc) for st in sts)
     payload = {
         "fixture": fix.label,
         "space": fix.space_label,
         "classes": len(pq.elements),
         "strata": [strata.stratum_json(st) for st in sts],
+        "interval_certified": certified,
     }
-    if args.certify == "on":
-        payload["interval_certified"] = all(cosets.certify_interval(st.dc) for st in sts)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return 0 if certified else 2
 
 
 def cmd_quantum(args) -> int:
@@ -164,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--cominuscule", type=int, help="cominuscule node of the acting parabolic"
         )
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument(
-            "--certify", choices=["on", "off"], default="on", help="run certifications"
-        )
 
     p = sub.add_parser("diagram", help="emit the orbit-colored Hasse diagram")
     add_fixture_flags(p)

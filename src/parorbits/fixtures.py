@@ -10,7 +10,7 @@ the covers and the interval certificates have no measured budget past rank 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, List
 
 from . import rootsys
@@ -49,6 +49,8 @@ class Fixture:
     rank: int
     q_node: int
     p_node: int
+    #: the root system, built once; not part of equality, hashing or repr
+    rs: RootSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rootsys.check_rank(self.type_label, self.rank)
@@ -58,6 +60,7 @@ class Fixture:
                 % (self.type_label, self.rank, MAX_GROUP_ORDER)
             )
         rs = rootsys.build(self.type_label, self.rank)
+        object.__setattr__(self, "rs", rs)
         n = rs.rank
         if not 1 <= self.q_node <= n:
             raise FixtureError("q_node %d out of range 1..%d" % (self.q_node, n))
@@ -75,10 +78,6 @@ class Fixture:
                     sorted(rootsys.cominuscule_nodes(rs)),
                 )
             )
-
-    @property
-    def rs(self) -> RootSystem:
-        return rootsys.build(self.type_label, self.rank)
 
     @property
     def j_q(self) -> FrozenSet[int]:

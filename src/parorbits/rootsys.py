@@ -2,15 +2,14 @@
 
 All vectors live in a fixed integer ambient lattice (Z^(n+1) for A_n,
 Z^n otherwise) so that the Weyl group acts by signed coordinate
-permutations.  Roots and coroots are `int` tuples in all four
-realizations; `fractions.Fraction` appears only in the fundamental
-coweights and in pairings with them.  No floats anywhere.
+permutations.  Every vector and every result is `int`; no floats.
 
-The fundamental coweights are the dual basis of the simple roots
-(<alpha_i, omega_j^vee> = delta_ij, checked on every build), so the
-simple-root coordinates of a root are its pairings with them: root
-heights, supports, coroot coordinates and `eta` all come from that one
-pairing.
+The fundamental coweights, the dual basis of the simple roots, are
+half-integral at node n of C_n and the spin nodes of D_n, so they are
+stored doubled as the integer vectors 2 omega_j^vee (<alpha_i, 2
+omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
+coordinates of a root are half its pairings with them: root heights,
+supports, coroot coordinates and `eta` all come from that one pairing.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -23,12 +22,10 @@ Realizations (Bourbaki node numbering throughout):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[int, ...]
-Coweight = Tuple[Fraction, ...]
 
 TYPE_LABELS = ("A", "B", "C", "D")
 
@@ -65,7 +62,8 @@ class RootSystem:
     simple_roots: Tuple[Vector, ...]
     simple_coroots: Tuple[Vector, ...]
     cartan_matrix: Tuple[Tuple[int, ...], ...]
-    fundamental_coweights: Tuple[Coweight, ...]
+    #: the fundamental coweights doubled, 2 omega_j^vee, as integer vectors
+    double_coweights: Tuple[Vector, ...]
     positive_roots: Tuple[Vector, ...]
     #: expansion of each positive coroot over the simple coroots (integers)
     coroot_coords: Tuple[Tuple[int, ...], ...]
@@ -95,8 +93,8 @@ class RootSystem:
     def simple_coroot(self, i: int) -> Vector:
         return self.simple_coroots[i - 1]
 
-    def fundamental_coweight(self, i: int) -> Coweight:
-        return self.fundamental_coweights[i - 1]
+    def double_coweight(self, i: int) -> Vector:
+        return self.double_coweights[i - 1]
 
     def positive_roots_of(self, nodes: FrozenSet[int]) -> Tuple[int, ...]:
         """Indices of positive roots supported inside a node subset."""
@@ -154,13 +152,13 @@ def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
 
 
 def _simple_coordinates(
-    simple: Tuple[Vector, ...], fcw: Tuple[Coweight, ...], beta: Vector
+    simple: Tuple[Vector, ...], dcw: Tuple[Vector, ...], beta: Vector
 ) -> Tuple[int, ...]:
-    """Coordinates of a positive root over the simple roots: its pairings
-    with the dual basis, checked to be non-negative integers that rebuild it."""
-    coords = tuple(pair(beta, c) for c in fcw)
-    assert all(c.denominator == 1 and c >= 0 for c in coords), "not a positive root"
-    coords = tuple(int(c) for c in coords)
+    """Coordinates of a positive root over the simple roots: half its
+    pairings with the doubled dual basis, checked to be non-negative
+    integers that rebuild it."""
+    coords = tuple(_div(pair(beta, c), 2) for c in dcw)
+    assert all(c >= 0 for c in coords), "not a positive root"
     rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, simple)) for k in range(len(beta)))
     assert rebuilt == beta, "root outside the span of the simple roots"
     return coords
@@ -188,9 +186,9 @@ def build(type_label: str, rank: int) -> RootSystem:
     dim = len(simple[0])
     coroots = tuple(_coroot(a) for a in simple)
     cartan = tuple(tuple(pair(a, c) for c in coroots) for a in simple)
-    fcw = _fundamental_coweights(type_label, rank, dim)
+    dcw = _double_coweights(type_label, rank, dim)
     coords = {
-        beta: _simple_coordinates(simple, fcw, beta)
+        beta: _simple_coordinates(simple, dcw, beta)
         for beta in _positive_roots(type_label, dim)
     }
     positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
@@ -210,7 +208,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         simple_roots=simple,
         simple_coroots=coroots,
         cartan_matrix=cartan,
-        fundamental_coweights=fcw,
+        double_coweights=dcw,
         positive_roots=positive,
         coroot_coords=coroot_coords,
         root_support=support,
@@ -219,18 +217,17 @@ def build(type_label: str, rank: int) -> RootSystem:
     return rs
 
 
-def _fundamental_coweights(type_label: str, rank: int, dim: int) -> Tuple[Coweight, ...]:
+def _double_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...]:
     n = rank
     # omega_i^vee = e_1 + ... + e_i except at the spin nodes of D and node n
-    # of C.  In type A this is an integer lift: pairings with the (sum-zero)
-    # roots are unaffected by the central direction (1,...,1).
+    # of C (entries +-1/2).  In type A this is an integer lift: pairings with
+    # the (sum-zero) roots are unaffected by the central direction (1,...,1).
     chain = {"A": n, "B": n, "C": n - 1, "D": n - 2}[type_label]
-    out = [tuple(Fraction(1 if k < i else 0) for k in range(dim)) for i in range(1, chain + 1)]
-    half = Fraction(1, 2)
+    out = [tuple(2 if k < i else 0 for k in range(dim)) for i in range(1, chain + 1)]
     if type_label == "D":
-        out.append((half,) * (n - 1) + (-half,))
+        out.append((1,) * (n - 1) + (-1,))
     if type_label in ("C", "D"):
-        out.append((half,) * n)
+        out.append((1,) * n)
     return tuple(out)
 
 
@@ -239,8 +236,8 @@ def _check_invariants(rs: RootSystem) -> None:
     for i in range(n):
         for j in range(n):
             assert rs.cartan_matrix[i][i] == 2
-            pairing = pair(rs.simple_roots[i], rs.fundamental_coweights[j])
-            assert pairing == (1 if i == j else 0), "coweight pairing broken"
+            pairing = pair(rs.simple_roots[i], rs.double_coweights[j])
+            assert pairing == (2 if i == j else 0), "coweight pairing broken"
     expected = {
         "A": n * (n + 1) // 2,
         "B": n * n,
@@ -262,12 +259,9 @@ def cominuscule_nodes(rs: RootSystem) -> FrozenSet[int]:
     return frozenset({1, n - 1, n})
 
 
-def pair(u: Sequence, v: Sequence) -> int | Fraction:
-    """Natural pairing of a root (weight vector) with a coweight or coroot.
-
-    Exact in the type of its entries: `int` for two integer vectors,
-    `Fraction` as soon as a coweight enters.
-    """
+def pair(u: Sequence[int], v: Sequence[int]) -> int:
+    """Natural pairing of two integer vectors of the ambient lattice, such
+    as a root with a coroot or a doubled coweight."""
     if len(u) != len(v):
         raise RootSystemError(
             "dimension mismatch: %d-vector paired with %d-vector" % (len(u), len(v))
@@ -275,20 +269,25 @@ def pair(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
-def eta(rs: RootSystem, v: Sequence, j: int) -> Fraction:
+def eta(rs: RootSystem, v: Sequence[int], j: int) -> int:
     """Coefficient of the j-th simple coroot in the expansion of `v`.
 
     This is the image of `v` under the projection to the coroot lattice
     modulo the coroots of the maximal parabolic omitting node j.  As
     alpha_i^vee = 2 alpha_i / |alpha_i|^2 and the coweights are dual to the
-    simple roots, it equals (|alpha_j|^2 / 2) <v, omega_j^vee>.
+    simple roots, it equals (|alpha_j|^2 / 2) <v, omega_j^vee>, computed as
+    |alpha_j|^2 <v, 2 omega_j^vee> / 4.
 
     Raises if the vector is outside the rational span of the coroots
-    (possible in type A, whose coroot span is the sum-zero sublattice).
+    (possible in type A, whose coroot span is the sum-zero sublattice), or
+    outside the coroot lattice, where the coefficient is not an integer.
     """
     if not 1 <= j <= rs.rank:
         raise RootSystemError("node %d out of range 1..%d" % (j, rs.rank))
     if rs.type_label == "A" and sum(v) != 0:
         raise RootSystemError("vector is not in the span of the coroots")
     alpha = rs.simple_root(j)
-    return Fraction(pair(alpha, alpha), 2) * pair(v, rs.fundamental_coweight(j))
+    coeff, rem = divmod(pair(alpha, alpha) * pair(v, rs.double_coweight(j)), 4)
+    if rem:
+        raise RootSystemError("vector is outside the coroot lattice at node %d" % j)
+    return coeff

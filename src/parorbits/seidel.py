@@ -37,7 +37,7 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
     coweight omega_i^vee is W_J with J the nodes other than i, so the
     solutions u of u * omega_i^vee = w_0 * omega_i^vee form the coset
     w_0 W_J; its shortest element is the unique one with no right descent
-    in J.  Both conditions are checked.
+    in J.  Both conditions are checked, the first on 2 omega_i^vee.
     """
     if i not in rootsys.cominuscule_nodes(rs):
         raise SeidelError(
@@ -46,8 +46,8 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
     j_set = [k for k in rs.nodes if k != i]
     w0 = weyl.longest(rs, rs.nodes)
     v = weyl.multiply(w0, weyl.longest(rs, j_set))
-    omega = rs.fundamental_coweight(i)
-    if weyl.act(v, omega) != weyl.act(w0, omega):
+    omega2 = rs.double_coweight(i)
+    if weyl.act(v, omega2) != weyl.act(w0, omega2):
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
     if not weyl.is_min_rep(v, j_set):
         raise SeidelError("Seidel element %r of node %d is not minimal in w_0 W_J" % (v, i))
@@ -55,15 +55,15 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
 
 
 def seidel_table(
-    fix: Fixture, pq: ParabolicQuotient, sts: Sequence[OrbitStratum]
+    fix: Fixture, pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: WeylElement
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The Seidel operator on the classes of `pq`, as (perm, qexp).
 
-    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`.
+    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`,
+    and v is the fixture's Seidel element, `v_elt(fix.rs, fix.p_node)`.
     qexp[k] is the delta of the stratum that holds class k, and perm[k] is
-    the index of the class of v * w_k, v the Seidel element of the fixture.
+    the index of the class of v * w_k.
     """
-    v = v_elt(fix.rs, fix.p_node)
     qexp = [0] * len(pq.elements)
     for st in sts:
         for k in st.dc.members:
@@ -112,7 +112,7 @@ def quantum_q_degree(fix: Fixture) -> int:
 def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     """Serializable operator table: window, length, q_exp, image_window."""
     pq, sts = strata.stratify(fix)
-    perm, qexp = seidel_table(fix, pq, sts)
+    perm, qexp = seidel_table(fix, pq, sts, v_elt(fix.rs, fix.p_node))
     return [
         {
             "window": weyl.window_str(w.window),

@@ -3,7 +3,8 @@
 Each double coset of the quotient carries:
 
   * delta: the stratum exponent eta_Q(omega_i^vee - w^(-1) omega_i^vee),
-    computed from exact coweight arithmetic and constant on the stratum;
+    computed in integers from the doubled coweight and constant on the
+    stratum;
   * d_geometric: the signed-permutation statistic recording the incidence
     dimension with the reference flag (the case-by-case window count);
   * K and a flag descriptor: the Levi flag variety the stratum fibres over;
@@ -36,15 +37,15 @@ class StrataError(ValueError):
 
 
 def delta(fix: Fixture, w: WeylElement) -> int:
-    """Stratum exponent of w: the q-power in the cominuscule quantum product."""
+    """Stratum exponent of w: the q-power in the cominuscule quantum product,
+    half of eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
     rs = fix.rs
-    omega = rs.fundamental_coweight(fix.p_node)
-    moved = weyl.act(weyl.inverse(w), omega)
-    diff = tuple(a - b for a, b in zip(omega, moved))
-    val = rootsys.eta(rs, diff, fix.q_node)
-    if val.denominator != 1 or val < 0:
-        raise StrataError("non-integer stratum exponent %s at %r" % (val, w))
-    return int(val)
+    omega2 = rs.double_coweight(fix.p_node)
+    moved = weyl.act(weyl.inverse(w), omega2)
+    twice = rootsys.eta(rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
+    if twice % 2 or twice < 0:
+        raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
+    return twice // 2
 
 
 def d_geometric(fix: Fixture, w: WeylElement) -> int:

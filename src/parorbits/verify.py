@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 from . import cosets, decomp, hasse, seidel, strata, weyl
 from .decomp import DecomposedDiagram
 from .fixtures import Fixture, FixtureError, sweep_fixtures
+from .weyl import WeylElement
 
 
 def _check_interval(dec: DecomposedDiagram) -> bool:
@@ -66,10 +67,9 @@ def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
 
 
 def _check_seidel(
-    dec: DecomposedDiagram, perm: Tuple[int, ...], qexp: Tuple[int, ...]
+    dec: DecomposedDiagram, v: WeylElement, perm: Tuple[int, ...], qexp: Tuple[int, ...]
 ) -> Dict[str, bool]:
     fix, pq = dec.fixture, dec.pq
-    v = seidel.v_elt(fix.rs, fix.p_node)
     bijection = sorted(perm) == list(range(len(perm)))
 
     # two applications land on the class of the squared element; the
@@ -114,12 +114,13 @@ def _iterate(perm: Tuple[int, ...], start: int, steps: int) -> int:
 def verify_fixture(fix: Fixture) -> dict:
     """Every invariant suite on one fixture; deterministic report.
 
-    The decomposition and the Seidel table are each built once, the table
-    from the decomposition's quotient and strata, and every check reads
-    from them.
+    The decomposition, the Seidel element and the Seidel table are each
+    built once, the table from the decomposition's quotient and strata,
+    and every check reads from them.
     """
     dec = decomp.build_decomposition(fix)
-    perm, qexp = seidel.seidel_table(fix, dec.pq, dec.strata)
+    v = seidel.v_elt(fix.rs, fix.p_node)
+    perm, qexp = seidel.seidel_table(fix, dec.pq, dec.strata, v)
     decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
     checks["interval"] = _check_interval(dec)
@@ -127,8 +128,8 @@ def verify_fixture(fix: Fixture) -> dict:
     checks["dimension_ledger"] = _check_dimension_ledger(dec)
     checks["decomposition"] = decomposition["all_pass"]
     checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec)
-    checks.update(_check_seidel(dec, perm, qexp))
-    ok = all(bool(v) for v in checks.values())
+    checks.update(_check_seidel(dec, v, perm, qexp))
+    ok = all(bool(value) for value in checks.values())
     return {
         "fixture": fix.label,
         "space": fix.space_label,

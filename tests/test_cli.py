@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from parorbits import cli, decomp, seidel, weyl
+from parorbits import cli, cosets, decomp, seidel, weyl
 
 
 def run_cli(capsys, argv):
@@ -192,6 +192,17 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
     assert err.startswith("error: cell map") and err.count("\n") == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(decomp.DecomposedDiagram, "all_pass", lambda self: False)
+    code, out, err = run_cli(capsys, FIGURE_ARGV)
+    assert (code, out) == (2, "")
+    assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
+    monkeypatch.undo()
+    # a failed interval certificate is reported, then exits 2
+    monkeypatch.setattr(cosets, "certify_interval", lambda dc: False)
+    code, out, err = run_cli(capsys, ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["interval_certified"] is False
 
 
 def test_weyl_error_exits_1(monkeypatch, capsys):
@@ -234,6 +245,7 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         ["diagram", "--type", "E", "--rank", "4", "--grassmannian", "2"],
         ["diagram", "--type", "C", "--rank", "x", "--grassmannian", "2"],
         ["verify", "--no-such-flag"],
+        ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2", "--certify", "off"],
         [],
     ):
         code, out, err = run_cli_exiting(capsys, argv)

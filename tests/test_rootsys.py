@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from parorbits import seidel, weyl
+from parorbits import seidel, strata, weyl
+from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
 from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, eta, pair
 
 from words import from_word
@@ -62,8 +63,8 @@ def test_cominuscule_tables():
 
 def test_pair_defining_property():
     a3 = build("A", 3)
-    assert pair(a3.simple_root(1), a3.fundamental_coweight(1)) == 1
-    assert pair(a3.simple_root(1), a3.fundamental_coweight(2)) == 0
+    assert pair(a3.simple_root(1), a3.double_coweight(1)) == 2
+    assert pair(a3.simple_root(1), a3.double_coweight(2)) == 0
 
 
 def test_pair_highest_root_c4():
@@ -74,13 +75,13 @@ def test_pair_highest_root_c4():
         sum(c * a[k] for c, a in zip(coeffs, c4.simple_roots)) for k in range(4)
     )
     assert highest in c4.positive_roots
-    assert pair(highest, c4.fundamental_coweight(4)) == 1
+    assert pair(highest, c4.double_coweight(4)) == 2
 
 
 def test_pair_dimension_mismatch():
     a3, b3 = build("A", 3), build("B", 3)
     with pytest.raises(RootSystemError):
-        pair(a3.simple_root(1), b3.fundamental_coweight(1))
+        pair(a3.simple_root(1), b3.double_coweight(1))
 
 
 def _brute_force_expansion(rs, target, bound=6):
@@ -91,9 +92,17 @@ def _brute_force_expansion(rs, target, bound=6):
             sum(c * a[k] for c, a in zip(coeffs, rs.simple_coroots))
             for k in range(rs.dim)
         )
-        if vec == tuple(Fraction(x) for x in target):
+        if vec == tuple(target):
             return coeffs
     return None
+
+
+def _coweight_move(rs, w, i):
+    """omega_i^vee - w omega_i^vee, integral, from the doubled coweight."""
+    omega2 = rs.double_coweight(i)
+    twice = [a - b for a, b in zip(omega2, weyl.act(w, omega2))]
+    assert all(x % 2 == 0 for x in twice)
+    return tuple(x // 2 for x in twice)
 
 
 def test_eta_examples():
@@ -101,10 +110,7 @@ def test_eta_examples():
     assert eta(a3, (0, 0, 0, 0), 2) == 0
     assert eta(a3, a3.simple_coroot(2), 2) == 1
     w0 = weyl.longest(a3, [1, 2, 3])
-    omega = a3.fundamental_coweight(2)
-    diff = tuple(
-        a - b for a, b in zip(omega, weyl.act(weyl.inverse(w0), omega))
-    )
+    diff = _coweight_move(a3, weyl.inverse(w0), 2)
     coeffs = _brute_force_expansion(a3, diff)
     assert coeffs is not None and coeffs[1] == 2
     assert eta(a3, diff, 2) == 2
@@ -113,11 +119,17 @@ def test_eta_examples():
 def test_eta_outside_coroot_span():
     a3 = build("A", 3)
     with pytest.raises(RootSystemError):
-        eta(a3, a3.fundamental_coweight(1), 1)  # lift has nonzero coordinate sum
+        eta(a3, a3.double_coweight(1), 1)  # lift has nonzero coordinate sum
+
+
+def test_eta_outside_coroot_lattice():
+    # e_1 = alpha_1^vee + (1/2) alpha_2^vee in B2, whose alpha_2^vee is 2 e_2
+    with pytest.raises(RootSystemError, match="coroot lattice"):
+        eta(build("B", 2), (1, 0), 2)
 
 
 def test_reflection_identity():
-    # s_a(v) = v - <a, v> a^vee on every simple root and fundamental coweight
+    # s_a(v) = v - <a, v> a^vee on every simple root and doubled fundamental coweight
     for t, n in SMALL:
         rs = build(t, n)
         for i in range(1, n + 1):
@@ -125,7 +137,7 @@ def test_reflection_identity():
             alpha = rs.simple_root(i)
             coroot = rs.simple_coroot(i)
             for j in range(1, n + 1):
-                v = rs.fundamental_coweight(j)
+                v = rs.double_coweight(j)
                 expected = tuple(
                     x - pair(alpha, v) * y for x, y in zip(v, coroot)
                 )
@@ -138,14 +150,11 @@ def test_reflection_identity():
 def test_eta_nonnegative_integer_on_coweight_moves(t, n):
     rs = build(t, n)
     for i in sorted(cominuscule_nodes(rs)):
-        omega = rs.fundamental_coweight(i)
         for w in weyl.enumerate_group(rs, frozenset(rs.nodes)):
-            diff = tuple(
-                a - b for a, b in zip(omega, weyl.act(weyl.inverse(w), omega))
-            )
+            diff = _coweight_move(rs, weyl.inverse(w), i)
             for j in rs.nodes:
                 val = eta(rs, diff, j)
-                assert val.denominator == 1 and val >= 0
+                assert type(val) is int and val >= 0
 
 
 def test_coweight_move_in_coroot_lattice():
@@ -153,10 +162,9 @@ def test_coweight_move_in_coroot_lattice():
         rs = build(t, n)
         w = from_word(rs, list(rs.nodes) + list(rs.nodes)[::-1])
         for j in rs.nodes:
-            v = rs.fundamental_coweight(j)
-            diff = tuple(a - b for a, b in zip(v, weyl.act(w, v)))
+            diff = _coweight_move(rs, w, j)
             for k in rs.nodes:
-                assert eta(rs, diff, k).denominator == 1
+                assert type(eta(rs, diff, k)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +248,7 @@ def test_eta_matches_gaussian_oracle(t, n):
     for w in moves:
         winv = weyl.inverse(w)
         for i in rs.nodes:
-            omega = rs.fundamental_coweight(i)
-            diff = tuple(a - b for a, b in zip(omega, weyl.act(winv, omega)))
+            diff = _coweight_move(rs, winv, i)
             expected = solve_in_basis(rs.simple_coroots, diff)
             assert expected is not None
             assert tuple(eta(rs, diff, j) for j in rs.nodes) == expected
@@ -250,6 +257,14 @@ def test_eta_matches_gaussian_oracle(t, n):
 @pytest.mark.parametrize("t,n", ORACLE_SYSTEMS)
 def test_root_data_is_integer(t, n):
     rs = build(t, n)
-    for vectors in (rs.simple_roots, rs.simple_coroots, rs.positive_roots, rs.coroot_coords):
+    data = (rs.simple_roots, rs.simple_coroots, rs.positive_roots, rs.coroot_coords, rs.double_coweights)
+    for vectors in data:
         for vec in vectors:
             assert all(type(x) is int for x in vec)
+    w0 = weyl.longest(rs, rs.nodes)
+    for i in rs.nodes:
+        diff = _coweight_move(rs, w0, i)
+        assert all(type(eta(rs, diff, j)) is int for j in rs.nodes)
+    if group_order(t, n) <= MAX_GROUP_ORDER:
+        fix = Fixture(t, n, 1, max(cominuscule_nodes(rs)))
+        assert type(strata.delta(fix, w0)) is int

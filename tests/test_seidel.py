@@ -30,7 +30,7 @@ FIXTURES = [
 def _table(fix):
     """Quotient of the fixture with its Seidel table (perm, qexp)."""
     pq, sts = strata.stratify(fix)
-    return (pq, *seidel_table(fix, pq, sts))
+    return (pq, *seidel_table(fix, pq, sts, v_elt(fix.rs, fix.p_node)))
 
 
 def test_v_elt_examples():
@@ -44,7 +44,7 @@ def test_v_elt_examples():
     v4 = v_elt(c4, 4)
     assert v4.window == (-4, -3, -2, -1)
     assert v4.length == 10
-    omega = c4.fundamental_coweight(4)
+    omega = c4.double_coweight(4)
     w0 = weyl.longest(c4, c4.nodes)
     assert weyl.act(v4, omega) == weyl.act(w0, omega)
 
@@ -57,7 +57,7 @@ def test_v_elt_rejects_non_cominuscule():
 def _brute_force_seidel_element(rs, i):
     """Test-only oracle: the shortest solution of the coweight equation,
     found by scanning the whole group, with the number of such solutions."""
-    omega = rs.fundamental_coweight(i)
+    omega = rs.double_coweight(i)
     target = weyl.act(weyl.longest(rs, rs.nodes), omega)
     solutions = [u for u in weyl.enumerate_group(rs, frozenset(rs.nodes)) if weyl.act(u, omega) == target]
     shortest = min(u.length for u in solutions)

@@ -23,3 +23,12 @@ def test_imports_are_standard_library():
         for name in _imported_modules(tree):
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names or top == "parorbits", (path.name, name)
+
+
+def test_no_fractions_in_package():
+    # every quantity is an integer: coweights are stored doubled
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "fractions" not in {name.split(".")[0] for name in _imported_modules(tree)}, path.name

@@ -29,6 +29,18 @@ def test_delta_examples():
     assert values == {0, 1, 2}
 
 
+def test_delta_rejects_odd_doubled_exponent(monkeypatch):
+    # eta of the doubled coweight move is 2 delta; an odd value is no exponent
+    ig = Fixture("C", 4, 2, 4)
+    w = weyl.identity(ig.rs)
+    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: 3)
+    with pytest.raises(StrataError, match=r"3/2 at W"):
+        delta(ig, w)
+    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: -2)
+    with pytest.raises(StrataError, match="not a non-negative integer"):
+        delta(ig, w)
+
+
 def test_d_of_matches_delta_orientation():
     # d_of is the stratum label: 0 on the closed stratum through the base
     # point, maximal on the open stratum

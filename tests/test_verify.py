@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from parorbits import cli, seidel, strata, verify
+from parorbits import cli, rootsys, seidel, strata, verify
 from parorbits.fixtures import Fixture
 
 
@@ -46,9 +48,10 @@ def test_bumped_q_exponent_fails_degree_bookkeeping(monkeypatch):
 
 
 def _count_stages(monkeypatch):
-    """Count calls of strata.stratify, strata.delta and seidel.seidel_table."""
+    """Count calls of strata.stratify, strata.delta, seidel.v_elt and seidel.seidel_table."""
     calls = {}
-    for mod, name in ((strata, "stratify"), (strata, "delta"), (seidel, "seidel_table")):
+    stages = ((strata, "stratify"), (strata, "delta"), (seidel, "v_elt"), (seidel, "seidel_table"))
+    for mod, name in stages:
         real = getattr(mod, name)
         calls[name] = 0
 
@@ -64,7 +67,7 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
     calls = _count_stages(monkeypatch)
     report = verify.verify_fixture(Fixture("C", 5, 2, 5))
     assert report["pass"] and report["classes"] == 40
-    assert calls == {"stratify": 1, "delta": report["classes"], "seidel_table": 1}
+    assert calls == {"stratify": 1, "delta": report["classes"], "v_elt": 1, "seidel_table": 1}
 
 
 def test_quantum_runs_each_stage_once(monkeypatch, capsys):
@@ -73,4 +76,25 @@ def test_quantum_runs_each_stage_once(monkeypatch, capsys):
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 40
-    assert calls == {"stratify": 1, "delta": len(rows), "seidel_table": 1}
+    assert calls == {"stratify": 1, "delta": len(rows), "v_elt": 1, "seidel_table": 1}
+
+
+def test_root_system_built_once_per_fixture(monkeypatch, capsys):
+    # a fixture holds the root system its validation built; the type-A
+    # composition report builds A1..A4 itself
+    calls = {"build": 0, "fixtures": 0}
+    real_build, real_post_init = rootsys.build, Fixture.__post_init__
+
+    def build(*args):
+        calls["build"] += 1
+        return real_build(*args)
+
+    def post_init(self):
+        calls["fixtures"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(rootsys, "build", build)
+    monkeypatch.setattr(Fixture, "__post_init__", post_init)
+    assert cli.main(["verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 104
+    assert calls == {"build": calls["fixtures"] + 4, "fixtures": 104}

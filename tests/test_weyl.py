@@ -54,14 +54,15 @@ def test_window_validation():
 
 def test_act_examples():
     a3 = build("A", 3)
-    omega1 = a3.fundamental_coweight(1)
+    omega1 = a3.double_coweight(1)
     assert act(identity(a3), omega1) == omega1
     s1 = from_word(a3, [1])
-    expected = tuple(x - y for x, y in zip(omega1, a3.simple_coroot(1)))
+    # s_1 (2 omega_1^vee) = 2 omega_1^vee - <alpha_1, 2 omega_1^vee> alpha_1^vee
+    expected = tuple(x - 2 * y for x, y in zip(omega1, a3.simple_coroot(1)))
     assert act(s1, omega1) == expected
     c4 = build("C", 4)
     w0 = longest(c4, c4.nodes)
-    omega4 = c4.fundamental_coweight(4)
+    omega4 = c4.double_coweight(4)
     assert act(w0, omega4) == tuple(-x for x in omega4)
 
 
@@ -178,7 +179,7 @@ def test_act_is_group_action():
     rs = build("B", 3)
     rng = random.Random(11)
     group = enumerate_group(rs, frozenset(rs.nodes))
-    coweights = [rs.fundamental_coweight(i) for i in rs.nodes]
+    coweights = [rs.double_coweight(i) for i in rs.nodes]
     for _ in range(200):
         u, w = rng.choice(group), rng.choice(group)
         for v in coweights:
