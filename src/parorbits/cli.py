@@ -15,23 +15,18 @@ import json
 import sys
 from typing import List, Optional
 
-from . import cosets, decomp, hasse, seidel, strata, verify
-from .fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
+from . import cosets, decomp, hasse, rootsys, seidel, strata, verify
+from .fixtures import DEFAULT_MAX_RANK, Fixture, FixtureError, parse_fixture, sweep_fixtures
 from .rootsys import RootSystemError
 from .weyl import WeylError
 
-# Library errors by exit code: 1 for input the program cannot serve
-# (including an --out path it cannot write), 2 for a failed certificate.
-INPUT_ERRORS = (
-    FixtureError,
-    RootSystemError,
-    cosets.CosetError,
-    strata.StrataError,
-    hasse.HasseError,
-    WeylError,
-    OSError,
+# Library errors by exit code: 1 for input the program cannot serve (including
+# an --out path it cannot write), 2 for a failed certificate or invariant; a
+# validated Fixture reaches CosetError and StrataError only as the latter.
+INPUT_ERRORS = (FixtureError, RootSystemError, hasse.HasseError, WeylError, OSError)
+VERIFICATION_ERRORS = (
+    seidel.SeidelError, decomp.DecompositionError, cosets.CosetError, strata.StrataError
 )
-VERIFICATION_ERRORS = (seidel.SeidelError, decomp.DecompositionError)
 
 
 def _fixture_from_args(args) -> Fixture:
@@ -48,14 +43,12 @@ def _fixture_from_args(args) -> Fixture:
         raise FixtureError("missing required flags: %s" % ", ".join(missing))
     p_node = args.cominuscule
     if p_node is None:
-        if args.type == "B":
-            p_node = 1
-        elif args.type == "C":
-            p_node = args.rank
-        elif args.type == "A":
+        if args.type == "A":
             p_node = args.grassmannian
-        else:
+        elif args.type == "D":
             raise FixtureError("type D needs --cominuscule (one of 1, rank-1, rank)")
+        else:  # B and C have a single cominuscule node
+            (p_node,) = rootsys.cominuscule_nodes(args.type, args.rank)
     return Fixture(args.type, args.rank, args.grassmannian, p_node)
 
 
@@ -180,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantum)
 
     def add_sweep_flags(p):
-        p.add_argument("--max-rank-a", type=int, default=5)
-        p.add_argument("--max-rank-b", type=int, default=5)
-        p.add_argument("--max-rank-c", type=int, default=5)
-        p.add_argument("--max-rank-d", type=int, default=5)
+        p.add_argument("--max-rank-a", type=int, default=DEFAULT_MAX_RANK)
+        p.add_argument("--max-rank-b", type=int, default=DEFAULT_MAX_RANK)
+        p.add_argument("--max-rank-c", type=int, default=DEFAULT_MAX_RANK)
+        p.add_argument("--max-rank-d", type=int, default=DEFAULT_MAX_RANK)
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="run every invariant suite over a sweep")
@@ -203,9 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a CLI process pays for it once, and so does an in-process caller
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

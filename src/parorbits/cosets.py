@@ -4,7 +4,8 @@ A quotient may live in the full Weyl group or in any standard Levi
 subgroup (node subset), which lets the flag varieties appearing inside
 orbit strata reuse the same machinery.  Elements are minimal-length coset
 representatives, graded by length; covers carry a positive-root witness
-beta with w = u * s_beta.
+beta with w = u * s_beta.  `fixtures.Fixture` alone decides which
+quotients belong to the supported family.
 """
 
 from __future__ import annotations
@@ -89,23 +90,6 @@ def build_quotient(
                 covers.append(Cover(u_idx, w_idx, root_idx))
     covers.sort()
     return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index)
-
-
-def enumerate_WQ(rs: RootSystem, j_q: Iterable[int]) -> ParabolicQuotient:
-    """Quotient of the full Weyl group by the standard parabolic W_Q.
-
-    For type D the quotient omitting node n-1 is rejected: the associated
-    variety of (n-1)-dimensional isotropic subspaces has Picard rank two
-    and sits outside the supported family.
-    """
-    j_set = frozenset(j_q)
-    omitted = frozenset(rs.nodes) - j_set
-    if rs.type_label == "D" and omitted == {rs.rank - 1}:
-        raise CosetError(
-            "D_%d with q_node %d has Picard rank 2 -- excluded"
-            % (rs.rank, rs.rank - 1)
-        )
-    return build_quotient(rs, j_set)
 
 
 @dataclass(frozen=True, eq=False)

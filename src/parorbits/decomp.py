@@ -55,7 +55,11 @@ class DecomposedDiagram:
     comparisons: Tuple[StratumComparison, ...]
 
     def all_pass(self) -> bool:
-        return all(c.edges_match for c in self.comparisons)
+        """Every stratum matches its flag diagram and every cross edge raises delta."""
+        delta = [self.strata[si].delta for si in self.vertex_stratum]
+        return all(c.edges_match for c in self.comparisons) and all(
+            delta[e.w] > delta[e.u] for e in self.cross_edges
+        )
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
@@ -166,15 +170,11 @@ def decomposition_report(dec: DecomposedDiagram) -> dict:
                 "pass": comp.edges_match,
             }
         )
-    cross_ok = all(
-        dec.strata[dec.vertex_stratum[e.w]].delta > dec.strata[dec.vertex_stratum[e.u]].delta
-        for e in dec.cross_edges
-    )
     return {
         "fixture": dec.fixture.label,
         "strata": strata_report,
         "cross_edges": len(dec.cross_edges),
-        "all_pass": dec.all_pass() and cross_ok,
+        "all_pass": dec.all_pass(),
     }
 
 
@@ -296,5 +296,5 @@ def emit(dec: DecomposedDiagram, fmt: str) -> str:
 
 def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
-    pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
+    pq = cosets.build_quotient(fix.rs, fix.j_q)
     return _emit(fmt, fix, pq, hasse.build_hasse(pq, {fix.q_node: 1}))

@@ -2,7 +2,8 @@
 
 A fixture names X = G/Q for a maximal parabolic Q = P_(q_node) together
 with a cominuscule node p_node defining the acting parabolic P.  Fixture
-labels follow the convention "<Type><rank>/P<q_node>+P<p_node>".
+labels follow the convention "<Type><rank>/P<q_node>+P<p_node>".  The
+family's Picard-rank-two exclusion, sweep and space names live only here.
 
 A quotient is enumerated without its Weyl group, yet |W| > `MAX_GROUP_ORDER` is refused:
 the covers and the interval certificates have no measured budget past rank 6.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List
 
 from . import rootsys
-from .rootsys import RootSystem
+from .rootsys import RANK_BOUNDS, TYPE_LABELS, RootSystem
 
 
 class FixtureError(ValueError):
@@ -25,6 +26,9 @@ class FixtureError(ValueError):
 #: It admits every fixture of rank <= 6 and A7 (|W| = 40,320); A8 and every
 #: B, C, D of rank >= 7 are refused.
 MAX_GROUP_ORDER = 46_080
+
+#: Default rank cap of each type in a sweep.
+DEFAULT_MAX_RANK = 5
 
 
 def group_order(type_label: str, rank: int) -> int:
@@ -43,6 +47,24 @@ def group_order(type_label: str, rank: int) -> int:
     return order
 
 
+def _picard_rank_two(type_label: str, rank: int, q_node: int) -> bool:
+    # G/P_(n-1) of D_n: the (n-1)-dimensional isotropic subspaces
+    return type_label == "D" and q_node == rank - 1
+
+
+def grassmannian_label(type_label: str, rank: int, node: int) -> str:
+    """Conventional name of G/P_node, e.g. IG(2,8) for C4 and node 2; both
+    spin nodes of D_n give OG(n,2n)."""
+    n, m = rank, node
+    if type_label == "A":
+        return "G(%d,%d)" % (m, n + 1)
+    if type_label == "B":
+        return "OG(%d,%d)" % (m, 2 * n + 1)
+    if type_label == "C":
+        return "IG(%d,%d)" % (m, 2 * n)
+    return "OG(%d,%d)" % (n if m == n - 1 else m, 2 * n)
+
+
 @dataclass(frozen=True)
 class Fixture:
     type_label: str
@@ -59,24 +81,19 @@ class Fixture:
                 "%s%d: |W| exceeds the enumeration bound %d"
                 % (self.type_label, self.rank, MAX_GROUP_ORDER)
             )
-        rs = rootsys.build(self.type_label, self.rank)
-        object.__setattr__(self, "rs", rs)
-        n = rs.rank
+        object.__setattr__(self, "rs", rootsys.build(self.type_label, self.rank))
+        n = self.rank
         if not 1 <= self.q_node <= n:
             raise FixtureError("q_node %d out of range 1..%d" % (self.q_node, n))
-        if rs.type_label == "D" and self.q_node == n - 1:
+        if _picard_rank_two(self.type_label, n, self.q_node):
             raise FixtureError(
                 "D_%d with q_node %d has Picard rank 2 -- excluded" % (n, n - 1)
             )
-        if self.p_node not in rootsys.cominuscule_nodes(rs):
+        allowed = rootsys.cominuscule_nodes(self.type_label, n)
+        if self.p_node not in allowed:
             raise FixtureError(
                 "node %d is not cominuscule for %s_%d (allowed: %s)"
-                % (
-                    self.p_node,
-                    self.type_label,
-                    n,
-                    sorted(rootsys.cominuscule_nodes(rs)),
-                )
+                % (self.p_node, self.type_label, n, sorted(allowed))
             )
 
     @property
@@ -94,14 +111,7 @@ class Fixture:
     @property
     def space_label(self) -> str:
         """Conventional name of X, e.g. IG(2,8) for C4/P2."""
-        n, m = self.rank, self.q_node
-        if self.type_label == "A":
-            return "G(%d,%d)" % (m, n + 1)
-        if self.type_label == "B":
-            return "OG(%d,%d)" % (m, 2 * n + 1)
-        if self.type_label == "C":
-            return "IG(%d,%d)" % (m, 2 * n)
-        return "OG(%d,%d)" % (m, 2 * n)
+        return grassmannian_label(self.type_label, self.rank, self.q_node)
 
     def __str__(self) -> str:
         return self.label
@@ -126,22 +136,18 @@ def parse_fixture(text: str) -> Fixture:
 
 
 def sweep_fixtures(
-    max_a: int = 5, max_b: int = 5, max_c: int = 5, max_d: int = 5
+    max_a: int = DEFAULT_MAX_RANK,
+    max_b: int = DEFAULT_MAX_RANK,
+    max_c: int = DEFAULT_MAX_RANK,
+    max_d: int = DEFAULT_MAX_RANK,
 ) -> List[Fixture]:
     """Every classical fixture (all maximal Q x all cominuscule P) up to caps."""
-    out: List[Fixture] = []
-    for n in range(1, max_a + 1):
-        for q in range(1, n + 1):
-            for p in range(1, n + 1):
-                out.append(Fixture("A", n, q, p))
-    for n in range(2, max_b + 1):
-        for q in range(1, n + 1):
-            out.append(Fixture("B", n, q, 1))
-    for n in range(2, max_c + 1):
-        for q in range(1, n + 1):
-            out.append(Fixture("C", n, q, n))
-    for n in range(4, max_d + 1):
-        for q in [q for q in range(1, n + 1) if q != n - 1]:
-            for p in (1, n - 1, n):
-                out.append(Fixture("D", n, q, p))
-    return out
+    caps = dict(zip(TYPE_LABELS, (max_a, max_b, max_c, max_d)))
+    return [
+        Fixture(t, n, q, p)
+        for t in TYPE_LABELS
+        for n in range(RANK_BOUNDS[t], caps[t] + 1)
+        for q in range(1, n + 1)
+        if not _picard_rank_two(t, n, q)
+        for p in sorted(rootsys.cominuscule_nodes(t, n))
+    ]

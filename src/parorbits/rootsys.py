@@ -247,14 +247,14 @@ def _check_invariants(rs: RootSystem) -> None:
     assert len(rs.positive_roots) == expected
 
 
-def cominuscule_nodes(rs: RootSystem) -> FrozenSet[int]:
+def cominuscule_nodes(type_label: str, rank: int) -> FrozenSet[int]:
     """Nodes whose fundamental coweight pairs with every root in {-1,0,1}."""
-    n = rs.rank
-    if rs.type_label == "A":
+    n = rank
+    if type_label == "A":
         return frozenset(range(1, n + 1))
-    if rs.type_label == "B":
+    if type_label == "B":
         return frozenset({1})
-    if rs.type_label == "C":
+    if type_label == "C":
         return frozenset({n})
     return frozenset({1, n - 1, n})
 

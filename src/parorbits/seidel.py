@@ -39,7 +39,7 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
     w_0 W_J; its shortest element is the unique one with no right descent
     in J.  Both conditions are checked, the first on 2 omega_i^vee.
     """
-    if i not in rootsys.cominuscule_nodes(rs):
+    if i not in rootsys.cominuscule_nodes(rs.type_label, rs.rank):
         raise SeidelError(
             "node %d is not cominuscule for %s_%d" % (i, rs.type_label, rs.rank)
         )

@@ -23,13 +23,13 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import cosets, rootsys, weyl
 from .cosets import DoubleCoset, ParabolicQuotient
-from .fixtures import Fixture
+from .fixtures import Fixture, grassmannian_label
 from .rootsys import RootSystem
 from .weyl import WeylElement
 
 
 class StrataError(ValueError):
-    """Stratification invariant violation or unsupported case."""
+    """Stratification invariant violation."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +67,9 @@ def d_geometric(fix: Fixture, w: WeylElement) -> int:
         return 1
     if t == "C" or (t == "D" and i == n):
         return sum(1 for v in head if v > 0)
-    if t == "D" and i == n - 1:
-        pos = sum(1 for v in head if v > 0)
-        return pos - (1 if n in head else 0) + (1 if -n in head else 0)
-    raise StrataError("unsupported case %s" % (fix,))
+    # D with i = n - 1
+    pos = sum(1 for v in head if v > 0)
+    return pos - (1 if n in head else 0) + (1 if -n in head else 0)
 
 
 def _p1_max_m(fix: Fixture) -> int:
@@ -89,12 +88,11 @@ def d_range(fix: Fixture) -> Tuple[int, int, int]:
         return (0, 1, 1)
     if t == "C":
         return (0, m, 1)
-    if t == "D" and i in (n - 1, n):
-        if m <= n - 2:
-            return (0, m, 1)
-        top = n if i == n else n - 1
-        return (top % 2, top, 2)
-    raise StrataError("unsupported case %s" % (fix,))
+    # D with i in (n - 1, n)
+    if m <= n - 2:
+        return (0, m, 1)
+    top = n if i == n else n - 1
+    return (top % 2, top, 2)
 
 
 def stratum_count(fix: Fixture) -> int:
@@ -142,13 +140,12 @@ def expected_fiber_dim(fix: Fixture, d_geom: int) -> int:
         if m <= n - 2:
             return {0: 2 * n - 1 - m, 1: m, 2: 0}[d]
         return {0: n - 1, 1: 0}[d]
-    if t == "D":
-        if m <= n - 2:
-            k = m - d
-            return k * (n - d) - k * (k + 1) // 2
-        k = n - d
-        return k * (k - 1) // 2
-    raise StrataError("unsupported case %s" % (fix,))
+    # D with i in (n - 1, n)
+    if m <= n - 2:
+        k = m - d
+        return k * (n - d) - k * (k + 1) // 2
+    k = n - d
+    return k * (k - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +163,15 @@ class FlagComponent:
 
     @property
     def label(self) -> str:
+        """`fixtures.grassmannian_label` for one marked node, else F(...) in
+        type A, OG(r-1,2r) for both D spin nodes, or type, rank and nodes."""
         t, r, marked = self.type_label, self.rank, self.marked
+        if len(marked) == 1:
+            return grassmannian_label(t, r, marked[0])
         if t == "A":
-            if len(marked) == 1:
-                return "G(%d,%d)" % (marked[0], r + 1)
             return "F(%s;%d)" % (",".join(str(k) for k in marked), r + 1)
-        if t == "B" and len(marked) == 1:
-            return "OG(%d,%d)" % (marked[0], 2 * r + 1)
-        if t == "C" and len(marked) == 1:
-            return "IG(%d,%d)" % (marked[0], 2 * r)
-        if t == "D":
-            if marked in ((r,), (r - 1,)):
-                return "OG(%d,%d)" % (r, 2 * r)
-            if marked == (r - 1, r):
-                return "OG(%d,%d)" % (r - 1, 2 * r)
-            if len(marked) == 1:
-                return "OG(%d,%d)" % (marked[0], 2 * r)
+        if t == "D" and marked == (r - 1, r):
+            return "OG(%d,%d)" % (r - 1, 2 * r)
         return "%s%d/P{%s}" % (t, r, ",".join(str(k) for k in marked))
 
 
@@ -245,10 +235,8 @@ def _orderings(rs: RootSystem, comp: Sequence[int]) -> Tuple[str, List[List[int]
     """Component type plus all valid Bourbaki orderings of its nodes."""
     comp = list(comp)
     r = len(comp)
-    adj = {
-        x: [y for y in comp if y != x and rs.cartan_matrix[x - 1][y - 1] != 0]
-        for x in comp
-    }
+    dynkin = rs.adjacency()
+    adj = {x: sorted(dynkin[x].intersection(comp)) for x in comp}
     norm = {x: rootsys.pair(rs.simple_root(x), rs.simple_root(x)) for x in comp}
     norms = sorted(set(norm.values()))
     if r == 1:
@@ -368,7 +356,7 @@ def _doubling(fix: Fixture, delta_value: int) -> bool:
 def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]:
     """Quotient of X with its orbit strata, sorted by increasing delta."""
     rs = fix.rs
-    pq = cosets.enumerate_WQ(rs, fix.j_q)
+    pq = cosets.build_quotient(rs, fix.j_q)
     strata = []
     for dc in cosets.double_cosets(pq, fix.j_p):
         values = {delta(fix, pq.elements[k]) for k in dc.members}

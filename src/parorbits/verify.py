@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from . import cosets, decomp, hasse, seidel, strata, weyl
 from .decomp import DecomposedDiagram
-from .fixtures import Fixture, FixtureError, sweep_fixtures
+from .fixtures import DEFAULT_MAX_RANK, Fixture, FixtureError, sweep_fixtures
 from .weyl import WeylElement
 
 
@@ -165,10 +165,10 @@ def type_a_composition_report(max_rank: int = 4) -> dict:
 
 
 def run_verify(
-    max_a: int = 5,
-    max_b: int = 5,
-    max_c: int = 5,
-    max_d: int = 5,
+    max_a: int = DEFAULT_MAX_RANK,
+    max_b: int = DEFAULT_MAX_RANK,
+    max_c: int = DEFAULT_MAX_RANK,
+    max_d: int = DEFAULT_MAX_RANK,
     fixture: Optional[Fixture] = None,
 ) -> dict:
     fixtures = [fixture] if fixture is not None else sweep_fixtures(max_a, max_b, max_c, max_d)

@@ -42,9 +42,6 @@ class WeylElement:
     def __repr__(self) -> str:
         return "W%s%d%s" % (self.rs.type_label, self.rs.rank, window_str(self.window))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return multiply(self, other)
-
     @cached_property
     def length(self) -> int:
         return _length(self.rs, self.window)
@@ -144,13 +141,7 @@ def multiply(u: WeylElement, w: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    out = [0] * len(w.window)
-    for pos, b in enumerate(w.window):
-        if b > 0:
-            out[b - 1] = pos + 1
-        else:
-            out[-b - 1] = -(pos + 1)
-    return WeylElement(w.rs, tuple(out))
+    return WeylElement(w.rs, _act_coords(w.window, range(1, len(w.window) + 1)))
 
 
 def act(w: WeylElement, v: Sequence) -> Tuple:

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import io
 import json
 import time
 
 import pytest
 
-from parorbits import cli, cosets, decomp, seidel, weyl
+from parorbits import cli, cosets, decomp, rootsys, seidel, strata, weyl
+from parorbits.fixtures import Fixture
 
 
 def run_cli(capsys, argv):
@@ -203,6 +205,61 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
     code, out, err = run_cli(capsys, ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, err) == (2, "")
     assert json.loads(out)["interval_certified"] is False
+
+
+def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
+    # a valid fixture reaches StrataError only as a failed invariant
+    fix = Fixture("C", 4, 2, 4)
+    pq, sts = strata.stratify(fix)
+    target = pq.elements[next(st for st in sts if st.size == 12).dc.members[-1]]
+    real_delta = strata.delta
+    monkeypatch.setattr(strata, "delta", lambda f, w: real_delta(f, w) + (w == target))
+    code, out, err = run_cli(capsys, ["strata"] + FIGURE_ARGV[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stratum exponent not constant") and err.count("\n") == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: 3)
+    code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stratum exponent 3/2") and err.count("\n") == 1
+    monkeypatch.undo()
+    for argv in (
+        ["verify", "--fixture", "D4/P3+P1"],
+        ["strata", "--type", "C", "--rank", "2000", "--grassmannian", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
+    # within-stratum edges still match the flag diagrams, but every cross
+    # edge now lowers delta; diagram and verify both reject it
+    real_stratify = strata.stratify
+
+    def reversed_deltas(fix):
+        pq, sts = real_stratify(fix)
+        top = max(st.delta for st in sts)
+        return pq, tuple(dataclasses.replace(st, delta=top - st.delta) for st in sts)
+
+    monkeypatch.setattr(strata, "stratify", reversed_deltas)
+    code, out, err = run_cli(capsys, FIGURE_ARGV)
+    assert (code, out) == (2, "")
+    assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
+    code, out, _ = run_cli(capsys, ["verify", "--fixture", "C4/P2+P4"])
+    assert code == 2 and json.loads(out)["fixtures"][0]["decomposition"]["all_pass"] is False
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run_cli(
+        capsys,
+        ["list", "--max-rank-a", "1", "--max-rank-b", "0", "--max-rank-c", "0", "--max-rank-d", "0"],
+    )
+    assert (code, out) == (0, "A1/P1+P1  G(1,2)\n")
 
 
 def test_weyl_error_exits_1(monkeypatch, capsys):

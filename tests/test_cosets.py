@@ -6,14 +6,12 @@ import pytest
 
 from parorbits import cosets, decomp, strata, verify, weyl
 from parorbits.cosets import (
-    CosetError,
     build_quotient,
     certify_interval,
     double_cosets,
-    enumerate_WQ,
 )
 from parorbits.decomp import emit_plain
-from parorbits.fixtures import Fixture, sweep_fixtures
+from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build
 
 FIXTURES = [
@@ -29,18 +27,18 @@ FIXTURES = [
 
 
 def test_enumerate_wq_examples():
-    g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     assert len(g24.elements) == 6
     assert g24.rank_counts() == (1, 1, 2, 1, 1)
-    ig = enumerate_WQ(build("C", 4), frozenset({1, 3, 4}))
+    ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
     assert len(ig.elements) == 24
-    og = enumerate_WQ(build("B", 4), frozenset({1, 2, 4}))
+    og = build_quotient(build("B", 4), frozenset({1, 2, 4}))
     assert len(og.elements) == 32
 
 
 def test_quotient_grading_and_duality():
     for fix in FIXTURES:
-        pq = enumerate_WQ(fix.rs, fix.j_q)
+        pq = build_quotient(fix.rs, fix.j_q)
         counts = pq.rank_counts()
         assert counts[0] == 1 and counts[-1] == 1
         assert counts == counts[::-1]  # Poincare duality of the quotient
@@ -52,7 +50,7 @@ def test_quotient_grading_and_duality():
 
 def test_cover_witnesses():
     for fix in FIXTURES[:5]:
-        pq = enumerate_WQ(fix.rs, fix.j_q)
+        pq = build_quotient(fix.rs, fix.j_q)
         for c in pq.covers:
             u, w = pq.elements[c.u], pq.elements[c.w]
             s = cosets.reflection_by_index(pq.rs, c.root)
@@ -61,18 +59,18 @@ def test_cover_witnesses():
 
 
 def test_double_coset_examples():
-    g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     sizes = [dc.size for dc in double_cosets(g24, frozenset({1, 3}))]
     assert sizes == [1, 4, 1]
-    ig = enumerate_WQ(build("C", 4), frozenset({1, 3, 4}))
+    ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
     assert [dc.size for dc in double_cosets(ig, frozenset({1, 2, 3}))] == [6, 12, 6]
-    og = enumerate_WQ(build("B", 4), frozenset({1, 2, 4}))
+    og = build_quotient(build("B", 4), frozenset({1, 2, 4}))
     assert [dc.size for dc in double_cosets(og, frozenset({2, 3, 4}))] == [12, 8, 12]
 
 
 def test_double_cosets_partition():
     for fix in FIXTURES:
-        pq = enumerate_WQ(fix.rs, fix.j_q)
+        pq = build_quotient(fix.rs, fix.j_q)
         dcs = double_cosets(pq, fix.j_p)
         seen = [k for dc in dcs for k in dc.members]
         assert sorted(seen) == list(range(len(pq.elements)))
@@ -90,18 +88,18 @@ def bruhat_interval(dc):
 
 
 def test_certify_interval():
-    g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
     assert dcs[0].size == 1 and certify_interval(dcs[0])
     for fix in list(sweep_fixtures(5, 5, 5, 5)) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
-        pq = enumerate_WQ(fix.rs, fix.j_q)
+        pq = build_quotient(fix.rs, fix.j_q)
         for dc in double_cosets(pq, fix.j_p):
             assert bruhat_interval(dc) == set(dc.members), fix.label
             assert certify_interval(dc), fix.label
 
 
 def test_certify_interval_negative_control():
-    g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
     middle = dcs[1]
     extremes = {g24.index_of(middle.w_min), g24.index_of(middle.w_max)}
@@ -128,7 +126,7 @@ def test_cover_closure_is_bruhat_order(t, n):
     for q in rs.nodes:
         if t == "D" and q == n - 1:
             continue
-        pq = enumerate_WQ(rs, nodes - {q})
+        pq = build_quotient(rs, nodes - {q})
         above = [[] for _ in pq.elements]
         for c in pq.covers:
             above[c.u].append(c.w)
@@ -144,15 +142,16 @@ def test_cover_closure_is_bruhat_order(t, n):
 
 
 def test_type_d_picard_two_rejected():
-    d4 = build("D", 4)
-    with pytest.raises(CosetError):
-        enumerate_WQ(d4, frozenset({1, 2, 4}))  # omits node 3 = n-1
+    with pytest.raises(FixtureError, match="Picard rank 2"):
+        Fixture("D", 4, 3, 1)  # q_node 3 = n-1
+    sweep = sweep_fixtures(0, 0, 0, 6)
+    assert sweep and not any(fix.q_node == fix.rank - 1 for fix in sweep)
 
 
 def test_quotient_json_schema():
     # the quotient's JSON form is the public plain emission of its diagram
     fix = Fixture("A", 3, 2, 2)
-    pq = enumerate_WQ(fix.rs, fix.j_q)
+    pq = build_quotient(fix.rs, fix.j_q)
     payload = json.loads(emit_plain(fix, "json"))
     assert payload["fixture"] == "A3/P2+P2"
     assert payload["vertices"][0] == {"window": "(1,2,3,4)", "length": 0}
@@ -242,7 +241,7 @@ def test_flag_quotients_match_full_group_oracle():
 
 def test_double_cosets_match_min_rep_closure():
     for fix in sweep_fixtures(5, 5, 5, 5):
-        pq = enumerate_WQ(fix.rs, fix.j_q)
+        pq = build_quotient(fix.rs, fix.j_q)
         members = sorted(dc.members for dc in double_cosets(pq, fix.j_p))
         assert members == min_rep_closure(pq, fix.j_p), fix.label
 
@@ -269,6 +268,56 @@ def test_quotient_size_closed_forms(t, n):
         assert len(elements) == _quotient_order(t, n, m), m
         assert len({w.window for w in elements}) == len(elements)
         assert all(weyl.is_min_rep(w, j_q) for w in elements)
+
+
+def _degrees(t, k):
+    """Degrees of the basic invariants of W(X_k); none for k = 0."""
+    if k == 0:
+        return []
+    if t == "A":
+        return list(range(2, k + 2))
+    if t in "BC":
+        return list(range(2, 2 * k + 1, 2))
+    return list(range(2, 2 * k - 1, 2)) + [k]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _t_product(degrees):
+    """prod [d]_t over the degrees, [d]_t = 1 + t + ... + t^(d-1)."""
+    poly = [1]
+    for d in degrees:
+        poly = _poly_mul(poly, [1] * d)
+    return poly
+
+
+@pytest.mark.parametrize("t", "ABCD")
+def test_quotient_rank_generating_functions(t):
+    # sum over W^Q of t^length = prod [d_i]_t / prod [d_i^Q]_t, the degrees
+    # of W and of the Levi of Q = P_q: A_(q-1) x X_(n-q), or A_(n-1) for
+    # D_n/P_n; every quotient of rank 6-10 with |W^Q| <= 256
+    checked = 0
+    for n in range(6, 11):
+        rs = build(t, n)
+        nodes = frozenset(rs.nodes)
+        for q in rs.nodes:
+            if (t == "D" and q == n - 1) or _quotient_order(t, n, q) > 256:
+                continue
+            if (t, q) == ("D", n):
+                levi = _degrees("A", n - 1)
+            else:
+                levi = _degrees("A", q - 1) + _degrees(t, n - q)
+            lengths = [w.length for w in weyl.enumerate_group(rs, nodes, nodes - {q})]
+            counts = [lengths.count(k) for k in range(max(lengths) + 1)]
+            assert _poly_mul(counts, _t_product(levi)) == _t_product(_degrees(t, n)), (n, q)
+            checked += 1
+    assert checked == {"A": 36, "B": 16, "C": 16, "D": 16}[t]  # 84 quotients in all
 
 
 def test_deodhar_lemma_on_random_windows():

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from parorbits import cosets, hasse, weyl
-from parorbits.cosets import build_quotient, enumerate_WQ
+from parorbits.cosets import build_quotient
 from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture
 from parorbits.hasse import HasseError, build_hasse
@@ -25,7 +25,7 @@ FIXTURES = [
 
 
 def _diagram(fix):
-    pq = enumerate_WQ(fix.rs, fix.j_q)
+    pq = build_quotient(fix.rs, fix.j_q)
     return pq, build_hasse(pq, {fix.q_node: 1})
 
 
@@ -88,23 +88,23 @@ def test_og39_edge_profile():
 
 
 def test_poincare_polys():
-    g24 = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     assert g24.rank_counts() == (1, 1, 2, 1, 1)
-    p3 = enumerate_WQ(build("A", 3), frozenset({2, 3}))
+    p3 = build_quotient(build("A", 3), frozenset({2, 3}))
     assert p3.rank_counts() == (1, 1, 1, 1)
-    ig = enumerate_WQ(build("C", 4), frozenset({1, 3, 4}))
+    ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
     counts = ig.rank_counts()
     assert sum(counts) == 24 and counts == counts[::-1]
 
 
 def test_chevalley_edges_single_vertex():
-    pq = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    pq = build_quotient(build("A", 3), frozenset({1, 3}))
     hd = build_hasse(pq, {2: 1})
     assert [(e.w, e.mult) for e in hd.edges if e.u == 0] == [(1, 1)]
 
 
 def test_weight_validation():
-    pq = enumerate_WQ(build("A", 3), frozenset({1, 3}))
+    pq = build_quotient(build("A", 3), frozenset({1, 3}))
     with pytest.raises(HasseError):
         build_hasse(pq, {1: 1})  # supported inside Delta(Q)
     with pytest.raises(HasseError):
@@ -126,7 +126,7 @@ def test_type_a_diagrams_are_multiplicity_free():
     for n in range(1, 5):
         rs = build("A", n)
         for q in range(1, n + 1):
-            pq = enumerate_WQ(rs, frozenset(rs.nodes) - {q})
+            pq = build_quotient(rs, frozenset(rs.nodes) - {q})
             hd = build_hasse(pq, {q: 1})
             assert all(e.mult == 1 for e in hd.edges)
 

@@ -69,7 +69,7 @@ def test_v_elt_matches_brute_force_oracle():
     for t, ranks in (("A", range(1, 6)), ("B", range(2, 6)), ("C", range(2, 6)), ("D", range(4, 6))):
         for n in ranks:
             rs = build(t, n)
-            for i in sorted(rootsys.cominuscule_nodes(rs)):
+            for i in sorted(rootsys.cominuscule_nodes(rs.type_label, rs.rank)):
                 assert _brute_force_seidel_element(rs, i) == [v_elt(rs, i)], (t, n, i)
                 cases += 1
     assert cases == 29
@@ -154,7 +154,7 @@ def test_seidel_table_matches_per_class_oracle():
 
 def test_top_class_q_exresponse():
     for fix in FIXTURES:
-        pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
+        pq = cosets.build_quotient(fix.rs, fix.j_q)
         top = pq.elements[-1]
         assert strata.delta(fix, top) == strata.stratum_count(fix) - 1
 

@@ -24,7 +24,7 @@ def test_delta_examples():
     assert delta(g24, weyl.identity(g24.rs)) == 0
     assert delta(g24, _element(g24, (3, 4, 1, 2))) == 2
     ig = Fixture("C", 4, 2, 4)
-    pq = cosets.enumerate_WQ(ig.rs, ig.j_q)
+    pq = cosets.build_quotient(ig.rs, ig.j_q)
     values = {delta(ig, w) for w in pq.elements}
     assert values == {0, 1, 2}
 
@@ -58,7 +58,7 @@ def test_d_of_matches_delta_orientation():
 
 def test_d_equals_delta_everywhere_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
-        pq = cosets.enumerate_WQ(fix.rs, fix.j_q)
+        pq = cosets.build_quotient(fix.rs, fix.j_q)
         for w in pq.elements:
             assert delta(fix, w) == d_of(fix, w)
 
