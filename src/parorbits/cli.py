@@ -22,10 +22,15 @@ from .weyl import WeylError
 
 # Library errors by exit code: 1 for input the program cannot serve (including
 # an --out path it cannot write), 2 for a failed certificate or invariant; a
-# validated Fixture reaches CosetError and StrataError only as the latter.
-INPUT_ERRORS = (FixtureError, RootSystemError, hasse.HasseError, WeylError, OSError)
+# validated Fixture reaches CosetError and StrataError only as the latter, and
+# HasseError too, as every weight the CLI builds is valid by construction.
+INPUT_ERRORS = (FixtureError, RootSystemError, WeylError, OSError)
 VERIFICATION_ERRORS = (
-    seidel.SeidelError, decomp.DecompositionError, cosets.CosetError, strata.StrataError
+    seidel.SeidelError,
+    decomp.DecompositionError,
+    cosets.CosetError,
+    strata.StrataError,
+    hasse.HasseError,
 )
 
 

@@ -76,17 +76,27 @@ def build_quotient(
         raise CosetError("J_Q %s is not contained in the node set %s" % (sorted(j_q), sorted(nodes)))
     elements = weyl.enumerate_group(rs, nodes, j_q)
     index = {w.window: k for k, w in enumerate(elements)}
+    lengths = [w.length for w in elements]
 
     ambient_roots = set(rs.positive_roots_of(nodes))
     q_roots = set(rs.positive_roots_of(j_q))
-    candidate_roots = sorted(ambient_roots - q_roots)
+    candidates = [
+        (
+            root_idx,
+            weyl.inversion_test(rs.positive_roots[root_idx]),
+            reflection_by_index(rs, root_idx).window,
+        )
+        for root_idx in sorted(ambient_roots - q_roots)
+    ]
     covers: List[Cover] = []
     for u_idx, u in enumerate(elements):
-        lu = u.length
-        for root_idx in candidate_roots:
-            w = weyl.multiply(u, reflection_by_index(rs, root_idx))
-            w_idx = index.get(w.window)
-            if w_idx is not None and elements[w_idx].length == lu + 1:
+        uw, up = u.window, lengths[u_idx] + 1
+        for root_idx, inverts, t in candidates:
+            # u inverts beta iff l(u s_beta) < l(u) (Bjorner-Brenti Prop. 4.4.6)
+            if inverts(uw):
+                continue
+            w_idx = index.get(weyl.compose(uw, t))
+            if w_idx is not None and lengths[w_idx] == up:
                 covers.append(Cover(u_idx, w_idx, root_idx))
     covers.sort()
     return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index)
@@ -111,7 +121,7 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
     j_p_set = frozenset(j_p)
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
-    gens = [weyl.simple_reflection(pq.rs, p) for p in sorted(j_p_set)]
+    gens = [weyl.simple_reflection(pq.rs, p).window for p in sorted(j_p_set)]
     index = pq.index
     assigned = [-1] * len(pq.elements)
     classes: List[List[int]] = []
@@ -124,10 +134,10 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
         members = [start]
         while stack:
             k = stack.pop()
-            w = pq.elements[k]
+            w = pq.elements[k].window
             for s in gens:
                 # Deodhar's lemma: s*w is in W^Q, or it lies in the coset of w
-                m = index.get(weyl.multiply(s, w).window, k)
+                m = index.get(weyl.compose(s, w), k)
                 if assigned[m] < 0:
                     assigned[m] = cls_id
                     members.append(m)

@@ -232,6 +232,15 @@ def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_invalid_stratum_weight_exits_2(monkeypatch, capsys):
+    # the CLI builds every divisor weight itself, so a weight the flag
+    # quotient refuses is a failed invariant, not bad input
+    monkeypatch.setattr(strata, "h_prime_of", lambda st: ({k: 1 for k in st.K}, st.doubling))
+    code, out, err = run_cli(capsys, FIGURE_ARGV)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weight supported on Delta(Q) nodes") and err.count("\n") == 1
+
+
 def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
     # within-stratum edges still match the flag diagrams, but every cross
     # edge now lowers delta; diagram and verify both reject it

@@ -14,6 +14,8 @@ from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build
 
+from windows import draw_window
+
 FIXTURES = [
     Fixture("A", 3, 2, 2),
     Fixture("A", 4, 2, 3),
@@ -331,11 +333,7 @@ def test_deodhar_lemma_on_random_windows():
     def check(data):
         t = data.draw(st.sampled_from("ABCD"))
         rs = build(t, data.draw(st.integers(RANK_BOUNDS[t], 10)))
-        window = data.draw(st.permutations(range(1, rs.dim + 1)))
-        if t != "A":
-            window = [b * data.draw(st.sampled_from((1, -1))) for b in window]
-            if t == "D" and sum(b < 0 for b in window) % 2:
-                window[-1] = -window[-1]
+        window = draw_window(data, rs)
         j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
         k = data.draw(st.sampled_from(rs.nodes))
         w = weyl.min_rep(weyl.element(rs, window), j_set)
@@ -345,6 +343,47 @@ def test_deodhar_lemma_on_random_windows():
         )
 
     check()
+
+
+def test_quotients_build_no_throwaway_elements(monkeypatch):
+    # cold B6/P5+P1: the cover loop and the orbit closure look products up
+    # by window, and the enumerator builds an element only for a window it
+    # keeps, besides the generators
+    fix = Fixture("B", 6, 5, 1)
+    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
+    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
+        cache.cache_clear()
+    real_multiply, real_enumerate, real_init = (
+        weyl.multiply,
+        weyl.enumerate_group,
+        weyl.WeylElement.__init__,
+    )
+    counts = {"multiply": 0, "built": 0, "built_enumerating": 0, "allowed": 0}
+
+    def multiply_spy(u, w):
+        counts["multiply"] += 1
+        return real_multiply(u, w)
+
+    def init_spy(self, *args):
+        counts["built"] += 1
+        real_init(self, *args)
+
+    def enumerate_spy(rs, nodes, j_set=frozenset()):
+        before = counts["built"]
+        result = real_enumerate(rs, nodes, j_set)
+        counts["built_enumerating"] += counts["built"] - before
+        counts["allowed"] += len(result) + len(nodes)
+        return result
+
+    monkeypatch.setattr(weyl, "multiply", multiply_spy)
+    monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
+    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
+    pq = build_quotient(fix.rs, fix.j_q)
+    assert len(double_cosets(pq, fix.j_p)) == 3
+    for k_set in k_sets:
+        build_quotient(fix.rs, k_set, fix.j_p)
+    assert counts["multiply"] == 0
+    assert 0 < counts["built_enumerating"] <= counts["allowed"], counts
 
 
 def test_decomposition_enumerates_no_group(monkeypatch):

@@ -1,10 +1,12 @@
+import ast
 import random
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from parorbits import weyl
-from parorbits.rootsys import build
+from parorbits.rootsys import RANK_BOUNDS, build
 from parorbits.weyl import (
     WeylError,
     act,
@@ -19,6 +21,7 @@ from parorbits.weyl import (
     window_str,
 )
 
+from windows import draw_window, root_is_negative
 from words import from_word, reduced_word
 
 
@@ -139,6 +142,88 @@ def test_length_matches_inversion_formula(t, n):
     rs = build(t, n)
     for w in enumerate_group(rs, frozenset(rs.nodes)):
         assert w.length == _length_by_inversion_formula(rs, w.window)
+
+
+def _check_against_root_scan(rs, window):
+    inverted = sum(root_is_negative(window, beta) for beta in rs.positive_roots)
+    assert weyl._length(rs, window) == inverted, window
+    for k in rs.nodes:
+        descent = root_is_negative(window, rs.simple_root(k))
+        assert weyl._is_descent(rs, window, k) == descent, (window, k)
+
+
+@pytest.mark.parametrize("t", "ABCD")
+def test_length_and_descents_match_root_scan_on_maximal_quotients(t):
+    # every element of every maximal quotient of rank 8: 19,166 in all
+    rs = build(t, 8)
+    nodes = frozenset(rs.nodes)
+    checked = 0
+    for q in rs.nodes:
+        for w in enumerate_group(rs, nodes, nodes - {q}):
+            _check_against_root_scan(rs, w.window)
+            assert not weyl.first_descent(rs, w.window, sorted(nodes - {q}))
+            checked += 1
+    assert checked == {"A": 510, "B": 6560, "C": 6560, "D": 5536}[t]
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t in "ABCD" for n in range(RANK_BOUNDS[t], 6)])
+def test_inversion_test_matches_root_scan(t, n):
+    # every (element, positive root) pair of the whole group
+    rs = build(t, n)
+    tests = [(weyl.inversion_test(beta), beta) for beta in rs.positive_roots]
+    for w in enumerate_group(rs, frozenset(rs.nodes)):
+        for inverts, beta in tests:
+            assert inverts(w.window) == root_is_negative(w.window, beta), (w, beta)
+
+
+def test_window_statistics_on_random_windows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        t = data.draw(st.sampled_from("ABCD"))
+        rs = build(t, data.draw(st.integers(RANK_BOUNDS[t], 10)))
+        window = draw_window(data, rs)
+        _check_against_root_scan(rs, window)
+        for beta in rs.positive_roots:
+            assert weyl.inversion_test(beta)(window) == root_is_negative(window, beta)
+
+    check()
+
+
+def test_out_of_range_nodes_raise():
+    # node 0 would read simple_roots[-1] and return the "no descent" 0
+    c3 = build("C", 3)
+    w = element(c3, (1, 2, -3))
+    for nodes in ({0}, {4}):
+        with pytest.raises(WeylError, match="out of range"):
+            weyl.is_min_rep(w, nodes)
+        with pytest.raises(WeylError, match="out of range"):
+            min_rep(w, nodes)
+        with pytest.raises(WeylError, match="out of range"):
+            longest(c3, nodes)
+    for root in ((0, 0, 0), (-1, 1, 0), (1, 1, 1)):
+        with pytest.raises(WeylError):
+            weyl.inversion_test(root)
+
+
+def test_weyl_reads_no_root_vectors():
+    # the window statistics use the window's integers alone; the simple
+    # roots are read only to build the simple reflections
+    tree = ast.parse(Path(weyl.__file__).read_text())
+    readers = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "positive_roots",
+                "positive_roots_of",
+                "simple_roots",
+                "simple_root",
+            ):
+                readers.setdefault(node.attr, set()).add(getattr(top, "name", None))
+    assert readers == {"simple_roots": {"simple_reflection"}}
 
 
 def test_reduced_words_roundtrip():

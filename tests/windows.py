@@ -1,0 +1,37 @@
+"""Test-only window helpers: the root-scan oracle and random windows.
+
+The library reads every window statistic off the window's integers; the
+tests check those closed forms against the definition, a scan of the root
+vectors for the ones the window sends to negative roots.
+"""
+
+
+def root_is_negative(window, root):
+    """Whether the window sends `root` to a negative root: the image is
+    +/- a positive root, whose sign is that of its lowest-index nonzero
+    coordinate in the classical realizations."""
+    best_index = None
+    best_value = 0
+    for pos, x in enumerate(root):
+        if x == 0:
+            continue
+        b = window[pos]
+        idx, val = (b - 1, x) if b > 0 else (-b - 1, -x)
+        if best_index is None or idx < best_index:
+            best_index, best_value = idx, val
+    assert best_index is not None, "zero vector is not a root"
+    return best_value < 0
+
+
+def draw_window(data, rs):
+    """A random window of the Weyl group of `rs`, drawn from a hypothesis
+    `data` object (hypothesis is imported here, so that the oracle above
+    needs no hypothesis)."""
+    from hypothesis import strategies as st
+
+    window = data.draw(st.permutations(range(1, rs.dim + 1)))
+    if rs.type_label != "A":
+        window = [b * data.draw(st.sampled_from((1, -1))) for b in window]
+        if rs.type_label == "D" and sum(b < 0 for b in window) % 2:
+            window[-1] = -window[-1]
+    return tuple(window)

@@ -22,7 +22,7 @@ def reduced_word(w):
     cur = w
     nodes = cur.rs.nodes
     while True:
-        k = weyl.first_descent(cur, nodes)
+        k = weyl.first_descent(cur.rs, cur.window, nodes)
         if not k:
             break
         word.append(k)
