@@ -81,21 +81,18 @@ def build_quotient(
     ambient_roots = set(rs.positive_roots_of(nodes))
     q_roots = set(rs.positive_roots_of(j_q))
     candidates = [
-        (
-            root_idx,
-            weyl.inversion_test(rs.positive_roots[root_idx]),
-            reflection_by_index(rs, root_idx).window,
-        )
+        (root_idx, weyl.reflection_image(rs.positive_roots[root_idx]))
         for root_idx in sorted(ambient_roots - q_roots)
     ]
     covers: List[Cover] = []
     for u_idx, u in enumerate(elements):
         uw, up = u.window, lengths[u_idx] + 1
-        for root_idx, inverts, t in candidates:
-            # u inverts beta iff l(u s_beta) < l(u) (Bjorner-Brenti Prop. 4.4.6)
-            if inverts(uw):
+        for root_idx, image in candidates:
+            # None when u inverts beta, i.e. l(u s_beta) < l(u) (Bjorner-Brenti Prop. 4.4.6)
+            x = image(uw)
+            if x is None:
                 continue
-            w_idx = index.get(weyl.compose(uw, t))
+            w_idx = index.get(x)
             if w_idx is not None and lengths[w_idx] == up:
                 covers.append(Cover(u_idx, w_idx, root_idx))
     covers.sort()

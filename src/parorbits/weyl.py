@@ -12,15 +12,23 @@ window inverts e_i - e_j (i < j) iff key(b_i) > key(b_j), e_i + e_j iff
 key(b_i) > key(-b_j), and e_i (or 2 e_i) iff b_i < 0.  Length counts these
 inversions, and a right descent is an inverted simple root; the tests
 cross-check both against the count of positive roots sent to negative
-roots.  `enumerate_group` lists the minimal representatives of W_L / W_J
-without enumerating W_L, and builds an element only for a window it keeps.
+roots.
+
+Right multiplication acts on positions: by a reflection it swaps (and
+re-signs) two positions, so `reflection_image` gives u * s_beta without a
+product, and by W_J it permutes blocks of positions, so `min_rep` sorts
+each block by key (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping
+descents.  `enumerate_group` lists the minimal representatives of
+W_L / W_J without enumerating W_L, builds an element only for a window it
+keeps, and records each one's breadth-first level as its length, so that
+`_length` runs only for elements built elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, FrozenSet, Iterable, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
@@ -96,11 +104,20 @@ def _length(rs: RootSystem, window: Window) -> int:
     return total
 
 
+def _checked_nodes(rs: RootSystem, nodes: Iterable[int]) -> List[int]:
+    """The nodes in ascending order, refused with WeylError unless each is
+    in 1..rank."""
+    out = sorted(nodes)
+    for k in out:
+        if not 1 <= k <= rs.rank:
+            raise WeylError("node %d out of range 1..%d" % (k, rs.rank))
+    return out
+
+
 def _is_descent(rs: RootSystem, window: Window, k: int) -> bool:
-    """Whether node k is a right descent, i.e. the window inverts alpha_k."""
+    """Whether node k (in 1..rank) is a right descent, i.e. the window
+    inverts alpha_k."""
     n = rs.rank
-    if not 1 <= k <= n:
-        raise WeylError("node %d out of range 1..%d" % (k, n))
     m = 2 * len(window) + 1
     if k < n or rs.type_label == "A":  # alpha_k = e_k - e_(k+1)
         return window[k - 1] % m > window[k] % m
@@ -109,26 +126,45 @@ def _is_descent(rs: RootSystem, window: Window, k: int) -> bool:
     return window[n - 1] < 0  # alpha_n = e_n or 2 e_n
 
 
-def inversion_test(root: Vector) -> Callable[[Window], bool]:
-    """Predicate on windows: whether w sends the positive root `root` to a
-    negative root.  For e_i (or 2 e_i) that is b_i < 0; for e_i + c e_j
-    with i < j it is key(b_i) > key(-c b_j)."""
+def reflection_image(root: Vector) -> Callable[[Window], Optional[Window]]:
+    """Map from the window of u to the window of u * s_root, or to None when
+    u sends the positive root `root` to a negative root.  Right
+    multiplication by s_beta swaps positions i and j for e_i - e_j, swaps
+    and negates them for e_i + e_j, and negates position i for e_i (or
+    2 e_i).  With y = c b_j, where c = -1 for e_i + e_j and +1 for
+    e_i - e_j, the new entries are y at i and c b_i at j, and u inverts the
+    root iff key(b_i) > key(y).  The root e_i is the case j = i, c = -1:
+    key(b_i) > key(-b_i) iff b_i < 0."""
     support = [k for k, x in enumerate(root) if x]
     if not 1 <= len(support) <= 2 or root[support[0]] <= 0:
         raise WeylError("%s is not a positive root" % (root,))
-    i = support[0]
-    if len(support) == 1:
-        return lambda b: b[i] < 0
-    j = support[1]
-    c = root[j]
+    i, j = support[0], support[-1]
+    c = -root[j] if j > i else -1
     m = 2 * len(root) + 1
-    return lambda b: b[i] % m > -c * b[j] % m
+
+    def image(b: Window) -> Optional[Window]:
+        y = c * b[j]
+        if b[i] % m > y % m:
+            return None
+        x = list(b)
+        x[i], x[j] = y, c * b[i]
+        return tuple(x)
+
+    return image
 
 
 def element(rs: RootSystem, window: Iterable[int]) -> WeylElement:
     w = tuple(window)
     _validate_window(rs, w)
     return WeylElement(rs, w)
+
+
+def _element_of_length(rs: RootSystem, window: Window, length: int) -> WeylElement:
+    """An element whose length is already known: fills the cached slot, so
+    that `_length` never runs for it."""
+    w = WeylElement(rs, window)
+    w.__dict__["length"] = length
+    return w
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -184,22 +220,68 @@ def act(w: WeylElement, v: Sequence) -> Tuple:
 
 
 def first_descent(rs: RootSystem, window: Window, nodes: Sequence[int]) -> int:
-    """First node of `nodes` that is a right descent of the window, or 0."""
+    """First node of `nodes` that is a right descent of the window, or 0.
+    Every node is checked against 1..rank before any is read."""
+    _checked_nodes(rs, nodes)
     for k in nodes:
         if _is_descent(rs, window, k):
             return k
     return 0
 
 
+def _runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:
+    """Maximal runs a, a+1, ..., c of consecutive integers in the ascending
+    `nodes`, as (a, c)."""
+    runs: List[Tuple[int, int]] = []
+    for k in nodes:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1] = (runs[-1][0], k)
+        else:
+            runs.append((k, k))
+    return runs
+
+
 def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
-    """Minimal-length representative of the coset w W_J (right quotient)."""
-    rs, nodes = w.rs, sorted(j_set)
-    window = w.window
-    while True:
-        k = first_descent(rs, window, nodes)
-        if not k:
-            return w if window is w.window else WeylElement(rs, window)
-        window = compose(window, simple_reflection(rs, k).window)
+    """Minimal-length representative of the coset w W_J (right quotient).
+
+    The representative is the unique element of the coset with no right
+    descent in J (Bjorner-Brenti 2.4).  W_J acts on the right by permuting
+    (and in B, C, D re-signing) the window's positions, one block of
+    positions per connected component of J, so each block is put in the
+    one order that has no descent (Bjorner-Brenti 8.1-8.2).  With
+    key(x) = x mod (2d+1), and a..c a maximal run of consecutive nodes:
+      * a run not ending at node n of B, C or D permutes positions
+        a..c+1, which are sorted by key;
+      * in B and C, the run a..n also re-signs positions a..n, which
+        become their absolute values in ascending order;
+      * in D, a run a..n (so n-1 and n both in J) re-signs positions a..n
+        in pairs: absolute values in ascending order, the last one negated
+        when the block had an odd number of negative entries.  With n but
+        not n-1 in J, the action is that of n-1 conjugated by the negation
+        e of position n (s_n = e s_(n-1) e), so position n is negated
+        before and after the sort.
+    """
+    rs = w.rs
+    n, t = rs.rank, rs.type_label
+    nodes = _checked_nodes(rs, j_set)
+    b = list(w.window)
+    flip = t == "D" and n in nodes and n - 1 not in nodes
+    if flip:
+        nodes[-1] = n - 1  # n was the largest node, so the list stays sorted
+        b[-1] = -b[-1]
+    m = 2 * len(b) + 1
+    for a, c in _runs(nodes):
+        if c == n and t != "A":
+            block = b[a - 1 :]
+            b[a - 1 :] = sorted(abs(x) for x in block)
+            if t == "D" and sum(x < 0 for x in block) % 2:
+                b[-1] = -b[-1]
+        else:
+            b[a - 1 : c + 1] = sorted(b[a - 1 : c + 1], key=lambda x: x % m)
+    if flip:
+        b[-1] = -b[-1]
+    window = tuple(b)
+    return w if window == w.window else WeylElement(rs, window)
 
 
 def is_min_rep(w: WeylElement, j_set: Iterable[int]) -> bool:
@@ -208,7 +290,7 @@ def is_min_rep(w: WeylElement, j_set: Iterable[int]) -> bool:
 
 def longest(rs: RootSystem, j_set: Iterable[int]) -> WeylElement:
     """Longest element of the standard parabolic subgroup W_J."""
-    nodes = sorted(j_set)
+    nodes = _checked_nodes(rs, j_set)
     window = identity(rs).window
     while True:
         k = next((k for k in nodes if not _is_descent(rs, window, k)), 0)
@@ -245,20 +327,28 @@ def enumerate_group(
     """Minimal representatives of W_L / W_J (L = `nodes`; all of W_L for J
     empty), sorted by (length, window): breadth-first by left simple
     reflections s of L, keeping s*w when it has no right descent in J.  By
-    Deodhar's lemma (s*w is in W^J or s*w W_J = w W_J), this reaches all of W^J.
-    Candidates are bare windows; only the kept ones become elements."""
+    Deodhar's lemma (s*w is in W^J or s*w W_J = w W_J), this reaches all of
+    W^J.  Each kept step changes the length by exactly 1, and every w in
+    W^J of length l > 0 has a left descent s with s*w in W^J of length
+    l - 1, so an element's breadth-first level is its length: levels are
+    emitted in turn, each sorted by window, with each element's length
+    seeded from its level.  Candidates are bare windows; only the kept ones
+    become elements."""
     gens = [simple_reflection(rs, k).window for k in sorted(nodes)]
-    j_nodes = sorted(j_set)
-    start = identity(rs)
-    seen = {start.window: start}
-    frontier = [start.window]
-    while frontier:
+    j_nodes = _checked_nodes(rs, j_set)
+    level = [identity(rs).window]
+    seen = set(level)
+    out: List[WeylElement] = []
+    length = 0
+    while level:
+        out.extend(_element_of_length(rs, x, length) for x in level)
         nxt = []
-        for ww in frontier:
+        for ww in level:
             for sw in gens:
                 x = compose(sw, ww)
-                if x not in seen and not first_descent(rs, x, j_nodes):
-                    seen[x] = WeylElement(rs, x)
+                if x not in seen and not any(_is_descent(rs, x, k) for k in j_nodes):
+                    seen.add(x)
                     nxt.append(x)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, w.window)))
+        level = sorted(nxt)
+        length += 1
+    return tuple(out)

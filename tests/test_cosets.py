@@ -407,8 +407,8 @@ def test_decomposition_enumerates_no_group(monkeypatch):
 
 def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     # cold B6/P5+P1 decomposition plus its interval check: no Bruhat
-    # comparison, and no length computed beyond the one per quotient element
-    # that enumerate_group sorts by
+    # comparison, and no length computed at all, since enumerate_group
+    # records each element's breadth-first level as its length
     fix = Fixture("B", 6, 5, 1)
     orig_enumerate, orig_leq, orig_length = weyl.enumerate_group, weyl.bruhat_leq, weyl._length
     counts = {"enumerated": 0, "bruhat_leq": 0, "_length": 0}
@@ -433,4 +433,7 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     monkeypatch.setattr(weyl, "_length", length_spy)
     assert verify._check_interval(decomp.build_decomposition(fix))
     assert counts["bruhat_leq"] == 0
-    assert 0 < counts["_length"] <= counts["enumerated"], counts
+    assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
+    # the spy is live: an element built outside the enumerator counts once
+    assert weyl.element(fix.rs, (2, 1, 3, 4, 5, 6)).length == 1
+    assert counts["_length"] == 1, counts

@@ -11,6 +11,7 @@ from parorbits.seidel import (
     v_elt,
 )
 
+from windows import strip_descents
 from words import from_word
 
 FIXTURES = [
@@ -136,8 +137,9 @@ def test_g24_q_exponents():
 
 def _seidel_apply_oracle(v, w, fix):
     """Test-only oracle: the per-class quantum product, with delta computed
-    afresh from coweights instead of read from the stratum."""
-    return strata.delta(fix, w), weyl.min_rep(weyl.multiply(v, w), fix.j_q)
+    afresh from coweights instead of read from the stratum, and the class
+    reduced by descent stripping instead of `weyl.min_rep`."""
+    return strata.delta(fix, w), strip_descents(weyl.multiply(v, w), fix.j_q)
 
 
 def test_seidel_table_matches_per_class_oracle():
@@ -150,6 +152,27 @@ def test_seidel_table_matches_per_class_oracle():
             q, image = _seidel_apply_oracle(v, w, fix)
             assert qexp[k] == q, (fix.label, w)
             assert pq.elements[perm[k]] == image, (fix.label, w)
+
+
+def test_seidel_table_strips_no_descents(monkeypatch):
+    # cold C5/P2+P5: min_rep reads each class's representative off the
+    # window by block sorts, with no descent search and no simple reflection
+    fix = Fixture("C", 5, 2, 5)
+    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
+        cache.cache_clear()
+    pq, sts = strata.stratify(fix)
+    v = v_elt(fix.rs, fix.p_node)
+    calls = []
+    for name in ("simple_reflection", "first_descent"):
+        real = getattr(weyl, name)
+        monkeypatch.setattr(
+            weyl, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
+    perm, _ = seidel_table(fix, pq, sts, v)
+    assert sorted(perm) == list(range(len(perm))) and calls == []
+    # the spies are live: the stripping oracle calls both
+    strip_descents(weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
+    assert set(calls) == {"simple_reflection", "first_descent"}
 
 
 def test_top_class_q_exresponse():
@@ -165,7 +188,7 @@ def test_composition_path_independence():
         pq, perm, _ = _table(fix)
         vv = weyl.multiply(v, v)
         for k, w in enumerate(pq.elements):
-            direct = weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
+            direct = strip_descents(weyl.multiply(vv, w), fix.j_q)
             assert pq.elements[perm[perm[k]]] == direct
 
 

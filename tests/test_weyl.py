@@ -1,5 +1,6 @@
 import ast
 import random
+from itertools import combinations
 from math import factorial
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from parorbits.weyl import (
     window_str,
 )
 
-from windows import draw_window, root_is_negative
+from windows import draw_window, root_is_negative, strip_descents
 from words import from_word, reduced_word
 
 
@@ -160,6 +161,8 @@ def test_length_and_descents_match_root_scan_on_maximal_quotients(t):
     checked = 0
     for q in rs.nodes:
         for w in enumerate_group(rs, nodes, nodes - {q}):
+            # the length enumerate_group records is its breadth-first level
+            assert w.length == weyl._length(rs, w.window), w
             _check_against_root_scan(rs, w.window)
             assert not weyl.first_descent(rs, w.window, sorted(nodes - {q}))
             checked += 1
@@ -168,12 +171,20 @@ def test_length_and_descents_match_root_scan_on_maximal_quotients(t):
 
 @pytest.mark.parametrize("t,n", [(t, n) for t in "ABCD" for n in range(RANK_BOUNDS[t], 6)])
 def test_inversion_test_matches_root_scan(t, n):
-    # every (element, positive root) pair of the whole group
+    # every (element, positive root) pair of the whole group: the image is
+    # None exactly where w inverts beta, and w * s_beta otherwise
     rs = build(t, n)
-    tests = [(weyl.inversion_test(beta), beta) for beta in rs.positive_roots]
+    tests = [
+        (weyl.reflection_image(beta), weyl.reflection(rs, beta).window, beta)
+        for beta in rs.positive_roots
+    ]
     for w in enumerate_group(rs, frozenset(rs.nodes)):
-        for inverts, beta in tests:
-            assert inverts(w.window) == root_is_negative(w.window, beta), (w, beta)
+        for image, s_beta, beta in tests:
+            x = image(w.window)
+            if root_is_negative(w.window, beta):
+                assert x is None, (w, beta)
+            else:
+                assert x == weyl.compose(w.window, s_beta), (w, beta)
 
 
 def test_window_statistics_on_random_windows():
@@ -188,7 +199,11 @@ def test_window_statistics_on_random_windows():
         window = draw_window(data, rs)
         _check_against_root_scan(rs, window)
         for beta in rs.positive_roots:
-            assert weyl.inversion_test(beta)(window) == root_is_negative(window, beta)
+            x = weyl.reflection_image(beta)(window)
+            assert (x is None) == root_is_negative(window, beta)
+        w = element(rs, window)
+        j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
+        assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
 
     check()
 
@@ -204,9 +219,17 @@ def test_out_of_range_nodes_raise():
             min_rep(w, nodes)
         with pytest.raises(WeylError, match="out of range"):
             longest(c3, nodes)
+    # a valid node first must not hide an invalid one after it
+    w = element(c3, (2, 1, 3))
+    with pytest.raises(WeylError, match="out of range"):
+        weyl.is_min_rep(w, {1, 9})
+    with pytest.raises(WeylError, match="out of range"):
+        weyl.first_descent(c3, w.window, [1, 9])
+    with pytest.raises(WeylError, match="out of range"):
+        min_rep(w, {1, 9})
     for root in ((0, 0, 0), (-1, 1, 0), (1, 1, 1)):
         with pytest.raises(WeylError):
-            weyl.inversion_test(root)
+            weyl.reflection_image(root)
 
 
 def test_weyl_reads_no_root_vectors():
@@ -246,6 +269,31 @@ def test_min_rep_examples():
     assert min_rep(identity(a3), [1, 3]) == identity(a3)
     w0 = longest(a3, a3.nodes)
     assert min_rep(w0, [1, 3]).window == (3, 4, 1, 2)
+
+
+def _subsets(nodes):
+    return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
+
+
+@pytest.mark.parametrize(
+    "t,n", [(t, n) for t in "ABCD" for n in range(RANK_BOUNDS[t], 5)] + [("A", 5)]
+)
+def test_min_rep_matches_descent_stripping_for_every_j(t, n):
+    rs = build(t, n)
+    group = enumerate_group(rs, frozenset(rs.nodes))
+    for j_set in _subsets(rs.nodes):
+        for w in group:
+            assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
+
+
+@pytest.mark.parametrize("t", "BCD")
+def test_min_rep_matches_descent_stripping_on_maximal_j_at_rank_5(t):
+    rs = build(t, 5)
+    nodes = frozenset(rs.nodes)
+    j_sets = [frozenset(), nodes] + [nodes - {q} for q in rs.nodes]
+    for w in enumerate_group(rs, nodes):
+        for j_set in j_sets:
+            assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
 
 
 def test_min_rep_idempotent_and_shorter():

@@ -1,9 +1,14 @@
-"""Test-only window helpers: the root-scan oracle and random windows.
+"""Test-only window helpers: the root-scan and descent-stripping oracles,
+and random windows.
 
 The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
-vectors for the ones the window sends to negative roots.
+vectors for the ones the window sends to negative roots.  `weyl.min_rep`
+sorts blocks of positions; the tests check it against stripping one right
+descent at a time.
 """
+
+from parorbits import weyl
 
 
 def root_is_negative(window, root):
@@ -35,3 +40,16 @@ def draw_window(data, rs):
         if rs.type_label == "D" and sum(b < 0 for b in window) % 2:
             window[-1] = -window[-1]
     return tuple(window)
+
+
+def strip_descents(w, j_set):
+    """Minimal representative of the coset w W_J by stripping one right
+    descent in J at a time, the first of J each step (oracle for
+    `weyl.min_rep`)."""
+    rs, nodes = w.rs, sorted(j_set)
+    window = w.window
+    while True:
+        k = weyl.first_descent(rs, window, nodes)
+        if not k:
+            return weyl.WeylElement(rs, window)
+        window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
