@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -101,17 +101,6 @@ class RootSystem:
         return tuple(
             k for k, supp in enumerate(self.root_support) if supp <= nodes
         )
-
-    def adjacency(self) -> Dict[int, FrozenSet[int]]:
-        """Dynkin-diagram adjacency from the Cartan matrix."""
-        adj = {}
-        for i in self.nodes:
-            adj[i] = frozenset(
-                j
-                for j in self.nodes
-                if j != i and self.cartan_matrix[i - 1][j - 1] != 0
-            )
-        return adj
 
 
 def _simple_roots(type_label: str, rank: int) -> Tuple[Vector, ...]:
@@ -257,6 +246,39 @@ def cominuscule_nodes(type_label: str, rank: int) -> FrozenSet[int]:
     if type_label == "C":
         return frozenset({n})
     return frozenset({1, n - 1, n})
+
+
+def components(rs: RootSystem, nodes: Iterable[int]) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Connected components of a node set of the Dynkin diagram, ordered by
+    least node, each as (type, nodes in Bourbaki order); the rank is the
+    number of nodes.  Nodes outside 1..rank raise before any is read.
+
+    A component is a maximal run of consecutive nodes, except that node n
+    of D_n is joined to n-2 and not to n-1.  Only the component holding n
+    can be of type B, C or D: the run a..n of B_n or C_n, rank 1 included,
+    and a component of D_n holding n-2, n-1 and n, from rank 4; at rank 3
+    it is A_3 in the order (n-1, n-2, n) (Bjorner-Brenti 8.1-8.2).
+    """
+    n, t = rs.rank, rs.type_label
+    ordered = sorted(nodes)
+    for k in ordered:
+        if not 1 <= k <= n:
+            raise RootSystemError("node %d out of range 1..%d" % (k, n))
+    runs: List[List[int]] = []
+    for k in ordered:
+        neighbour = n - 2 if t == "D" and k == n else k - 1
+        home = next((run for run in runs if neighbour in run), None)
+        if home is None:
+            runs.append([k])
+        else:
+            home.append(k)
+    out = []
+    for run in runs:
+        kind = t if run[-1] == n and (t != "D" or n - 1 in run) else "A"
+        if kind == "D" and len(run) == 3:
+            kind, run = "A", [n - 1, n - 2, n]
+        out.append((kind, tuple(run)))
+    return tuple(out)
 
 
 def pair(u: Sequence[int], v: Sequence[int]) -> int:

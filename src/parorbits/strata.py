@@ -7,7 +7,8 @@ Each double coset of the quotient carries:
     stratum;
   * d_geometric: the signed-permutation statistic recording the incidence
     dimension with the reference flag (the case-by-case window count);
-  * K and a flag descriptor: the Levi flag variety the stratum fibres over;
+  * K and a flag descriptor: the Levi flag variety the stratum fibres over,
+    one factor per Dynkin component of J_P (`rootsys.components`);
   * the expected fiber dimension from the case formulas, tested against
     the length of the minimal representative.
 
@@ -19,7 +20,8 @@ label, derived from d_geometric via the case's admissible range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import cosets, rootsys, weyl
 from .cosets import DoubleCoset, ParabolicQuotient
@@ -200,108 +202,32 @@ def K_of(dc: DoubleCoset) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _component_nodes(rs: RootSystem, nodes: FrozenSet[int]) -> List[List[int]]:
-    adj = rs.adjacency()
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in adj[x] & remaining:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        remaining -= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def _path_order(adj: Dict[int, List[int]], start: int) -> List[int]:
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [y for y in adj[cur] if y != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
-def _orderings(rs: RootSystem, comp: Sequence[int]) -> Tuple[str, List[List[int]]]:
-    """Component type plus all valid Bourbaki orderings of its nodes."""
-    comp = list(comp)
-    r = len(comp)
-    dynkin = rs.adjacency()
-    adj = {x: sorted(dynkin[x].intersection(comp)) for x in comp}
-    norm = {x: rootsys.pair(rs.simple_root(x), rs.simple_root(x)) for x in comp}
-    norms = sorted(set(norm.values()))
-    if r == 1:
-        t = {1: "B", 2: "A", 4: "C"}[norms[0]]
-        return t, [comp]
-    if len(norms) > 1:
-        # one short end (type B, norms 2..2,1) or one long end (type C,
-        # norms 2..2,4); the fixed realizations make this an absolute test
-        special_norm = norms[0] if norms == [1, 2] else norms[-1]
-        t = "B" if special_norm == norms[0] else "C"
-        special = next(x for x in comp if norm[x] == special_norm)
-        if len(adj[special]) != 1:
-            raise StrataError("non-terminal special root in component %s" % comp)
-        far = next(x for x in comp if len(adj[x]) == 1 and x != special)
-        order = _path_order(adj, far)
-        if order[-1] != special:
-            raise StrataError("component %s is not a B/C path" % comp)
-        return t, [order]
-    branch = [x for x in comp if len(adj[x]) == 3]
-    if not branch:
-        leaves = [x for x in comp if len(adj[x]) <= 1]
-        first = _path_order(adj, leaves[0])
-        return "A", [first, list(reversed(first))]
-    center = branch[0]
-    pruned = {k: [z for z in v if z != center] for k, v in adj.items()}
-    arms = [_path_order(pruned, y) for y in adj[center]]
-    arms.sort(key=len)
-    orderings = []
-    tails = [a for a in arms if len(a) == len(arms[-1])]
-    for tail in tails:
-        short = [a for a in arms if a is not tail]
-        if not all(len(a) == 1 for a in short) or len(short) != 2:
-            continue
-        f1, f2 = short[0][0], short[1][0]
-        base = list(reversed(tail)) + [center]
-        orderings.append(base + [f1, f2])
-        orderings.append(base + [f2, f1])
-    if not orderings:
-        raise StrataError("component %s is not a D diagram" % comp)
-    return "D", orderings
-
-
-def _classify_component(
-    rs: RootSystem, comp: Sequence[int], marked_ambient: FrozenSet[int]
-) -> FlagComponent:
-    t, orderings = _orderings(rs, comp)
-    best = None
-    for order in orderings:
-        marked = tuple(
-            sorted(order.index(x) + 1 for x in comp if x in marked_ambient)
-        )
-        key = (marked, tuple(order))
-        if best is None or key < best[0]:
-            best = (key, order, marked)
-    _, order, marked = best
-    return FlagComponent(t, len(comp), tuple(order), marked)
+def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The Bourbaki orders of a component that its diagram's symmetries
+    allow: reversal in A, the last two nodes swapped in D, triality in D_4."""
+    if type_label == "A":
+        return [order, order[::-1]]
+    if type_label == "D" and len(order) == 4:
+        centre = order[1]
+        return [(x, centre, y, z) for x, y, z in permutations(order[:1] + order[2:])]
+    if type_label == "D":
+        return [order, order[:-2] + (order[-1], order[-2])]
+    return [order]
 
 
 def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) -> FlagDescriptor:
+    """One factor per component of J_P that holds a node of J_P - K, in the
+    allowed order with the smallest marked positions, then the smallest."""
     marked = frozenset(j_p) - k_set
     dim = len(rs.positive_roots_of(frozenset(j_p))) - len(rs.positive_roots_of(k_set))
     comps = []
-    for comp in _component_nodes(rs, frozenset(j_p)):
-        if marked & set(comp):
-            comps.append(_classify_component(rs, comp, marked))
+    for t, nodes in rootsys.components(rs, j_p):
+        if not marked.isdisjoint(nodes):
+            positions, order = min(
+                (tuple(sorted(o.index(x) + 1 for x in marked.intersection(o))), o)
+                for o in _symmetric_orders(t, nodes)
+            )
+            comps.append(FlagComponent(t, len(nodes), order, positions))
     return FlagDescriptor(tuple(comps), tuple(sorted(marked)), dim)
 
 

@@ -247,9 +247,9 @@ def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
     The representative is the unique element of the coset with no right
     descent in J (Bjorner-Brenti 2.4).  W_J acts on the right by permuting
     (and in B, C, D re-signing) the window's positions, one block of
-    positions per connected component of J, so each block is put in the
-    one order that has no descent (Bjorner-Brenti 8.1-8.2).  With
-    key(x) = x mod (2d+1), and a..c a maximal run of consecutive nodes:
+    positions per maximal run a..c of consecutive nodes of J, so each
+    block is put in the one order that has no descent (Bjorner-Brenti
+    8.1-8.2).  With key(x) = x mod (2d+1):
       * a run not ending at node n of B, C or D permutes positions
         a..c+1, which are sorted by key;
       * in B and C, the run a..n also re-signs positions a..n, which
@@ -260,6 +260,8 @@ def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
         not n-1 in J, the action is that of n-1 conjugated by the negation
         e of position n (s_n = e s_(n-1) e), so position n is negated
         before and after the sort.
+    Blocks of positions are not the Dynkin components of J: in D_n, J =
+    {n-1, n} is two A_1 components that act on one block, n-1 and n.
     """
     rs = w.rs
     n, t = rs.rank, rs.type_label

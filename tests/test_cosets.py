@@ -12,8 +12,9 @@ from parorbits.cosets import (
 )
 from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
-from parorbits.rootsys import RANK_BOUNDS, build
+from parorbits.rootsys import RANK_BOUNDS, build, components
 
+from dynkin import subsets
 from windows import draw_window
 
 FIXTURES = [
@@ -299,11 +300,21 @@ def _t_product(degrees):
     return poly
 
 
+def _levi_degrees(rs, nodes):
+    """Degrees of W_J, read off the Dynkin components of J."""
+    return [d for kind, comp in components(rs, nodes) for d in _degrees(kind, len(comp))]
+
+
+def _rank_counts(elements):
+    lengths = [w.length for w in elements]
+    return [lengths.count(k) for k in range(max(lengths) + 1)]
+
+
 @pytest.mark.parametrize("t", "ABCD")
 def test_quotient_rank_generating_functions(t):
     # sum over W^Q of t^length = prod [d_i]_t / prod [d_i^Q]_t, the degrees
-    # of W and of the Levi of Q = P_q: A_(q-1) x X_(n-q), or A_(n-1) for
-    # D_n/P_n; every quotient of rank 6-10 with |W^Q| <= 256
+    # of W and of the Levi of Q = P_q; every quotient of rank 6-10 with
+    # |W^Q| <= 256
     checked = 0
     for n in range(6, 11):
         rs = build(t, n)
@@ -311,15 +322,31 @@ def test_quotient_rank_generating_functions(t):
         for q in rs.nodes:
             if (t == "D" and q == n - 1) or _quotient_order(t, n, q) > 256:
                 continue
-            if (t, q) == ("D", n):
-                levi = _degrees("A", n - 1)
-            else:
-                levi = _degrees("A", q - 1) + _degrees(t, n - q)
-            lengths = [w.length for w in weyl.enumerate_group(rs, nodes, nodes - {q})]
-            counts = [lengths.count(k) for k in range(max(lengths) + 1)]
+            counts = _rank_counts(weyl.enumerate_group(rs, nodes, nodes - {q}))
+            levi = _levi_degrees(rs, nodes - {q})
             assert _poly_mul(counts, _t_product(levi)) == _t_product(_degrees(t, n)), (n, q)
             checked += 1
     assert checked == {"A": 36, "B": 16, "C": 16, "D": 16}[t]  # 84 quotients in all
+
+
+def test_levi_quotient_rank_generating_functions():
+    # W_L / W_K inside a maximal Levi L, for every K in L, ranks <= 5: the
+    # rank-generating function is prod [d]_t over the components of L
+    # divided by the same product over the components of K, which checks
+    # the types and ranks that rootsys.components gives both
+    checked = 0
+    for t in "ABCD":
+        for n in range(RANK_BOUNDS[t], 6):
+            rs = build(t, n)
+            for cut in rs.nodes:
+                levi = frozenset(rs.nodes) - {cut}
+                for k_set in subsets(levi):
+                    counts = _rank_counts(weyl.enumerate_group(rs, levi, k_set))
+                    assert _poly_mul(
+                        counts, _t_product(_levi_degrees(rs, k_set))
+                    ) == _t_product(_levi_degrees(rs, levi)), (rs, cut, sorted(k_set))
+                    checked += 1
+    assert checked == 129 + 2 * 128 + 112
 
 
 def test_deodhar_lemma_on_random_windows():

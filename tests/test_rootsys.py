@@ -5,8 +5,9 @@ import pytest
 
 from parorbits import seidel, strata, weyl
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
-from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, eta, pair
+from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, eta, pair
 
+from dynkin import component_nodes, orderings, subsets
 from words import from_word
 
 SMALL = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]
@@ -268,3 +269,62 @@ def test_root_data_is_integer(t, n):
     if group_order(t, n) <= MAX_GROUP_ORDER:
         fix = Fixture(t, n, 1, max(cominuscule_nodes(rs.type_label, rs.rank)))
         assert type(strata.delta(fix, w0)) is int
+
+
+DYNKIN_SYSTEMS = [("A", n) for n in range(1, 9)] + [
+    (t, n) for t in "BC" for n in range(2, 9)
+] + [("D", n) for n in range(4, 9)]
+
+
+def test_components_match_graph_search():
+    # every node subset of A1-A8, B/C2-8 and D4-8: the same node sets and
+    # types as the graph search, in one of its Bourbaki orders
+    checked = 0
+    for t, n in DYNKIN_SYSTEMS:
+        rs = build(t, n)
+        for nodes in subsets(rs.nodes):
+            comps = components(rs, nodes)
+            oracle = component_nodes(rs, nodes)
+            assert [sorted(c) for _, c in comps] == oracle, (rs, sorted(nodes))
+            for (kind, order), comp in zip(comps, oracle):
+                oracle_kind, oracle_orders = orderings(rs, comp)
+                assert kind == oracle_kind, (rs, comp)
+                assert list(order) in oracle_orders, (rs, comp, order)
+            checked += 1
+    assert checked == 2022
+
+
+def test_components_edge_cases():
+    assert components(build("A", 4), ()) == ()
+    assert components(build("D", 6), ()) == ()
+    assert components(build("A", 8), {1, 2, 4, 6, 7, 8}) == (
+        ("A", (1, 2)), ("A", (4,)), ("A", (6, 7, 8))
+    )
+    for n in (4, 5, 8):
+        d = build("D", n)
+        # n-1 and n are both joined to n-2 and not to each other
+        assert components(d, {n - 1, n}) == (("A", (n - 1,)), ("A", (n,)))
+        assert components(d, {n - 2, n - 1, n}) == (("A", (n - 1, n - 2, n)),)
+        assert components(d, set(range(1, n - 1)) | {n}) == (
+            ("A", tuple(range(1, n - 1)) + (n,)),
+        )
+        assert components(d, {n - 3, n - 2, n - 1, n}) == (
+            ("D", (n - 3, n - 2, n - 1, n)),
+        )
+        assert components(d, d.nodes) == (("D", d.nodes),)
+        assert components(d, {n}) == (("A", (n,)),)
+    for t in "BC":
+        for n in (2, 5):
+            rs = build(t, n)
+            assert components(rs, {n}) == ((t, (n,)),)
+            assert components(rs, {1}) == (("A", (1,)),)
+            assert components(rs, rs.nodes) == ((t, rs.nodes),)
+        assert components(build(t, 5), {1, 3, 4, 5}) == (("A", (1,)), (t, (3, 4, 5)))
+
+
+def test_components_reject_out_of_range_nodes():
+    for t, n in (("A", 3), ("B", 3), ("C", 3), ("D", 4)):
+        rs = build(t, n)
+        for nodes in ({0}, {1, n + 1}, {n - 1, n, n + 1}, {-n}):
+            with pytest.raises(RootSystemError, match="out of range"):
+                components(rs, nodes)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from parorbits import cosets, rootsys, weyl
@@ -8,11 +11,14 @@ from parorbits.strata import (
     d_of,
     delta,
     expected_fiber_dim,
+    flag_descriptor,
     h_prime_of,
     stratify,
     stratum_count,
     stratum_json,
 )
+
+from dynkin import flag_components, subsets
 
 
 def _element(fix, window):
@@ -177,6 +183,57 @@ def test_stratum_json_schema():
     }
     assert set(payload["flag"]) == {"components", "marked", "dim"}
     assert payload["delta"] == 1 and payload["size"] == 12
+
+
+def _check_flag_against_graph_search(rs, j_p, marked):
+    flag = flag_descriptor(rs, j_p, j_p - marked)
+    assert flag.components == flag_components(rs, j_p, marked), (rs, sorted(j_p), sorted(marked))
+    assert flag.marked_ambient == tuple(sorted(marked))
+
+
+def test_flag_descriptor_matches_graph_search_up_to_rank_6():
+    # every J_P with every marked subset of it, A1-A6, B/C2-6, D4-6
+    systems = [("A", n) for n in range(1, 7)] + [
+        (t, n) for t in "BC" for n in range(2, 7)
+    ] + [("D", n) for n in range(4, 7)]
+    checked = 0
+    for t, n in systems:
+        rs = rootsys.build(t, n)
+        for j_p in subsets(rs.nodes):
+            for marked in subsets(j_p):
+                _check_flag_against_graph_search(rs, j_p, marked)
+                checked += 1
+    assert checked == 4323
+
+
+def test_flag_descriptor_matches_graph_search_on_maximal_j_at_ranks_7_and_8():
+    # ranks <= 6 are exhaustive above; every J at rank 8 takes seconds, so
+    # here each J that omits one node, with every marked subset of it
+    checked = 0
+    for t in "ABCD":
+        for n in (7, 8):
+            rs = rootsys.build(t, n)
+            for cut in rs.nodes:
+                j_p = frozenset(rs.nodes) - {cut}
+                for marked in subsets(j_p):
+                    _check_flag_against_graph_search(rs, j_p, marked)
+                    checked += 1
+    assert checked == 4 * (7 * 2**6 + 8 * 2**7)
+
+
+def test_flag_names_golden():
+    # the flag of every stratum up to A7/B6/C6/D6, as `strata --format json`
+    # and `verify` print it; the digest is that of the graph search in
+    # tests/dynkin.py
+    digest = hashlib.sha256()
+    fixtures = sweep_fixtures(7, 6, 6, 6)
+    count = 0
+    for fix in fixtures:
+        for st in stratify(fix)[1]:
+            digest.update(json.dumps(stratum_json(st)["flag"], sort_keys=True).encode() + b"\n")
+            count += 1
+    assert (len(fixtures), count) == (216, 587)
+    assert digest.hexdigest() == "d5b23d766ef5e85edeb34ad797ec86349f1f091cbb275aa161886e32155e0185"
 
 
 def test_invalid_fixtures_rejected():
