@@ -3,15 +3,19 @@
 A quotient may live in the full Weyl group or in any standard Levi
 subgroup (node subset), which lets the flag varieties appearing inside
 orbit strata reuse the same machinery.  Elements are minimal-length coset
-representatives, graded by length; covers carry a positive-root witness
-beta with w = u * s_beta.  `fixtures.Fixture` alone decides which
-quotients belong to the supported family.
+representatives, graded by length.  Each quotient records how every
+simple reflection of its node set acts on it from the left, as a table of
+indices; the covers, with a positive-root witness beta such that
+w = u * s_beta, and the W_P-orbits are both read from that table.
+`fixtures.Fixture` alone decides which quotients belong to the supported
+family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import weyl
@@ -37,6 +41,8 @@ class ParabolicQuotient:
     elements: Tuple[WeylElement, ...]
     covers: Tuple[Cover, ...]
     index: Dict[Tuple[int, ...], int]
+    #: left[k][i] is the index of s_k * w_i, or i when it lies in w_i W_J
+    left: Dict[int, Tuple[int, ...]]
 
     def __repr__(self) -> str:
         return "ParabolicQuotient(%s%d, nodes=%s, J_Q=%s, %d elements)" % (
@@ -69,7 +75,21 @@ def reflection_by_index(rs: RootSystem, root_idx: int) -> WeylElement:
 def build_quotient(
     rs: RootSystem, j_q: FrozenSet[int], nodes: Optional[FrozenSet[int]] = None
 ) -> ParabolicQuotient:
-    """Graded quotient W_L / W_J with cover relations and root witnesses."""
+    """Graded quotient W_L / W_J with its left action, covers and root
+    witnesses.
+
+    `left[k][i]` is the index of s_k*w_i, or i when s_k*w_i lies in
+    w_i W_J (Deodhar's lemma, Bjorner-Brenti Lemma 2.4.3), read through
+    the signed table of s_k.  The covers follow from it by du Cloux's
+    coatom recursion, which rests on the lifting property (Bjorner-Brenti
+    Prop. 2.2.7): with s = s_k the first left descent of w and p = s*w,
+    the lower covers of w are p itself, with witness beta = p^-1(alpha_k)
+    (so w = p*s_beta), and s*y for every lower cover y of p with s*y in
+    W^Q one longer than y, with y's witness (s*y*s_beta = s*p = w).  These
+    sources are distinct: left multiplication is injective, and s*y = p
+    would make y = w.  Elements come in order of length, so p's covers are
+    known before w's.
+    """
     if nodes is None:
         nodes = frozenset(rs.nodes)
     if not j_q <= nodes:
@@ -77,26 +97,26 @@ def build_quotient(
     elements = weyl.enumerate_group(rs, nodes, j_q)
     index = {w.window: k for k, w in enumerate(elements)}
     lengths = [w.length for w in elements]
+    gathers = [itemgetter(*w.window) for w in elements]
+    ks = sorted(nodes)
+    left: Dict[int, Tuple[int, ...]] = {}
+    for k in ks:
+        t = weyl.signed_table(weyl.simple_reflection(rs, k).window)
+        left[k] = tuple([index.get(gather(t), i) for i, gather in enumerate(gathers)])
 
-    ambient_roots = set(rs.positive_roots_of(nodes))
-    q_roots = set(rs.positive_roots_of(j_q))
-    candidates = [
-        (root_idx, weyl.reflection_image(rs.positive_roots[root_idx]))
-        for root_idx in sorted(ambient_roots - q_roots)
-    ]
-    covers: List[Cover] = []
-    for u_idx, u in enumerate(elements):
-        uw, up = u.window, lengths[u_idx] + 1
-        for root_idx, image in candidates:
-            # None when u inverts beta, i.e. l(u s_beta) < l(u) (Bjorner-Brenti Prop. 4.4.6)
-            x = image(uw)
-            if x is None:
-                continue
-            w_idx = index.get(x)
-            if w_idx is not None and lengths[w_idx] == up:
-                covers.append(Cover(u_idx, w_idx, root_idx))
-    covers.sort()
-    return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index)
+    root_index = {beta: r for r, beta in enumerate(rs.positive_roots)}
+    alphas = {k: weyl.signed_table(rs.simple_root(k)) for k in ks}
+    lower: List[List[Tuple[int, int]]] = [[] for _ in elements]  # (source, witness)
+    for i in range(1, len(elements)):
+        k = next(k for k in ks if lengths[left[k][i]] < lengths[i])
+        row = left[k]
+        p = row[i]
+        beta = root_index[gathers[p](alphas[k])]
+        lower[i] = [(p, beta)] + [
+            (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
+        ]
+    covers = sorted(Cover(u, w, r) for w, below in enumerate(lower) for u, r in below)
+    return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index, left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +134,12 @@ class DoubleCoset:
 
 def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCoset, ...]:
     """Partition of the quotient into orbits of the left W_P action, i.e. the
-    double cosets W_P \\ W / W_Q, by closing under the generators of W_P."""
+    double cosets W_P \\ W / W_Q, by closing under the generators of W_P,
+    read from the quotient's left-action rows."""
     j_p_set = frozenset(j_p)
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
-    gens = [weyl.simple_reflection(pq.rs, p).window for p in sorted(j_p_set)]
-    index = pq.index
+    rows = [pq.left[p] for p in sorted(j_p_set)]
     assigned = [-1] * len(pq.elements)
     classes: List[List[int]] = []
     for start in range(len(pq.elements)):
@@ -131,10 +151,8 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
         members = [start]
         while stack:
             k = stack.pop()
-            w = pq.elements[k].window
-            for s in gens:
-                # Deodhar's lemma: s*w is in W^Q, or it lies in the coset of w
-                m = index.get(weyl.compose(s, w), k)
+            for row in rows:
+                m = row[k]
                 if assigned[m] < 0:
                     assigned[m] = cls_id
                     members.append(m)
@@ -163,8 +181,10 @@ def certify_interval(dc: DoubleCoset) -> bool:
     of its covers (Bjorner-Brenti, Thm 2.5.5), so the interval is the
     up-set of w_min met with the down-set of w_max in the cover graph; one
     pass each way suffices, as covers are sorted by source and elements by
-    length.  Trusts `pq.covers` (right multiplication by reflections), not
-    how `double_cosets` built the stratum (the left W_P action).
+    length.  The covers and the orbits are both read from the quotient's
+    left-action table, so this check is not independent of that table;
+    `verify._check_chevalley_witnesses` is, as it rebuilds every cover of
+    the fixture's diagram with a full `multiply`.
     """
     pq = dc.pq
     up = {pq.index_of(dc.w_min)}

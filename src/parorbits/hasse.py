@@ -69,10 +69,7 @@ def pairing_with_coroot(pq: ParabolicQuotient, weight: Weight, root_idx: int) ->
 def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> HasseDiagram:
     wt = normalize_weight(weight)
     _validate_weight(pq, wt)
-    edges = []
-    for cover in pq.covers:
-        mult = pairing_with_coroot(pq, wt, cover.root)
-        if mult > 0:
-            edges.append(Edge(cover.u, cover.w, mult, cover.root))
+    mults = [pairing_with_coroot(pq, wt, r) for r in range(len(pq.rs.positive_roots))]
+    edges = [Edge(c.u, c.w, mults[c.root], c.root) for c in pq.covers if mults[c.root] > 0]
     edges.sort()
     return HasseDiagram(pq, wt, tuple(edges))

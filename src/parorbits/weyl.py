@@ -14,21 +14,24 @@ inversions, and a right descent is an inverted simple root; the tests
 cross-check both against the count of positive roots sent to negative
 roots.
 
-Right multiplication acts on positions: by a reflection it swaps (and
-re-signs) two positions, so `reflection_image` gives u * s_beta without a
-product, and by W_J it permutes blocks of positions, so `min_rep` sorts
-each block by key (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping
-descents.  `enumerate_group` lists the minimal representatives of
-W_L / W_J without enumerating W_L, builds an element only for a window it
-keeps, and records each one's breadth-first level as its length, so that
-`_length` runs only for elements built elsewhere.
+Right multiplication acts on positions: W_J permutes blocks of positions,
+so `min_rep` sorts each block by key (Bjorner-Brenti 2.4, 8.1-8.2)
+instead of stripping descents.  Left multiplication acts on values: s_k
+changes only the entries +/-k and +/-(k+1), and `signed_table` turns s*w,
+and the vector w^-1(v), into one lookup per entry, indexed by signed
+value.  `enumerate_group` lists the minimal representatives of W_L / W_J
+without enumerating W_L, keeps s*w by Deodhar's test (one such vector and
+one set lookup), builds an element only for a window it keeps, and
+records each one's breadth-first level as its length, so that `_length`
+runs only for elements built elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
@@ -126,33 +129,6 @@ def _is_descent(rs: RootSystem, window: Window, k: int) -> bool:
     return window[n - 1] < 0  # alpha_n = e_n or 2 e_n
 
 
-def reflection_image(root: Vector) -> Callable[[Window], Optional[Window]]:
-    """Map from the window of u to the window of u * s_root, or to None when
-    u sends the positive root `root` to a negative root.  Right
-    multiplication by s_beta swaps positions i and j for e_i - e_j, swaps
-    and negates them for e_i + e_j, and negates position i for e_i (or
-    2 e_i).  With y = c b_j, where c = -1 for e_i + e_j and +1 for
-    e_i - e_j, the new entries are y at i and c b_i at j, and u inverts the
-    root iff key(b_i) > key(y).  The root e_i is the case j = i, c = -1:
-    key(b_i) > key(-b_i) iff b_i < 0."""
-    support = [k for k, x in enumerate(root) if x]
-    if not 1 <= len(support) <= 2 or root[support[0]] <= 0:
-        raise WeylError("%s is not a positive root" % (root,))
-    i, j = support[0], support[-1]
-    c = -root[j] if j > i else -1
-    m = 2 * len(root) + 1
-
-    def image(b: Window) -> Optional[Window]:
-        y = c * b[j]
-        if b[i] % m > y % m:
-            return None
-        x = list(b)
-        x[i], x[j] = y, c * b[i]
-        return tuple(x)
-
-    return image
-
-
 def element(rs: RootSystem, window: Iterable[int]) -> WeylElement:
     w = tuple(window)
     _validate_window(rs, w)
@@ -199,6 +175,31 @@ def reflection(rs: RootSystem, root: Vector) -> WeylElement:
 def compose(uw: Window, ww: Window) -> Window:
     """Window of the product u*w, i.e. of the map v -> u(w(v))."""
     return tuple([uw[b - 1] if b > 0 else -uw[-b - 1] for b in ww])
+
+
+def signed_table(v: Sequence[int]) -> List[int]:
+    """Lookup table t with t[b] = sign(b) * v[|b| - 1] for b in +/-1..+/-d
+    (a negative b reads from the end), so that (t[b] for b in w) is
+    compose(v, w) without a branch per entry: the window of s*w when v is
+    the window of s, and the vector w^-1(v) when v is a vector, since
+    (w^-1 v)_j = sign(b_j) v_|b_j|.  `itemgetter(*w)(t)` gathers it as a
+    tuple in one call (every window has at least two entries, so the
+    getter returns a tuple), and one getter serves every table."""
+    return [0, *v, *[-x for x in reversed(v)]]
+
+
+def _root_direction(r: Window) -> Tuple[int, ...]:
+    """e_i - s(e_i) for the first coordinate i that the reflection s with
+    window r moves, which is <e_i, beta^vee> beta for the root beta of s.
+    For a simple reflection this is alpha_s itself, except for alpha_n = e_n
+    of B_n, which it doubles; alpha_n is the only short simple root of B_n
+    and w^-1 keeps lengths, so w^-1(alpha_s) = alpha_t holds exactly when
+    it holds for these vectors."""
+    i = next(i for i, b in enumerate(r) if b != i + 1)
+    v = [0] * len(r)
+    v[i] += 1
+    v[abs(r[i]) - 1] -= 1 if r[i] > 0 else -1
+    return tuple(v)
 
 
 def multiply(u: WeylElement, w: WeylElement) -> WeylElement:
@@ -328,16 +329,22 @@ def enumerate_group(
 ) -> Tuple[WeylElement, ...]:
     """Minimal representatives of W_L / W_J (L = `nodes`; all of W_L for J
     empty), sorted by (length, window): breadth-first by left simple
-    reflections s of L, keeping s*w when it has no right descent in J.  By
-    Deodhar's lemma (s*w is in W^J or s*w W_J = w W_J), this reaches all of
-    W^J.  Each kept step changes the length by exactly 1, and every w in
-    W^J of length l > 0 has a left descent s with s*w in W^J of length
-    l - 1, so an element's breadth-first level is its length: levels are
-    emitted in turn, each sorted by window, with each element's length
-    seeded from its level.  Candidates are bare windows; only the kept ones
-    become elements."""
-    gens = [simple_reflection(rs, k).window for k in sorted(nodes)]
-    j_nodes = _checked_nodes(rs, j_set)
+    reflections s of L, keeping s*w when it lies in W^J.  By Deodhar's
+    lemma (Bjorner-Brenti Lemma 2.4.3), for w in W^J either s*w is in W^J
+    or s*w = w*t for a t in J, and the latter holds exactly when
+    w^-1(alpha_s) = alpha_t.  So one getter per w reads both s*w and that
+    vector through signed tables, and the test is one set lookup.  This
+    reaches all of W^J.  Each kept step changes the length by exactly 1,
+    and every w in W^J of length l > 0 has a left descent s with s*w in W^J
+    of length l - 1, so an element's breadth-first level is its length:
+    levels are emitted in turn, each sorted by window, with each element's
+    length seeded from its level.  Candidates are bare windows; only the
+    kept ones become elements."""
+    reflections = [simple_reflection(rs, k).window for k in sorted(nodes)]
+    gens = [(signed_table(r), signed_table(_root_direction(r))) for r in reflections]
+    j_roots = {
+        _root_direction(simple_reflection(rs, k).window) for k in _checked_nodes(rs, j_set)
+    }
     level = [identity(rs).window]
     seen = set(level)
     out: List[WeylElement] = []
@@ -346,9 +353,10 @@ def enumerate_group(
         out.extend(_element_of_length(rs, x, length) for x in level)
         nxt = []
         for ww in level:
-            for sw in gens:
-                x = compose(sw, ww)
-                if x not in seen and not any(_is_descent(rs, x, k) for k in j_nodes):
+            gather = itemgetter(*ww)
+            for left, root in gens:
+                x = gather(left)
+                if x not in seen and gather(root) not in j_roots:
                     seen.add(x)
                     nxt.append(x)
         level = sorted(nxt)

@@ -373,23 +373,26 @@ def test_deodhar_lemma_on_random_windows():
 
 
 def test_quotients_build_no_throwaway_elements(monkeypatch):
-    # cold B6/P5+P1: the cover loop and the orbit closure look products up
-    # by window, and the enumerator builds an element only for a window it
-    # keeps, besides the generators
+    # cold B6/P5+P1: the enumerator, the covers and the orbit closure read
+    # signed tables and the left-action table, with no window product and
+    # no descent test, and the enumerator builds an element only for a
+    # window it keeps, besides the generators
     fix = Fixture("B", 6, 5, 1)
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
-    real_multiply, real_enumerate, real_init = (
-        weyl.multiply,
-        weyl.enumerate_group,
-        weyl.WeylElement.__init__,
-    )
-    counts = {"multiply": 0, "built": 0, "built_enumerating": 0, "allowed": 0}
+    real_enumerate, real_init = weyl.enumerate_group, weyl.WeylElement.__init__
+    counts = {"multiply": 0, "compose": 0, "_is_descent": 0}
+    counts.update(built=0, built_enumerating=0, allowed=0)
 
-    def multiply_spy(u, w):
-        counts["multiply"] += 1
-        return real_multiply(u, w)
+    def spy(name):
+        real = getattr(weyl, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(weyl, name, counted)
 
     def init_spy(self, *args):
         counts["built"] += 1
@@ -402,15 +405,20 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
         counts["allowed"] += len(result) + len(nodes)
         return result
 
-    monkeypatch.setattr(weyl, "multiply", multiply_spy)
+    for name in ("multiply", "compose", "_is_descent"):
+        spy(name)
     monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
     monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
     pq = build_quotient(fix.rs, fix.j_q)
     assert len(double_cosets(pq, fix.j_p)) == 3
     for k_set in k_sets:
         build_quotient(fix.rs, k_set, fix.j_p)
-    assert counts["multiply"] == 0
+    assert counts["multiply"] == counts["compose"] == counts["_is_descent"] == 0, counts
     assert 0 < counts["built_enumerating"] <= counts["allowed"], counts
+    # the spies are live
+    weyl.multiply(pq.elements[1], pq.elements[1])
+    weyl.first_descent(fix.rs, pq.elements[1].window, fix.rs.nodes)
+    assert counts["multiply"] == counts["compose"] == 1 and counts["_is_descent"] > 0, counts
 
 
 def test_decomposition_enumerates_no_group(monkeypatch):

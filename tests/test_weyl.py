@@ -22,6 +22,7 @@ from parorbits.weyl import (
     window_str,
 )
 
+from covers import reflection_image
 from windows import draw_window, root_is_negative, strip_descents
 from words import from_word, reduced_word
 
@@ -175,7 +176,7 @@ def test_inversion_test_matches_root_scan(t, n):
     # None exactly where w inverts beta, and w * s_beta otherwise
     rs = build(t, n)
     tests = [
-        (weyl.reflection_image(beta), weyl.reflection(rs, beta).window, beta)
+        (reflection_image(beta), weyl.reflection(rs, beta).window, beta)
         for beta in rs.positive_roots
     ]
     for w in enumerate_group(rs, frozenset(rs.nodes)):
@@ -199,7 +200,7 @@ def test_window_statistics_on_random_windows():
         window = draw_window(data, rs)
         _check_against_root_scan(rs, window)
         for beta in rs.positive_roots:
-            x = weyl.reflection_image(beta)(window)
+            x = reflection_image(beta)(window)
             assert (x is None) == root_is_negative(window, beta)
         w = element(rs, window)
         j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
@@ -229,7 +230,7 @@ def test_out_of_range_nodes_raise():
         min_rep(w, {1, 9})
     for root in ((0, 0, 0), (-1, 1, 0), (1, 1, 1)):
         with pytest.raises(WeylError):
-            weyl.reflection_image(root)
+            reflection_image(root)
 
 
 def test_weyl_reads_no_root_vectors():
