@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import weyl
 from .rootsys import RootSystem
@@ -174,25 +174,36 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
     return tuple(sorted(out, key=lambda dc: (dc.w_min.length, dc.w_min.window)))
 
 
-def certify_interval(dc: DoubleCoset) -> bool:
-    """Check members == Bruhat interval [w_min, w_max] of the quotient.
+def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:
+    """Check that each double coset s of one quotient is the Bruhat
+    interval [w_min, w_max] of its members.
 
     Bruhat order on W^Q is graded by length and is the transitive closure
-    of its covers (Bjorner-Brenti, Thm 2.5.5), so the interval is the
-    up-set of w_min met with the down-set of w_max in the cover graph; one
-    pass each way suffices, as covers are sorted by source and elements by
-    length.  The covers and the orbits are both read from the quotient's
-    left-action table, so this check is not independent of that table;
-    `verify._check_chevalley_witnesses` is, as it rebuilds every cover of
-    the fixture's diagram with a full `multiply`.
+    of its covers (Bjorner-Brenti, Thm 2.5.5), so an interval is the
+    up-set of w_min met with the down-set of w_max in the cover graph.
+    Bit s of up[x] (down[x]) says x lies above coset s's w_min (below its
+    w_max), and of want[x] that x is a member of coset s; one pass each
+    way over the covers, sorted by source, fills up and down for every
+    coset at once.  The covers and the orbits are both read from the
+    quotient's left-action table, so this check is not independent of
+    that table; `verify._check_chevalley_witnesses` is, as it rebuilds
+    every edge of the fixture's diagram as a window product u * s_beta.
     """
-    pq = dc.pq
-    up = {pq.index_of(dc.w_min)}
+    if not dcs:
+        raise CosetError("no double coset to certify")
+    pq = dcs[0].pq
+    if any(dc.pq is not pq for dc in dcs):
+        raise CosetError("double cosets of more than one quotient")
+    up = [0] * len(pq.elements)
+    down, want = up[:], up[:]
+    for s, dc in enumerate(dcs):
+        bit = 1 << s
+        up[pq.index_of(dc.w_min)] |= bit
+        down[pq.index_of(dc.w_max)] |= bit
+        for k in dc.members:
+            want[k] |= bit
     for c in pq.covers:
-        if c.u in up:
-            up.add(c.w)
-    down = {pq.index_of(dc.w_max)}
+        up[c.w] |= up[c.u]
     for c in reversed(pq.covers):
-        if c.w in down:
-            down.add(c.u)
-    return up & down == set(dc.members)
+        down[c.u] |= down[c.w]
+    return all(u & d == x for u, d, x in zip(up, down, want))

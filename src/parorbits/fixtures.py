@@ -141,9 +141,10 @@ def sweep_fixtures(
     max_c: int = DEFAULT_MAX_RANK,
     max_d: int = DEFAULT_MAX_RANK,
 ) -> List[Fixture]:
-    """Every classical fixture (all maximal Q x all cominuscule P) up to caps."""
+    """Every classical fixture (all maximal Q x all cominuscule P) up to caps;
+    caps that admit none are refused, as an empty sweep is not a pass."""
     caps = dict(zip(TYPE_LABELS, (max_a, max_b, max_c, max_d)))
-    return [
+    fixtures = [
         Fixture(t, n, q, p)
         for t in TYPE_LABELS
         for n in range(RANK_BOUNDS[t], caps[t] + 1)
@@ -151,3 +152,6 @@ def sweep_fixtures(
         if not _picard_rank_two(t, n, q)
         for p in sorted(rootsys.cominuscule_nodes(t, n))
     ]
+    if not fixtures:
+        raise FixtureError("empty sweep: the rank caps admit no fixture")
+    return fixtures

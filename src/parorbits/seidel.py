@@ -15,7 +15,6 @@ iterates accumulate q-exponents linearly.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from . import rootsys, strata, weyl
@@ -74,28 +73,25 @@ def seidel_table(
     return perm, tuple(qexp)
 
 
-def permutation_order(perm: Tuple[int, ...]) -> int:
-    order = 1
+def orbits(perm: Sequence[int]) -> List[List[int]]:
+    """The orbits of k -> perm[k], each walked once from its least unseen
+    index until the walk reaches a seen one.  On a bijection these are its
+    cycles, and each closes: perm[c[-1]] == c[0].  Conversely, walks that
+    all close are cycles that partition the indices, so perm is a
+    bijection exactly when every orbit closes."""
     seen = [False] * len(perm)
+    out = []
     for start in range(len(perm)):
         if seen[start]:
             continue
-        k, n = start, 0
+        orbit = []
+        k = start
         while not seen[k]:
             seen[k] = True
+            orbit.append(k)
             k = perm[k]
-            n += 1
-        order = order * n // gcd(order, n)
-    return order
-
-
-def accumulated_q(perm: Tuple[int, ...], qexp: Tuple[int, ...], steps: int, start: int) -> int:
-    total = 0
-    k = start
-    for _ in range(steps):
-        total += qexp[k]
-        k = perm[k]
-    return total
+        out.append(orbit)
+    return out
 
 
 def quantum_q_degree(fix: Fixture) -> int:

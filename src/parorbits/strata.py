@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Tuple
 
 from . import cosets, rootsys, weyl
@@ -43,7 +44,7 @@ def delta(fix: Fixture, w: WeylElement) -> int:
     half of eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
     rs = fix.rs
     omega2 = rs.double_coweight(fix.p_node)
-    moved = weyl.act(weyl.inverse(w), omega2)
+    moved = itemgetter(*w.window)(weyl.signed_table(omega2))  # w^-1(2 omega_p^vee)
     twice = rootsys.eta(rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
     if twice % 2 or twice < 0:
         raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
@@ -191,15 +192,13 @@ class FlagDescriptor:
 
 
 def K_of(dc: DoubleCoset) -> FrozenSet[int]:
-    """Nodes of Delta(P) whose simple root is carried onto Delta(Q) by w_min."""
-    rs = dc.pq.rs
-    winv = weyl.inverse(dc.w_min)
-    q_simples = {rs.simple_root(t): t for t in sorted(dc.pq.j_q)}
-    out = set()
-    for s in sorted(dc.j_p):
-        if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples:
-            out.add(s)
-    return frozenset(out)
+    """Nodes of Delta(P) whose simple root is carried onto Delta(Q) by
+    w_min^-1.  By Deodhar's lemma (Bjorner-Brenti Lemma 2.4.3), s*w_min
+    leaves W^Q exactly when w_min^-1(alpha_s) lies in Delta(Q), and the
+    quotient's left-action table records that as left[s][i] == i."""
+    pq = dc.pq
+    i = pq.index_of(dc.w_min)
+    return frozenset(s for s in dc.j_p if pq.left[s][i] == i)
 
 
 def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int, ...]]:

@@ -209,10 +209,6 @@ def multiply(u: WeylElement, w: WeylElement) -> WeylElement:
     return WeylElement(u.rs, compose(u.window, w.window))
 
 
-def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, _act_coords(w.window, range(1, len(w.window) + 1)))
-
-
 def act(w: WeylElement, v: Sequence) -> Tuple:
     """Signed-permutation action on an ambient (co)weight vector."""
     if len(v) != w.rs.dim:

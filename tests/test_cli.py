@@ -201,7 +201,7 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
     assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
     monkeypatch.undo()
     # a failed interval certificate is reported, then exits 2
-    monkeypatch.setattr(cosets, "certify_interval", lambda dc: False)
+    monkeypatch.setattr(cosets, "certify_interval", lambda dcs: False)
     code, out, err = run_cli(capsys, ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, err) == (2, "")
     assert json.loads(out)["interval_certified"] is False
@@ -290,12 +290,11 @@ def test_output_into_missing_directory_exits_1(tmp_path, capsys):
 
 
 def test_empty_sweep_is_not_a_pass(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["verify", "--max-rank-a", "0", "--max-rank-b", "0", "--max-rank-c", "0", "--max-rank-d", "0"],
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: empty sweep: the rank caps admit no fixture\n"
+    caps = ["--max-rank-a", "0", "--max-rank-b", "0", "--max-rank-c", "0", "--max-rank-d", "0"]
+    for command in ("verify", "list"):
+        code, out, err = run_cli(capsys, [command] + caps)
+        assert (code, out) == (1, ""), command
+        assert err == "error: empty sweep: the rank caps admit no fixture\n", command
 
 
 def run_cli_exiting(capsys, argv):

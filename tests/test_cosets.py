@@ -93,12 +93,14 @@ def bruhat_interval(dc):
 def test_certify_interval():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
-    assert dcs[0].size == 1 and certify_interval(dcs[0])
+    assert dcs[0].size == 1 and certify_interval([dcs[0]])
     for fix in list(sweep_fixtures(5, 5, 5, 5)) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
         pq = build_quotient(fix.rs, fix.j_q)
-        for dc in double_cosets(pq, fix.j_p):
+        dcs = double_cosets(pq, fix.j_p)
+        for dc in dcs:
             assert bruhat_interval(dc) == set(dc.members), fix.label
-            assert certify_interval(dc), fix.label
+            assert certify_interval([dc]), fix.label
+        assert certify_interval(dcs), fix.label
 
 
 def test_certify_interval_negative_control():
@@ -112,7 +114,45 @@ def test_certify_interval_negative_control():
     for members in (dropped, added):
         corrupted = dataclasses.replace(middle, members=members)
         assert bruhat_interval(corrupted) != set(members)
-        assert not certify_interval(corrupted)
+        assert not certify_interval([corrupted])
+
+
+@pytest.mark.parametrize(
+    "fix",
+    [Fixture("A", 3, 2, 2), Fixture("C", 4, 2, 4), Fixture("B", 4, 3, 1), Fixture("B", 6, 5, 1)],
+    ids=lambda fix: fix.label,
+)
+def test_moved_member_fails_certifying_all_strata_at_once(fix):
+    # each interior member of each stratum, moved into each other stratum:
+    # the strata certified together fail, and the subword oracle agrees
+    pq = build_quotient(fix.rs, fix.j_q)
+    dcs = double_cosets(pq, fix.j_p)
+    assert certify_interval(dcs)
+    intervals = [bruhat_interval(dc) for dc in dcs]  # w_min and w_max stay put
+    moves = 0
+    for a, src in enumerate(dcs):
+        extremes = {pq.index_of(src.w_min), pq.index_of(src.w_max)}
+        for k in (k for k in src.members if k not in extremes):
+            for b, dst in enumerate(dcs):
+                if b == a:
+                    continue
+                moved = list(dcs)
+                moved[a] = dataclasses.replace(src, members=tuple(x for x in src.members if x != k))
+                moved[b] = dataclasses.replace(dst, members=tuple(sorted(dst.members + (k,))))
+                assert not certify_interval(moved), (fix.label, k, a, b)
+                assert any(iv != set(dc.members) for iv, dc in zip(intervals, moved))
+                moves += 1
+    assert moves > 0
+
+
+def test_certify_interval_refuses_no_cosets_or_two_quotients():
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
+    g14 = build_quotient(build("A", 3), frozenset({2, 3}))
+    with pytest.raises(cosets.CosetError, match="no double coset"):
+        certify_interval([])
+    mixed = double_cosets(g24, frozenset({1, 3})) + double_cosets(g14, frozenset({1, 2}))
+    with pytest.raises(cosets.CosetError, match="more than one quotient"):
+        certify_interval(mixed)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +412,23 @@ def test_deodhar_lemma_on_random_windows():
     check()
 
 
+def _count_calls(monkeypatch, module, names):
+    """Replace each named function of `module` by a counting spy; returns
+    the counts by name."""
+    counts = dict.fromkeys(names, 0)
+
+    def spy(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return counts
+
+
 def test_quotients_build_no_throwaway_elements(monkeypatch):
     # cold B6/P5+P1: the enumerator, the covers and the orbit closure read
     # signed tables and the left-action table, with no window product and
@@ -382,17 +439,8 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
     real_enumerate, real_init = weyl.enumerate_group, weyl.WeylElement.__init__
-    counts = {"multiply": 0, "compose": 0, "_is_descent": 0}
+    counts = _count_calls(monkeypatch, weyl, ("multiply", "compose", "_is_descent"))
     counts.update(built=0, built_enumerating=0, allowed=0)
-
-    def spy(name):
-        real = getattr(weyl, name)
-
-        def counted(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(weyl, name, counted)
 
     def init_spy(self, *args):
         counts["built"] += 1
@@ -405,8 +453,6 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
         counts["allowed"] += len(result) + len(nodes)
         return result
 
-    for name in ("multiply", "compose", "_is_descent"):
-        spy(name)
     monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
     monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
     pq = build_quotient(fix.rs, fix.j_q)
@@ -419,6 +465,45 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     weyl.multiply(pq.elements[1], pq.elements[1])
     weyl.first_descent(fix.rs, pq.elements[1].window, fix.rs.nodes)
     assert counts["multiply"] == counts["compose"] == 1 and counts["_is_descent"] > 0, counts
+
+
+def test_stratify_makes_no_window_product(monkeypatch):
+    # cold B6/P5+P1: delta reads w^-1 through a signed table, and K and the
+    # orbits come off the left-action table
+    fix = Fixture("B", 6, 5, 1)
+    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
+        cache.cache_clear()
+    counts = _count_calls(monkeypatch, weyl, ("act", "multiply", "compose"))
+    pq, sts = strata.stratify(fix)
+    assert len(pq.elements) == 192 and len(sts) == 3
+    assert counts == {"act": 0, "multiply": 0, "compose": 0}, counts
+    # the spies are live
+    weyl.act(pq.elements[1], fix.rs.simple_root(1))
+    weyl.multiply(pq.elements[1], pq.elements[1])
+    assert counts == {"act": 1, "multiply": 1, "compose": 1}, counts
+
+
+def test_chevalley_witness_check_builds_no_element(monkeypatch):
+    # one reflection per witness root, built once and cached; every edge is
+    # then a window product
+    fix = Fixture("B", 6, 5, 1)
+    dec = decomp.build_decomposition(fix)
+    roots = {e.root for e in dec.diagram.edges}
+    assert len(dec.diagram.edges) > len(roots)
+    cosets.reflection_by_index.cache_clear()
+    counts = _count_calls(monkeypatch, weyl, ("multiply", "compose"))
+    real_init, built = weyl.WeylElement.__init__, []
+
+    def init_spy(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
+    assert verify._check_chevalley_witnesses(dec)
+    assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
+    assert counts["compose"] == len(dec.diagram.edges), counts
+    assert verify._check_chevalley_witnesses(dec)
+    assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
 
 
 def test_decomposition_enumerates_no_group(monkeypatch):
@@ -466,7 +551,8 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
     monkeypatch.setattr(weyl, "bruhat_leq", leq_spy)
     monkeypatch.setattr(weyl, "_length", length_spy)
-    assert verify._check_interval(decomp.build_decomposition(fix))
+    dec = decomp.build_decomposition(fix)
+    assert certify_interval([st.dc for st in dec.strata])
     assert counts["bruhat_leq"] == 0
     assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
     # the spy is live: an element built outside the enumerator counts once

@@ -90,8 +90,10 @@ def test_corrupted_left_entry_fails_certify_interval(fix):
     row = list(pq.left[p])
     row[0] = len(row) - 1
     corrupted = dataclasses.replace(pq, left={**pq.left, p: tuple(row)})
-    assert all(map(certify_interval, double_cosets(pq, fix.j_p)))
-    assert not all(map(certify_interval, double_cosets(corrupted, fix.j_p)))
+    assert all(certify_interval([dc]) for dc in double_cosets(pq, fix.j_p))
+    assert not all(certify_interval([dc]) for dc in double_cosets(corrupted, fix.j_p))
+    assert certify_interval(double_cosets(pq, fix.j_p))
+    assert not certify_interval(double_cosets(corrupted, fix.j_p))
 
 
 def _checks_with_quotient(monkeypatch, fix, pq):

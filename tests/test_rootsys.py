@@ -8,6 +8,7 @@ from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
 from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, eta, pair
 
 from dynkin import component_nodes, orderings, subsets
+from windows import inverse
 from words import from_word
 
 SMALL = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]
@@ -111,7 +112,7 @@ def test_eta_examples():
     assert eta(a3, (0, 0, 0, 0), 2) == 0
     assert eta(a3, a3.simple_coroot(2), 2) == 1
     w0 = weyl.longest(a3, [1, 2, 3])
-    diff = _coweight_move(a3, weyl.inverse(w0), 2)
+    diff = _coweight_move(a3, inverse(w0), 2)
     coeffs = _brute_force_expansion(a3, diff)
     assert coeffs is not None and coeffs[1] == 2
     assert eta(a3, diff, 2) == 2
@@ -152,7 +153,7 @@ def test_eta_nonnegative_integer_on_coweight_moves(t, n):
     rs = build(t, n)
     for i in sorted(cominuscule_nodes(rs.type_label, rs.rank)):
         for w in weyl.enumerate_group(rs, frozenset(rs.nodes)):
-            diff = _coweight_move(rs, weyl.inverse(w), i)
+            diff = _coweight_move(rs, inverse(w), i)
             for j in rs.nodes:
                 val = eta(rs, diff, j)
                 assert type(val) is int and val >= 0
@@ -247,7 +248,7 @@ def test_eta_matches_gaussian_oracle(t, n):
     moves = [weyl.longest(rs, rs.nodes)]
     moves += [seidel.v_elt(rs, i) for i in sorted(cominuscule_nodes(rs.type_label, rs.rank))]
     for w in moves:
-        winv = weyl.inverse(w)
+        winv = inverse(w)
         for i in rs.nodes:
             diff = _coweight_move(rs, winv, i)
             expected = solve_in_basis(rs.simple_coroots, diff)

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from parorbits import cosets, rootsys, seidel, strata, weyl
@@ -5,7 +7,7 @@ from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
 from parorbits.seidel import (
     SeidelError,
-    permutation_order,
+    orbits,
     quantum_q_degree,
     seidel_table,
     v_elt,
@@ -192,10 +194,23 @@ def test_composition_path_independence():
             assert pq.elements[perm[perm[k]]] == direct
 
 
+def _return_time(perm, start):
+    """Steps of k -> perm[k] from `start` back to it, walked one at a time."""
+    k, n = perm[start], 1
+    while k != start:
+        assert n < len(perm), "the walk from %d never returns" % start
+        k, n = perm[k], n + 1
+    return n
+
+
 def test_finite_order_and_orbit_q_constant():
+    # the walk from every class is the oracle for `orbits` and for the two
+    # laws that `verify` reads off them
     for fix in FIXTURES:
         _, perm, qexp = _table(fix)
-        order = permutation_order(perm)
+        cycles = orbits(perm)
+        order = lcm(*(_return_time(perm, k) for k in range(len(perm))))
+        assert order == lcm(*map(len, cycles))
         assert order <= len(weyl.enumerate_group(fix.rs, frozenset(fix.rs.nodes)))
         totals = set()
         for start in range(len(perm)):
@@ -206,6 +221,22 @@ def test_finite_order_and_orbit_q_constant():
             assert k == start
             totals.add(total)
         assert len(totals) == 1
+        assert totals == {order // len(c) * sum(qexp[k] for k in c) for c in cycles}
+        for c in cycles:
+            assert perm[c[-1]] == c[0] and len(c) == _return_time(perm, c[0])
+            assert [perm[k] for k in c[:-1]] == c[1:]
+        assert sorted(k for c in cycles for k in c) == list(range(len(perm)))
+
+
+def test_orbits_close_exactly_on_a_bijection():
+    assert orbits((1, 2, 0, 4, 3)) == [[0, 1, 2], [3, 4]]
+    assert orbits(()) == []
+    # 0 -> 1 -> 2 -> 1: the walk stops at a seen index without closing
+    cycles = orbits((1, 2, 1))
+    assert cycles == [[0, 1, 2]]
+    assert (1, 2, 1)[cycles[0][-1]] != cycles[0][0]
+    # a fixed point reached from outside is walked once, from the least index
+    assert orbits((1, 1, 0)) == [[0, 1], [2]]
 
 
 def test_type_a_cyclic_composition_law():

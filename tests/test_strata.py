@@ -6,6 +6,7 @@ import pytest
 from parorbits import cosets, rootsys, weyl
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, FixtureError, group_order, sweep_fixtures
 from parorbits.strata import (
+    K_of,
     StrataError,
     d_geometric,
     d_of,
@@ -19,6 +20,7 @@ from parorbits.strata import (
 )
 
 from dynkin import flag_components, subsets
+from windows import inverse, k_by_root_scan
 
 
 def _element(fix, window):
@@ -129,6 +131,22 @@ def test_K_and_flag_examples():
     _, og_sts = stratify(og)
     assert [st.flag.label for st in og_sts] == ["OG(2,7)", "OG(3,7)", "OG(2,7)"]
     assert og_sts[1].flag.components[0].type_label == "B"
+
+
+def test_K_and_delta_match_root_vector_scans():
+    # K off the left-action table against w_min^-1 acting on the simple
+    # roots, and delta's signed-table read of w^-1 against w^-1 acting on
+    # the doubled coweight
+    for fix in sweep_fixtures(5, 5, 5, 5) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
+        pq, sts = stratify(fix)
+        omega2 = fix.rs.double_coweight(fix.p_node)
+        for st in sts:
+            assert st.K == K_of(st.dc) == k_by_root_scan(st.dc), (fix.label, st.delta)
+            for k in st.dc.members:
+                w = pq.elements[k]
+                moved = weyl.act(inverse(w), omega2)
+                twice = rootsys.eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
+                assert 2 * delta(fix, w) == twice, (fix.label, w)
 
 
 def test_delta_constant_and_monotone_small():

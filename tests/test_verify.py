@@ -33,6 +33,21 @@ def test_swapped_seidel_images_fail_composition(monkeypatch):
     assert not report["pass"]
 
 
+def test_merged_seidel_images_fail_finite_order(monkeypatch):
+    # two classes sent to one: no bijection, so some orbit never closes
+    fix = Fixture("C", 4, 2, 4)
+    real_table = seidel.seidel_table
+
+    def merged(*args):
+        perm, qexp = real_table(*args)
+        return (perm[1],) + perm[1:], qexp
+
+    monkeypatch.setattr(seidel, "seidel_table", merged)
+    checks = verify.verify_fixture(fix)["checks"]
+    assert not checks["seidel_bijection"]
+    assert not checks["seidel_finite_order"]
+
+
 def test_bumped_q_exponent_fails_degree_bookkeeping(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
     real_table = seidel.seidel_table

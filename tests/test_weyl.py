@@ -15,7 +15,6 @@ from parorbits.weyl import (
     element,
     enumerate_group,
     identity,
-    inverse,
     longest,
     min_rep,
     multiply,
@@ -23,7 +22,7 @@ from parorbits.weyl import (
 )
 
 from covers import reflection_image
-from windows import draw_window, root_is_negative, strip_descents
+from windows import draw_window, inverse, root_is_negative, strip_descents
 from words import from_word, reduced_word
 
 

@@ -1,11 +1,12 @@
 """Test-only window helpers: the root-scan and descent-stripping oracles,
-and random windows.
+inverses, and random windows.
 
 The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
 vectors for the ones the window sends to negative roots.  `weyl.min_rep`
 sorts blocks of positions; the tests check it against stripping one right
-descent at a time.
+descent at a time.  `strata.K_of` reads K off the left-action table; the
+tests check it against the simple roots that w_min^-1 carries onto Delta(Q).
 """
 
 from parorbits import weyl
@@ -53,3 +54,20 @@ def strip_descents(w, j_set):
         if not k:
             return weyl.WeylElement(rs, window)
         window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
+
+
+def inverse(w):
+    """The inverse element: w^-1 sends e_|b_k| to sign(b_k) e_k, so its
+    window is w applied to (1, ..., d)."""
+    return weyl.WeylElement(w.rs, weyl.act(w, tuple(range(1, w.rs.dim + 1))))
+
+
+def k_by_root_scan(dc):
+    """Oracle for `strata.K_of`: the nodes s of J_P with w_min^-1(alpha_s)
+    a simple root of J_Q, found by acting on the root vectors."""
+    rs = dc.pq.rs
+    winv = inverse(dc.w_min)
+    q_simples = {rs.simple_root(t) for t in dc.pq.j_q}
+    return frozenset(
+        s for s in dc.j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
+    )
