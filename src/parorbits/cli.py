@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every invariant suite over a sweep")
     add_sweep_flags(p)
-    p.add_argument("--fixture", help="single fixture, e.g. C,4,2,4 or C4/P2+P4")
-    p.add_argument(
+    # the self-test corrupts a fixed fixture of its own, so it takes no other
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--fixture", help="single fixture, e.g. C,4,2,4 or C4/P2+P4")
+    only.add_argument(
         "--self-test-corrupt",
         action="store_true",
         help="negative control: corrupt a stratum and require detection",

@@ -6,11 +6,14 @@ element; it acts on Schubert classes by
 
     sigma_v * sigma_w = q^delta(w) sigma_[v w],
 
-where the class index is reduced to its minimal coset representative.
-The q-exponent delta(w) is the label of the orbit stratum that holds w, so
-the table reads it from the strata of `strata.stratify`, which certify it
-constant on each stratum.  The induced map on classes is a bijection whose
-iterates accumulate q-exponents linearly.
+where [v w] is the class of v * w in W/W_Q.  The quotient's left-action
+table already holds the class of s_k * w for every node k and class w, so
+the table composes its rows along a reduced word of v, with no window
+product per class.  The q-exponent delta(w) is the label of the orbit
+stratum that holds w, so the table reads it from the strata of
+`strata.stratify`, which certify it constant on each stratum.  The
+induced map on classes is a bijection whose iterates accumulate
+q-exponents linearly.
 """
 
 from __future__ import annotations
@@ -62,15 +65,25 @@ def seidel_table(
     and v is the fixture's Seidel element, `v_elt(fix.rs, fix.p_node)`.
     qexp[k] is the delta of the stratum that holds class k, and perm[k] is
     the index of the class of v * w_k.
+
+    Stripping v's right descents one at a time reads a reduced word
+    v = s_(k_1) ... s_(k_l) from its end, so the first node stripped,
+    k_l, acts on w first: each stripped node k maps perm[c] to
+    pq.left[k][perm[c]], starting from the identity.  That costs l(v)
+    descent searches, not one window product and block sort per class.
+    The table is thus only as sound as the left rows; `verify._check_seidel`
+    does not read them, as it rebuilds [v^2 w] from windows for every class.
     """
     qexp = [0] * len(pq.elements)
     for st in sts:
         for k in st.dc.members:
             qexp[k] = st.delta
-    perm = tuple(
-        pq.index_of(weyl.min_rep(weyl.multiply(v, w), fix.j_q)) for w in pq.elements
-    )
-    return perm, tuple(qexp)
+    perm, window = range(len(pq.elements)), v.window
+    while k := weyl.first_descent(v.rs, window, v.rs.nodes):
+        row = pq.left[k]
+        perm = [row[c] for c in perm]
+        window = weyl.compose(window, weyl.simple_reflection(v.rs, k).window)
+    return tuple(perm), tuple(qexp)
 
 
 def orbits(perm: Sequence[int]) -> List[List[int]]:

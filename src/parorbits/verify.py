@@ -73,7 +73,10 @@ def _check_seidel(
     bijection = sorted(perm) == list(range(len(perm)))
 
     # two applications land on the class of the squared element; the
-    # q-exponents of the two steps are qexp[k] and qexp[perm[k]] by definition
+    # q-exponents of the two steps are qexp[k] and qexp[perm[k]] by definition.
+    # perm is composed from the left-action rows, and this rebuilds v^2 * w
+    # as a window product, so it is the check on the table that does not
+    # read the table
     vv = weyl.multiply(v, v)
     compose_ok = all(
         pq.elements[perm[perm[k]]] == weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
@@ -88,7 +91,7 @@ def _check_seidel(
     totals = {order // len(c) * sum(qexp[k] for k in c) for c in orbits}
 
     qdeg = seidel.quantum_q_degree(fix)
-    v_length = weyl.min_rep(v, fix.j_q).length
+    v_length = pq.elements[perm[0]].length  # class 0 is e, so perm[0] is [v]
     degree_ok = all(
         v_length + w.length == qexp[k] * qdeg + pq.elements[perm[k]].length
         for k, w in enumerate(pq.elements)

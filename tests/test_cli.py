@@ -310,6 +310,8 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         ["diagram", "--type", "E", "--rank", "4", "--grassmannian", "2"],
         ["diagram", "--type", "C", "--rank", "x", "--grassmannian", "2"],
         ["verify", "--no-such-flag"],
+        ["verify", "--self-test-corrupt", "--fixture", "A3/P1+P1"],
+        ["verify", "--fixture", "A3/P1+P1", "--self-test-corrupt"],
         ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2", "--certify", "off"],
         [],
     ):

@@ -131,3 +131,20 @@ def test_swapped_witness_fails_chevalley_witness_check(monkeypatch, fix):
     covers[0], covers[b] = a._replace(root=covers[b].root), covers[b]._replace(root=a.root)
     corrupted = dataclasses.replace(pq, covers=tuple(covers))
     assert "chevalley_witnesses" in _checks_with_quotient(monkeypatch, fix, corrupted)
+
+
+@pytest.mark.parametrize("fix", NEGATIVE_CONTROL_FIXTURES, ids=lambda fix: fix.label)
+def test_swapped_acting_row_entries_fail_seidel_composition(monkeypatch, fix):
+    # row p, of the acting node outside J_P, is read by the Seidel table
+    # alone.  The images of the first class that s_p moves and the first it
+    # fixes, swapped, keep the row a permutation, so the table stays a
+    # bijection; but v^2 * w rebuilt from windows no longer agrees with it,
+    # and neither do the lengths
+    pq = build_quotient(fix.rs, fix.j_q)
+    row = list(pq.left[fix.p_node])
+    a = next(i for i, m in enumerate(row) if m != i)
+    b = next(i for i, m in enumerate(row) if m == i)
+    row[a], row[b] = row[b], row[a]
+    corrupted = dataclasses.replace(pq, left={**pq.left, fix.p_node: tuple(row)})
+    failed = _checks_with_quotient(monkeypatch, fix, corrupted)
+    assert failed == ["seidel_composition", "seidel_degree_bookkeeping"]

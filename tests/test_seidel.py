@@ -1,8 +1,9 @@
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 from parorbits import cosets, rootsys, seidel, strata, weyl
+from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
 from parorbits.seidel import (
@@ -144,9 +145,13 @@ def _seidel_apply_oracle(v, w, fix):
     return strata.delta(fix, w), strip_descents(weyl.multiply(v, w), fix.j_q)
 
 
-def test_seidel_table_matches_per_class_oracle():
+def test_seidel_table_matches_per_class_oracle(monkeypatch):
     fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
     assert len(fixtures) == 106
+    # past rank 6, with the bound on |W| lifted: the left rows composed
+    # along a word of v are checked where the sweep does not reach
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
+    fixtures += [parse_fixture(label) for label in ("C7/P3+P7", "D7/P3+P7", "B8/P7+P1")]
     for fix in fixtures:
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, qexp = _table(fix)
@@ -157,22 +162,36 @@ def test_seidel_table_matches_per_class_oracle():
 
 
 def test_seidel_table_strips_no_descents(monkeypatch):
-    # cold C5/P2+P5: min_rep reads each class's representative off the
-    # window by block sorts, with no descent search and no simple reflection
+    # cold C5/P2+P5: min_rep, which `verify._check_seidel` applies to every
+    # window product, reads each class's representative off the window by
+    # block sorts, with no descent search and no simple reflection
     fix = Fixture("C", 5, 2, 5)
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
     pq, sts = strata.stratify(fix)
     v = v_elt(fix.rs, fix.p_node)
-    calls = []
-    for name in ("simple_reflection", "first_descent"):
+    calls, products = [], []
+    for name, log in (
+        ("simple_reflection", calls),
+        ("first_descent", calls),
+        ("min_rep", products),
+        ("multiply", products),
+    ):
         real = getattr(weyl, name)
         monkeypatch.setattr(
-            weyl, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            weyl, name, lambda *args, _real=real, _name=name, _log=log: _log.append(_name) or _real(*args)
         )
+    images = [pq.index_of(weyl.min_rep(weyl.multiply(v, w), fix.j_q)) for w in pq.elements]
+    assert sorted(images) == list(range(len(images))) and calls == []
+    # the table strips v's descents once and builds no window product per
+    # class; the product spies are live, as the path above calls both
+    assert set(products) == {"min_rep", "multiply"}
+    products.clear()
     perm, _ = seidel_table(fix, pq, sts, v)
-    assert sorted(perm) == list(range(len(perm))) and calls == []
+    assert list(perm) == images and products == []
+    assert 0 < calls.count("first_descent") <= v.length + 1
     # the spies are live: the stripping oracle calls both
+    calls.clear()
     strip_descents(weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
     assert set(calls) == {"simple_reflection", "first_descent"}
 

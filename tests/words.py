@@ -1,8 +1,11 @@
 """Test-only words in the simple reflections.
 
-The library never needs a word: it builds Weyl elements from windows and
-strips descents directly.  Tests use words to write small elements by
-hand and to check lengths against reduced words.
+The library builds Weyl elements from windows and never multiplies out a
+word, but it reads words off windows by stripping descents: `bruhat_leq`
+for the subword property, and `seidel.seidel_table`, which composes the
+quotient's left-action rows along a reduced word of the Seidel element.
+Tests use words to write small elements by hand and to check lengths
+against reduced words.
 """
 
 from parorbits import weyl
