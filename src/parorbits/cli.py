@@ -110,27 +110,34 @@ def cmd_quantum(args) -> int:
     return 0
 
 
+SWEEP_CAPS = ("max_rank_a", "max_rank_b", "max_rank_c", "max_rank_d")
+
+
+def _caps(args) -> List[int]:
+    """The sweep's rank caps, `DEFAULT_MAX_RANK` for each one not given."""
+    caps = (getattr(args, c) for c in SWEEP_CAPS)
+    return [DEFAULT_MAX_RANK if cap is None else cap for cap in caps]
+
+
 def cmd_verify(args) -> int:
+    # the self-test and a single fixture sweep nothing: a cap would be ignored
+    # or would only cut the fixture's type A composition report short
+    given = [c for c in SWEEP_CAPS if getattr(args, c) is not None]
+    if given and (args.self_test_corrupt or args.fixture is not None):
+        other = "--self-test-corrupt" if args.self_test_corrupt else "--fixture"
+        _PARSER.error("argument --%s: not allowed with argument %s" % (given[0].replace("_", "-"), other))
     if args.self_test_corrupt:
         payload = verify.corrupted_oracle_selftest()
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0 if payload["self_test_corrupt"]["detected"] else 2
     fixture = parse_fixture(args.fixture) if args.fixture is not None else None
-    report = verify.run_verify(
-        max_a=args.max_rank_a,
-        max_b=args.max_rank_b,
-        max_c=args.max_rank_c,
-        max_d=args.max_rank_d,
-        fixture=fixture,
-    )
+    report = verify.run_verify(*_caps(args), fixture=fixture)
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["all_pass"] else 2
 
 
 def cmd_list(args) -> int:
-    fixtures = sweep_fixtures(
-        args.max_rank_a, args.max_rank_b, args.max_rank_c, args.max_rank_d
-    )
+    fixtures = sweep_fixtures(*_caps(args))
     lines = ["%s  %s" % (fix.label, fix.space_label) for fix in fixtures]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -178,10 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantum)
 
     def add_sweep_flags(p):
-        p.add_argument("--max-rank-a", type=int, default=DEFAULT_MAX_RANK)
-        p.add_argument("--max-rank-b", type=int, default=DEFAULT_MAX_RANK)
-        p.add_argument("--max-rank-c", type=int, default=DEFAULT_MAX_RANK)
-        p.add_argument("--max-rank-d", type=int, default=DEFAULT_MAX_RANK)
+        # no default here, so that cmd_verify can tell a cap given from none
+        for cap in SWEEP_CAPS:
+            p.add_argument("--" + cap.replace("_", "-"), type=int)
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="run every invariant suite over a sweep")

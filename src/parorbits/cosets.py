@@ -140,38 +140,35 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
     rows = [pq.left[p] for p in sorted(j_p_set)]
-    assigned = [-1] * len(pq.elements)
-    classes: List[List[int]] = []
-    for start in range(len(pq.elements)):
-        if assigned[start] >= 0:
+    elements = pq.elements
+    seen = [False] * len(elements)
+    out = []
+    # each class is found from its least member, and elements are sorted by
+    # (length, window), so the classes come in the order of their w_min and
+    # each lists its length extremes first and last
+    for start in range(len(elements)):
+        if seen[start]:
             continue
-        cls_id = len(classes)
-        stack = [start]
-        assigned[start] = cls_id
-        members = [start]
+        seen[start] = True
+        members, stack = [start], [start]
         while stack:
             k = stack.pop()
             for row in rows:
                 m = row[k]
-                if assigned[m] < 0:
-                    assigned[m] = cls_id
+                if not seen[m]:
+                    seen[m] = True
                     members.append(m)
                     stack.append(m)
-        classes.append(sorted(members))
-
-    out = []
-    for members in classes:
-        elems = [pq.elements[k] for k in members]
-        min_len = min(e.length for e in elems)
-        max_len = max(e.length for e in elems)
-        mins = [e for e in elems if e.length == min_len]
-        maxs = [e for e in elems if e.length == max_len]
-        if len(mins) != 1 or len(maxs) != 1:
+        members.sort()
+        lo, hi = elements[members[0]], elements[members[-1]]
+        if len(members) > 1 and (
+            elements[members[1]].length == lo.length or elements[members[-2]].length == hi.length
+        ):
             raise CosetError(
-                "double coset without unique length extremes: %s" % (elems,)
+                "double coset without unique length extremes: %s" % ([elements[k] for k in members],)
             )
-        out.append(DoubleCoset(pq, j_p_set, tuple(members), mins[0], maxs[0]))
-    return tuple(sorted(out, key=lambda dc: (dc.w_min.length, dc.w_min.window)))
+        out.append(DoubleCoset(pq, j_p_set, tuple(members), lo, hi))
+    return tuple(out)
 
 
 def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:

@@ -57,12 +57,12 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
 
 
 def seidel_table(
-    fix: Fixture, pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: WeylElement
+    pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: WeylElement
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The Seidel operator on the classes of `pq`, as (perm, qexp).
 
-    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`,
-    and v is the fixture's Seidel element, `v_elt(fix.rs, fix.p_node)`.
+    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`
+    for a fixture, and v is its Seidel element, `v_elt(fix.rs, fix.p_node)`.
     qexp[k] is the delta of the stratum that holds class k, and perm[k] is
     the index of the class of v * w_k.
 
@@ -121,7 +121,7 @@ def quantum_q_degree(fix: Fixture) -> int:
 def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     """Serializable operator table: window, length, q_exp, image_window."""
     pq, sts = strata.stratify(fix)
-    perm, qexp = seidel_table(fix, pq, sts, v_elt(fix.rs, fix.p_node))
+    perm, qexp = seidel_table(pq, sts, v_elt(fix.rs, fix.p_node))
     return [
         {
             "window": weyl.window_str(w.window),

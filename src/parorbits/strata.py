@@ -9,12 +9,16 @@ Each double coset of the quotient carries:
     dimension with the reference flag (the case-by-case window count);
   * K and a flag descriptor: the Levi flag variety the stratum fibres over,
     one factor per Dynkin component of J_P (`rootsys.components`);
-  * the expected fiber dimension from the case formulas, tested against
-    the length of the minimal representative.
+  * the fiber dimension of the stratum's vector bundle over that flag,
+    tested against the length of the minimal representative.
 
-Orientation convention: delta is 0 on the closed stratum (the one through
-the base point) and maximal on the open stratum; d_of returns the same
-label, derived from d_geometric via the case's admissible range.
+The paper's case analysis lives in one place, `orbit_table`: for each
+case it lists the admissible d_geometric in decreasing order, each with
+its stratum's fiber dimension.  Orientation convention: delta is 0 on the
+closed stratum (the one through the base point) and maximal on the open
+stratum; d_of returns the same label, the position of d_geometric among
+the table's keys.  d_geometric counts the window itself, so that
+d_of == delta is a check.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def d_geometric(fix: Fixture, w: WeylElement) -> int:
         return sum(1 for v in head if v <= i)
     if t == "B" or (t == "D" and i == 1):
         if any(v == 1 for v in head):
-            return 2 if m <= _p1_max_m(fix) else 1
+            return 2 if m < n else 1
         if any(v == -1 for v in head):
             return 0
         return 1
@@ -75,49 +79,44 @@ def d_geometric(fix: Fixture, w: WeylElement) -> int:
     return pos - (1 if n in head else 0) + (1 if -n in head else 0)
 
 
-def _p1_max_m(fix: Fixture) -> int:
-    # largest m with the three-orbit picture for P_(omega_1)
-    return fix.rank - 1 if fix.type_label == "B" else fix.rank - 2
+def orbit_table(fix: Fixture) -> Dict[int, int]:
+    """The paper's case table: each admissible d_geometric, in decreasing
+    order (the label order), mapped to its stratum's fiber dimension.
 
-
-def d_range(fix: Fixture) -> Tuple[int, int, int]:
-    """Admissible (lo, hi, step) of d_geometric for the fixture's case."""
+    With m = q_node, i = p_node and n the rank (type D has no m = n - 1):
+    in A, G(m, n+1) against an i-plane, d runs from min(m, i) down to
+    max(0, m+i-n-1) with fiber (m-d)(i-d).  In B, and D with i = 1, a line
+    of the quadric in C^N (N = 2n+1 or 2n), d = 2, 1, 0 with fibers 0, m,
+    N-1-m when m < n, else d = 1, 0.  In C, and D at a spin node, d runs
+    from m down with fiber k(n-d) - k(k-1)/2, k = m-d (k(k+1)/2 in D);
+    in D with m = n, d = i, i-2, ..., as two maximal isotropic subspaces
+    of one family meet in a dimension of fixed parity.
+    """
     t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
     if t == "A":
-        return (max(0, i + m - n - 1), min(m, i), 1)
+        return {d: (m - d) * (i - d) for d in range(min(m, i), max(0, m + i - n - 1) - 1, -1)}
     if t == "B" or (t == "D" and i == 1):
-        if m <= _p1_max_m(fix):
-            return (0, 2, 1)
-        return (0, 1, 1)
-    if t == "C":
-        return (0, m, 1)
-    # D with i in (n - 1, n)
-    if m <= n - 2:
-        return (0, m, 1)
-    top = n if i == n else n - 1
-    return (top % 2, top, 2)
+        top = 2 * n - m - (t == "D")  # N - 1 - m
+        return {2: 0, 1: m, 0: top} if m < n else {1: 0, 0: top}
+    spin = t == "D"
+    ds = range(i, -1, -2) if spin and m == n else range(m, -1, -1)
+    return {d: (m - d) * (n - d) - (m - d) * (m - d - 1 + 2 * spin) // 2 for d in ds}
 
 
 def stratum_count(fix: Fixture) -> int:
-    lo, hi, step = d_range(fix)
-    return (hi - lo) // step + 1
+    return len(orbit_table(fix))
 
 
 def d_of(fix: Fixture, w: WeylElement) -> int:
-    """Stratum label of w from the window statistic, oriented to match delta.
-
-    The label is (hi - d_geometric)/step for the case range (lo, hi, step),
+    """Stratum label of w from the window statistic, oriented to match
+    delta: the position of d_geometric among the keys of `orbit_table`,
     so the closed stratum (through the base point) gets 0 and the open
-    stratum gets the maximal label.
-    """
-    lo, hi, step = d_range(fix)
+    stratum gets the maximal label."""
     dg = d_geometric(fix, w)
-    if not (lo <= dg <= hi) or (hi - dg) % step:
-        raise StrataError(
-            "window statistic %d outside the admissible range %s for %s"
-            % (dg, (lo, hi, step), fix)
-        )
-    return (hi - dg) // step
+    for label, d in enumerate(orbit_table(fix)):
+        if d == dg:
+            return label
+    raise StrataError("window statistic %d is not admissible for %s" % (dg, fix))
 
 
 def expected_fiber_dim(fix: Fixture, d_geom: int) -> int:
@@ -125,30 +124,10 @@ def expected_fiber_dim(fix: Fixture, d_geom: int) -> int:
 
     `d_geom` is the geometric statistic (d_geometric), not the delta label.
     """
-    t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
-    d = d_geom
-    lo, hi, step = d_range(fix)
-    if not (lo <= d <= hi) or (hi - d) % step:
-        raise StrataError("d=%d outside the admissible range for %s" % (d, fix))
-    if t == "A":
-        return (m - d) * (i - d)
-    if t == "B" and m < n:
-        return {0: 2 * n - m, 1: m, 2: 0}[d]
-    if t == "B":
-        return {0: n, 1: 0}[d]
-    if t == "C":
-        k = m - d
-        return k * (n - d) - k * (k - 1) // 2
-    if t == "D" and i == 1:
-        if m <= n - 2:
-            return {0: 2 * n - 1 - m, 1: m, 2: 0}[d]
-        return {0: n - 1, 1: 0}[d]
-    # D with i in (n - 1, n)
-    if m <= n - 2:
-        k = m - d
-        return k * (n - d) - k * (k + 1) // 2
-    k = n - d
-    return k * (k - 1) // 2
+    table = orbit_table(fix)
+    if d_geom not in table:
+        raise StrataError("d=%d is not admissible for %s" % (d_geom, fix))
+    return table[d_geom]
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def verify_fixture(fix: Fixture) -> dict:
     """
     dec = decomp.build_decomposition(fix)
     v = seidel.v_elt(fix.rs, fix.p_node)
-    perm, qexp = seidel.seidel_table(fix, dec.pq, dec.strata, v)
+    perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
     decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
     checks["interval"] = cosets.certify_interval([st.dc for st in dec.strata])

@@ -312,6 +312,9 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         ["verify", "--no-such-flag"],
         ["verify", "--self-test-corrupt", "--fixture", "A3/P1+P1"],
         ["verify", "--fixture", "A3/P1+P1", "--self-test-corrupt"],
+        # a single fixture or the self-test sweeps nothing, so no rank cap applies
+        ["verify", "--self-test-corrupt", "--max-rank-a", "1"],
+        ["verify", "--fixture", "A3/P1+P1", "--max-rank-a", "1"],
         ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2", "--certify", "off"],
         [],
     ):

@@ -80,6 +80,42 @@ def test_double_cosets_partition():
         assert len(seen) == len(set(seen))
 
 
+
+def test_double_cosets_come_sorted_with_length_extremes():
+    # no sort and no length scan: classes come in the order of their w_min
+    # and list w_min first and w_max last, on every J_P of every maximal
+    # quotient up to rank 4 and on every fixture up to rank 5
+    partitions = [
+        (build_quotient(rs, frozenset(rs.nodes) - {q}), j_p)
+        for t in "ABCD"
+        for n in range(RANK_BOUNDS[t], 5)
+        for rs in [build(t, n)]
+        for q in rs.nodes
+        for j_p in subsets(rs.nodes)
+    ]
+    partitions += [(build_quotient(fix.rs, fix.j_q), fix.j_p) for fix in sweep_fixtures(5, 5, 5, 5)]
+    for pq, j_p in partitions:
+        dcs = double_cosets(pq, j_p)
+        assert list(dcs) == sorted(dcs, key=lambda dc: (dc.w_min.length, dc.w_min.window))
+        for dc in dcs:
+            lengths = sorted(pq.elements[k].length for k in dc.members)
+            assert dc.w_min.length == lengths[0] and lengths[:2].count(lengths[0]) == 1
+            assert dc.w_max.length == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
+
+
+def test_double_coset_without_unique_length_extremes_refused():
+    # G(2,4) under s_2: the classes of s1s2 and s3s2 are singletons of
+    # length 2; a row entry that joins them leaves no unique w_min
+    g24 = build_quotient(build("A", 3), frozenset({1, 3}))
+    singles = [dc for dc in double_cosets(g24, {2}) if dc.w_min.length == 2]
+    assert [dc.size for dc in singles] == [1, 1]
+    a, b = (g24.index_of(dc.w_min) for dc in singles)
+    row = list(g24.left[2])
+    row[a] = b
+    corrupted = dataclasses.replace(g24, left={**g24.left, 2: tuple(row)})
+    with pytest.raises(cosets.CosetError, match="without unique length extremes"):
+        double_cosets(corrupted, {2})
+
 def bruhat_interval(dc):
     """Test-only oracle, the scan `certify_interval` replaced: the quotient
     elements x with w_min <= x <= w_max by the subword property."""

@@ -34,7 +34,7 @@ FIXTURES = [
 def _table(fix):
     """Quotient of the fixture with its Seidel table (perm, qexp)."""
     pq, sts = strata.stratify(fix)
-    return (pq, *seidel_table(fix, pq, sts, v_elt(fix.rs, fix.p_node)))
+    return (pq, *seidel_table(pq, sts, v_elt(fix.rs, fix.p_node)))
 
 
 def test_v_elt_examples():
@@ -187,7 +187,7 @@ def test_seidel_table_strips_no_descents(monkeypatch):
     # class; the product spies are live, as the path above calls both
     assert set(products) == {"min_rep", "multiply"}
     products.clear()
-    perm, _ = seidel_table(fix, pq, sts, v)
+    perm, _ = seidel_table(pq, sts, v)
     assert list(perm) == images and products == []
     assert 0 < calls.count("first_descent") <= v.length + 1
     # the spies are live: the stripping oracle calls both

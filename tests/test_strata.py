@@ -1,9 +1,11 @@
 import hashlib
 import json
+from math import factorial
 
 import pytest
 
 from parorbits import cosets, rootsys, weyl
+from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, FixtureError, group_order, sweep_fixtures
 from parorbits.strata import (
     K_of,
@@ -14,11 +16,13 @@ from parorbits.strata import (
     expected_fiber_dim,
     flag_descriptor,
     h_prime_of,
+    orbit_table,
     stratify,
     stratum_count,
     stratum_json,
 )
 
+from cases import ladder_table
 from dynkin import flag_components, subsets
 from windows import inverse, k_by_root_scan
 
@@ -88,6 +92,39 @@ def test_stratum_count_matches_strata():
         assert len(sts) == stratum_count(fix)
         assert sorted(st.delta for st in sts) == list(range(len(sts)))
 
+
+
+def test_orbit_table_matches_case_ladders_up_to_rank_12(monkeypatch):
+    # every (type, n, q, p) of the family up to rank 12, with the bound on
+    # |W| lifted: the table needs no quotient, so it is checked far past
+    # the ranks that the sweep enumerates
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**12 * factorial(12))  # |W(B12)|
+    fixtures = sweep_fixtures(12, 12, 12, 12)
+    assert len(fixtures) == 993
+    for fix in fixtures:
+        table = orbit_table(fix)
+        assert list(table.items()) == list(ladder_table(fix).items()), fix.label
+        assert stratum_count(fix) == len(table)
+        for d, fiber in table.items():
+            assert expected_fiber_dim(fix, d) == fiber
+        for d in (min(table) - 1, max(table) + 1):
+            with pytest.raises(StrataError):
+                expected_fiber_dim(fix, d)
+
+
+def test_case_analysis_at_rank_6_and_A7():
+    # the 112 fixtures past the default sweep: the stratum count and each
+    # stratum's fiber dimension from the table, and the window label d_of
+    # against delta on every class
+    fixtures = [fix for fix in sweep_fixtures(7, 6, 6, 6) if fix.rank > 5]
+    assert len(fixtures) == 112
+    for fix in fixtures:
+        pq, sts = stratify(fix)
+        assert len(sts) == stratum_count(fix), fix.label
+        for st in sts:
+            assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom), (fix.label, st.delta)
+            for k in st.dc.members:
+                assert d_of(fix, pq.elements[k]) == st.delta, (fix.label, k)
 
 def test_expected_fiber_dims():
     assert expected_fiber_dim(Fixture("A", 3, 2, 2), 2) == 0
