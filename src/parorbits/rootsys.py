@@ -10,6 +10,10 @@ stored doubled as the integer vectors 2 omega_j^vee (<alpha_i, 2
 omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
 coordinates of a root are half its pairings with them: root heights,
 supports, coroot coordinates and `eta` all come from that one pairing.
+A root has at most two nonzero entries, so its pairings are read from
+those entries against the columns of the doubled coweights, O(rank) per
+root.  Every certificate of the build raises RootSystemError naming the
+root or node at fault, so none is stripped by `python -O`.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -41,9 +46,10 @@ def _unit(dim: int, k: int, value: int = 1) -> Vector:
     return tuple(value if t == k else 0 for t in range(dim))
 
 
-def _div(a: int, b: int) -> int:
+def _div(a: int, b: int, root: Vector) -> int:
     q, r = divmod(a, b)
-    assert r == 0, "inexact division %d / %d" % (a, b)
+    if r:
+        raise RootSystemError("inexact division %d / %d at root %s" % (a, b, root))
     return q
 
 
@@ -123,7 +129,7 @@ def _simple_roots(type_label: str, rank: int) -> Tuple[Vector, ...]:
 
 def _coroot(root: Vector) -> Vector:
     norm = pair(root, root)
-    return tuple(_div(2 * x, norm) for x in root)
+    return tuple(_div(2 * x, norm, root) for x in root)
 
 
 def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
@@ -141,15 +147,27 @@ def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
 
 
 def _simple_coordinates(
-    simple: Tuple[Vector, ...], dcw: Tuple[Vector, ...], beta: Vector
+    columns: Sequence[Vector], rows: Sequence[Sequence[Tuple[int, int]]], beta: Vector
 ) -> Tuple[int, ...]:
     """Coordinates of a positive root over the simple roots: half its
-    pairings with the doubled dual basis, checked to be non-negative
-    integers that rebuild it."""
-    coords = tuple(_div(pair(beta, c), 2) for c in dcw)
-    assert all(c >= 0 for c in coords), "not a positive root"
-    rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, simple)) for k in range(len(beta)))
-    assert rebuilt == beta, "root outside the span of the simple roots"
+    pairings with the doubled dual basis, read from the root's nonzero
+    entries (at most two) against the columns of that basis, so O(rank)
+    per root.  `columns[k]` holds coordinate k of every doubled coweight,
+    and `rows[k]` the pairs (i, alpha_i[k]) with alpha_i[k] nonzero.  The
+    coordinates are checked to be non-negative integers that rebuild the
+    root, one ambient coordinate at a time from its rows."""
+    twice = [0] * len(columns[0])
+    for x, column in zip(beta, columns):
+        if x:
+            twice = [t + x * c for t, c in zip(twice, column)]
+    if any(t % 2 for t in twice):
+        raise RootSystemError("root %s pairs oddly with a doubled coweight" % (beta,))
+    coords = tuple(t // 2 for t in twice)
+    if min(coords) < 0:
+        raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
+    for x, row in zip(beta, rows):
+        if sum(coords[i] * a for i, a in row) != x:
+            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
     return coords
 
 
@@ -176,17 +194,21 @@ def build(type_label: str, rank: int) -> RootSystem:
     coroots = tuple(_coroot(a) for a in simple)
     cartan = tuple(tuple(pair(a, c) for c in coroots) for a in simple)
     dcw = _double_coweights(type_label, rank, dim)
+    columns = tuple(zip(*dcw))
+    rows = tuple(tuple((i, a[k]) for i, a in enumerate(simple) if a[k]) for k in range(dim))
     coords = {
-        beta: _simple_coordinates(simple, dcw, beta)
+        beta: _simple_coordinates(columns, rows, beta)
         for beta in _positive_roots(type_label, dim)
     }
     positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
     # beta^vee = 2 beta / |beta|^2 = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
     norms = tuple(pair(a, a) for a in simple)
-    coroot_coords = tuple(
-        tuple(_div(c * norm, pair(beta, beta)) for c, norm in zip(coords[beta], norms))
-        for beta in positive
-    )
+    coroot_coords = []
+    for beta in positive:
+        square = pair(beta, beta)
+        coroot_coords.append(
+            tuple(_div(c * norm, square, beta) for c, norm in zip(coords[beta], norms))
+        )
     support = tuple(
         frozenset(i + 1 for i, c in enumerate(coords[beta]) if c) for beta in positive
     )
@@ -199,7 +221,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         cartan_matrix=cartan,
         double_coweights=dcw,
         positive_roots=positive,
-        coroot_coords=coroot_coords,
+        coroot_coords=tuple(coroot_coords),
         root_support=support,
     )
     _check_invariants(rs)
@@ -223,17 +245,25 @@ def _double_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...
 def _check_invariants(rs: RootSystem) -> None:
     n = rs.rank
     for i in range(n):
+        if rs.cartan_matrix[i][i] != 2:
+            raise RootSystemError("Cartan diagonal broken at node %d" % (i + 1))
         for j in range(n):
-            assert rs.cartan_matrix[i][i] == 2
             pairing = pair(rs.simple_roots[i], rs.double_coweights[j])
-            assert pairing == (2 if i == j else 0), "coweight pairing broken"
+            if pairing != (2 if i == j else 0):
+                raise RootSystemError(
+                    "coweight pairing broken: <alpha_%d, 2 omega_%d^vee> = %d"
+                    % (i + 1, j + 1, pairing)
+                )
     expected = {
         "A": n * (n + 1) // 2,
         "B": n * n,
         "C": n * n,
         "D": n * (n - 1),
     }[rs.type_label]
-    assert len(rs.positive_roots) == expected
+    if len(rs.positive_roots) != expected:
+        raise RootSystemError(
+            "%r has %d positive roots, expected %d" % (rs, len(rs.positive_roots), expected)
+        )
 
 
 def cominuscule_nodes(type_label: str, rank: int) -> FrozenSet[int]:
@@ -288,7 +318,7 @@ def pair(u: Sequence[int], v: Sequence[int]) -> int:
         raise RootSystemError(
             "dimension mismatch: %d-vector paired with %d-vector" % (len(u), len(v))
         )
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def eta(rs: RootSystem, v: Sequence[int], j: int) -> int:

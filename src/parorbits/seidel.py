@@ -33,13 +33,14 @@ class SeidelError(ValueError):
 
 
 def v_elt(rs: RootSystem, i: int) -> WeylElement:
-    """Seidel element of node i, built as w_0 * w_(0,P_i).
+    """Seidel element of node i, the shortest element of w_0 W_J, with J
+    the nodes other than i, computed as `weyl.min_rep(w_0, J)`.
 
     Certified exactly at every rank.  The stabiliser of the dominant
-    coweight omega_i^vee is W_J with J the nodes other than i, so the
-    solutions u of u * omega_i^vee = w_0 * omega_i^vee form the coset
-    w_0 W_J; its shortest element is the unique one with no right descent
-    in J.  Both conditions are checked, the first on 2 omega_i^vee.
+    coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
+    w_0 * omega_i^vee form the coset w_0 W_J; its shortest element is the
+    unique one with no right descent in J.  Both conditions are checked,
+    the first on 2 omega_i^vee.
     """
     if i not in rootsys.cominuscule_nodes(rs.type_label, rs.rank):
         raise SeidelError(
@@ -47,7 +48,7 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
         )
     j_set = [k for k in rs.nodes if k != i]
     w0 = weyl.longest(rs, rs.nodes)
-    v = weyl.multiply(w0, weyl.longest(rs, j_set))
+    v = weyl.min_rep(w0, j_set)
     omega2 = rs.double_coweight(i)
     if weyl.act(v, omega2) != weyl.act(w0, omega2):
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
@@ -72,7 +73,8 @@ def seidel_table(
     pq.left[k][perm[c]], starting from the identity.  That costs l(v)
     descent searches, not one window product and block sort per class.
     The table is thus only as sound as the left rows; `verify._check_seidel`
-    does not read them, as it rebuilds [v^2 w] from windows for every class.
+    does not read them, as it names the class of v^2 w for every class w by
+    the signed set of the first q_node entries of the window product.
     """
     qexp = [0] * len(pq.elements)
     for st in sts:

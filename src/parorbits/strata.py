@@ -16,9 +16,9 @@ The paper's case analysis lives in one place, `orbit_table`: for each
 case it lists the admissible d_geometric in decreasing order, each with
 its stratum's fiber dimension.  Orientation convention: delta is 0 on the
 closed stratum (the one through the base point) and maximal on the open
-stratum; d_of returns the same label, the position of d_geometric among
-the table's keys.  d_geometric counts the window itself, so that
-d_of == delta is a check.
+stratum; the position of d_geometric among the table's keys is the same
+label.  d_geometric counts the window itself, so that `verify` checks
+that label against delta.
 """
 
 from __future__ import annotations
@@ -101,22 +101,6 @@ def orbit_table(fix: Fixture) -> Dict[int, int]:
     spin = t == "D"
     ds = range(i, -1, -2) if spin and m == n else range(m, -1, -1)
     return {d: (m - d) * (n - d) - (m - d) * (m - d - 1 + 2 * spin) // 2 for d in ds}
-
-
-def stratum_count(fix: Fixture) -> int:
-    return len(orbit_table(fix))
-
-
-def d_of(fix: Fixture, w: WeylElement) -> int:
-    """Stratum label of w from the window statistic, oriented to match
-    delta: the position of d_geometric among the keys of `orbit_table`,
-    so the closed stratum (through the base point) gets 0 and the open
-    stratum gets the maximal label."""
-    dg = d_geometric(fix, w)
-    for label, d in enumerate(orbit_table(fix)):
-        if d == dg:
-            return label
-    raise StrataError("window statistic %d is not admissible for %s" % (dg, fix))
 
 
 def expected_fiber_dim(fix: Fixture, d_geom: int) -> int:

@@ -18,18 +18,35 @@ from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
 from .weyl import WeylElement
 
 
+def _label(labels: Dict[int, int], fix: Fixture, w: WeylElement) -> int:
+    """Stratum label of w from its window statistic, oriented to match
+    delta: `labels` maps each key of the fixture's `orbit_table` to its
+    position, so the closed stratum gets 0 and the open stratum the
+    maximal label.  A statistic missing from the table raises StrataError
+    naming the window."""
+    dg = strata.d_geometric(fix, w)
+    if dg not in labels:
+        raise strata.StrataError(
+            "window statistic %d of %s is not admissible for %s"
+            % (dg, weyl.window_str(w.window), fix)
+        )
+    return labels[dg]
+
+
 def _check_delta_laws(dec: DecomposedDiagram) -> Dict[str, bool]:
     fix, pq, sts = dec.fixture, dec.pq, dec.strata
     vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
     deltas = sorted(st.delta for st in sts)
+    # the case table is read once per fixture, not once per class
+    labels = {d: label for label, d in enumerate(strata.orbit_table(fix))}
     return {
         # stratify raises StrataError when delta is not constant on a stratum
         "delta_constant": True,
         "delta_equals_d": all(
-            vertex_delta[k] == strata.d_of(fix, w) for k, w in enumerate(pq.elements)
+            vertex_delta[k] == _label(labels, fix, w) for k, w in enumerate(pq.elements)
         ),
         "delta_consecutive": deltas == list(range(len(sts))),
-        "stratum_count": len(sts) == strata.stratum_count(fix),
+        "stratum_count": len(sts) == len(labels),
         "delta_monotone": all(
             vertex_delta[c.w] > vertex_delta[c.u]
             for c in pq.covers
@@ -74,13 +91,20 @@ def _check_seidel(
 
     # two applications land on the class of the squared element; the
     # q-exponents of the two steps are qexp[k] and qexp[perm[k]] by definition.
-    # perm is composed from the left-action rows, and this rebuilds v^2 * w
-    # as a window product, so it is the check on the table that does not
-    # read the table
-    vv = weyl.multiply(v, v)
+    # perm is composed from the left-action rows, and this names the class
+    # of v^2 * w from windows alone, so it is the check on the table that
+    # does not read the table.  W_Q permutes positions 1..m among themselves
+    # and re-signs or permutes the rest (S_m x W(X_(n-m)), S_m x S_(n+1-m)
+    # in type A, the sign parity keeping the second factor in W(D_(n-m)) in
+    # type D, S_n for m = n; D_n has no fixture at m = n-1), so the signed
+    # set of a window's first m = q_node entries is its class in W/W_Q
+    # (Bjorner-Brenti 8.1-8.2)
+    m = fix.q_node
+    vv = weyl.compose(v.window, v.window)
+    windows = [w.window for w in pq.elements]
     compose_ok = all(
-        pq.elements[perm[perm[k]]] == weyl.min_rep(weyl.multiply(vv, w), fix.j_q)
-        for k, w in enumerate(pq.elements)
+        set(weyl.compose(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
+        for k, x in enumerate(windows)
     )
 
     # perm^order fixes every class, and the q-exponents summed over order
@@ -110,7 +134,8 @@ def verify_fixture(fix: Fixture) -> dict:
 
     The decomposition, the Seidel element and the Seidel table are each
     built once, the table from the decomposition's quotient and strata,
-    and every check reads from them.
+    and every check reads from them; the case table is read once for the
+    labels of all classes.
     """
     dec = decomp.build_decomposition(fix)
     v = seidel.v_elt(fix.rs, fix.p_node)

@@ -155,20 +155,28 @@ def simple_reflection(rs: RootSystem, k: int) -> WeylElement:
 
 
 def reflection(rs: RootSystem, root: Vector) -> WeylElement:
-    """The reflection in `root` as a window element."""
+    """The reflection in `root` as a window element.
+
+    s(e_k) = e_k - <e_k, root^vee> root, so s fixes e_k off the root's
+    support, and only the images of the support positions are computed,
+    each of which must be a signed unit vector.  A vector of the wrong
+    dimension, or zero, is refused before any arithmetic."""
+    if len(root) != rs.dim:
+        raise WeylError("vector %s has dimension %d, expected %d" % (root, len(root), rs.dim))
     norm = sum(y * y for y in root)
+    if not norm:
+        raise WeylError("the zero vector has no reflection")
     if any(2 * x % norm for x in root):
         raise WeylError("%s has no integral coroot" % (root,))
-    coroot = tuple(2 * x // norm for x in root)
-    window = []
-    for k in range(rs.dim):
-        image = [-coroot[k] * root[t] for t in range(rs.dim)]
-        image[k] += 1
-        hits = [(t, x) for t, x in enumerate(image) if x != 0]
+    support = [t for t, x in enumerate(root) if x]
+    window = list(range(1, rs.dim + 1))
+    for k in support:
+        c = 2 * root[k] // norm
+        hits = [(t, x) for t in support if (x := (t == k) - c * root[t])]
         if len(hits) != 1 or abs(hits[0][1]) != 1:
             raise WeylError("root %s does not act by signed permutation" % (root,))
         t, x = hits[0]
-        window.append(t + 1 if x > 0 else -(t + 1))
+        window[k] = t + 1 if x > 0 else -(t + 1)
     return element(rs, window)
 
 

@@ -5,8 +5,27 @@ dimension of each stratum.
 The library keeps one table per case, whose keys are the admissible d in
 decreasing order and whose values are the fiber dimensions; the tests
 check it against these ladders, which restate each case from (type, n, m,
-i) on their own.
+i) on their own.  `stratum_count` and `d_of` read the table afresh on
+every call, one class at a time; `verify` reads it once per fixture.
 """
+
+from parorbits import strata
+
+
+def stratum_count(fix):
+    return len(strata.orbit_table(fix))
+
+
+def d_of(fix, w):
+    """Stratum label of w from the window statistic, oriented to match
+    delta: the position of d_geometric among the keys of `orbit_table`,
+    so the closed stratum (through the base point) gets 0 and the open
+    stratum gets the maximal label."""
+    dg = strata.d_geometric(fix, w)
+    for label, d in enumerate(strata.orbit_table(fix)):
+        if d == dg:
+            return label
+    raise strata.StrataError("window statistic %d is not admissible for %s" % (dg, fix))
 
 
 def three_orbits_max_m(fix):

@@ -1,0 +1,113 @@
+"""Test-only oracles for the root-system build and the reflections: the
+dense paths that the library replaced.
+
+`rootsys.build` reads each root's simple coordinates from its nonzero
+entries against the columns of the doubled coweights, and checks the
+rebuild one ambient coordinate at a time; `weyl.reflection` computes
+images only on the root's support.  Here each root pairs with every
+doubled coweight over every coordinate and is rebuilt as a full vector,
+and the reflection computes the image of every e_k as a full vector.
+"""
+
+from parorbits import rootsys, weyl
+
+
+def _dense_div(a, b):
+    q, r = divmod(a, b)
+    assert r == 0, "inexact division %d / %d" % (a, b)
+    return q
+
+
+def _dense_coordinates(simple, dcw, beta):
+    coords = tuple(_dense_div(rootsys.pair(beta, c), 2) for c in dcw)
+    assert all(c >= 0 for c in coords), "not a positive root"
+    rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, simple)) for k in range(len(beta)))
+    assert rebuilt == beta, "root outside the span of the simple roots"
+    return coords
+
+
+def dense_build(type_label, rank):
+    """Every field of `rootsys.build(type_label, rank)`, as a dict, from
+    full pairings and full rebuilds; uncached."""
+    rootsys.check_rank(type_label, rank)
+    simple = rootsys._simple_roots(type_label, rank)
+    dim = len(simple[0])
+    coroots = tuple(
+        tuple(_dense_div(2 * x, rootsys.pair(a, a)) for x in a) for a in simple
+    )
+    cartan = tuple(tuple(rootsys.pair(a, c) for c in coroots) for a in simple)
+    dcw = rootsys._double_coweights(type_label, rank, dim)
+    coords = {
+        beta: _dense_coordinates(simple, dcw, beta)
+        for beta in rootsys._positive_roots(type_label, dim)
+    }
+    positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
+    norms = tuple(rootsys.pair(a, a) for a in simple)
+    return {
+        "type_label": type_label,
+        "rank": rank,
+        "dim": dim,
+        "simple_roots": simple,
+        "simple_coroots": coroots,
+        "cartan_matrix": cartan,
+        "double_coweights": dcw,
+        "positive_roots": positive,
+        "coroot_coords": tuple(
+            tuple(
+                _dense_div(c * norm, rootsys.pair(beta, beta))
+                for c, norm in zip(coords[beta], norms)
+            )
+            for beta in positive
+        ),
+        "root_support": tuple(
+            frozenset(i + 1 for i, c in enumerate(coords[beta]) if c) for beta in positive
+        ),
+    }
+
+
+def dense_reflection(rs, root):
+    """Window of the reflection in `root`: the image of every e_k computed
+    as a full vector, e_k - <e_k, root^vee> root, and read as a signed
+    unit vector."""
+    norm = sum(y * y for y in root)
+    coroot = tuple(_dense_div(2 * x, norm) for x in root)
+    window = []
+    for k in range(rs.dim):
+        image = [-coroot[k] * root[t] for t in range(rs.dim)]
+        image[k] += 1
+        hits = [(t, x) for t, x in enumerate(image) if x != 0]
+        assert len(hits) == 1 and abs(hits[0][1]) == 1, root
+        t, x = hits[0]
+        window.append(t + 1 if x > 0 else -(t + 1))
+    return tuple(window)
+
+
+def control_errors(type_label, rank):
+    """Build the root system uncached under each of two negative controls
+    in turn and return, per control, the RootSystemError message, or None
+    where the build passed.  The first moves the first entry of the first
+    doubled coweight by 2; the second appends e_1 + 2 e_2 to the positive
+    roots, a vector outside the span of the roots in type A and inside it,
+    but not a root, in B, C and D.  Each helper is restored afterwards."""
+    real_dcw, real_roots = rootsys._double_coweights, rootsys._positive_roots
+
+    def perturbed(*args):
+        first, *rest = real_dcw(*args)
+        return ((first[0] + 2,) + first[1:], *rest)
+
+    def extra(type_label, dim):
+        yield from real_roots(type_label, dim)
+        yield (1, 2) + (0,) * (dim - 2)
+
+    out = []
+    for name, replacement in (("_double_coweights", perturbed), ("_positive_roots", extra)):
+        real = getattr(rootsys, name)
+        setattr(rootsys, name, replacement)
+        try:
+            rootsys.build.__wrapped__(type_label, rank)
+            out.append(None)
+        except rootsys.RootSystemError as exc:
+            out.append(str(exc))
+        finally:
+            setattr(rootsys, name, real)
+    return out

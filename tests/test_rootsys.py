@@ -1,5 +1,11 @@
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +14,7 @@ from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
 from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, eta, pair
 
 from dynkin import component_nodes, orderings, subsets
+from roots import control_errors, dense_build
 from windows import inverse
 from words import from_word
 
@@ -329,3 +336,52 @@ def test_components_reject_out_of_range_nodes():
         for nodes in ({0}, {1, n + 1}, {n - 1, n, n + 1}, {-n}):
             with pytest.raises(RootSystemError, match="out of range"):
                 components(rs, nodes)
+
+
+BUILD_ORACLE_SYSTEMS = (
+    [("A", n) for n in range(1, 13)]
+    + [(t, n) for t in "BC" for n in range(2, 13)]
+    + [("D", n) for n in range(4, 13)]
+    + [("C", 20)]
+)
+
+
+def test_build_matches_dense_oracle():
+    # the sparse build (coordinates from each root's nonzero entries, the
+    # rebuild one coordinate at a time) against the full pairings and full
+    # rebuilds it replaced, on every field
+    for t, n in BUILD_ORACLE_SYSTEMS:
+        rs = build(t, n)
+        fields = {f.name: getattr(rs, f.name) for f in dataclasses.fields(rs)}
+        assert fields == dense_build(t, n), (t, n)
+
+
+CONTROL_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+
+def test_broken_root_data_refused():
+    # a perturbed doubled coweight, and a vector that is not a root among
+    # the positive roots, each make the build raise, naming a root
+    for t, n in CONTROL_SYSTEMS:
+        errors = control_errors(t, n)
+        assert len(errors) == 2 and all(e and "root" in e for e in errors), (t, n, errors)
+        assert build.__wrapped__(t, n).positive_roots == build(t, n).positive_roots
+
+
+def test_broken_root_data_refused_under_python_O():
+    # the certificates raise RootSystemError rather than assert, so they
+    # hold when python -O strips assert statements
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = (
+        "import json, sys; from roots import control_errors; "
+        "print(json.dumps([sys.flags.optimize, [control_errors(*s) for s in %r]]))"
+        % (CONTROL_SYSTEMS,)
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    optimize, errors = json.loads(out)
+    assert optimize == 1
+    assert errors == [control_errors(t, n) for t, n in CONTROL_SYSTEMS]
+    assert all(e for per_system in errors for e in per_system)

@@ -14,6 +14,7 @@ from parorbits.seidel import (
     v_elt,
 )
 
+from cases import stratum_count
 from windows import strip_descents
 from words import from_word
 
@@ -162,9 +163,9 @@ def test_seidel_table_matches_per_class_oracle(monkeypatch):
 
 
 def test_seidel_table_strips_no_descents(monkeypatch):
-    # cold C5/P2+P5: min_rep, which `verify._check_seidel` applies to every
-    # window product, reads each class's representative off the window by
-    # block sorts, with no descent search and no simple reflection
+    # cold C5/P2+P5: min_rep, the per-class path that the table replaced,
+    # reads each class's representative off the window by block sorts,
+    # with no descent search and no simple reflection
     fix = Fixture("C", 5, 2, 5)
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
@@ -200,7 +201,7 @@ def test_top_class_q_exresponse():
     for fix in FIXTURES:
         pq = cosets.build_quotient(fix.rs, fix.j_q)
         top = pq.elements[-1]
-        assert strata.delta(fix, top) == strata.stratum_count(fix) - 1
+        assert strata.delta(fix, top) == stratum_count(fix) - 1
 
 
 def test_composition_path_independence():

@@ -32,3 +32,14 @@ def test_no_fractions_in_package():
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         assert "fractions" not in {name.split(".")[0] for name in _imported_modules(tree)}, path.name
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements, so no check of the library may
+    # be one: every certificate raises its module's error instead
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -11,18 +11,16 @@ from parorbits.strata import (
     K_of,
     StrataError,
     d_geometric,
-    d_of,
     delta,
     expected_fiber_dim,
     flag_descriptor,
     h_prime_of,
     orbit_table,
     stratify,
-    stratum_count,
     stratum_json,
 )
 
-from cases import ladder_table
+from cases import d_of, ladder_table, stratum_count
 from dynkin import flag_components, subsets
 from windows import inverse, k_by_root_scan
 

@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
-from parorbits import cli, rootsys, seidel, strata, verify
+from parorbits import cli, cosets, decomp, rootsys, seidel, strata, verify, weyl
 from parorbits.fixtures import Fixture
+from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
+
+from cases import d_of
 
 
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
@@ -31,6 +36,8 @@ def test_swapped_seidel_images_fail_composition(monkeypatch):
     assert report["checks"]["seidel_bijection"]
     assert not report["checks"]["seidel_composition"]
     assert not report["pass"]
+    failed = [name for name, ok in report["checks"].items() if not ok]
+    assert failed == ["seidel_composition", "seidel_degree_bookkeeping"]
 
 
 def test_merged_seidel_images_fail_finite_order(monkeypatch):
@@ -113,3 +120,107 @@ def test_root_system_built_once_per_fixture(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 104
     assert calls == {"build": calls["fixtures"] + 4, "fixtures": 104}
+
+
+def _spy(monkeypatch, module, names):
+    """Count the calls of each named function of `module` made through it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _cold_pipeline(fix):
+    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
+        cache.cache_clear()
+    dec = decomp.build_decomposition(fix)
+    v = seidel.v_elt(fix.rs, fix.p_node)
+    perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
+    return dec, v, perm, qexp
+
+
+def test_seidel_checks_build_no_product_per_class(monkeypatch):
+    # cold C5/P2+P5: the composition check names the class of v^2 * w by
+    # the signed set of its first q_node entries, with no block sort and no
+    # element product per class
+    fix = Fixture("C", 5, 2, 5)
+    dec, v, perm, qexp = _cold_pipeline(fix)
+    calls = _spy(monkeypatch, weyl, ("min_rep", "multiply"))
+    checks = verify._check_seidel(dec, v, perm, qexp)
+    assert all(checks.values())
+    assert calls["min_rep"] == 0 and calls["multiply"] <= 1
+    # the spies are live: the per-class path this replaced calls both
+    before = dict(calls)
+    weyl.min_rep(weyl.multiply(v, dec.pq.elements[1]), fix.j_q)
+    assert calls == {"min_rep": before["min_rep"] + 1, "multiply": before["multiply"] + 1}
+
+
+def test_seidel_composition_reads_no_left_row_and_no_index():
+    # the one check on the acting node's row that does not read the table:
+    # with the quotient's left rows and index emptied it still passes, and
+    # swapped images still fail it
+    fix = Fixture("C", 5, 2, 5)
+    dec, v, perm, qexp = _cold_pipeline(fix)
+    bare = dataclasses.replace(dec, pq=dataclasses.replace(dec.pq, left={}, index={}))
+    assert verify._check_seidel(bare, v, perm, qexp)["seidel_composition"]
+    swapped = list(perm)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not verify._check_seidel(bare, v, tuple(swapped), qexp)["seidel_composition"]
+
+
+def test_delta_laws_read_the_case_table_once(monkeypatch):
+    fix = Fixture("C", 5, 2, 5)
+    dec = decomp.build_decomposition(fix)
+    calls = _spy(monkeypatch, strata, ("orbit_table",))
+    assert all(verify._check_delta_laws(dec).values())
+    assert calls == {"orbit_table": 1}
+    # the spy is live: the per-class label this replaced reads the table
+    # once per call
+    d_of(fix, dec.pq.elements[0])
+    assert calls == {"orbit_table": 2}
+
+
+def test_inadmissible_window_statistic_names_the_window(monkeypatch):
+    fix = Fixture("C", 4, 2, 4)
+    dec = decomp.build_decomposition(fix)
+    target = dec.pq.elements[-1]
+    real = strata.d_geometric
+    monkeypatch.setattr(strata, "d_geometric", lambda f, w: 99 if w == target else real(f, w))
+    text = "window statistic 99 of %s is not admissible" % weyl.window_str(target.window)
+    with pytest.raises(strata.StrataError, match=re.escape(text)):
+        verify._check_delta_laws(dec)
+
+
+def test_signed_set_key_matches_min_rep_up_to_rank_8():
+    # `_check_seidel` names the class of v^2 * w in W/W_Q by the signed set
+    # of its first m = q_node window entries.  Oracle: min_rep of the
+    # window product, the path it replaced, on every maximal quotient that
+    # a fixture can have up to rank 8 (the largest has 1,792 classes), for
+    # every cominuscule v; the keys of the classes are distinct
+    products = 0
+    for t in "ABCD":
+        for n in range(RANK_BOUNDS[t], 9):
+            rs = rootsys.build(t, n)
+            squares = [
+                weyl.multiply(v, v)
+                for v in (seidel.v_elt(rs, i) for i in sorted(cominuscule_nodes(t, n)))
+            ]
+            for m in rs.nodes:
+                if t == "D" and m == n - 1:
+                    continue  # Picard rank 2: no fixture
+                j_q = frozenset(rs.nodes) - {m}
+                pq = cosets.build_quotient(rs, j_q)
+                keys = {frozenset(w.window[:m]): k for k, w in enumerate(pq.elements)}
+                assert len(keys) == len(pq.elements), (t, n, m)
+                for vv in squares:
+                    for w in pq.elements:
+                        key = frozenset(weyl.compose(vv.window, w.window[:m]))
+                        expected = weyl.min_rep(weyl.multiply(vv, w), j_q)
+                        assert pq.elements[keys[key]] == expected, (t, n, m, w)
+                        products += 1
+    assert products == 50076

@@ -22,6 +22,7 @@ from parorbits.weyl import (
 )
 
 from covers import reflection_image
+from roots import dense_reflection
 from windows import draw_window, inverse, root_is_negative, strip_descents
 from words import from_word, reduced_word
 
@@ -54,6 +55,35 @@ def test_window_validation():
         weyl.reflection(c4, (1, 1, 1, 0))  # not a root: 2x/|x|^2 is not integral
     with pytest.raises(WeylError):
         weyl.reflection(a3, (1, 1, 0, 0))  # a root of D4, not of A3: signs in type A
+
+
+def test_reflection_refuses_malformed_vectors():
+    # the dimension and a nonzero norm are checked before any arithmetic
+    a3, b2 = build("A", 3), build("B", 2)
+    cases = [
+        (b2, (0, 0), "zero vector"),
+        (a3, (0, 0, 0, 0), "zero vector"),
+        (b2, (1, 0, 0), "dimension 3, expected 2"),
+        (b2, (1,), "dimension 1, expected 2"),
+        (a3, (1, -1, 0), "dimension 3, expected 4"),
+        (b2, (), "dimension 0, expected 2"),
+    ]
+    for rs, vec, message in cases:
+        with pytest.raises(WeylError, match=message):
+            weyl.reflection(rs, vec)
+
+
+@pytest.mark.parametrize("t", "ABCD")
+def test_reflection_matches_dense_oracle(t):
+    # images on the root's support only, against the image of every e_k
+    # as a full vector, on every positive root (and its negative) up to
+    # rank 8
+    for n in range(RANK_BOUNDS[t], 9):
+        rs = build(t, n)
+        for beta in rs.positive_roots:
+            expected = dense_reflection(rs, beta)
+            assert weyl.reflection(rs, beta).window == expected, (t, n, beta)
+            assert weyl.reflection(rs, tuple(-x for x in beta)).window == expected, (t, n, beta)
 
 
 def test_act_examples():
