@@ -143,6 +143,18 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _rank_cap(text: str) -> int:
+    """A sweep's rank cap: 0 sweeps no fixture of the type, and a negative
+    cap, which would sweep none either and still pass, is refused."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError("a rank cap must be >= 0, got %d" % cap)
+    return cap
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse answers a malformed command line with a usage block and exit
     # 2; report it like any other bad input: one `error:` line, exit 1.
@@ -187,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sweep_flags(p):
         # no default here, so that cmd_verify can tell a cap given from none
         for cap in SWEEP_CAPS:
-            p.add_argument("--" + cap.replace("_", "-"), type=int)
+            p.add_argument("--" + cap.replace("_", "-"), type=_rank_cap)
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="run every invariant suite over a sweep")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -115,8 +116,14 @@ def build_quotient(
         lower[i] = [(p, beta)] + [
             (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
         ]
-    covers = sorted(Cover(u, w, r) for w, below in enumerate(lower) for u, r in below)
-    return ParabolicQuotient(rs, nodes, j_q, elements, tuple(covers), index, left)
+    # bucketed by source, each bucket filled in target order: as each
+    # (u, w) has one witness, the buckets read in turn are sorted
+    upper: List[List[Cover]] = [[] for _ in elements]
+    for w, below in enumerate(lower):
+        for u, r in below:
+            upper[u].append(Cover(u, w, r))
+    covers = tuple(chain.from_iterable(upper))
+    return ParabolicQuotient(rs, nodes, j_q, elements, covers, index, left)
 
 
 @dataclass(frozen=True, eq=False)

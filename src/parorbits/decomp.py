@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import cosets, hasse, strata, weyl
 from .cosets import ParabolicQuotient
@@ -107,8 +107,11 @@ def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
 
 
 def _compare_stratum(
-    stratum: OrbitStratum, diagram: HasseDiagram, vertex_stratum: Tuple[int, ...], si: int
+    stratum: OrbitStratum, x_edges: Dict[Tuple[int, int], int]
 ) -> StratumComparison:
+    """Match the stratum's within-stratum edges of X, `x_edges` as
+    {(u, w): mult}, against its flag diagram carried over by the cell map;
+    the sorted mismatch list is built only when the two differ."""
     fq, phi_images = phi_map(stratum)
     weight, doubling = strata.h_prime_of(stratum)
     scale = 2 if doubling else 1
@@ -118,20 +121,16 @@ def _compare_stratum(
     else:
         fd = hasse.build_hasse(fq, weight)
         flag_edges = {(phi_images[e.u], phi_images[e.w]): e.mult * scale for e in fd.edges}
-    x_edges = {
-        (e.u, e.w): e.mult
-        for e in diagram.edges
-        if vertex_stratum[e.u] == si and vertex_stratum[e.w] == si
-    }
     mismatches = []
-    for key in sorted(set(flag_edges) | set(x_edges)):
-        got = x_edges.get(key)
-        want = flag_edges.get(key)
-        if got != want:
-            mismatches.append(
-                "edge %s->%s: diagram mult %s, flag mult (scaled) %s"
-                % (key[0], key[1], got, want)
-            )
+    if flag_edges != x_edges:
+        for key in sorted(set(flag_edges) | set(x_edges)):
+            got = x_edges.get(key)
+            want = flag_edges.get(key)
+            if got != want:
+                mismatches.append(
+                    "edge %s->%s: diagram mult %s, flag mult (scaled) %s"
+                    % (key[0], key[1], got, want)
+                )
     return StratumComparison(
         stratum=stratum,
         flag_quotient=fq,
@@ -151,11 +150,18 @@ def build_decomposition(fix: Fixture) -> DecomposedDiagram:
         for k in st.dc.members:
             vertex_stratum[k] = si
     vs = tuple(vertex_stratum)
-    cross = tuple(e for e in diagram.edges if vs[e.u] != vs[e.w])
-    comparisons = tuple(
-        _compare_stratum(st, diagram, vs, si) for si, st in enumerate(sts)
-    )
-    return DecomposedDiagram(fix, pq, diagram, sts, vs, cross, comparisons)
+    # one pass over X's edges: each within-stratum edge into its stratum's
+    # {(u, w): mult}, the rest in order into the cross edges
+    within: List[Dict[Tuple[int, int], int]] = [{} for _ in sts]
+    cross = []
+    for e in diagram.edges:
+        si = vs[e.u]
+        if si == vs[e.w]:
+            within[si][e.u, e.w] = e.mult
+        else:
+            cross.append(e)
+    comparisons = tuple(_compare_stratum(st, within[si]) for si, st in enumerate(sts))
+    return DecomposedDiagram(fix, pq, diagram, sts, vs, tuple(cross), comparisons)
 
 
 def decomposition_report(dec: DecomposedDiagram) -> dict:

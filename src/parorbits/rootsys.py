@@ -11,9 +11,11 @@ omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
 coordinates of a root are half its pairings with them: root heights,
 supports, coroot coordinates and `eta` all come from that one pairing.
 A root has at most two nonzero entries, so its pairings are read from
-those entries against the columns of the doubled coweights, O(rank) per
-root.  Every certificate of the build raises RootSystemError naming the
-root or node at fault, so none is stripped by `python -O`.
+those entries against the columns of the doubled coweights, and one pass
+over them halves and checks them, rebuilds the root and reads its height,
+support and coroot coordinates: O(rank) per root.  Every certificate of
+the build raises RootSystemError naming the root or node at fault, so
+none is stripped by `python -O`.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -146,31 +148,6 @@ def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
             yield _unit(dim, i, 1 if type_label == "B" else 2)
 
 
-def _simple_coordinates(
-    columns: Sequence[Vector], rows: Sequence[Sequence[Tuple[int, int]]], beta: Vector
-) -> Tuple[int, ...]:
-    """Coordinates of a positive root over the simple roots: half its
-    pairings with the doubled dual basis, read from the root's nonzero
-    entries (at most two) against the columns of that basis, so O(rank)
-    per root.  `columns[k]` holds coordinate k of every doubled coweight,
-    and `rows[k]` the pairs (i, alpha_i[k]) with alpha_i[k] nonzero.  The
-    coordinates are checked to be non-negative integers that rebuild the
-    root, one ambient coordinate at a time from its rows."""
-    twice = [0] * len(columns[0])
-    for x, column in zip(beta, columns):
-        if x:
-            twice = [t + x * c for t, c in zip(twice, column)]
-    if any(t % 2 for t in twice):
-        raise RootSystemError("root %s pairs oddly with a doubled coweight" % (beta,))
-    coords = tuple(t // 2 for t in twice)
-    if min(coords) < 0:
-        raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
-    for x, row in zip(beta, rows):
-        if sum(coords[i] * a for i, a in row) != x:
-            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
-    return coords
-
-
 def check_rank(type_label: str, rank: int) -> None:
     """Raise unless the type label is classical and the rank within its bound."""
     if type_label not in TYPE_LABELS:
@@ -194,24 +171,43 @@ def build(type_label: str, rank: int) -> RootSystem:
     coroots = tuple(_coroot(a) for a in simple)
     cartan = tuple(tuple(pair(a, c) for c in coroots) for a in simple)
     dcw = _double_coweights(type_label, rank, dim)
+    # columns[k] holds coordinate k of every doubled coweight, and
+    # entries[i] the nonzero entries (k, alpha_i[k]) of simple root i
     columns = tuple(zip(*dcw))
-    rows = tuple(tuple((i, a[k]) for i, a in enumerate(simple) if a[k]) for k in range(dim))
-    coords = {
-        beta: _simple_coordinates(columns, rows, beta)
-        for beta in _positive_roots(type_label, dim)
-    }
-    positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
-    # beta^vee = 2 beta / |beta|^2 = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
+    entries = tuple(tuple((k, x) for k, x in enumerate(a) if x) for a in simple)
     norms = tuple(pair(a, a) for a in simple)
-    coroot_coords = []
-    for beta in positive:
+    found = []
+    for beta in _positive_roots(type_label, dim):
+        # the doubled pairings of beta, from its (at most two) nonzero entries
+        twice = None
+        for x, column in zip(beta, columns):
+            if x:
+                scaled = [x * c for c in column]
+                twice = scaled if twice is None else [t + c for t, c in zip(twice, scaled)]
+        # in one pass: halve them, check the signs, rebuild beta from the
+        # simple roots, and read the height, the support and the coroot
+        # coordinates, as beta^vee = 2 beta / |beta|^2 = sum_i c_i
+        # (|alpha_i|^2 / |beta|^2) alpha_i^vee
         square = pair(beta, beta)
-        coroot_coords.append(
-            tuple(_div(c * norm, square, beta) for c, norm in zip(coords[beta], norms))
-        )
-    support = tuple(
-        frozenset(i + 1 for i, c in enumerate(coords[beta]) if c) for beta in positive
-    )
+        height, rebuilt, coroot, support = 0, [0] * dim, [], []
+        for i, (t, alpha, norm) in enumerate(zip(twice, entries, norms), 1):
+            if t & 1:
+                raise RootSystemError("root %s pairs oddly with a doubled coweight" % (beta,))
+            if t < 0:
+                raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
+            if t:
+                c = t >> 1
+                height += c
+                for k, a in alpha:
+                    rebuilt[k] += c * a
+                coroot.append(_div(c * norm, square, beta))
+                support.append(i)
+            else:
+                coroot.append(0)
+        if tuple(rebuilt) != beta:
+            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
+        found.append((height, beta, tuple(coroot), frozenset(support)))
+    found.sort()
     rs = RootSystem(
         type_label=type_label,
         rank=rank,
@@ -220,9 +216,9 @@ def build(type_label: str, rank: int) -> RootSystem:
         simple_coroots=coroots,
         cartan_matrix=cartan,
         double_coweights=dcw,
-        positive_roots=positive,
-        coroot_coords=tuple(coroot_coords),
-        root_support=support,
+        positive_roots=tuple(r[1] for r in found),
+        coroot_coords=tuple(r[2] for r in found),
+        root_support=tuple(r[3] for r in found),
     )
     _check_invariants(rs)
     return rs

@@ -34,7 +34,9 @@ class SeidelError(ValueError):
 
 def v_elt(rs: RootSystem, i: int) -> WeylElement:
     """Seidel element of node i, the shortest element of w_0 W_J, with J
-    the nodes other than i, computed as `weyl.min_rep(w_0, J)`.
+    the nodes other than i, computed as `weyl.min_rep(w_0, J)`; w_0 comes
+    from `weyl.longest` in one pass over the blocks of positions, with no
+    descent stripped.
 
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =

@@ -103,17 +103,6 @@ def orbit_table(fix: Fixture) -> Dict[int, int]:
     return {d: (m - d) * (n - d) - (m - d) * (m - d - 1 + 2 * spin) // 2 for d in ds}
 
 
-def expected_fiber_dim(fix: Fixture, d_geom: int) -> int:
-    """Fiber dimension of the stratum's vector-bundle structure over its flag.
-
-    `d_geom` is the geometric statistic (d_geometric), not the delta label.
-    """
-    table = orbit_table(fix)
-    if d_geom not in table:
-        raise StrataError("d=%d is not admissible for %s" % (d_geom, fix))
-    return table[d_geom]
-
-
 # ---------------------------------------------------------------------------
 # Levi flag descriptors
 

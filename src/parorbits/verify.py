@@ -33,12 +33,12 @@ def _label(labels: Dict[int, int], fix: Fixture, w: WeylElement) -> int:
     return labels[dg]
 
 
-def _check_delta_laws(dec: DecomposedDiagram) -> Dict[str, bool]:
+def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str, bool]:
+    """The stratum-exponent laws; `table` is the fixture's `orbit_table`."""
     fix, pq, sts = dec.fixture, dec.pq, dec.strata
     vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
     deltas = sorted(st.delta for st in sts)
-    # the case table is read once per fixture, not once per class
-    labels = {d: label for label, d in enumerate(strata.orbit_table(fix))}
+    labels = {d: label for label, d in enumerate(table)}
     return {
         # stratify raises StrataError when delta is not constant on a stratum
         "delta_constant": True,
@@ -55,11 +55,15 @@ def _check_delta_laws(dec: DecomposedDiagram) -> Dict[str, bool]:
     }
 
 
-def _check_dimension_ledger(dec: DecomposedDiagram) -> bool:
-    fix = dec.fixture
+def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bool:
+    """Each stratum's fiber dimension is the one `table`, the fixture's
+    `orbit_table`, gives its window statistic, and its length span and
+    class count are those of its flag variety."""
     for comp in dec.comparisons:
         st = comp.stratum
-        if st.fiber_dim != strata.expected_fiber_dim(fix, st.d_geom):
+        if st.d_geom not in table:
+            raise strata.StrataError("d=%d is not admissible for %s" % (st.d_geom, dec.fixture))
+        if st.fiber_dim != table[st.d_geom]:
             return False
         if st.dc.w_max.length - st.dc.w_min.length != st.flag.dim:
             return False
@@ -134,17 +138,18 @@ def verify_fixture(fix: Fixture) -> dict:
 
     The decomposition, the Seidel element and the Seidel table are each
     built once, the table from the decomposition's quotient and strata,
-    and every check reads from them; the case table is read once for the
-    labels of all classes.
+    and every check reads from them; the case table is built once, for the
+    labels of all classes and the fiber dimensions of all strata.
     """
     dec = decomp.build_decomposition(fix)
     v = seidel.v_elt(fix.rs, fix.p_node)
     perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
+    table = strata.orbit_table(fix)
     decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
     checks["interval"] = cosets.certify_interval([st.dc for st in dec.strata])
-    checks.update(_check_delta_laws(dec))
-    checks["dimension_ledger"] = _check_dimension_ledger(dec)
+    checks.update(_check_delta_laws(dec, table))
+    checks["dimension_ledger"] = _check_dimension_ledger(dec, table)
     checks["decomposition"] = decomposition["all_pass"]
     checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec)
     checks.update(_check_seidel(dec, v, perm, qexp))

@@ -5,8 +5,9 @@ dimension of each stratum.
 The library keeps one table per case, whose keys are the admissible d in
 decreasing order and whose values are the fiber dimensions; the tests
 check it against these ladders, which restate each case from (type, n, m,
-i) on their own.  `stratum_count` and `d_of` read the table afresh on
-every call, one class at a time; `verify` reads it once per fixture.
+i) on their own.  `stratum_count`, `d_of` and `expected_fiber_dim` read
+the table afresh on every call, one class or stratum at a time; `verify`
+builds it once per fixture.
 """
 
 from parorbits import strata
@@ -26,6 +27,17 @@ def d_of(fix, w):
         if d == dg:
             return label
     raise strata.StrataError("window statistic %d is not admissible for %s" % (dg, fix))
+
+
+def expected_fiber_dim(fix, d_geom):
+    """Fiber dimension of the stratum's vector-bundle structure over its flag.
+
+    `d_geom` is the geometric statistic (d_geometric), not the delta label.
+    """
+    table = strata.orbit_table(fix)
+    if d_geom not in table:
+        raise strata.StrataError("d=%d is not admissible for %s" % (d_geom, fix))
+    return table[d_geom]
 
 
 def three_orbits_max_m(fix):

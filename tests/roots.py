@@ -1,9 +1,9 @@
 """Test-only oracles for the root-system build and the reflections: the
 dense paths that the library replaced.
 
-`rootsys.build` reads each root's simple coordinates from its nonzero
-entries against the columns of the doubled coweights, and checks the
-rebuild one ambient coordinate at a time; `weyl.reflection` computes
+`rootsys.build` reads each root's doubled pairings from its nonzero
+entries against the columns of the doubled coweights, and rebuilds the
+root from the simple roots' nonzero entries; `weyl.reflection` computes
 images only on the root's support.  Here each root pairs with every
 doubled coweight over every coordinate and is rebuilt as a full vector,
 and the reflection computes the image of every e_k as a full vector.

@@ -315,6 +315,9 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         # a single fixture or the self-test sweeps nothing, so no rank cap applies
         ["verify", "--self-test-corrupt", "--max-rank-a", "1"],
         ["verify", "--fixture", "A3/P1+P1", "--max-rank-a", "1"],
+        # a negative cap would sweep no fixture of its type and still pass
+        ["verify", "--max-rank-b", "-1"],
+        ["list", "--max-rank-a", "-5"],
         ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2", "--certify", "off"],
         [],
     ):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import graphiso
-from parorbits import strata
+from parorbits import hasse, strata
 from parorbits.decomp import (
     build_decomposition,
     decomposition_report,
@@ -11,7 +11,7 @@ from parorbits.decomp import (
     emit_plain,
     phi_map,
 )
-from parorbits.fixtures import Fixture
+from parorbits.fixtures import Fixture, parse_fixture
 
 from conftest import load_golden
 
@@ -205,3 +205,99 @@ def test_emit_plain():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit(build_decomposition(Fixture("A", 3, 2, 2)), "svg")
+
+
+def rescan_mismatches(dec, si):
+    """Oracle for the mismatch report of stratum si: X's within-stratum
+    edges found by a scan of all of X's edges, and every key of either side
+    compared in sorted order, the path `build_decomposition` replaced."""
+    comp, vs = dec.comparisons[si], dec.vertex_stratum
+    x_edges = {
+        (e.u, e.w): e.mult for e in dec.diagram.edges if vs[e.u] == si and vs[e.w] == si
+    }
+    flag_edges = {}
+    if comp.flag_diagram is not None:
+        flag_edges = {
+            (comp.phi[e.u], comp.phi[e.w]): e.mult * comp.scale for e in comp.flag_diagram.edges
+        }
+    out = []
+    for key in sorted(set(flag_edges) | set(x_edges)):
+        got, want = x_edges.get(key), flag_edges.get(key)
+        if got != want:
+            out.append(
+                "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (key[0], key[1], got, want)
+            )
+    return tuple(out)
+
+
+def _assert_matches_rescan(dec):
+    vs = dec.vertex_stratum
+    assert dec.cross_edges == tuple(e for e in dec.diagram.edges if vs[e.u] != vs[e.w])
+    for si, comp in enumerate(dec.comparisons):
+        assert comp.mismatches == rescan_mismatches(dec, si), (dec.fixture.label, si)
+        assert comp.edges_match == (not comp.mismatches)
+
+
+def test_edge_buckets_match_rescan_oracle(monkeypatch):
+    for fix in FIXTURES:
+        _assert_matches_rescan(build_decomposition(fix))
+    for label in ("C4/P2+P4", "B4/P3+P1"):
+        with monkeypatch.context() as m:
+            _assert_matches_rescan(_corrupted_decomposition(m, parse_fixture(label))[0])
+
+
+def _corrupted_decomposition(monkeypatch, fix):
+    """The decomposition of `fix` with X's own diagram corrupted inside
+    `build_decomposition`: in the middle stratum, the last within-stratum
+    edge gets multiplicity + 1 and the first is dropped, and the first
+    cross-stratum edge gets multiplicity + 1.
+    Returns the decomposition and the three edges as they were."""
+    pq, sts = strata.stratify(fix)
+    stratum_of = {k: si for si, st in enumerate(sts) for k in st.dc.members}
+    real = hasse.build_hasse
+    picked = {}
+
+    def corrupted(quotient, weight):
+        diagram = real(quotient, weight)
+        if quotient is not pq:
+            return diagram  # a flag diagram
+        edges = list(diagram.edges)
+        si = len(sts) // 2
+        within = [e for e in edges if stratum_of[e.u] == stratum_of[e.w] == si]
+        dropped, raised = within[0], within[-1]
+        crossed = next(e for e in edges if stratum_of[e.u] != stratum_of[e.w])
+        picked.update(si=si, dropped=dropped, raised=raised, crossed=crossed)
+        edges.remove(dropped)
+        for e in (raised, crossed):
+            edges[edges.index(e)] = e._replace(mult=e.mult + 1)
+        return hasse.HasseDiagram(quotient, diagram.weight, tuple(edges))
+
+    monkeypatch.setattr(hasse, "build_hasse", corrupted)
+    dec = build_decomposition(fix)
+    return dec, picked
+
+
+@pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1"])
+def test_mismatch_report_names_each_corrupted_edge(monkeypatch, label):
+    fix = parse_fixture(label)
+    dec, picked = _corrupted_decomposition(monkeypatch, fix)
+    si, dropped, raised, crossed = (picked[k] for k in ("si", "dropped", "raised", "crossed"))
+    assert dropped < raised
+    if label == "B4/P3+P1":
+        assert dec.comparisons[si].scale == 2  # the doubled middle stratum
+    # the dropped edge sorts first; the cross-stratum edge is in no stratum
+    expected = (
+        "edge %d->%d: diagram mult None, flag mult (scaled) %d"
+        % (dropped.u, dropped.w, dropped.mult),
+        "edge %d->%d: diagram mult %d, flag mult (scaled) %d"
+        % (raised.u, raised.w, raised.mult + 1, raised.mult),
+    )
+    for sj, comp in enumerate(dec.comparisons):
+        if sj == si:
+            assert not comp.edges_match
+            assert comp.mismatches == expected
+        else:
+            assert comp.edges_match
+            assert comp.mismatches == ()
+    assert dec.vertex_stratum[crossed.u] != dec.vertex_stratum[crossed.w]
+    assert not decomposition_report(dec)["all_pass"]

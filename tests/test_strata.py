@@ -12,7 +12,6 @@ from parorbits.strata import (
     StrataError,
     d_geometric,
     delta,
-    expected_fiber_dim,
     flag_descriptor,
     h_prime_of,
     orbit_table,
@@ -20,7 +19,7 @@ from parorbits.strata import (
     stratum_json,
 )
 
-from cases import d_of, ladder_table, stratum_count
+from cases import d_of, expected_fiber_dim, ladder_table, stratum_count
 from dynkin import flag_components, subsets
 from windows import inverse, k_by_root_scan
 

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import re
+from math import factorial
 
 import pytest
 
 from parorbits import cli, cosets, decomp, rootsys, seidel, strata, verify, weyl
-from parorbits.fixtures import Fixture
+from parorbits import fixtures as fixtures_module
+from parorbits.fixtures import Fixture, parse_fixture
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
-from cases import d_of
+from cases import d_of, expected_fiber_dim
 
 
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
@@ -177,12 +179,49 @@ def test_delta_laws_read_the_case_table_once(monkeypatch):
     fix = Fixture("C", 5, 2, 5)
     dec = decomp.build_decomposition(fix)
     calls = _spy(monkeypatch, strata, ("orbit_table",))
-    assert all(verify._check_delta_laws(dec).values())
+    assert all(verify._check_delta_laws(dec, strata.orbit_table(fix)).values())
     assert calls == {"orbit_table": 1}
     # the spy is live: the per-class label this replaced reads the table
     # once per call
     d_of(fix, dec.pq.elements[0])
     assert calls == {"orbit_table": 2}
+
+
+@pytest.mark.parametrize("label", ["C5/P2+P5", "B6/P5+P1", "C4/P2+P4"])
+def test_verify_fixture_builds_the_case_table_once(monkeypatch, label):
+    # the labels of all classes and the fiber dimensions of all strata are
+    # read from one table per fixture
+    fix = parse_fixture(label)
+    d_geom = next(iter(strata.orbit_table(fix)))
+    calls = _spy(monkeypatch, strata, ("orbit_table",))
+    report = verify.verify_fixture(fix)
+    assert report["pass"] and report["checks"]["dimension_ledger"]
+    assert calls == {"orbit_table": 1}
+    # the spy is live: the per-stratum fiber dimension this replaced reads
+    # the table once per call
+    expected_fiber_dim(fix, d_geom)
+    assert calls == {"orbit_table": 2}
+
+
+def test_inadmissible_fiber_statistic_raises_in_the_ledger():
+    # a stratum whose window statistic is missing from the case table is
+    # refused by name, as the per-stratum lookup it replaced refused it
+    fix = Fixture("C", 4, 2, 4)
+    dec = decomp.build_decomposition(fix)
+    table = dict(strata.orbit_table(fix))
+    del table[dec.strata[0].d_geom]
+    with pytest.raises(strata.StrataError, match="d=%d is not admissible" % dec.strata[0].d_geom):
+        verify._check_dimension_ledger(dec, table)
+
+
+@pytest.mark.parametrize("label", ["C8/P4+P8", "D8/P4+P8", "B8/P7+P1"])
+def test_verify_fixture_passes_every_check_at_rank_8(monkeypatch, label):
+    # the full battery past rank 7, with the bound on |W| lifted to |W(B8)|;
+    # B8/P7+P1 carries the doubling stratum of the odd orthogonal family
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))
+    report = verify.verify_fixture(parse_fixture(label))
+    assert report["pass"], [name for name, ok in report["checks"].items() if not ok]
+    assert (2 in [st["scale"] for st in report["strata"]]) == (label == "B8/P7+P1")
 
 
 def test_inadmissible_window_statistic_names_the_window(monkeypatch):
@@ -193,7 +232,7 @@ def test_inadmissible_window_statistic_names_the_window(monkeypatch):
     monkeypatch.setattr(strata, "d_geometric", lambda f, w: 99 if w == target else real(f, w))
     text = "window statistic 99 of %s is not admissible" % weyl.window_str(target.window)
     with pytest.raises(strata.StrataError, match=re.escape(text)):
-        verify._check_delta_laws(dec)
+        verify._check_delta_laws(dec, strata.orbit_table(fix))
 
 
 def test_signed_set_key_matches_min_rep_up_to_rank_8():

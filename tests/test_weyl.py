@@ -23,7 +23,13 @@ from parorbits.weyl import (
 
 from covers import reflection_image
 from roots import dense_reflection
-from windows import draw_window, inverse, root_is_negative, strip_descents
+from windows import (
+    draw_window,
+    inverse,
+    longest_by_adding_descents,
+    root_is_negative,
+    strip_descents,
+)
 from words import from_word, reduced_word
 
 
@@ -292,6 +298,36 @@ def test_longest_examples():
     assert longest(a3, []) == identity(a3)
     assert longest(a3, [1]) == from_word(a3, [1])
     assert longest(a3, [1, 2, 3]).window == (4, 3, 2, 1)
+
+
+def test_longest_matches_descent_adding_oracle():
+    # every J of A1-A8, B2-B8, C2-C8 and D4-D8
+    cases = 0
+    for t in "ABCD":
+        for n in range(RANK_BOUNDS[t], 9):
+            rs = build(t, n)
+            for r in range(n + 1):
+                for nodes in combinations(rs.nodes, r):
+                    expected = longest_by_adding_descents(rs, nodes)
+                    assert longest(rs, nodes) == expected, (t, n, nodes)
+                    cases += 1
+    assert cases == 2022
+
+
+def test_longest_certificate_names_a_node(monkeypatch):
+    # with the last block of J skipped, the result is not w_0(J): a node of
+    # that block is not a right descent, and the certificate names it
+    real_runs = weyl._runs
+    monkeypatch.setattr(weyl, "_runs", lambda nodes: real_runs(nodes)[:-1])
+    cases = 0
+    for t, n in (("A", 4), ("B", 4), ("C", 4), ("D", 5)):
+        rs = build(t, n)
+        for r in range(1, n + 1):
+            for nodes in combinations(rs.nodes, r):
+                with pytest.raises(WeylError, match=r"node \d+ is not a right descent"):
+                    longest(rs, nodes)
+                cases += 1
+    assert cases == 3 * 15 + 31
 
 
 def test_min_rep_examples():

@@ -4,9 +4,10 @@ inverses, and random windows.
 The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
 vectors for the ones the window sends to negative roots.  `weyl.min_rep`
-sorts blocks of positions; the tests check it against stripping one right
-descent at a time.  `strata.K_of` reads K off the left-action table; the
-tests check it against the simple roots that w_min^-1 carries onto Delta(Q).
+sorts blocks of positions, and `weyl.longest` reverses or negates them; the
+tests check both against stripping or adding one right descent at a time.
+`strata.K_of` reads K off the left-action table; the tests check it
+against the simple roots that w_min^-1 carries onto Delta(Q).
 """
 
 from parorbits import weyl
@@ -51,6 +52,19 @@ def strip_descents(w, j_set):
     window = w.window
     while True:
         k = weyl.first_descent(rs, window, nodes)
+        if not k:
+            return weyl.WeylElement(rs, window)
+        window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
+
+
+def longest_by_adding_descents(rs, j_set):
+    """Longest element of W_J by right-multiplying the identity by the
+    first node of J that is not yet a right descent, until every node of
+    J is one (oracle for `weyl.longest`)."""
+    nodes = sorted(j_set)
+    window = weyl.identity(rs).window
+    while True:
+        k = next((k for k in nodes if not weyl._is_descent(rs, window, k)), 0)
         if not k:
             return weyl.WeylElement(rs, window)
         window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
