@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import weyl
-from .rootsys import RootSystem
+from .rootsys import RootSystem, Vector
 from .weyl import WeylElement
 
 
@@ -73,6 +73,16 @@ def reflection_by_index(rs: RootSystem, root_idx: int) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
+def root_tables(rs: RootSystem) -> Tuple[Dict[int, List[int]], Dict[Vector, int]]:
+    """The signed table of each simple root, keyed by node, and the index
+    of each positive root, built once per root system for the witnesses
+    of `build_quotient`.  They live here and not beside
+    `weyl.generator_tables`, as `weyl` reads no root vector."""
+    alphas = {k: weyl.signed_table(rs.simple_root(k)) for k in rs.nodes}
+    return alphas, {beta: r for r, beta in enumerate(rs.positive_roots)}
+
+
+@lru_cache(maxsize=None)
 def build_quotient(
     rs: RootSystem, j_q: FrozenSet[int], nodes: Optional[FrozenSet[int]] = None
 ) -> ParabolicQuotient:
@@ -81,15 +91,17 @@ def build_quotient(
 
     `left[k][i]` is the index of s_k*w_i, or i when s_k*w_i lies in
     w_i W_J (Deodhar's lemma, Bjorner-Brenti Lemma 2.4.3), read through
-    the signed table of s_k.  The covers follow from it by du Cloux's
-    coatom recursion, which rests on the lifting property (Bjorner-Brenti
-    Prop. 2.2.7): with s = s_k the first left descent of w and p = s*w,
-    the lower covers of w are p itself, with witness beta = p^-1(alpha_k)
-    (so w = p*s_beta), and s*y for every lower cover y of p with s*y in
-    W^Q one longer than y, with y's witness (s*y*s_beta = s*p = w).  These
-    sources are distinct: left multiplication is injective, and s*y = p
-    would make y = w.  Elements come in order of length, so p's covers are
-    known before w's.
+    the signed table of s_k (`weyl.generator_tables`).  The covers follow
+    from it by du Cloux's coatom recursion, which rests on the lifting
+    property (Bjorner-Brenti Prop. 2.2.7): with s = s_k the first left
+    descent of w and p = s*w, the lower covers of w are p itself, with
+    witness beta = p^-1(alpha_k) (so w = p*s_beta), and s*y for every
+    lower cover y of p with s*y in W^Q one longer than y, with y's witness
+    (s*y*s_beta = s*p = w).  These sources are distinct: left
+    multiplication is injective, and s*y = p would make y = w.  Elements
+    come in order of length, so p's covers are known before w's.  The
+    witness is read through the signed table of alpha_k and the root
+    index of `root_tables`.
     """
     if nodes is None:
         nodes = frozenset(rs.nodes)
@@ -100,13 +112,13 @@ def build_quotient(
     lengths = [w.length for w in elements]
     gathers = [itemgetter(*w.window) for w in elements]
     ks = sorted(nodes)
+    gens = weyl.generator_tables(rs)
     left: Dict[int, Tuple[int, ...]] = {}
     for k in ks:
-        t = weyl.signed_table(weyl.simple_reflection(rs, k).window)
+        t = gens[k].table
         left[k] = tuple([index.get(gather(t), i) for i, gather in enumerate(gathers)])
 
-    root_index = {beta: r for r, beta in enumerate(rs.positive_roots)}
-    alphas = {k: weyl.signed_table(rs.simple_root(k)) for k in ks}
+    alphas, root_index = root_tables(rs)
     lower: List[List[Tuple[int, int]]] = [[] for _ in elements]  # (source, witness)
     for i in range(1, len(elements)):
         k = next(k for k in ks if lengths[left[k][i]] < lengths[i])

@@ -126,6 +126,8 @@ def parse_fixture(text: str) -> Fixture:
         else:
             head, tail = text.split("/")
             q, p = tail.split("+")
+            if q[:1] != "P" or p[:1] != "P":
+                raise ValueError("node fields must start with P")
             t, n, q, p = head[0], head[1:], q[1:], p[1:]
         fields = t, int(n), int(q), int(p)
     except (ValueError, IndexError) as exc:

@@ -61,15 +61,22 @@ def _validate_weight(pq: ParabolicQuotient, weight: Weight) -> None:
 
 
 def pairing_with_coroot(pq: ParabolicQuotient, weight: Weight, root_idx: int) -> int:
-    """<lambda, beta^vee> as a sum of simple-coroot coefficients."""
+    """<lambda, beta^vee> as a sum of simple-coroot coefficients, for one
+    root: the path that `verify` checks `build_hasse` against."""
     coords = pq.rs.coroot_coords[root_idx]
     return sum(c * coords[n - 1] for n, c in weight)
 
 
 def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> HasseDiagram:
+    """The diagram of `weight` on `pq`.  The multiplicities of all positive
+    roots are summed one node of the weight at a time, each adding that
+    node's column of the coroot coordinates.  The edges keep the order of
+    `pq.covers`, which is sorted by (u, w) with one witness per pair."""
     wt = normalize_weight(weight)
     _validate_weight(pq, wt)
-    mults = [pairing_with_coroot(pq, wt, r) for r in range(len(pq.rs.positive_roots))]
+    coords = pq.rs.coroot_coords
+    mults = [0] * len(coords)
+    for n, c in wt:
+        mults = [m + c * x[n - 1] for m, x in zip(mults, coords)]
     edges = [Edge(c.u, c.w, mults[c.root], c.root) for c in pq.covers if mults[c.root] > 0]
-    edges.sort()
     return HasseDiagram(pq, wt, tuple(edges))

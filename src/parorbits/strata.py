@@ -24,8 +24,9 @@ that label against delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Dict, FrozenSet, List, Tuple
 
 from . import cosets, rootsys, weyl
@@ -43,13 +44,20 @@ class StrataError(ValueError):
 # delta and the combinatorial statistic d
 
 
+@lru_cache(maxsize=None)
+def _coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], List[int]]:
+    """2 omega_node^vee and its signed table, built once per root system."""
+    omega2 = rs.double_coweight(node)
+    return omega2, weyl.signed_table(omega2)
+
+
 def delta(fix: Fixture, w: WeylElement) -> int:
     """Stratum exponent of w: the q-power in the cominuscule quantum product,
     half of eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
     rs = fix.rs
-    omega2 = rs.double_coweight(fix.p_node)
-    moved = itemgetter(*w.window)(weyl.signed_table(omega2))  # w^-1(2 omega_p^vee)
-    twice = rootsys.eta(rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
+    omega2, table = _coweight_table(rs, fix.p_node)
+    moved = itemgetter(*w.window)(table)  # w^-1(2 omega_p^vee)
+    twice = rootsys.eta(rs, tuple(map(sub, omega2, moved)), fix.q_node)
     if twice % 2 or twice < 0:
         raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
     return twice // 2

@@ -10,6 +10,7 @@ dictionaries; nothing here depends on wall-clock or iteration order.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from . import cosets, decomp, hasse, seidel, strata, weyl
@@ -74,15 +75,18 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
 
 def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
     """Each edge is u * s_beta = w with multiplicity <lambda, beta^vee>,
-    s_beta and the pairing read once per root, not from the left table."""
+    s_beta and the pairing read once per root, not from the left table.
+    The window of u * s_beta is the window of s_beta gathered from the
+    signed table of u (`weyl.signed_table`): one getter per root, one
+    table per class, and no window product."""
     pq, diagram = dec.pq, dec.diagram
     roots = {e.root for e in diagram.edges}
-    reflections = {r: cosets.reflection_by_index(pq.rs, r).window for r in roots}
+    getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r).window) for r in roots}
     mults = {r: hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots}
     windows = [w.window for w in pq.elements]
+    tables = [weyl.signed_table(x) for x in windows]
     return all(
-        weyl.compose(windows[e.u], reflections[e.root]) == windows[e.w]
-        and mults[e.root] == e.mult
+        getters[e.root](tables[e.u]) == windows[e.w] and mults[e.root] == e.mult
         for e in diagram.edges
     )
 
@@ -102,12 +106,13 @@ def _check_seidel(
     # in type A, the sign parity keeping the second factor in W(D_(n-m)) in
     # type D, S_n for m = n; D_n has no fixture at m = n-1), so the signed
     # set of a window's first m = q_node entries is its class in W/W_Q
-    # (Bjorner-Brenti 8.1-8.2)
+    # (Bjorner-Brenti 8.1-8.2).  The head of v^2 * w is the head of w
+    # read through the signed table of v^2
     m = fix.q_node
-    vv = weyl.compose(v.window, v.window)
+    square = weyl.signed_table(weyl.compose(v.window, v.window))
     windows = [w.window for w in pq.elements]
     compose_ok = all(
-        set(weyl.compose(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
+        {square[b] for b in x[:m]} == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)
     )
 

@@ -20,7 +20,8 @@ instead of stripping descents, and `longest` reverses or negates each
 block instead of adding them.  Left multiplication acts on values: s_k
 changes only the entries +/-k and +/-(k+1), and `signed_table` turns s*w,
 and the vector w^-1(v), into one lookup per entry, indexed by signed
-value.  `enumerate_group` lists the minimal representatives of W_L / W_J
+value; `generator_tables` builds these tables for the simple reflections
+once per root system.  `enumerate_group` lists the minimal representatives of W_L / W_J
 without enumerating W_L, keeps s*w by Deodhar's test (one such vector and
 one set lookup), builds an element only for a window it keeps, and
 records each one's breadth-first level as its length, so that `_length`
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
@@ -153,6 +154,26 @@ def simple_reflection(rs: RootSystem, k: int) -> WeylElement:
     if not 1 <= k <= rs.rank:
         raise WeylError("simple reflection index %d out of range 1..%d" % (k, rs.rank))
     return reflection(rs, rs.simple_roots[k - 1])
+
+
+class Generator(NamedTuple):
+    """A simple reflection s as lookup tables (see `signed_table`)."""
+
+    table: List[int]  # signed table of the window of s
+    direction: Tuple[int, ...]  # `_root_direction` of s
+    direction_table: List[int]  # signed table of the direction
+
+
+@lru_cache(maxsize=None)
+def generator_tables(rs: RootSystem) -> Dict[int, Generator]:
+    """The tables of every simple reflection of `rs`, keyed by node, built
+    once per root system from the windows of `simple_reflection`."""
+    out = {}
+    for k in rs.nodes:
+        r = simple_reflection(rs, k).window
+        direction = _root_direction(r)
+        out[k] = Generator(signed_table(r), direction, signed_table(direction))
+    return out
 
 
 def reflection(rs: RootSystem, root: Vector) -> WeylElement:
@@ -373,11 +394,9 @@ def enumerate_group(
     levels are emitted in turn, each sorted by window, with each element's
     length seeded from its level.  Candidates are bare windows; only the
     kept ones become elements."""
-    reflections = [simple_reflection(rs, k).window for k in sorted(nodes)]
-    gens = [(signed_table(r), signed_table(_root_direction(r))) for r in reflections]
-    j_roots = {
-        _root_direction(simple_reflection(rs, k).window) for k in _checked_nodes(rs, j_set)
-    }
+    tables = generator_tables(rs)
+    gens = [(tables[k].table, tables[k].direction_table) for k in _checked_nodes(rs, nodes)]
+    j_roots = {tables[k].direction for k in _checked_nodes(rs, j_set)}
     level = [identity(rs).window]
     seen = set(level)
     out: List[WeylElement] = []

@@ -7,6 +7,8 @@ root from the simple roots' nonzero entries; `weyl.reflection` computes
 images only on the root's support.  Here each root pairs with every
 doubled coweight over every coordinate and is rebuilt as a full vector,
 and the reflection computes the image of every e_k as a full vector.
+`weyl.generator_tables` and `cosets.root_tables` are built once per root
+system; `fresh_signed_table` fills a signed table one entry at a time.
 """
 
 from parorbits import rootsys, weyl
@@ -111,3 +113,17 @@ def control_errors(type_label, rank):
         finally:
             setattr(rootsys, name, real)
     return out
+
+
+def classical_systems():
+    """A1-A8, B2-B8, C2-C8 and D4-D8."""
+    return [rootsys.build(t, n) for t in "ABCD" for n in range(rootsys.RANK_BOUNDS[t], 9)]
+
+
+def fresh_signed_table(v):
+    """t[b] = sign(b) * v[|b| - 1] for b in +/-1..+/-d, a negative b read
+    from the end of the list, filled one entry at a time."""
+    t = [0] * (2 * len(v) + 1)
+    for b, x in enumerate(v, 1):
+        t[b], t[-b] = x, -x
+    return t

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from parorbits import cli, cosets, decomp, rootsys, seidel, strata, weyl
-from parorbits.fixtures import Fixture
+from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 
 
 def run_cli(capsys, argv):
@@ -324,10 +324,23 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         code, out, err = run_cli_exiting(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    for label in ("C,x,2,4", ""):
+    for label in ("C,x,2,4", "", "C4/X2+Y4", "C4/22+34"):
         code, out, err = run_cli(capsys, ["verify", "--fixture", label])
         assert (code, out) == (1, ""), label
         assert err.startswith("error: cannot parse fixture") and err.count("\n") == 1
+
+
+def test_every_fixture_label_parses_in_both_forms():
+    # the node fields of a label must start with P; every canonical label
+    # of rank <= 6 and A7 (the benchmark's among them) and its comma form
+    # still parse
+    for fix in sweep_fixtures(7, 6, 6, 6):
+        assert parse_fixture(fix.label) == fix
+        comma = "%s,%d,%d,%d" % (fix.type_label, fix.rank, fix.q_node, fix.p_node)
+        assert parse_fixture(comma) == fix
+    for label in ("C4/X2+Y4", "C4/22+34", "C4/P2+Y4", "C4/X2+P4"):
+        with pytest.raises(FixtureError, match="cannot parse fixture"):
+            parse_fixture(label)
 
 
 def test_help_exits_0(capsys):

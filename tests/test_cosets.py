@@ -15,6 +15,7 @@ from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build, components
 
 from dynkin import subsets
+from roots import classical_systems, fresh_signed_table
 from windows import draw_window
 
 FIXTURES = [
@@ -521,7 +522,8 @@ def test_stratify_makes_no_window_product(monkeypatch):
 
 def test_chevalley_witness_check_builds_no_element(monkeypatch):
     # one reflection per witness root, built once and cached; every edge is
-    # then a window product
+    # then a gather from the signed table of its source, with no window
+    # product
     fix = Fixture("B", 6, 5, 1)
     dec = decomp.build_decomposition(fix)
     roots = {e.root for e in dec.diagram.edges}
@@ -537,9 +539,56 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
     assert verify._check_chevalley_witnesses(dec)
     assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
-    assert counts["compose"] == len(dec.diagram.edges), counts
+    assert counts["compose"] == 0, counts
     assert verify._check_chevalley_witnesses(dec)
     assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
+    # the spy is live
+    weyl.compose(dec.pq.elements[1].window, dec.pq.elements[1].window)
+    assert counts["compose"] == 1, counts
+    # negative control: one edge retargeted to another class of the same
+    # length fails the check
+    elements = dec.pq.elements
+    edges = list(dec.diagram.edges)
+    for i, e in enumerate(edges):
+        same = [k for k, w in enumerate(elements) if w.length == elements[e.w].length and k != e.w]
+        if same:
+            edges[i] = e._replace(w=same[0])
+            break
+    assert edges != list(dec.diagram.edges)
+    bad = dataclasses.replace(dec, diagram=dataclasses.replace(dec.diagram, edges=tuple(edges)))
+    assert not verify._check_chevalley_witnesses(bad)
+
+
+def test_root_tables_match_a_fresh_recomputation():
+    # A1-A8, B2-B8, C2-C8 and D4-D8: the signed table of each simple root
+    # and the index of each positive root
+    for rs in classical_systems():
+        alphas, root_index = cosets.root_tables(rs)
+        assert sorted(alphas) == list(rs.nodes), rs
+        for k in rs.nodes:
+            assert alphas[k] == fresh_signed_table(rs.simple_root(k)), (rs, k)
+        assert len(root_index) == len(rs.positive_roots), rs
+        for r, beta in enumerate(rs.positive_roots):
+            assert root_index[beta] == r, (rs, beta)
+        assert cosets.root_tables(rs)[1] is root_index
+
+
+def test_quotient_builds_make_no_signed_table(monkeypatch):
+    # cold B6/P5+P1: X's quotient and its flag quotients read the tables
+    # that each root system builds once, 2 per node for the generators and
+    # 1 per node for the simple roots, and make no signed table themselves
+    fix = Fixture("B", 6, 5, 1)
+    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
+    assert len(k_sets) > 1
+    tables = (weyl.generator_tables, cosets.root_tables)
+    for cache in (cosets.build_quotient, weyl.enumerate_group) + tables:
+        cache.cache_clear()
+    counts = _count_calls(monkeypatch, weyl, ("signed_table",))
+    build_quotient(fix.rs, fix.j_q)
+    for k_set in k_sets:
+        build_quotient(fix.rs, k_set, fix.j_p)
+    assert counts["signed_table"] == 3 * fix.rs.rank, counts
+    assert [t.cache_info().misses for t in tables] == [1, 1]
 
 
 def test_decomposition_enumerates_no_group(monkeypatch):

@@ -4,11 +4,12 @@ from math import factorial
 
 import pytest
 
-from parorbits import cosets, hasse, weyl
+from parorbits import cosets, decomp, hasse, weyl
+from parorbits import fixtures as fixtures_module
 from parorbits.cosets import build_quotient
 from parorbits.decomp import emit_plain
-from parorbits.fixtures import Fixture
-from parorbits.hasse import HasseError, build_hasse
+from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
+from parorbits.hasse import Edge, HasseError, build_hasse
 from parorbits.rootsys import build
 
 FIXTURES = [
@@ -120,6 +121,38 @@ def test_multiplicity_recomputation_from_witnesses():
             s = cosets.reflection_by_index(pq.rs, e.root)
             assert weyl.multiply(pq.elements[e.u], s) == pq.elements[e.w]
             assert hasse.pairing_with_coroot(pq, hd.weight, e.root) == e.mult
+
+
+def _per_root_edges(pq, weight):
+    """The edges by the path `build_hasse` replaced: `pairing_with_coroot`
+    once per positive root, then a sort."""
+    mults = [hasse.pairing_with_coroot(pq, weight, r) for r in range(len(pq.rs.positive_roots))]
+    return tuple(sorted(Edge(c.u, c.w, mults[c.root], c.root) for c in pq.covers if mults[c.root] > 0))
+
+
+def _check_every_diagram(fix):
+    """X's diagram and every flag diagram of the fixture: edges strictly
+    increasing in (u, w), and equal to the per-root path's."""
+    dec = decomp.build_decomposition(fix)
+    flags = [c.flag_diagram for c in dec.comparisons if c.flag_diagram is not None]
+    for hd in [dec.diagram] + flags:
+        keys = [(e.u, e.w) for e in hd.edges]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (fix.label, hd.weight)
+        assert hd.edges == _per_root_edges(hd.quotient, hd.weight), (fix.label, hd.weight)
+    return len(flags)
+
+
+def test_edges_keep_cover_order_and_per_root_multiplicities():
+    # build_hasse keeps the order of the covers, with no sort, and sums
+    # coroot columns; both are checked on every fixture of rank <= 6 and A7
+    flags = sum(_check_every_diagram(fix) for fix in sweep_fixtures(7, 6, 6, 6))
+    assert flags > 0
+
+
+@pytest.mark.parametrize("label", ["C8/P4+P8", "D8/P4+P8", "B8/P7+P1"])
+def test_edges_keep_cover_order_at_rank_8(monkeypatch, label):
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))
+    assert _check_every_diagram(parse_fixture(label)) > 0
 
 
 def test_type_a_diagrams_are_multiplicity_free():

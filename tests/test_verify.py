@@ -5,9 +5,9 @@ from math import factorial
 
 import pytest
 
-from parorbits import cli, cosets, decomp, rootsys, seidel, strata, verify, weyl
+from parorbits import cli, cosets, decomp, hasse, rootsys, seidel, strata, verify, weyl
 from parorbits import fixtures as fixtures_module
-from parorbits.fixtures import Fixture, parse_fixture
+from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from cases import d_of, expected_fiber_dim
@@ -263,3 +263,56 @@ def test_signed_set_key_matches_min_rep_up_to_rank_8():
                         assert pq.elements[keys[key]] == expected, (t, n, m, w)
                         products += 1
     assert products == 50076
+
+
+def _chevalley_by_compose(dec):
+    """`verify._check_chevalley_witnesses` by the path it replaced: one
+    window product u * s_beta per edge."""
+    pq, diagram = dec.pq, dec.diagram
+    return all(
+        weyl.compose(pq.elements[e.u].window, cosets.reflection_by_index(pq.rs, e.root).window)
+        == pq.elements[e.w].window
+        and hasse.pairing_with_coroot(pq, diagram.weight, e.root) == e.mult
+        for e in diagram.edges
+    )
+
+
+def _seidel_composition_by_compose(dec, v, perm):
+    """The `seidel_composition` check by the path it replaced: the head of
+    v^2 * w as a window product, one per class."""
+    m = dec.fixture.q_node
+    vv = weyl.compose(v.window, v.window)
+    windows = [w.window for w in dec.pq.elements]
+    return all(
+        set(weyl.compose(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
+        for k, x in enumerate(windows)
+    )
+
+
+def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
+    # every fixture of rank <= 6, q_node = 1 among them: the same verdicts
+    # on the pipeline's own data and on a copy with one damaged edge and
+    # two Seidel images swapped
+    fixtures = sweep_fixtures(6, 6, 6, 6)
+    assert any(fix.q_node == 1 for fix in fixtures)
+    damaged_seidel = []
+    for fix in fixtures:
+        dec = decomp.build_decomposition(fix)
+        v = seidel.v_elt(fix.rs, fix.p_node)
+        perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
+        assert verify._check_chevalley_witnesses(dec) and _chevalley_by_compose(dec), fix.label
+        assert verify._check_seidel(dec, v, perm, qexp)["seidel_composition"], fix.label
+        assert _seidel_composition_by_compose(dec, v, perm), fix.label
+
+        first = dec.diagram.edges[0]
+        edges = (first._replace(w=first.u),) + dec.diagram.edges[1:]
+        bad = dataclasses.replace(dec, diagram=dataclasses.replace(dec.diagram, edges=edges))
+        assert not verify._check_chevalley_witnesses(bad) and not _chevalley_by_compose(bad)
+
+        swapped = list(perm)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        verdict = verify._check_seidel(dec, v, swapped, qexp)["seidel_composition"]
+        assert verdict == _seidel_composition_by_compose(dec, v, swapped), fix.label
+        damaged_seidel.append((fix.q_node == 1, verdict))
+    # the swap is caught with q_node = 1 and without
+    assert {single for single, ok in damaged_seidel if not ok} == {True, False}

@@ -22,7 +22,7 @@ from parorbits.weyl import (
 )
 
 from covers import reflection_image
-from roots import dense_reflection
+from roots import classical_systems, dense_reflection, fresh_signed_table
 from windows import (
     draw_window,
     inverse,
@@ -283,6 +283,22 @@ def test_weyl_reads_no_root_vectors():
             ):
                 readers.setdefault(node.attr, set()).add(getattr(top, "name", None))
     assert readers == {"simple_roots": {"simple_reflection"}}
+
+
+def test_generator_tables_match_a_fresh_recomputation():
+    # each node's tables, from the dense reflection in alpha_k; the root
+    # direction is alpha_k itself, doubled only at the short node n of B_n
+    for rs in classical_systems():
+        tables = weyl.generator_tables(rs)
+        assert sorted(tables) == list(rs.nodes), rs
+        for k, gen in tables.items():
+            alpha = rs.simple_root(k)
+            scale = 2 if rs.type_label == "B" and k == rs.rank else 1
+            direction = tuple(scale * x for x in alpha)
+            assert gen.table == fresh_signed_table(dense_reflection(rs, alpha)), (rs, k)
+            assert gen.direction == direction, (rs, k)
+            assert gen.direction_table == fresh_signed_table(direction), (rs, k)
+        assert weyl.generator_tables(rs) is tables
 
 
 def test_reduced_words_roundtrip():
