@@ -5,8 +5,9 @@ subgroup (node subset), which lets the flag varieties appearing inside
 orbit strata reuse the same machinery.  Elements are minimal-length coset
 representatives, graded by length.  Each quotient records how every
 simple reflection of its node set acts on it from the left, as a table of
-indices; the covers, with a positive-root witness beta such that
-w = u * s_beta, and the W_P-orbits are both read from that table.
+indices that the enumerator's breadth-first pass fills on the way; the
+covers, with a positive-root witness beta such that w = u * s_beta, and
+the W_P-orbits are both read from that table.
 `fixtures.Fixture` alone decides which quotients belong to the supported
 family.
 """
@@ -89,12 +90,13 @@ def build_quotient(
     """Graded quotient W_L / W_J with its left action, covers and root
     witnesses.
 
-    `left[k][i]` is the index of s_k*w_i, or i when s_k*w_i lies in
-    w_i W_J (Deodhar's lemma, Bjorner-Brenti Lemma 2.4.3), read through
-    the signed table of s_k (`weyl.generator_tables`).  The covers follow
-    from it by du Cloux's coatom recursion, which rests on the lifting
-    property (Bjorner-Brenti Prop. 2.2.7): with s = s_k the first left
-    descent of w and p = s*w, the lower covers of w are p itself, with
+    The elements, their index and the left action come from the one
+    breadth-first pass of `weyl.enumerate_group`: `left[k][i]` is the
+    index of s_k*w_i, or i when s_k*w_i lies in w_i W_J (Deodhar's lemma,
+    Bjorner-Brenti Lemma 2.4.3).  The covers follow from it by du Cloux's
+    coatom recursion, which rests on the lifting property (Bjorner-Brenti
+    Prop. 2.2.7): with s = s_k the first left descent of w, which the pass
+    recorded, and p = s*w, the lower covers of w are p itself, with
     witness beta = p^-1(alpha_k) (so w = p*s_beta), and s*y for every
     lower cover y of p with s*y in W^Q one longer than y, with y's witness
     (s*y*s_beta = s*p = w).  These sources are distinct: left
@@ -107,35 +109,31 @@ def build_quotient(
         nodes = frozenset(rs.nodes)
     if not j_q <= nodes:
         raise CosetError("J_Q %s is not contained in the node set %s" % (sorted(j_q), sorted(nodes)))
-    elements = weyl.enumerate_group(rs, nodes, j_q)
-    index = {w.window: k for k, w in enumerate(elements)}
+    enumeration = weyl.enumerate_group(rs, nodes, j_q)
+    elements = tuple(enumeration)
+    left, descent = enumeration.left, enumeration.descent
     lengths = [w.length for w in elements]
-    gathers = [itemgetter(*w.window) for w in elements]
-    ks = sorted(nodes)
-    gens = weyl.generator_tables(rs)
-    left: Dict[int, Tuple[int, ...]] = {}
-    for k in ks:
-        t = gens[k].table
-        left[k] = tuple([index.get(gather(t), i) for i, gather in enumerate(gathers)])
-
     alphas, root_index = root_tables(rs)
     lower: List[List[Tuple[int, int]]] = [[] for _ in elements]  # (source, witness)
     for i in range(1, len(elements)):
-        k = next(k for k in ks if lengths[left[k][i]] < lengths[i])
+        k = descent[i]
         row = left[k]
         p = row[i]
-        beta = root_index[gathers[p](alphas[k])]
+        beta = root_index[itemgetter(*elements[p].window)(alphas[k])]
         lower[i] = [(p, beta)] + [
             (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
         ]
     # bucketed by source, each bucket filled in target order: as each
-    # (u, w) has one witness, the buckets read in turn are sorted
+    # (u, w) has one witness, the buckets read in turn are sorted; the
+    # tuples are made as `Cover._make` makes them, without the NamedTuple's
+    # Python-level __new__
+    new = tuple.__new__
     upper: List[List[Cover]] = [[] for _ in elements]
     for w, below in enumerate(lower):
         for u, r in below:
-            upper[u].append(Cover(u, w, r))
+            upper[u].append(new(Cover, (u, w, r)))
     covers = tuple(chain.from_iterable(upper))
-    return ParabolicQuotient(rs, nodes, j_q, elements, covers, index, left)
+    return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,5 +78,7 @@ def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> Ha
     mults = [0] * len(coords)
     for n, c in wt:
         mults = [m + c * x[n - 1] for m, x in zip(mults, coords)]
-    edges = [Edge(c.u, c.w, mults[c.root], c.root) for c in pq.covers if mults[c.root] > 0]
+    # made as `Edge._make` makes them, without the NamedTuple's Python-level __new__
+    new = tuple.__new__
+    edges = [new(Edge, (u, w, mults[r], r)) for u, w, r in pq.covers if mults[r] > 0]
     return HasseDiagram(pq, wt, tuple(edges))

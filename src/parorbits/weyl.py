@@ -21,11 +21,14 @@ block instead of adding them.  Left multiplication acts on values: s_k
 changes only the entries +/-k and +/-(k+1), and `signed_table` turns s*w,
 and the vector w^-1(v), into one lookup per entry, indexed by signed
 value; `generator_tables` builds these tables for the simple reflections
-once per root system.  `enumerate_group` lists the minimal representatives of W_L / W_J
-without enumerating W_L, keeps s*w by Deodhar's test (one such vector and
-one set lookup), builds an element only for a window it keeps, and
-records each one's breadth-first level as its length, so that `_length`
-runs only for elements built elsewhere.
+once per root system.  `enumerate_group` lists the minimal representatives
+of W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps
+s*w by Deodhar's test (one such vector and one set lookup), builds an
+element only for a window it keeps, records each one's breadth-first
+level as its length, so that `_length` runs only for elements built
+elsewhere, and keeps what the pass meets on the way, the window index,
+the left action of every generator as rows of indices and each element's
+first left descent, for `cosets.build_quotient` to read.
 """
 
 from __future__ import annotations
@@ -377,40 +380,106 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         lw -= 1
 
 
+class Enumeration(tuple):
+    """The elements that `enumerate_group` lists, in order, carrying what
+    its breadth-first pass recorded on the way:
+      * `index` is a dict from each window to its position; it shadows
+        the `tuple.index` method, so `tuple.index(enumeration, w)` is the
+        way to search the elements;
+      * `left[k][i]` is the position of s_k*w_i, or i when s_k*w_i lies
+        in w_i W_J, for every node k of L;
+      * `descent[i]` is the least node k with s_k*w_i shorter than w_i,
+        0 for the identity.
+    The result is cached, and the `cosets.ParabolicQuotient` built from it
+    shares its `index` dict and `left` rows, so neither may be mutated.
+    It is a tuple of the elements and not a plain record because the
+    benchmark's tracer sizes the enumerator's result with `len()`; the
+    benchmark change of ROADMAP item 4 is what could turn it into one.
+    `len()`, iteration and equality are those of the tuple of elements."""
+
+    index: Dict[Window, int]
+    left: Dict[int, Tuple[int, ...]]
+    descent: Tuple[int, ...]
+
+    def __new__(cls, elements, index, left, descent):
+        self = super().__new__(cls, elements)
+        self.index, self.left, self.descent = index, left, descent
+        return self
+
+
 @lru_cache(maxsize=None)
 def enumerate_group(
     rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int] = frozenset()
-) -> Tuple[WeylElement, ...]:
+) -> Enumeration:
     """Minimal representatives of W_L / W_J (L = `nodes`; all of W_L for J
-    empty), sorted by (length, window): breadth-first by left simple
-    reflections s of L, keeping s*w when it lies in W^J.  By Deodhar's
-    lemma (Bjorner-Brenti Lemma 2.4.3), for w in W^J either s*w is in W^J
-    or s*w = w*t for a t in J, and the latter holds exactly when
-    w^-1(alpha_s) = alpha_t.  So one getter per w reads both s*w and that
-    vector through signed tables, and the test is one set lookup.  This
-    reaches all of W^J.  Each kept step changes the length by exactly 1,
-    and every w in W^J of length l > 0 has a left descent s with s*w in W^J
-    of length l - 1, so an element's breadth-first level is its length:
-    levels are emitted in turn, each sorted by window, with each element's
-    length seeded from its level.  Candidates are bare windows; only the
-    kept ones become elements."""
+    empty), sorted by (length, window), in one breadth-first pass by left
+    simple reflections s of L.  By Deodhar's lemma (Bjorner-Brenti Lemma
+    2.4.3), for w in W^J either s*w is in W^J or s*w = w*t for a t in J,
+    and the latter holds exactly when w^-1(alpha_s) = alpha_t.  So one
+    getter per w reads both s*w and that vector through signed tables,
+    and the test is one set lookup.  This reaches all of W^J.  Each kept
+    step changes the length by exactly 1, and every w in W^J of length
+    l > 0 has a left descent s with s*w in W^J of length l - 1, so an
+    element's breadth-first level is its length: levels are emitted in
+    turn, each sorted by window, with each element's length seeded from
+    its level.  Candidates are bare windows; only the kept ones become
+    elements.
+
+    Each level is indexed when it is emitted, and its left rows start as
+    placeholders, so every step from w_i is one of three (Deodhar's
+    dichotomy): down to an indexed element j of the level below, which
+    fills left[k] at i and at j (s_k is an involution); inside w_i W_J,
+    which gives i; or up into the next level, which leaves the placeholder
+    for the step back down from there to overwrite.  A window of the next
+    level is held in the index at -1 until its level is sorted, so each
+    is kept once.  The first step down, in ascending node order, is the
+    element's first left descent.  A placeholder left over would mean a
+    generator that is not an involution, and raises WeylError.  The
+    result is an `Enumeration`, whose `index` attribute is the window
+    index and not `tuple.index`."""
     tables = generator_tables(rs)
-    gens = [(tables[k].table, tables[k].direction_table) for k in _checked_nodes(rs, nodes)]
+    ks = _checked_nodes(rs, nodes)
     j_roots = {tables[k].direction for k in _checked_nodes(rs, j_set)}
-    level = [identity(rs).window]
-    seen = set(level)
+    rows: List[List[int]] = [[] for _ in ks]
+    steps = [(k, tables[k].table, tables[k].direction_table, row) for k, row in zip(ks, rows)]
+    index: Dict[Window, int] = {}
+    lookup = index.get
+    descent: List[int] = []
     out: List[WeylElement] = []
+    level = [identity(rs).window]
     length = 0
     while level:
+        base = len(out)
+        index.update(zip(level, range(base, base + len(level))))
         out.extend(_element_of_length(rs, x, length) for x in level)
+        placeholders = [-1] * len(level)
+        for row in rows:
+            row.extend(placeholders)
         nxt = []
-        for ww in level:
+        for i, ww in enumerate(level, base):
             gather = itemgetter(*ww)
-            for left, root in gens:
-                x = gather(left)
-                if x not in seen and gather(root) not in j_roots:
-                    seen.add(x)
-                    nxt.append(x)
+            first = 0
+            for k, table, root, row in steps:
+                x = gather(table)
+                j = lookup(x)
+                if j is None:  # inside w_i W_J, or new in the next level
+                    if gather(root) in j_roots:
+                        row[i] = i
+                    else:
+                        index[x] = -1
+                        nxt.append(x)
+                elif j >= 0:  # down to the level below
+                    row[i] = j
+                    row[j] = i
+                    first = first or k
+            descent.append(first)
         level = sorted(nxt)
         length += 1
-    return tuple(out)
+    for k, row in zip(ks, rows):
+        if -1 in row:
+            raise WeylError(
+                "left row of node %d left unresolved at %s"
+                % (k, window_str(out[row.index(-1)].window))
+            )
+    left = {k: tuple(row) for k, row in zip(ks, rows)}
+    return Enumeration(out, index, left, tuple(descent))

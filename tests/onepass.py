@@ -1,0 +1,81 @@
+"""Test-only oracles for the one breadth-first pass of `weyl.enumerate_group`.
+
+The enumerator records, while it walks the levels, each element's index,
+the left row of every generator and each element's first left descent,
+and `cosets.build_quotient` reads them.  These are the paths they
+replaced: a breadth-first search that keeps only the windows it meets
+(a `seen` set), then a left table that recomputes every s_k * w and looks
+it up in a fresh window index, and a search of each element's nodes for
+its first left descent.  The covers and witnesses that the recursion reads
+off these are checked against the all-roots loop in `test_covers.py`.
+"""
+
+from operator import itemgetter
+
+from parorbits import weyl
+
+
+def seen_set_levels(rs, nodes, j_set):
+    """Windows of W_L / W_J sorted by (length, window), with their
+    breadth-first levels: keep s * w when it is new and Deodhar's test puts
+    it in W^J."""
+    tables = weyl.generator_tables(rs)
+    gens = [(tables[k].table, tables[k].direction_table) for k in sorted(nodes)]
+    j_roots = {tables[k].direction for k in j_set}
+    level = [weyl.identity(rs).window]
+    seen = set(level)
+    windows, lengths = [], []
+    length = 0
+    while level:
+        windows += level
+        lengths += [length] * len(level)
+        nxt = []
+        for ww in level:
+            gather = itemgetter(*ww)
+            for left, root in gens:
+                x = gather(left)
+                if x not in seen and gather(root) not in j_roots:
+                    seen.add(x)
+                    nxt.append(x)
+        level = sorted(nxt)
+        length += 1
+    return windows, lengths
+
+
+def left_table(rs, windows, nodes):
+    """The window index, and left[k][i] = the index of s_k * w_i, or i when
+    s_k * w_i is not in the quotient, by recomputing every product."""
+    index = {w: k for k, w in enumerate(windows)}
+    gathers = [itemgetter(*w) for w in windows]
+    gens = weyl.generator_tables(rs)
+    left = {
+        k: tuple([index.get(gather(gens[k].table), i) for i, gather in enumerate(gathers)])
+        for k in sorted(nodes)
+    }
+    return index, left
+
+
+def first_descents(lengths, left):
+    """The least node k with s_k * w_i shorter than w_i, 0 for the identity."""
+    ks = sorted(left)
+    return (0,) + tuple(
+        next(k for k in ks if lengths[left[k][i]] < lengths[i]) for i in range(1, len(lengths))
+    )
+
+
+def check_quotient(pq):
+    """Assert that the quotient and the enumeration it was built from agree
+    with the oracles above: elements, lengths, index, left rows and first
+    descents; and that the covers come out sorted."""
+    rs, nodes, j_set = pq.rs, pq.nodes, pq.j_q
+    windows, lengths = seen_set_levels(rs, nodes, j_set)
+    index, left = left_table(rs, windows, nodes)
+    descents = first_descents(lengths, left)
+    enumeration = weyl.enumerate_group(rs, nodes, j_set)
+    for got in (enumeration, pq.elements):
+        assert [w.window for w in got] == windows, pq
+        assert [w.length for w in got] == lengths, pq
+    assert enumeration.index == index == pq.index, pq
+    assert enumeration.left == left == pq.left, pq
+    assert enumeration.descent == descents, pq
+    assert pq.covers == tuple(sorted(pq.covers)), pq

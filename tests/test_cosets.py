@@ -486,6 +486,9 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     def enumerate_spy(rs, nodes, j_set=frozenset()):
         before = counts["built"]
         result = real_enumerate(rs, nodes, j_set)
+        # every element kept goes through WeylElement.__init__, so a
+        # shortcut past it cannot leave the bound below vacuous
+        assert counts["built"] - before >= len(result), (counts, len(result))
         counts["built_enumerating"] += counts["built"] - before
         counts["allowed"] += len(result) + len(nodes)
         return result

@@ -1,0 +1,100 @@
+"""The one breadth-first pass of `weyl.enumerate_group` and the quotients
+`cosets.build_quotient` reads off it, against the test-only oracles of
+`onepass.py`; and the parts of the enumerator's result that the
+benchmark relies on."""
+
+import pytest
+
+from parorbits import cosets, strata, weyl
+from parorbits.cosets import build_quotient
+from parorbits.fixtures import sweep_fixtures
+from parorbits.rootsys import RANK_BOUNDS, build
+
+from onepass import check_quotient
+
+
+@pytest.mark.parametrize("t", "ABCD")
+def test_one_pass_matches_oracle_on_maximal_quotients(t):
+    # A1-A8, B2-B8, C2-C8 and D4-D8, every q (D_n/P_(n-1) included); built
+    # through rootsys.build, not a Fixture, so the bound on |W| that
+    # fixtures apply does not stop rank 7 or 8
+    for n in range(RANK_BOUNDS[t], 9):
+        rs = build(t, n)
+        nodes = frozenset(rs.nodes)
+        for q in rs.nodes:
+            check_quotient(build_quotient(rs, nodes - {q}))
+
+
+def test_one_pass_matches_oracle_on_flag_quotients_of_the_sweep():
+    # every flag quotient (rs, K, J_P) of the fixtures of rank <= 5
+    keys = {
+        (fix.rs, frozenset(st.K), frozenset(st.dc.j_p))
+        for fix in sweep_fixtures(5, 5, 5, 5)
+        for st in strata.stratify(fix)[1]
+    }
+    assert len(keys) > 100
+    for rs, k_set, j_p in keys:
+        check_quotient(build_quotient(rs, k_set, j_p))
+
+
+def test_one_pass_on_the_whole_group():
+    # J empty: every step goes up or down, and the first left descent of
+    # w is the least k with l(s_k w) < l(w), read off the rows
+    rs = build("B", 3)
+    group = weyl.enumerate_group(rs, frozenset(rs.nodes))
+    assert len(group) == 48 and group.descent[0] == 0
+    for i, w in enumerate(group):
+        assert group.index[w.window] == i
+        for k, row in group.left.items():
+            s_w = weyl.multiply(weyl.simple_reflection(rs, k), w)
+            assert group[row[i]] == s_w and row[i] != i
+        if i:
+            k = group.descent[i]
+            assert group[group.left[k][i]].length == w.length - 1
+            assert all(group[group.left[j][i]].length > w.length for j in rs.nodes if j < k)
+
+
+def test_unresolved_placeholder_names_node_and_window(monkeypatch):
+    # negative control: s_1 replaced by the 3-cycle (2,3,1), which is not an
+    # involution; its step up from (2,3,1) is never stepped back down
+    rs = build("A", 2)
+    real = weyl.generator_tables(rs)
+    cycle = weyl.Generator(weyl.signed_table((2, 3, 1)), real[1].direction, real[1].direction_table)
+    monkeypatch.setattr(weyl, "generator_tables", lambda rs: {**real, 1: cycle})
+    with pytest.raises(weyl.WeylError, match=r"^left row of node 1 left unresolved at \(2,3,1\)$"):
+        weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes))
+    monkeypatch.undo()
+    assert len(weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes))) == 6
+
+
+def test_enumeration_is_the_tuple_of_its_elements():
+    rs = build("C", 3)
+    nodes = frozenset(rs.nodes)
+    enumeration = weyl.enumerate_group(rs, nodes, frozenset({1, 2}))
+    elements = tuple(enumeration)
+    assert isinstance(enumeration, tuple) and enumeration == elements
+    assert len(enumeration) == 8 and list(enumeration) == list(elements)
+    assert enumeration[1:] == elements[1:]
+    pq = build_quotient(rs, frozenset({1, 2}))
+    assert pq.elements == elements
+    # `index` is the window index, shadowing the tuple method, and the
+    # quotient shares it and the left rows with the cached enumeration
+    w = elements[5]
+    assert enumeration.index[w.window] == tuple.index(enumeration, w) == 5
+    assert not callable(enumeration.index)
+    assert pq.index is enumeration.index and pq.left is enumeration.left
+
+
+def test_benchmark_contract_sizes_and_caches():
+    # the benchmark's tracer sizes a cache miss of the enumerator by len()
+    # and of the quotient build by its element count, and clears and
+    # inspects both caches by these names
+    for fix in sweep_fixtures(3, 3, 3, 3):
+        for nodes, j_set in [(None, fix.j_q)] + [
+            (frozenset(st.dc.j_p), frozenset(st.K)) for st in strata.stratify(fix)[1]
+        ]:
+            pq = build_quotient(fix.rs, j_set, nodes)
+            assert len(weyl.enumerate_group(fix.rs, pq.nodes, j_set)) == len(pq.elements)
+    for cached in (weyl.enumerate_group, cosets.build_quotient):
+        assert callable(cached.cache_info) and callable(cached.cache_clear)
+        assert cached.cache_info().currsize > 0
