@@ -14,7 +14,6 @@ family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -35,8 +34,12 @@ class Cover(NamedTuple):
     root: int  # index into rs.positive_roots
 
 
-@dataclass(frozen=True, eq=False)
-class ParabolicQuotient:
+class ParabolicQuotient(NamedTuple):
+    """A graded quotient with its left action and covers.  It compares and
+    hashes by identity, as its dict fields cannot be hashed.  The `index`
+    field, the window index, shadows the `tuple.index` method, as
+    `weyl.Enumeration.index` does."""
+
     rs: RootSystem
     nodes: FrozenSet[int]
     j_q: FrozenSet[int]
@@ -45,6 +48,8 @@ class ParabolicQuotient:
     index: Dict[Tuple[int, ...], int]
     #: left[k][i] is the index of s_k * w_i, or i when it lies in w_i W_J
     left: Dict[int, Tuple[int, ...]]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __repr__(self) -> str:
         return "ParabolicQuotient(%s%d, nodes=%s, J_Q=%s, %d elements)" % (
@@ -136,13 +141,16 @@ def build_quotient(
     return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left)
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
+    """One W_P-orbit of a quotient; compares and hashes by identity."""
+
     pq: ParabolicQuotient
     j_p: FrozenSet[int]
     members: Tuple[int, ...]  # sorted element indices
     w_min: WeylElement
     w_max: WeylElement
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def size(self) -> int:

@@ -14,9 +14,8 @@ Output formats: DOT, TikZ and JSON, all byte-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import cosets, hasse, strata, weyl
 from .cosets import ParabolicQuotient
@@ -31,8 +30,10 @@ class DecompositionError(ValueError):
     """Cell-map certification failure; carries the offending element."""
 
 
-@dataclass(frozen=True, eq=False)
-class StratumComparison:
+class StratumComparison(NamedTuple):
+    """One stratum against its flag diagram; compares and hashes by
+    identity."""
+
     stratum: OrbitStratum
     flag_quotient: ParabolicQuotient
     flag_diagram: Optional[HasseDiagram]
@@ -42,9 +43,13 @@ class StratumComparison:
     edges_match: bool
     mismatches: Tuple[str, ...]
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass(frozen=True, eq=False)
-class DecomposedDiagram:
+
+class DecomposedDiagram(NamedTuple):
+    """A fixture's diagram split into strata; compares and hashes by
+    identity."""
+
     fixture: Fixture
     pq: ParabolicQuotient
     diagram: HasseDiagram
@@ -53,6 +58,8 @@ class DecomposedDiagram:
     vertex_stratum: Tuple[int, ...]
     cross_edges: Tuple[Edge, ...]
     comparisons: Tuple[StratumComparison, ...]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def all_pass(self) -> bool:
         """Every stratum matches its flag diagram and every cross edge raises delta."""

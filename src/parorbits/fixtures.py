@@ -11,8 +11,7 @@ the covers and the interval certificates have no measured budget past rank 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List
+from typing import List
 
 from . import rootsys
 from .rootsys import RANK_BOUNDS, TYPE_LABELS, RootSystem
@@ -65,44 +64,58 @@ def grassmannian_label(type_label: str, rank: int, node: int) -> str:
     return "OG(%d,%d)" % (n if m == n - 1 else m, 2 * n)
 
 
-@dataclass(frozen=True)
 class Fixture:
-    type_label: str
-    rank: int
-    q_node: int
-    p_node: int
-    #: the root system, built once; not part of equality, hashing or repr
-    rs: RootSystem = field(init=False, repr=False, compare=False)
+    """X = G/P_(q_node) under the acting node p_node, validated on every
+    construction.  It compares, hashes and prints by its four fields; the
+    root system `rs` and the node sets `j_q` and `j_p` are built once, at
+    construction, and are left out of all three.  Immutable: `__setattr__`
+    refuses every assignment."""
 
-    def __post_init__(self):
-        rootsys.check_rank(self.type_label, self.rank)
-        if group_order(self.type_label, self.rank) > MAX_GROUP_ORDER:
+    __slots__ = ("type_label", "rank", "q_node", "p_node", "rs", "j_q", "j_p")
+
+    def __init__(self, type_label: str, rank: int, q_node: int, p_node: int) -> None:
+        rootsys.check_rank(type_label, rank)
+        if group_order(type_label, rank) > MAX_GROUP_ORDER:
             raise FixtureError(
-                "%s%d: |W| exceeds the enumeration bound %d"
-                % (self.type_label, self.rank, MAX_GROUP_ORDER)
+                "%s%d: |W| exceeds the enumeration bound %d" % (type_label, rank, MAX_GROUP_ORDER)
             )
-        object.__setattr__(self, "rs", rootsys.build(self.type_label, self.rank))
-        n = self.rank
-        if not 1 <= self.q_node <= n:
-            raise FixtureError("q_node %d out of range 1..%d" % (self.q_node, n))
-        if _picard_rank_two(self.type_label, n, self.q_node):
-            raise FixtureError(
-                "D_%d with q_node %d has Picard rank 2 -- excluded" % (n, n - 1)
-            )
-        allowed = rootsys.cominuscule_nodes(self.type_label, n)
-        if self.p_node not in allowed:
+        rs = rootsys.build(type_label, rank)
+        n = rank
+        if not 1 <= q_node <= n:
+            raise FixtureError("q_node %d out of range 1..%d" % (q_node, n))
+        if _picard_rank_two(type_label, n, q_node):
+            raise FixtureError("D_%d with q_node %d has Picard rank 2 -- excluded" % (n, n - 1))
+        allowed = rootsys.cominuscule_nodes(type_label, n)
+        if p_node not in allowed:
             raise FixtureError(
                 "node %d is not cominuscule for %s_%d (allowed: %s)"
-                % (self.p_node, self.type_label, n, sorted(allowed))
+                % (p_node, type_label, n, sorted(allowed))
             )
+        nodes = frozenset(rs.nodes)
+        # in the order of __slots__
+        values = (type_label, rank, q_node, p_node, rs, nodes - {q_node}, nodes - {p_node})
+        for name, value in zip(Fixture.__slots__, values):
+            object.__setattr__(self, name, value)
 
-    @property
-    def j_q(self) -> FrozenSet[int]:
-        return frozenset(self.rs.nodes) - {self.q_node}
+    def __setattr__(self, name, value):
+        raise AttributeError("Fixture is immutable: cannot assign %r" % name)
 
-    @property
-    def j_p(self) -> FrozenSet[int]:
-        return frozenset(self.rs.nodes) - {self.p_node}
+    def __delattr__(self, name):
+        raise AttributeError("Fixture is immutable: cannot delete %r" % name)
+
+    def _key(self):
+        return (self.type_label, self.rank, self.q_node, self.p_node)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Fixture(type_label=%r, rank=%r, q_node=%r, p_node=%r)" % self._key()
 
     @property
     def label(self) -> str:

@@ -10,7 +10,6 @@ the coefficient of the t-th simple coroot in beta^vee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .cosets import ParabolicQuotient
@@ -37,11 +36,15 @@ def normalize_weight(weight: Mapping[int, int] | Iterable[Tuple[int, int]]) -> W
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
+    """The edges of one weight on one quotient; compares and hashes by
+    identity, as the quotient does."""
+
     quotient: ParabolicQuotient
     weight: Weight
     edges: Tuple[Edge, ...]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _validate_weight(pq: ParabolicQuotient, weight: Weight) -> None:

@@ -27,10 +27,9 @@ Realizations (Bourbaki node numbering throughout):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -55,13 +54,13 @@ def _div(a: int, b: int, root: Vector) -> int:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Immutable exact data of one classical root system.
 
     Nodes are numbered 1..rank (Bourbaki).  `positive_roots` is sorted by
     height, then lexicographically, and that order is frozen: other modules
-    index roots by position in this tuple.
+    index roots by position in this tuple.  Equality and hashing read the
+    type and rank alone, not the tuple of fields.
     """
 
     type_label: str
@@ -84,6 +83,9 @@ class RootSystem:
             and self.type_label == other.type_label
             and self.rank == other.rank
         )
+
+    def __ne__(self, other) -> bool:  # tuple.__ne__ would compare every field
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.type_label, self.rank))

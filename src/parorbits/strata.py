@@ -23,11 +23,10 @@ that label against delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter, sub
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from . import cosets, rootsys, weyl
 from .cosets import DoubleCoset, ParabolicQuotient
@@ -115,8 +114,7 @@ def orbit_table(fix: Fixture) -> Dict[int, int]:
 # Levi flag descriptors
 
 
-@dataclass(frozen=True)
-class FlagComponent:
+class FlagComponent(NamedTuple):
     type_label: str
     rank: int
     #: ambient node of each Bourbaki position (position k is node k+1)
@@ -138,8 +136,7 @@ class FlagComponent:
         return "%s%d/P{%s}" % (t, r, ",".join(str(k) for k in marked))
 
 
-@dataclass(frozen=True)
-class FlagDescriptor:
+class FlagDescriptor(NamedTuple):
     components: Tuple[FlagComponent, ...]
     marked_ambient: Tuple[int, ...]
     dim: int
@@ -194,8 +191,10 @@ def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) 
 # strata
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitStratum:
+class OrbitStratum(NamedTuple):
+    """One orbit stratum with its invariants; compares and hashes by
+    identity, as its double coset does."""
+
     fixture: Fixture
     dc: DoubleCoset
     delta: int
@@ -204,6 +203,8 @@ class OrbitStratum:
     flag: FlagDescriptor
     fiber_dim: int
     doubling: bool
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def size(self) -> int:

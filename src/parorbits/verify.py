@@ -214,14 +214,12 @@ def run_verify(
 
 def corrupted_oracle_selftest() -> dict:
     """Negative control: a deliberately damaged stratum must fail certification."""
-    import dataclasses
-
     fix = Fixture("A", 3, 2, 2)
     pq, sts = strata.stratify(fix)
     middle = next(st for st in sts if st.size > 2)
     extremes = {pq.index_of(middle.dc.w_min), pq.index_of(middle.dc.w_max)}
     interior = [k for k in middle.dc.members if k not in extremes]
     keep = tuple(sorted(set(middle.dc.members) - {interior[0]}))
-    corrupted = dataclasses.replace(middle.dc, members=keep)
+    corrupted = middle.dc._replace(members=keep)
     detected = not cosets.certify_interval([corrupted])
     return {"self_test_corrupt": {"detected": detected}}

@@ -33,8 +33,7 @@ first left descent, for `cosets.build_quotient` to read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -47,10 +46,25 @@ class WeylError(ValueError):
     """Invalid window or node, or mismatched operands."""
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElement:
-    rs: RootSystem
-    window: Window
+    """An element of the Weyl group of `rs`, as its window.
+
+    Immutable: `__setattr__` refuses every assignment, and `__init__`, which
+    every construction passes through, fills the slots through their
+    descriptors.  `length` is computed on its first read, unless
+    `_element_of_length` filled the slot; there is no per-instance dict."""
+
+    __slots__ = ("rs", "window", "_length")
+
+    def __init__(self, rs: RootSystem, window: Window) -> None:
+        _set_rs(self, rs)
+        _set_window(self, window)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeylElement is immutable: cannot assign %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("WeylElement is immutable: cannot delete %r" % name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -65,9 +79,19 @@ class WeylElement:
     def __repr__(self) -> str:
         return "W%s%d%s" % (self.rs.type_label, self.rs.rank, window_str(self.window))
 
-    @cached_property
+    @property
     def length(self) -> int:
-        return _length(self.rs, self.window)
+        try:
+            return self._length
+        except AttributeError:
+            length = _length(self.rs, self.window)
+            _set_length(self, length)
+            return length
+
+
+_set_rs = WeylElement.rs.__set__
+_set_window = WeylElement.window.__set__
+_set_length = WeylElement._length.__set__
 
 
 def window_str(window: Window) -> str:
@@ -141,10 +165,10 @@ def element(rs: RootSystem, window: Iterable[int]) -> WeylElement:
 
 
 def _element_of_length(rs: RootSystem, window: Window, length: int) -> WeylElement:
-    """An element whose length is already known: fills the cached slot, so
+    """An element whose length is already known: fills the length slot, so
     that `_length` never runs for it."""
     w = WeylElement(rs, window)
-    w.__dict__["length"] = length
+    _set_length(w, length)
     return w
 
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import time
@@ -249,7 +248,7 @@ def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
     def reversed_deltas(fix):
         pq, sts = real_stratify(fix)
         top = max(st.delta for st in sts)
-        return pq, tuple(dataclasses.replace(st, delta=top - st.delta) for st in sts)
+        return pq, tuple(st._replace(delta=top - st.delta) for st in sts)
 
     monkeypatch.setattr(strata, "stratify", reversed_deltas)
     code, out, err = run_cli(capsys, FIGURE_ARGV)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from math import comb
 
@@ -113,7 +112,7 @@ def test_double_coset_without_unique_length_extremes_refused():
     a, b = (g24.index_of(dc.w_min) for dc in singles)
     row = list(g24.left[2])
     row[a] = b
-    corrupted = dataclasses.replace(g24, left={**g24.left, 2: tuple(row)})
+    corrupted = g24._replace(left={**g24.left, 2: tuple(row)})
     with pytest.raises(cosets.CosetError, match="without unique length extremes"):
         double_cosets(corrupted, {2})
 
@@ -149,7 +148,7 @@ def test_certify_interval_negative_control():
     dropped = tuple(k for k in middle.members if k != interior[0])
     added = tuple(sorted(middle.members + dcs[2].members))  # from the stratum above
     for members in (dropped, added):
-        corrupted = dataclasses.replace(middle, members=members)
+        corrupted = middle._replace(members=members)
         assert bruhat_interval(corrupted) != set(members)
         assert not certify_interval([corrupted])
 
@@ -174,8 +173,8 @@ def test_moved_member_fails_certifying_all_strata_at_once(fix):
                 if b == a:
                     continue
                 moved = list(dcs)
-                moved[a] = dataclasses.replace(src, members=tuple(x for x in src.members if x != k))
-                moved[b] = dataclasses.replace(dst, members=tuple(sorted(dst.members + (k,))))
+                moved[a] = src._replace(members=tuple(x for x in src.members if x != k))
+                moved[b] = dst._replace(members=tuple(sorted(dst.members + (k,))))
                 assert not certify_interval(moved), (fix.label, k, a, b)
                 assert any(iv != set(dc.members) for iv, dc in zip(intervals, moved))
                 moves += 1
@@ -558,7 +557,7 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
             edges[i] = e._replace(w=same[0])
             break
     assert edges != list(dec.diagram.edges)
-    bad = dataclasses.replace(dec, diagram=dataclasses.replace(dec.diagram, edges=tuple(edges)))
+    bad = dec._replace(diagram=dec.diagram._replace(edges=tuple(edges)))
     assert not verify._check_chevalley_witnesses(bad)
 
 

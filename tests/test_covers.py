@@ -2,8 +2,6 @@
 from it, against the test-only oracles of `covers.py`; and the checks of
 `verify` that catch a corrupted table, cover or witness."""
 
-import dataclasses
-
 import pytest
 
 from parorbits import cosets, strata, verify, weyl
@@ -89,7 +87,7 @@ def test_corrupted_left_entry_fails_certify_interval(fix):
     p = min(fix.j_p - fix.j_q)
     row = list(pq.left[p])
     row[0] = len(row) - 1
-    corrupted = dataclasses.replace(pq, left={**pq.left, p: tuple(row)})
+    corrupted = pq._replace(left={**pq.left, p: tuple(row)})
     assert all(certify_interval([dc]) for dc in double_cosets(pq, fix.j_p))
     assert not all(certify_interval([dc]) for dc in double_cosets(corrupted, fix.j_p))
     assert certify_interval(double_cosets(pq, fix.j_p))
@@ -118,7 +116,7 @@ def test_dropped_cover_fails_decomposition_check(monkeypatch, fix):
     assert _checks_with_quotient(monkeypatch, fix, pq) == []
     stratum_of = {k: si for si, st in enumerate(strata.stratify(fix)[1]) for k in st.dc.members}
     dropped = next(c for c in pq.covers if stratum_of[c.u] == stratum_of[c.w])
-    corrupted = dataclasses.replace(pq, covers=tuple(c for c in pq.covers if c != dropped))
+    corrupted = pq._replace(covers=tuple(c for c in pq.covers if c != dropped))
     assert "decomposition" in _checks_with_quotient(monkeypatch, fix, corrupted)
 
 
@@ -129,7 +127,7 @@ def test_swapped_witness_fails_chevalley_witness_check(monkeypatch, fix):
     a = covers[0]
     b = next(k for k, c in enumerate(covers) if c.root != a.root)
     covers[0], covers[b] = a._replace(root=covers[b].root), covers[b]._replace(root=a.root)
-    corrupted = dataclasses.replace(pq, covers=tuple(covers))
+    corrupted = pq._replace(covers=tuple(covers))
     assert "chevalley_witnesses" in _checks_with_quotient(monkeypatch, fix, corrupted)
 
 
@@ -145,6 +143,6 @@ def test_swapped_acting_row_entries_fail_seidel_composition(monkeypatch, fix):
     a = next(i for i, m in enumerate(row) if m != i)
     b = next(i for i, m in enumerate(row) if m == i)
     row[a], row[b] = row[b], row[a]
-    corrupted = dataclasses.replace(pq, left={**pq.left, fix.p_node: tuple(row)})
+    corrupted = pq._replace(left={**pq.left, fix.p_node: tuple(row)})
     failed = _checks_with_quotient(monkeypatch, fix, corrupted)
     assert failed == ["seidel_composition", "seidel_degree_bookkeeping"]

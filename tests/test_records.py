@@ -1,0 +1,189 @@
+"""The records of the package: every one refuses assignment; the ones that
+hold dicts compare and hash by identity; the rest keep their value
+equality, and `Fixture` its repr, with the root system left out."""
+
+import pytest
+
+from parorbits import decomp, rootsys, weyl
+from parorbits.fixtures import Fixture
+
+#: each record's fields, in order
+FIELDS = {
+    "RootSystem": (
+        "type_label",
+        "rank",
+        "dim",
+        "simple_roots",
+        "simple_coroots",
+        "cartan_matrix",
+        "double_coweights",
+        "positive_roots",
+        "coroot_coords",
+        "root_support",
+    ),
+    "WeylElement": ("rs", "window"),
+    "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left"),
+    "DoubleCoset": ("pq", "j_p", "members", "w_min", "w_max"),
+    "HasseDiagram": ("quotient", "weight", "edges"),
+    "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
+    "FlagDescriptor": ("components", "marked_ambient", "dim"),
+    "OrbitStratum": ("fixture", "dc", "delta", "d_geom", "K", "flag", "fiber_dim", "doubling"),
+    "StratumComparison": (
+        "stratum",
+        "flag_quotient",
+        "flag_diagram",
+        "phi",
+        "scale",
+        "edges_match",
+        "mismatches",
+    ),
+    "DecomposedDiagram": (
+        "fixture",
+        "pq",
+        "diagram",
+        "strata",
+        "vertex_stratum",
+        "cross_edges",
+        "comparisons",
+    ),
+    "Fixture": ("type_label", "rank", "q_node", "p_node", "rs"),
+}
+
+IDENTITY = (
+    "ParabolicQuotient",
+    "DoubleCoset",
+    "HasseDiagram",
+    "OrbitStratum",
+    "StratumComparison",
+    "DecomposedDiagram",
+)
+VALUE = ("FlagComponent", "FlagDescriptor")
+NAMED_TUPLES = ("RootSystem",) + IDENTITY + VALUE
+
+
+@pytest.fixture(scope="module")
+def records():
+    fix = Fixture("C", 4, 2, 4)
+    dec = decomp.build_decomposition(fix)
+    stratum = dec.strata[1]
+    found = {
+        "RootSystem": fix.rs,
+        "WeylElement": dec.pq.elements[1],
+        "ParabolicQuotient": dec.pq,
+        "DoubleCoset": stratum.dc,
+        "HasseDiagram": dec.diagram,
+        "FlagComponent": stratum.flag.components[0],
+        "FlagDescriptor": stratum.flag,
+        "OrbitStratum": stratum,
+        "StratumComparison": dec.comparisons[1],
+        "DecomposedDiagram": dec,
+        "Fixture": fix,
+    }
+    assert {name: type(rec).__name__ for name, rec in found.items()} == {n: n for n in found}
+    return found
+
+
+def _copy(rec, **changes):
+    """A new record of the same type with the same fields, by keyword."""
+    fields = {f: getattr(rec, f) for f in FIELDS[type(rec).__name__]}
+    return type(rec)(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_assignment_raises_attribute_error(records, name):
+    rec = records[name]
+    for field in FIELDS[name] + ("not_a_field",):
+        before = getattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        assert getattr(rec, field, None) is before, (name, field)
+
+
+@pytest.mark.parametrize("name", IDENTITY)
+def test_dict_holding_records_compare_and_hash_by_identity(records, name):
+    rec = records[name]
+    twin = _copy(rec)
+    assert rec == rec and not rec != rec
+    assert twin != rec and not twin == rec
+    assert hash(rec) == object.__hash__(rec) and hash(twin) == object.__hash__(twin)
+    assert len({rec, twin}) == 2
+
+
+def test_quotient_index_is_the_window_index(records):
+    # the field shadows tuple.index
+    pq = records["ParabolicQuotient"]
+    assert isinstance(pq.index, dict)
+    assert all(pq.index[w.window] == i for i, w in enumerate(pq.elements))
+
+
+@pytest.mark.parametrize("name", VALUE)
+def test_flag_records_compare_by_value(records, name):
+    rec = records[name]
+    twin = _copy(rec)
+    assert twin is not rec and twin == rec and not twin != rec and hash(twin) == hash(rec)
+    assert _copy(rec, **{"FlagComponent": {"rank": 99}, "FlagDescriptor": {"dim": 99}}[name]) != rec
+
+
+def test_root_system_compares_by_type_and_rank(records):
+    rs = records["RootSystem"]
+    assert rs is rootsys.build("C", 4) and repr(rs) == "RootSystem(C4)"
+    # a copy with another dimension still equals it: only type and rank count
+    twin = _copy(rs, dim=rs.dim + 1)
+    assert twin == rs and not twin != rs and hash(twin) == hash(rs) == hash(("C", 4))
+    assert rs != rootsys.build("C", 3) and rs != rootsys.build("B", 4)
+    assert rs != ("C", 4)
+
+
+def test_weyl_element_compares_by_root_system_and_window(records):
+    w = records["WeylElement"]
+    twin = weyl.WeylElement(w.rs, w.window)
+    assert twin is not w and twin == w and not twin != w and hash(twin) == hash(w.window)
+    assert twin != w.window and twin != weyl.WeylElement(rootsys.build("B", 4), w.window)
+    assert repr(w) == "WC4" + weyl.window_str(w.window)
+    assert twin.length == w.length == 1
+
+
+def test_weyl_element_has_no_instance_dict(records):
+    w = records["WeylElement"]
+    assert not hasattr(w, "__dict__")
+    assert weyl.WeylElement.__slots__ == ("rs", "window", "_length")
+
+
+def test_fixture_compares_by_its_four_fields_only(records):
+    fix = records["Fixture"]
+    twin = Fixture("C", 4, 2, 4)
+    assert twin is not fix and twin == fix and not twin != fix and hash(twin) == hash(fix)
+    assert hash(fix) == hash(("C", 4, 2, 4))
+    assert fix != Fixture("C", 4, 1, 4) and fix != ("C", 4, 2, 4)
+    # another root system in the slot changes neither equality, hash nor repr
+    object.__setattr__(twin, "rs", rootsys.build("C", 5))
+    assert twin.rs != fix.rs and twin == fix and hash(twin) == hash(fix)
+    assert repr(twin) == repr(fix)
+
+
+def test_fixture_repr_and_str(records):
+    fix = records["Fixture"]
+    assert repr(fix) == "Fixture(type_label='C', rank=4, q_node=2, p_node=4)"
+    assert str(fix) == "C4/P2+P4" == fix.label
+    assert "%s" % (fix,) == "C4/P2+P4"
+
+
+def test_fixture_node_sets_are_built_once(records):
+    fix = records["Fixture"]
+    assert fix.j_q == frozenset({1, 3, 4}) and fix.j_p == frozenset({1, 2, 3})
+    assert fix.j_q is fix.j_q and fix.j_p is fix.j_p
+
+
+@pytest.mark.parametrize("name", NAMED_TUPLES)
+def test_replace_changes_exactly_one_field(records, name):
+    rec = records[name]
+    assert type(rec)._fields == FIELDS[name]
+    marker = object()
+    for field in FIELDS[name]:
+        new = rec._replace(**{field: marker})
+        assert type(new) is type(rec) and getattr(new, field) is marker
+        for other in FIELDS[name]:
+            if other != field:
+                assert getattr(new, other) is getattr(rec, other), (name, field, other)

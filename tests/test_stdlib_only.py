@@ -1,6 +1,7 @@
 """The package imports nothing beyond the standard library and itself."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +44,30 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_no_dataclasses_in_package():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize, about
+    # 10 ms of every CLI start; the records are NamedTuples or slotted classes
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "dataclasses" not in set(_imported_modules(tree)), path.name
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter without site-packages, so only the package and
+    # the standard library it imports can load either module; -B keeps it
+    # from writing bytecode into the source tree
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import parorbits.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

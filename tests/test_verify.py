@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from math import factorial
@@ -107,18 +106,18 @@ def test_root_system_built_once_per_fixture(monkeypatch, capsys):
     # a fixture holds the root system its validation built; the type-A
     # composition report builds A1..A4 itself
     calls = {"build": 0, "fixtures": 0}
-    real_build, real_post_init = rootsys.build, Fixture.__post_init__
+    real_build, real_init = rootsys.build, Fixture.__init__
 
     def build(*args):
         calls["build"] += 1
         return real_build(*args)
 
-    def post_init(self):
+    def init(self, *args):
         calls["fixtures"] += 1
-        real_post_init(self)
+        real_init(self, *args)
 
     monkeypatch.setattr(rootsys, "build", build)
-    monkeypatch.setattr(Fixture, "__post_init__", post_init)
+    monkeypatch.setattr(Fixture, "__init__", init)
     assert cli.main(["verify"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 104
     assert calls == {"build": calls["fixtures"] + 4, "fixtures": 104}
@@ -168,7 +167,7 @@ def test_seidel_composition_reads_no_left_row_and_no_index():
     # swapped images still fail it
     fix = Fixture("C", 5, 2, 5)
     dec, v, perm, qexp = _cold_pipeline(fix)
-    bare = dataclasses.replace(dec, pq=dataclasses.replace(dec.pq, left={}, index={}))
+    bare = dec._replace(pq=dec.pq._replace(left={}, index={}))
     assert verify._check_seidel(bare, v, perm, qexp)["seidel_composition"]
     swapped = list(perm)
     swapped[0], swapped[1] = swapped[1], swapped[0]
@@ -306,7 +305,7 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
 
         first = dec.diagram.edges[0]
         edges = (first._replace(w=first.u),) + dec.diagram.edges[1:]
-        bad = dataclasses.replace(dec, diagram=dataclasses.replace(dec.diagram, edges=edges))
+        bad = dec._replace(diagram=dec.diagram._replace(edges=edges))
         assert not verify._check_chevalley_witnesses(bad) and not _chevalley_by_compose(bad)
 
         swapped = list(perm)
