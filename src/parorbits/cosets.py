@@ -3,7 +3,8 @@
 A quotient may live in the full Weyl group or in any standard Levi
 subgroup (node subset), which lets the flag varieties appearing inside
 orbit strata reuse the same machinery.  Elements are minimal-length coset
-representatives, graded by length.  Each quotient records how every
+representatives, graded by length, and each quotient keeps their lengths
+as one tuple, `lengths`, beside them.  Each quotient records how every
 simple reflection of its node set acts on it from the left, as a table of
 indices that the enumerator's breadth-first pass fills on the way; the
 covers, with a positive-root witness beta such that w = u * s_beta, and
@@ -48,6 +49,8 @@ class ParabolicQuotient(NamedTuple):
     index: Dict[Tuple[int, ...], int]
     #: left[k][i] is the index of s_k * w_i, or i when it lies in w_i W_J
     left: Dict[int, Tuple[int, ...]]
+    #: lengths[i] is the length of w_i
+    lengths: Tuple[int, ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
@@ -64,12 +67,12 @@ class ParabolicQuotient(NamedTuple):
         return self.index[w.window]
 
     def top_degree(self) -> int:
-        return self.elements[-1].length
+        return self.lengths[-1]
 
     def rank_counts(self) -> Tuple[int, ...]:
         counts = [0] * (self.top_degree() + 1)
-        for w in self.elements:
-            counts[w.length] += 1
+        for length in self.lengths:
+            counts[length] += 1
         return tuple(counts)
 
 
@@ -108,7 +111,7 @@ def build_quotient(
     multiplication is injective, and s*y = p would make y = w.  Elements
     come in order of length, so p's covers are known before w's.  The
     witness is read through the signed table of alpha_k and the root
-    index of `root_tables`.
+    index of `root_tables`, and the lengths are the pass's levels.
     """
     if nodes is None:
         nodes = frozenset(rs.nodes)
@@ -116,8 +119,7 @@ def build_quotient(
         raise CosetError("J_Q %s is not contained in the node set %s" % (sorted(j_q), sorted(nodes)))
     enumeration = weyl.enumerate_group(rs, nodes, j_q)
     elements = tuple(enumeration)
-    left, descent = enumeration.left, enumeration.descent
-    lengths = [w.length for w in elements]
+    left, descent, lengths = enumeration.left, enumeration.descent, enumeration.lengths
     alphas, root_index = root_tables(rs)
     lower: List[List[Tuple[int, int]]] = [[] for _ in elements]  # (source, witness)
     for i in range(1, len(elements)):
@@ -138,7 +140,7 @@ def build_quotient(
         for u, r in below:
             upper[u].append(new(Cover, (u, w, r)))
     covers = tuple(chain.from_iterable(upper))
-    return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left)
+    return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left, lengths)
 
 
 class DoubleCoset(NamedTuple):
@@ -165,7 +167,7 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
     rows = [pq.left[p] for p in sorted(j_p_set)]
-    elements = pq.elements
+    elements, lengths = pq.elements, pq.lengths
     seen = [False] * len(elements)
     out = []
     # each class is found from its least member, and elements are sorted by
@@ -185,14 +187,14 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
                     members.append(m)
                     stack.append(m)
         members.sort()
-        lo, hi = elements[members[0]], elements[members[-1]]
+        lo, hi = members[0], members[-1]
         if len(members) > 1 and (
-            elements[members[1]].length == lo.length or elements[members[-2]].length == hi.length
+            lengths[members[1]] == lengths[lo] or lengths[members[-2]] == lengths[hi]
         ):
             raise CosetError(
                 "double coset without unique length extremes: %s" % ([elements[k] for k in members],)
             )
-        out.append(DoubleCoset(pq, j_p_set, tuple(members), lo, hi))
+        out.append(DoubleCoset(pq, j_p_set, tuple(members), elements[lo], elements[hi]))
     return tuple(out)
 
 

@@ -77,35 +77,34 @@ def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
 
 
 def phi(stratum: OrbitStratum, u: weyl.WeylElement) -> weyl.WeylElement:
-    """Cell map of the stratum: u -> u * w_min, certified length-additive."""
-    pq = stratum.dc.pq
-    image = weyl.multiply(u, stratum.dc.w_min)
-    idx = pq.index.get(image.window)
-    length = image.length if idx is None else pq.elements[idx].length
-    if length != u.length + stratum.dc.w_min.length:
-        raise DecompositionError(
-            "cell map is not length-additive at %r (stratum delta=%d of %s)"
-            % (u, stratum.delta, stratum.fixture.label)
-        )
-    return image
+    """Cell map of the stratum: u -> u * w_min (certified by `phi_map`)."""
+    return weyl.multiply(u, stratum.dc.w_min)
 
 
 def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
-    """Certified bijection from the flag quotient onto the stratum members."""
+    """Certified bijection from the flag quotient onto the stratum members:
+    each image is a member, l(u * w_min) = l(u) + l(w_min), read from the
+    two quotients' lengths, and the images are the members, each once."""
     pq = stratum.dc.pq
     fq = flag_quotient(stratum)
-    member_set = set(stratum.dc.members)
+    members = stratum.dc.members
+    member_set = set(members)
+    shift = pq.lengths[members[0]]
     images = []
-    for u in fq.elements:
-        image = phi(stratum, u)
-        idx = pq.index.get(image.window)
-        if idx is None or idx not in member_set:
+    for u, length in zip(fq.elements, fq.lengths):
+        idx = pq.index.get(phi(stratum, u).window)
+        if idx not in member_set:
             raise DecompositionError(
                 "cell map leaves the stratum at %r (stratum delta=%d of %s)"
                 % (u, stratum.delta, stratum.fixture.label)
             )
+        if pq.lengths[idx] != length + shift:
+            raise DecompositionError(
+                "cell map is not length-additive at %r (stratum delta=%d of %s)"
+                % (u, stratum.delta, stratum.fixture.label)
+            )
         images.append(idx)
-    if len(set(images)) != len(member_set):
+    if not len(images) == len(set(images)) == len(member_set):
         raise DecompositionError(
             "cell map is not a bijection on stratum delta=%d of %s"
             % (stratum.delta, stratum.fixture.label)
@@ -204,7 +203,7 @@ def _emit_json(
 ) -> str:
     vertices = []
     for k, w in enumerate(pq.elements):
-        entry = {"window": weyl.window_str(w.window), "length": w.length}
+        entry = {"window": weyl.window_str(w.window), "length": pq.lengths[k]}
         if vertex_stratum is not None:
             entry["stratum"] = vertex_stratum[k]
         vertices.append(entry)
@@ -265,8 +264,7 @@ def _emit_tikz(
         "\\begin{tikzpicture}[x=2em, y=2em,",
         "  every node/.style={draw, circle, minimum size=4pt, inner sep=0pt}]",
     ]
-    for k, w in enumerate(pq.elements):
-        degree = w.length
+    for k, degree in enumerate(pq.lengths):
         # y = h/2 in exact half-units, centred within the degree
         h = 2 * (k - first[degree]) - (counts[degree] - 1)
         y = "%s%d.%d" % ("-" if h < 0 else "", abs(h) // 2, 5 * (abs(h) % 2))

@@ -129,7 +129,7 @@ def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     return [
         {
             "window": weyl.window_str(w.window),
-            "length": w.length,
+            "length": pq.lengths[k],
             "q_exp": qexp[k],
             "image_window": weyl.window_str(pq.elements[perm[k]].window),
         }

@@ -261,7 +261,7 @@ def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]
                 d_geom=d_geometric(fix, dc.w_min),
                 K=k_set,
                 flag=flag,
-                fiber_dim=dc.w_min.length,
+                fiber_dim=pq.lengths[dc.members[0]],
                 doubling=_doubling(fix, dval),
             )
         )

@@ -60,13 +60,14 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
     """Each stratum's fiber dimension is the one `table`, the fixture's
     `orbit_table`, gives its window statistic, and its length span and
     class count are those of its flag variety."""
+    lengths = dec.pq.lengths
     for comp in dec.comparisons:
         st = comp.stratum
         if st.d_geom not in table:
             raise strata.StrataError("d=%d is not admissible for %s" % (st.d_geom, dec.fixture))
         if st.fiber_dim != table[st.d_geom]:
             return False
-        if st.dc.w_max.length - st.dc.w_min.length != st.flag.dim:
+        if lengths[st.dc.members[-1]] - lengths[st.dc.members[0]] != st.flag.dim:
             return False
         if len(comp.flag_quotient.elements) != st.size:
             return False
@@ -124,10 +125,11 @@ def _check_seidel(
     totals = {order // len(c) * sum(qexp[k] for k in c) for c in orbits}
 
     qdeg = seidel.quantum_q_degree(fix)
-    v_length = pq.elements[perm[0]].length  # class 0 is e, so perm[0] is [v]
+    lengths = pq.lengths
+    v_length = lengths[perm[0]]  # class 0 is e, so perm[0] is [v]
     degree_ok = all(
-        v_length + w.length == qexp[k] * qdeg + pq.elements[perm[k]].length
-        for k, w in enumerate(pq.elements)
+        v_length + length == qexp[k] * qdeg + lengths[perm[k]]
+        for k, length in enumerate(lengths)
     )
     return {
         "seidel_bijection": bijection,

@@ -24,11 +24,10 @@ value; `generator_tables` builds these tables for the simple reflections
 once per root system.  `enumerate_group` lists the minimal representatives
 of W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps
 s*w by Deodhar's test (one such vector and one set lookup), builds an
-element only for a window it keeps, records each one's breadth-first
-level as its length, so that `_length` runs only for elements built
-elsewhere, and keeps what the pass meets on the way, the window index,
-the left action of every generator as rows of indices and each element's
-first left descent, for `cosets.build_quotient` to read.
+element only for a window it keeps, and keeps what the pass meets on
+the way, each element's breadth-first level (its length), the window
+index, the left action of every generator as rows of indices and each
+element's first left descent, for `cosets.build_quotient` to read.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ class WeylElement:
 
     Immutable: `__setattr__` refuses every assignment, and `__init__`, which
     every construction passes through, fills the slots through their
-    descriptors.  `length` is computed on its first read, unless
-    `_element_of_length` filled the slot; there is no per-instance dict."""
+    descriptors; there is no per-instance dict.  `length` is computed on
+    every read: a quotient keeps its elements' lengths in its `lengths`."""
 
-    __slots__ = ("rs", "window", "_length")
+    __slots__ = ("rs", "window")
 
     def __init__(self, rs: RootSystem, window: Window) -> None:
         _set_rs(self, rs)
@@ -81,17 +80,11 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        try:
-            return self._length
-        except AttributeError:
-            length = _length(self.rs, self.window)
-            _set_length(self, length)
-            return length
+        return _length(self.rs, self.window)
 
 
 _set_rs = WeylElement.rs.__set__
 _set_window = WeylElement.window.__set__
-_set_length = WeylElement._length.__set__
 
 
 def window_str(window: Window) -> str:
@@ -162,14 +155,6 @@ def element(rs: RootSystem, window: Iterable[int]) -> WeylElement:
     w = tuple(window)
     _validate_window(rs, w)
     return WeylElement(rs, w)
-
-
-def _element_of_length(rs: RootSystem, window: Window, length: int) -> WeylElement:
-    """An element whose length is already known: fills the length slot, so
-    that `_length` never runs for it."""
-    w = WeylElement(rs, window)
-    _set_length(w, length)
-    return w
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -413,21 +398,23 @@ class Enumeration(tuple):
       * `left[k][i]` is the position of s_k*w_i, or i when s_k*w_i lies
         in w_i W_J, for every node k of L;
       * `descent[i]` is the least node k with s_k*w_i shorter than w_i,
-        0 for the identity.
+        0 for the identity;
+      * `lengths[i]` is the length of w_i, its breadth-first level.
     The result is cached, and the `cosets.ParabolicQuotient` built from it
     shares its `index` dict and `left` rows, so neither may be mutated.
     It is a tuple of the elements and not a plain record because the
     benchmark's tracer sizes the enumerator's result with `len()`; the
-    benchmark change of ROADMAP item 4 is what could turn it into one.
+    benchmark change of ROADMAP item 2 is what could turn it into one.
     `len()`, iteration and equality are those of the tuple of elements."""
 
     index: Dict[Window, int]
     left: Dict[int, Tuple[int, ...]]
     descent: Tuple[int, ...]
+    lengths: Tuple[int, ...]
 
-    def __new__(cls, elements, index, left, descent):
+    def __new__(cls, elements, index, left, descent, lengths):
         self = super().__new__(cls, elements)
-        self.index, self.left, self.descent = index, left, descent
+        self.index, self.left, self.descent, self.lengths = index, left, descent, lengths
         return self
 
 
@@ -445,8 +432,8 @@ def enumerate_group(
     step changes the length by exactly 1, and every w in W^J of length
     l > 0 has a left descent s with s*w in W^J of length l - 1, so an
     element's breadth-first level is its length: levels are emitted in
-    turn, each sorted by window, with each element's length seeded from
-    its level.  Candidates are bare windows; only the kept ones become
+    turn, each sorted by window, and each element's level is recorded as
+    its length.  Candidates are bare windows; only the kept ones become
     elements.
 
     Each level is indexed when it is emitted, and its left rows start as
@@ -470,12 +457,14 @@ def enumerate_group(
     lookup = index.get
     descent: List[int] = []
     out: List[WeylElement] = []
+    lengths: List[int] = []
     level = [identity(rs).window]
     length = 0
     while level:
         base = len(out)
         index.update(zip(level, range(base, base + len(level))))
-        out.extend(_element_of_length(rs, x, length) for x in level)
+        out.extend(WeylElement(rs, x) for x in level)
+        lengths += [length] * len(level)
         placeholders = [-1] * len(level)
         for row in rows:
             row.extend(placeholders)
@@ -506,4 +495,4 @@ def enumerate_group(
                 % (k, window_str(out[row.index(-1)].window))
             )
     left = {k: tuple(row) for k, row in zip(ks, rows)}
-    return Enumeration(out, index, left, tuple(descent))
+    return Enumeration(out, index, left, tuple(descent), tuple(lengths))

@@ -44,7 +44,7 @@ def all_roots_covers(pq):
     and every beta in Phi_L^+ minus Phi_Q^+ that u does not invert, kept
     when u * s_beta is in the quotient and one longer than u."""
     rs = pq.rs
-    lengths = [w.length for w in pq.elements]
+    lengths = pq.lengths
     q_roots = set(rs.positive_roots_of(pq.j_q))
     candidates = [
         (r, reflection_image(rs.positive_roots[r]))

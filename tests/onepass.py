@@ -74,7 +74,8 @@ def check_quotient(pq):
     enumeration = weyl.enumerate_group(rs, nodes, j_set)
     for got in (enumeration, pq.elements):
         assert [w.window for w in got] == windows, pq
-        assert [w.length for w in got] == lengths, pq
+    assert list(enumeration.lengths) == lengths, pq
+    assert pq.lengths is enumeration.lengths, pq
     assert enumeration.index == index == pq.index, pq
     assert enumeration.left == left == pq.left, pq
     assert enumeration.descent == descents, pq

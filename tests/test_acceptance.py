@@ -23,8 +23,8 @@ def _verdict(num, label, ok):
 def _computed_graph(fix):
     dec = decomp.build_decomposition(fix)
     vertices = tuple(
-        (w.length, dec.strata[dec.vertex_stratum[k]].delta)
-        for k, w in enumerate(dec.pq.elements)
+        (length, dec.strata[dec.vertex_stratum[k]].delta)
+        for k, length in enumerate(dec.pq.lengths)
     )
     edges = tuple((e.u, e.w, e.mult) for e in dec.diagram.edges)
     return dec, graphiso.ColoredGraph(vertices, edges)

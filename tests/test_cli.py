@@ -206,6 +206,55 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
     assert json.loads(out)["interval_certified"] is False
 
 
+def _refused_by_phi_map_and_diagram(capsys, message):
+    """The middle stratum of C4/P2+P4 fails `phi_map` with `message`, and
+    `parorbits diagram` on that fixture exits 2 naming it."""
+    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    with pytest.raises(decomp.DecompositionError, match="^" + message):
+        decomp.phi_map(sts[1])
+    code, out, err = run_cli(capsys, FIGURE_ARGV)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_non_injective_cell_map_refused(monkeypatch, capsys):
+    # negative control: the flag quotient of the middle stratum with its
+    # last element (and its length) listed twice maps 13 sources onto the
+    # 12 members, each member hit, so only the count of images catches it
+    real = decomp.flag_quotient
+
+    def doubled(stratum):
+        fq = real(stratum)
+        if stratum.delta != 1:
+            return fq
+        return fq._replace(
+            elements=fq.elements + fq.elements[-1:], lengths=fq.lengths + fq.lengths[-1:]
+        )
+
+    monkeypatch.setattr(decomp, "flag_quotient", doubled)
+    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    assert sts[1].delta == 1 and sts[1].size == 12
+    assert len(decomp.flag_quotient(sts[1]).elements) == 13
+    _refused_by_phi_map_and_diagram(capsys, "cell map is not a bijection")
+
+
+def test_non_additive_cell_map_refused(monkeypatch, capsys):
+    # negative control: the flag elements of lengths 0 and 1 of the middle
+    # stratum swap their images, which stay members of the stratum
+    real = decomp.phi
+
+    def swapped(stratum, u):
+        if stratum.delta == 1:
+            fq = decomp.flag_quotient(stratum)
+            a, b = fq.elements[:2]
+            assert fq.lengths[:2] == (0, 1)
+            u = {a: b, b: a}.get(u, u)
+        return real(stratum, u)
+
+    monkeypatch.setattr(decomp, "phi", swapped)
+    _refused_by_phi_map_and_diagram(capsys, "cell map is not length-additive")
+
+
 def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     # a valid fixture reaches StrataError only as a failed invariant
     fix = Fixture("C", 4, 2, 4)

@@ -3,14 +3,14 @@ from math import comb
 
 import pytest
 
-from parorbits import cosets, decomp, strata, verify, weyl
+from parorbits import cosets, decomp, seidel, strata, verify, weyl
 from parorbits.cosets import (
     build_quotient,
     certify_interval,
     double_cosets,
 )
 from parorbits.decomp import emit_plain
-from parorbits.fixtures import Fixture, FixtureError, sweep_fixtures
+from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build, components
 
 from dynkin import subsets
@@ -96,18 +96,19 @@ def test_double_cosets_come_sorted_with_length_extremes():
     partitions += [(build_quotient(fix.rs, fix.j_q), fix.j_p) for fix in sweep_fixtures(5, 5, 5, 5)]
     for pq, j_p in partitions:
         dcs = double_cosets(pq, j_p)
-        assert list(dcs) == sorted(dcs, key=lambda dc: (dc.w_min.length, dc.w_min.window))
+        ell = pq.lengths
+        assert list(dcs) == sorted(dcs, key=lambda dc: (ell[pq.index_of(dc.w_min)], dc.w_min.window))
         for dc in dcs:
-            lengths = sorted(pq.elements[k].length for k in dc.members)
-            assert dc.w_min.length == lengths[0] and lengths[:2].count(lengths[0]) == 1
-            assert dc.w_max.length == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
+            lengths = sorted(ell[k] for k in dc.members)
+            assert ell[pq.index_of(dc.w_min)] == lengths[0] and lengths[:2].count(lengths[0]) == 1
+            assert ell[pq.index_of(dc.w_max)] == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
 
 
 def test_double_coset_without_unique_length_extremes_refused():
     # G(2,4) under s_2: the classes of s1s2 and s3s2 are singletons of
     # length 2; a row entry that joins them leaves no unique w_min
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
-    singles = [dc for dc in double_cosets(g24, {2}) if dc.w_min.length == 2]
+    singles = [dc for dc in double_cosets(g24, {2}) if g24.lengths[dc.members[0]] == 2]
     assert [dc.size for dc in singles] == [1, 1]
     a, b = (g24.index_of(dc.w_min) for dc in singles)
     row = list(g24.left[2])
@@ -549,10 +550,10 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     assert counts["compose"] == 1, counts
     # negative control: one edge retargeted to another class of the same
     # length fails the check
-    elements = dec.pq.elements
+    lengths = dec.pq.lengths
     edges = list(dec.diagram.edges)
     for i, e in enumerate(edges):
-        same = [k for k, w in enumerate(elements) if w.length == elements[e.w].length and k != e.w]
+        same = [k for k, length in enumerate(lengths) if length == lengths[e.w] and k != e.w]
         if same:
             edges[i] = e._replace(w=same[0])
             break
@@ -642,6 +643,32 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     assert certify_interval([st.dc for st in dec.strata])
     assert counts["bruhat_leq"] == 0
     assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
-    # the spy is live: an element built outside the enumerator counts once
+    # the spy is live: every read of an element's length counts once
     assert weyl.element(fix.rs, (2, 1, 3, 4, 5, 6)).length == 1
     assert counts["_length"] == 1, counts
+
+
+def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
+    # lengths live in the quotient: verify, the Seidel table and every
+    # emission read `pq.lengths` and never recompute one from a window
+    calls = []
+    real = weyl._length
+
+    def length_spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    cosets.build_quotient.cache_clear()
+    weyl.enumerate_group.cache_clear()
+    monkeypatch.setattr(weyl, "_length", length_spy)
+    for label in ("C4/P2+P4", "B4/P3+P1", "D5/P5+P1"):
+        fix = parse_fixture(label)
+        assert verify.verify_fixture(fix)["pass"], label
+        assert seidel.table_rows(fix), label
+        dec = decomp.build_decomposition(fix)
+        for fmt in ("dot", "tikz", "json"):
+            assert decomp.emit(dec, fmt) and decomp.emit_plain(fix, fmt), (label, fmt)
+    assert calls == []
+    # the spy is live
+    assert dec.pq.elements[-1].length == dec.pq.top_degree()
+    assert len(calls) == 1

@@ -78,7 +78,7 @@ def test_ig28_edge_profile():
     pq, hd = _diagram(Fixture("C", 4, 2, 4))
     assert len(pq.elements) == 24
     assert len(hd.edges) == 37 and total_multiplicity(hd) == 40
-    doubles = [(pq.elements[e.u].length, pq.elements[e.w].length) for e in hd.edges if e.mult == 2]
+    doubles = [(pq.lengths[e.u], pq.lengths[e.w]) for e in hd.edges if e.mult == 2]
     assert doubles == [(5, 6)] * 3
 
 
@@ -196,7 +196,7 @@ def test_levi_flag_diagram():
     c4 = build("C", 4)
     fq = build_quotient(c4, frozenset({2}), frozenset({1, 2, 3}))
     hd = build_hasse(fq, {1: 1, 3: 1})
-    doubles = [(fq.elements[e.u].length, fq.elements[e.w].length) for e in hd.edges if e.mult == 2]
+    doubles = [(fq.lengths[e.u], fq.lengths[e.w]) for e in hd.edges if e.mult == 2]
     assert doubles == [(2, 3)] * 3
     assert weighted_path_count(hd) == weighted_path_count(hd, reverse=True)
 

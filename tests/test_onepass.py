@@ -43,6 +43,8 @@ def test_one_pass_on_the_whole_group():
     rs = build("B", 3)
     group = weyl.enumerate_group(rs, frozenset(rs.nodes))
     assert len(group) == 48 and group.descent[0] == 0
+    lengths = group.lengths
+    assert lengths == tuple(weyl._length(rs, w.window) for w in group)
     for i, w in enumerate(group):
         assert group.index[w.window] == i
         for k, row in group.left.items():
@@ -50,8 +52,8 @@ def test_one_pass_on_the_whole_group():
             assert group[row[i]] == s_w and row[i] != i
         if i:
             k = group.descent[i]
-            assert group[group.left[k][i]].length == w.length - 1
-            assert all(group[group.left[j][i]].length > w.length for j in rs.nodes if j < k)
+            assert lengths[group.left[k][i]] == lengths[i] - 1
+            assert all(lengths[group.left[j][i]] > lengths[i] for j in rs.nodes if j < k)
 
 
 def test_unresolved_placeholder_names_node_and_window(monkeypatch):

@@ -22,7 +22,7 @@ FIELDS = {
         "root_support",
     ),
     "WeylElement": ("rs", "window"),
-    "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left"),
+    "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
     "DoubleCoset": ("pq", "j_p", "members", "w_min", "w_max"),
     "HasseDiagram": ("quotient", "weight", "edges"),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
@@ -148,7 +148,7 @@ def test_weyl_element_compares_by_root_system_and_window(records):
 def test_weyl_element_has_no_instance_dict(records):
     w = records["WeylElement"]
     assert not hasattr(w, "__dict__")
-    assert weyl.WeylElement.__slots__ == ("rs", "window", "_length")
+    assert weyl.WeylElement.__slots__ == ("rs", "window")
 
 
 def test_fixture_compares_by_its_four_fields_only(records):

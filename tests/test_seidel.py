@@ -128,7 +128,7 @@ def test_projective_space_table_is_cyclic():
     pq, perm, qexp = _table(fix)
     qs = list(qexp)
     assert qs == [0, 0, 0, 1]
-    images = [pq.elements[j].length for j in perm]
+    images = [pq.lengths[j] for j in perm]
     assert images == [1, 2, 3, 0]
 
 

@@ -196,9 +196,10 @@ def test_length_and_descents_match_root_scan_on_maximal_quotients(t):
     nodes = frozenset(rs.nodes)
     checked = 0
     for q in rs.nodes:
-        for w in enumerate_group(rs, nodes, nodes - {q}):
+        enumeration = enumerate_group(rs, nodes, nodes - {q})
+        for w, length in zip(enumeration, enumeration.lengths):
             # the length enumerate_group records is its breadth-first level
-            assert w.length == weyl._length(rs, w.window), w
+            assert length == weyl._length(rs, w.window), w
             _check_against_root_scan(rs, w.window)
             assert not weyl.first_descent(rs, w.window, sorted(nodes - {q}))
             checked += 1
