@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from typing import List, Optional
 
 from . import cosets, decomp, hasse, rootsys, seidel, strata, verify
 from .fixtures import DEFAULT_MAX_RANK, Fixture, FixtureError, parse_fixture, sweep_fixtures
+from .jsontext import indented
 from .rootsys import RootSystemError
 from .weyl import WeylError
 
@@ -89,7 +89,7 @@ def cmd_strata(args) -> int:
         "strata": [strata.stratum_json(st) for st in sts],
         "interval_certified": certified,
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(indented(payload) + "\n", args.out)
     return 0 if certified else 2
 
 
@@ -105,7 +105,7 @@ def cmd_quantum(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps({"fixture": fix.label, "table": rows}, indent=2) + "\n"
+        text = indented({"fixture": fix.label, "table": rows}) + "\n"
     _write_output(text, args.out)
     return 0
 
@@ -128,11 +128,11 @@ def cmd_verify(args) -> int:
         _PARSER.error("argument --%s: not allowed with argument %s" % (given[0].replace("_", "-"), other))
     if args.self_test_corrupt:
         payload = verify.corrupted_oracle_selftest()
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_output(indented(payload) + "\n", args.out)
         return 0 if payload["self_test_corrupt"]["detected"] else 2
     fixture = parse_fixture(args.fixture) if args.fixture is not None else None
     report = verify.run_verify(*_caps(args), fixture=fixture)
-    _write_output(json.dumps(report, indent=2) + "\n", args.out)
+    _write_output(indented(report) + "\n", args.out)
     return 0 if report["all_pass"] else 2
 
 

@@ -9,7 +9,8 @@ half-integral at node n of C_n and the spin nodes of D_n, so they are
 stored doubled as the integer vectors 2 omega_j^vee (<alpha_i, 2
 omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
 coordinates of a root are half its pairings with them: root heights,
-supports, coroot coordinates and `eta` all come from that one pairing.
+supports and coroot coordinates all come from that one pairing, and
+`strata.delta` reads the stratum exponent off it the same way.
 A root has at most two nonzero entries, so its pairings are read from
 those entries against the columns of the doubled coweights, and one pass
 over them halves and checks them, rebuilds the root and reads its height,
@@ -317,27 +318,3 @@ def pair(u: Sequence[int], v: Sequence[int]) -> int:
             "dimension mismatch: %d-vector paired with %d-vector" % (len(u), len(v))
         )
     return sum(map(mul, u, v))
-
-
-def eta(rs: RootSystem, v: Sequence[int], j: int) -> int:
-    """Coefficient of the j-th simple coroot in the expansion of `v`.
-
-    This is the image of `v` under the projection to the coroot lattice
-    modulo the coroots of the maximal parabolic omitting node j.  As
-    alpha_i^vee = 2 alpha_i / |alpha_i|^2 and the coweights are dual to the
-    simple roots, it equals (|alpha_j|^2 / 2) <v, omega_j^vee>, computed as
-    |alpha_j|^2 <v, 2 omega_j^vee> / 4.
-
-    Raises if the vector is outside the rational span of the coroots
-    (possible in type A, whose coroot span is the sum-zero sublattice), or
-    outside the coroot lattice, where the coefficient is not an integer.
-    """
-    if not 1 <= j <= rs.rank:
-        raise RootSystemError("node %d out of range 1..%d" % (j, rs.rank))
-    if rs.type_label == "A" and sum(v) != 0:
-        raise RootSystemError("vector is not in the span of the coroots")
-    alpha = rs.simple_root(j)
-    coeff, rem = divmod(pair(alpha, alpha) * pair(v, rs.double_coweight(j)), 4)
-    if rem:
-        raise RootSystemError("vector is outside the coroot lattice at node %d" % j)
-    return coeff

@@ -3,10 +3,11 @@
 Each double coset of the quotient carries:
 
   * delta: the stratum exponent eta_Q(omega_i^vee - w^(-1) omega_i^vee),
-    computed in integers from the doubled coweight and constant on the
-    stratum;
+    computed in integers from the doubled coweights, for every class of
+    the quotient in one pass, and constant on the stratum;
   * d_geometric: the signed-permutation statistic recording the incidence
-    dimension with the reference flag (the case-by-case window count);
+    dimension with the reference flag (the case-by-case window count),
+    read for a list of windows in one pass that picks the case once;
   * K and a flag descriptor: the Levi flag variety the stratum fibres over,
     one factor per Dynkin component of J_P (`rootsys.components`);
   * the fiber dimension of the stratum's vector bundle over that flag,
@@ -18,21 +19,22 @@ its stratum's fiber dimension.  Orientation convention: delta is 0 on the
 closed stratum (the one through the base point) and maximal on the open
 stratum; the position of d_geometric among the table's keys is the same
 label.  d_geometric counts the window itself, so that `verify` checks
-that label against delta.
+that label against delta on every class; `stratify` reads it for each
+stratum's minimal representative.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import itemgetter, sub
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from operator import itemgetter, mul
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import cosets, rootsys, weyl
 from .cosets import DoubleCoset, ParabolicQuotient
 from .fixtures import Fixture, grassmannian_label
 from .rootsys import RootSystem
-from .weyl import WeylElement
+from .weyl import Window
 
 
 class StrataError(ValueError):
@@ -50,40 +52,61 @@ def _coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], List[in
     return omega2, weyl.signed_table(omega2)
 
 
-def delta(fix: Fixture, w: WeylElement) -> int:
-    """Stratum exponent of w: the q-power in the cominuscule quantum product,
-    half of eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
-    rs = fix.rs
+def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
+    """Stratum exponent of every class of `pq`, the quotient of X, in one
+    pass: the q-power in the cominuscule quantum product, half of
+    eta_Q(2 omega_p^vee - w^(-1) 2 omega_p^vee), the coefficient of the
+    q-th simple coroot.  As the coweights are dual to the simple roots,
+    eta_Q(v) = |alpha_q|^2 <v, 2 omega_q^vee> / 4, so each class costs one
+    gather of w^(-1) 2 omega_p^vee from the signed table and one pairing
+    with 2 omega_q^vee.
+
+    Every class is certified: in type A the move lies in the span of the
+    coroots (coordinate sum 0), its coefficient is an integer (the move
+    lies in the coroot lattice), and twice the exponent is even and
+    >= 0.  A failure raises StrataError naming the window."""
+    rs, q = fix.rs, fix.q_node
     omega2, table = _coweight_table(rs, fix.p_node)
-    moved = itemgetter(*w.window)(table)  # w^-1(2 omega_p^vee)
-    twice = rootsys.eta(rs, tuple(map(sub, omega2, moved)), fix.q_node)
-    if twice % 2 or twice < 0:
-        raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
-    return twice // 2
+    weights = rs.double_coweight(q)
+    alpha = rs.simple_root(q)
+    scale = rootsys.pair(alpha, alpha)
+    top = rootsys.pair(omega2, weights)
+    span = sum(omega2) if rs.type_label == "A" else None
+    out = []
+    for w in pq.elements:
+        moved = itemgetter(*w.window)(table)  # w^-1(2 omega_p^vee)
+        if span is not None and sum(moved) != span:
+            raise StrataError("coweight move of %r is not in the span of the coroots" % (w,))
+        twice, rem = divmod(scale * (top - sum(map(mul, moved, weights))), 4)
+        if rem:
+            raise StrataError("coweight move of %r is outside the coroot lattice at node %d" % (w, q))
+        if twice % 2 or twice < 0:
+            raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
+        out.append(twice // 2)
+    return tuple(out)
 
 
-def d_geometric(fix: Fixture, w: WeylElement) -> int:
-    """Incidence dimension of the w-cell with the reference flag of P.
+def d_geometric(fix: Fixture, windows: Sequence[Window]) -> List[int]:
+    """Incidence dimension of each window's cell with the reference flag
+    of P, dispatched on the fixture's case once.
 
-    This is the window statistic of the double-coset case analysis: e.g.
-    #{j <= m : w(j) <= i} in type A, #{j <= m : w(j) > 0} in type C.
+    This is the window statistic of the double-coset case analysis, read
+    off the first m = q_node entries of the window: #{j <= m : w(j) <= i}
+    in type A, #{j <= m : w(j) > 0} in type C and at the spin node n of D,
+    the same count corrected by the entries n and -n at node n-1 of D, and
+    in type B and at node 1 of D whether 1 or -1 is among them.
     """
     t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
-    b = w.window
-    head = b[:m]
+    heads = [b[:m] for b in windows]
     if t == "A":
-        return sum(1 for v in head if v <= i)
+        return [sum(map(i.__ge__, h)) for h in heads]
     if t == "B" or (t == "D" and i == 1):
-        if any(v == 1 for v in head):
-            return 2 if m < n else 1
-        if any(v == -1 for v in head):
-            return 0
-        return 1
+        top = 2 if m < n else 1
+        return [top if 1 in h else 0 if -1 in h else 1 for h in heads]
     if t == "C" or (t == "D" and i == n):
-        return sum(1 for v in head if v > 0)
+        return [sum(map((0).__lt__, h)) for h in heads]
     # D with i = n - 1
-    pos = sum(1 for v in head if v > 0)
-    return pos - (1 if n in head else 0) + (1 if -n in head else 0)
+    return [sum(map((0).__lt__, h)) - (n in h) + (-n in h) for h in heads]
 
 
 def orbit_table(fix: Fixture) -> Dict[int, int]:
@@ -243,9 +266,12 @@ def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]
     """Quotient of X with its orbit strata, sorted by increasing delta."""
     rs = fix.rs
     pq = cosets.build_quotient(rs, fix.j_q)
+    deltas = delta(fix, pq)
+    dcs = cosets.double_cosets(pq, fix.j_p)
+    stats = d_geometric(fix, [dc.w_min.window for dc in dcs])
     strata = []
-    for dc in cosets.double_cosets(pq, fix.j_p):
-        values = {delta(fix, pq.elements[k]) for k in dc.members}
+    for dc, d_geom in zip(dcs, stats):
+        values = {deltas[k] for k in dc.members}
         if len(values) != 1:
             raise StrataError(
                 "stratum exponent not constant on %s: %s" % (dc.members, sorted(values))
@@ -258,7 +284,7 @@ def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]
                 fixture=fix,
                 dc=dc,
                 delta=dval,
-                d_geom=d_geometric(fix, dc.w_min),
+                d_geom=d_geom,
                 K=k_set,
                 flag=flag,
                 fiber_dim=pq.lengths[dc.members[0]],

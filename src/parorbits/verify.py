@@ -19,35 +19,31 @@ from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
 from .weyl import WeylElement
 
 
-def _label(labels: Dict[int, int], fix: Fixture, w: WeylElement) -> int:
-    """Stratum label of w from its window statistic, oriented to match
-    delta: `labels` maps each key of the fixture's `orbit_table` to its
-    position, so the closed stratum gets 0 and the open stratum the
-    maximal label.  A statistic missing from the table raises StrataError
-    naming the window."""
-    dg = strata.d_geometric(fix, w)
-    if dg not in labels:
-        raise strata.StrataError(
-            "window statistic %d of %s is not admissible for %s"
-            % (dg, weyl.window_str(w.window), fix)
-        )
-    return labels[dg]
-
-
 def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str, bool]:
-    """The stratum-exponent laws; `table` is the fixture's `orbit_table`."""
+    """The stratum-exponent laws; `table` is the fixture's `orbit_table`.
+
+    Each class's label is read from its window statistic, oriented to
+    match delta: the statistic's position among the keys of `table`, so
+    the closed stratum gets 0 and the open stratum the maximal label.  A
+    statistic missing from the table raises StrataError naming the window."""
     fix, pq, sts = dec.fixture, dec.pq, dec.strata
     vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
     deltas = sorted(st.delta for st in sts)
-    labels = {d: label for label, d in enumerate(table)}
+    windows = [w.window for w in pq.elements]
+    stats = strata.d_geometric(fix, windows)
+    labels = list(map({d: label for label, d in enumerate(table)}.get, stats))
+    if None in labels:
+        k = labels.index(None)
+        raise strata.StrataError(
+            "window statistic %d of %s is not admissible for %s"
+            % (stats[k], weyl.window_str(windows[k]), fix)
+        )
     return {
         # stratify raises StrataError when delta is not constant on a stratum
         "delta_constant": True,
-        "delta_equals_d": all(
-            vertex_delta[k] == _label(labels, fix, w) for k, w in enumerate(pq.elements)
-        ),
+        "delta_equals_d": vertex_delta == labels,
         "delta_consecutive": deltas == list(range(len(sts))),
-        "stratum_count": len(sts) == len(labels),
+        "stratum_count": len(sts) == len(table),
         "delta_monotone": all(
             vertex_delta[c.w] > vertex_delta[c.u]
             for c in pq.covers

@@ -32,6 +32,7 @@ element's first left descent, for `cosets.build_quotient` to read.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
@@ -117,15 +118,21 @@ def _act_coords(window: Window, v: Sequence) -> Tuple:
 
 def _length(rs: RootSystem, window: Window) -> int:
     """Inversion count: pairs i < j with key(b_i) > key(b_j); in B, C and D
-    also those with key(b_i) > key(-b_j); in B and C also negative entries."""
+    also those with key(b_i) > key(-b_j); in B and C also negative entries.
+    The keys of the entries before position j are kept sorted, so each
+    count over i is one bisection."""
     m = 2 * len(window) + 1
-    keys = [b % m for b in window]
-    total = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
-    if rs.type_label != "A":
-        flipped = [-b % m for b in window]
-        total += sum(x > y for i, x in enumerate(keys) for y in flipped[i + 1 :])
-        if rs.type_label != "D":
-            total += sum(b < 0 for b in window)
+    signed = rs.type_label != "A"
+    seen: List[int] = []
+    total = 0
+    for j, b in enumerate(window):
+        key = b % m
+        total += j - bisect_right(seen, key)
+        if signed:
+            total += j - bisect_right(seen, -b % m)
+        insort(seen, key)
+    if rs.type_label in ("B", "C"):
+        total += sum(b < 0 for b in window)
     return total
 
 

@@ -6,11 +6,15 @@ The library keeps one table per case, whose keys are the admissible d in
 decreasing order and whose values are the fiber dimensions; the tests
 check it against these ladders, which restate each case from (type, n, m,
 i) on their own.  `stratum_count`, `d_of` and `expected_fiber_dim` read
-the table afresh on every call, one class or stratum at a time; `verify`
-builds it once per fixture.
+the table afresh on every call, one class or stratum at a time, `d_of`
+with the per-class window statistic of `exponents`; `verify` builds the
+table once per fixture and reads the statistics of all classes in one
+pass.
 """
 
 from parorbits import strata
+
+from exponents import d_geometric
 
 
 def stratum_count(fix):
@@ -22,7 +26,7 @@ def d_of(fix, w):
     delta: the position of d_geometric among the keys of `orbit_table`,
     so the closed stratum (through the base point) gets 0 and the open
     stratum gets the maximal label."""
-    dg = strata.d_geometric(fix, w)
+    dg = d_geometric(fix, w)
     for label, d in enumerate(strata.orbit_table(fix)):
         if d == dg:
             return label

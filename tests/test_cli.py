@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from parorbits import cli, cosets, decomp, rootsys, seidel, strata, weyl
+from parorbits import cli, cosets, decomp, seidel, strata, weyl
 from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
+
+from exponents import bumped_delta, offset_coweight_table
 
 
 def run_cli(capsys, argv):
@@ -259,14 +261,13 @@ def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     # a valid fixture reaches StrataError only as a failed invariant
     fix = Fixture("C", 4, 2, 4)
     pq, sts = strata.stratify(fix)
-    target = pq.elements[next(st for st in sts if st.size == 12).dc.members[-1]]
-    real_delta = strata.delta
-    monkeypatch.setattr(strata, "delta", lambda f, w: real_delta(f, w) + (w == target))
+    target = next(st for st in sts if st.size == 12).dc.members[-1]
+    monkeypatch.setattr(strata, "delta", bumped_delta(strata.delta, target))
     code, out, err = run_cli(capsys, ["strata"] + FIGURE_ARGV[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: stratum exponent not constant") and err.count("\n") == 1
     monkeypatch.undo()
-    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: 3)
+    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(fix, 3))
     code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: stratum exponent 3/2") and err.count("\n") == 1

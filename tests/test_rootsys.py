@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from parorbits import seidel, strata, weyl
+from parorbits import cosets, seidel, strata, weyl
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
-from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, eta, pair
+from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, pair
 
 from dynkin import component_nodes, orderings, subsets
+from exponents import eta
 from roots import control_errors, dense_build
 from windows import inverse
 from words import from_word
@@ -275,7 +276,8 @@ def test_root_data_is_integer(t, n):
         assert all(type(eta(rs, diff, j)) is int for j in rs.nodes)
     if group_order(t, n) <= MAX_GROUP_ORDER:
         fix = Fixture(t, n, 1, max(cominuscule_nodes(rs.type_label, rs.rank)))
-        assert type(strata.delta(fix, w0)) is int
+        pq = cosets.build_quotient(rs, fix.j_q)
+        assert all(type(d) is int for d in strata.delta(fix, pq))
 
 
 DYNKIN_SYSTEMS = [("A", n) for n in range(1, 9)] + [

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from parorbits import cosets, rootsys, weyl
+from parorbits import cosets, rootsys, strata, weyl
 from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, FixtureError, group_order, sweep_fixtures
 from parorbits.strata import (
@@ -20,6 +20,9 @@ from parorbits.strata import (
 )
 
 from cases import d_of, expected_fiber_dim, ladder_table, stratum_count
+from exponents import d_geometric as oracle_statistic
+from exponents import delta as oracle_delta
+from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
 from windows import inverse, k_by_root_scan
 
@@ -28,26 +31,52 @@ def _element(fix, window):
     return weyl.element(fix.rs, window)
 
 
+def _deltas(fix):
+    """Every class's delta from the pass, by window."""
+    pq = cosets.build_quotient(fix.rs, fix.j_q)
+    return {w.window: d for w, d in zip(pq.elements, delta(fix, pq))}
+
+
 def test_delta_examples():
     g24 = Fixture("A", 3, 2, 2)
-    assert delta(g24, weyl.identity(g24.rs)) == 0
-    assert delta(g24, _element(g24, (3, 4, 1, 2))) == 2
+    assert _deltas(g24)[(1, 2, 3, 4)] == 0
+    assert _deltas(g24)[(3, 4, 1, 2)] == 2
     ig = Fixture("C", 4, 2, 4)
-    pq = cosets.build_quotient(ig.rs, ig.j_q)
-    values = {delta(ig, w) for w in pq.elements}
-    assert values == {0, 1, 2}
+    assert set(_deltas(ig).values()) == {0, 1, 2}
 
 
 def test_delta_rejects_odd_doubled_exponent(monkeypatch):
-    # eta of the doubled coweight move is 2 delta; an odd value is no exponent
+    # eta of the doubled coweight move is 2 delta; an odd value is no
+    # exponent.  The pass's input 2 omega_p^vee is moved so that the
+    # identity, its first class, gets 3, then -2
     ig = Fixture("C", 4, 2, 4)
-    w = weyl.identity(ig.rs)
-    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: 3)
-    with pytest.raises(StrataError, match=r"3/2 at W"):
-        delta(ig, w)
-    monkeypatch.setattr(rootsys, "eta", lambda rs, v, j: -2)
-    with pytest.raises(StrataError, match="not a non-negative integer"):
-        delta(ig, w)
+    pq = cosets.build_quotient(ig.rs, ig.j_q)
+    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, 3))
+    with pytest.raises(StrataError, match=r"3/2 at WC4\(1,2,3,4\)"):
+        delta(ig, pq)
+    monkeypatch.undo()
+    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, -2))
+    with pytest.raises(StrataError, match="-2/2 at .* not a non-negative integer"):
+        delta(ig, pq)
+
+
+def test_delta_rejects_moves_off_the_coroot_lattice_and_span(monkeypatch):
+    # the per-class checks that eta made: with 2 omega_p^vee shifted by 1,
+    # the move pairs to a half-integer coefficient on alpha_4^vee = 2 e_4
+    # of B4, and in type A it leaves the sum-zero span of the coroots
+    og = Fixture("B", 4, 4, 1)
+    real = strata._coweight_table
+
+    def shifted(rs, node):
+        omega2, signed = real(rs, node)
+        return (omega2[0] + 1,) + omega2[1:], signed
+
+    monkeypatch.setattr(strata, "_coweight_table", shifted)
+    with pytest.raises(StrataError, match=r"WB4\(1,2,3,4\) is outside the coroot lattice at node 4"):
+        delta(og, cosets.build_quotient(og.rs, og.j_q))
+    g24 = Fixture("A", 3, 2, 2)
+    with pytest.raises(StrataError, match=r"WA3\(1,2,3,4\) is not in the span of the coroots"):
+        delta(g24, cosets.build_quotient(g24.rs, g24.j_q))
 
 
 def test_d_of_matches_delta_orientation():
@@ -57,19 +86,18 @@ def test_d_of_matches_delta_orientation():
     assert d_of(g24, _element(g24, (3, 4, 1, 2))) == 2
     assert d_of(g24, weyl.identity(g24.rs)) == 0
     ig = Fixture("C", 4, 2, 4)
-    assert d_geometric(ig, weyl.identity(ig.rs)) == 2  # window count #{j<=m: w(j)>0}
+    assert d_geometric(ig, [(1, 2, 3, 4)]) == [2]  # window count #{j<=m: w(j)>0}
     assert d_of(ig, weyl.identity(ig.rs)) == 0
     og = Fixture("B", 4, 3, 1)
     w = _element(og, (-1, 2, 3, 4))
-    assert d_geometric(og, w) == 0  # some w(j) = -1 among the first m entries
+    assert d_geometric(og, [w.window]) == [0]  # some w(j) = -1 among the first m entries
     assert d_of(og, w) == 2
 
 
 def test_d_equals_delta_everywhere_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
         pq = cosets.build_quotient(fix.rs, fix.j_q)
-        for w in pq.elements:
-            assert delta(fix, w) == d_of(fix, w)
+        assert list(delta(fix, pq)) == [d_of(fix, w) for w in pq.elements], fix.label
 
 
 def test_d_range_counts():
@@ -173,24 +201,26 @@ def test_K_and_delta_match_root_vector_scans():
     # the doubled coweight
     for fix in sweep_fixtures(5, 5, 5, 5) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
         pq, sts = stratify(fix)
+        deltas = delta(fix, pq)
         omega2 = fix.rs.double_coweight(fix.p_node)
         for st in sts:
             assert st.K == K_of(st.dc) == k_by_root_scan(st.dc), (fix.label, st.delta)
             for k in st.dc.members:
                 w = pq.elements[k]
                 moved = weyl.act(inverse(w), omega2)
-                twice = rootsys.eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
-                assert 2 * delta(fix, w) == twice, (fix.label, w)
+                twice = eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
+                assert 2 * deltas[k] == twice, (fix.label, w)
 
 
 def test_delta_constant_and_monotone_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
         pq, sts = stratify(fix)
+        deltas = delta(fix, pq)
         label = {}
         for st in sts:
             for k in st.dc.members:
                 label[k] = st.delta
-            assert {delta(fix, pq.elements[k]) for k in st.dc.members} == {st.delta}
+            assert {deltas[k] for k in st.dc.members} == {st.delta}
         for c in pq.covers:
             if label[c.u] != label[c.w]:
                 assert label[c.w] > label[c.u]
@@ -307,3 +337,22 @@ def test_group_order_bound():
     for args in (("A", 8, 4, 4), ("B", 7, 3, 1), ("C", 7, 3, 7), ("D", 7, 3, 7)):
         with pytest.raises(FixtureError):
             Fixture(*args)
+
+
+def test_delta_and_statistic_passes_match_per_class_oracles(monkeypatch):
+    # every fixture of the rank <= 6 sweep with A7 (216), and three past
+    # rank 7 with the bound on |W| lifted to |W(B8)|: the pass's delta and
+    # window statistic of every class against the per-class paths they
+    # replaced, which expand eta and read the case once per element
+    fixtures = sweep_fixtures(7, 6, 6, 6)
+    assert len(fixtures) == 216
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))
+    fixtures += [fixtures_module.parse_fixture(label) for label in ("C8/P4+P8", "D8/P4+P8", "B8/P7+P1")]
+    classes = 0
+    for fix in fixtures:
+        pq = cosets.build_quotient(fix.rs, fix.j_q)
+        assert list(delta(fix, pq)) == [oracle_delta(fix, w) for w in pq.elements], fix.label
+        windows = [w.window for w in pq.elements]
+        assert d_geometric(fix, windows) == [oracle_statistic(fix, w) for w in pq.elements], fix.label
+        classes += len(windows)
+    assert classes == 10522

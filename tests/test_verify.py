@@ -10,14 +10,14 @@ from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from cases import d_of, expected_fiber_dim
+from exponents import bumped_delta
 
 
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
     pq, sts = strata.stratify(fix)
-    target = pq.elements[next(st for st in sts if st.size > 1).dc.members[-1]]
-    real_delta = strata.delta
-    monkeypatch.setattr(strata, "delta", lambda f, w: real_delta(f, w) + (w == target))
+    target = next(st for st in sts if st.size > 1).dc.members[-1]
+    monkeypatch.setattr(strata, "delta", bumped_delta(strata.delta, target))
     with pytest.raises(strata.StrataError, match="not constant"):
         verify.verify_fixture(fix)
 
@@ -90,7 +90,7 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
     calls = _count_stages(monkeypatch)
     report = verify.verify_fixture(Fixture("C", 5, 2, 5))
     assert report["pass"] and report["classes"] == 40
-    assert calls == {"stratify": 1, "delta": report["classes"], "v_elt": 1, "seidel_table": 1}
+    assert calls == {"stratify": 1, "delta": 1, "v_elt": 1, "seidel_table": 1}
 
 
 def test_quantum_runs_each_stage_once(monkeypatch, capsys):
@@ -99,7 +99,7 @@ def test_quantum_runs_each_stage_once(monkeypatch, capsys):
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 40
-    assert calls == {"stratify": 1, "delta": len(rows), "v_elt": 1, "seidel_table": 1}
+    assert calls == {"stratify": 1, "delta": 1, "v_elt": 1, "seidel_table": 1}
 
 
 def test_root_system_built_once_per_fixture(monkeypatch, capsys):
@@ -226,10 +226,14 @@ def test_verify_fixture_passes_every_check_at_rank_8(monkeypatch, label):
 def test_inadmissible_window_statistic_names_the_window(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
     dec = decomp.build_decomposition(fix)
-    target = dec.pq.elements[-1]
+    target = dec.pq.elements[-1].window
     real = strata.d_geometric
-    monkeypatch.setattr(strata, "d_geometric", lambda f, w: 99 if w == target else real(f, w))
-    text = "window statistic 99 of %s is not admissible" % weyl.window_str(target.window)
+
+    def corrupted(f, windows):
+        return [99 if b == target else d for b, d in zip(windows, real(f, windows))]
+
+    monkeypatch.setattr(strata, "d_geometric", corrupted)
+    text = "window statistic 99 of %s is not admissible" % weyl.window_str(target)
     with pytest.raises(strata.StrataError, match=re.escape(text)):
         verify._check_delta_laws(dec, strata.orbit_table(fix))
 

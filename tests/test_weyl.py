@@ -27,6 +27,7 @@ from windows import (
     draw_window,
     inverse,
     longest_by_adding_descents,
+    pairwise_length,
     root_is_negative,
     strip_descents,
 )
@@ -443,3 +444,12 @@ def test_bruhat_basics():
 def test_window_str():
     assert window_str((3, -1, 2)) == "(3,-1,2)"
     assert parse_window("(3,-1,2)") == (3, -1, 2)
+
+
+@pytest.mark.parametrize("t", "ABCD")
+def test_bisected_length_matches_pairwise_count_on_rank_5(t):
+    # every element of W(A5), W(B5), W(C5) and W(D5)
+    rs = build(t, 5)
+    group = enumerate_group(rs, frozenset(rs.nodes))
+    assert all(weyl._length(rs, w.window) == pairwise_length(rs, w.window) for w in group)
+    assert len(group) == {"A": 720, "B": 3840, "C": 3840, "D": 1920}[t]

@@ -8,6 +8,8 @@ sorts blocks of positions, and `weyl.longest` reverses or negates them; the
 tests check both against stripping or adding one right descent at a time.
 `strata.K_of` reads K off the left-action table; the tests check it
 against the simple roots that w_min^-1 carries onto Delta(Q).
+`weyl._length` counts inversions by bisection into the sorted keys seen
+so far; `pairwise_length` compares every pair of positions.
 """
 
 from parorbits import weyl
@@ -68,6 +70,21 @@ def longest_by_adding_descents(rs, j_set):
         if not k:
             return weyl.WeylElement(rs, window)
         window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
+
+
+def pairwise_length(rs, window):
+    """Oracle for `weyl._length`: pairs i < j with key(b_i) > key(b_j); in B,
+    C and D also those with key(b_i) > key(-b_j); in B and C also negative
+    entries, each pair compared on its own."""
+    m = 2 * len(window) + 1
+    keys = [b % m for b in window]
+    total = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
+    if rs.type_label != "A":
+        flipped = [-b % m for b in window]
+        total += sum(x > y for i, x in enumerate(keys) for y in flipped[i + 1 :])
+        if rs.type_label != "D":
+            total += sum(b < 0 for b in window)
+    return total
 
 
 def inverse(w):
