@@ -2,13 +2,15 @@
 
 A quotient may live in the full Weyl group or in any standard Levi
 subgroup (node subset), which lets the flag varieties appearing inside
-orbit strata reuse the same machinery.  Elements are minimal-length coset
-representatives, graded by length, and each quotient keeps their lengths
-as one tuple, `lengths`, beside them.  Each quotient records how every
-simple reflection of its node set acts on it from the left, as a table of
-indices that the enumerator's breadth-first pass fills on the way; the
-covers, with a positive-root witness beta such that w = u * s_beta, and
-the W_P-orbits are both read from that table.
+orbit strata reuse the same machinery.  A class is the window of its
+minimal-length coset representative and its position among the
+quotient's `elements`, which are graded by length; each quotient keeps
+their lengths as one tuple, `lengths`, beside them.  Each quotient records
+how every simple reflection of its node set acts on it from the left, as
+a table of indices that the enumerator's breadth-first pass fills on the
+way; the covers, with a positive-root witness beta such that
+w = u * s_beta, and the W_P-orbits, each a sorted tuple of member
+indices, are both read from that table.
 `fixtures.Fixture` alone decides which quotients belong to the supported
 family.
 """
@@ -22,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from . import weyl
 from .rootsys import RootSystem, Vector
-from .weyl import WeylElement
+from .weyl import WeylElement, Window
 
 
 class CosetError(ValueError):
@@ -36,7 +38,9 @@ class Cover(NamedTuple):
 
 
 class ParabolicQuotient(NamedTuple):
-    """A graded quotient with its left action and covers.  It compares and
+    """A graded quotient with its left action and covers.  Its `elements`
+    are the windows of its classes, sorted by (length, window), and every
+    other field names a class by its position there.  It compares and
     hashes by identity, as its dict fields cannot be hashed.  The `index`
     field, the window index, shadows the `tuple.index` method, as
     `weyl.Enumeration.index` does."""
@@ -44,9 +48,9 @@ class ParabolicQuotient(NamedTuple):
     rs: RootSystem
     nodes: FrozenSet[int]
     j_q: FrozenSet[int]
-    elements: Tuple[WeylElement, ...]
+    elements: Tuple[Window, ...]
     covers: Tuple[Cover, ...]
-    index: Dict[Tuple[int, ...], int]
+    index: Dict[Window, int]
     #: left[k][i] is the index of s_k * w_i, or i when it lies in w_i W_J
     left: Dict[int, Tuple[int, ...]]
     #: lengths[i] is the length of w_i
@@ -62,9 +66,6 @@ class ParabolicQuotient(NamedTuple):
             sorted(self.j_q),
             len(self.elements),
         )
-
-    def index_of(self, w: WeylElement) -> int:
-        return self.index[w.window]
 
     def top_degree(self) -> int:
         return self.lengths[-1]
@@ -126,7 +127,7 @@ def build_quotient(
         k = descent[i]
         row = left[k]
         p = row[i]
-        beta = root_index[itemgetter(*elements[p].window)(alphas[k])]
+        beta = root_index[itemgetter(*elements[p])(alphas[k])]
         lower[i] = [(p, beta)] + [
             (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
         ]
@@ -144,13 +145,14 @@ def build_quotient(
 
 
 class DoubleCoset(NamedTuple):
-    """One W_P-orbit of a quotient; compares and hashes by identity."""
+    """One W_P-orbit of a quotient, as the sorted indices of its members
+    in `pq.elements`.  `double_cosets` certifies unique length extremes,
+    so `members[0]` is its least member w_min and `members[-1]` its
+    greatest, w_max.  It compares and hashes by identity."""
 
     pq: ParabolicQuotient
     j_p: FrozenSet[int]
-    members: Tuple[int, ...]  # sorted element indices
-    w_min: WeylElement
-    w_max: WeylElement
+    members: Tuple[int, ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
@@ -192,15 +194,17 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
             lengths[members[1]] == lengths[lo] or lengths[members[-2]] == lengths[hi]
         ):
             raise CosetError(
-                "double coset without unique length extremes: %s" % ([elements[k] for k in members],)
+                "double coset without unique length extremes: %s"
+                % ([WeylElement(pq.rs, elements[k]) for k in members],)
             )
-        out.append(DoubleCoset(pq, j_p_set, tuple(members), elements[lo], elements[hi]))
+        out.append(DoubleCoset(pq, j_p_set, tuple(members)))
     return tuple(out)
 
 
 def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:
     """Check that each double coset s of one quotient is the Bruhat
-    interval [w_min, w_max] of its members.
+    interval [w_min, w_max] of its members, w_min and w_max its first and
+    last member index.
 
     Bruhat order on W^Q is graded by length and is the transitive closure
     of its covers (Bjorner-Brenti, Thm 2.5.5), so an interval is the
@@ -222,8 +226,8 @@ def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:
     down, want = up[:], up[:]
     for s, dc in enumerate(dcs):
         bit = 1 << s
-        up[pq.index_of(dc.w_min)] |= bit
-        down[pq.index_of(dc.w_max)] |= bit
+        up[dc.members[0]] |= bit
+        down[dc.members[-1]] |= bit
         for k in dc.members:
             want[k] |= bit
     for c in pq.covers:

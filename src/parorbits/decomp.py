@@ -77,21 +77,25 @@ def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
 
 
 def phi(stratum: OrbitStratum, u: weyl.WeylElement) -> weyl.WeylElement:
-    """Cell map of the stratum: u -> u * w_min (certified by `phi_map`)."""
-    return weyl.multiply(u, stratum.dc.w_min)
+    """Cell map of the stratum: u -> u * w_min (certified by `phi_map`),
+    w_min the element of the double coset's first member."""
+    dc = stratum.dc
+    return weyl.multiply(u, weyl.WeylElement(u.rs, dc.pq.elements[dc.members[0]]))
 
 
 def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     """Certified bijection from the flag quotient onto the stratum members:
     each image is a member, l(u * w_min) = l(u) + l(w_min), read from the
-    two quotients' lengths, and the images are the members, each once."""
+    two quotients' lengths, and the images are the members, each once.
+    Each flag window becomes an element u only here, for `phi`."""
     pq = stratum.dc.pq
     fq = flag_quotient(stratum)
     members = stratum.dc.members
     member_set = set(members)
     shift = pq.lengths[members[0]]
     images = []
-    for u, length in zip(fq.elements, fq.lengths):
+    for x, length in zip(fq.elements, fq.lengths):
+        u = weyl.WeylElement(pq.rs, x)
         idx = pq.index.get(phi(stratum, u).window)
         if idx not in member_set:
             raise DecompositionError(
@@ -119,8 +123,8 @@ def _compare_stratum(
     {(u, w): mult}, against its flag diagram carried over by the cell map;
     the sorted mismatch list is built only when the two differ."""
     fq, phi_images = phi_map(stratum)
-    weight, doubling = strata.h_prime_of(stratum)
-    scale = 2 if doubling else 1
+    weight = strata.h_prime_of(stratum)
+    scale = 2 if stratum.doubling else 1
     if not weight:
         fd = None
         flag_edges: Dict[Tuple[int, int], int] = {}
@@ -202,8 +206,8 @@ def _emit_json(
     sts: Optional[Tuple[OrbitStratum, ...]],
 ) -> str:
     vertices = []
-    for k, w in enumerate(pq.elements):
-        entry = {"window": weyl.window_str(w.window), "length": pq.lengths[k]}
+    for k, x in enumerate(pq.elements):
+        entry = {"window": weyl.window_str(x), "length": pq.lengths[k]}
         if vertex_stratum is not None:
             entry["stratum"] = vertex_stratum[k]
         vertices.append(entry)
@@ -231,8 +235,8 @@ def _emit_dot(
         "  rankdir=LR;",
         "  node [shape=circle, style=filled, fixedsize=true, width=0.25, fontsize=6];",
     ]
-    for k, w in enumerate(pq.elements):
-        attrs = ['label="%s"' % weyl.window_str(w.window)]
+    for k, x in enumerate(pq.elements):
+        attrs = ['label="%s"' % weyl.window_str(x)]
         if vertex_stratum is not None:
             si = vertex_stratum[k]
             attrs.append('class="stratum%d"' % sts[si].delta)

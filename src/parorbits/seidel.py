@@ -128,10 +128,10 @@ def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     perm, qexp = seidel_table(pq, sts, v_elt(fix.rs, fix.p_node))
     return [
         {
-            "window": weyl.window_str(w.window),
+            "window": weyl.window_str(x),
             "length": pq.lengths[k],
             "q_exp": qexp[k],
-            "image_window": weyl.window_str(pq.elements[perm[k]].window),
+            "image_window": weyl.window_str(pq.elements[perm[k]]),
         }
-        for k, w in enumerate(pq.elements)
+        for k, x in enumerate(pq.elements)
     ]

@@ -64,7 +64,7 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     Every class is certified: in type A the move lies in the span of the
     coroots (coordinate sum 0), its coefficient is an integer (the move
     lies in the coroot lattice), and twice the exponent is even and
-    >= 0.  A failure raises StrataError naming the window."""
+    >= 0.  A failure raises StrataError naming the class's element."""
     rs, q = fix.rs, fix.q_node
     omega2, table = _coweight_table(rs, fix.p_node)
     weights = rs.double_coweight(q)
@@ -73,14 +73,17 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     top = rootsys.pair(omega2, weights)
     span = sum(omega2) if rs.type_label == "A" else None
     out = []
-    for w in pq.elements:
-        moved = itemgetter(*w.window)(table)  # w^-1(2 omega_p^vee)
+    for x in pq.elements:
+        moved = itemgetter(*x)(table)  # w^-1(2 omega_p^vee)
         if span is not None and sum(moved) != span:
+            w = weyl.WeylElement(rs, x)
             raise StrataError("coweight move of %r is not in the span of the coroots" % (w,))
         twice, rem = divmod(scale * (top - sum(map(mul, moved, weights))), 4)
         if rem:
+            w = weyl.WeylElement(rs, x)
             raise StrataError("coweight move of %r is outside the coroot lattice at node %d" % (w, q))
         if twice % 2 or twice < 0:
+            w = weyl.WeylElement(rs, x)
             raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
         out.append(twice // 2)
     return tuple(out)
@@ -173,12 +176,12 @@ class FlagDescriptor(NamedTuple):
 
 def K_of(dc: DoubleCoset) -> FrozenSet[int]:
     """Nodes of Delta(P) whose simple root is carried onto Delta(Q) by
-    w_min^-1.  By Deodhar's lemma (Bjorner-Brenti Lemma 2.4.3), s*w_min
-    leaves W^Q exactly when w_min^-1(alpha_s) lies in Delta(Q), and the
-    quotient's left-action table records that as left[s][i] == i."""
-    pq = dc.pq
-    i = pq.index_of(dc.w_min)
-    return frozenset(s for s in dc.j_p if pq.left[s][i] == i)
+    w_min^-1, for w_min the double coset's first member i.  By Deodhar's
+    lemma (Bjorner-Brenti Lemma 2.4.3), s*w_min leaves W^Q exactly when
+    w_min^-1(alpha_s) lies in Delta(Q), and the quotient's left-action
+    table records that as left[s][i] == i."""
+    i = dc.members[0]
+    return frozenset(s for s in dc.j_p if dc.pq.left[s][i] == i)
 
 
 def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -234,26 +237,25 @@ class OrbitStratum(NamedTuple):
         return self.dc.size
 
 
-def h_prime_of(stratum: OrbitStratum) -> Tuple[Dict[int, int], bool]:
-    """Divisor weight on the stratum's flag, plus the doubling flag.
+def h_prime_of(stratum: OrbitStratum) -> Dict[int, int]:
+    """Divisor weight on the stratum's flag.
 
     The weight is 1 on each marked ambient node, with one degeneration:
     on the Lagrangian Grassmannian (type C with q_node = rank) the two
     isotropic flag steps of a stratum coincide, so the restricted divisor
     is twice the single marked generator and the coefficient is 2.
-
-    The boolean is the odd orthogonal doubling flag: the middle stratum
-    of OG(n-1, 2n+1) compares against its (maximal orthogonal) flag
-    diagram with every multiplicity doubled.
     """
     fix = stratum.fixture
     coeff = 1
     if fix.type_label == "C" and fix.q_node == fix.rank and stratum.flag.marked_ambient:
         coeff = 2
-    return {node: coeff for node in stratum.flag.marked_ambient}, stratum.doubling
+    return {node: coeff for node in stratum.flag.marked_ambient}
 
 
 def _doubling(fix: Fixture, delta_value: int) -> bool:
+    """The odd orthogonal doubling flag: the middle stratum of
+    OG(n-1, 2n+1) compares against its (maximal orthogonal) flag diagram
+    with every multiplicity doubled."""
     return (
         fix.type_label == "B"
         and fix.q_node == fix.rank - 1
@@ -268,7 +270,7 @@ def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]
     pq = cosets.build_quotient(rs, fix.j_q)
     deltas = delta(fix, pq)
     dcs = cosets.double_cosets(pq, fix.j_p)
-    stats = d_geometric(fix, [dc.w_min.window for dc in dcs])
+    stats = d_geometric(fix, [pq.elements[dc.members[0]] for dc in dcs])
     strata = []
     for dc, d_geom in zip(dcs, stats):
         values = {deltas[k] for k in dc.members}
@@ -291,15 +293,16 @@ def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]
                 doubling=_doubling(fix, dval),
             )
         )
-    strata.sort(key=lambda st: (st.delta, st.dc.w_min.window))
+    strata.sort(key=lambda st: (st.delta, pq.elements[st.dc.members[0]]))
     return pq, tuple(strata)
 
 
 def stratum_json(st: OrbitStratum) -> dict:
+    windows, members = st.dc.pq.elements, st.dc.members
     return {
         "delta": st.delta,
-        "w_min": weyl.window_str(st.dc.w_min.window),
-        "w_max": weyl.window_str(st.dc.w_max.window),
+        "w_min": weyl.window_str(windows[members[0]]),
+        "w_max": weyl.window_str(windows[members[-1]]),
         "size": st.size,
         "K": sorted(st.K),
         "flag": {

@@ -29,14 +29,13 @@ def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str
     fix, pq, sts = dec.fixture, dec.pq, dec.strata
     vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
     deltas = sorted(st.delta for st in sts)
-    windows = [w.window for w in pq.elements]
-    stats = strata.d_geometric(fix, windows)
+    stats = strata.d_geometric(fix, pq.elements)
     labels = list(map({d: label for label, d in enumerate(table)}.get, stats))
     if None in labels:
         k = labels.index(None)
         raise strata.StrataError(
             "window statistic %d of %s is not admissible for %s"
-            % (stats[k], weyl.window_str(windows[k]), fix)
+            % (stats[k], weyl.window_str(pq.elements[k]), fix)
         )
     return {
         # stratify raises StrataError when delta is not constant on a stratum
@@ -80,7 +79,7 @@ def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
     roots = {e.root for e in diagram.edges}
     getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r).window) for r in roots}
     mults = {r: hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots}
-    windows = [w.window for w in pq.elements]
+    windows = pq.elements
     tables = [weyl.signed_table(x) for x in windows]
     return all(
         getters[e.root](tables[e.u]) == windows[e.w] and mults[e.root] == e.mult
@@ -107,7 +106,7 @@ def _check_seidel(
     # read through the signed table of v^2
     m = fix.q_node
     square = weyl.signed_table(weyl.compose(v.window, v.window))
-    windows = [w.window for w in pq.elements]
+    windows = pq.elements
     compose_ok = all(
         {square[b] for b in x[:m]} == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)
@@ -213,11 +212,9 @@ def run_verify(
 def corrupted_oracle_selftest() -> dict:
     """Negative control: a deliberately damaged stratum must fail certification."""
     fix = Fixture("A", 3, 2, 2)
-    pq, sts = strata.stratify(fix)
+    _, sts = strata.stratify(fix)
     middle = next(st for st in sts if st.size > 2)
-    extremes = {pq.index_of(middle.dc.w_min), pq.index_of(middle.dc.w_max)}
-    interior = [k for k in middle.dc.members if k not in extremes]
-    keep = tuple(sorted(set(middle.dc.members) - {interior[0]}))
-    corrupted = middle.dc._replace(members=keep)
+    members = middle.dc.members  # sorted, so the extremes come first and last
+    corrupted = middle.dc._replace(members=members[:1] + members[2:])
     detected = not cosets.certify_interval([corrupted])
     return {"self_test_corrupt": {"detected": detected}}

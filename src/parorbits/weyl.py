@@ -15,19 +15,20 @@ cross-check both against the count of positive roots sent to negative
 roots.
 
 Right multiplication acts on positions: W_J permutes blocks of positions,
-so `min_rep` sorts each block by key (Bjorner-Brenti 2.4, 8.1-8.2)
-instead of stripping descents, and `longest` reverses or negates each
-block instead of adding them.  Left multiplication acts on values: s_k
-changes only the entries +/-k and +/-(k+1), and `signed_table` turns s*w,
-and the vector w^-1(v), into one lookup per entry, indexed by signed
-value; `generator_tables` builds these tables for the simple reflections
-once per root system.  `enumerate_group` lists the minimal representatives
-of W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps
-s*w by Deodhar's test (one such vector and one set lookup), builds an
-element only for a window it keeps, and keeps what the pass meets on
-the way, each element's breadth-first level (its length), the window
-index, the left action of every generator as rows of indices and each
-element's first left descent, for `cosets.build_quotient` to read.
+so `min_rep` and `longest` put each block in its shortest or longest order
+in one pass (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping or adding
+descents.  Left multiplication acts on values: s_k changes only the
+entries +/-k and +/-(k+1), and `signed_table` turns s*w, and the vector
+w^-1(v), into one lookup per entry, indexed by signed value;
+`generator_tables` builds these tables for the simple reflections once per
+root system.  `enumerate_group` lists the windows of the minimal
+representatives of W_L / W_J in one breadth-first pass, without
+enumerating W_L: it keeps s*w by Deodhar's test (one such vector and one
+set lookup), builds no element, and keeps what the pass meets on the way,
+each window's breadth-first level (its length), the window index, the
+left action of every generator as rows of indices and each window's first
+left descent, for `cosets.build_quotient` to read.  A `WeylElement` is
+built only where an API returns one element.
 """
 
 from __future__ import annotations
@@ -287,49 +288,56 @@ def _runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:
     return runs
 
 
-def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
-    """Minimal-length representative of the coset w W_J (right quotient).
+def _block_pass(rs: RootSystem, window: Window, nodes: List[int], longest: bool) -> Window:
+    """The shortest (or, with `longest`, the longest) window of the coset
+    window * W_J, for J the checked ascending `nodes`.
 
-    The representative is the unique element of the coset with no right
-    descent in J (Bjorner-Brenti 2.4).  W_J acts on the right by permuting
-    (and in B, C, D re-signing) the window's positions, one block of
-    positions per maximal run a..c of consecutive nodes of J, so each
-    block is put in the one order that has no descent (Bjorner-Brenti
-    8.1-8.2).  With key(x) = x mod (2d+1):
-      * a run not ending at node n of B, C or D permutes positions
-        a..c+1, which are sorted by key;
-      * in B and C, the run a..n also re-signs positions a..n, which
-        become their absolute values in ascending order;
+    W_J acts on the right by permuting (and in B, C, D re-signing) the
+    window's positions, one block of positions per maximal run a..c of
+    consecutive nodes of J, so each block is put in the one order that has
+    no descent, or every descent, of its run (Bjorner-Brenti 8.1-8.2).
+    With key(x) = x mod (2d+1):
+      * a run not ending at node n of B, C or D permutes positions a..c+1,
+        which are sorted by key, in reverse for the longest;
+      * in B and C, the run a..n also re-signs positions a..n, which become
+        their absolute values in ascending order, all negated for the
+        longest;
       * in D, a run a..n (so n-1 and n both in J) re-signs positions a..n
-        in pairs: absolute values in ascending order, the last one negated
-        when the block had an odd number of negative entries.  With n but
-        not n-1 in J, the action is that of n-1 conjugated by the negation
-        e of position n (s_n = e s_(n-1) e), so position n is negated
-        before and after the sort.
+        in pairs: as in B and C, with the last one negated when the count
+        of negative entries changed by an odd number.  With n but not n-1
+        in J, the action is that of n-1 conjugated by the negation e of
+        position n (s_n = e s_(n-1) e), so position n is negated before and
+        after the sort.
     Blocks of positions are not the Dynkin components of J: in D_n, J =
-    {n-1, n} is two A_1 components that act on one block, n-1 and n.
-    """
-    rs = w.rs
+    {n-1, n} is two A_1 components that act on one block, n-1 and n."""
     n, t = rs.rank, rs.type_label
-    nodes = _checked_nodes(rs, j_set)
-    b = list(w.window)
+    b = list(window)
     flip = t == "D" and n in nodes and n - 1 not in nodes
     if flip:
-        nodes[-1] = n - 1  # n was the largest node, so the list stays sorted
+        nodes = nodes[:-1] + [n - 1]  # n was the largest node, so the list stays sorted
         b[-1] = -b[-1]
     m = 2 * len(b) + 1
     for a, c in _runs(nodes):
         if c == n and t != "A":
             block = b[a - 1 :]
-            b[a - 1 :] = sorted(abs(x) for x in block)
-            if t == "D" and sum(x < 0 for x in block) % 2:
+            tail = sorted(abs(x) for x in block)
+            b[a - 1 :] = [-x for x in tail] if longest else tail
+            # the count of negative entries changed by an odd number
+            if t == "D" and sum(x < 0 for x in block + b[a - 1 :]) % 2:
                 b[-1] = -b[-1]
         else:
-            b[a - 1 : c + 1] = sorted(b[a - 1 : c + 1], key=lambda x: x % m)
+            b[a - 1 : c + 1] = sorted(b[a - 1 : c + 1], key=lambda x: x % m, reverse=longest)
     if flip:
         b[-1] = -b[-1]
-    window = tuple(b)
-    return w if window == w.window else WeylElement(rs, window)
+    return tuple(b)
+
+
+def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
+    """Minimal-length representative of the coset w W_J (right quotient):
+    the unique element of the coset with no right descent in J
+    (Bjorner-Brenti 2.4), by one `_block_pass`."""
+    window = _block_pass(w.rs, w.window, _checked_nodes(w.rs, j_set), False)
+    return w if window == w.window else WeylElement(w.rs, window)
 
 
 def is_min_rep(w: WeylElement, j_set: Iterable[int]) -> bool:
@@ -337,36 +345,12 @@ def is_min_rep(w: WeylElement, j_set: Iterable[int]) -> bool:
 
 
 def longest(rs: RootSystem, j_set: Iterable[int]) -> WeylElement:
-    """Longest element w_0(J) of the standard parabolic subgroup W_J, in
-    one pass over the blocks of positions that `min_rep` sorts
-    (Bjorner-Brenti 8.1-8.2), starting from the identity window:
-      * a run a..c not ending at node n of B, C or D reverses positions
-        a..c+1, the longest permutation of the block;
-      * in B and C, the run a..n negates positions a..n;
-      * in D, the run a..n negates positions a..n and restores the sign of
-        position n when the block has odd size, as D keeps an even number
-        of signs; with n but not n-1 in J, position n is negated before
-        and after, as in `min_rep` (s_n = e s_(n-1) e).
+    """Longest element w_0(J) of the standard parabolic subgroup W_J, the
+    longest window of the coset of the identity, by one `_block_pass`.
     Certified: w_0(J) is the one element of W_J with every node of J as a
     right descent, and each node is checked on the result."""
-    n, t = rs.rank, rs.type_label
     nodes = _checked_nodes(rs, j_set)
-    runs = list(nodes)
-    b = list(range(1, rs.dim + 1))
-    flip = t == "D" and n in nodes and n - 1 not in nodes
-    if flip:
-        runs[-1] = n - 1  # n was the largest node, so the list stays sorted
-        b[-1] = -b[-1]
-    for a, c in _runs(runs):
-        if c == n and t != "A":
-            b[a - 1 :] = [-x for x in b[a - 1 :]]
-            if t == "D" and (n - a + 1) % 2:
-                b[-1] = -b[-1]
-        else:
-            b[a - 1 : c + 1] = b[a - 1 : c + 1][::-1]
-    if flip:
-        b[-1] = -b[-1]
-    window = tuple(b)
+    window = _block_pass(rs, tuple(range(1, rs.dim + 1)), nodes, True)
     for k in nodes:
         if not _is_descent(rs, window, k):
             raise WeylError(
@@ -397,11 +381,11 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
 
 class Enumeration(tuple):
-    """The elements that `enumerate_group` lists, in order, carrying what
+    """The windows that `enumerate_group` lists, in order, carrying what
     its breadth-first pass recorded on the way:
       * `index` is a dict from each window to its position; it shadows
         the `tuple.index` method, so `tuple.index(enumeration, w)` is the
-        way to search the elements;
+        way to search the windows;
       * `left[k][i]` is the position of s_k*w_i, or i when s_k*w_i lies
         in w_i W_J, for every node k of L;
       * `descent[i]` is the least node k with s_k*w_i shorter than w_i,
@@ -409,18 +393,18 @@ class Enumeration(tuple):
       * `lengths[i]` is the length of w_i, its breadth-first level.
     The result is cached, and the `cosets.ParabolicQuotient` built from it
     shares its `index` dict and `left` rows, so neither may be mutated.
-    It is a tuple of the elements and not a plain record because the
+    It is a tuple of the windows and not a plain record because the
     benchmark's tracer sizes the enumerator's result with `len()`; the
     benchmark change of ROADMAP item 2 is what could turn it into one.
-    `len()`, iteration and equality are those of the tuple of elements."""
+    `len()`, iteration and equality are those of the tuple of windows."""
 
     index: Dict[Window, int]
     left: Dict[int, Tuple[int, ...]]
     descent: Tuple[int, ...]
     lengths: Tuple[int, ...]
 
-    def __new__(cls, elements, index, left, descent, lengths):
-        self = super().__new__(cls, elements)
+    def __new__(cls, windows, index, left, descent, lengths):
+        self = super().__new__(cls, windows)
         self.index, self.left, self.descent, self.lengths = index, left, descent, lengths
         return self
 
@@ -429,8 +413,8 @@ class Enumeration(tuple):
 def enumerate_group(
     rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int] = frozenset()
 ) -> Enumeration:
-    """Minimal representatives of W_L / W_J (L = `nodes`; all of W_L for J
-    empty), sorted by (length, window), in one breadth-first pass by left
+    """Windows of the minimal representatives of W_L / W_J (L = `nodes`;
+    all of W_L for J empty), sorted by (length, window), in one breadth-first pass by left
     simple reflections s of L.  By Deodhar's lemma (Bjorner-Brenti Lemma
     2.4.3), for w in W^J either s*w is in W^J or s*w = w*t for a t in J,
     and the latter holds exactly when w^-1(alpha_s) = alpha_t.  So one
@@ -440,8 +424,7 @@ def enumerate_group(
     l > 0 has a left descent s with s*w in W^J of length l - 1, so an
     element's breadth-first level is its length: levels are emitted in
     turn, each sorted by window, and each element's level is recorded as
-    its length.  Candidates are bare windows; only the kept ones become
-    elements.
+    its length.  Only windows are listed; no element is built.
 
     Each level is indexed when it is emitted, and its left rows start as
     placeholders, so every step from w_i is one of three (Deodhar's
@@ -463,14 +446,14 @@ def enumerate_group(
     index: Dict[Window, int] = {}
     lookup = index.get
     descent: List[int] = []
-    out: List[WeylElement] = []
+    out: List[Window] = []
     lengths: List[int] = []
-    level = [identity(rs).window]
+    level = [tuple(range(1, rs.dim + 1))]
     length = 0
     while level:
         base = len(out)
         index.update(zip(level, range(base, base + len(level))))
-        out.extend(WeylElement(rs, x) for x in level)
+        out.extend(level)
         lengths += [length] * len(level)
         placeholders = [-1] * len(level)
         for row in rows:
@@ -499,7 +482,7 @@ def enumerate_group(
         if -1 in row:
             raise WeylError(
                 "left row of node %d left unresolved at %s"
-                % (k, window_str(out[row.index(-1)].window))
+                % (k, window_str(out[row.index(-1)]))
             )
     left = {k: tuple(row) for k, row in zip(ks, rows)}
     return Enumeration(out, index, left, tuple(descent), tuple(lengths))

@@ -52,9 +52,9 @@ def all_roots_covers(pq):
         if r not in q_roots
     ]
     covers = []
-    for u, elt in enumerate(pq.elements):
+    for u, window in enumerate(pq.elements):
         for r, image in candidates:
-            x = image(elt.window)
+            x = image(window)
             if x is None:
                 continue
             w = pq.index.get(x)
@@ -78,7 +78,7 @@ def compose_closure(pq, j_p):
         while stack:
             k = stack.pop()
             for s in gens:
-                m = pq.index.get(weyl.compose(s, pq.elements[k].window), k)
+                m = pq.index.get(weyl.compose(s, pq.elements[k]), k)
                 if not assigned[m]:
                     assigned[m] = True
                     orbit.append(m)

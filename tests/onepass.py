@@ -65,7 +65,7 @@ def first_descents(lengths, left):
 
 def check_quotient(pq):
     """Assert that the quotient and the enumeration it was built from agree
-    with the oracles above: elements, lengths, index, left rows and first
+    with the oracles above: windows, lengths, index, left rows and first
     descents; and that the covers come out sorted."""
     rs, nodes, j_set = pq.rs, pq.nodes, pq.j_q
     windows, lengths = seen_set_levels(rs, nodes, j_set)
@@ -73,7 +73,7 @@ def check_quotient(pq):
     descents = first_descents(lengths, left)
     enumeration = weyl.enumerate_group(rs, nodes, j_set)
     for got in (enumeration, pq.elements):
-        assert [w.window for w in got] == windows, pq
+        assert list(got) == windows, pq
     assert list(enumeration.lengths) == lengths, pq
     assert pq.lengths is enumeration.lengths, pq
     assert enumeration.index == index == pq.index, pq

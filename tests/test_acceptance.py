@@ -13,6 +13,7 @@ from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 
 from conftest import load_golden
+from windows import elements
 
 
 def _verdict(num, label, ok):
@@ -112,7 +113,8 @@ def test_criterion_09_oracle_redundancy(sweep_reports):
     ok = all(r["checks"]["chevalley_witnesses"] for r in sweep_reports.values())
     for t, n in (("C", 3), ("A", 4)):
         rs = build(t, n)
-        group = sorted(weyl.enumerate_group(rs, frozenset(rs.nodes)), key=lambda w: (w.length, w.window))
+        group = elements(rs, weyl.enumerate_group(rs, frozenset(rs.nodes)))
+        group.sort(key=lambda w: (w.length, w.window))
         index = {w.window: k for k, w in enumerate(group)}
         reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
         reach = [1 << k for k in range(len(group))]

@@ -248,7 +248,7 @@ def test_non_additive_cell_map_refused(monkeypatch, capsys):
     def swapped(stratum, u):
         if stratum.delta == 1:
             fq = decomp.flag_quotient(stratum)
-            a, b = fq.elements[:2]
+            a, b = (weyl.WeylElement(fq.rs, x) for x in fq.elements[:2])
             assert fq.lengths[:2] == (0, 1)
             u = {a: b, b: a}.get(u, u)
         return real(stratum, u)
@@ -284,7 +284,7 @@ def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
 def test_invalid_stratum_weight_exits_2(monkeypatch, capsys):
     # the CLI builds every divisor weight itself, so a weight the flag
     # quotient refuses is a failed invariant, not bad input
-    monkeypatch.setattr(strata, "h_prime_of", lambda st: ({k: 1 for k in st.K}, st.doubling))
+    monkeypatch.setattr(strata, "h_prime_of", lambda st: {k: 1 for k in st.K})
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
     assert err.startswith("error: weight supported on Delta(Q) nodes") and err.count("\n") == 1

@@ -15,7 +15,7 @@ from parorbits.rootsys import RANK_BOUNDS, build, components
 
 from dynkin import subsets
 from roots import classical_systems, fresh_signed_table
-from windows import draw_window
+from windows import draw_window, elements
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -47,7 +47,7 @@ def test_quotient_grading_and_duality():
         assert counts == counts[::-1]  # Poincare duality of the quotient
         top = len(fix.rs.positive_roots) - len(fix.rs.positive_roots_of(fix.j_q))
         assert pq.top_degree() == top
-        for w in pq.elements:
+        for w in elements(fix.rs, pq.elements):
             assert weyl.min_rep(w, fix.j_q) == w
 
 
@@ -55,7 +55,7 @@ def test_cover_witnesses():
     for fix in FIXTURES[:5]:
         pq = build_quotient(fix.rs, fix.j_q)
         for c in pq.covers:
-            u, w = pq.elements[c.u], pq.elements[c.w]
+            u, w = elements(pq.rs, (pq.elements[c.u], pq.elements[c.w]))
             s = cosets.reflection_by_index(pq.rs, c.root)
             assert weyl.multiply(u, s) == w
             assert w.length == u.length + 1
@@ -83,8 +83,9 @@ def test_double_cosets_partition():
 
 def test_double_cosets_come_sorted_with_length_extremes():
     # no sort and no length scan: classes come in the order of their w_min
-    # and list w_min first and w_max last, on every J_P of every maximal
-    # quotient up to rank 4 and on every fixture up to rank 5
+    # and list their members sorted, so w_min first and w_max last, on every
+    # J_P of every maximal quotient up to rank 4 and on every fixture up to
+    # rank 5
     partitions = [
         (build_quotient(rs, frozenset(rs.nodes) - {q}), j_p)
         for t in "ABCD"
@@ -97,11 +98,12 @@ def test_double_cosets_come_sorted_with_length_extremes():
     for pq, j_p in partitions:
         dcs = double_cosets(pq, j_p)
         ell = pq.lengths
-        assert list(dcs) == sorted(dcs, key=lambda dc: (ell[pq.index_of(dc.w_min)], dc.w_min.window))
+        assert list(dcs) == sorted(dcs, key=lambda dc: (ell[dc.members[0]], pq.elements[dc.members[0]]))
         for dc in dcs:
+            assert list(dc.members) == sorted(dc.members)
             lengths = sorted(ell[k] for k in dc.members)
-            assert ell[pq.index_of(dc.w_min)] == lengths[0] and lengths[:2].count(lengths[0]) == 1
-            assert ell[pq.index_of(dc.w_max)] == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
+            assert ell[dc.members[0]] == lengths[0] and lengths[:2].count(lengths[0]) == 1
+            assert ell[dc.members[-1]] == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
 
 
 def test_double_coset_without_unique_length_extremes_refused():
@@ -110,21 +112,23 @@ def test_double_coset_without_unique_length_extremes_refused():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     singles = [dc for dc in double_cosets(g24, {2}) if g24.lengths[dc.members[0]] == 2]
     assert [dc.size for dc in singles] == [1, 1]
-    a, b = (g24.index_of(dc.w_min) for dc in singles)
+    a, b = (dc.members[0] for dc in singles)
     row = list(g24.left[2])
     row[a] = b
     corrupted = g24._replace(left={**g24.left, 2: tuple(row)})
-    with pytest.raises(cosets.CosetError, match="without unique length extremes"):
+    # the members are named by their elements' repr
+    names = ", ".join("WA3" + weyl.window_str(g24.elements[k]) for k in sorted({a, b}))
+    with pytest.raises(cosets.CosetError) as refused:
         double_cosets(corrupted, {2})
+    assert str(refused.value) == "double coset without unique length extremes: [%s]" % names
 
 def bruhat_interval(dc):
     """Test-only oracle, the scan `certify_interval` replaced: the quotient
-    elements x with w_min <= x <= w_max by the subword property."""
-    return {
-        k
-        for k, x in enumerate(dc.pq.elements)
-        if weyl.bruhat_leq(dc.w_min, x) and weyl.bruhat_leq(x, dc.w_max)
-    }
+    elements x with w_min <= x <= w_max by the subword property, w_min and
+    w_max the first and last member."""
+    group = elements(dc.pq.rs, dc.pq.elements)
+    w_min, w_max = group[dc.members[0]], group[dc.members[-1]]
+    return {k for k, x in enumerate(group) if weyl.bruhat_leq(w_min, x) and weyl.bruhat_leq(x, w_max)}
 
 
 def test_certify_interval():
@@ -144,12 +148,18 @@ def test_certify_interval_negative_control():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
     middle = dcs[1]
-    extremes = {g24.index_of(middle.w_min), g24.index_of(middle.w_max)}
-    interior = [k for k in middle.members if k not in extremes]
-    dropped = tuple(k for k in middle.members if k != interior[0])
-    added = tuple(sorted(middle.members + dcs[2].members))  # from the stratum above
-    for members in (dropped, added):
-        corrupted = middle._replace(members=members)
+    dropped = middle.members[:1] + middle.members[2:]  # an interior member
+    # w_min and w_max are the first and last member, so a class of another
+    # stratum added beyond them would make a larger interval; in IG(2,8)
+    # the stratum above has classes strictly between the middle's extremes
+    ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
+    ig_middle, ig_above = double_cosets(ig, frozenset({1, 2, 3}))[1:]
+    lo, hi = ig_middle.members[0], ig_middle.members[-1]
+    inside = [k for k in ig_above.members if lo < k < hi]
+    assert inside
+    added = tuple(sorted(ig_middle.members + (inside[0],)))
+    for dc, members in ((middle, dropped), (ig_middle, added)):
+        corrupted = dc._replace(members=members)
         assert bruhat_interval(corrupted) != set(members)
         assert not certify_interval([corrupted])
 
@@ -168,8 +178,7 @@ def test_moved_member_fails_certifying_all_strata_at_once(fix):
     intervals = [bruhat_interval(dc) for dc in dcs]  # w_min and w_max stay put
     moves = 0
     for a, src in enumerate(dcs):
-        extremes = {pq.index_of(src.w_min), pq.index_of(src.w_max)}
-        for k in (k for k in src.members if k not in extremes):
+        for k in src.members[1:-1]:
             for b, dst in enumerate(dcs):
                 if b == a:
                     continue
@@ -210,14 +219,15 @@ def test_cover_closure_is_bruhat_order(t, n):
         above = [[] for _ in pq.elements]
         for c in pq.covers:
             above[c.u].append(c.w)
-        for i, u in enumerate(pq.elements):
+        group = elements(rs, pq.elements)
+        for i, u in enumerate(group):
             reach, stack = {i}, [i]
             while stack:
                 for k in above[stack.pop()]:
                     if k not in reach:
                         reach.add(k)
                         stack.append(k)
-            for j, w in enumerate(pq.elements):
+            for j, w in enumerate(group):
                 assert weyl.bruhat_leq(u, w) == (j in reach), (q, u, w)
 
 
@@ -236,7 +246,8 @@ def test_quotient_json_schema():
     assert payload["fixture"] == "A3/P2+P2"
     assert payload["vertices"][0] == {"window": "(1,2,3,4)", "length": 0}
     assert payload["vertices"] == [
-        {"window": weyl.window_str(w.window), "length": w.length} for w in pq.elements
+        {"window": weyl.window_str(w.window), "length": w.length}
+        for w in elements(fix.rs, pq.elements)
     ]
     lengths = [v["length"] for v in payload["vertices"]]
     assert lengths == sorted(lengths)
@@ -259,19 +270,19 @@ def full_group_quotient(rs, j_q, nodes):
     then `min_rep` of every element, then dedupe.  Covers are u -> u*s_beta
     one step longer, over every positive root."""
     seen = {}
-    for w in weyl.enumerate_group(rs, nodes):
+    for w in elements(rs, weyl.enumerate_group(rs, nodes)):
         rep = weyl.min_rep(w, j_q)
         seen.setdefault(rep.window, rep)
-    elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.window)))
-    index = {w.window: k for k, w in enumerate(elements)}
+    reps = sorted(seen.values(), key=lambda w: (w.length, w.window))
+    index = {w.window: k for k, w in enumerate(reps)}
     reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
     covers = []
-    for u_idx, u in enumerate(elements):
+    for u_idx, u in enumerate(reps):
         for root_idx, s in enumerate(reflections):
             w = weyl.multiply(u, s)
             if w.window in index and w.length == u.length + 1:
                 covers.append((u_idx, index[w.window], root_idx))
-    return elements, tuple(sorted(covers))
+    return tuple(w.window for w in reps), tuple(sorted(covers))
 
 
 def min_rep_closure(pq, j_p):
@@ -283,9 +294,9 @@ def min_rep_closure(pq, j_p):
             continue
         orbit, stack = {start}, [start]
         while stack:
-            w = pq.elements[stack.pop()]
+            w = weyl.WeylElement(pq.rs, pq.elements[stack.pop()])
             for s in gens:
-                m = pq.index_of(weyl.min_rep(weyl.multiply(s, w), pq.j_q))
+                m = pq.index[weyl.min_rep(weyl.multiply(s, w), pq.j_q).window]
                 if m not in orbit:
                     orbit.add(m)
                     stack.append(m)
@@ -344,10 +355,10 @@ def test_quotient_size_closed_forms(t, n):
     nodes = frozenset(rs.nodes)
     for m in rs.nodes:
         j_q = nodes - {m}
-        elements = weyl.enumerate_group(rs, nodes, j_q)
-        assert len(elements) == _quotient_order(t, n, m), m
-        assert len({w.window for w in elements}) == len(elements)
-        assert all(weyl.is_min_rep(w, j_q) for w in elements)
+        windows = weyl.enumerate_group(rs, nodes, j_q)
+        assert len(windows) == _quotient_order(t, n, m), m
+        assert len(set(windows)) == len(windows)
+        assert all(weyl.is_min_rep(w, j_q) for w in elements(rs, windows))
 
 
 def _degrees(t, k):
@@ -382,8 +393,8 @@ def _levi_degrees(rs, nodes):
     return [d for kind, comp in components(rs, nodes) for d in _degrees(kind, len(comp))]
 
 
-def _rank_counts(elements):
-    lengths = [w.length for w in elements]
+def _rank_counts(rs, windows):
+    lengths = [w.length for w in elements(rs, windows)]
     return [lengths.count(k) for k in range(max(lengths) + 1)]
 
 
@@ -399,7 +410,7 @@ def test_quotient_rank_generating_functions(t):
         for q in rs.nodes:
             if (t == "D" and q == n - 1) or _quotient_order(t, n, q) > 256:
                 continue
-            counts = _rank_counts(weyl.enumerate_group(rs, nodes, nodes - {q}))
+            counts = _rank_counts(rs, weyl.enumerate_group(rs, nodes, nodes - {q}))
             levi = _levi_degrees(rs, nodes - {q})
             assert _poly_mul(counts, _t_product(levi)) == _t_product(_degrees(t, n)), (n, q)
             checked += 1
@@ -418,7 +429,7 @@ def test_levi_quotient_rank_generating_functions():
             for cut in rs.nodes:
                 levi = frozenset(rs.nodes) - {cut}
                 for k_set in subsets(levi):
-                    counts = _rank_counts(weyl.enumerate_group(rs, levi, k_set))
+                    counts = _rank_counts(rs, weyl.enumerate_group(rs, levi, k_set))
                     assert _poly_mul(
                         counts, _t_product(_levi_degrees(rs, k_set))
                     ) == _t_product(_levi_degrees(rs, levi)), (rs, cut, sorted(k_set))
@@ -466,45 +477,86 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
+def _count_elements(monkeypatch):
+    """Count every `WeylElement` built from now on; returns the one-entry
+    list that holds the count."""
+    real_init, built = weyl.WeylElement.__init__, [0]
+
+    def init_spy(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
+    return built
+
+
 def test_quotients_build_no_throwaway_elements(monkeypatch):
     # cold B6/P5+P1: the enumerator, the covers and the orbit closure read
     # signed tables and the left-action table, with no window product and
-    # no descent test, and the enumerator builds an element only for a
-    # window it keeps, besides the generators
+    # no descent test, and the enumerator lists windows: it builds no
+    # element besides the generators, one per node at most, whatever |W^Q|
     fix = Fixture("B", 6, 5, 1)
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
-    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
+    caches = (cosets.build_quotient, weyl.enumerate_group, weyl.generator_tables, weyl.simple_reflection)
+    for cache in caches:
         cache.cache_clear()
-    real_enumerate, real_init = weyl.enumerate_group, weyl.WeylElement.__init__
+    real_enumerate = weyl.enumerate_group
     counts = _count_calls(monkeypatch, weyl, ("multiply", "compose", "_is_descent"))
-    counts.update(built=0, built_enumerating=0, allowed=0)
-
-    def init_spy(self, *args):
-        counts["built"] += 1
-        real_init(self, *args)
+    counts.update(built_enumerating=0, generators=0)
+    built = _count_elements(monkeypatch)
 
     def enumerate_spy(rs, nodes, j_set=frozenset()):
-        before = counts["built"]
+        before = built[0]
         result = real_enumerate(rs, nodes, j_set)
-        # every element kept goes through WeylElement.__init__, so a
-        # shortcut past it cannot leave the bound below vacuous
-        assert counts["built"] - before >= len(result), (counts, len(result))
-        counts["built_enumerating"] += counts["built"] - before
-        counts["allowed"] += len(result) + len(nodes)
+        assert built[0] - before <= len(nodes), (built, len(result))
+        counts["built_enumerating"] += built[0] - before
+        counts["generators"] += len(nodes)
         return result
 
     monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
-    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
     pq = build_quotient(fix.rs, fix.j_q)
     assert len(double_cosets(pq, fix.j_p)) == 3
     for k_set in k_sets:
         build_quotient(fix.rs, k_set, fix.j_p)
     assert counts["multiply"] == counts["compose"] == counts["_is_descent"] == 0, counts
-    assert 0 < counts["built_enumerating"] <= counts["allowed"], counts
+    # the generator tables are built once, from the rank simple reflections
+    assert counts["built_enumerating"] == fix.rs.rank < counts["generators"], counts
+    assert len(pq.elements) == 192
     # the spies are live
-    weyl.multiply(pq.elements[1], pq.elements[1])
-    weyl.first_descent(fix.rs, pq.elements[1].window, fix.rs.nodes)
+    w = weyl.WeylElement(fix.rs, pq.elements[1])
+    weyl.multiply(w, w)
+    weyl.first_descent(fix.rs, pq.elements[1], fix.rs.nodes)
     assert counts["multiply"] == counts["compose"] == 1 and counts["_is_descent"] > 0, counts
+    assert built[0] == fix.rs.rank + 2, built
+
+
+@pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1", "D5/P5+P1"])
+def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
+    # from cold caches, the strata report, the Seidel table and the plain
+    # diagrams build the simple reflections and the Seidel element's w_0
+    # and v, and no element per class: classes stay windows
+    fix = parse_fixture(label)
+    caches = (
+        cosets.build_quotient,
+        cosets.reflection_by_index,
+        weyl.enumerate_group,
+        weyl.generator_tables,
+        weyl.simple_reflection,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    built = _count_elements(monkeypatch)
+    pq, sts = strata.stratify(fix)
+    assert certify_interval([st.dc for st in sts])
+    assert [strata.stratum_json(st) for st in sts]
+    assert len(seidel.table_rows(fix)) == len(pq.elements)
+    for fmt in ("dot", "tikz", "json"):
+        assert emit_plain(fix, fmt), fmt
+    assert 0 < built[0] <= fix.rank + 2, (built, len(pq.elements))
+    # the spy is live
+    before = built[0]
+    weyl.element(fix.rs, pq.elements[1])
+    assert built[0] == before + 1, built
 
 
 def test_stratify_makes_no_window_product(monkeypatch):
@@ -518,8 +570,9 @@ def test_stratify_makes_no_window_product(monkeypatch):
     assert len(pq.elements) == 192 and len(sts) == 3
     assert counts == {"act": 0, "multiply": 0, "compose": 0}, counts
     # the spies are live
-    weyl.act(pq.elements[1], fix.rs.simple_root(1))
-    weyl.multiply(pq.elements[1], pq.elements[1])
+    w = weyl.WeylElement(fix.rs, pq.elements[1])
+    weyl.act(w, fix.rs.simple_root(1))
+    weyl.multiply(w, w)
     assert counts == {"act": 1, "multiply": 1, "compose": 1}, counts
 
 
@@ -546,7 +599,7 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     assert verify._check_chevalley_witnesses(dec)
     assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
     # the spy is live
-    weyl.compose(dec.pq.elements[1].window, dec.pq.elements[1].window)
+    weyl.compose(dec.pq.elements[1], dec.pq.elements[1])
     assert counts["compose"] == 1, counts
     # negative control: one edge retargeted to another class of the same
     # length fails the check
@@ -670,5 +723,5 @@ def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
             assert decomp.emit(dec, fmt) and decomp.emit_plain(fix, fmt), (label, fmt)
     assert calls == []
     # the spy is live
-    assert dec.pq.elements[-1].length == dec.pq.top_degree()
+    assert weyl.WeylElement(fix.rs, dec.pq.elements[-1]).length == dec.pq.top_degree()
     assert len(calls) == 1

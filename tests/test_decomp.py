@@ -14,6 +14,7 @@ from parorbits.decomp import (
 from parorbits.fixtures import Fixture, parse_fixture
 
 from conftest import load_golden
+from windows import elements
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -44,10 +45,14 @@ def test_phi_endpoints_and_bijection():
         pq, sts = strata.stratify(fix)
         for st in sts:
             fq, images = phi_map(st)
-            assert images[0] == pq.index_of(st.dc.w_min)
-            assert images[-1] == pq.index_of(st.dc.w_max)
-            for u, image_idx in zip(fq.elements, images):
-                assert pq.elements[image_idx].length == u.length + st.dc.w_min.length
+            # the identity goes to w_min and the top to w_max, the first and
+            # last member
+            assert images[0] == st.dc.members[0]
+            assert images[-1] == st.dc.members[-1]
+            group = elements(fix.rs, pq.elements)
+            w_min = group[st.dc.members[0]]
+            for u, image_idx in zip(elements(fix.rs, fq.elements), images):
+                assert group[image_idx].length == u.length + w_min.length
             assert sorted(images) == list(st.dc.members)
 
 
@@ -108,11 +113,11 @@ def test_h_prime_matches_bottom_edges():
         dec = build_decomposition(fix)
         for comp in dec.comparisons:
             st = comp.stratum
-            weight, _ = strata.h_prime_of(st)
+            weight = strata.h_prime_of(st)
             scale = comp.scale
             if not weight:
                 continue
-            base = dec.pq.index_of(st.dc.w_min)
+            base = st.dc.members[0]
             x_out = {
                 e.w: e.mult
                 for e in dec.diagram.edges

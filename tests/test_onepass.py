@@ -44,12 +44,12 @@ def test_one_pass_on_the_whole_group():
     group = weyl.enumerate_group(rs, frozenset(rs.nodes))
     assert len(group) == 48 and group.descent[0] == 0
     lengths = group.lengths
-    assert lengths == tuple(weyl._length(rs, w.window) for w in group)
-    for i, w in enumerate(group):
-        assert group.index[w.window] == i
+    assert lengths == tuple(weyl._length(rs, x) for x in group)
+    for i, x in enumerate(group):
+        assert group.index[x] == i
         for k, row in group.left.items():
-            s_w = weyl.multiply(weyl.simple_reflection(rs, k), w)
-            assert group[row[i]] == s_w and row[i] != i
+            s_w = weyl.multiply(weyl.simple_reflection(rs, k), weyl.WeylElement(rs, x))
+            assert group[row[i]] == s_w.window and row[i] != i
         if i:
             k = group.descent[i]
             assert lengths[group.left[k][i]] == lengths[i] - 1
@@ -73,16 +73,17 @@ def test_enumeration_is_the_tuple_of_its_elements():
     rs = build("C", 3)
     nodes = frozenset(rs.nodes)
     enumeration = weyl.enumerate_group(rs, nodes, frozenset({1, 2}))
-    elements = tuple(enumeration)
-    assert isinstance(enumeration, tuple) and enumeration == elements
-    assert len(enumeration) == 8 and list(enumeration) == list(elements)
-    assert enumeration[1:] == elements[1:]
+    windows = tuple(enumeration)
+    assert isinstance(enumeration, tuple) and enumeration == windows
+    assert len(enumeration) == 8 and list(enumeration) == list(windows)
+    assert enumeration[1:] == windows[1:]
+    assert all(type(x) is tuple and len(x) == rs.dim for x in windows)
     pq = build_quotient(rs, frozenset({1, 2}))
-    assert pq.elements == elements
+    assert pq.elements == windows
     # `index` is the window index, shadowing the tuple method, and the
     # quotient shares it and the left rows with the cached enumeration
-    w = elements[5]
-    assert enumeration.index[w.window] == tuple.index(enumeration, w) == 5
+    x = windows[5]
+    assert enumeration.index[x] == tuple.index(enumeration, x) == 5
     assert not callable(enumeration.index)
     assert pq.index is enumeration.index and pq.left is enumeration.left
 

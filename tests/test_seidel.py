@@ -16,7 +16,7 @@ from parorbits.seidel import (
 
 from cases import stratum_count
 from exponents import delta
-from windows import strip_descents
+from windows import elements, strip_descents
 from words import from_word
 
 FIXTURES = [
@@ -65,7 +65,8 @@ def _brute_force_seidel_element(rs, i):
     found by scanning the whole group, with the number of such solutions."""
     omega = rs.double_coweight(i)
     target = weyl.act(weyl.longest(rs, rs.nodes), omega)
-    solutions = [u for u in weyl.enumerate_group(rs, frozenset(rs.nodes)) if weyl.act(u, omega) == target]
+    group = elements(rs, weyl.enumerate_group(rs, frozenset(rs.nodes)))
+    solutions = [u for u in group if weyl.act(u, omega) == target]
     shortest = min(u.length for u in solutions)
     return [u for u in solutions if u.length == shortest]
 
@@ -110,11 +111,11 @@ def test_seidel_apply_examples():
     fix = Fixture("A", 3, 2, 2)
     v = v_elt(fix.rs, 2)
     pq, perm, qexp = _table(fix)
-    k = pq.index_of(weyl.identity(fix.rs))
+    k = pq.index[weyl.identity(fix.rs).window]
     assert qexp[k] == 0
-    assert pq.elements[perm[k]] == weyl.min_rep(v, fix.j_q)
-    top = pq.index_of(weyl.element(fix.rs, (3, 4, 1, 2)))
-    assert qexp[top] == 2 and pq.elements[perm[top]] == weyl.identity(fix.rs)
+    assert pq.elements[perm[k]] == weyl.min_rep(v, fix.j_q).window
+    top = pq.index[weyl.element(fix.rs, (3, 4, 1, 2)).window]
+    assert qexp[top] == 2 and pq.elements[perm[top]] == weyl.identity(fix.rs).window
 
 
 def test_bijection_on_classes():
@@ -157,10 +158,10 @@ def test_seidel_table_matches_per_class_oracle(monkeypatch):
     for fix in fixtures:
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, qexp = _table(fix)
-        for k, w in enumerate(pq.elements):
+        for k, w in enumerate(elements(fix.rs, pq.elements)):
             q, image = _seidel_apply_oracle(v, w, fix)
             assert qexp[k] == q, (fix.label, w)
-            assert pq.elements[perm[k]] == image, (fix.label, w)
+            assert pq.elements[perm[k]] == image.window, (fix.label, w)
 
 
 def test_seidel_table_strips_no_descents(monkeypatch):
@@ -183,7 +184,10 @@ def test_seidel_table_strips_no_descents(monkeypatch):
         monkeypatch.setattr(
             weyl, name, lambda *args, _real=real, _name=name, _log=log: _log.append(_name) or _real(*args)
         )
-    images = [pq.index_of(weyl.min_rep(weyl.multiply(v, w), fix.j_q)) for w in pq.elements]
+    images = [
+        pq.index[weyl.min_rep(weyl.multiply(v, w), fix.j_q).window]
+        for w in elements(fix.rs, pq.elements)
+    ]
     assert sorted(images) == list(range(len(images))) and calls == []
     # the table strips v's descents once and builds no window product per
     # class; the product spies are live, as the path above calls both
@@ -209,9 +213,9 @@ def test_composition_path_independence():
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, _ = _table(fix)
         vv = weyl.multiply(v, v)
-        for k, w in enumerate(pq.elements):
+        for k, w in enumerate(elements(fix.rs, pq.elements)):
             direct = strip_descents(weyl.multiply(vv, w), fix.j_q)
-            assert pq.elements[perm[perm[k]]] == direct
+            assert pq.elements[perm[perm[k]]] == direct.window
 
 
 def _return_time(perm, start):
@@ -295,8 +299,9 @@ def test_degree_bookkeeping():
         pq, perm, qexp = _table(fix)
         v_class = weyl.min_rep(v, fix.j_q)
         qdeg = quantum_q_degree(fix)
-        for k, w in enumerate(pq.elements):
-            assert v_class.length + w.length == qexp[k] * qdeg + pq.elements[perm[k]].length
+        group = elements(fix.rs, pq.elements)
+        for k, w in enumerate(group):
+            assert v_class.length + w.length == qexp[k] * qdeg + group[perm[k]].length
 
 
 def test_table_rows_schema():

@@ -24,7 +24,7 @@ from exponents import d_geometric as oracle_statistic
 from exponents import delta as oracle_delta
 from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
-from windows import inverse, k_by_root_scan
+from windows import elements, inverse, k_by_root_scan
 
 
 def _element(fix, window):
@@ -34,7 +34,7 @@ def _element(fix, window):
 def _deltas(fix):
     """Every class's delta from the pass, by window."""
     pq = cosets.build_quotient(fix.rs, fix.j_q)
-    return {w.window: d for w, d in zip(pq.elements, delta(fix, pq))}
+    return dict(zip(pq.elements, delta(fix, pq)))
 
 
 def test_delta_examples():
@@ -97,7 +97,7 @@ def test_d_of_matches_delta_orientation():
 def test_d_equals_delta_everywhere_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
         pq = cosets.build_quotient(fix.rs, fix.j_q)
-        assert list(delta(fix, pq)) == [d_of(fix, w) for w in pq.elements], fix.label
+        assert list(delta(fix, pq)) == [d_of(fix, w) for w in elements(fix.rs, pq.elements)], fix.label
 
 
 def test_d_range_counts():
@@ -149,7 +149,7 @@ def test_case_analysis_at_rank_6_and_A7():
         for st in sts:
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom), (fix.label, st.delta)
             for k in st.dc.members:
-                assert d_of(fix, pq.elements[k]) == st.delta, (fix.label, k)
+                assert d_of(fix, _element(fix, pq.elements[k])) == st.delta, (fix.label, k)
 
 def test_expected_fiber_dims():
     assert expected_fiber_dim(Fixture("A", 3, 2, 2), 2) == 0
@@ -167,15 +167,18 @@ def test_expected_fiber_dims():
 def test_dimension_ledger_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
         pq, sts = stratify(fix)
+        ends = []  # the lengths of each stratum's w_min and w_max
         for st in sts:
-            assert st.fiber_dim == st.dc.w_min.length
+            w_min, w_max = elements(fix.rs, (pq.elements[st.dc.members[0]], pq.elements[st.dc.members[-1]]))
+            ends.append((w_min.length, w_max.length))
+            assert st.fiber_dim == w_min.length
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom)
-            assert st.dc.w_max.length - st.dc.w_min.length == st.flag.dim
+            assert w_max.length - w_min.length == st.flag.dim
             fq = cosets.build_quotient(fix.rs, st.K, frozenset(st.dc.j_p))
             assert len(fq.elements) == st.size
         # the open stratum reaches the top cell, the closed one starts at 0
-        assert sts[-1].dc.w_max.length == pq.top_degree()
-        assert sts[0].dc.w_min.length == 0
+        assert ends[-1][1] == pq.top_degree()
+        assert ends[0][0] == 0
 
 
 def test_K_and_flag_examples():
@@ -206,7 +209,7 @@ def test_K_and_delta_match_root_vector_scans():
         for st in sts:
             assert st.K == K_of(st.dc) == k_by_root_scan(st.dc), (fix.label, st.delta)
             for k in st.dc.members:
-                w = pq.elements[k]
+                w = _element(fix, pq.elements[k])
                 moved = weyl.act(inverse(w), omega2)
                 twice = eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
                 assert 2 * deltas[k] == twice, (fix.label, w)
@@ -229,21 +232,19 @@ def test_delta_constant_and_monotone_small():
 def test_h_prime():
     ig = Fixture("C", 4, 2, 4)
     _, ig_sts = stratify(ig)
-    weight, doubled = h_prime_of(ig_sts[1])
-    assert weight == {1: 1, 3: 1} and not doubled
-    assert h_prime_of(ig_sts[2])[0] == {2: 1}
+    # the weight alone: the doubling flag is the stratum's own field
+    assert h_prime_of(ig_sts[1]) == {1: 1, 3: 1} and not ig_sts[1].doubling
+    assert h_prime_of(ig_sts[2]) == {2: 1}
     og = Fixture("B", 4, 3, 1)
     _, og_sts = stratify(og)
-    weight, doubled = h_prime_of(og_sts[1])
-    assert weight == {4: 1} and doubled  # spinor node of the B3 Levi
+    assert h_prime_of(og_sts[1]) == {4: 1} and og_sts[1].doubling  # spinor node of the B3 Levi
     g24 = Fixture("A", 3, 2, 2)
     _, g_sts = stratify(g24)
-    assert h_prime_of(g_sts[0]) == ({}, False)
+    assert h_prime_of(g_sts[0]) == {} and not g_sts[0].doubling
     # Lagrangian degeneration: both flag steps coincide, coefficient 2
     lg = Fixture("C", 4, 4, 4)
     _, lg_sts = stratify(lg)
-    weight, doubled = h_prime_of(lg_sts[1])
-    assert set(weight.values()) == {2} and not doubled
+    assert set(h_prime_of(lg_sts[1]).values()) == {2} and not lg_sts[1].doubling
 
 
 def test_doubling_flag_localized():
@@ -351,8 +352,8 @@ def test_delta_and_statistic_passes_match_per_class_oracles(monkeypatch):
     classes = 0
     for fix in fixtures:
         pq = cosets.build_quotient(fix.rs, fix.j_q)
-        assert list(delta(fix, pq)) == [oracle_delta(fix, w) for w in pq.elements], fix.label
-        windows = [w.window for w in pq.elements]
-        assert d_geometric(fix, windows) == [oracle_statistic(fix, w) for w in pq.elements], fix.label
-        classes += len(windows)
+        group = elements(fix.rs, pq.elements)
+        assert list(delta(fix, pq)) == [oracle_delta(fix, w) for w in group], fix.label
+        assert d_geometric(fix, pq.elements) == [oracle_statistic(fix, w) for w in group], fix.label
+        classes += len(group)
     assert classes == 10522

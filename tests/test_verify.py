@@ -11,6 +11,7 @@ from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from cases import d_of, expected_fiber_dim
 from exponents import bumped_delta
+from windows import elements
 
 
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
@@ -157,7 +158,7 @@ def test_seidel_checks_build_no_product_per_class(monkeypatch):
     assert calls["min_rep"] == 0 and calls["multiply"] <= 1
     # the spies are live: the per-class path this replaced calls both
     before = dict(calls)
-    weyl.min_rep(weyl.multiply(v, dec.pq.elements[1]), fix.j_q)
+    weyl.min_rep(weyl.multiply(v, weyl.WeylElement(fix.rs, dec.pq.elements[1])), fix.j_q)
     assert calls == {"min_rep": before["min_rep"] + 1, "multiply": before["multiply"] + 1}
 
 
@@ -182,7 +183,7 @@ def test_delta_laws_read_the_case_table_once(monkeypatch):
     assert calls == {"orbit_table": 1}
     # the spy is live: the per-class label this replaced reads the table
     # once per call
-    d_of(fix, dec.pq.elements[0])
+    d_of(fix, weyl.WeylElement(fix.rs, dec.pq.elements[0]))
     assert calls == {"orbit_table": 2}
 
 
@@ -226,7 +227,7 @@ def test_verify_fixture_passes_every_check_at_rank_8(monkeypatch, label):
 def test_inadmissible_window_statistic_names_the_window(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
     dec = decomp.build_decomposition(fix)
-    target = dec.pq.elements[-1].window
+    target = dec.pq.elements[-1]
     real = strata.d_geometric
 
     def corrupted(f, windows):
@@ -257,13 +258,13 @@ def test_signed_set_key_matches_min_rep_up_to_rank_8():
                     continue  # Picard rank 2: no fixture
                 j_q = frozenset(rs.nodes) - {m}
                 pq = cosets.build_quotient(rs, j_q)
-                keys = {frozenset(w.window[:m]): k for k, w in enumerate(pq.elements)}
+                keys = {frozenset(x[:m]): k for k, x in enumerate(pq.elements)}
                 assert len(keys) == len(pq.elements), (t, n, m)
                 for vv in squares:
-                    for w in pq.elements:
+                    for w in elements(rs, pq.elements):
                         key = frozenset(weyl.compose(vv.window, w.window[:m]))
                         expected = weyl.min_rep(weyl.multiply(vv, w), j_q)
-                        assert pq.elements[keys[key]] == expected, (t, n, m, w)
+                        assert pq.elements[keys[key]] == expected.window, (t, n, m, w)
                         products += 1
     assert products == 50076
 
@@ -273,8 +274,8 @@ def _chevalley_by_compose(dec):
     window product u * s_beta per edge."""
     pq, diagram = dec.pq, dec.diagram
     return all(
-        weyl.compose(pq.elements[e.u].window, cosets.reflection_by_index(pq.rs, e.root).window)
-        == pq.elements[e.w].window
+        weyl.compose(pq.elements[e.u], cosets.reflection_by_index(pq.rs, e.root).window)
+        == pq.elements[e.w]
         and hasse.pairing_with_coroot(pq, diagram.weight, e.root) == e.mult
         for e in diagram.edges
     )
@@ -285,7 +286,7 @@ def _seidel_composition_by_compose(dec, v, perm):
     v^2 * w as a window product, one per class."""
     m = dec.fixture.q_node
     vv = weyl.compose(v.window, v.window)
-    windows = [w.window for w in dec.pq.elements]
+    windows = dec.pq.elements
     return all(
         set(weyl.compose(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)

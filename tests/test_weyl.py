@@ -25,13 +25,20 @@ from covers import reflection_image
 from roots import classical_systems, dense_reflection, fresh_signed_table
 from windows import (
     draw_window,
+    elements,
     inverse,
     longest_by_adding_descents,
+    longest_by_block_loop,
     pairwise_length,
     root_is_negative,
     strip_descents,
 )
 from words import from_word, reduced_word
+
+
+def _group(rs):
+    """Every element of the Weyl group of `rs`, from the enumerator's windows."""
+    return elements(rs, enumerate_group(rs, frozenset(rs.nodes)))
 
 
 def parse_window(text):
@@ -116,7 +123,7 @@ def test_length_and_group_axioms():
     s1 = from_word(a3, [1])
     assert multiply(s1, s1) == identity(a3)
     b2 = build("B", 2)
-    for w in enumerate_group(b2, frozenset(b2.nodes)):
+    for w in _group(b2):
         assert inverse(w).length == w.length
         assert multiply(w, inverse(w)) == identity(b2)
 
@@ -178,7 +185,7 @@ def _sum_pair(x, y):
 @pytest.mark.parametrize("t,n", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
 def test_length_matches_inversion_formula(t, n):
     rs = build(t, n)
-    for w in enumerate_group(rs, frozenset(rs.nodes)):
+    for w in _group(rs):
         assert w.length == _length_by_inversion_formula(rs, w.window)
 
 
@@ -198,11 +205,11 @@ def test_length_and_descents_match_root_scan_on_maximal_quotients(t):
     checked = 0
     for q in rs.nodes:
         enumeration = enumerate_group(rs, nodes, nodes - {q})
-        for w, length in zip(enumeration, enumeration.lengths):
+        for window, length in zip(enumeration, enumeration.lengths):
             # the length enumerate_group records is its breadth-first level
-            assert length == weyl._length(rs, w.window), w
-            _check_against_root_scan(rs, w.window)
-            assert not weyl.first_descent(rs, w.window, sorted(nodes - {q}))
+            assert length == weyl._length(rs, window), window
+            _check_against_root_scan(rs, window)
+            assert not weyl.first_descent(rs, window, sorted(nodes - {q}))
             checked += 1
     assert checked == {"A": 510, "B": 6560, "C": 6560, "D": 5536}[t]
 
@@ -216,7 +223,7 @@ def test_inversion_test_matches_root_scan(t, n):
         (reflection_image(beta), weyl.reflection(rs, beta).window, beta)
         for beta in rs.positive_roots
     ]
-    for w in enumerate_group(rs, frozenset(rs.nodes)):
+    for w in _group(rs):
         for image, s_beta, beta in tests:
             x = image(w.window)
             if root_is_negative(w.window, beta):
@@ -305,7 +312,7 @@ def test_generator_tables_match_a_fresh_recomputation():
 
 def test_reduced_words_roundtrip():
     rs = build("B", 3)
-    for w in enumerate_group(rs, frozenset(rs.nodes)):
+    for w in _group(rs):
         word = reduced_word(w)
         assert len(word) == w.length
         assert from_word(rs, word) == w
@@ -330,6 +337,21 @@ def test_longest_matches_descent_adding_oracle():
                     assert longest(rs, nodes) == expected, (t, n, nodes)
                     cases += 1
     assert cases == 2022
+
+
+def test_longest_block_pass_matches_the_block_loop():
+    # `longest` is `min_rep`'s block pass with the longest switch; the loop
+    # that reversed or negated the blocks on its own is the oracle, on every
+    # J of A1-A7, B2-B7, C2-C7 and D4-D7
+    cases = 0
+    for t in "ABCD":
+        for n in range(RANK_BOUNDS[t], 8):
+            rs = build(t, n)
+            for r in range(n + 1):
+                for nodes in combinations(rs.nodes, r):
+                    assert longest(rs, nodes) == longest_by_block_loop(rs, nodes), (t, n, nodes)
+                    cases += 1
+    assert cases == 998
 
 
 def test_longest_certificate_names_a_node(monkeypatch):
@@ -364,7 +386,7 @@ def _subsets(nodes):
 )
 def test_min_rep_matches_descent_stripping_for_every_j(t, n):
     rs = build(t, n)
-    group = enumerate_group(rs, frozenset(rs.nodes))
+    group = _group(rs)
     for j_set in _subsets(rs.nodes):
         for w in group:
             assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
@@ -375,7 +397,7 @@ def test_min_rep_matches_descent_stripping_on_maximal_j_at_rank_5(t):
     rs = build(t, 5)
     nodes = frozenset(rs.nodes)
     j_sets = [frozenset(), nodes] + [nodes - {q} for q in rs.nodes]
-    for w in enumerate_group(rs, nodes):
+    for w in elements(rs, enumerate_group(rs, nodes)):
         for j_set in j_sets:
             assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
 
@@ -383,7 +405,7 @@ def test_min_rep_matches_descent_stripping_on_maximal_j_at_rank_5(t):
 def test_min_rep_idempotent_and_shorter():
     rs = build("C", 3)
     rng = random.Random(7)
-    group = enumerate_group(rs, frozenset(rs.nodes))
+    group = _group(rs)
     for _ in range(100):
         w = rng.choice(group)
         rep = min_rep(w, [1, 3])
@@ -395,7 +417,7 @@ def test_min_rep_idempotent_and_shorter():
 def test_act_is_group_action():
     rs = build("B", 3)
     rng = random.Random(11)
-    group = enumerate_group(rs, frozenset(rs.nodes))
+    group = _group(rs)
     coweights = [rs.double_coweight(i) for i in rs.nodes]
     for _ in range(200):
         u, w = rng.choice(group), rng.choice(group)
@@ -405,7 +427,7 @@ def test_act_is_group_action():
 
 def _cover_closure_leq(rs):
     """Independent Bruhat oracle: transitive closure of reflection covers."""
-    group = sorted(enumerate_group(rs, frozenset(rs.nodes)), key=lambda w: (w.length, w.window))
+    group = sorted(_group(rs), key=lambda w: (w.length, w.window))
     index = {w.window: k for k, w in enumerate(group)}
     reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
     n = len(group)
@@ -435,7 +457,7 @@ def test_bruhat_agrees_with_cover_closure(t, n):
 def test_bruhat_basics():
     rs = build("A", 3)
     w0 = longest(rs, rs.nodes)
-    for w in enumerate_group(rs, frozenset(rs.nodes)):
+    for w in _group(rs):
         assert bruhat_leq(identity(rs), w)
         assert bruhat_leq(w, w)
         assert bruhat_leq(w, w0)
@@ -451,5 +473,5 @@ def test_bisected_length_matches_pairwise_count_on_rank_5(t):
     # every element of W(A5), W(B5), W(C5) and W(D5)
     rs = build(t, 5)
     group = enumerate_group(rs, frozenset(rs.nodes))
-    assert all(weyl._length(rs, w.window) == pairwise_length(rs, w.window) for w in group)
+    assert all(weyl._length(rs, x) == pairwise_length(rs, x) for x in group)
     assert len(group) == {"A": 720, "B": 3840, "C": 3840, "D": 1920}[t]

@@ -5,7 +5,10 @@ The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
 vectors for the ones the window sends to negative roots.  `weyl.min_rep`
 sorts blocks of positions, and `weyl.longest` reverses or negates them; the
-tests check both against stripping or adding one right descent at a time.
+tests check both against stripping or adding one right descent at a time,
+and `weyl.longest`, which is `min_rep`'s block pass with a longest switch,
+against the separate reverse-or-negate loop that it replaced.
+A quotient lists its classes as windows; `elements` makes them elements.
 `strata.K_of` reads K off the left-action table; the tests check it
 against the simple roots that w_min^-1 carries onto Delta(Q).
 `weyl._length` counts inversions by bisection into the sorted keys seen
@@ -72,6 +75,37 @@ def longest_by_adding_descents(rs, j_set):
         window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
 
 
+def longest_by_block_loop(rs, j_set):
+    """Oracle for `weyl.longest`: the loop it replaced, from the identity
+    window: a run a..c not ending at node n of B, C or D reverses positions
+    a..c+1; the run a..n negates positions a..n, and in D restores the
+    sign of position n when the block has odd size; with n but not n-1 of
+    D in J, position n is negated before and after."""
+    n, t = rs.rank, rs.type_label
+    nodes = sorted(j_set)
+    runs = list(nodes)
+    b = list(range(1, rs.dim + 1))
+    flip = t == "D" and n in nodes and n - 1 not in nodes
+    if flip:
+        runs[-1] = n - 1
+        b[-1] = -b[-1]
+    for a, c in weyl._runs(runs):
+        if c == n and t != "A":
+            b[a - 1 :] = [-x for x in b[a - 1 :]]
+            if t == "D" and (n - a + 1) % 2:
+                b[-1] = -b[-1]
+        else:
+            b[a - 1 : c + 1] = b[a - 1 : c + 1][::-1]
+    if flip:
+        b[-1] = -b[-1]
+    return weyl.WeylElement(rs, tuple(b))
+
+
+def elements(rs, windows):
+    """The elements of `rs` with the given windows, in order."""
+    return [weyl.WeylElement(rs, x) for x in windows]
+
+
 def pairwise_length(rs, window):
     """Oracle for `weyl._length`: pairs i < j with key(b_i) > key(b_j); in B,
     C and D also those with key(b_i) > key(-b_j); in B and C also negative
@@ -97,7 +131,7 @@ def k_by_root_scan(dc):
     """Oracle for `strata.K_of`: the nodes s of J_P with w_min^-1(alpha_s)
     a simple root of J_Q, found by acting on the root vectors."""
     rs = dc.pq.rs
-    winv = inverse(dc.w_min)
+    winv = inverse(weyl.WeylElement(rs, dc.pq.elements[dc.members[0]]))
     q_simples = {rs.simple_root(t) for t in dc.pq.j_q}
     return frozenset(
         s for s in dc.j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
