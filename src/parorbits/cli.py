@@ -72,7 +72,9 @@ def cmd_diagram(args) -> int:
         return 0
     dec = decomp.build_decomposition(fix)
     if not dec.all_pass():
-        print("error: stratum/flag diagram mismatch in %s" % fix.label, file=sys.stderr)
+        witness = dec.witness()
+        detail = ": " + witness if witness else ""
+        print("error: stratum/flag diagram mismatch in %s%s" % (fix.label, detail), file=sys.stderr)
         return 2
     _write_output(decomp.emit(dec, args.format), args.out)
     return 0

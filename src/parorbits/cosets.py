@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from . import weyl
 from .rootsys import RootSystem, Vector
-from .weyl import WeylElement, Window
+from .weyl import Window
 
 
 class CosetError(ValueError):
@@ -78,7 +78,7 @@ class ParabolicQuotient(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def reflection_by_index(rs: RootSystem, root_idx: int) -> WeylElement:
+def reflection_by_index(rs: RootSystem, root_idx: int) -> Window:
     return weyl.reflection(rs, rs.positive_roots[root_idx])
 
 
@@ -194,8 +194,8 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
             lengths[members[1]] == lengths[lo] or lengths[members[-2]] == lengths[hi]
         ):
             raise CosetError(
-                "double coset without unique length extremes: %s"
-                % ([WeylElement(pq.rs, elements[k]) for k in members],)
+                "double coset without unique length extremes: [%s]"
+                % ", ".join(weyl.name(pq.rs, elements[k]) for k in members)
             )
         out.append(DoubleCoset(pq, j_p_set, tuple(members)))
     return tuple(out)

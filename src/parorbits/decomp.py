@@ -22,12 +22,13 @@ from .cosets import ParabolicQuotient
 from .fixtures import Fixture
 from .hasse import Edge, HasseDiagram
 from .strata import OrbitStratum
+from .weyl import Window
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
 class DecompositionError(ValueError):
-    """Cell-map certification failure; carries the offending element."""
+    """Cell-map certification failure; names the offending class."""
 
 
 class StratumComparison(NamedTuple):
@@ -41,6 +42,7 @@ class StratumComparison(NamedTuple):
     phi: Tuple[int, ...]
     scale: int
     edges_match: bool
+    #: each differing edge, named by the windows of its ends
     mismatches: Tuple[str, ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -63,10 +65,24 @@ class DecomposedDiagram(NamedTuple):
 
     def all_pass(self) -> bool:
         """Every stratum matches its flag diagram and every cross edge raises delta."""
+        return self.witness() is None
+
+    def witness(self) -> Optional[str]:
+        """The first failure of `all_pass`, or None: the first stratum whose
+        edges differ from its flag diagram, with its delta and first
+        mismatch, else the first cross edge that does not raise delta,
+        with the windows and deltas of both ends."""
+        for c in self.comparisons:
+            if not c.edges_match:
+                return "stratum delta=%d, %s" % (c.stratum.delta, c.mismatches[0])
         delta = [self.strata[si].delta for si in self.vertex_stratum]
-        return all(c.edges_match for c in self.comparisons) and all(
-            delta[e.w] > delta[e.u] for e in self.cross_edges
-        )
+        for e in self.cross_edges:
+            if delta[e.w] <= delta[e.u]:
+                u, w = (weyl.window_str(self.pq.elements[k]) for k in (e.u, e.w))
+                return "cross edge %s->%s does not raise delta: %d -> %d" % (
+                    u, w, delta[e.u], delta[e.w]
+                )
+        return None
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
@@ -76,36 +92,34 @@ def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
     )
 
 
-def phi(stratum: OrbitStratum, u: weyl.WeylElement) -> weyl.WeylElement:
-    """Cell map of the stratum: u -> u * w_min (certified by `phi_map`),
-    w_min the element of the double coset's first member."""
+def phi(stratum: OrbitStratum, u: Window) -> Window:
+    """Cell map of the stratum on windows: u -> u * w_min (certified by
+    `phi_map`), w_min the window of the double coset's first member."""
     dc = stratum.dc
-    return weyl.multiply(u, weyl.WeylElement(u.rs, dc.pq.elements[dc.members[0]]))
+    return weyl.multiply(u, dc.pq.elements[dc.members[0]])
 
 
 def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     """Certified bijection from the flag quotient onto the stratum members:
     each image is a member, l(u * w_min) = l(u) + l(w_min), read from the
-    two quotients' lengths, and the images are the members, each once.
-    Each flag window becomes an element u only here, for `phi`."""
+    two quotients' lengths, and the images are the members, each once."""
     pq = stratum.dc.pq
     fq = flag_quotient(stratum)
     members = stratum.dc.members
     member_set = set(members)
     shift = pq.lengths[members[0]]
     images = []
-    for x, length in zip(fq.elements, fq.lengths):
-        u = weyl.WeylElement(pq.rs, x)
-        idx = pq.index.get(phi(stratum, u).window)
+    for u, length in zip(fq.elements, fq.lengths):
+        idx = pq.index.get(phi(stratum, u))
         if idx not in member_set:
             raise DecompositionError(
-                "cell map leaves the stratum at %r (stratum delta=%d of %s)"
-                % (u, stratum.delta, stratum.fixture.label)
+                "cell map leaves the stratum at %s (stratum delta=%d of %s)"
+                % (weyl.name(pq.rs, u), stratum.delta, stratum.fixture.label)
             )
         if pq.lengths[idx] != length + shift:
             raise DecompositionError(
-                "cell map is not length-additive at %r (stratum delta=%d of %s)"
-                % (u, stratum.delta, stratum.fixture.label)
+                "cell map is not length-additive at %s (stratum delta=%d of %s)"
+                % (weyl.name(pq.rs, u), stratum.delta, stratum.fixture.label)
             )
         images.append(idx)
     if not len(images) == len(set(images)) == len(member_set):
@@ -121,7 +135,8 @@ def _compare_stratum(
 ) -> StratumComparison:
     """Match the stratum's within-stratum edges of X, `x_edges` as
     {(u, w): mult}, against its flag diagram carried over by the cell map;
-    the sorted mismatch list is built only when the two differ."""
+    the mismatch list, sorted by index and naming windows, is built only
+    when the two differ."""
     fq, phi_images = phi_map(stratum)
     weight = strata.h_prime_of(stratum)
     scale = 2 if stratum.doubling else 1
@@ -133,13 +148,14 @@ def _compare_stratum(
         flag_edges = {(phi_images[e.u], phi_images[e.w]): e.mult * scale for e in fd.edges}
     mismatches = []
     if flag_edges != x_edges:
+        windows = stratum.dc.pq.elements
         for key in sorted(set(flag_edges) | set(x_edges)):
             got = x_edges.get(key)
             want = flag_edges.get(key)
             if got != want:
+                u, w = (weyl.window_str(windows[k]) for k in key)
                 mismatches.append(
-                    "edge %s->%s: diagram mult %s, flag mult (scaled) %s"
-                    % (key[0], key[1], got, want)
+                    "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (u, w, got, want)
                 )
     return StratumComparison(
         stratum=stratum,

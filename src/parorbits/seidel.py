@@ -25,24 +25,24 @@ from .cosets import ParabolicQuotient
 from .fixtures import Fixture
 from .rootsys import RootSystem
 from .strata import OrbitStratum
-from .weyl import WeylElement
+from .weyl import Window
 
 
 class SeidelError(ValueError):
     """Invalid node or failed certification."""
 
 
-def v_elt(rs: RootSystem, i: int) -> WeylElement:
-    """Seidel element of node i, the shortest element of w_0 W_J, with J
-    the nodes other than i, computed as `weyl.min_rep(w_0, J)`; w_0 comes
-    from `weyl.longest` in one pass over the blocks of positions, with no
-    descent stripped.
+def v_elt(rs: RootSystem, i: int) -> Window:
+    """Window of the Seidel element of node i, the shortest element of
+    w_0 W_J, with J the nodes other than i, computed as
+    `weyl.min_rep(rs, w_0, J)`; w_0 comes from `weyl.longest` in one pass
+    over the blocks of positions, with no descent stripped.
 
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
     w_0 * omega_i^vee form the coset w_0 W_J; its shortest element is the
     unique one with no right descent in J.  Both conditions are checked,
-    the first on 2 omega_i^vee.
+    the first on 2 omega_i^vee, the second by `weyl.first_descent`.
     """
     if i not in rootsys.cominuscule_nodes(rs.type_label, rs.rank):
         raise SeidelError(
@@ -50,22 +50,25 @@ def v_elt(rs: RootSystem, i: int) -> WeylElement:
         )
     j_set = [k for k in rs.nodes if k != i]
     w0 = weyl.longest(rs, rs.nodes)
-    v = weyl.min_rep(w0, j_set)
+    v = weyl.min_rep(rs, w0, j_set)
     omega2 = rs.double_coweight(i)
     if weyl.act(v, omega2) != weyl.act(w0, omega2):
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
-    if not weyl.is_min_rep(v, j_set):
-        raise SeidelError("Seidel element %r of node %d is not minimal in w_0 W_J" % (v, i))
+    if weyl.first_descent(rs, v, j_set):
+        raise SeidelError(
+            "Seidel element %s of node %d is not minimal in w_0 W_J" % (weyl.name(rs, v), i)
+        )
     return v
 
 
 def seidel_table(
-    pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: WeylElement
+    pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: Window
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The Seidel operator on the classes of `pq`, as (perm, qexp).
 
     `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`
-    for a fixture, and v is its Seidel element, `v_elt(fix.rs, fix.p_node)`.
+    for a fixture, and v is the window of its Seidel element,
+    `v_elt(fix.rs, fix.p_node)`; the root system is `pq.rs`.
     qexp[k] is the delta of the stratum that holds class k, and perm[k] is
     the index of the class of v * w_k.
 
@@ -82,11 +85,11 @@ def seidel_table(
     for st in sts:
         for k in st.dc.members:
             qexp[k] = st.delta
-    perm, window = range(len(pq.elements)), v.window
-    while k := weyl.first_descent(v.rs, window, v.rs.nodes):
+    rs, perm = pq.rs, range(len(pq.elements))
+    while k := weyl.first_descent(rs, v, rs.nodes):
         row = pq.left[k]
         perm = [row[c] for c in perm]
-        window = weyl.compose(window, weyl.simple_reflection(v.rs, k).window)
+        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
     return tuple(perm), tuple(qexp)
 
 

@@ -64,7 +64,7 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     Every class is certified: in type A the move lies in the span of the
     coroots (coordinate sum 0), its coefficient is an integer (the move
     lies in the coroot lattice), and twice the exponent is even and
-    >= 0.  A failure raises StrataError naming the class's element."""
+    >= 0.  A failure raises StrataError naming the class by `weyl.name`."""
     rs, q = fix.rs, fix.q_node
     omega2, table = _coweight_table(rs, fix.p_node)
     weights = rs.double_coweight(q)
@@ -76,15 +76,15 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     for x in pq.elements:
         moved = itemgetter(*x)(table)  # w^-1(2 omega_p^vee)
         if span is not None and sum(moved) != span:
-            w = weyl.WeylElement(rs, x)
-            raise StrataError("coweight move of %r is not in the span of the coroots" % (w,))
+            w = weyl.name(rs, x)
+            raise StrataError("coweight move of %s is not in the span of the coroots" % w)
         twice, rem = divmod(scale * (top - sum(map(mul, moved, weights))), 4)
         if rem:
-            w = weyl.WeylElement(rs, x)
-            raise StrataError("coweight move of %r is outside the coroot lattice at node %d" % (w, q))
+            w = weyl.name(rs, x)
+            raise StrataError("coweight move of %s is outside the coroot lattice at node %d" % (w, q))
         if twice % 2 or twice < 0:
-            w = weyl.WeylElement(rs, x)
-            raise StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
+            w = weyl.name(rs, x)
+            raise StrataError("stratum exponent %d/2 at %s is not a non-negative integer" % (twice, w))
         out.append(twice // 2)
     return tuple(out)
 

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 from . import cosets, decomp, hasse, seidel, strata, weyl
 from .decomp import DecomposedDiagram
 from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
-from .weyl import WeylElement
+from .weyl import Window
 
 
 def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str, bool]:
@@ -77,7 +77,7 @@ def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
     table per class, and no window product."""
     pq, diagram = dec.pq, dec.diagram
     roots = {e.root for e in diagram.edges}
-    getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r).window) for r in roots}
+    getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r)) for r in roots}
     mults = {r: hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots}
     windows = pq.elements
     tables = [weyl.signed_table(x) for x in windows]
@@ -88,7 +88,7 @@ def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
 
 
 def _check_seidel(
-    dec: DecomposedDiagram, v: WeylElement, perm: Tuple[int, ...], qexp: Tuple[int, ...]
+    dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...], qexp: Tuple[int, ...]
 ) -> Dict[str, bool]:
     fix, pq = dec.fixture, dec.pq
     bijection = sorted(perm) == list(range(len(perm)))
@@ -105,7 +105,7 @@ def _check_seidel(
     # (Bjorner-Brenti 8.1-8.2).  The head of v^2 * w is the head of w
     # read through the signed table of v^2
     m = fix.q_node
-    square = weyl.signed_table(weyl.compose(v.window, v.window))
+    square = weyl.signed_table(weyl.multiply(v, v))
     windows = pq.elements
     compose_ok = all(
         {square[b] for b in x[:m]} == set(windows[perm[perm[k]]][:m])
@@ -177,7 +177,7 @@ def type_a_composition_report(max_rank: int = 4) -> dict:
     results = {}
     for n in range(1, max_rank + 1):
         rs = rootsys.build("A", n)
-        velems = {0: weyl.identity(rs)}
+        velems = {0: tuple(range(1, rs.dim + 1))}
         for i in range(1, n + 1):
             velems[i] = seidel.v_elt(rs, i)
         ok = True

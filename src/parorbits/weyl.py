@@ -27,8 +27,9 @@ enumerating W_L: it keeps s*w by Deodhar's test (one such vector and one
 set lookup), builds no element, and keeps what the pass meets on the way,
 each window's breadth-first level (its length), the window index, the
 left action of every generator as rows of indices and each window's first
-left descent, for `cosets.build_quotient` to read.  A `WeylElement` is
-built only where an API returns one element.
+left descent, for `cosets.build_quotient` to read.  Every function takes
+and returns bare windows; `name` prints one with its group, e.g.
+WC4(1,2,3,4), and `multiply` is the one window product.
 """
 
 from __future__ import annotations
@@ -47,51 +48,14 @@ class WeylError(ValueError):
     """Invalid window or node, or mismatched operands."""
 
 
-class WeylElement:
-    """An element of the Weyl group of `rs`, as its window.
-
-    Immutable: `__setattr__` refuses every assignment, and `__init__`, which
-    every construction passes through, fills the slots through their
-    descriptors; there is no per-instance dict.  `length` is computed on
-    every read: a quotient keeps its elements' lengths in its `lengths`."""
-
-    __slots__ = ("rs", "window")
-
-    def __init__(self, rs: RootSystem, window: Window) -> None:
-        _set_rs(self, rs)
-        _set_window(self, window)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable: cannot assign %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("WeylElement is immutable: cannot delete %r" % name)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.rs == other.rs
-            and self.window == other.window
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.window)
-
-    def __repr__(self) -> str:
-        return "W%s%d%s" % (self.rs.type_label, self.rs.rank, window_str(self.window))
-
-    @property
-    def length(self) -> int:
-        return _length(self.rs, self.window)
-
-
-_set_rs = WeylElement.rs.__set__
-_set_window = WeylElement.window.__set__
-
-
 def window_str(window: Window) -> str:
     """Canonical string form, e.g. "(3,-1,2)"."""
     return "(" + ",".join(str(b) for b in window) + ")"
+
+
+def name(rs: RootSystem, window: Window) -> str:
+    """The window named with its group, e.g. "WC4(1,2,3,4)"."""
+    return "W%s%d%s" % (rs.type_label, rs.rank, window_str(window))
 
 
 def _validate_window(rs: RootSystem, window: Window) -> None:
@@ -105,16 +69,6 @@ def _validate_window(rs: RootSystem, window: Window) -> None:
         raise WeylError("type A windows carry no signs: %s" % (window,))
     if rs.type_label == "D" and negatives % 2:
         raise WeylError("type D windows need an even number of signs: %s" % (window,))
-
-
-def _act_coords(window: Window, v: Sequence) -> Tuple:
-    out = [0] * len(window)
-    for pos, b in enumerate(window):
-        if b > 0:
-            out[b - 1] = v[pos]
-        else:
-            out[-b - 1] = -v[pos]
-    return tuple(out)
 
 
 def _length(rs: RootSystem, window: Window) -> int:
@@ -159,18 +113,8 @@ def _is_descent(rs: RootSystem, window: Window, k: int) -> bool:
     return window[n - 1] < 0  # alpha_n = e_n or 2 e_n
 
 
-def element(rs: RootSystem, window: Iterable[int]) -> WeylElement:
-    w = tuple(window)
-    _validate_window(rs, w)
-    return WeylElement(rs, w)
-
-
-def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(1, rs.dim + 1)))
-
-
 @lru_cache(maxsize=None)
-def simple_reflection(rs: RootSystem, k: int) -> WeylElement:
+def simple_reflection(rs: RootSystem, k: int) -> Window:
     if not 1 <= k <= rs.rank:
         raise WeylError("simple reflection index %d out of range 1..%d" % (k, rs.rank))
     return reflection(rs, rs.simple_roots[k - 1])
@@ -190,14 +134,14 @@ def generator_tables(rs: RootSystem) -> Dict[int, Generator]:
     once per root system from the windows of `simple_reflection`."""
     out = {}
     for k in rs.nodes:
-        r = simple_reflection(rs, k).window
+        r = simple_reflection(rs, k)
         direction = _root_direction(r)
         out[k] = Generator(signed_table(r), direction, signed_table(direction))
     return out
 
 
-def reflection(rs: RootSystem, root: Vector) -> WeylElement:
-    """The reflection in `root` as a window element.
+def reflection(rs: RootSystem, root: Vector) -> Window:
+    """The window of the reflection in `root`, validated.
 
     s(e_k) = e_k - <e_k, root^vee> root, so s fixes e_k off the root's
     support, and only the images of the support positions are computed,
@@ -219,10 +163,12 @@ def reflection(rs: RootSystem, root: Vector) -> WeylElement:
             raise WeylError("root %s does not act by signed permutation" % (root,))
         t, x = hits[0]
         window[k] = t + 1 if x > 0 else -(t + 1)
-    return element(rs, window)
+    out = tuple(window)
+    _validate_window(rs, out)
+    return out
 
 
-def compose(uw: Window, ww: Window) -> Window:
+def multiply(uw: Window, ww: Window) -> Window:
     """Window of the product u*w, i.e. of the map v -> u(w(v))."""
     return tuple([uw[b - 1] if b > 0 else -uw[-b - 1] for b in ww])
 
@@ -230,7 +176,7 @@ def compose(uw: Window, ww: Window) -> Window:
 def signed_table(v: Sequence[int]) -> List[int]:
     """Lookup table t with t[b] = sign(b) * v[|b| - 1] for b in +/-1..+/-d
     (a negative b reads from the end), so that (t[b] for b in w) is
-    compose(v, w) without a branch per entry: the window of s*w when v is
+    multiply(v, w) without a branch per entry: the window of s*w when v is
     the window of s, and the vector w^-1(v) when v is a vector, since
     (w^-1 v)_j = sign(b_j) v_|b_j|.  `itemgetter(*w)(t)` gathers it as a
     tuple in one call (every window has at least two entries, so the
@@ -252,18 +198,18 @@ def _root_direction(r: Window) -> Tuple[int, ...]:
     return tuple(v)
 
 
-def multiply(u: WeylElement, w: WeylElement) -> WeylElement:
-    """Group product u*w, i.e. the map v -> u(w(v))."""
-    if u.rs is not w.rs and u.rs != w.rs:
-        raise WeylError("operands live in different Weyl groups")
-    return WeylElement(u.rs, compose(u.window, w.window))
-
-
-def act(w: WeylElement, v: Sequence) -> Tuple:
-    """Signed-permutation action on an ambient (co)weight vector."""
-    if len(v) != w.rs.dim:
-        raise WeylError("vector has dimension %d, expected %d" % (len(v), w.rs.dim))
-    return _act_coords(w.window, v)
+def act(window: Window, v: Sequence) -> Tuple:
+    """Signed-permutation action of the window on an ambient (co)weight
+    vector of the same dimension."""
+    if len(v) != len(window):
+        raise WeylError("vector has dimension %d, expected %d" % (len(v), len(window)))
+    out = [0] * len(window)
+    for pos, b in enumerate(window):
+        if b > 0:
+            out[b - 1] = v[pos]
+        else:
+            out[-b - 1] = -v[pos]
+    return tuple(out)
 
 
 def first_descent(rs: RootSystem, window: Window, nodes: Sequence[int]) -> int:
@@ -332,19 +278,14 @@ def _block_pass(rs: RootSystem, window: Window, nodes: List[int], longest: bool)
     return tuple(b)
 
 
-def min_rep(w: WeylElement, j_set: Iterable[int]) -> WeylElement:
-    """Minimal-length representative of the coset w W_J (right quotient):
-    the unique element of the coset with no right descent in J
-    (Bjorner-Brenti 2.4), by one `_block_pass`."""
-    window = _block_pass(w.rs, w.window, _checked_nodes(w.rs, j_set), False)
-    return w if window == w.window else WeylElement(w.rs, window)
+def min_rep(rs: RootSystem, window: Window, j_set: Iterable[int]) -> Window:
+    """Minimal-length representative of the coset w W_J (right quotient),
+    w the window: the unique element of the coset with no right descent
+    in J (Bjorner-Brenti 2.4), by one `_block_pass`."""
+    return _block_pass(rs, window, _checked_nodes(rs, j_set), False)
 
 
-def is_min_rep(w: WeylElement, j_set: Iterable[int]) -> bool:
-    return first_descent(w.rs, w.window, sorted(j_set)) == 0
-
-
-def longest(rs: RootSystem, j_set: Iterable[int]) -> WeylElement:
+def longest(rs: RootSystem, j_set: Iterable[int]) -> Window:
     """Longest element w_0(J) of the standard parabolic subgroup W_J, the
     longest window of the coset of the identity, by one `_block_pass`.
     Certified: w_0(J) is the one element of W_J with every node of J as a
@@ -356,27 +297,24 @@ def longest(rs: RootSystem, j_set: Iterable[int]) -> WeylElement:
             raise WeylError(
                 "node %d is not a right descent of w_0(J) = %s" % (k, window_str(window))
             )
-    return WeylElement(rs, window)
+    return window
 
 
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the subword property (right-descent stripping)."""
-    if u.rs != w.rs:
-        raise WeylError("operands live in different Weyl groups")
-    rs = u.rs
-    uw, ww = u.window, w.window
-    lu, lw = u.length, w.length
+def bruhat_leq(rs: RootSystem, uw: Window, ww: Window) -> bool:
+    """Bruhat order u <= w on windows via the subword property
+    (right-descent stripping)."""
+    lu, lw = _length(rs, uw), _length(rs, ww)
     while True:
         if lu > lw:
             return False
         if lw == 0:
             return lu == 0
         k = first_descent(rs, ww, rs.nodes)
-        s = simple_reflection(rs, k).window
+        s = simple_reflection(rs, k)
         if _is_descent(rs, uw, k):
-            uw = compose(uw, s)
+            uw = multiply(uw, s)
             lu -= 1
-        ww = compose(ww, s)
+        ww = multiply(ww, s)
         lw -= 1
 
 
@@ -410,9 +348,7 @@ class Enumeration(tuple):
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(
-    rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int] = frozenset()
-) -> Enumeration:
+def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]) -> Enumeration:
     """Windows of the minimal representatives of W_L / W_J (L = `nodes`;
     all of W_L for J empty), sorted by (length, window), in one breadth-first pass by left
     simple reflections s of L.  By Deodhar's lemma (Bjorner-Brenti Lemma

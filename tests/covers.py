@@ -67,7 +67,7 @@ def compose_closure(pq, j_p):
     """Orbits of W_P on the quotient as sorted member tuples, in order of
     their least member: close each under the window products s_p * w, an
     index miss meaning s_p * w lies in the coset of w (Deodhar's lemma)."""
-    gens = [weyl.simple_reflection(pq.rs, p).window for p in sorted(j_p)]
+    gens = [weyl.simple_reflection(pq.rs, p) for p in sorted(j_p)]
     assigned = [False] * len(pq.elements)
     orbits = []
     for start in range(len(pq.elements)):
@@ -78,7 +78,7 @@ def compose_closure(pq, j_p):
         while stack:
             k = stack.pop()
             for s in gens:
-                m = pq.index.get(weyl.compose(s, pq.elements[k]), k)
+                m = pq.index.get(weyl.multiply(s, pq.elements[k]), k)
                 if not assigned[m]:
                     assigned[m] = True
                     orbit.append(m)

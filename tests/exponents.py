@@ -6,7 +6,7 @@ w^-1(2 omega_p^vee) with 2 omega_q^vee; here `eta` expands a vector's
 coefficient on one simple coroot with its own checks, and `delta` calls
 it once per class, gathering w^-1(2 omega_p^vee) from a signed table
 built afresh.  `strata.d_geometric(fix, windows)` dispatches on the
-fixture's case once per call; here `d_geometric` reads it for one element
+fixture's case once per call; here `d_geometric` reads it for one window
 at a time.
 """
 
@@ -41,24 +41,26 @@ def eta(rs, v, j):
 
 
 def delta(fix, w):
-    """Stratum exponent of one element w: half of
+    """Stratum exponent of one window w: half of
     eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
     omega2 = fix.rs.double_coweight(fix.p_node)
-    moved = itemgetter(*w.window)(weyl.signed_table(omega2))  # w^-1(2 omega_p^vee)
+    moved = itemgetter(*w)(weyl.signed_table(omega2))  # w^-1(2 omega_p^vee)
     twice = eta(fix.rs, tuple(map(sub, omega2, moved)), fix.q_node)
     if twice % 2 or twice < 0:
-        raise strata.StrataError("stratum exponent %d/2 at %r is not a non-negative integer" % (twice, w))
+        name = weyl.name(fix.rs, w)
+        raise strata.StrataError("stratum exponent %d/2 at %s is not a non-negative integer" % (twice, name))
     return twice // 2
 
 
 def d_geometric(fix, w):
-    """Incidence dimension of the w-cell with the reference flag of P.
+    """Incidence dimension of the cell of the window w with the reference
+    flag of P.
 
     This is the window statistic of the double-coset case analysis: e.g.
     #{j <= m : w(j) <= i} in type A, #{j <= m : w(j) > 0} in type C.
     """
     t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
-    head = w.window[:m]
+    head = w[:m]
     if t == "A":
         return sum(1 for v in head if v <= i)
     if t == "B" or (t == "D" and i == 1):

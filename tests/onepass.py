@@ -22,7 +22,7 @@ def seen_set_levels(rs, nodes, j_set):
     tables = weyl.generator_tables(rs)
     gens = [(tables[k].table, tables[k].direction_table) for k in sorted(nodes)]
     j_roots = {tables[k].direction for k in j_set}
-    level = [weyl.identity(rs).window]
+    level = [tuple(range(1, rs.dim + 1))]
     seen = set(level)
     windows, lengths = [], []
     length = 0

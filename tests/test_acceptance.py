@@ -13,7 +13,6 @@ from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 
 from conftest import load_golden
-from windows import elements
 
 
 def _verdict(num, label, ok):
@@ -113,23 +112,25 @@ def test_criterion_09_oracle_redundancy(sweep_reports):
     ok = all(r["checks"]["chevalley_witnesses"] for r in sweep_reports.values())
     for t, n in (("C", 3), ("A", 4)):
         rs = build(t, n)
-        group = elements(rs, weyl.enumerate_group(rs, frozenset(rs.nodes)))
-        group.sort(key=lambda w: (w.length, w.window))
-        index = {w.window: k for k, w in enumerate(group)}
+        group = sorted(
+            weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset()),
+            key=lambda w: (weyl._length(rs, w), w),
+        )
+        index = {w: k for k, w in enumerate(group)}
         reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
         reach = [1 << k for k in range(len(group))]
         by_len = {}
         for k, w in enumerate(group):
-            by_len.setdefault(w.length, []).append(k)
+            by_len.setdefault(weyl._length(rs, w), []).append(k)
         for ell in sorted(by_len, reverse=True):
             for k in by_len[ell]:
                 for t_elt in reflections:
                     wt = weyl.multiply(group[k], t_elt)
-                    if wt.length == ell + 1:
-                        reach[k] |= reach[index[wt.window]]
+                    if weyl._length(rs, wt) == ell + 1:
+                        reach[k] |= reach[index[wt]]
         for i, u in enumerate(group):
             for j, w in enumerate(group):
-                if weyl.bruhat_leq(u, w) != bool(reach[i] >> j & 1):
+                if weyl.bruhat_leq(rs, u, w) != bool(reach[i] >> j & 1):
                     ok = False
     _verdict(9, "independent Bruhat and multiplicity oracles agree", ok)
 

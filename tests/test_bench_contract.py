@@ -1,0 +1,87 @@
+"""The names that the benchmark under `bench/` reads from the library.
+
+`bench/spans.py` traces the functions it lists in `SPAN_LAYERS` and
+`COUNT_LAYERS`, and `bench/run.py` reports the hit ratio of each cache in
+`CACHES`; a name that no longer resolves is a layer the benchmark loses.
+The lists are read from the files' source, so nothing under `bench/` is
+imported or written.
+"""
+
+import ast
+import functools
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from parorbits import cli, cosets, weyl
+from parorbits.fixtures import parse_fixture
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LRU_CACHE = type(functools.lru_cache(maxsize=None)(lambda: None))
+
+
+def _constants(filename, *names):
+    """The literal values assigned at the top level of a `bench/` file."""
+    found = {}
+    for node in ast.parse((BENCH / filename).read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    assert sorted(found) == sorted(names), filename
+    return found
+
+
+def _resolve(layer):
+    module, name = layer.split(".")
+    return getattr(importlib.import_module("parorbits." + module), name, None)
+
+
+def test_traced_layers_resolve_in_the_library():
+    layers = _constants("spans.py", "SPAN_LAYERS", "COUNT_LAYERS")
+    names = layers["SPAN_LAYERS"] + layers["COUNT_LAYERS"]
+    assert "weyl.multiply" in names and "seidel.v_elt" in names
+    for layer in names:
+        assert callable(_resolve(layer)), layer
+
+
+def test_reported_caches_are_lru_caches():
+    caches = _constants("run.py", "CACHES")["CACHES"]
+    assert {"weyl.simple_reflection", "cosets.reflection_by_index"} <= set(caches)
+    for layer in caches:
+        assert isinstance(_resolve(layer), LRU_CACHE), layer
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parorbits."):
+            for value in vars(module).values():
+                if isinstance(value, LRU_CACHE):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize("label,classes", [("C3/P2+P3", 12), ("D5/P2+P5", 40)])
+def test_cold_colored_diagram_multiplies_once_per_class(monkeypatch, capsys, label, classes):
+    # the tracer rebinds `weyl.multiply` in every module that holds it, so
+    # does this count; the cell map of each stratum is one product per class
+    fix = parse_fixture(label)
+    calls = []
+    real = weyl.multiply
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parorbits."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    _clear_caches()
+    argv = ["diagram", "--type", fix.type_label, "--rank", str(fix.rank)]
+    argv += ["--grassmannian", str(fix.q_node), "--cominuscule", str(fix.p_node), "--format", "json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == classes == len(cosets.build_quotient(fix.rs, fix.j_q).elements)

@@ -185,7 +185,8 @@ FIGURE_ARGV = [
 
 
 def test_failed_certificates_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(weyl, "is_min_rep", lambda w, j_set: False)
+    # min_rep returning its argument leaves v = w_0, which has descents in J
+    monkeypatch.setattr(weyl, "min_rep", lambda rs, window, j_set: window)
     code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "not minimal" in err
@@ -248,7 +249,7 @@ def test_non_additive_cell_map_refused(monkeypatch, capsys):
     def swapped(stratum, u):
         if stratum.delta == 1:
             fq = decomp.flag_quotient(stratum)
-            a, b = (weyl.WeylElement(fq.rs, x) for x in fq.elements[:2])
+            a, b = fq.elements[:2]
             assert fq.lengths[:2] == (0, 1)
             u = {a: b, b: a}.get(u, u)
         return real(stratum, u)
@@ -303,7 +304,11 @@ def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
     monkeypatch.setattr(strata, "stratify", reversed_deltas)
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
-    assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
+    # the first cross edge is named by both windows and both deltas
+    assert err == (
+        "error: stratum/flag diagram mismatch in C4/P2+P4: "
+        "cross edge (1,4,2,3)->(1,-4,2,3) does not raise delta: 2 -> 1\n"
+    )
     code, out, _ = run_cli(capsys, ["verify", "--fixture", "C4/P2+P4"])
     assert code == 2 and json.loads(out)["fixtures"][0]["decomposition"]["all_pass"] is False
 

@@ -15,7 +15,7 @@ from parorbits.rootsys import RANK_BOUNDS, build, components
 
 from dynkin import subsets
 from roots import classical_systems, fresh_signed_table
-from windows import draw_window, elements
+from windows import draw_window, identity
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -47,18 +47,18 @@ def test_quotient_grading_and_duality():
         assert counts == counts[::-1]  # Poincare duality of the quotient
         top = len(fix.rs.positive_roots) - len(fix.rs.positive_roots_of(fix.j_q))
         assert pq.top_degree() == top
-        for w in elements(fix.rs, pq.elements):
-            assert weyl.min_rep(w, fix.j_q) == w
+        for w in pq.elements:
+            assert weyl.min_rep(fix.rs, w, fix.j_q) == w
 
 
 def test_cover_witnesses():
     for fix in FIXTURES[:5]:
         pq = build_quotient(fix.rs, fix.j_q)
         for c in pq.covers:
-            u, w = elements(pq.rs, (pq.elements[c.u], pq.elements[c.w]))
+            u, w = pq.elements[c.u], pq.elements[c.w]
             s = cosets.reflection_by_index(pq.rs, c.root)
             assert weyl.multiply(u, s) == w
-            assert w.length == u.length + 1
+            assert weyl._length(pq.rs, w) == weyl._length(pq.rs, u) + 1
 
 
 def test_double_coset_examples():
@@ -116,7 +116,7 @@ def test_double_coset_without_unique_length_extremes_refused():
     row = list(g24.left[2])
     row[a] = b
     corrupted = g24._replace(left={**g24.left, 2: tuple(row)})
-    # the members are named by their elements' repr
+    # the members are named by `weyl.name`
     names = ", ".join("WA3" + weyl.window_str(g24.elements[k]) for k in sorted({a, b}))
     with pytest.raises(cosets.CosetError) as refused:
         double_cosets(corrupted, {2})
@@ -126,9 +126,11 @@ def bruhat_interval(dc):
     """Test-only oracle, the scan `certify_interval` replaced: the quotient
     elements x with w_min <= x <= w_max by the subword property, w_min and
     w_max the first and last member."""
-    group = elements(dc.pq.rs, dc.pq.elements)
+    rs, group = dc.pq.rs, dc.pq.elements
     w_min, w_max = group[dc.members[0]], group[dc.members[-1]]
-    return {k for k, x in enumerate(group) if weyl.bruhat_leq(w_min, x) and weyl.bruhat_leq(x, w_max)}
+    return {
+        k for k, x in enumerate(group) if weyl.bruhat_leq(rs, w_min, x) and weyl.bruhat_leq(rs, x, w_max)
+    }
 
 
 def test_certify_interval():
@@ -219,7 +221,7 @@ def test_cover_closure_is_bruhat_order(t, n):
         above = [[] for _ in pq.elements]
         for c in pq.covers:
             above[c.u].append(c.w)
-        group = elements(rs, pq.elements)
+        group = pq.elements
         for i, u in enumerate(group):
             reach, stack = {i}, [i]
             while stack:
@@ -228,7 +230,7 @@ def test_cover_closure_is_bruhat_order(t, n):
                         reach.add(k)
                         stack.append(k)
             for j, w in enumerate(group):
-                assert weyl.bruhat_leq(u, w) == (j in reach), (q, u, w)
+                assert weyl.bruhat_leq(rs, u, w) == (j in reach), (q, u, w)
 
 
 def test_type_d_picard_two_rejected():
@@ -246,8 +248,8 @@ def test_quotient_json_schema():
     assert payload["fixture"] == "A3/P2+P2"
     assert payload["vertices"][0] == {"window": "(1,2,3,4)", "length": 0}
     assert payload["vertices"] == [
-        {"window": weyl.window_str(w.window), "length": w.length}
-        for w in elements(fix.rs, pq.elements)
+        {"window": weyl.window_str(w), "length": weyl._length(fix.rs, w)}
+        for w in pq.elements
     ]
     lengths = [v["length"] for v in payload["vertices"]]
     assert lengths == sorted(lengths)
@@ -269,20 +271,17 @@ def full_group_quotient(rs, j_q, nodes):
     """Test-only oracle, the path `build_quotient` replaced: all of W_L,
     then `min_rep` of every element, then dedupe.  Covers are u -> u*s_beta
     one step longer, over every positive root."""
-    seen = {}
-    for w in elements(rs, weyl.enumerate_group(rs, nodes)):
-        rep = weyl.min_rep(w, j_q)
-        seen.setdefault(rep.window, rep)
-    reps = sorted(seen.values(), key=lambda w: (w.length, w.window))
-    index = {w.window: k for k, w in enumerate(reps)}
+    reps = {weyl.min_rep(rs, w, j_q) for w in weyl.enumerate_group(rs, nodes, frozenset())}
+    reps = sorted(reps, key=lambda w: (weyl._length(rs, w), w))
+    index = {w: k for k, w in enumerate(reps)}
     reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
     covers = []
     for u_idx, u in enumerate(reps):
         for root_idx, s in enumerate(reflections):
             w = weyl.multiply(u, s)
-            if w.window in index and w.length == u.length + 1:
-                covers.append((u_idx, index[w.window], root_idx))
-    return tuple(w.window for w in reps), tuple(sorted(covers))
+            if w in index and weyl._length(rs, w) == weyl._length(rs, u) + 1:
+                covers.append((u_idx, index[w], root_idx))
+    return tuple(reps), tuple(sorted(covers))
 
 
 def min_rep_closure(pq, j_p):
@@ -294,9 +293,9 @@ def min_rep_closure(pq, j_p):
             continue
         orbit, stack = {start}, [start]
         while stack:
-            w = weyl.WeylElement(pq.rs, pq.elements[stack.pop()])
+            w = pq.elements[stack.pop()]
             for s in gens:
-                m = pq.index[weyl.min_rep(weyl.multiply(s, w), pq.j_q).window]
+                m = pq.index[weyl.min_rep(pq.rs, weyl.multiply(s, w), pq.j_q)]
                 if m not in orbit:
                     orbit.add(m)
                     stack.append(m)
@@ -358,7 +357,7 @@ def test_quotient_size_closed_forms(t, n):
         windows = weyl.enumerate_group(rs, nodes, j_q)
         assert len(windows) == _quotient_order(t, n, m), m
         assert len(set(windows)) == len(windows)
-        assert all(weyl.is_min_rep(w, j_q) for w in elements(rs, windows))
+        assert not any(weyl.first_descent(rs, w, sorted(j_q)) for w in windows)
 
 
 def _degrees(t, k):
@@ -394,7 +393,7 @@ def _levi_degrees(rs, nodes):
 
 
 def _rank_counts(rs, windows):
-    lengths = [w.length for w in elements(rs, windows)]
+    lengths = [weyl._length(rs, w) for w in windows]
     return [lengths.count(k) for k in range(max(lengths) + 1)]
 
 
@@ -451,9 +450,9 @@ def test_deodhar_lemma_on_random_windows():
         window = draw_window(data, rs)
         j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
         k = data.draw(st.sampled_from(rs.nodes))
-        w = weyl.min_rep(weyl.element(rs, window), j_set)
+        w = weyl.min_rep(rs, window, j_set)
         sw = weyl.multiply(weyl.simple_reflection(rs, k), w)
-        assert weyl.is_min_rep(sw, j_set) or any(
+        assert weyl.first_descent(rs, sw, sorted(j_set)) == 0 or any(
             sw == weyl.multiply(w, weyl.simple_reflection(rs, j)) for j in j_set
         )
 
@@ -477,39 +476,22 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
-def _count_elements(monkeypatch):
-    """Count every `WeylElement` built from now on; returns the one-entry
-    list that holds the count."""
-    real_init, built = weyl.WeylElement.__init__, [0]
-
-    def init_spy(self, *args):
-        built[0] += 1
-        real_init(self, *args)
-
-    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
-    return built
-
-
 def test_quotients_build_no_throwaway_elements(monkeypatch):
     # cold B6/P5+P1: the enumerator, the covers and the orbit closure read
     # signed tables and the left-action table, with no window product and
-    # no descent test, and the enumerator lists windows: it builds no
-    # element besides the generators, one per node at most, whatever |W^Q|
+    # no descent test, and the enumerator lists windows: it reads the
+    # generators, one simple reflection per node, once, whatever |W^Q|
     fix = Fixture("B", 6, 5, 1)
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
     caches = (cosets.build_quotient, weyl.enumerate_group, weyl.generator_tables, weyl.simple_reflection)
     for cache in caches:
         cache.cache_clear()
     real_enumerate = weyl.enumerate_group
-    counts = _count_calls(monkeypatch, weyl, ("multiply", "compose", "_is_descent"))
-    counts.update(built_enumerating=0, generators=0)
-    built = _count_elements(monkeypatch)
+    counts = _count_calls(monkeypatch, weyl, ("multiply", "_is_descent", "simple_reflection"))
+    counts.update(generators=0)
 
-    def enumerate_spy(rs, nodes, j_set=frozenset()):
-        before = built[0]
+    def enumerate_spy(rs, nodes, j_set):
         result = real_enumerate(rs, nodes, j_set)
-        assert built[0] - before <= len(nodes), (built, len(result))
-        counts["built_enumerating"] += built[0] - before
         counts["generators"] += len(nodes)
         return result
 
@@ -518,23 +500,22 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     assert len(double_cosets(pq, fix.j_p)) == 3
     for k_set in k_sets:
         build_quotient(fix.rs, k_set, fix.j_p)
-    assert counts["multiply"] == counts["compose"] == counts["_is_descent"] == 0, counts
+    assert counts["multiply"] == counts["_is_descent"] == 0, counts
     # the generator tables are built once, from the rank simple reflections
-    assert counts["built_enumerating"] == fix.rs.rank < counts["generators"], counts
+    assert counts["simple_reflection"] == fix.rs.rank < counts["generators"], counts
     assert len(pq.elements) == 192
     # the spies are live
-    w = weyl.WeylElement(fix.rs, pq.elements[1])
-    weyl.multiply(w, w)
+    weyl.multiply(pq.elements[1], pq.elements[1])
     weyl.first_descent(fix.rs, pq.elements[1], fix.rs.nodes)
-    assert counts["multiply"] == counts["compose"] == 1 and counts["_is_descent"] > 0, counts
-    assert built[0] == fix.rs.rank + 2, built
+    assert counts["multiply"] == 1 and counts["_is_descent"] > 0, counts
 
 
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1", "D5/P5+P1"])
 def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
     # from cold caches, the strata report, the Seidel table and the plain
-    # diagrams build the simple reflections and the Seidel element's w_0
-    # and v, and no element per class: classes stay windows
+    # diagrams make no window product per class: classes stay windows, and
+    # the only products are the Seidel table's, one per letter of a reduced
+    # word of v
     fix = parse_fixture(label)
     caches = (
         cosets.build_quotient,
@@ -545,18 +526,18 @@ def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
     )
     for cache in caches:
         cache.cache_clear()
-    built = _count_elements(monkeypatch)
+    counts = _count_calls(monkeypatch, weyl, ("multiply",))
     pq, sts = strata.stratify(fix)
     assert certify_interval([st.dc for st in sts])
     assert [strata.stratum_json(st) for st in sts]
     assert len(seidel.table_rows(fix)) == len(pq.elements)
     for fmt in ("dot", "tikz", "json"):
         assert emit_plain(fix, fmt), fmt
-    assert 0 < built[0] <= fix.rank + 2, (built, len(pq.elements))
+    v_length = weyl._length(fix.rs, seidel.v_elt(fix.rs, fix.p_node))
+    assert 0 < counts["multiply"] == v_length < len(pq.elements), (counts, len(pq.elements))
     # the spy is live
-    before = built[0]
-    weyl.element(fix.rs, pq.elements[1])
-    assert built[0] == before + 1, built
+    weyl.multiply(pq.elements[1], pq.elements[1])
+    assert counts["multiply"] == v_length + 1, counts
 
 
 def test_stratify_makes_no_window_product(monkeypatch):
@@ -565,15 +546,15 @@ def test_stratify_makes_no_window_product(monkeypatch):
     fix = Fixture("B", 6, 5, 1)
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
-    counts = _count_calls(monkeypatch, weyl, ("act", "multiply", "compose"))
+    counts = _count_calls(monkeypatch, weyl, ("act", "multiply"))
     pq, sts = strata.stratify(fix)
     assert len(pq.elements) == 192 and len(sts) == 3
-    assert counts == {"act": 0, "multiply": 0, "compose": 0}, counts
+    assert counts == {"act": 0, "multiply": 0}, counts
     # the spies are live
-    w = weyl.WeylElement(fix.rs, pq.elements[1])
+    w = pq.elements[1]
     weyl.act(w, fix.rs.simple_root(1))
     weyl.multiply(w, w)
-    assert counts == {"act": 1, "multiply": 1, "compose": 1}, counts
+    assert counts == {"act": 1, "multiply": 1}, counts
 
 
 def test_chevalley_witness_check_builds_no_element(monkeypatch):
@@ -585,22 +566,14 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     roots = {e.root for e in dec.diagram.edges}
     assert len(dec.diagram.edges) > len(roots)
     cosets.reflection_by_index.cache_clear()
-    counts = _count_calls(monkeypatch, weyl, ("multiply", "compose"))
-    real_init, built = weyl.WeylElement.__init__, []
-
-    def init_spy(self, *args):
-        built.append(args)
-        real_init(self, *args)
-
-    monkeypatch.setattr(weyl.WeylElement, "__init__", init_spy)
+    counts = _count_calls(monkeypatch, weyl, ("multiply", "reflection"))
     assert verify._check_chevalley_witnesses(dec)
-    assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
-    assert counts["compose"] == 0, counts
+    assert counts == {"multiply": 0, "reflection": len(roots)}, counts
     assert verify._check_chevalley_witnesses(dec)
-    assert len(built) == len(roots) and counts["multiply"] == 0, (len(built), counts)
+    assert counts == {"multiply": 0, "reflection": len(roots)}, counts
     # the spy is live
-    weyl.compose(dec.pq.elements[1], dec.pq.elements[1])
-    assert counts["compose"] == 1, counts
+    weyl.multiply(dec.pq.elements[1], dec.pq.elements[1])
+    assert counts["multiply"] == 1, counts
     # negative control: one edge retargeted to another class of the same
     # length fails the check
     lengths = dec.pq.lengths
@@ -696,9 +669,9 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     assert certify_interval([st.dc for st in dec.strata])
     assert counts["bruhat_leq"] == 0
     assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
-    # the spy is live: every read of an element's length counts once
-    assert weyl.element(fix.rs, (2, 1, 3, 4, 5, 6)).length == 1
-    assert counts["_length"] == 1, counts
+    # the spies are live: a Bruhat comparison reads both lengths
+    assert weyl.bruhat_leq(fix.rs, identity(fix.rs), (2, 1, 3, 4, 5, 6))
+    assert counts["bruhat_leq"] == 1 and counts["_length"] == 2, counts
 
 
 def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
@@ -723,5 +696,5 @@ def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
             assert decomp.emit(dec, fmt) and decomp.emit_plain(fix, fmt), (label, fmt)
     assert calls == []
     # the spy is live
-    assert weyl.WeylElement(fix.rs, dec.pq.elements[-1]).length == dec.pq.top_degree()
+    assert weyl._length(fix.rs, dec.pq.elements[-1]) == dec.pq.top_degree()
     assert len(calls) == 1

@@ -11,7 +11,6 @@ from parorbits.rootsys import build
 
 from covers import all_roots_covers, compose_closure
 from dynkin import subsets
-from windows import elements
 
 RANKS_TO_5 = (
     [("A", n) for n in range(1, 6)]
@@ -61,8 +60,8 @@ def test_left_rows_are_involutions_matching_min_rep(t, n):
         for k, row in pq.left.items():
             s = weyl.simple_reflection(pq.rs, k)
             assert row == tuple(
-                pq.index[weyl.min_rep(weyl.multiply(s, w), pq.j_q).window]
-                for w in elements(pq.rs, pq.elements)
+                pq.index[weyl.min_rep(pq.rs, weyl.multiply(s, w), pq.j_q)]
+                for w in pq.elements
             ), (pq, k)
             assert all(row[m] == i for i, m in enumerate(row)), (pq, k)
 

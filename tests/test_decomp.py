@@ -3,7 +3,7 @@ import json
 import pytest
 
 import graphiso
-from parorbits import hasse, strata
+from parorbits import cli, decomp, hasse, strata, weyl
 from parorbits.decomp import (
     build_decomposition,
     decomposition_report,
@@ -14,7 +14,6 @@ from parorbits.decomp import (
 from parorbits.fixtures import Fixture, parse_fixture
 
 from conftest import load_golden
-from windows import elements
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -49,11 +48,42 @@ def test_phi_endpoints_and_bijection():
             # last member
             assert images[0] == st.dc.members[0]
             assert images[-1] == st.dc.members[-1]
-            group = elements(fix.rs, pq.elements)
-            w_min = group[st.dc.members[0]]
-            for u, image_idx in zip(elements(fix.rs, fq.elements), images):
-                assert group[image_idx].length == u.length + w_min.length
+            shift = weyl._length(fix.rs, pq.elements[st.dc.members[0]])
+            for u, image_idx in zip(fq.elements, images):
+                assert weyl._length(fix.rs, pq.elements[image_idx]) == weyl._length(fix.rs, u) + shift
             assert sorted(images) == list(st.dc.members)
+
+
+def test_cell_map_errors_name_the_class_in_full(monkeypatch):
+    # the source class is named with its group, WC4(...); first the closed
+    # stratum's flag quotient listing the middle stratum's first windows:
+    # the closed stratum's w_min is the identity, so each image is its own
+    # source, outside the stratum
+    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    closed, middle = sts[:2]
+    real = decomp.flag_quotient
+
+    def foreign(stratum):
+        fq = real(stratum)
+        windows = stratum.dc.pq.elements
+        return fq._replace(elements=tuple(windows[k] for k in middle.dc.members[: len(fq.elements)]))
+
+    monkeypatch.setattr(decomp, "flag_quotient", foreign)
+    with pytest.raises(decomp.DecompositionError) as refused:
+        phi_map(closed)
+    assert str(refused.value) == (
+        "cell map leaves the stratum at WC4(1,-4,2,3) (stratum delta=0 of C4/P2+P4)"
+    )
+    monkeypatch.undo()
+    # every flag length one too long: the identity already breaks additivity
+    monkeypatch.setattr(
+        decomp, "flag_quotient", lambda st: real(st)._replace(lengths=tuple(x + 1 for x in real(st).lengths))
+    )
+    with pytest.raises(decomp.DecompositionError) as refused:
+        phi_map(middle)
+    assert str(refused.value) == (
+        "cell map is not length-additive at WC4(1,2,3,4) (stratum delta=1 of C4/P2+P4)"
+    )
 
 
 def test_verify_ig28():
@@ -215,8 +245,9 @@ def test_unknown_format_rejected():
 def rescan_mismatches(dec, si):
     """Oracle for the mismatch report of stratum si: X's within-stratum
     edges found by a scan of all of X's edges, and every key of either side
-    compared in sorted order, the path `build_decomposition` replaced."""
-    comp, vs = dec.comparisons[si], dec.vertex_stratum
+    compared in sorted order, the path `build_decomposition` replaced; each
+    edge is named by the windows of its ends."""
+    comp, vs, windows = dec.comparisons[si], dec.vertex_stratum, dec.pq.elements
     x_edges = {
         (e.u, e.w): e.mult for e in dec.diagram.edges if vs[e.u] == si and vs[e.w] == si
     }
@@ -229,9 +260,8 @@ def rescan_mismatches(dec, si):
     for key in sorted(set(flag_edges) | set(x_edges)):
         got, want = x_edges.get(key), flag_edges.get(key)
         if got != want:
-            out.append(
-                "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (key[0], key[1], got, want)
-            )
+            u, w = (weyl.window_str(windows[k]) for k in key)
+            out.append("edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (u, w, got, want))
     return tuple(out)
 
 
@@ -283,19 +313,21 @@ def _corrupted_decomposition(monkeypatch, fix):
 
 
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1"])
-def test_mismatch_report_names_each_corrupted_edge(monkeypatch, label):
+def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
     fix = parse_fixture(label)
     dec, picked = _corrupted_decomposition(monkeypatch, fix)
     si, dropped, raised, crossed = (picked[k] for k in ("si", "dropped", "raised", "crossed"))
     assert dropped < raised
     if label == "B4/P3+P1":
         assert dec.comparisons[si].scale == 2  # the doubled middle stratum
-    # the dropped edge sorts first; the cross-stratum edge is in no stratum
+    # the dropped edge sorts first; the cross-stratum edge is in no stratum;
+    # both ends of each are named by window
+    name = {k: weyl.window_str(x) for k, x in enumerate(dec.pq.elements)}
     expected = (
-        "edge %d->%d: diagram mult None, flag mult (scaled) %d"
-        % (dropped.u, dropped.w, dropped.mult),
-        "edge %d->%d: diagram mult %d, flag mult (scaled) %d"
-        % (raised.u, raised.w, raised.mult + 1, raised.mult),
+        "edge %s->%s: diagram mult None, flag mult (scaled) %d"
+        % (name[dropped.u], name[dropped.w], dropped.mult),
+        "edge %s->%s: diagram mult %d, flag mult (scaled) %d"
+        % (name[raised.u], name[raised.w], raised.mult + 1, raised.mult),
     )
     for sj, comp in enumerate(dec.comparisons):
         if sj == si:
@@ -306,3 +338,13 @@ def test_mismatch_report_names_each_corrupted_edge(monkeypatch, label):
             assert comp.mismatches == ()
     assert dec.vertex_stratum[crossed.u] != dec.vertex_stratum[crossed.w]
     assert not decomposition_report(dec)["all_pass"]
+    # the witness is the first mismatch of the first failing stratum, and
+    # `parorbits diagram` names it on its one error line
+    witness = "stratum delta=%d, %s" % (dec.strata[si].delta, expected[0])
+    assert dec.witness() == witness
+    argv = ["diagram", "--type", fix.type_label, "--rank", str(fix.rank)]
+    argv += ["--grassmannian", str(fix.q_node), "--cominuscule", str(fix.p_node)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stratum/flag diagram mismatch in %s: %s\n" % (label, witness)

@@ -41,15 +41,15 @@ def test_one_pass_on_the_whole_group():
     # J empty: every step goes up or down, and the first left descent of
     # w is the least k with l(s_k w) < l(w), read off the rows
     rs = build("B", 3)
-    group = weyl.enumerate_group(rs, frozenset(rs.nodes))
+    group = weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset())
     assert len(group) == 48 and group.descent[0] == 0
     lengths = group.lengths
     assert lengths == tuple(weyl._length(rs, x) for x in group)
     for i, x in enumerate(group):
         assert group.index[x] == i
         for k, row in group.left.items():
-            s_w = weyl.multiply(weyl.simple_reflection(rs, k), weyl.WeylElement(rs, x))
-            assert group[row[i]] == s_w.window and row[i] != i
+            s_w = weyl.multiply(weyl.simple_reflection(rs, k), x)
+            assert group[row[i]] == s_w and row[i] != i
         if i:
             k = group.descent[i]
             assert lengths[group.left[k][i]] == lengths[i] - 1
@@ -64,9 +64,9 @@ def test_unresolved_placeholder_names_node_and_window(monkeypatch):
     cycle = weyl.Generator(weyl.signed_table((2, 3, 1)), real[1].direction, real[1].direction_table)
     monkeypatch.setattr(weyl, "generator_tables", lambda rs: {**real, 1: cycle})
     with pytest.raises(weyl.WeylError, match=r"^left row of node 1 left unresolved at \(2,3,1\)$"):
-        weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes))
+        weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes), frozenset())
     monkeypatch.undo()
-    assert len(weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes))) == 6
+    assert len(weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes), frozenset())) == 6
 
 
 def test_enumeration_is_the_tuple_of_its_elements():

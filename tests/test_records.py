@@ -4,7 +4,7 @@ equality, and `Fixture` its repr, with the root system left out."""
 
 import pytest
 
-from parorbits import decomp, rootsys, weyl
+from parorbits import decomp, rootsys
 from parorbits.fixtures import Fixture
 
 #: each record's fields, in order
@@ -21,7 +21,6 @@ FIELDS = {
         "coroot_coords",
         "root_support",
     ),
-    "WeylElement": ("rs", "window"),
     "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
     "DoubleCoset": ("pq", "j_p", "members"),
     "HasseDiagram": ("quotient", "weight", "edges"),
@@ -68,7 +67,6 @@ def records():
     stratum = dec.strata[1]
     found = {
         "RootSystem": fix.rs,
-        "WeylElement": weyl.element(fix.rs, dec.pq.elements[1]),
         "ParabolicQuotient": dec.pq,
         "DoubleCoset": stratum.dc,
         "HasseDiagram": dec.diagram,
@@ -134,21 +132,6 @@ def test_root_system_compares_by_type_and_rank(records):
     assert twin == rs and not twin != rs and hash(twin) == hash(rs) == hash(("C", 4))
     assert rs != rootsys.build("C", 3) and rs != rootsys.build("B", 4)
     assert rs != ("C", 4)
-
-
-def test_weyl_element_compares_by_root_system_and_window(records):
-    w = records["WeylElement"]
-    twin = weyl.WeylElement(w.rs, w.window)
-    assert twin is not w and twin == w and not twin != w and hash(twin) == hash(w.window)
-    assert twin != w.window and twin != weyl.WeylElement(rootsys.build("B", 4), w.window)
-    assert repr(w) == "WC4" + weyl.window_str(w.window)
-    assert twin.length == w.length == 1
-
-
-def test_weyl_element_has_no_instance_dict(records):
-    w = records["WeylElement"]
-    assert not hasattr(w, "__dict__")
-    assert weyl.WeylElement.__slots__ == ("rs", "window")
 
 
 def test_fixture_compares_by_its_four_fields_only(records):

@@ -16,7 +16,7 @@ from parorbits.seidel import (
 
 from cases import stratum_count
 from exponents import delta
-from windows import elements, strip_descents
+from windows import identity, strip_descents
 from words import from_word
 
 FIXTURES = [
@@ -43,13 +43,13 @@ def test_v_elt_examples():
     a1 = build("A", 1)
     assert v_elt(a1, 1) == from_word(a1, [1])
     a3 = build("A", 3)
-    assert v_elt(a3, 1).window == (4, 1, 2, 3)
+    assert v_elt(a3, 1) == (4, 1, 2, 3)
     # type C: the minimal all-negating element is the sign-reversing
     # involution composed with the order reversal, of length 10
     c4 = build("C", 4)
     v4 = v_elt(c4, 4)
-    assert v4.window == (-4, -3, -2, -1)
-    assert v4.length == 10
+    assert v4 == (-4, -3, -2, -1)
+    assert weyl._length(c4, v4) == 10
     omega = c4.double_coweight(4)
     w0 = weyl.longest(c4, c4.nodes)
     assert weyl.act(v4, omega) == weyl.act(w0, omega)
@@ -60,15 +60,35 @@ def test_v_elt_rejects_non_cominuscule():
         v_elt(build("B", 4), 2)
 
 
+def test_v_elt_not_minimal_names_the_element(monkeypatch):
+    # min_rep's block pass skipped leaves v = w_0, which still solves the
+    # coweight equation but has right descents in J; the error names it
+    # with its group
+    real = weyl._block_pass
+    monkeypatch.setattr(
+        weyl,
+        "_block_pass",
+        lambda rs, window, nodes, longest: real(rs, window, nodes, longest) if longest else window,
+    )
+    for (t, n, i), name in (
+        (("C", 4, 4), "WC4(-1,-2,-3,-4)"),
+        (("A", 3, 1), "WA3(4,3,2,1)"),
+        (("D", 5, 1), "WD5(-1,-2,-3,-4,5)"),
+    ):
+        with pytest.raises(SeidelError) as refused:
+            v_elt(build(t, n), i)
+        assert str(refused.value) == "Seidel element %s of node %d is not minimal in w_0 W_J" % (name, i)
+
+
 def _brute_force_seidel_element(rs, i):
     """Test-only oracle: the shortest solution of the coweight equation,
     found by scanning the whole group, with the number of such solutions."""
     omega = rs.double_coweight(i)
     target = weyl.act(weyl.longest(rs, rs.nodes), omega)
-    group = elements(rs, weyl.enumerate_group(rs, frozenset(rs.nodes)))
+    group = weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset())
     solutions = [u for u in group if weyl.act(u, omega) == target]
-    shortest = min(u.length for u in solutions)
-    return [u for u in solutions if u.length == shortest]
+    shortest = min(weyl._length(rs, u) for u in solutions)
+    return [u for u in solutions if weyl._length(rs, u) == shortest]
 
 
 def test_v_elt_matches_brute_force_oracle():
@@ -84,16 +104,16 @@ def test_v_elt_matches_brute_force_oracle():
 
 def test_v_elt_exact_beyond_rank_five():
     c7 = build("C", 7)
-    assert v_elt(c7, 7).window == (-7, -6, -5, -4, -3, -2, -1)
+    assert v_elt(c7, 7) == (-7, -6, -5, -4, -3, -2, -1)
     d7 = build("D", 7)
-    assert v_elt(d7, 1).length == len(d7.positive_roots) - len(build("D", 6).positive_roots)
+    assert weyl._length(d7, v_elt(d7, 1)) == len(d7.positive_roots) - len(build("D", 6).positive_roots)
 
 
 def test_v_elt_certified_at_rank_five():
     v5 = v_elt(build("C", 5), 5)
-    assert v5.window == (-5, -4, -3, -2, -1)
+    assert v5 == (-5, -4, -3, -2, -1)
     d5 = v_elt(build("D", 5), 1)
-    assert d5.length == len(build("D", 5).positive_roots) - len(
+    assert weyl._length(build("D", 5), d5) == len(build("D", 5).positive_roots) - len(
         build("D", 4).positive_roots
     )
 
@@ -104,18 +124,18 @@ def test_type_a_seidel_elements_are_rotations():
         for i in range(1, n + 1):
             v = v_elt(rs, i)
             expected = tuple((k - i - 1) % (n + 1) + 1 for k in range(1, n + 2))
-            assert v.window == expected
+            assert v == expected
 
 
 def test_seidel_apply_examples():
     fix = Fixture("A", 3, 2, 2)
     v = v_elt(fix.rs, 2)
     pq, perm, qexp = _table(fix)
-    k = pq.index[weyl.identity(fix.rs).window]
+    k = pq.index[identity(fix.rs)]
     assert qexp[k] == 0
-    assert pq.elements[perm[k]] == weyl.min_rep(v, fix.j_q).window
-    top = pq.index[weyl.element(fix.rs, (3, 4, 1, 2)).window]
-    assert qexp[top] == 2 and pq.elements[perm[top]] == weyl.identity(fix.rs).window
+    assert pq.elements[perm[k]] == weyl.min_rep(fix.rs, v, fix.j_q)
+    top = pq.index[(3, 4, 1, 2)]
+    assert qexp[top] == 2 and pq.elements[perm[top]] == identity(fix.rs)
 
 
 def test_bijection_on_classes():
@@ -145,7 +165,7 @@ def _seidel_apply_oracle(v, w, fix):
     """Test-only oracle: the per-class quantum product, with delta computed
     afresh from coweights instead of read from the stratum, and the class
     reduced by descent stripping instead of `weyl.min_rep`."""
-    return delta(fix, w), strip_descents(weyl.multiply(v, w), fix.j_q)
+    return delta(fix, w), strip_descents(fix.rs, weyl.multiply(v, w), fix.j_q)
 
 
 def test_seidel_table_matches_per_class_oracle(monkeypatch):
@@ -158,10 +178,10 @@ def test_seidel_table_matches_per_class_oracle(monkeypatch):
     for fix in fixtures:
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, qexp = _table(fix)
-        for k, w in enumerate(elements(fix.rs, pq.elements)):
+        for k, w in enumerate(pq.elements):
             q, image = _seidel_apply_oracle(v, w, fix)
             assert qexp[k] == q, (fix.label, w)
-            assert pq.elements[perm[k]] == image.window, (fix.label, w)
+            assert pq.elements[perm[k]] == image, (fix.label, w)
 
 
 def test_seidel_table_strips_no_descents(monkeypatch):
@@ -184,21 +204,21 @@ def test_seidel_table_strips_no_descents(monkeypatch):
         monkeypatch.setattr(
             weyl, name, lambda *args, _real=real, _name=name, _log=log: _log.append(_name) or _real(*args)
         )
-    images = [
-        pq.index[weyl.min_rep(weyl.multiply(v, w), fix.j_q).window]
-        for w in elements(fix.rs, pq.elements)
-    ]
+    images = [pq.index[weyl.min_rep(fix.rs, weyl.multiply(v, w), fix.j_q)] for w in pq.elements]
     assert sorted(images) == list(range(len(images))) and calls == []
-    # the table strips v's descents once and builds no window product per
+    # the table strips v's descents once, one window product v * s_k per
+    # letter of a reduced word of v, and builds no window product per
     # class; the product spies are live, as the path above calls both
     assert set(products) == {"min_rep", "multiply"}
     products.clear()
     perm, _ = seidel_table(pq, sts, v)
-    assert list(perm) == images and products == []
-    assert 0 < calls.count("first_descent") <= v.length + 1
+    v_length = weyl._length(fix.rs, v)
+    assert list(perm) == images and products == ["multiply"] * v_length
+    assert v_length < len(images)
+    assert 0 < calls.count("first_descent") <= v_length + 1
     # the spies are live: the stripping oracle calls both
     calls.clear()
-    strip_descents(weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
+    strip_descents(fix.rs, weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
     assert set(calls) == {"simple_reflection", "first_descent"}
 
 
@@ -213,9 +233,9 @@ def test_composition_path_independence():
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, _ = _table(fix)
         vv = weyl.multiply(v, v)
-        for k, w in enumerate(elements(fix.rs, pq.elements)):
-            direct = strip_descents(weyl.multiply(vv, w), fix.j_q)
-            assert pq.elements[perm[perm[k]]] == direct.window
+        for k, w in enumerate(pq.elements):
+            direct = strip_descents(fix.rs, weyl.multiply(vv, w), fix.j_q)
+            assert pq.elements[perm[perm[k]]] == direct
 
 
 def _return_time(perm, start):
@@ -235,7 +255,7 @@ def test_finite_order_and_orbit_q_constant():
         cycles = orbits(perm)
         order = lcm(*(_return_time(perm, k) for k in range(len(perm))))
         assert order == lcm(*map(len, cycles))
-        assert order <= len(weyl.enumerate_group(fix.rs, frozenset(fix.rs.nodes)))
+        assert order <= len(weyl.enumerate_group(fix.rs, frozenset(fix.rs.nodes), frozenset()))
         totals = set()
         for start in range(len(perm)):
             k, total = start, 0
@@ -266,7 +286,7 @@ def test_orbits_close_exactly_on_a_bijection():
 def test_type_a_cyclic_composition_law():
     for n in range(1, 5):
         rs = build("A", n)
-        velems = {0: weyl.identity(rs)}
+        velems = {0: identity(rs)}
         for i in range(1, n + 1):
             velems[i] = v_elt(rs, i)
         for i in range(1, n + 1):
@@ -297,11 +317,11 @@ def test_degree_bookkeeping():
     for fix in FIXTURES:
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, qexp = _table(fix)
-        v_class = weyl.min_rep(v, fix.j_q)
+        v_class = weyl._length(fix.rs, weyl.min_rep(fix.rs, v, fix.j_q))
         qdeg = quantum_q_degree(fix)
-        group = elements(fix.rs, pq.elements)
-        for k, w in enumerate(group):
-            assert v_class.length + w.length == qexp[k] * qdeg + group[perm[k]].length
+        length = [weyl._length(fix.rs, w) for w in pq.elements]
+        for k, w_length in enumerate(length):
+            assert v_class + w_length == qexp[k] * qdeg + length[perm[k]]
 
 
 def test_table_rows_schema():

@@ -24,11 +24,7 @@ from exponents import d_geometric as oracle_statistic
 from exponents import delta as oracle_delta
 from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
-from windows import elements, inverse, k_by_root_scan
-
-
-def _element(fix, window):
-    return weyl.element(fix.rs, window)
+from windows import identity, inverse, k_by_root_scan
 
 
 def _deltas(fix):
@@ -52,8 +48,9 @@ def test_delta_rejects_odd_doubled_exponent(monkeypatch):
     ig = Fixture("C", 4, 2, 4)
     pq = cosets.build_quotient(ig.rs, ig.j_q)
     monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, 3))
-    with pytest.raises(StrataError, match=r"3/2 at WC4\(1,2,3,4\)"):
+    with pytest.raises(StrataError, match=r"3/2 at WC4\(1,2,3,4\)") as refused:
         delta(ig, pq)
+    assert str(refused.value) == "stratum exponent 3/2 at WC4(1,2,3,4) is not a non-negative integer"
     monkeypatch.undo()
     monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, -2))
     with pytest.raises(StrataError, match="-2/2 at .* not a non-negative integer"):
@@ -83,21 +80,21 @@ def test_d_of_matches_delta_orientation():
     # d_of is the stratum label: 0 on the closed stratum through the base
     # point, maximal on the open stratum
     g24 = Fixture("A", 3, 2, 2)
-    assert d_of(g24, _element(g24, (3, 4, 1, 2))) == 2
-    assert d_of(g24, weyl.identity(g24.rs)) == 0
+    assert d_of(g24, (3, 4, 1, 2)) == 2
+    assert d_of(g24, identity(g24.rs)) == 0
     ig = Fixture("C", 4, 2, 4)
     assert d_geometric(ig, [(1, 2, 3, 4)]) == [2]  # window count #{j<=m: w(j)>0}
-    assert d_of(ig, weyl.identity(ig.rs)) == 0
+    assert d_of(ig, identity(ig.rs)) == 0
     og = Fixture("B", 4, 3, 1)
-    w = _element(og, (-1, 2, 3, 4))
-    assert d_geometric(og, [w.window]) == [0]  # some w(j) = -1 among the first m entries
+    w = (-1, 2, 3, 4)
+    assert d_geometric(og, [w]) == [0]  # some w(j) = -1 among the first m entries
     assert d_of(og, w) == 2
 
 
 def test_d_equals_delta_everywhere_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
         pq = cosets.build_quotient(fix.rs, fix.j_q)
-        assert list(delta(fix, pq)) == [d_of(fix, w) for w in elements(fix.rs, pq.elements)], fix.label
+        assert list(delta(fix, pq)) == [d_of(fix, w) for w in pq.elements], fix.label
 
 
 def test_d_range_counts():
@@ -149,7 +146,7 @@ def test_case_analysis_at_rank_6_and_A7():
         for st in sts:
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom), (fix.label, st.delta)
             for k in st.dc.members:
-                assert d_of(fix, _element(fix, pq.elements[k])) == st.delta, (fix.label, k)
+                assert d_of(fix, pq.elements[k]) == st.delta, (fix.label, k)
 
 def test_expected_fiber_dims():
     assert expected_fiber_dim(Fixture("A", 3, 2, 2), 2) == 0
@@ -169,11 +166,11 @@ def test_dimension_ledger_small():
         pq, sts = stratify(fix)
         ends = []  # the lengths of each stratum's w_min and w_max
         for st in sts:
-            w_min, w_max = elements(fix.rs, (pq.elements[st.dc.members[0]], pq.elements[st.dc.members[-1]]))
-            ends.append((w_min.length, w_max.length))
-            assert st.fiber_dim == w_min.length
+            low, high = (weyl._length(fix.rs, pq.elements[k]) for k in (st.dc.members[0], st.dc.members[-1]))
+            ends.append((low, high))
+            assert st.fiber_dim == low
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom)
-            assert w_max.length - w_min.length == st.flag.dim
+            assert high - low == st.flag.dim
             fq = cosets.build_quotient(fix.rs, st.K, frozenset(st.dc.j_p))
             assert len(fq.elements) == st.size
         # the open stratum reaches the top cell, the closed one starts at 0
@@ -209,7 +206,7 @@ def test_K_and_delta_match_root_vector_scans():
         for st in sts:
             assert st.K == K_of(st.dc) == k_by_root_scan(st.dc), (fix.label, st.delta)
             for k in st.dc.members:
-                w = _element(fix, pq.elements[k])
+                w = pq.elements[k]
                 moved = weyl.act(inverse(w), omega2)
                 twice = eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
                 assert 2 * deltas[k] == twice, (fix.label, w)
@@ -331,7 +328,7 @@ def test_invalid_fixtures_rejected():
 def test_group_order_bound():
     for t, n in (("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4)):
         rs = rootsys.build(t, n)
-        assert group_order(t, n) == len(weyl.enumerate_group(rs, frozenset(rs.nodes)))
+        assert group_order(t, n) == len(weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset()))
     assert max(group_order(t, 6) for t in "BCD") == group_order("C", 6) == MAX_GROUP_ORDER
     assert group_order("A", 7) == 40320
     sweep_fixtures(7, 6, 6, 6)  # every fixture of rank <= 6 and of A7 is admitted
@@ -352,7 +349,7 @@ def test_delta_and_statistic_passes_match_per_class_oracles(monkeypatch):
     classes = 0
     for fix in fixtures:
         pq = cosets.build_quotient(fix.rs, fix.j_q)
-        group = elements(fix.rs, pq.elements)
+        group = pq.elements
         assert list(delta(fix, pq)) == [oracle_delta(fix, w) for w in group], fix.label
         assert d_geometric(fix, pq.elements) == [oracle_statistic(fix, w) for w in group], fix.label
         classes += len(group)

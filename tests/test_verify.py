@@ -11,7 +11,6 @@ from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from cases import d_of, expected_fiber_dim
 from exponents import bumped_delta
-from windows import elements
 
 
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
@@ -158,7 +157,7 @@ def test_seidel_checks_build_no_product_per_class(monkeypatch):
     assert calls["min_rep"] == 0 and calls["multiply"] <= 1
     # the spies are live: the per-class path this replaced calls both
     before = dict(calls)
-    weyl.min_rep(weyl.multiply(v, weyl.WeylElement(fix.rs, dec.pq.elements[1])), fix.j_q)
+    weyl.min_rep(fix.rs, weyl.multiply(v, dec.pq.elements[1]), fix.j_q)
     assert calls == {"min_rep": before["min_rep"] + 1, "multiply": before["multiply"] + 1}
 
 
@@ -183,7 +182,7 @@ def test_delta_laws_read_the_case_table_once(monkeypatch):
     assert calls == {"orbit_table": 1}
     # the spy is live: the per-class label this replaced reads the table
     # once per call
-    d_of(fix, weyl.WeylElement(fix.rs, dec.pq.elements[0]))
+    d_of(fix, dec.pq.elements[0])
     assert calls == {"orbit_table": 2}
 
 
@@ -261,10 +260,10 @@ def test_signed_set_key_matches_min_rep_up_to_rank_8():
                 keys = {frozenset(x[:m]): k for k, x in enumerate(pq.elements)}
                 assert len(keys) == len(pq.elements), (t, n, m)
                 for vv in squares:
-                    for w in elements(rs, pq.elements):
-                        key = frozenset(weyl.compose(vv.window, w.window[:m]))
-                        expected = weyl.min_rep(weyl.multiply(vv, w), j_q)
-                        assert pq.elements[keys[key]] == expected.window, (t, n, m, w)
+                    for w in pq.elements:
+                        key = frozenset(weyl.multiply(vv, w[:m]))
+                        expected = weyl.min_rep(rs, weyl.multiply(vv, w), j_q)
+                        assert pq.elements[keys[key]] == expected, (t, n, m, w)
                         products += 1
     assert products == 50076
 
@@ -274,7 +273,7 @@ def _chevalley_by_compose(dec):
     window product u * s_beta per edge."""
     pq, diagram = dec.pq, dec.diagram
     return all(
-        weyl.compose(pq.elements[e.u], cosets.reflection_by_index(pq.rs, e.root).window)
+        weyl.multiply(pq.elements[e.u], cosets.reflection_by_index(pq.rs, e.root))
         == pq.elements[e.w]
         and hasse.pairing_with_coroot(pq, diagram.weight, e.root) == e.mult
         for e in diagram.edges
@@ -285,10 +284,10 @@ def _seidel_composition_by_compose(dec, v, perm):
     """The `seidel_composition` check by the path it replaced: the head of
     v^2 * w as a window product, one per class."""
     m = dec.fixture.q_node
-    vv = weyl.compose(v.window, v.window)
+    vv = weyl.multiply(v, v)
     windows = dec.pq.elements
     return all(
-        set(weyl.compose(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
+        set(weyl.multiply(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)
     )
 

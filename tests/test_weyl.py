@@ -12,9 +12,7 @@ from parorbits.weyl import (
     WeylError,
     act,
     bruhat_leq,
-    element,
     enumerate_group,
-    identity,
     longest,
     min_rep,
     multiply,
@@ -25,7 +23,7 @@ from covers import reflection_image
 from roots import classical_systems, dense_reflection, fresh_signed_table
 from windows import (
     draw_window,
-    elements,
+    identity,
     inverse,
     longest_by_adding_descents,
     longest_by_block_loop,
@@ -37,8 +35,8 @@ from words import from_word, reduced_word
 
 
 def _group(rs):
-    """Every element of the Weyl group of `rs`, from the enumerator's windows."""
-    return elements(rs, enumerate_group(rs, frozenset(rs.nodes)))
+    """The window of every element of the Weyl group of `rs`."""
+    return list(enumerate_group(rs, frozenset(rs.nodes), frozenset()))
 
 
 def parse_window(text):
@@ -48,10 +46,10 @@ def parse_window(text):
 
 def test_from_word_examples():
     a3 = build("A", 3)
-    assert from_word(a3, []).window == (1, 2, 3, 4)
-    assert from_word(a3, [1]).window == (2, 1, 3, 4)
+    assert from_word(a3, []) == (1, 2, 3, 4)
+    assert from_word(a3, [1]) == (2, 1, 3, 4)
     c4 = build("C", 4)
-    assert from_word(c4, [4]).window == (1, 2, 3, -4)
+    assert from_word(c4, [4]) == (1, 2, 3, -4)
     with pytest.raises(WeylError):
         from_word(a3, [4])
 
@@ -59,12 +57,12 @@ def test_from_word_examples():
 def test_window_validation():
     a3, c4, d4 = build("A", 3), build("C", 4), build("D", 4)
     with pytest.raises(WeylError):
-        element(a3, (-1, 2, 3, 4))  # no signs in type A
+        weyl._validate_window(a3, (-1, 2, 3, 4))  # no signs in type A
     with pytest.raises(WeylError):
-        element(d4, (-1, 2, 3, 4))  # odd sign count in type D
+        weyl._validate_window(d4, (-1, 2, 3, 4))  # odd sign count in type D
     with pytest.raises(WeylError):
-        element(c4, (1, 1, 2, 3))
-    assert element(d4, (-1, -2, 3, 4)).window == (-1, -2, 3, 4)
+        weyl._validate_window(c4, (1, 1, 2, 3))
+    assert weyl._validate_window(d4, (-1, -2, 3, 4)) is None
     with pytest.raises(WeylError):
         weyl.reflection(c4, (1, 1, 1, 0))  # not a root: 2x/|x|^2 is not integral
     with pytest.raises(WeylError):
@@ -96,8 +94,8 @@ def test_reflection_matches_dense_oracle(t):
         rs = build(t, n)
         for beta in rs.positive_roots:
             expected = dense_reflection(rs, beta)
-            assert weyl.reflection(rs, beta).window == expected, (t, n, beta)
-            assert weyl.reflection(rs, tuple(-x for x in beta)).window == expected, (t, n, beta)
+            assert weyl.reflection(rs, beta) == expected, (t, n, beta)
+            assert weyl.reflection(rs, tuple(-x for x in beta)) == expected, (t, n, beta)
 
 
 def test_act_examples():
@@ -117,14 +115,14 @@ def test_act_examples():
 def test_length_and_group_axioms():
     a3 = build("A", 3)
     w0 = longest(a3, a3.nodes)
-    assert w0.length == 6
+    assert weyl._length(a3, w0) == 6
     d4 = build("D", 4)
-    assert longest(d4, d4.nodes).length == 12
+    assert weyl._length(d4, longest(d4, d4.nodes)) == 12
     s1 = from_word(a3, [1])
     assert multiply(s1, s1) == identity(a3)
     b2 = build("B", 2)
     for w in _group(b2):
-        assert inverse(w).length == w.length
+        assert weyl._length(b2, inverse(w)) == weyl._length(b2, w)
         assert multiply(w, inverse(w)) == identity(b2)
 
 
@@ -143,7 +141,7 @@ def test_length_and_group_axioms():
 )
 def test_group_orders(t, n, order):
     rs = build(t, n)
-    assert len(enumerate_group(rs, frozenset(rs.nodes))) == order
+    assert len(enumerate_group(rs, frozenset(rs.nodes), frozenset())) == order
     expected = {
         "A": factorial(n + 1),
         "B": 2**n * factorial(n),
@@ -186,7 +184,7 @@ def _sum_pair(x, y):
 def test_length_matches_inversion_formula(t, n):
     rs = build(t, n)
     for w in _group(rs):
-        assert w.length == _length_by_inversion_formula(rs, w.window)
+        assert weyl._length(rs, w) == _length_by_inversion_formula(rs, w)
 
 
 def _check_against_root_scan(rs, window):
@@ -220,16 +218,16 @@ def test_inversion_test_matches_root_scan(t, n):
     # None exactly where w inverts beta, and w * s_beta otherwise
     rs = build(t, n)
     tests = [
-        (reflection_image(beta), weyl.reflection(rs, beta).window, beta)
+        (reflection_image(beta), weyl.reflection(rs, beta), beta)
         for beta in rs.positive_roots
     ]
     for w in _group(rs):
         for image, s_beta, beta in tests:
-            x = image(w.window)
-            if root_is_negative(w.window, beta):
+            x = image(w)
+            if root_is_negative(w, beta):
                 assert x is None, (w, beta)
             else:
-                assert x == weyl.compose(w.window, s_beta), (w, beta)
+                assert x == multiply(w, s_beta), (w, beta)
 
 
 def test_window_statistics_on_random_windows():
@@ -246,9 +244,9 @@ def test_window_statistics_on_random_windows():
         for beta in rs.positive_roots:
             x = reflection_image(beta)(window)
             assert (x is None) == root_is_negative(window, beta)
-        w = element(rs, window)
         j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
-        assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
+        expected = strip_descents(rs, window, j_set)
+        assert min_rep(rs, window, j_set) == expected, (window, sorted(j_set))
 
     check()
 
@@ -256,22 +254,20 @@ def test_window_statistics_on_random_windows():
 def test_out_of_range_nodes_raise():
     # node 0 would read simple_roots[-1] and return the "no descent" 0
     c3 = build("C", 3)
-    w = element(c3, (1, 2, -3))
+    w = (1, 2, -3)
     for nodes in ({0}, {4}):
         with pytest.raises(WeylError, match="out of range"):
-            weyl.is_min_rep(w, nodes)
+            weyl.first_descent(c3, w, sorted(nodes))
         with pytest.raises(WeylError, match="out of range"):
-            min_rep(w, nodes)
+            min_rep(c3, w, nodes)
         with pytest.raises(WeylError, match="out of range"):
             longest(c3, nodes)
     # a valid node first must not hide an invalid one after it
-    w = element(c3, (2, 1, 3))
+    w = (2, 1, 3)
     with pytest.raises(WeylError, match="out of range"):
-        weyl.is_min_rep(w, {1, 9})
+        weyl.first_descent(c3, w, [1, 9])
     with pytest.raises(WeylError, match="out of range"):
-        weyl.first_descent(c3, w.window, [1, 9])
-    with pytest.raises(WeylError, match="out of range"):
-        min_rep(w, {1, 9})
+        min_rep(c3, w, {1, 9})
     for root in ((0, 0, 0), (-1, 1, 0), (1, 1, 1)):
         with pytest.raises(WeylError):
             reflection_image(root)
@@ -313,8 +309,8 @@ def test_generator_tables_match_a_fresh_recomputation():
 def test_reduced_words_roundtrip():
     rs = build("B", 3)
     for w in _group(rs):
-        word = reduced_word(w)
-        assert len(word) == w.length
+        word = reduced_word(rs, w)
+        assert len(word) == weyl._length(rs, w)
         assert from_word(rs, word) == w
 
 
@@ -322,7 +318,7 @@ def test_longest_examples():
     a3 = build("A", 3)
     assert longest(a3, []) == identity(a3)
     assert longest(a3, [1]) == from_word(a3, [1])
-    assert longest(a3, [1, 2, 3]).window == (4, 3, 2, 1)
+    assert longest(a3, [1, 2, 3]) == (4, 3, 2, 1)
 
 
 def test_longest_matches_descent_adding_oracle():
@@ -372,9 +368,9 @@ def test_longest_certificate_names_a_node(monkeypatch):
 
 def test_min_rep_examples():
     a3 = build("A", 3)
-    assert min_rep(identity(a3), [1, 3]) == identity(a3)
+    assert min_rep(a3, identity(a3), [1, 3]) == identity(a3)
     w0 = longest(a3, a3.nodes)
-    assert min_rep(w0, [1, 3]).window == (3, 4, 1, 2)
+    assert min_rep(a3, w0, [1, 3]) == (3, 4, 1, 2)
 
 
 def _subsets(nodes):
@@ -389,7 +385,7 @@ def test_min_rep_matches_descent_stripping_for_every_j(t, n):
     group = _group(rs)
     for j_set in _subsets(rs.nodes):
         for w in group:
-            assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
+            assert min_rep(rs, w, j_set) == strip_descents(rs, w, j_set), (w, sorted(j_set))
 
 
 @pytest.mark.parametrize("t", "BCD")
@@ -397,9 +393,9 @@ def test_min_rep_matches_descent_stripping_on_maximal_j_at_rank_5(t):
     rs = build(t, 5)
     nodes = frozenset(rs.nodes)
     j_sets = [frozenset(), nodes] + [nodes - {q} for q in rs.nodes]
-    for w in elements(rs, enumerate_group(rs, nodes)):
+    for w in enumerate_group(rs, nodes, frozenset()):
         for j_set in j_sets:
-            assert min_rep(w, j_set) == strip_descents(w, j_set), (w, sorted(j_set))
+            assert min_rep(rs, w, j_set) == strip_descents(rs, w, j_set), (w, sorted(j_set))
 
 
 def test_min_rep_idempotent_and_shorter():
@@ -408,10 +404,11 @@ def test_min_rep_idempotent_and_shorter():
     group = _group(rs)
     for _ in range(100):
         w = rng.choice(group)
-        rep = min_rep(w, [1, 3])
-        assert min_rep(rep, [1, 3]) == rep
-        assert rep.length <= w.length
-        assert (rep.length == w.length) == weyl.is_min_rep(w, [1, 3])
+        rep = min_rep(rs, w, [1, 3])
+        assert min_rep(rs, rep, [1, 3]) == rep
+        shorter, length = weyl._length(rs, rep), weyl._length(rs, w)
+        assert shorter <= length
+        assert (shorter == length) == (weyl.first_descent(rs, w, [1, 3]) == 0)
 
 
 def test_act_is_group_action():
@@ -427,21 +424,21 @@ def test_act_is_group_action():
 
 def _cover_closure_leq(rs):
     """Independent Bruhat oracle: transitive closure of reflection covers."""
-    group = sorted(_group(rs), key=lambda w: (w.length, w.window))
-    index = {w.window: k for k, w in enumerate(group)}
+    group = sorted(_group(rs), key=lambda w: (weyl._length(rs, w), w))
+    index = {w: k for k, w in enumerate(group)}
     reflections = [weyl.reflection(rs, beta) for beta in rs.positive_roots]
     n = len(group)
     reach = [1 << k for k in range(n)]
     by_length = {}
     for k, w in enumerate(group):
-        by_length.setdefault(w.length, []).append(k)
+        by_length.setdefault(weyl._length(rs, w), []).append(k)
     for ell in sorted(by_length, reverse=True):
         for k in by_length[ell]:
             w = group[k]
             for t in reflections:
                 wt = multiply(w, t)
-                if wt.length == ell + 1:
-                    reach[k] |= reach[index[wt.window]]
+                if weyl._length(rs, wt) == ell + 1:
+                    reach[k] |= reach[index[wt]]
     return group, index, reach
 
 
@@ -451,27 +448,29 @@ def test_bruhat_agrees_with_cover_closure(t, n):
     group, index, reach = _cover_closure_leq(rs)
     for i, u in enumerate(group):
         for j, w in enumerate(group):
-            assert bruhat_leq(u, w) == bool(reach[i] >> j & 1)
+            assert bruhat_leq(rs, u, w) == bool(reach[i] >> j & 1)
 
 
 def test_bruhat_basics():
     rs = build("A", 3)
     w0 = longest(rs, rs.nodes)
     for w in _group(rs):
-        assert bruhat_leq(identity(rs), w)
-        assert bruhat_leq(w, w)
-        assert bruhat_leq(w, w0)
+        assert bruhat_leq(rs, identity(rs), w)
+        assert bruhat_leq(rs, w, w)
+        assert bruhat_leq(rs, w, w0)
 
 
 def test_window_str():
     assert window_str((3, -1, 2)) == "(3,-1,2)"
     assert parse_window("(3,-1,2)") == (3, -1, 2)
+    assert weyl.name(build("C", 4), (1, 2, 3, -4)) == "WC4(1,2,3,-4)"
+    assert weyl.name(build("A", 2), (3, 1, 2)) == "WA2(3,1,2)"
 
 
 @pytest.mark.parametrize("t", "ABCD")
 def test_bisected_length_matches_pairwise_count_on_rank_5(t):
     # every element of W(A5), W(B5), W(C5) and W(D5)
     rs = build(t, 5)
-    group = enumerate_group(rs, frozenset(rs.nodes))
+    group = enumerate_group(rs, frozenset(rs.nodes), frozenset())
     assert all(weyl._length(rs, x) == pairwise_length(rs, x) for x in group)
     assert len(group) == {"A": 720, "B": 3840, "C": 3840, "D": 1920}[t]

@@ -1,5 +1,5 @@
-"""Test-only window helpers: the root-scan and descent-stripping oracles,
-inverses, and random windows.
+"""Test-only window helpers: the identity, the root-scan and
+descent-stripping oracles, inverses, and random windows.
 
 The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
@@ -8,7 +8,6 @@ sorts blocks of positions, and `weyl.longest` reverses or negates them; the
 tests check both against stripping or adding one right descent at a time,
 and `weyl.longest`, which is `min_rep`'s block pass with a longest switch,
 against the separate reverse-or-negate loop that it replaced.
-A quotient lists its classes as windows; `elements` makes them elements.
 `strata.K_of` reads K off the left-action table; the tests check it
 against the simple roots that w_min^-1 carries onto Delta(Q).
 `weyl._length` counts inversions by bisection into the sorted keys seen
@@ -49,17 +48,19 @@ def draw_window(data, rs):
     return tuple(window)
 
 
-def strip_descents(w, j_set):
-    """Minimal representative of the coset w W_J by stripping one right
-    descent in J at a time, the first of J each step (oracle for
-    `weyl.min_rep`)."""
-    rs, nodes = w.rs, sorted(j_set)
-    window = w.window
-    while True:
-        k = weyl.first_descent(rs, window, nodes)
-        if not k:
-            return weyl.WeylElement(rs, window)
-        window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
+def identity(rs):
+    """The window of the identity of the Weyl group of `rs`."""
+    return tuple(range(1, rs.dim + 1))
+
+
+def strip_descents(rs, window, j_set):
+    """Minimal representative of the coset w W_J, w the window, by
+    stripping one right descent in J at a time, the first of J each step
+    (oracle for `weyl.min_rep`)."""
+    nodes = sorted(j_set)
+    while k := weyl.first_descent(rs, window, nodes):
+        window = weyl.multiply(window, weyl.simple_reflection(rs, k))
+    return window
 
 
 def longest_by_adding_descents(rs, j_set):
@@ -67,12 +68,12 @@ def longest_by_adding_descents(rs, j_set):
     first node of J that is not yet a right descent, until every node of
     J is one (oracle for `weyl.longest`)."""
     nodes = sorted(j_set)
-    window = weyl.identity(rs).window
+    window = identity(rs)
     while True:
         k = next((k for k in nodes if not weyl._is_descent(rs, window, k)), 0)
         if not k:
-            return weyl.WeylElement(rs, window)
-        window = weyl.compose(window, weyl.simple_reflection(rs, k).window)
+            return window
+        window = weyl.multiply(window, weyl.simple_reflection(rs, k))
 
 
 def longest_by_block_loop(rs, j_set):
@@ -98,12 +99,7 @@ def longest_by_block_loop(rs, j_set):
             b[a - 1 : c + 1] = b[a - 1 : c + 1][::-1]
     if flip:
         b[-1] = -b[-1]
-    return weyl.WeylElement(rs, tuple(b))
-
-
-def elements(rs, windows):
-    """The elements of `rs` with the given windows, in order."""
-    return [weyl.WeylElement(rs, x) for x in windows]
+    return tuple(b)
 
 
 def pairwise_length(rs, window):
@@ -122,16 +118,16 @@ def pairwise_length(rs, window):
 
 
 def inverse(w):
-    """The inverse element: w^-1 sends e_|b_k| to sign(b_k) e_k, so its
-    window is w applied to (1, ..., d)."""
-    return weyl.WeylElement(w.rs, weyl.act(w, tuple(range(1, w.rs.dim + 1))))
+    """The window of the inverse: w^-1 sends e_|b_k| to sign(b_k) e_k, so
+    it is w applied to (1, ..., d)."""
+    return weyl.act(w, tuple(range(1, len(w) + 1)))
 
 
 def k_by_root_scan(dc):
     """Oracle for `strata.K_of`: the nodes s of J_P with w_min^-1(alpha_s)
     a simple root of J_Q, found by acting on the root vectors."""
     rs = dc.pq.rs
-    winv = inverse(weyl.WeylElement(rs, dc.pq.elements[dc.members[0]]))
+    winv = inverse(dc.pq.elements[dc.members[0]])
     q_simples = {rs.simple_root(t) for t in dc.pq.j_q}
     return frozenset(
         s for s in dc.j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
