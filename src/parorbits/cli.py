@@ -82,13 +82,13 @@ def cmd_diagram(args) -> int:
 
 def cmd_strata(args) -> int:
     fix = _fixture_from_args(args)
-    pq, sts = strata.stratify(fix)
-    certified = cosets.certify_interval([st.dc for st in sts])
+    strat = strata.stratify(fix)
+    certified = cosets.certify_interval(strat.pq, [st.members for st in strat.strata])
     payload = {
         "fixture": fix.label,
         "space": fix.space_label,
-        "classes": len(pq.elements),
-        "strata": [strata.stratum_json(st) for st in sts],
+        "classes": len(strat.pq.elements),
+        "strata": [strata.stratum_json(st) for st in strat.strata],
         "interval_certified": certified,
     }
     _write_output(indented(payload) + "\n", args.out)

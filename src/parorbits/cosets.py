@@ -9,8 +9,9 @@ their lengths as one tuple, `lengths`, beside them.  Each quotient records
 how every simple reflection of its node set acts on it from the left, as
 a table of indices that the enumerator's breadth-first pass fills on the
 way; the covers, with a positive-root witness beta such that
-w = u * s_beta, and the W_P-orbits, each a sorted tuple of member
-indices, are both read from that table.
+w = u * s_beta, and the W_P-orbits are both read from that table.  An
+orbit is the sorted tuple of its member indices and nothing more: each
+reader holds the quotient beside it.
 `fixtures.Fixture` alone decides which quotients belong to the supported
 family.
 """
@@ -144,27 +145,13 @@ def build_quotient(
     return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left, lengths)
 
 
-class DoubleCoset(NamedTuple):
-    """One W_P-orbit of a quotient, as the sorted indices of its members
-    in `pq.elements`.  `double_cosets` certifies unique length extremes,
-    so `members[0]` is its least member w_min and `members[-1]` its
-    greatest, w_max.  It compares and hashes by identity."""
-
-    pq: ParabolicQuotient
-    j_p: FrozenSet[int]
-    members: Tuple[int, ...]
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCoset, ...]:
+def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[Tuple[int, ...], ...]:
     """Partition of the quotient into orbits of the left W_P action, i.e. the
     double cosets W_P \\ W / W_Q, by closing under the generators of W_P,
-    read from the quotient's left-action rows."""
+    read from the quotient's left-action rows.  Each orbit is the sorted
+    tuple of its members' indices in `pq.elements`; its length extremes are
+    certified unique, so its first member is its least, w_min, and its
+    last its greatest, w_max."""
     j_p_set = frozenset(j_p)
     if not j_p_set <= pq.nodes:
         raise CosetError("J_P %s not contained in nodes %s" % (sorted(j_p_set), sorted(pq.nodes)))
@@ -197,14 +184,14 @@ def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[DoubleCose
                 "double coset without unique length extremes: [%s]"
                 % ", ".join(weyl.name(pq.rs, elements[k]) for k in members)
             )
-        out.append(DoubleCoset(pq, j_p_set, tuple(members)))
+        out.append(tuple(members))
     return tuple(out)
 
 
-def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:
-    """Check that each double coset s of one quotient is the Bruhat
-    interval [w_min, w_max] of its members, w_min and w_max its first and
-    last member index.
+def certify_interval(pq: ParabolicQuotient, orbits: Sequence[Sequence[int]]) -> bool:
+    """Check that each orbit s of `pq`, a sorted tuple of member indices,
+    is the Bruhat interval [w_min, w_max] of its members, w_min and w_max
+    its first and last member.
 
     Bruhat order on W^Q is graded by length and is the transitive closure
     of its covers (Bjorner-Brenti, Thm 2.5.5), so an interval is the
@@ -215,20 +202,17 @@ def certify_interval(dcs: Sequence[DoubleCoset]) -> bool:
     coset at once.  The covers and the orbits are both read from the
     quotient's left-action table, so this check is not independent of
     that table; `verify._check_chevalley_witnesses` is, as it rebuilds
-    every edge of the fixture's diagram as a window product u * s_beta.
+    every cover of the fixture's quotient as a window product u * s_beta.
     """
-    if not dcs:
+    if not orbits:
         raise CosetError("no double coset to certify")
-    pq = dcs[0].pq
-    if any(dc.pq is not pq for dc in dcs):
-        raise CosetError("double cosets of more than one quotient")
     up = [0] * len(pq.elements)
     down, want = up[:], up[:]
-    for s, dc in enumerate(dcs):
+    for s, members in enumerate(orbits):
         bit = 1 << s
-        up[dc.members[0]] |= bit
-        down[dc.members[-1]] |= bit
-        for k in dc.members:
+        up[members[0]] |= bit
+        down[members[-1]] |= bit
+        for k in members:
             want[k] |= bit
     for c in pq.covers:
         up[c.w] |= up[c.u]

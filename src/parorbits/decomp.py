@@ -4,9 +4,12 @@ Every stratum of a classical Grassmannian fixture is matched, edge for
 edge, against the divisor diagram of its Levi flag variety through the
 explicit cell map u -> u * w_min.  The map is certified (length-additive
 bijection onto the stratum); the within-stratum multiplicities must equal
-the flag multiplicities times the stratum scale (2 exactly on the odd
+the flag multiplicities times the stratum's `scale` (2 exactly on the odd
 orthogonal doubling stratum, 1 otherwise).  Cross-stratum edges are
-reported and checked to increase the stratum exponent.
+reported and checked to increase the stratum exponent.  A decomposition
+holds no copy of the quotient's classes or covers: each class's stratum
+and delta are read from `strata.stratify`, each edge is a cover of X's
+quotient, and its multiplicity is read from the diagram by its witness.
 
 Output formats: DOT, TikZ and JSON, all byte-deterministic.
 """
@@ -18,10 +21,10 @@ from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import cosets, hasse, strata, weyl
-from .cosets import ParabolicQuotient
+from .cosets import Cover, ParabolicQuotient
 from .fixtures import Fixture
-from .hasse import Edge, HasseDiagram
-from .strata import OrbitStratum
+from .hasse import HasseDiagram
+from .strata import OrbitStratum, Stratification
 from .weyl import Window
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -40,8 +43,6 @@ class StratumComparison(NamedTuple):
     flag_diagram: Optional[HasseDiagram]
     #: flag element index -> X element index
     phi: Tuple[int, ...]
-    scale: int
-    edges_match: bool
     #: each differing edge, named by the windows of its ends
     mismatches: Tuple[str, ...]
 
@@ -53,12 +54,10 @@ class DecomposedDiagram(NamedTuple):
     identity."""
 
     fixture: Fixture
-    pq: ParabolicQuotient
+    strat: Stratification
     diagram: HasseDiagram
-    strata: Tuple[OrbitStratum, ...]
-    #: stratum index of each vertex
-    vertex_stratum: Tuple[int, ...]
-    cross_edges: Tuple[Edge, ...]
+    #: the covers of X's quotient whose ends lie in different strata
+    cross_edges: Tuple[Cover, ...]
     comparisons: Tuple[StratumComparison, ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -73,39 +72,34 @@ class DecomposedDiagram(NamedTuple):
         mismatch, else the first cross edge that does not raise delta,
         with the windows and deltas of both ends."""
         for c in self.comparisons:
-            if not c.edges_match:
+            if c.mismatches:
                 return "stratum delta=%d, %s" % (c.stratum.delta, c.mismatches[0])
-        delta = [self.strata[si].delta for si in self.vertex_stratum]
-        for e in self.cross_edges:
-            if delta[e.w] <= delta[e.u]:
-                u, w = (weyl.window_str(self.pq.elements[k]) for k in (e.u, e.w))
+        delta, windows = self.strat.delta, self.strat.pq.elements
+        for u, w, _ in self.cross_edges:
+            if delta[w] <= delta[u]:
                 return "cross edge %s->%s does not raise delta: %d -> %d" % (
-                    u, w, delta[e.u], delta[e.w]
+                    weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
                 )
         return None
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
     """The stratum's flag variety as a quotient inside the Levi of P."""
-    return cosets.build_quotient(
-        stratum.fixture.rs, frozenset(stratum.K), frozenset(stratum.dc.j_p)
-    )
+    return cosets.build_quotient(stratum.fixture.rs, stratum.K, stratum.fixture.j_p)
 
 
 def phi(stratum: OrbitStratum, u: Window) -> Window:
     """Cell map of the stratum on windows: u -> u * w_min (certified by
-    `phi_map`), w_min the window of the double coset's first member."""
-    dc = stratum.dc
-    return weyl.multiply(u, dc.pq.elements[dc.members[0]])
+    `phi_map`), w_min the window of the stratum's first member."""
+    return weyl.multiply(u, stratum.pq.elements[stratum.members[0]])
 
 
 def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     """Certified bijection from the flag quotient onto the stratum members:
     each image is a member, l(u * w_min) = l(u) + l(w_min), read from the
     two quotients' lengths, and the images are the members, each once."""
-    pq = stratum.dc.pq
+    pq, members = stratum.pq, stratum.members
     fq = flag_quotient(stratum)
-    members = stratum.dc.members
     member_set = set(members)
     shift = pq.lengths[members[0]]
     images = []
@@ -139,16 +133,16 @@ def _compare_stratum(
     when the two differ."""
     fq, phi_images = phi_map(stratum)
     weight = strata.h_prime_of(stratum)
-    scale = 2 if stratum.doubling else 1
     if not weight:
         fd = None
         flag_edges: Dict[Tuple[int, int], int] = {}
     else:
         fd = hasse.build_hasse(fq, weight)
-        flag_edges = {(phi_images[e.u], phi_images[e.w]): e.mult * scale for e in fd.edges}
+        mult, scale = fd.mult, stratum.scale
+        flag_edges = {(phi_images[u], phi_images[w]): mult[r] * scale for u, w, r in fq.covers}
     mismatches = []
     if flag_edges != x_edges:
-        windows = stratum.dc.pq.elements
+        windows = stratum.pq.elements
         for key in sorted(set(flag_edges) | set(x_edges)):
             got = x_edges.get(key)
             want = flag_edges.get(key)
@@ -162,32 +156,29 @@ def _compare_stratum(
         flag_quotient=fq,
         flag_diagram=fd,
         phi=phi_images,
-        scale=scale,
-        edges_match=not mismatches,
         mismatches=tuple(mismatches),
     )
 
 
 def build_decomposition(fix: Fixture) -> DecomposedDiagram:
-    pq, sts = strata.stratify(fix)
-    diagram = hasse.build_hasse(pq, {fix.q_node: 1})
-    vertex_stratum = [-1] * len(pq.elements)
-    for si, st in enumerate(sts):
-        for k in st.dc.members:
-            vertex_stratum[k] = si
-    vs = tuple(vertex_stratum)
-    # one pass over X's edges: each within-stratum edge into its stratum's
-    # {(u, w): mult}, the rest in order into the cross edges
+    strat = strata.stratify(fix)
+    sts, vs = strat.strata, strat.stratum_of
+    diagram = hasse.build_hasse(strat.pq, {fix.q_node: 1})
+    mult = diagram.mult
+    # one pass over X's edges, the covers of the diagram's quotient: each
+    # within-stratum edge into its stratum's {(u, w): mult}, the rest in
+    # order into the cross edges
     within: List[Dict[Tuple[int, int], int]] = [{} for _ in sts]
     cross = []
-    for e in diagram.edges:
-        si = vs[e.u]
-        if si == vs[e.w]:
-            within[si][e.u, e.w] = e.mult
+    for c in diagram.quotient.covers:
+        u, w, r = c
+        si = vs[u]
+        if si == vs[w]:
+            within[si][u, w] = mult[r]
         else:
-            cross.append(e)
+            cross.append(c)
     comparisons = tuple(_compare_stratum(st, within[si]) for si, st in enumerate(sts))
-    return DecomposedDiagram(fix, pq, diagram, sts, vs, tuple(cross), comparisons)
+    return DecomposedDiagram(fix, strat, diagram, tuple(cross), comparisons)
 
 
 def decomposition_report(dec: DecomposedDiagram) -> dict:
@@ -198,8 +189,8 @@ def decomposition_report(dec: DecomposedDiagram) -> dict:
             {
                 "delta": comp.stratum.delta,
                 "flag": comp.stratum.flag.label,
-                "scale": comp.scale,
-                "pass": comp.edges_match,
+                "scale": comp.stratum.scale,
+                "pass": not comp.mismatches,
             }
         )
     return {
@@ -214,38 +205,28 @@ def decomposition_report(dec: DecomposedDiagram) -> dict:
 # emission
 
 
-def _emit_json(
-    fix: Fixture,
-    pq: ParabolicQuotient,
-    diagram: HasseDiagram,
-    vertex_stratum: Optional[Tuple[int, ...]],
-    sts: Optional[Tuple[OrbitStratum, ...]],
-) -> str:
+def _emit_json(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
+    pq, mult = diagram.quotient, diagram.mult
     vertices = []
     for k, x in enumerate(pq.elements):
         entry = {"window": weyl.window_str(x), "length": pq.lengths[k]}
-        if vertex_stratum is not None:
-            entry["stratum"] = vertex_stratum[k]
+        if strat is not None:
+            entry["stratum"] = strat.stratum_of[k]
         vertices.append(entry)
     edges = []
-    for e in diagram.edges:
-        entry = {"from": e.u, "to": e.w, "mult": e.mult}
-        if vertex_stratum is not None:
-            entry["cross"] = vertex_stratum[e.u] != vertex_stratum[e.w]
+    for u, w, r in pq.covers:
+        entry = {"from": u, "to": w, "mult": mult[r]}
+        if strat is not None:
+            entry["cross"] = strat.stratum_of[u] != strat.stratum_of[w]
         edges.append(entry)
     payload = {"fixture": fix.label, "space": fix.space_label, "vertices": vertices, "edges": edges}
-    if sts is not None:
-        payload["strata"] = [strata.stratum_json(st) for st in sts]
+    if strat is not None:
+        payload["strata"] = [strata.stratum_json(st) for st in strat.strata]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_dot(
-    fix: Fixture,
-    pq: ParabolicQuotient,
-    diagram: HasseDiagram,
-    vertex_stratum: Optional[Tuple[int, ...]],
-    sts: Optional[Tuple[OrbitStratum, ...]],
-) -> str:
+def _emit_dot(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
+    pq, mult = diagram.quotient, diagram.mult
     lines = [
         'digraph "%s" {' % fix.label,
         "  rankdir=LR;",
@@ -253,27 +234,22 @@ def _emit_dot(
     ]
     for k, x in enumerate(pq.elements):
         attrs = ['label="%s"' % weyl.window_str(x)]
-        if vertex_stratum is not None:
-            si = vertex_stratum[k]
-            attrs.append('class="stratum%d"' % sts[si].delta)
+        if strat is not None:
+            si = strat.stratum_of[k]
+            attrs.append('class="stratum%d"' % strat.strata[si].delta)
             attrs.append('fillcolor="%s"' % PALETTE[si % len(PALETTE)])
         lines.append("  n%d [%s];" % (k, ", ".join(attrs)))
-    for e in diagram.edges:
-        attrs = ["penwidth=%d" % e.mult]
-        if vertex_stratum is not None and vertex_stratum[e.u] == vertex_stratum[e.w]:
-            attrs.append('color="%s"' % PALETTE[vertex_stratum[e.u] % len(PALETTE)])
-        lines.append("  n%d -> n%d [%s];" % (e.u, e.w, ", ".join(attrs)))
+    for u, w, r in pq.covers:
+        attrs = ["penwidth=%d" % mult[r]]
+        if strat is not None and strat.stratum_of[u] == strat.stratum_of[w]:
+            attrs.append('color="%s"' % PALETTE[strat.stratum_of[u] % len(PALETTE)])
+        lines.append("  n%d -> n%d [%s];" % (u, w, ", ".join(attrs)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _emit_tikz(
-    fix: Fixture,
-    pq: ParabolicQuotient,
-    diagram: HasseDiagram,
-    vertex_stratum: Optional[Tuple[int, ...]],
-    sts: Optional[Tuple[OrbitStratum, ...]],
-) -> str:
+def _emit_tikz(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
+    pq, mult = diagram.quotient, diagram.mult
     colors = ("blue", "red", "green!60!black", "orange", "violet", "brown")
     # elements are sorted by length, so each degree is a run of indices
     counts = pq.rank_counts()
@@ -289,17 +265,17 @@ def _emit_tikz(
         h = 2 * (k - first[degree]) - (counts[degree] - 1)
         y = "%s%d.%d" % ("-" if h < 0 else "", abs(h) // 2, 5 * (abs(h) % 2))
         fill = ""
-        if vertex_stratum is not None:
-            fill = "fill=%s" % colors[vertex_stratum[k] % len(colors)]
+        if strat is not None:
+            fill = "fill=%s" % colors[strat.stratum_of[k] % len(colors)]
         lines.append("  \\node[%s] (n%d) at (%d, %s) {};" % (fill, k, degree, y))
-    for e in diagram.edges:
+    for u, w, r in pq.covers:
         style = []
-        if vertex_stratum is not None and vertex_stratum[e.u] == vertex_stratum[e.w]:
-            style.append(colors[vertex_stratum[e.u] % len(colors)])
-        if e.mult >= 2:
+        if strat is not None and strat.stratum_of[u] == strat.stratum_of[w]:
+            style.append(colors[strat.stratum_of[u] % len(colors)])
+        if mult[r] >= 2:
             style.append("double")
         opts = "[%s]" % ",".join(style) if style else ""
-        lines.append("  \\draw%s (n%d) -- (n%d);" % (opts, e.u, e.w))
+        lines.append("  \\draw%s (n%d) -- (n%d);" % (opts, u, w))
     lines.extend(["\\end{tikzpicture}", "\\end{document}"])
     return "\n".join(lines) + "\n"
 
@@ -308,24 +284,19 @@ _EMITTERS = {"dot": _emit_dot, "tikz": _emit_tikz, "json": _emit_json}
 
 
 def _emit(
-    fmt: str,
-    fix: Fixture,
-    pq: ParabolicQuotient,
-    diagram: HasseDiagram,
-    vertex_stratum: Optional[Tuple[int, ...]] = None,
-    sts: Optional[Tuple[OrbitStratum, ...]] = None,
+    fmt: str, fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification] = None
 ) -> str:
     if fmt not in _EMITTERS:
         raise ValueError("unknown format %r (expected dot, tikz or json)" % fmt)
-    return _EMITTERS[fmt](fix, pq, diagram, vertex_stratum, sts)
+    return _EMITTERS[fmt](fix, diagram, strat)
 
 
 def emit(dec: DecomposedDiagram, fmt: str) -> str:
     """Orbit-colored diagram of the decomposition in `fmt` (dot, tikz or json)."""
-    return _emit(fmt, dec.fixture, dec.pq, dec.diagram, dec.vertex_stratum, dec.strata)
+    return _emit(fmt, dec.fixture, dec.diagram, dec.strat)
 
 
 def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
     pq = cosets.build_quotient(fix.rs, fix.j_q)
-    return _emit(fmt, fix, pq, hasse.build_hasse(pq, {fix.q_node: 1}))
+    return _emit(fmt, fix, hasse.build_hasse(pq, {fix.q_node: 1}))

@@ -1,29 +1,26 @@
 """Hasse diagrams: multiplication by a dominant divisor class.
 
-The diagram of a quotient W^Q under a weight lambda (non-negative integer
-coefficients on fundamental weights supported away from Delta(Q)) has an
-edge u -> u*s_beta of multiplicity <lambda, beta^vee> for every cover with
-positive-root witness beta and positive pairing.  The same rule runs
-unchanged inside a Levi subsystem, where <omega_t, beta^vee> is read off
-the coefficient of the t-th simple coroot in beta^vee.
+The diagram of a quotient W^Q under a weight lambda (positive integer
+coefficients on fundamental weights, on exactly the nodes outside
+Delta(Q)) has an edge u -> u*s_beta of multiplicity <lambda, beta^vee> for
+every cover with positive-root witness beta.  A diagram is therefore one
+multiplicity per positive root, and its edges are the quotient's own
+covers, each read with the multiplicity of its witness.  The same rule
+runs unchanged inside a Levi subsystem, where <omega_t, beta^vee> is read
+off the coefficient of the t-th simple coroot in beta^vee.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Tuple
 
+from . import weyl
 from .cosets import ParabolicQuotient
 
 
 class HasseError(ValueError):
     """Invalid weight for the requested quotient."""
-
-
-class Edge(NamedTuple):
-    u: int
-    w: int
-    mult: int
-    root: int  # witness index into rs.positive_roots
 
 
 Weight = Tuple[Tuple[int, int], ...]  # sorted ((node, coefficient), ...)
@@ -37,29 +34,30 @@ def normalize_weight(weight: Mapping[int, int] | Iterable[Tuple[int, int]]) -> W
 
 
 class HasseDiagram(NamedTuple):
-    """The edges of one weight on one quotient; compares and hashes by
+    """One weight on one quotient: its edges are the covers (u, w, r) of
+    `quotient`, each of multiplicity mult[r].  It compares and hashes by
     identity, as the quotient does."""
 
     quotient: ParabolicQuotient
     weight: Weight
-    edges: Tuple[Edge, ...]
+    #: mult[r] is <lambda, beta_r^vee> for each positive root beta_r
+    mult: Tuple[int, ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _validate_weight(pq: ParabolicQuotient, weight: Weight) -> None:
+    """The weight's support must be the nodes outside Delta(Q): a node of
+    Delta(Q) makes the class vanish on the quotient, and a node outside
+    it with no weight leaves some cover without an edge."""
     support = {n for n, _ in weight}
     if not support:
         raise HasseError("weight has empty support")
-    if not support <= pq.nodes:
+    outside = pq.nodes - pq.j_q
+    if support != outside:
         raise HasseError(
-            "weight support %s outside the node set %s" % (sorted(support), sorted(pq.nodes))
-        )
-    inside = support & pq.j_q
-    if inside:
-        raise HasseError(
-            "weight supported on Delta(Q) nodes %s: the class vanishes on the quotient"
-            % sorted(inside)
+            "weight support %s is not the node set less Delta(Q), %s"
+            % (sorted(support), sorted(outside))
         )
 
 
@@ -73,15 +71,23 @@ def pairing_with_coroot(pq: ParabolicQuotient, weight: Weight, root_idx: int) ->
 def build_hasse(pq: ParabolicQuotient, weight: Mapping[int, int] | Weight) -> HasseDiagram:
     """The diagram of `weight` on `pq`.  The multiplicities of all positive
     roots are summed one node of the weight at a time, each adding that
-    node's column of the coroot coordinates.  The edges keep the order of
-    `pq.covers`, which is sorted by (u, w) with one witness per pair."""
+    node's column of the coroot coordinates.
+
+    Every cover is an edge: its witness beta lies outside Phi_Q, as
+    w = u*s_beta differs from u in W^Q, so beta^vee has a positive
+    coefficient at some node outside Delta(Q), all of which the weight
+    holds.  That is certified: a cover whose multiplicity is not positive
+    raises HasseError naming it."""
     wt = normalize_weight(weight)
     _validate_weight(pq, wt)
     coords = pq.rs.coroot_coords
-    mults = [0] * len(coords)
+    mult = [0] * len(coords)
     for n, c in wt:
-        mults = [m + c * x[n - 1] for m, x in zip(mults, coords)]
-    # made as `Edge._make` makes them, without the NamedTuple's Python-level __new__
-    new = tuple.__new__
-    edges = [new(Edge, (u, w, mults[r], r)) for u, w, r in pq.covers if mults[r] > 0]
-    return HasseDiagram(pq, wt, tuple(edges))
+        mult = [m + c * x[n - 1] for m, x in zip(mult, coords)]
+    if min(map(mult.__getitem__, map(itemgetter(2), pq.covers))) < 1:
+        u, w, r = next(c for c in pq.covers if mult[c.root] < 1)
+        raise HasseError(
+            "cover %s -> %s has multiplicity %d: its witness lies in Phi_Q"
+            % (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]), mult[r])
+        )
+    return HasseDiagram(pq, wt, tuple(mult))

@@ -10,10 +10,9 @@ where [v w] is the class of v * w in W/W_Q.  The quotient's left-action
 table already holds the class of s_k * w for every node k and class w, so
 the table composes its rows along a reduced word of v, with no window
 product per class.  The q-exponent delta(w) is the label of the orbit
-stratum that holds w, so the table reads it from the strata of
-`strata.stratify`, which certify it constant on each stratum.  The
-induced map on classes is a bijection whose iterates accumulate
-q-exponents linearly.
+stratum that holds w: it is the per-class `delta` of `strata.stratify`,
+which certifies it constant on each stratum.  The induced map on classes
+is a bijection whose iterates accumulate q-exponents linearly.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from . import rootsys, strata, weyl
-from .cosets import ParabolicQuotient
 from .fixtures import Fixture
 from .rootsys import RootSystem
-from .strata import OrbitStratum
+from .strata import Stratification
 from .weyl import Window
 
 
@@ -61,16 +59,13 @@ def v_elt(rs: RootSystem, i: int) -> Window:
     return v
 
 
-def seidel_table(
-    pq: ParabolicQuotient, sts: Sequence[OrbitStratum], v: Window
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The Seidel operator on the classes of `pq`, as (perm, qexp).
+def seidel_table(strat: Stratification, v: Window) -> Tuple[int, ...]:
+    """The Seidel operator on the classes of X's quotient `strat.pq`, as
+    the permutation perm: perm[k] is the index of the class of v * w_k.
 
-    `pq` and `sts` are the quotient and strata of `strata.stratify(fix)`
-    for a fixture, and v is the window of its Seidel element,
-    `v_elt(fix.rs, fix.p_node)`; the root system is `pq.rs`.
-    qexp[k] is the delta of the stratum that holds class k, and perm[k] is
-    the index of the class of v * w_k.
+    `strat` is `strata.stratify(fix)` for a fixture, and v is the window of
+    its Seidel element, `v_elt(fix.rs, fix.p_node)`; the root system is
+    `strat.pq.rs`.  The q-exponent of class k is `strat.delta[k]`.
 
     Stripping v's right descents one at a time reads a reduced word
     v = s_(k_1) ... s_(k_l) from its end, so the first node stripped,
@@ -81,16 +76,13 @@ def seidel_table(
     does not read them, as it names the class of v^2 w for every class w by
     the signed set of the first q_node entries of the window product.
     """
-    qexp = [0] * len(pq.elements)
-    for st in sts:
-        for k in st.dc.members:
-            qexp[k] = st.delta
+    pq = strat.pq
     rs, perm = pq.rs, range(len(pq.elements))
     while k := weyl.first_descent(rs, v, rs.nodes):
         row = pq.left[k]
         perm = [row[c] for c in perm]
         v = weyl.multiply(v, weyl.simple_reflection(rs, k))
-    return tuple(perm), tuple(qexp)
+    return tuple(perm)
 
 
 def orbits(perm: Sequence[int]) -> List[List[int]]:
@@ -127,8 +119,9 @@ def quantum_q_degree(fix: Fixture) -> int:
 
 def table_rows(fix: Fixture) -> List[Dict[str, object]]:
     """Serializable operator table: window, length, q_exp, image_window."""
-    pq, sts = strata.stratify(fix)
-    perm, qexp = seidel_table(pq, sts, v_elt(fix.rs, fix.p_node))
+    strat = strata.stratify(fix)
+    pq, qexp = strat.pq, strat.delta
+    perm = seidel_table(strat, v_elt(fix.rs, fix.p_node))
     return [
         {
             "window": weyl.window_str(x),

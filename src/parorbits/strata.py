@@ -21,6 +21,9 @@ stratum; the position of d_geometric among the table's keys is the same
 label.  d_geometric counts the window itself, so that `verify` checks
 that label against delta on every class; `stratify` reads it for each
 stratum's minimal representative.
+
+`stratify` computes each class's stratum and delta once and returns them
+with the strata as one `Stratification`, which every other module reads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import cosets, rootsys, weyl
-from .cosets import DoubleCoset, ParabolicQuotient
+from .cosets import ParabolicQuotient
 from .fixtures import Fixture, grassmannian_label
 from .rootsys import RootSystem
 from .weyl import Window
@@ -174,14 +177,13 @@ class FlagDescriptor(NamedTuple):
         return " x ".join(c.label for c in self.components)
 
 
-def K_of(dc: DoubleCoset) -> FrozenSet[int]:
-    """Nodes of Delta(P) whose simple root is carried onto Delta(Q) by
-    w_min^-1, for w_min the double coset's first member i.  By Deodhar's
+def K_of(pq: ParabolicQuotient, j_p: FrozenSet[int], i: int) -> FrozenSet[int]:
+    """Nodes s of `j_p`, Delta(P), whose simple root is carried onto
+    Delta(Q) by w_min^-1, for w_min the class i of `pq`.  By Deodhar's
     lemma (Bjorner-Brenti Lemma 2.4.3), s*w_min leaves W^Q exactly when
     w_min^-1(alpha_s) lies in Delta(Q), and the quotient's left-action
     table records that as left[s][i] == i."""
-    i = dc.members[0]
-    return frozenset(s for s in dc.j_p if dc.pq.left[s][i] == i)
+    return frozenset(s for s in j_p if pq.left[s][i] == i)
 
 
 def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -218,11 +220,14 @@ def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) 
 
 
 class OrbitStratum(NamedTuple):
-    """One orbit stratum with its invariants; compares and hashes by
-    identity, as its double coset does."""
+    """One orbit stratum with its invariants: the double coset of X's
+    quotient `pq` whose sorted member indices are `members`, so that
+    members[0] is its w_min and members[-1] its w_max.  It compares and
+    hashes by identity, as the quotient does."""
 
     fixture: Fixture
-    dc: DoubleCoset
+    pq: ParabolicQuotient
+    members: Tuple[int, ...]
     delta: int
     d_geom: int
     K: FrozenSet[int]
@@ -234,7 +239,13 @@ class OrbitStratum(NamedTuple):
 
     @property
     def size(self) -> int:
-        return self.dc.size
+        return len(self.members)
+
+    @property
+    def scale(self) -> int:
+        """The factor on the flag multiplicities that X's within-stratum
+        edges carry: 2 on the doubling stratum, else 1."""
+        return 2 if self.doubling else 1
 
 
 def h_prime_of(stratum: OrbitStratum) -> Dict[int, int]:
@@ -264,41 +275,60 @@ def _doubling(fix: Fixture, delta_value: int) -> bool:
     )
 
 
-def stratify(fix: Fixture) -> Tuple[ParabolicQuotient, Tuple[OrbitStratum, ...]]:
-    """Quotient of X with its orbit strata, sorted by increasing delta."""
-    rs = fix.rs
+class Stratification(NamedTuple):
+    """X's quotient with its orbit strata, sorted by increasing delta, and
+    two labels on each class k of the quotient: `stratum_of[k]`, the index
+    in `strata` of the stratum that holds k, and `delta[k]`, its stratum
+    exponent.  It compares and hashes by identity, as the quotient does."""
+
+    pq: ParabolicQuotient
+    strata: Tuple[OrbitStratum, ...]
+    stratum_of: Tuple[int, ...]
+    delta: Tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+def stratify(fix: Fixture) -> Stratification:
+    """The stratification of X: every reader of a stratum, of a class's
+    stratum or of a class's delta reads it from here."""
+    rs, j_p = fix.rs, fix.j_p
     pq = cosets.build_quotient(rs, fix.j_q)
     deltas = delta(fix, pq)
-    dcs = cosets.double_cosets(pq, fix.j_p)
-    stats = d_geometric(fix, [pq.elements[dc.members[0]] for dc in dcs])
+    orbits = cosets.double_cosets(pq, j_p)
+    stats = d_geometric(fix, [pq.elements[members[0]] for members in orbits])
     strata = []
-    for dc, d_geom in zip(dcs, stats):
-        values = {deltas[k] for k in dc.members}
+    for members, d_geom in zip(orbits, stats):
+        values = {deltas[k] for k in members}
         if len(values) != 1:
             raise StrataError(
-                "stratum exponent not constant on %s: %s" % (dc.members, sorted(values))
+                "stratum exponent not constant on %s: %s" % (members, sorted(values))
             )
         dval = values.pop()
-        k_set = K_of(dc)
-        flag = flag_descriptor(rs, dc.j_p, k_set)
+        k_set = K_of(pq, j_p, members[0])
         strata.append(
             OrbitStratum(
                 fixture=fix,
-                dc=dc,
+                pq=pq,
+                members=members,
                 delta=dval,
                 d_geom=d_geom,
                 K=k_set,
-                flag=flag,
-                fiber_dim=pq.lengths[dc.members[0]],
+                flag=flag_descriptor(rs, j_p, k_set),
+                fiber_dim=pq.lengths[members[0]],
                 doubling=_doubling(fix, dval),
             )
         )
-    strata.sort(key=lambda st: (st.delta, pq.elements[st.dc.members[0]]))
-    return pq, tuple(strata)
+    strata.sort(key=lambda st: (st.delta, pq.elements[st.members[0]]))
+    stratum_of = [0] * len(pq.elements)
+    for si, st in enumerate(strata):
+        for k in st.members:
+            stratum_of[k] = si
+    return Stratification(pq, tuple(strata), tuple(stratum_of), deltas)
 
 
 def stratum_json(st: OrbitStratum) -> dict:
-    windows, members = st.dc.pq.elements, st.dc.members
+    windows, members = st.pq.elements, st.members
     return {
         "delta": st.delta,
         "w_min": weyl.window_str(windows[members[0]]),

@@ -26,8 +26,8 @@ def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str
     match delta: the statistic's position among the keys of `table`, so
     the closed stratum gets 0 and the open stratum the maximal label.  A
     statistic missing from the table raises StrataError naming the window."""
-    fix, pq, sts = dec.fixture, dec.pq, dec.strata
-    vertex_delta = [sts[si].delta for si in dec.vertex_stratum]
+    fix, pq, sts = dec.fixture, dec.strat.pq, dec.strat.strata
+    vertex_delta = list(dec.strat.delta)
     deltas = sorted(st.delta for st in sts)
     stats = strata.d_geometric(fix, pq.elements)
     labels = list(map({d: label for label, d in enumerate(table)}.get, stats))
@@ -55,14 +55,14 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
     """Each stratum's fiber dimension is the one `table`, the fixture's
     `orbit_table`, gives its window statistic, and its length span and
     class count are those of its flag variety."""
-    lengths = dec.pq.lengths
+    lengths = dec.strat.pq.lengths
     for comp in dec.comparisons:
         st = comp.stratum
         if st.d_geom not in table:
             raise strata.StrataError("d=%d is not admissible for %s" % (st.d_geom, dec.fixture))
         if st.fiber_dim != table[st.d_geom]:
             return False
-        if lengths[st.dc.members[-1]] - lengths[st.dc.members[0]] != st.flag.dim:
+        if lengths[st.members[-1]] - lengths[st.members[0]] != st.flag.dim:
             return False
         if len(comp.flag_quotient.elements) != st.size:
             return False
@@ -70,27 +70,25 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
 
 
 def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
-    """Each edge is u * s_beta = w with multiplicity <lambda, beta^vee>,
-    s_beta and the pairing read once per root, not from the left table.
-    The window of u * s_beta is the window of s_beta gathered from the
-    signed table of u (`weyl.signed_table`): one getter per root, one
-    table per class, and no window product."""
-    pq, diagram = dec.pq, dec.diagram
-    roots = {e.root for e in diagram.edges}
+    """Each edge of X's diagram, a cover (u, w, beta) of its quotient, is
+    u * s_beta = w, and the diagram's multiplicity of each witness beta is
+    <lambda, beta^vee>; s_beta and the pairing are read once per root,
+    not from the left table.  The window of u * s_beta is the window of
+    s_beta gathered from the signed table of u (`weyl.signed_table`): one
+    getter per root, one table per class, and no window product."""
+    diagram = dec.diagram
+    pq = diagram.quotient
+    roots = {r for _, _, r in pq.covers}
     getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r)) for r in roots}
-    mults = {r: hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots}
     windows = pq.elements
     tables = [weyl.signed_table(x) for x in windows]
     return all(
-        getters[e.root](tables[e.u]) == windows[e.w] and mults[e.root] == e.mult
-        for e in diagram.edges
-    )
+        diagram.mult[r] == hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots
+    ) and all(getters[r](tables[u]) == windows[w] for u, w, r in pq.covers)
 
 
-def _check_seidel(
-    dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...], qexp: Tuple[int, ...]
-) -> Dict[str, bool]:
-    fix, pq = dec.fixture, dec.pq
+def _check_seidel(dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...]) -> Dict[str, bool]:
+    fix, pq, qexp = dec.fixture, dec.strat.pq, dec.strat.delta
     bijection = sorted(perm) == list(range(len(perm)))
 
     # two applications land on the class of the squared element; the
@@ -139,30 +137,31 @@ def verify_fixture(fix: Fixture) -> dict:
     """Every invariant suite on one fixture; deterministic report.
 
     The decomposition, the Seidel element and the Seidel table are each
-    built once, the table from the decomposition's quotient and strata,
-    and every check reads from them; the case table is built once, for the
+    built once, the table from the decomposition's stratification, and
+    every check reads from them; the case table is built once, for the
     labels of all classes and the fiber dimensions of all strata.
     """
     dec = decomp.build_decomposition(fix)
+    pq, sts = dec.strat.pq, dec.strat.strata
     v = seidel.v_elt(fix.rs, fix.p_node)
-    perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
+    perm = seidel.seidel_table(dec.strat, v)
     table = strata.orbit_table(fix)
     decomposition = decomp.decomposition_report(dec)
     checks: Dict[str, object] = {}
-    checks["interval"] = cosets.certify_interval([st.dc for st in dec.strata])
+    checks["interval"] = cosets.certify_interval(pq, [st.members for st in sts])
     checks.update(_check_delta_laws(dec, table))
     checks["dimension_ledger"] = _check_dimension_ledger(dec, table)
     checks["decomposition"] = decomposition["all_pass"]
     checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec)
-    checks.update(_check_seidel(dec, v, perm, qexp))
+    checks.update(_check_seidel(dec, v, perm))
     ok = all(bool(value) for value in checks.values())
     return {
         "fixture": fix.label,
         "space": fix.space_label,
-        "classes": len(dec.pq.elements),
+        "classes": len(pq.elements),
         "strata": [
-            {"delta": st.delta, "size": st.size, "flag": st.flag.label, "scale": 2 if st.doubling else 1}
-            for st in dec.strata
+            {"delta": st.delta, "size": st.size, "flag": st.flag.label, "scale": st.scale}
+            for st in sts
         ],
         "checks": checks,
         "decomposition": decomposition,
@@ -211,10 +210,8 @@ def run_verify(
 
 def corrupted_oracle_selftest() -> dict:
     """Negative control: a deliberately damaged stratum must fail certification."""
-    fix = Fixture("A", 3, 2, 2)
-    _, sts = strata.stratify(fix)
-    middle = next(st for st in sts if st.size > 2)
-    members = middle.dc.members  # sorted, so the extremes come first and last
-    corrupted = middle.dc._replace(members=members[:1] + members[2:])
-    detected = not cosets.certify_interval([corrupted])
+    strat = strata.stratify(Fixture("A", 3, 2, 2))
+    middle = next(st for st in strat.strata if st.size > 2)
+    members = middle.members  # sorted, so the extremes come first and last
+    detected = not cosets.certify_interval(strat.pq, [members[:1] + members[2:]])
     return {"self_test_corrupt": {"detected": detected}}

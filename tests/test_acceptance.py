@@ -22,11 +22,9 @@ def _verdict(num, label, ok):
 
 def _computed_graph(fix):
     dec = decomp.build_decomposition(fix)
-    vertices = tuple(
-        (length, dec.strata[dec.vertex_stratum[k]].delta)
-        for k, length in enumerate(dec.pq.lengths)
-    )
-    edges = tuple((e.u, e.w, e.mult) for e in dec.diagram.edges)
+    sts, vs, mult = dec.strat.strata, dec.strat.stratum_of, dec.diagram.mult
+    vertices = tuple((length, sts[vs[k]].delta) for k, length in enumerate(dec.strat.pq.lengths))
+    edges = tuple((u, w, mult[r]) for u, w, r in dec.diagram.quotient.covers)
     return dec, graphiso.ColoredGraph(vertices, edges)
 
 
@@ -34,10 +32,10 @@ def test_criterion_01_figure1():
     start = time.monotonic()
     fix = Fixture("C", 4, 2, 4)
     dec, got = _computed_graph(fix)
-    ok = len(dec.pq.elements) == 24
-    ok &= [st.size for st in dec.strata] == [6, 12, 6]
-    ok &= [st.delta for st in dec.strata] == [0, 1, 2]
-    ok &= all(comp.edges_match for comp in dec.comparisons)
+    ok = len(dec.strat.pq.elements) == 24
+    ok &= [st.size for st in dec.strat.strata] == [6, 12, 6]
+    ok &= [st.delta for st in dec.strat.strata] == [0, 1, 2]
+    ok &= not any(comp.mismatches for comp in dec.comparisons)
     golden = graphiso.ColoredGraph.from_json(load_golden("figure1.json"))
     ok &= graphiso.isomorphic(got, golden, cross_mult_exact=True)
     elapsed = time.monotonic() - start
@@ -49,11 +47,11 @@ def test_criterion_02_figure2():
     start = time.monotonic()
     fix = Fixture("B", 4, 3, 1)
     dec, got = _computed_graph(fix)
-    ok = len(dec.pq.elements) == 32
-    ok &= [st.size for st in dec.strata] == [12, 8, 12]
-    ok &= [st.flag.label for st in dec.strata] == ["OG(2,7)", "OG(3,7)", "OG(2,7)"]
-    ok &= [comp.scale for comp in dec.comparisons] == [1, 2, 1]
-    ok &= all(comp.edges_match for comp in dec.comparisons)
+    ok = len(dec.strat.pq.elements) == 32
+    ok &= [st.size for st in dec.strat.strata] == [12, 8, 12]
+    ok &= [st.flag.label for st in dec.strat.strata] == ["OG(2,7)", "OG(3,7)", "OG(2,7)"]
+    ok &= [comp.stratum.scale for comp in dec.comparisons] == [1, 2, 1]
+    ok &= not any(comp.mismatches for comp in dec.comparisons)
     golden = graphiso.ColoredGraph.from_json(load_golden("figure2.json"))
     ok &= graphiso.isomorphic(got, golden, cross_mult_exact=False)
     elapsed = time.monotonic() - start

@@ -203,7 +203,7 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
     assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
     monkeypatch.undo()
     # a failed interval certificate is reported, then exits 2
-    monkeypatch.setattr(cosets, "certify_interval", lambda dcs: False)
+    monkeypatch.setattr(cosets, "certify_interval", lambda pq, orbits: False)
     code, out, err = run_cli(capsys, ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, err) == (2, "")
     assert json.loads(out)["interval_certified"] is False
@@ -212,7 +212,7 @@ def test_failed_certificates_exit_2(monkeypatch, capsys):
 def _refused_by_phi_map_and_diagram(capsys, message):
     """The middle stratum of C4/P2+P4 fails `phi_map` with `message`, and
     `parorbits diagram` on that fixture exits 2 naming it."""
-    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    sts = strata.stratify(Fixture("C", 4, 2, 4)).strata
     with pytest.raises(decomp.DecompositionError, match="^" + message):
         decomp.phi_map(sts[1])
     code, out, err = run_cli(capsys, FIGURE_ARGV)
@@ -235,7 +235,7 @@ def test_non_injective_cell_map_refused(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(decomp, "flag_quotient", doubled)
-    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    sts = strata.stratify(Fixture("C", 4, 2, 4)).strata
     assert sts[1].delta == 1 and sts[1].size == 12
     assert len(decomp.flag_quotient(sts[1]).elements) == 13
     _refused_by_phi_map_and_diagram(capsys, "cell map is not a bijection")
@@ -261,8 +261,8 @@ def test_non_additive_cell_map_refused(monkeypatch, capsys):
 def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     # a valid fixture reaches StrataError only as a failed invariant
     fix = Fixture("C", 4, 2, 4)
-    pq, sts = strata.stratify(fix)
-    target = next(st for st in sts if st.size == 12).dc.members[-1]
+    sts = strata.stratify(fix).strata
+    target = next(st for st in sts if st.size == 12).members[-1]
     monkeypatch.setattr(strata, "delta", bumped_delta(strata.delta, target))
     code, out, err = run_cli(capsys, ["strata"] + FIGURE_ARGV[1:])
     assert (code, out) == (2, "")
@@ -288,7 +288,8 @@ def test_invalid_stratum_weight_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(strata, "h_prime_of", lambda st: {k: 1 for k in st.K})
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
-    assert err.startswith("error: weight supported on Delta(Q) nodes") and err.count("\n") == 1
+    assert err.startswith("error: weight support ") and err.count("\n") == 1
+    assert "is not the node set less Delta(Q)" in err
 
 
 def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
@@ -297,9 +298,12 @@ def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):
     real_stratify = strata.stratify
 
     def reversed_deltas(fix):
-        pq, sts = real_stratify(fix)
-        top = max(st.delta for st in sts)
-        return pq, tuple(st._replace(delta=top - st.delta) for st in sts)
+        strat = real_stratify(fix)
+        top = max(strat.delta)
+        return strat._replace(
+            strata=tuple(st._replace(delta=top - st.delta) for st in strat.strata),
+            delta=tuple(top - d for d in strat.delta),
+        )
 
     monkeypatch.setattr(strata, "stratify", reversed_deltas)
     code, out, err = run_cli(capsys, FIGURE_ARGV)

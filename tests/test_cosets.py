@@ -63,19 +63,19 @@ def test_cover_witnesses():
 
 def test_double_coset_examples():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
-    sizes = [dc.size for dc in double_cosets(g24, frozenset({1, 3}))]
+    sizes = [len(dc) for dc in double_cosets(g24, frozenset({1, 3}))]
     assert sizes == [1, 4, 1]
     ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
-    assert [dc.size for dc in double_cosets(ig, frozenset({1, 2, 3}))] == [6, 12, 6]
+    assert [len(dc) for dc in double_cosets(ig, frozenset({1, 2, 3}))] == [6, 12, 6]
     og = build_quotient(build("B", 4), frozenset({1, 2, 4}))
-    assert [dc.size for dc in double_cosets(og, frozenset({2, 3, 4}))] == [12, 8, 12]
+    assert [len(dc) for dc in double_cosets(og, frozenset({2, 3, 4}))] == [12, 8, 12]
 
 
 def test_double_cosets_partition():
     for fix in FIXTURES:
         pq = build_quotient(fix.rs, fix.j_q)
         dcs = double_cosets(pq, fix.j_p)
-        seen = [k for dc in dcs for k in dc.members]
+        seen = [k for dc in dcs for k in dc]
         assert sorted(seen) == list(range(len(pq.elements)))
         assert len(seen) == len(set(seen))
 
@@ -98,21 +98,21 @@ def test_double_cosets_come_sorted_with_length_extremes():
     for pq, j_p in partitions:
         dcs = double_cosets(pq, j_p)
         ell = pq.lengths
-        assert list(dcs) == sorted(dcs, key=lambda dc: (ell[dc.members[0]], pq.elements[dc.members[0]]))
+        assert list(dcs) == sorted(dcs, key=lambda dc: (ell[dc[0]], pq.elements[dc[0]]))
         for dc in dcs:
-            assert list(dc.members) == sorted(dc.members)
-            lengths = sorted(ell[k] for k in dc.members)
-            assert ell[dc.members[0]] == lengths[0] and lengths[:2].count(lengths[0]) == 1
-            assert ell[dc.members[-1]] == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
+            assert list(dc) == sorted(dc)
+            lengths = sorted(ell[k] for k in dc)
+            assert ell[dc[0]] == lengths[0] and lengths[:2].count(lengths[0]) == 1
+            assert ell[dc[-1]] == lengths[-1] and lengths[-2:].count(lengths[-1]) == 1
 
 
 def test_double_coset_without_unique_length_extremes_refused():
     # G(2,4) under s_2: the classes of s1s2 and s3s2 are singletons of
     # length 2; a row entry that joins them leaves no unique w_min
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
-    singles = [dc for dc in double_cosets(g24, {2}) if g24.lengths[dc.members[0]] == 2]
-    assert [dc.size for dc in singles] == [1, 1]
-    a, b = (dc.members[0] for dc in singles)
+    singles = [dc for dc in double_cosets(g24, {2}) if g24.lengths[dc[0]] == 2]
+    assert [len(dc) for dc in singles] == [1, 1]
+    a, b = (dc[0] for dc in singles)
     row = list(g24.left[2])
     row[a] = b
     corrupted = g24._replace(left={**g24.left, 2: tuple(row)})
@@ -122,12 +122,12 @@ def test_double_coset_without_unique_length_extremes_refused():
         double_cosets(corrupted, {2})
     assert str(refused.value) == "double coset without unique length extremes: [%s]" % names
 
-def bruhat_interval(dc):
-    """Test-only oracle, the scan `certify_interval` replaced: the quotient
-    elements x with w_min <= x <= w_max by the subword property, w_min and
-    w_max the first and last member."""
-    rs, group = dc.pq.rs, dc.pq.elements
-    w_min, w_max = group[dc.members[0]], group[dc.members[-1]]
+def bruhat_interval(pq, members):
+    """Test-only oracle, the scan `certify_interval` replaced: the elements
+    x of `pq` with w_min <= x <= w_max by the subword property, w_min and
+    w_max the first and last of `members`."""
+    rs, group = pq.rs, pq.elements
+    w_min, w_max = group[members[0]], group[members[-1]]
     return {
         k for k, x in enumerate(group) if weyl.bruhat_leq(rs, w_min, x) and weyl.bruhat_leq(rs, x, w_max)
     }
@@ -136,34 +136,33 @@ def bruhat_interval(dc):
 def test_certify_interval():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
-    assert dcs[0].size == 1 and certify_interval([dcs[0]])
+    assert len(dcs[0]) == 1 and certify_interval(g24, [dcs[0]])
     for fix in list(sweep_fixtures(5, 5, 5, 5)) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
         pq = build_quotient(fix.rs, fix.j_q)
         dcs = double_cosets(pq, fix.j_p)
         for dc in dcs:
-            assert bruhat_interval(dc) == set(dc.members), fix.label
-            assert certify_interval([dc]), fix.label
-        assert certify_interval(dcs), fix.label
+            assert bruhat_interval(pq, dc) == set(dc), fix.label
+            assert certify_interval(pq, [dc]), fix.label
+        assert certify_interval(pq, dcs), fix.label
 
 
 def test_certify_interval_negative_control():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
     dcs = double_cosets(g24, frozenset({1, 3}))
     middle = dcs[1]
-    dropped = middle.members[:1] + middle.members[2:]  # an interior member
+    dropped = middle[:1] + middle[2:]  # an interior member
     # w_min and w_max are the first and last member, so a class of another
     # stratum added beyond them would make a larger interval; in IG(2,8)
     # the stratum above has classes strictly between the middle's extremes
     ig = build_quotient(build("C", 4), frozenset({1, 3, 4}))
     ig_middle, ig_above = double_cosets(ig, frozenset({1, 2, 3}))[1:]
-    lo, hi = ig_middle.members[0], ig_middle.members[-1]
-    inside = [k for k in ig_above.members if lo < k < hi]
+    lo, hi = ig_middle[0], ig_middle[-1]
+    inside = [k for k in ig_above if lo < k < hi]
     assert inside
-    added = tuple(sorted(ig_middle.members + (inside[0],)))
-    for dc, members in ((middle, dropped), (ig_middle, added)):
-        corrupted = dc._replace(members=members)
-        assert bruhat_interval(corrupted) != set(members)
-        assert not certify_interval([corrupted])
+    added = tuple(sorted(ig_middle + (inside[0],)))
+    for pq, members in ((g24, dropped), (ig, added)):
+        assert bruhat_interval(pq, members) != set(members)
+        assert not certify_interval(pq, [members])
 
 
 @pytest.mark.parametrize(
@@ -176,31 +175,27 @@ def test_moved_member_fails_certifying_all_strata_at_once(fix):
     # the strata certified together fail, and the subword oracle agrees
     pq = build_quotient(fix.rs, fix.j_q)
     dcs = double_cosets(pq, fix.j_p)
-    assert certify_interval(dcs)
-    intervals = [bruhat_interval(dc) for dc in dcs]  # w_min and w_max stay put
+    assert certify_interval(pq, dcs)
+    intervals = [bruhat_interval(pq, dc) for dc in dcs]  # w_min and w_max stay put
     moves = 0
     for a, src in enumerate(dcs):
-        for k in src.members[1:-1]:
+        for k in src[1:-1]:
             for b, dst in enumerate(dcs):
                 if b == a:
                     continue
                 moved = list(dcs)
-                moved[a] = src._replace(members=tuple(x for x in src.members if x != k))
-                moved[b] = dst._replace(members=tuple(sorted(dst.members + (k,))))
-                assert not certify_interval(moved), (fix.label, k, a, b)
-                assert any(iv != set(dc.members) for iv, dc in zip(intervals, moved))
+                moved[a] = tuple(x for x in src if x != k)
+                moved[b] = tuple(sorted(dst + (k,)))
+                assert not certify_interval(pq, moved), (fix.label, k, a, b)
+                assert any(iv != set(dc) for iv, dc in zip(intervals, moved))
                 moves += 1
     assert moves > 0
 
 
-def test_certify_interval_refuses_no_cosets_or_two_quotients():
+def test_certify_interval_refuses_no_cosets():
     g24 = build_quotient(build("A", 3), frozenset({1, 3}))
-    g14 = build_quotient(build("A", 3), frozenset({2, 3}))
     with pytest.raises(cosets.CosetError, match="no double coset"):
-        certify_interval([])
-    mixed = double_cosets(g24, frozenset({1, 3})) + double_cosets(g14, frozenset({1, 2}))
-    with pytest.raises(cosets.CosetError, match="more than one quotient"):
-        certify_interval(mixed)
+        certify_interval(g24, [])
 
 
 @pytest.mark.parametrize(
@@ -321,7 +316,7 @@ def test_quotient_matches_full_group_oracle(t, n):
 def test_flag_quotients_match_full_group_oracle():
     seen = set()
     for fix in sweep_fixtures(5, 5, 5, 5):
-        for fq in map(decomp.flag_quotient, strata.stratify(fix)[1]):
+        for fq in map(decomp.flag_quotient, strata.stratify(fix).strata):
             key = (fq.rs, fq.j_q, fq.nodes)
             if key not in seen:
                 seen.add(key)
@@ -332,7 +327,7 @@ def test_flag_quotients_match_full_group_oracle():
 def test_double_cosets_match_min_rep_closure():
     for fix in sweep_fixtures(5, 5, 5, 5):
         pq = build_quotient(fix.rs, fix.j_q)
-        members = sorted(dc.members for dc in double_cosets(pq, fix.j_p))
+        members = sorted(double_cosets(pq, fix.j_p))
         assert members == min_rep_closure(pq, fix.j_p), fix.label
 
 
@@ -482,7 +477,7 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     # no descent test, and the enumerator lists windows: it reads the
     # generators, one simple reflection per node, once, whatever |W^Q|
     fix = Fixture("B", 6, 5, 1)
-    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
+    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix).strata}, key=sorted)
     caches = (cosets.build_quotient, weyl.enumerate_group, weyl.generator_tables, weyl.simple_reflection)
     for cache in caches:
         cache.cache_clear()
@@ -527,9 +522,10 @@ def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
     for cache in caches:
         cache.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("multiply",))
-    pq, sts = strata.stratify(fix)
-    assert certify_interval([st.dc for st in sts])
-    assert [strata.stratum_json(st) for st in sts]
+    strat = strata.stratify(fix)
+    pq = strat.pq
+    assert certify_interval(pq, [st.members for st in strat.strata])
+    assert [strata.stratum_json(st) for st in strat.strata]
     assert len(seidel.table_rows(fix)) == len(pq.elements)
     for fmt in ("dot", "tikz", "json"):
         assert emit_plain(fix, fmt), fmt
@@ -547,8 +543,9 @@ def test_stratify_makes_no_window_product(monkeypatch):
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("act", "multiply"))
-    pq, sts = strata.stratify(fix)
-    assert len(pq.elements) == 192 and len(sts) == 3
+    strat = strata.stratify(fix)
+    pq = strat.pq
+    assert len(pq.elements) == 192 and len(strat.strata) == 3
     assert counts == {"act": 0, "multiply": 0}, counts
     # the spies are live
     w = pq.elements[1]
@@ -563,8 +560,9 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     # product
     fix = Fixture("B", 6, 5, 1)
     dec = decomp.build_decomposition(fix)
-    roots = {e.root for e in dec.diagram.edges}
-    assert len(dec.diagram.edges) > len(roots)
+    pq = dec.diagram.quotient
+    roots = {c.root for c in pq.covers}
+    assert len(pq.covers) > len(roots)
     cosets.reflection_by_index.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("multiply", "reflection"))
     assert verify._check_chevalley_witnesses(dec)
@@ -572,20 +570,24 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     assert verify._check_chevalley_witnesses(dec)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
     # the spy is live
-    weyl.multiply(dec.pq.elements[1], dec.pq.elements[1])
+    weyl.multiply(pq.elements[1], pq.elements[1])
     assert counts["multiply"] == 1, counts
-    # negative control: one edge retargeted to another class of the same
-    # length fails the check
-    lengths = dec.pq.lengths
-    edges = list(dec.diagram.edges)
+    # negative control: one edge, a cover of X's quotient, retargeted to
+    # another class of the same length fails the check
+    lengths = pq.lengths
+    edges = list(pq.covers)
     for i, e in enumerate(edges):
         same = [k for k, length in enumerate(lengths) if length == lengths[e.w] and k != e.w]
         if same:
             edges[i] = e._replace(w=same[0])
             break
-    assert edges != list(dec.diagram.edges)
-    bad = dec._replace(diagram=dec.diagram._replace(edges=tuple(edges)))
+    assert edges != list(pq.covers)
+    bad = dec._replace(diagram=dec.diagram._replace(quotient=pq._replace(covers=tuple(edges))))
     assert not verify._check_chevalley_witnesses(bad)
+    # and so does the multiplicity of one witness root, one too large
+    r = pq.covers[0].root
+    mult = dec.diagram.mult[:r] + (dec.diagram.mult[r] + 1,) + dec.diagram.mult[r + 1 :]
+    assert not verify._check_chevalley_witnesses(dec._replace(diagram=dec.diagram._replace(mult=mult)))
 
 
 def test_root_tables_match_a_fresh_recomputation():
@@ -607,7 +609,7 @@ def test_quotient_builds_make_no_signed_table(monkeypatch):
     # that each root system builds once, 2 per node for the generators and
     # 1 per node for the simple roots, and make no signed table themselves
     fix = Fixture("B", 6, 5, 1)
-    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix)[1]}, key=sorted)
+    k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix).strata}, key=sorted)
     assert len(k_sets) > 1
     tables = (weyl.generator_tables, cosets.root_tables)
     for cache in (cosets.build_quotient, weyl.enumerate_group) + tables:
@@ -635,7 +637,7 @@ def test_decomposition_enumerates_no_group(monkeypatch):
     cosets.build_quotient.cache_clear()
     monkeypatch.setattr(weyl, "enumerate_group", spy)
     dec = decomp.build_decomposition(fix)
-    assert len(dec.pq.elements) == 192
+    assert len(dec.strat.pq.elements) == 192
     assert sizes and max(sizes) <= 192
 
 
@@ -666,7 +668,7 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     monkeypatch.setattr(weyl, "bruhat_leq", leq_spy)
     monkeypatch.setattr(weyl, "_length", length_spy)
     dec = decomp.build_decomposition(fix)
-    assert certify_interval([st.dc for st in dec.strata])
+    assert certify_interval(dec.strat.pq, [st.members for st in dec.strat.strata])
     assert counts["bruhat_leq"] == 0
     assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
     # the spies are live: a Bruhat comparison reads both lengths
@@ -696,5 +698,6 @@ def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
             assert decomp.emit(dec, fmt) and decomp.emit_plain(fix, fmt), (label, fmt)
     assert calls == []
     # the spy is live
-    assert weyl._length(fix.rs, dec.pq.elements[-1]) == dec.pq.top_degree()
+    pq = dec.strat.pq
+    assert weyl._length(fix.rs, pq.elements[-1]) == pq.top_degree()
     assert len(calls) == 1

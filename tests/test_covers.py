@@ -74,7 +74,7 @@ def test_double_cosets_match_compose_closure():
             cases += [(pq, j_p) for pq in _quotients(t, n) for j_p in subsets(pq.nodes)]
     for pq, j_p in cases:
         dcs = double_cosets(pq, j_p)
-        assert sorted(dc.members for dc in dcs) == compose_closure(pq, j_p), (pq, sorted(j_p))
+        assert sorted(dcs) == compose_closure(pq, j_p), (pq, sorted(j_p))
 
 
 NEGATIVE_CONTROL_FIXTURES = [Fixture("C", 4, 2, 4), Fixture("B", 4, 3, 1), Fixture("B", 6, 5, 1)]
@@ -89,10 +89,10 @@ def test_corrupted_left_entry_fails_certify_interval(fix):
     row = list(pq.left[p])
     row[0] = len(row) - 1
     corrupted = pq._replace(left={**pq.left, p: tuple(row)})
-    assert all(certify_interval([dc]) for dc in double_cosets(pq, fix.j_p))
-    assert not all(certify_interval([dc]) for dc in double_cosets(corrupted, fix.j_p))
-    assert certify_interval(double_cosets(pq, fix.j_p))
-    assert not certify_interval(double_cosets(corrupted, fix.j_p))
+    assert all(certify_interval(pq, [dc]) for dc in double_cosets(pq, fix.j_p))
+    assert not all(certify_interval(corrupted, [dc]) for dc in double_cosets(corrupted, fix.j_p))
+    assert certify_interval(pq, double_cosets(pq, fix.j_p))
+    assert not certify_interval(corrupted, double_cosets(corrupted, fix.j_p))
 
 
 def _checks_with_quotient(monkeypatch, fix, pq):
@@ -115,7 +115,7 @@ def test_dropped_cover_fails_decomposition_check(monkeypatch, fix):
     # a cover inside a stratum: the stratum's edges no longer match its flag diagram
     pq = build_quotient(fix.rs, fix.j_q)
     assert _checks_with_quotient(monkeypatch, fix, pq) == []
-    stratum_of = {k: si for si, st in enumerate(strata.stratify(fix)[1]) for k in st.dc.members}
+    stratum_of = strata.stratify(fix).stratum_of
     dropped = next(c for c in pq.covers if stratum_of[c.u] == stratum_of[c.w])
     corrupted = pq._replace(covers=tuple(c for c in pq.covers if c != dropped))
     assert "decomposition" in _checks_with_quotient(monkeypatch, fix, corrupted)

@@ -29,29 +29,33 @@ FIXTURES = [
 ]
 
 
+def edges(diagram):
+    """The diagram's edges as (u, w, mult): each cover of its quotient,
+    with the multiplicity of its witness root."""
+    return tuple((u, w, diagram.mult[r]) for u, w, r in diagram.quotient.covers)
+
+
 def computed_graph(fix):
     dec = build_decomposition(fix)
-    vertices = tuple(
-        (length, dec.strata[dec.vertex_stratum[k]].delta)
-        for k, length in enumerate(dec.pq.lengths)
-    )
-    edges = tuple((e.u, e.w, e.mult) for e in dec.diagram.edges)
-    return graphiso.ColoredGraph(vertices, edges)
+    sts, vs = dec.strat.strata, dec.strat.stratum_of
+    vertices = tuple((length, sts[vs[k]].delta) for k, length in enumerate(dec.strat.pq.lengths))
+    return graphiso.ColoredGraph(vertices, edges(dec.diagram))
 
 
 def test_phi_endpoints_and_bijection():
     for fix in FIXTURES:
-        pq, sts = strata.stratify(fix)
-        for st in sts:
+        strat = strata.stratify(fix)
+        pq = strat.pq
+        for st in strat.strata:
             fq, images = phi_map(st)
             # the identity goes to w_min and the top to w_max, the first and
             # last member
-            assert images[0] == st.dc.members[0]
-            assert images[-1] == st.dc.members[-1]
-            shift = weyl._length(fix.rs, pq.elements[st.dc.members[0]])
+            assert images[0] == st.members[0]
+            assert images[-1] == st.members[-1]
+            shift = weyl._length(fix.rs, pq.elements[st.members[0]])
             for u, image_idx in zip(fq.elements, images):
                 assert weyl._length(fix.rs, pq.elements[image_idx]) == weyl._length(fix.rs, u) + shift
-            assert sorted(images) == list(st.dc.members)
+            assert sorted(images) == list(st.members)
 
 
 def test_cell_map_errors_name_the_class_in_full(monkeypatch):
@@ -59,14 +63,14 @@ def test_cell_map_errors_name_the_class_in_full(monkeypatch):
     # stratum's flag quotient listing the middle stratum's first windows:
     # the closed stratum's w_min is the identity, so each image is its own
     # source, outside the stratum
-    _, sts = strata.stratify(Fixture("C", 4, 2, 4))
+    sts = strata.stratify(Fixture("C", 4, 2, 4)).strata
     closed, middle = sts[:2]
     real = decomp.flag_quotient
 
     def foreign(stratum):
         fq = real(stratum)
-        windows = stratum.dc.pq.elements
-        return fq._replace(elements=tuple(windows[k] for k in middle.dc.members[: len(fq.elements)]))
+        windows = stratum.pq.elements
+        return fq._replace(elements=tuple(windows[k] for k in middle.members[: len(fq.elements)]))
 
     monkeypatch.setattr(decomp, "flag_quotient", foreign)
     with pytest.raises(decomp.DecompositionError) as refused:
@@ -131,35 +135,31 @@ def test_scale_two_exactly_on_odd_orthogonal_middles(sweep_reports):
 def test_cross_edges_increase_delta():
     for fix in FIXTURES:
         dec = build_decomposition(fix)
-        for e in dec.cross_edges:
-            du = dec.strata[dec.vertex_stratum[e.u]].delta
-            dw = dec.strata[dec.vertex_stratum[e.w]].delta
-            assert dw > du
+        sts, vs = dec.strat.strata, dec.strat.stratum_of
+        for u, w, _ in dec.cross_edges:
+            assert sts[vs[w]].delta > sts[vs[u]].delta
 
 
 def test_h_prime_matches_bottom_edges():
     # the first layer of edges out of w_min recovers the h' coefficients
     for fix in FIXTURES:
         dec = build_decomposition(fix)
+        vs = dec.strat.stratum_of
         for comp in dec.comparisons:
             st = comp.stratum
             weight = strata.h_prime_of(st)
-            scale = comp.scale
+            scale = st.scale
             if not weight:
                 continue
-            base = st.dc.members[0]
-            x_out = {
-                e.w: e.mult
-                for e in dec.diagram.edges
-                if e.u == base and dec.vertex_stratum[e.w] == dec.vertex_stratum[base]
-            }
+            base = st.members[0]
+            x_out = {w: mult for u, w, mult in edges(dec.diagram) if u == base and vs[w] == vs[base]}
             fq = comp.flag_quotient
             derived = {}
-            for e in comp.flag_diagram.edges:
-                if e.u == 0:
-                    root_support = fq.rs.root_support[e.root]
+            for u, w, r in fq.covers:
+                if u == 0:
+                    root_support = fq.rs.root_support[r]
                     (node,) = tuple(root_support)
-                    derived[node] = x_out[comp.phi[e.w]] // scale
+                    derived[node] = x_out[comp.phi[w]] // scale
             assert derived == weight
 
 
@@ -247,14 +247,13 @@ def rescan_mismatches(dec, si):
     edges found by a scan of all of X's edges, and every key of either side
     compared in sorted order, the path `build_decomposition` replaced; each
     edge is named by the windows of its ends."""
-    comp, vs, windows = dec.comparisons[si], dec.vertex_stratum, dec.pq.elements
-    x_edges = {
-        (e.u, e.w): e.mult for e in dec.diagram.edges if vs[e.u] == si and vs[e.w] == si
-    }
+    comp, vs, windows = dec.comparisons[si], dec.strat.stratum_of, dec.strat.pq.elements
+    x_edges = {(u, w): mult for u, w, mult in edges(dec.diagram) if vs[u] == si and vs[w] == si}
     flag_edges = {}
     if comp.flag_diagram is not None:
+        scale = comp.stratum.scale
         flag_edges = {
-            (comp.phi[e.u], comp.phi[e.w]): e.mult * comp.scale for e in comp.flag_diagram.edges
+            (comp.phi[u], comp.phi[w]): mult * scale for u, w, mult in edges(comp.flag_diagram)
         }
     out = []
     for key in sorted(set(flag_edges) | set(x_edges)):
@@ -266,11 +265,11 @@ def rescan_mismatches(dec, si):
 
 
 def _assert_matches_rescan(dec):
-    vs = dec.vertex_stratum
-    assert dec.cross_edges == tuple(e for e in dec.diagram.edges if vs[e.u] != vs[e.w])
+    vs = dec.strat.stratum_of
+    covers = dec.diagram.quotient.covers
+    assert dec.cross_edges == tuple(c for c in covers if vs[c.u] != vs[c.w])
     for si, comp in enumerate(dec.comparisons):
         assert comp.mismatches == rescan_mismatches(dec, si), (dec.fixture.label, si)
-        assert comp.edges_match == (not comp.mismatches)
 
 
 def test_edge_buckets_match_rescan_oracle(monkeypatch):
@@ -285,10 +284,14 @@ def _corrupted_decomposition(monkeypatch, fix):
     """The decomposition of `fix` with X's own diagram corrupted inside
     `build_decomposition`: in the middle stratum, the last within-stratum
     edge gets multiplicity + 1 and the first is dropped, and the first
-    cross-stratum edge gets multiplicity + 1.
-    Returns the decomposition and the three edges as they were."""
-    pq, sts = strata.stratify(fix)
-    stratum_of = {k: si for si, st in enumerate(sts) for k in st.dc.members}
+    cross-stratum edge gets multiplicity + 1.  The edges are the covers of
+    the diagram's quotient, so the corrupted diagram holds a copy of the
+    quotient without the dropped cover, in which each raised cover has a
+    witness index of its own past the positive roots.
+    Returns the decomposition, and the three covers as they were with the
+    true multiplicities."""
+    strat = strata.stratify(fix)
+    pq, stratum_of = strat.pq, strat.stratum_of
     real = hasse.build_hasse
     picked = {}
 
@@ -296,16 +299,17 @@ def _corrupted_decomposition(monkeypatch, fix):
         diagram = real(quotient, weight)
         if quotient is not pq:
             return diagram  # a flag diagram
-        edges = list(diagram.edges)
-        si = len(sts) // 2
-        within = [e for e in edges if stratum_of[e.u] == stratum_of[e.w] == si]
+        covers, mult = list(pq.covers), list(diagram.mult)
+        si = len(strat.strata) // 2
+        within = [c for c in covers if stratum_of[c.u] == stratum_of[c.w] == si]
         dropped, raised = within[0], within[-1]
-        crossed = next(e for e in edges if stratum_of[e.u] != stratum_of[e.w])
-        picked.update(si=si, dropped=dropped, raised=raised, crossed=crossed)
-        edges.remove(dropped)
-        for e in (raised, crossed):
-            edges[edges.index(e)] = e._replace(mult=e.mult + 1)
-        return hasse.HasseDiagram(quotient, diagram.weight, tuple(edges))
+        crossed = next(c for c in covers if stratum_of[c.u] != stratum_of[c.w])
+        picked.update(si=si, dropped=dropped, raised=raised, crossed=crossed, mult=diagram.mult)
+        covers.remove(dropped)
+        for c in (raised, crossed):
+            covers[covers.index(c)] = c._replace(root=len(mult))
+            mult.append(diagram.mult[c.root] + 1)
+        return diagram._replace(quotient=pq._replace(covers=tuple(covers)), mult=tuple(mult))
 
     monkeypatch.setattr(hasse, "build_hasse", corrupted)
     dec = build_decomposition(fix)
@@ -317,30 +321,29 @@ def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
     fix = parse_fixture(label)
     dec, picked = _corrupted_decomposition(monkeypatch, fix)
     si, dropped, raised, crossed = (picked[k] for k in ("si", "dropped", "raised", "crossed"))
+    mult = picked["mult"]
     assert dropped < raised
     if label == "B4/P3+P1":
-        assert dec.comparisons[si].scale == 2  # the doubled middle stratum
+        assert dec.comparisons[si].stratum.scale == 2  # the doubled middle stratum
     # the dropped edge sorts first; the cross-stratum edge is in no stratum;
     # both ends of each are named by window
-    name = {k: weyl.window_str(x) for k, x in enumerate(dec.pq.elements)}
+    name = {k: weyl.window_str(x) for k, x in enumerate(dec.strat.pq.elements)}
     expected = (
         "edge %s->%s: diagram mult None, flag mult (scaled) %d"
-        % (name[dropped.u], name[dropped.w], dropped.mult),
+        % (name[dropped.u], name[dropped.w], mult[dropped.root]),
         "edge %s->%s: diagram mult %d, flag mult (scaled) %d"
-        % (name[raised.u], name[raised.w], raised.mult + 1, raised.mult),
+        % (name[raised.u], name[raised.w], mult[raised.root] + 1, mult[raised.root]),
     )
     for sj, comp in enumerate(dec.comparisons):
-        if sj == si:
-            assert not comp.edges_match
-            assert comp.mismatches == expected
-        else:
-            assert comp.edges_match
-            assert comp.mismatches == ()
-    assert dec.vertex_stratum[crossed.u] != dec.vertex_stratum[crossed.w]
-    assert not decomposition_report(dec)["all_pass"]
+        assert comp.mismatches == (expected if sj == si else ())
+    assert dec.strat.stratum_of[crossed.u] != dec.strat.stratum_of[crossed.w]
+    assert (crossed.u, crossed.w) in [(u, w) for u, w, _ in dec.cross_edges]
+    report = decomposition_report(dec)
+    assert not report["all_pass"]
+    assert [s["pass"] for s in report["strata"]] == [sj != si for sj in range(len(dec.comparisons))]
     # the witness is the first mismatch of the first failing stratum, and
     # `parorbits diagram` names it on its one error line
-    witness = "stratum delta=%d, %s" % (dec.strata[si].delta, expected[0])
+    witness = "stratum delta=%d, %s" % (dec.strat.strata[si].delta, expected[0])
     assert dec.witness() == witness
     argv = ["diagram", "--type", fix.type_label, "--rank", str(fix.rank)]
     argv += ["--grassmannian", str(fix.q_node), "--cominuscule", str(fix.p_node)]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +10,7 @@ from parorbits import fixtures as fixtures_module
 from parorbits.cosets import build_quotient
 from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
-from parorbits.hasse import Edge, HasseError, build_hasse
+from parorbits.hasse import HasseError, build_hasse
 from parorbits.rootsys import build
 
 FIXTURES = [
@@ -30,8 +31,14 @@ def _diagram(fix):
     return pq, build_hasse(pq, {fix.q_node: 1})
 
 
+def edges(diagram):
+    """The diagram's edges as (u, w, mult, root): each cover of its
+    quotient, with the multiplicity of its witness root."""
+    return [(u, w, diagram.mult[r], r) for u, w, r in diagram.quotient.covers]
+
+
 def total_multiplicity(diagram):
-    return sum(e.mult for e in diagram.edges)
+    return sum(mult for _, _, mult, _ in edges(diagram))
 
 
 def weighted_path_count(diagram, reverse=False):
@@ -45,16 +52,16 @@ def weighted_path_count(diagram, reverse=False):
     if not reverse:
         counts[0] = 1
         incoming = {}
-        for e in diagram.edges:
-            incoming.setdefault(e.w, []).append((e.u, e.mult))
+        for u, w, mult, _ in edges(diagram):
+            incoming.setdefault(w, []).append((u, mult))
         for k in range(n):
             for u, mult in incoming.get(k, []):
                 counts[k] += counts[u] * mult
         return counts[n - 1]
     counts[n - 1] = 1
     outgoing = {}
-    for e in diagram.edges:
-        outgoing.setdefault(e.u, []).append((e.w, e.mult))
+    for u, w, mult, _ in edges(diagram):
+        outgoing.setdefault(u, []).append((w, mult))
     for k in range(n - 1, -1, -1):
         for w, mult in outgoing.get(k, []):
             counts[k] += counts[w] * mult
@@ -64,28 +71,28 @@ def weighted_path_count(diagram, reverse=False):
 def test_projective_space_chain():
     pq, hd = _diagram(Fixture("A", 3, 1, 1))
     assert len(pq.elements) == 4
-    assert [e.mult for e in hd.edges] == [1, 1, 1]
-    assert [(e.u, e.w) for e in hd.edges] == [(0, 1), (1, 2), (2, 3)]
+    assert [mult for _, _, mult, _ in edges(hd)] == [1, 1, 1]
+    assert [(u, w) for u, w, _, _ in edges(hd)] == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_g24_diagram():
     pq, hd = _diagram(Fixture("A", 3, 2, 2))
-    assert len(hd.edges) == 6
-    assert all(e.mult == 1 for e in hd.edges)
+    assert len(edges(hd)) == 6
+    assert all(mult == 1 for _, _, mult, _ in edges(hd))
 
 
 def test_ig28_edge_profile():
     pq, hd = _diagram(Fixture("C", 4, 2, 4))
     assert len(pq.elements) == 24
-    assert len(hd.edges) == 37 and total_multiplicity(hd) == 40
-    doubles = [(pq.lengths[e.u], pq.lengths[e.w]) for e in hd.edges if e.mult == 2]
+    assert len(edges(hd)) == 37 and total_multiplicity(hd) == 40
+    doubles = [(pq.lengths[u], pq.lengths[w]) for u, w, mult, _ in edges(hd) if mult == 2]
     assert doubles == [(5, 6)] * 3
 
 
 def test_og39_edge_profile():
     pq, hd = _diagram(Fixture("B", 4, 3, 1))
     assert len(pq.elements) == 32
-    assert len(hd.edges) == 58 and total_multiplicity(hd) == 82
+    assert len(edges(hd)) == 58 and total_multiplicity(hd) == 82
 
 
 def test_poincare_polys():
@@ -101,7 +108,7 @@ def test_poincare_polys():
 def test_chevalley_edges_single_vertex():
     pq = build_quotient(build("A", 3), frozenset({1, 3}))
     hd = build_hasse(pq, {2: 1})
-    assert [(e.w, e.mult) for e in hd.edges if e.u == 0] == [(1, 1)]
+    assert [(w, mult) for u, w, mult, _ in edges(hd) if u == 0] == [(1, 1)]
 
 
 def test_weight_validation():
@@ -112,22 +119,47 @@ def test_weight_validation():
         build_hasse(pq, {})
     with pytest.raises(HasseError):
         build_hasse(pq, {2: -1})
+    with pytest.raises(HasseError, match=re.escape("[2, 5] is not the node set less Delta(Q), [2]")):
+        build_hasse(pq, {2: 1, 5: 1})  # a node outside the node set
+    # the support must be every node outside Delta(Q): in A3 with J_Q = {1},
+    # weight on node 2 alone leaves the cover e -> s_3 without an edge
+    p3 = build_quotient(build("A", 3), frozenset({1}))
+    with pytest.raises(HasseError, match=re.escape("[2] is not the node set less Delta(Q), [2, 3]")):
+        build_hasse(p3, {2: 1})
+    hd = build_hasse(p3, {2: 1, 3: 1})
+    assert hd.weight == ((2, 1), (3, 1)) and all(mult > 0 for _, _, mult, _ in edges(hd))
+
+
+def test_cover_with_witness_inside_phi_q_is_refused():
+    # negative control for the positivity certificate: a cover whose witness
+    # is moved to a root of Phi_Q pairs to 0 with the weight
+    pq = build_quotient(build("C", 4), frozenset({1, 3, 4}))
+    inside = next(r for r, support in enumerate(pq.rs.root_support) if support <= pq.j_q)
+    k = len(pq.covers) // 2
+    u, w, _ = pq.covers[k]
+    bad = pq.covers[k]._replace(root=inside)
+    corrupted = pq._replace(covers=pq.covers[:k] + (bad,) + pq.covers[k + 1 :])
+    assert build_hasse(pq, {2: 1}).mult[pq.covers[k].root] > 0
+    names = (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]))
+    with pytest.raises(HasseError, match=re.escape("cover %s -> %s has multiplicity 0" % names)):
+        build_hasse(corrupted, {2: 1})
 
 
 def test_multiplicity_recomputation_from_witnesses():
     for fix in FIXTURES:
         pq, hd = _diagram(fix)
-        for e in hd.edges:
-            s = cosets.reflection_by_index(pq.rs, e.root)
-            assert weyl.multiply(pq.elements[e.u], s) == pq.elements[e.w]
-            assert hasse.pairing_with_coroot(pq, hd.weight, e.root) == e.mult
+        for u, w, mult, r in edges(hd):
+            s = cosets.reflection_by_index(pq.rs, r)
+            assert weyl.multiply(pq.elements[u], s) == pq.elements[w]
+            assert hasse.pairing_with_coroot(pq, hd.weight, r) == mult
 
 
 def _per_root_edges(pq, weight):
     """The edges by the path `build_hasse` replaced: `pairing_with_coroot`
-    once per positive root, then a sort."""
+    once per positive root, the covers of positive multiplicity, then a
+    sort; as (u, w, mult) triples."""
     mults = [hasse.pairing_with_coroot(pq, weight, r) for r in range(len(pq.rs.positive_roots))]
-    return tuple(sorted(Edge(c.u, c.w, mults[c.root], c.root) for c in pq.covers if mults[c.root] > 0))
+    return sorted((c.u, c.w, mults[c.root]) for c in pq.covers if mults[c.root] > 0)
 
 
 def _check_every_diagram(fix):
@@ -136,9 +168,9 @@ def _check_every_diagram(fix):
     dec = decomp.build_decomposition(fix)
     flags = [c.flag_diagram for c in dec.comparisons if c.flag_diagram is not None]
     for hd in [dec.diagram] + flags:
-        keys = [(e.u, e.w) for e in hd.edges]
-        assert all(a < b for a, b in zip(keys, keys[1:])), (fix.label, hd.weight)
-        assert hd.edges == _per_root_edges(hd.quotient, hd.weight), (fix.label, hd.weight)
+        triples = [(u, w, mult) for u, w, mult, _ in edges(hd)]
+        assert all(a[:2] < b[:2] for a, b in zip(triples, triples[1:])), (fix.label, hd.weight)
+        assert triples == _per_root_edges(hd.quotient, hd.weight), (fix.label, hd.weight)
     return len(flags)
 
 
@@ -161,7 +193,7 @@ def test_type_a_diagrams_are_multiplicity_free():
         for q in range(1, n + 1):
             pq = build_quotient(rs, frozenset(rs.nodes) - {q})
             hd = build_hasse(pq, {q: 1})
-            assert all(e.mult == 1 for e in hd.edges)
+            assert all(mult == 1 for _, _, mult, _ in edges(hd))
 
 
 def test_path_count_self_duality():
@@ -196,7 +228,7 @@ def test_levi_flag_diagram():
     c4 = build("C", 4)
     fq = build_quotient(c4, frozenset({2}), frozenset({1, 2, 3}))
     hd = build_hasse(fq, {1: 1, 3: 1})
-    doubles = [(fq.lengths[e.u], fq.lengths[e.w]) for e in hd.edges if e.mult == 2]
+    doubles = [(fq.lengths[u], fq.lengths[w]) for u, w, mult, _ in edges(hd) if mult == 2]
     assert doubles == [(2, 3)] * 3
     assert weighted_path_count(hd) == weighted_path_count(hd, reverse=True)
 

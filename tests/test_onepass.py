@@ -28,9 +28,9 @@ def test_one_pass_matches_oracle_on_maximal_quotients(t):
 def test_one_pass_matches_oracle_on_flag_quotients_of_the_sweep():
     # every flag quotient (rs, K, J_P) of the fixtures of rank <= 5
     keys = {
-        (fix.rs, frozenset(st.K), frozenset(st.dc.j_p))
+        (fix.rs, frozenset(st.K), fix.j_p)
         for fix in sweep_fixtures(5, 5, 5, 5)
-        for st in strata.stratify(fix)[1]
+        for st in strata.stratify(fix).strata
     }
     assert len(keys) > 100
     for rs, k_set, j_p in keys:
@@ -94,7 +94,7 @@ def test_benchmark_contract_sizes_and_caches():
     # inspects both caches by these names
     for fix in sweep_fixtures(3, 3, 3, 3):
         for nodes, j_set in [(None, fix.j_q)] + [
-            (frozenset(st.dc.j_p), frozenset(st.K)) for st in strata.stratify(fix)[1]
+            (fix.j_p, frozenset(st.K)) for st in strata.stratify(fix).strata
         ]:
             pq = build_quotient(fix.rs, j_set, nodes)
             assert len(weyl.enumerate_group(fix.rs, pq.nodes, j_set)) == len(pq.elements)

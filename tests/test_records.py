@@ -22,37 +22,31 @@ FIELDS = {
         "root_support",
     ),
     "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
-    "DoubleCoset": ("pq", "j_p", "members"),
-    "HasseDiagram": ("quotient", "weight", "edges"),
+    "HasseDiagram": ("quotient", "weight", "mult"),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
     "FlagDescriptor": ("components", "marked_ambient", "dim"),
-    "OrbitStratum": ("fixture", "dc", "delta", "d_geom", "K", "flag", "fiber_dim", "doubling"),
-    "StratumComparison": (
-        "stratum",
-        "flag_quotient",
-        "flag_diagram",
-        "phi",
-        "scale",
-        "edges_match",
-        "mismatches",
-    ),
-    "DecomposedDiagram": (
+    "OrbitStratum": (
         "fixture",
         "pq",
-        "diagram",
-        "strata",
-        "vertex_stratum",
-        "cross_edges",
-        "comparisons",
+        "members",
+        "delta",
+        "d_geom",
+        "K",
+        "flag",
+        "fiber_dim",
+        "doubling",
     ),
+    "Stratification": ("pq", "strata", "stratum_of", "delta"),
+    "StratumComparison": ("stratum", "flag_quotient", "flag_diagram", "phi", "mismatches"),
+    "DecomposedDiagram": ("fixture", "strat", "diagram", "cross_edges", "comparisons"),
     "Fixture": ("type_label", "rank", "q_node", "p_node", "rs"),
 }
 
 IDENTITY = (
     "ParabolicQuotient",
-    "DoubleCoset",
     "HasseDiagram",
     "OrbitStratum",
+    "Stratification",
     "StratumComparison",
     "DecomposedDiagram",
 )
@@ -64,15 +58,15 @@ NAMED_TUPLES = ("RootSystem",) + IDENTITY + VALUE
 def records():
     fix = Fixture("C", 4, 2, 4)
     dec = decomp.build_decomposition(fix)
-    stratum = dec.strata[1]
+    stratum = dec.strat.strata[1]
     found = {
         "RootSystem": fix.rs,
-        "ParabolicQuotient": dec.pq,
-        "DoubleCoset": stratum.dc,
+        "ParabolicQuotient": dec.strat.pq,
         "HasseDiagram": dec.diagram,
         "FlagComponent": stratum.flag.components[0],
         "FlagDescriptor": stratum.flag,
         "OrbitStratum": stratum,
+        "Stratification": dec.strat,
         "StratumComparison": dec.comparisons[1],
         "DecomposedDiagram": dec,
         "Fixture": fix,

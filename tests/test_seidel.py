@@ -34,9 +34,10 @@ FIXTURES = [
 
 
 def _table(fix):
-    """Quotient of the fixture with its Seidel table (perm, qexp)."""
-    pq, sts = strata.stratify(fix)
-    return (pq, *seidel_table(pq, sts, v_elt(fix.rs, fix.p_node)))
+    """Quotient of the fixture with its Seidel table perm and the
+    q-exponents, each class's delta from the stratification."""
+    strat = strata.stratify(fix)
+    return strat.pq, seidel_table(strat, v_elt(fix.rs, fix.p_node)), strat.delta
 
 
 def test_v_elt_examples():
@@ -191,7 +192,8 @@ def test_seidel_table_strips_no_descents(monkeypatch):
     fix = Fixture("C", 5, 2, 5)
     for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
         cache.cache_clear()
-    pq, sts = strata.stratify(fix)
+    strat = strata.stratify(fix)
+    pq = strat.pq
     v = v_elt(fix.rs, fix.p_node)
     calls, products = [], []
     for name, log in (
@@ -211,7 +213,7 @@ def test_seidel_table_strips_no_descents(monkeypatch):
     # class; the product spies are live, as the path above calls both
     assert set(products) == {"min_rep", "multiply"}
     products.clear()
-    perm, _ = seidel_table(pq, sts, v)
+    perm = seidel_table(strat, v)
     v_length = weyl._length(fix.rs, v)
     assert list(perm) == images and products == ["multiply"] * v_length
     assert v_length < len(images)

@@ -110,7 +110,8 @@ def test_d_range_counts():
 
 def test_stratum_count_matches_strata():
     for fix in sweep_fixtures(4, 4, 4, 4):
-        pq, sts = stratify(fix)
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
         assert len(sts) == stratum_count(fix)
         assert sorted(st.delta for st in sts) == list(range(len(sts)))
 
@@ -141,11 +142,12 @@ def test_case_analysis_at_rank_6_and_A7():
     fixtures = [fix for fix in sweep_fixtures(7, 6, 6, 6) if fix.rank > 5]
     assert len(fixtures) == 112
     for fix in fixtures:
-        pq, sts = stratify(fix)
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
         assert len(sts) == stratum_count(fix), fix.label
         for st in sts:
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom), (fix.label, st.delta)
-            for k in st.dc.members:
+            for k in st.members:
                 assert d_of(fix, pq.elements[k]) == st.delta, (fix.label, k)
 
 def test_expected_fiber_dims():
@@ -163,15 +165,16 @@ def test_expected_fiber_dims():
 
 def test_dimension_ledger_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
-        pq, sts = stratify(fix)
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
         ends = []  # the lengths of each stratum's w_min and w_max
         for st in sts:
-            low, high = (weyl._length(fix.rs, pq.elements[k]) for k in (st.dc.members[0], st.dc.members[-1]))
+            low, high = (weyl._length(fix.rs, pq.elements[k]) for k in (st.members[0], st.members[-1]))
             ends.append((low, high))
             assert st.fiber_dim == low
             assert st.fiber_dim == expected_fiber_dim(fix, st.d_geom)
             assert high - low == st.flag.dim
-            fq = cosets.build_quotient(fix.rs, st.K, frozenset(st.dc.j_p))
+            fq = cosets.build_quotient(fix.rs, st.K, fix.j_p)
             assert len(fq.elements) == st.size
         # the open stratum reaches the top cell, the closed one starts at 0
         assert ends[-1][1] == pq.top_degree()
@@ -180,17 +183,17 @@ def test_dimension_ledger_small():
 
 def test_K_and_flag_examples():
     g24 = Fixture("A", 3, 2, 2)
-    _, sts = stratify(g24)
+    sts = stratify(g24).strata
     assert sorted(sts[0].K) == [1, 3] and sts[0].flag.label == "pt"
     ig = Fixture("C", 4, 2, 4)
-    _, ig_sts = stratify(ig)
+    ig_sts = stratify(ig).strata
     assert [st.flag.label for st in ig_sts] == ["G(2,4)", "F(1,3;4)", "G(2,4)"]
     # the two-step flag F(1,3;4) carries the middle stratum (the middle
     # color class of the reference diagram); its marked Levi nodes are 1 and 3
     middle = ig_sts[1]
     assert sorted(middle.K) == [2] and middle.flag.marked_ambient == (1, 3)
     og = Fixture("B", 4, 3, 1)
-    _, og_sts = stratify(og)
+    og_sts = stratify(og).strata
     assert [st.flag.label for st in og_sts] == ["OG(2,7)", "OG(3,7)", "OG(2,7)"]
     assert og_sts[1].flag.components[0].type_label == "B"
 
@@ -200,27 +203,47 @@ def test_K_and_delta_match_root_vector_scans():
     # roots, and delta's signed-table read of w^-1 against w^-1 acting on
     # the doubled coweight
     for fix in sweep_fixtures(5, 5, 5, 5) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]:
-        pq, sts = stratify(fix)
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
         deltas = delta(fix, pq)
         omega2 = fix.rs.double_coweight(fix.p_node)
         for st in sts:
-            assert st.K == K_of(st.dc) == k_by_root_scan(st.dc), (fix.label, st.delta)
-            for k in st.dc.members:
+            w_min = st.members[0]
+            assert st.K == K_of(pq, fix.j_p, w_min) == k_by_root_scan(pq, fix.j_p, w_min), (fix.label, st.delta)
+            for k in st.members:
                 w = pq.elements[k]
                 moved = weyl.act(inverse(w), omega2)
                 twice = eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
                 assert 2 * deltas[k] == twice, (fix.label, w)
 
 
+def test_stratification_labels_match_the_loops_they_replace():
+    # every fixture of rank <= 6 and A7: each class's stratum index against
+    # the member-to-stratum fill that `build_decomposition` and
+    # `seidel_table` ran, its delta against the per-class oracle, and the
+    # delta of its stratum against its own
+    for fix in sweep_fixtures(7, 6, 6, 6):
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
+        fill = [-1] * len(pq.elements)
+        for si, st in enumerate(sts):
+            for k in st.members:
+                fill[k] = si
+        assert strat.stratum_of == tuple(fill), fix.label
+        assert strat.delta == tuple(oracle_delta(fix, w) for w in pq.elements), fix.label
+        assert all(sts[si].delta == d for si, d in zip(strat.stratum_of, strat.delta)), fix.label
+
+
 def test_delta_constant_and_monotone_small():
     for fix in sweep_fixtures(4, 4, 4, 4):
-        pq, sts = stratify(fix)
+        strat = stratify(fix)
+        pq, sts = strat.pq, strat.strata
         deltas = delta(fix, pq)
         label = {}
         for st in sts:
-            for k in st.dc.members:
+            for k in st.members:
                 label[k] = st.delta
-            assert {deltas[k] for k in st.dc.members} == {st.delta}
+            assert {deltas[k] for k in st.members} == {st.delta}
         for c in pq.covers:
             if label[c.u] != label[c.w]:
                 assert label[c.w] > label[c.u]
@@ -228,26 +251,26 @@ def test_delta_constant_and_monotone_small():
 
 def test_h_prime():
     ig = Fixture("C", 4, 2, 4)
-    _, ig_sts = stratify(ig)
+    ig_sts = stratify(ig).strata
     # the weight alone: the doubling flag is the stratum's own field
     assert h_prime_of(ig_sts[1]) == {1: 1, 3: 1} and not ig_sts[1].doubling
     assert h_prime_of(ig_sts[2]) == {2: 1}
     og = Fixture("B", 4, 3, 1)
-    _, og_sts = stratify(og)
+    og_sts = stratify(og).strata
     assert h_prime_of(og_sts[1]) == {4: 1} and og_sts[1].doubling  # spinor node of the B3 Levi
     g24 = Fixture("A", 3, 2, 2)
-    _, g_sts = stratify(g24)
+    g_sts = stratify(g24).strata
     assert h_prime_of(g_sts[0]) == {} and not g_sts[0].doubling
     # Lagrangian degeneration: both flag steps coincide, coefficient 2
     lg = Fixture("C", 4, 4, 4)
-    _, lg_sts = stratify(lg)
+    lg_sts = stratify(lg).strata
     assert set(h_prime_of(lg_sts[1]).values()) == {2} and not lg_sts[1].doubling
 
 
 def test_doubling_flag_localized():
     seen = []
     for fix in sweep_fixtures(4, 4, 4, 4):
-        _, sts = stratify(fix)
+        sts = stratify(fix).strata
         for st in sts:
             if st.doubling:
                 seen.append((fix.label, st.delta))
@@ -256,7 +279,7 @@ def test_doubling_flag_localized():
 
 def test_stratum_json_schema():
     ig = Fixture("C", 4, 2, 4)
-    _, sts = stratify(ig)
+    sts = stratify(ig).strata
     payload = stratum_json(sts[1])
     assert set(payload) == {
         "delta", "w_min", "w_max", "size", "K", "flag", "fiber_dim", "doubling",
@@ -309,7 +332,7 @@ def test_flag_names_golden():
     fixtures = sweep_fixtures(7, 6, 6, 6)
     count = 0
     for fix in fixtures:
-        for st in stratify(fix)[1]:
+        for st in stratify(fix).strata:
             digest.update(json.dumps(stratum_json(st)["flag"], sort_keys=True).encode() + b"\n")
             count += 1
     assert (len(fixtures), count) == (216, 587)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from math import factorial
@@ -7,16 +8,29 @@ import pytest
 from parorbits import cli, cosets, decomp, hasse, rootsys, seidel, strata, verify, weyl
 from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
+from parorbits.jsontext import indented
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from cases import d_of, expected_fiber_dim
 from exponents import bumped_delta
 
 
+#: size and SHA-256 of the stdout of `parorbits verify` at the default caps,
+#: as `bench/expected.json` records it; an output change re-records both
+VERIFY_STDOUT = (146875, "aaf37ca7607371757337498a1f26bb0276c74f487d09d653ec69764ea31543ce")
+
+
+def test_verify_stdout_is_pinned(sweep_reports):
+    # the sweep fixture has built every quotient of the default caps, so
+    # this run reads them from the caches
+    data = (indented(verify.run_verify()) + "\n").encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == VERIFY_STDOUT
+
+
 def test_perturbed_delta_on_one_member_fails(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
-    pq, sts = strata.stratify(fix)
-    target = next(st for st in sts if st.size > 1).dc.members[-1]
+    sts = strata.stratify(fix).strata
+    target = next(st for st in sts if st.size > 1).members[-1]
     monkeypatch.setattr(strata, "delta", bumped_delta(strata.delta, target))
     with pytest.raises(strata.StrataError, match="not constant"):
         verify.verify_fixture(fix)
@@ -27,10 +41,9 @@ def test_swapped_seidel_images_fail_composition(monkeypatch):
     real_table = seidel.seidel_table
 
     def swapped(*args):
-        perm, qexp = real_table(*args)
-        perm = list(perm)
+        perm = list(real_table(*args))
         perm[0], perm[1] = perm[1], perm[0]
-        return tuple(perm), qexp
+        return tuple(perm)
 
     monkeypatch.setattr(seidel, "seidel_table", swapped)
     report = verify.verify_fixture(fix)
@@ -47,8 +60,8 @@ def test_merged_seidel_images_fail_finite_order(monkeypatch):
     real_table = seidel.seidel_table
 
     def merged(*args):
-        perm, qexp = real_table(*args)
-        return (perm[1],) + perm[1:], qexp
+        perm = real_table(*args)
+        return (perm[1],) + perm[1:]
 
     monkeypatch.setattr(seidel, "seidel_table", merged)
     checks = verify.verify_fixture(fix)["checks"]
@@ -57,14 +70,15 @@ def test_merged_seidel_images_fail_finite_order(monkeypatch):
 
 
 def test_bumped_q_exponent_fails_degree_bookkeeping(monkeypatch):
+    # the q-exponents are the stratification's per-class delta
     fix = Fixture("C", 4, 2, 4)
-    real_table = seidel.seidel_table
+    real_stratify = strata.stratify
 
     def bumped(*args):
-        perm, qexp = real_table(*args)
-        return perm, (qexp[0] + 1,) + qexp[1:]
+        strat = real_stratify(*args)
+        return strat._replace(delta=(strat.delta[0] + 1,) + strat.delta[1:])
 
-    monkeypatch.setattr(seidel, "seidel_table", bumped)
+    monkeypatch.setattr(strata, "stratify", bumped)
     report = verify.verify_fixture(fix)
     assert not report["checks"]["seidel_degree_bookkeeping"]
     assert not report["pass"]
@@ -141,8 +155,7 @@ def _cold_pipeline(fix):
         cache.cache_clear()
     dec = decomp.build_decomposition(fix)
     v = seidel.v_elt(fix.rs, fix.p_node)
-    perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
-    return dec, v, perm, qexp
+    return dec, v, seidel.seidel_table(dec.strat, v)
 
 
 def test_seidel_checks_build_no_product_per_class(monkeypatch):
@@ -150,14 +163,14 @@ def test_seidel_checks_build_no_product_per_class(monkeypatch):
     # the signed set of its first q_node entries, with no block sort and no
     # element product per class
     fix = Fixture("C", 5, 2, 5)
-    dec, v, perm, qexp = _cold_pipeline(fix)
+    dec, v, perm = _cold_pipeline(fix)
     calls = _spy(monkeypatch, weyl, ("min_rep", "multiply"))
-    checks = verify._check_seidel(dec, v, perm, qexp)
+    checks = verify._check_seidel(dec, v, perm)
     assert all(checks.values())
     assert calls["min_rep"] == 0 and calls["multiply"] <= 1
     # the spies are live: the per-class path this replaced calls both
     before = dict(calls)
-    weyl.min_rep(fix.rs, weyl.multiply(v, dec.pq.elements[1]), fix.j_q)
+    weyl.min_rep(fix.rs, weyl.multiply(v, dec.strat.pq.elements[1]), fix.j_q)
     assert calls == {"min_rep": before["min_rep"] + 1, "multiply": before["multiply"] + 1}
 
 
@@ -166,12 +179,12 @@ def test_seidel_composition_reads_no_left_row_and_no_index():
     # with the quotient's left rows and index emptied it still passes, and
     # swapped images still fail it
     fix = Fixture("C", 5, 2, 5)
-    dec, v, perm, qexp = _cold_pipeline(fix)
-    bare = dec._replace(pq=dec.pq._replace(left={}, index={}))
-    assert verify._check_seidel(bare, v, perm, qexp)["seidel_composition"]
+    dec, v, perm = _cold_pipeline(fix)
+    bare = dec._replace(strat=dec.strat._replace(pq=dec.strat.pq._replace(left={}, index={})))
+    assert verify._check_seidel(bare, v, perm)["seidel_composition"]
     swapped = list(perm)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert not verify._check_seidel(bare, v, tuple(swapped), qexp)["seidel_composition"]
+    assert not verify._check_seidel(bare, v, tuple(swapped))["seidel_composition"]
 
 
 def test_delta_laws_read_the_case_table_once(monkeypatch):
@@ -182,7 +195,7 @@ def test_delta_laws_read_the_case_table_once(monkeypatch):
     assert calls == {"orbit_table": 1}
     # the spy is live: the per-class label this replaced reads the table
     # once per call
-    d_of(fix, dec.pq.elements[0])
+    d_of(fix, dec.strat.pq.elements[0])
     assert calls == {"orbit_table": 2}
 
 
@@ -208,8 +221,9 @@ def test_inadmissible_fiber_statistic_raises_in_the_ledger():
     fix = Fixture("C", 4, 2, 4)
     dec = decomp.build_decomposition(fix)
     table = dict(strata.orbit_table(fix))
-    del table[dec.strata[0].d_geom]
-    with pytest.raises(strata.StrataError, match="d=%d is not admissible" % dec.strata[0].d_geom):
+    d_geom = dec.strat.strata[0].d_geom
+    del table[d_geom]
+    with pytest.raises(strata.StrataError, match="d=%d is not admissible" % d_geom):
         verify._check_dimension_ledger(dec, table)
 
 
@@ -226,7 +240,7 @@ def test_verify_fixture_passes_every_check_at_rank_8(monkeypatch, label):
 def test_inadmissible_window_statistic_names_the_window(monkeypatch):
     fix = Fixture("C", 4, 2, 4)
     dec = decomp.build_decomposition(fix)
-    target = dec.pq.elements[-1]
+    target = dec.strat.pq.elements[-1]
     real = strata.d_geometric
 
     def corrupted(f, windows):
@@ -270,13 +284,15 @@ def test_signed_set_key_matches_min_rep_up_to_rank_8():
 
 def _chevalley_by_compose(dec):
     """`verify._check_chevalley_witnesses` by the path it replaced: one
-    window product u * s_beta per edge."""
-    pq, diagram = dec.pq, dec.diagram
+    window product u * s_beta and one pairing per edge, each edge a cover
+    of the diagram's quotient."""
+    diagram = dec.diagram
+    pq = diagram.quotient
     return all(
-        weyl.multiply(pq.elements[e.u], cosets.reflection_by_index(pq.rs, e.root))
-        == pq.elements[e.w]
-        and hasse.pairing_with_coroot(pq, diagram.weight, e.root) == e.mult
-        for e in diagram.edges
+        weyl.multiply(pq.elements[c.u], cosets.reflection_by_index(pq.rs, c.root))
+        == pq.elements[c.w]
+        and hasse.pairing_with_coroot(pq, diagram.weight, c.root) == diagram.mult[c.root]
+        for c in pq.covers
     )
 
 
@@ -285,7 +301,7 @@ def _seidel_composition_by_compose(dec, v, perm):
     v^2 * w as a window product, one per class."""
     m = dec.fixture.q_node
     vv = weyl.multiply(v, v)
-    windows = dec.pq.elements
+    windows = dec.strat.pq.elements
     return all(
         set(weyl.multiply(vv, x[:m])) == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)
@@ -302,19 +318,20 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
     for fix in fixtures:
         dec = decomp.build_decomposition(fix)
         v = seidel.v_elt(fix.rs, fix.p_node)
-        perm, qexp = seidel.seidel_table(dec.pq, dec.strata, v)
+        perm = seidel.seidel_table(dec.strat, v)
         assert verify._check_chevalley_witnesses(dec) and _chevalley_by_compose(dec), fix.label
-        assert verify._check_seidel(dec, v, perm, qexp)["seidel_composition"], fix.label
+        assert verify._check_seidel(dec, v, perm)["seidel_composition"], fix.label
         assert _seidel_composition_by_compose(dec, v, perm), fix.label
 
-        first = dec.diagram.edges[0]
-        edges = (first._replace(w=first.u),) + dec.diagram.edges[1:]
-        bad = dec._replace(diagram=dec.diagram._replace(edges=edges))
+        pq = dec.diagram.quotient
+        first = pq.covers[0]
+        covers = (first._replace(w=first.u),) + pq.covers[1:]
+        bad = dec._replace(diagram=dec.diagram._replace(quotient=pq._replace(covers=covers)))
         assert not verify._check_chevalley_witnesses(bad) and not _chevalley_by_compose(bad)
 
         swapped = list(perm)
         swapped[0], swapped[-1] = swapped[-1], swapped[0]
-        verdict = verify._check_seidel(dec, v, swapped, qexp)["seidel_composition"]
+        verdict = verify._check_seidel(dec, v, swapped)["seidel_composition"]
         assert verdict == _seidel_composition_by_compose(dec, v, swapped), fix.label
         damaged_seidel.append((fix.q_node == 1, verdict))
     # the swap is caught with q_node = 1 and without

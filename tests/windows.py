@@ -123,12 +123,13 @@ def inverse(w):
     return weyl.act(w, tuple(range(1, len(w) + 1)))
 
 
-def k_by_root_scan(dc):
-    """Oracle for `strata.K_of`: the nodes s of J_P with w_min^-1(alpha_s)
-    a simple root of J_Q, found by acting on the root vectors."""
-    rs = dc.pq.rs
-    winv = inverse(dc.pq.elements[dc.members[0]])
-    q_simples = {rs.simple_root(t) for t in dc.pq.j_q}
+def k_by_root_scan(pq, j_p, i):
+    """Oracle for `strata.K_of`: the nodes s of `j_p`, J_P, with
+    w_min^-1(alpha_s) a simple root of J_Q, w_min the class i of `pq`,
+    found by acting on the root vectors."""
+    rs = pq.rs
+    winv = inverse(pq.elements[i])
+    q_simples = {rs.simple_root(t) for t in pq.j_q}
     return frozenset(
-        s for s in dc.j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
+        s for s in j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
     )
