@@ -17,6 +17,7 @@ Output formats: DOT, TikZ and JSON, all byte-deterministic.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -81,6 +82,15 @@ class DecomposedDiagram(NamedTuple):
                     weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
                 )
         return None
+
+
+@lru_cache(maxsize=None)
+def x_diagram(pq: ParabolicQuotient) -> HasseDiagram:
+    """X's divisor diagram: the weight 1 on each node outside J_Q, which on
+    a Grassmannian quotient is omega_q.  It reads the quotient alone, so
+    it is built once per quotient object, and the coloured and the plain
+    diagrams of every fixture on X share it."""
+    return hasse.build_hasse(pq, dict.fromkeys(pq.nodes - pq.j_q, 1))
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
@@ -163,7 +173,7 @@ def _compare_stratum(
 def build_decomposition(fix: Fixture) -> DecomposedDiagram:
     strat = strata.stratify(fix)
     sts, vs = strat.strata, strat.stratum_of
-    diagram = hasse.build_hasse(strat.pq, {fix.q_node: 1})
+    diagram = x_diagram(strat.pq)
     mult = diagram.mult
     # one pass over X's edges, the covers of the diagram's quotient: each
     # within-stratum edge into its stratum's {(u, w): mult}, the rest in
@@ -298,5 +308,4 @@ def emit(dec: DecomposedDiagram, fmt: str) -> str:
 
 def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
-    pq = cosets.build_quotient(fix.rs, fix.j_q)
-    return _emit(fmt, fix, hasse.build_hasse(pq, {fix.q_node: 1}))
+    return _emit(fmt, fix, x_diagram(cosets.build_quotient(fix.rs, fix.j_q)))

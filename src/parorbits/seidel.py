@@ -17,6 +17,7 @@ is a bijection whose iterates accumulate q-exponents linearly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from . import rootsys, strata, weyl
@@ -30,11 +31,14 @@ class SeidelError(ValueError):
     """Invalid node or failed certification."""
 
 
+@lru_cache(maxsize=None)
 def v_elt(rs: RootSystem, i: int) -> Window:
     """Window of the Seidel element of node i, the shortest element of
     w_0 W_J, with J the nodes other than i, computed as
     `weyl.min_rep(rs, w_0, J)`; w_0 comes from `weyl.longest` in one pass
-    over the blocks of positions, with no descent stripped.
+    over the blocks of positions, with no descent stripped.  It depends on
+    the root system and the node alone, so it is built and certified once
+    per (rs, i) and shared by every fixture that acts by node i.
 
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
@@ -59,6 +63,20 @@ def v_elt(rs: RootSystem, i: int) -> Window:
     return v
 
 
+@lru_cache(maxsize=None)
+def _stripped_word(rs: RootSystem, v: Window) -> Tuple[int, ...]:
+    """A reduced word v = s_(k_1) ... s_(k_l) read from its end: v's right
+    descents stripped one at a time, the first of the nodes each step, so
+    the tuple is (k_l, ..., k_1), in the order the letters act on a class.
+    It costs l(v) + 1 descent searches and l(v) window products, once per
+    root system and Seidel element."""
+    word = []
+    while k := weyl.first_descent(rs, v, rs.nodes):
+        word.append(k)
+        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
+    return tuple(word)
+
+
 def seidel_table(strat: Stratification, v: Window) -> Tuple[int, ...]:
     """The Seidel operator on the classes of X's quotient `strat.pq`, as
     the permutation perm: perm[k] is the index of the class of v * w_k.
@@ -67,21 +85,20 @@ def seidel_table(strat: Stratification, v: Window) -> Tuple[int, ...]:
     its Seidel element, `v_elt(fix.rs, fix.p_node)`; the root system is
     `strat.pq.rs`.  The q-exponent of class k is `strat.delta[k]`.
 
-    Stripping v's right descents one at a time reads a reduced word
-    v = s_(k_1) ... s_(k_l) from its end, so the first node stripped,
-    k_l, acts on w first: each stripped node k maps perm[c] to
-    pq.left[k][perm[c]], starting from the identity.  That costs l(v)
-    descent searches, not one window product and block sort per class.
-    The table is thus only as sound as the left rows; `verify._check_seidel`
-    does not read them, as it names the class of v^2 w for every class w by
-    the signed set of the first q_node entries of the window product.
+    The table composes the left rows along `_stripped_word(rs, v)`, v's
+    reduced word from its end, cached per root system and v: its first
+    node, the last letter of v, acts on w first, and each node k maps
+    perm[c] to pq.left[k][perm[c]], starting from the identity.  That
+    costs no window product and block sort per class.  The table is thus
+    only as sound as the left rows; `verify._check_seidel` does not read
+    them, as it names the class of v^2 w for every class w by the signed
+    set of the first q_node entries of the window product.
     """
     pq = strat.pq
-    rs, perm = pq.rs, range(len(pq.elements))
-    while k := weyl.first_descent(rs, v, rs.nodes):
+    perm = range(len(pq.elements))
+    for k in _stripped_word(pq.rs, v):
         row = pq.left[k]
         perm = [row[c] for c in perm]
-        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
     return tuple(perm)
 
 

@@ -199,9 +199,12 @@ def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int
     return [order]
 
 
+@lru_cache(maxsize=None)
 def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) -> FlagDescriptor:
     """One factor per component of J_P that holds a node of J_P - K, in the
-    allowed order with the smallest marked positions, then the smallest."""
+    allowed order with the smallest marked positions, then the smallest.
+    It reads the root system and the two node sets alone, so it is built
+    once per (rs, J_P, K), whichever fixture's stratum asks."""
     marked = frozenset(j_p) - k_set
     dim = len(rs.positive_roots_of(frozenset(j_p))) - len(rs.positive_roots_of(k_set))
     comps = []

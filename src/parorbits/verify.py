@@ -9,6 +9,7 @@ dictionaries; nothing here depends on wall-clock or iteration order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
@@ -16,6 +17,7 @@ from typing import Dict, Optional, Tuple
 from . import cosets, decomp, hasse, seidel, strata, weyl
 from .decomp import DecomposedDiagram
 from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
+from .hasse import HasseDiagram
 from .weyl import Window
 
 
@@ -69,14 +71,18 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
     return True
 
 
-def _check_chevalley_witnesses(dec: DecomposedDiagram) -> bool:
+@lru_cache(maxsize=None)
+def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
     """Each edge of X's diagram, a cover (u, w, beta) of its quotient, is
     u * s_beta = w, and the diagram's multiplicity of each witness beta is
     <lambda, beta^vee>; s_beta and the pairing are read once per root,
     not from the left table.  The window of u * s_beta is the window of
     s_beta gathered from the signed table of u (`weyl.signed_table`): one
-    getter per root, one table per class, and no window product."""
-    diagram = dec.diagram
+    getter per root, one table per class, and no window product.
+
+    The verdict is cached by the diagram object, which hashes by identity:
+    `decomp.x_diagram` gives every fixture on X the same diagram, so X is
+    certified once, and any other diagram object gets a verdict of its own."""
     pq = diagram.quotient
     roots = {r for _, _, r in pq.covers}
     getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r)) for r in roots}
@@ -139,7 +145,9 @@ def verify_fixture(fix: Fixture) -> dict:
     The decomposition, the Seidel element and the Seidel table are each
     built once, the table from the decomposition's stratification, and
     every check reads from them; the case table is built once, for the
-    labels of all classes and the fiber dimensions of all strata.
+    labels of all classes and the fiber dimensions of all strata.  What
+    depends on one node only, or on X only, comes from the caches, shared
+    with the other fixtures.
     """
     dec = decomp.build_decomposition(fix)
     pq, sts = dec.strat.pq, dec.strat.strata
@@ -152,7 +160,7 @@ def verify_fixture(fix: Fixture) -> dict:
     checks.update(_check_delta_laws(dec, table))
     checks["dimension_ledger"] = _check_dimension_ledger(dec, table)
     checks["decomposition"] = decomposition["all_pass"]
-    checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec)
+    checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec.diagram)
     checks.update(_check_seidel(dec, v, perm))
     ok = all(bool(value) for value in checks.values())
     return {

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from parorbits import cli, cosets, weyl
+from parorbits import cli, cosets, seidel, weyl
 from parorbits.fixtures import parse_fixture
+
+from caches import clear_caches
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LRU_CACHE = type(functools.lru_cache(maxsize=None)(lambda: None))
@@ -54,14 +56,6 @@ def test_reported_caches_are_lru_caches():
         assert isinstance(_resolve(layer), LRU_CACHE), layer
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("parorbits."):
-            for value in vars(module).values():
-                if isinstance(value, LRU_CACHE):
-                    value.cache_clear()
-
-
 @pytest.mark.parametrize("label,classes", [("C3/P2+P3", 12), ("D5/P2+P5", 40)])
 def test_cold_colored_diagram_multiplies_once_per_class(monkeypatch, capsys, label, classes):
     # the tracer rebinds `weyl.multiply` in every module that holds it, so
@@ -79,9 +73,35 @@ def test_cold_colored_diagram_multiplies_once_per_class(monkeypatch, capsys, lab
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
-    _clear_caches()
+    clear_caches()
     argv = ["diagram", "--type", fix.type_label, "--rank", str(fix.rank)]
     argv += ["--grassmannian", str(fix.q_node), "--cominuscule", str(fix.p_node), "--format", "json"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert len(calls) == classes == len(cosets.build_quotient(fix.rs, fix.j_q).elements)
+
+
+def test_cleared_caches_hold_no_certified_result(monkeypatch, capsys):
+    # every cache found as the cold-state guard finds them, one of them
+    # behind a tracer-style wrapper: once they are cleared, the Seidel
+    # element that a first run cached is built and certified again, so a
+    # min_rep that returns its argument is caught
+    argv = ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"]
+    assert cli.main(argv) == 0
+    assert seidel.v_elt.cache_info().currsize
+    real = seidel.v_elt
+    monkeypatch.setattr(seidel, "v_elt", functools.wraps(real)(lambda *args: real(*args)))
+    caches = clear_caches()
+    shared = {
+        "seidel.v_elt",
+        "seidel._stripped_word",
+        "strata.flag_descriptor",
+        "decomp.x_diagram",
+        "verify._check_chevalley_witnesses",
+    }
+    assert shared <= set(caches)
+    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+    monkeypatch.setattr(weyl, "min_rep", lambda rs, window, j_set: window)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "not minimal" in capsys.readouterr().err

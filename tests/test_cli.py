@@ -184,7 +184,7 @@ FIGURE_ARGV = [
 ]
 
 
-def test_failed_certificates_exit_2(monkeypatch, capsys):
+def test_failed_certificates_exit_2(monkeypatch, capsys, cold):
     # min_rep returning its argument leaves v = w_0, which has descents in J
     monkeypatch.setattr(weyl, "min_rep", lambda rs, window, j_set: window)
     code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])

@@ -13,6 +13,7 @@ from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build, components
 
+from caches import clear_caches
 from dynkin import subsets
 from roots import classical_systems, fresh_signed_table
 from windows import draw_window, identity
@@ -478,9 +479,7 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
     # generators, one simple reflection per node, once, whatever |W^Q|
     fix = Fixture("B", 6, 5, 1)
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix).strata}, key=sorted)
-    caches = (cosets.build_quotient, weyl.enumerate_group, weyl.generator_tables, weyl.simple_reflection)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     real_enumerate = weyl.enumerate_group
     counts = _count_calls(monkeypatch, weyl, ("multiply", "_is_descent", "simple_reflection"))
     counts.update(generators=0)
@@ -506,21 +505,12 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1", "D5/P5+P1"])
-def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
+def test_subcommand_paths_build_no_element_per_class(monkeypatch, cold, label):
     # from cold caches, the strata report, the Seidel table and the plain
     # diagrams make no window product per class: classes stay windows, and
     # the only products are the Seidel table's, one per letter of a reduced
     # word of v
     fix = parse_fixture(label)
-    caches = (
-        cosets.build_quotient,
-        cosets.reflection_by_index,
-        weyl.enumerate_group,
-        weyl.generator_tables,
-        weyl.simple_reflection,
-    )
-    for cache in caches:
-        cache.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("multiply",))
     strat = strata.stratify(fix)
     pq = strat.pq
@@ -536,12 +526,10 @@ def test_subcommand_paths_build_no_element_per_class(monkeypatch, label):
     assert counts["multiply"] == v_length + 1, counts
 
 
-def test_stratify_makes_no_window_product(monkeypatch):
+def test_stratify_makes_no_window_product(monkeypatch, cold):
     # cold B6/P5+P1: delta reads w^-1 through a signed table, and K and the
     # orbits come off the left-action table
     fix = Fixture("B", 6, 5, 1)
-    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
-        cache.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("act", "multiply"))
     strat = strata.stratify(fix)
     pq = strat.pq
@@ -554,7 +542,7 @@ def test_stratify_makes_no_window_product(monkeypatch):
     assert counts == {"act": 1, "multiply": 1}, counts
 
 
-def test_chevalley_witness_check_builds_no_element(monkeypatch):
+def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
     # one reflection per witness root, built once and cached; every edge is
     # then a gather from the signed table of its source, with no window
     # product
@@ -563,11 +551,10 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
     pq = dec.diagram.quotient
     roots = {c.root for c in pq.covers}
     assert len(pq.covers) > len(roots)
-    cosets.reflection_by_index.cache_clear()
     counts = _count_calls(monkeypatch, weyl, ("multiply", "reflection"))
-    assert verify._check_chevalley_witnesses(dec)
+    assert verify._check_chevalley_witnesses(dec.diagram)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
-    assert verify._check_chevalley_witnesses(dec)
+    assert verify._check_chevalley_witnesses(dec.diagram)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
     # the spy is live
     weyl.multiply(pq.elements[1], pq.elements[1])
@@ -582,12 +569,12 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch):
             edges[i] = e._replace(w=same[0])
             break
     assert edges != list(pq.covers)
-    bad = dec._replace(diagram=dec.diagram._replace(quotient=pq._replace(covers=tuple(edges))))
+    bad = dec.diagram._replace(quotient=pq._replace(covers=tuple(edges)))
     assert not verify._check_chevalley_witnesses(bad)
     # and so does the multiplicity of one witness root, one too large
     r = pq.covers[0].root
     mult = dec.diagram.mult[:r] + (dec.diagram.mult[r] + 1,) + dec.diagram.mult[r + 1 :]
-    assert not verify._check_chevalley_witnesses(dec._replace(diagram=dec.diagram._replace(mult=mult)))
+    assert not verify._check_chevalley_witnesses(dec.diagram._replace(mult=mult))
 
 
 def test_root_tables_match_a_fresh_recomputation():
@@ -612,8 +599,7 @@ def test_quotient_builds_make_no_signed_table(monkeypatch):
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix).strata}, key=sorted)
     assert len(k_sets) > 1
     tables = (weyl.generator_tables, cosets.root_tables)
-    for cache in (cosets.build_quotient, weyl.enumerate_group) + tables:
-        cache.cache_clear()
+    clear_caches()
     counts = _count_calls(monkeypatch, weyl, ("signed_table",))
     build_quotient(fix.rs, fix.j_q)
     for k_set in k_sets:
@@ -622,7 +608,7 @@ def test_quotient_builds_make_no_signed_table(monkeypatch):
     assert [t.cache_info().misses for t in tables] == [1, 1]
 
 
-def test_decomposition_enumerates_no_group(monkeypatch):
+def test_decomposition_enumerates_no_group(monkeypatch, cold):
     # building the B6/P5+P1 decomposition from cold enumerates nothing
     # larger than its quotient (|W^Q| = 192; the whole of W(B6) is 46,080)
     fix = Fixture("B", 6, 5, 1)
@@ -634,14 +620,13 @@ def test_decomposition_enumerates_no_group(monkeypatch):
         sizes.append(len(result))
         return result
 
-    cosets.build_quotient.cache_clear()
     monkeypatch.setattr(weyl, "enumerate_group", spy)
     dec = decomp.build_decomposition(fix)
     assert len(dec.strat.pq.elements) == 192
     assert sizes and max(sizes) <= 192
 
 
-def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
+def test_certificate_and_covers_reuse_enumerated_work(monkeypatch, cold):
     # cold B6/P5+P1 decomposition plus its interval check: no Bruhat
     # comparison, and no length computed at all, since enumerate_group
     # records each element's breadth-first level as its length
@@ -662,8 +647,6 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
         counts["_length"] += 1
         return orig_length(*args)
 
-    cosets.build_quotient.cache_clear()
-    weyl.enumerate_group.cache_clear()
     monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
     monkeypatch.setattr(weyl, "bruhat_leq", leq_spy)
     monkeypatch.setattr(weyl, "_length", length_spy)
@@ -676,7 +659,7 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch):
     assert counts["bruhat_leq"] == 1 and counts["_length"] == 2, counts
 
 
-def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
+def test_no_length_recomputed_on_the_cli_paths(monkeypatch, cold):
     # lengths live in the quotient: verify, the Seidel table and every
     # emission read `pq.lengths` and never recompute one from a window
     calls = []
@@ -686,8 +669,6 @@ def test_no_length_recomputed_on_the_cli_paths(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    cosets.build_quotient.cache_clear()
-    weyl.enumerate_group.cache_clear()
     monkeypatch.setattr(weyl, "_length", length_spy)
     for label in ("C4/P2+P4", "B4/P3+P1", "D5/P5+P1"):
         fix = parse_fixture(label)

@@ -13,6 +13,7 @@ from parorbits.decomp import (
 )
 from parorbits.fixtures import Fixture, parse_fixture
 
+from caches import clear_caches
 from conftest import load_golden
 
 FIXTURES = [
@@ -272,7 +273,7 @@ def _assert_matches_rescan(dec):
         assert comp.mismatches == rescan_mismatches(dec, si), (dec.fixture.label, si)
 
 
-def test_edge_buckets_match_rescan_oracle(monkeypatch):
+def test_edge_buckets_match_rescan_oracle(monkeypatch, cold):
     for fix in FIXTURES:
         _assert_matches_rescan(build_decomposition(fix))
     for label in ("C4/P2+P4", "B4/P3+P1"):
@@ -289,7 +290,10 @@ def _corrupted_decomposition(monkeypatch, fix):
     quotient without the dropped cover, in which each raised cover has a
     witness index of its own past the positive roots.
     Returns the decomposition, and the three covers as they were with the
-    true multiplicities."""
+    true multiplicities.  It starts from cold caches, so that X's diagram
+    is built through the patched `build_hasse`; a test that calls it
+    takes the `cold` fixture, which drops that diagram again at its end."""
+    clear_caches()
     strat = strata.stratify(fix)
     pq, stratum_of = strat.pq, strat.stratum_of
     real = hasse.build_hasse
@@ -317,7 +321,7 @@ def _corrupted_decomposition(monkeypatch, fix):
 
 
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1"])
-def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
+def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, cold, label):
     fix = parse_fixture(label)
     dec, picked = _corrupted_decomposition(monkeypatch, fix)
     si, dropped, raised, crossed = (picked[k] for k in ("si", "dropped", "raised", "crossed"))

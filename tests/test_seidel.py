@@ -17,7 +17,7 @@ from parorbits.seidel import (
 from cases import stratum_count
 from exponents import delta
 from windows import identity, strip_descents
-from words import from_word
+from words import from_word, reduced_word
 
 FIXTURES = [
     Fixture("A", 3, 1, 3),
@@ -61,7 +61,7 @@ def test_v_elt_rejects_non_cominuscule():
         v_elt(build("B", 4), 2)
 
 
-def test_v_elt_not_minimal_names_the_element(monkeypatch):
+def test_v_elt_not_minimal_names_the_element(monkeypatch, cold):
     # min_rep's block pass skipped leaves v = w_0, which still solves the
     # coweight equation but has right descents in J; the error names it
     # with its group
@@ -185,13 +185,11 @@ def test_seidel_table_matches_per_class_oracle(monkeypatch):
             assert pq.elements[perm[k]] == image, (fix.label, w)
 
 
-def test_seidel_table_strips_no_descents(monkeypatch):
+def test_seidel_table_strips_no_descents(monkeypatch, cold):
     # cold C5/P2+P5: min_rep, the per-class path that the table replaced,
     # reads each class's representative off the window by block sorts,
     # with no descent search and no simple reflection
     fix = Fixture("C", 5, 2, 5)
-    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
-        cache.cache_clear()
     strat = strata.stratify(fix)
     pq = strat.pq
     v = v_elt(fix.rs, fix.p_node)
@@ -222,6 +220,36 @@ def test_seidel_table_strips_no_descents(monkeypatch):
     calls.clear()
     strip_descents(fix.rs, weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
     assert set(calls) == {"simple_reflection", "first_descent"}
+
+
+def _table_by_stripping(strat, v):
+    """Oracle for `seidel_table`: the loop it replaced, which strips v's
+    right descents one at a time, the first node each step, and maps every
+    class through the left row of each stripped node as it goes."""
+    pq = strat.pq
+    rs, perm = pq.rs, range(len(pq.elements))
+    while k := weyl.first_descent(rs, v, rs.nodes):
+        row = pq.left[k]
+        perm = [row[c] for c in perm]
+        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
+    return tuple(perm)
+
+
+def test_shared_seidel_elements_and_words_match_fresh_ones():
+    # every fixture of the rank <= 5 sweep, D6/P3+P6 and B6/P5+P1: the
+    # cached Seidel element is the one built afresh, its cached word is the
+    # reduced word that stripping descents reads, last letter first, and
+    # the table composed along it is the one the stripping loop builds
+    fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
+    for fix in fixtures:
+        rs = fix.rs
+        v = v_elt(rs, fix.p_node)
+        assert v == v_elt.__wrapped__(rs, fix.p_node), fix.label
+        word = seidel._stripped_word(rs, v)
+        assert word == reduced_word(rs, v)[::-1], fix.label
+        assert from_word(rs, word[::-1]) == v and len(word) == weyl._length(rs, v), fix.label
+        strat = strata.stratify(fix)
+        assert seidel_table(strat, v) == _table_by_stripping(strat, v), fix.label
 
 
 def test_top_class_q_exresponse():

@@ -324,6 +324,17 @@ def test_flag_descriptor_matches_graph_search_on_maximal_j_at_ranks_7_and_8():
     assert checked == 4 * (7 * 2**6 + 8 * 2**7)
 
 
+def test_shared_flag_descriptors_match_fresh_ones():
+    # every stratum of the rank <= 5 sweep, D6/P3+P6 and B6/P5+P1: the
+    # stratum holds the one cached descriptor of its (rs, J_P, K), equal to
+    # one built afresh
+    fixtures = sweep_fixtures(5, 5, 5, 5) + [Fixture("D", 6, 3, 6), Fixture("B", 6, 5, 1)]
+    for fix in fixtures:
+        for st in stratify(fix).strata:
+            assert st.flag is flag_descriptor(fix.rs, fix.j_p, st.K), (fix.label, st.delta)
+            assert st.flag == flag_descriptor.__wrapped__(fix.rs, fix.j_p, st.K), (fix.label, st.delta)
+
+
 def test_flag_names_golden():
     # the flag of every stratum up to A7/B6/C6/D6, as `strata --format json`
     # and `verify` print it; the digest is that of the graph search in

@@ -11,6 +11,7 @@ from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.jsontext import indented
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
+from caches import clear_caches
 from cases import d_of, expected_fiber_dim
 from exponents import bumped_delta
 
@@ -107,6 +108,28 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
     assert calls == {"stratify": 1, "delta": 1, "v_elt": 1, "seidel_table": 1}
 
 
+def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold):
+    # one cold sweep at caps 5: each shared result is built once per key,
+    # the Seidel element and its word per (rs, p_node), the flag descriptor
+    # per (rs, J_P, K), and X's diagram and its Chevalley verdict per
+    # quotient of X, one per (rs, q_node)
+    report = verify.run_verify(5, 5, 5, 5)
+    assert report["all_pass"] and report["count"] == 104
+    fixtures = sweep_fixtures(5, 5, 5, 5)
+    assert len({(fix.rs, fix.p_node) for fix in fixtures}) == 29
+    assert len({(fix.rs, fix.q_node) for fix in fixtures}) == 50
+    flags = {(fix.rs, fix.j_p, st.K) for fix in fixtures for st in strata.stratify(fix).strata}
+    assert len(flags) == 144
+    shared = (
+        seidel.v_elt,
+        seidel._stripped_word,
+        strata.flag_descriptor,
+        decomp.x_diagram,
+        verify._check_chevalley_witnesses,
+    )
+    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144, 50, 50]
+
+
 def test_quantum_runs_each_stage_once(monkeypatch, capsys):
     calls = _count_stages(monkeypatch)
     argv = ["quantum", "--type", "C", "--rank", "5", "--grassmannian", "2"]
@@ -151,8 +174,7 @@ def _spy(monkeypatch, module, names):
 
 
 def _cold_pipeline(fix):
-    for cache in (cosets.build_quotient, weyl.enumerate_group, weyl.simple_reflection):
-        cache.cache_clear()
+    clear_caches()
     dec = decomp.build_decomposition(fix)
     v = seidel.v_elt(fix.rs, fix.p_node)
     return dec, v, seidel.seidel_table(dec.strat, v)
@@ -296,6 +318,30 @@ def _chevalley_by_compose(dec):
     )
 
 
+def test_shared_x_diagrams_and_chevalley_verdicts_match_fresh_ones():
+    # every fixture of the rank <= 5 sweep, D6/P3+P6 and B6/P5+P1: X's
+    # diagram is the one cached per quotient, equal to one built afresh,
+    # and its cached verdict is a fresh one; a retargeted edge and a raised
+    # multiplicity, each a new diagram object, still fail once X's verdict
+    # is cached
+    fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
+    check, fresh_check = verify._check_chevalley_witnesses, verify._check_chevalley_witnesses.__wrapped__
+    for fix in fixtures:
+        dec = decomp.build_decomposition(fix)
+        diagram, pq = dec.diagram, dec.strat.pq
+        fresh = hasse.build_hasse(pq, {fix.q_node: 1})
+        assert diagram is decomp.x_diagram(pq) and tuple(diagram) == tuple(fresh), fix.label
+        assert check(diagram) and fresh_check(diagram) and _chevalley_by_compose(dec), fix.label
+
+        first = pq.covers[0]
+        covers = (first._replace(w=first.u),) + pq.covers[1:]
+        retargeted = diagram._replace(quotient=pq._replace(covers=covers))
+        r = first.root
+        raised = diagram._replace(mult=diagram.mult[:r] + (diagram.mult[r] + 1,) + diagram.mult[r + 1 :])
+        for bad in (retargeted, raised):
+            assert not check(bad) and not fresh_check(bad), fix.label
+
+
 def _seidel_composition_by_compose(dec, v, perm):
     """The `seidel_composition` check by the path it replaced: the head of
     v^2 * w as a window product, one per class."""
@@ -319,7 +365,7 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
         dec = decomp.build_decomposition(fix)
         v = seidel.v_elt(fix.rs, fix.p_node)
         perm = seidel.seidel_table(dec.strat, v)
-        assert verify._check_chevalley_witnesses(dec) and _chevalley_by_compose(dec), fix.label
+        assert verify._check_chevalley_witnesses(dec.diagram) and _chevalley_by_compose(dec), fix.label
         assert verify._check_seidel(dec, v, perm)["seidel_composition"], fix.label
         assert _seidel_composition_by_compose(dec, v, perm), fix.label
 
@@ -327,7 +373,7 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
         first = pq.covers[0]
         covers = (first._replace(w=first.u),) + pq.covers[1:]
         bad = dec._replace(diagram=dec.diagram._replace(quotient=pq._replace(covers=covers)))
-        assert not verify._check_chevalley_witnesses(bad) and not _chevalley_by_compose(bad)
+        assert not verify._check_chevalley_witnesses(bad.diagram) and not _chevalley_by_compose(bad)
 
         swapped = list(perm)
         swapped[0], swapped[-1] = swapped[-1], swapped[0]

@@ -2,10 +2,11 @@
 
 The library writes Weyl elements as windows and never multiplies out a
 word, but it reads words off windows by stripping descents: `bruhat_leq`
-for the subword property, and `seidel.seidel_table`, which composes the
-quotient's left-action rows along a reduced word of the Seidel element.
-Tests use words to write small elements by hand and to check lengths
-against reduced words.
+for the subword property, and `seidel._stripped_word`, the reduced word of
+the Seidel element along which `seidel.seidel_table` composes the
+quotient's left-action rows.  Tests use words to write small elements by
+hand, to check lengths against reduced words, and `reduced_word` as the
+oracle for `seidel._stripped_word`.
 """
 
 from parorbits import weyl
