@@ -23,7 +23,7 @@ from .weyl import WeylError
 # Library errors by exit code: 1 for input the program cannot serve (including
 # an --out path it cannot write), 2 for a failed certificate or invariant; a
 # validated Fixture reaches CosetError and StrataError only as the latter, and
-# HasseError too, as every weight the CLI builds is valid by construction.
+# HasseError too, as a cover of a quotient with no edge is a failed certificate.
 INPUT_ERRORS = (FixtureError, RootSystemError, WeylError, OSError)
 VERIFICATION_ERRORS = (
     seidel.SeidelError,
@@ -71,10 +71,9 @@ def cmd_diagram(args) -> int:
         _write_output(decomp.emit_plain(fix, args.format), args.out)
         return 0
     dec = decomp.build_decomposition(fix)
-    if not dec.all_pass():
-        witness = dec.witness()
-        detail = ": " + witness if witness else ""
-        print("error: stratum/flag diagram mismatch in %s%s" % (fix.label, detail), file=sys.stderr)
+    witness = dec.witness()
+    if witness is not None:
+        print("error: stratum/flag diagram mismatch in %s: %s" % (fix.label, witness), file=sys.stderr)
         return 2
     _write_output(decomp.emit(dec, args.format), args.out)
     return 0

@@ -1,15 +1,19 @@
 """Orbit decomposition of a Hasse diagram, its certification, and emission.
 
 Every stratum of a classical Grassmannian fixture is matched, edge for
-edge, against the divisor diagram of its Levi flag variety through the
-explicit cell map u -> u * w_min.  The map is certified (length-additive
-bijection onto the stratum); the within-stratum multiplicities must equal
-the flag multiplicities times the stratum's `scale` (2 exactly on the odd
-orthogonal doubling stratum, 1 otherwise).  Cross-stratum edges are
-reported and checked to increase the stratum exponent.  A decomposition
-holds no copy of the quotient's classes or covers: each class's stratum
-and delta are read from `strata.stratify`, each edge is a cover of X's
-quotient, and its multiplicity is read from the diagram by its witness.
+edge, against the hyperplane-class diagram of its Levi flag variety
+through the explicit cell map u -> u * w_min.  The map is certified
+(length-additive bijection onto the stratum); the within-stratum
+multiplicities must equal the flag multiplicities times one integer
+factor, h' times the stratum's `scale`: h' is 2 on the Lagrangian
+Grassmannian and `scale` 2 exactly on the odd orthogonal doubling
+stratum, each 1 otherwise.  X's diagram and every flag diagram are
+`hasse.build_hasse` of their quotients, built once per quotient.
+Cross-stratum edges are reported and checked to increase the stratum
+exponent.  A decomposition holds no copy of the quotient's classes or
+covers: each class's stratum and delta are read from `strata.stratify`,
+each edge is a cover of X's quotient, and its multiplicity is read from
+the diagram by its witness.
 
 Output formats: DOT, TikZ and JSON, all byte-deterministic.
 """
@@ -17,7 +21,6 @@ Output formats: DOT, TikZ and JSON, all byte-deterministic.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -41,7 +44,6 @@ class StratumComparison(NamedTuple):
 
     stratum: OrbitStratum
     flag_quotient: ParabolicQuotient
-    flag_diagram: Optional[HasseDiagram]
     #: flag element index -> X element index
     phi: Tuple[int, ...]
     #: each differing edge, named by the windows of its ends
@@ -82,15 +84,6 @@ class DecomposedDiagram(NamedTuple):
                     weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
                 )
         return None
-
-
-@lru_cache(maxsize=None)
-def x_diagram(pq: ParabolicQuotient) -> HasseDiagram:
-    """X's divisor diagram: the weight 1 on each node outside J_Q, which on
-    a Grassmannian quotient is omega_q.  It reads the quotient alone, so
-    it is built once per quotient object, and the coloured and the plain
-    diagrams of every fixture on X share it."""
-    return hasse.build_hasse(pq, dict.fromkeys(pq.nodes - pq.j_q, 1))
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
@@ -142,14 +135,9 @@ def _compare_stratum(
     the mismatch list, sorted by index and naming windows, is built only
     when the two differ."""
     fq, phi_images = phi_map(stratum)
-    weight = strata.h_prime_of(stratum)
-    if not weight:
-        fd = None
-        flag_edges: Dict[Tuple[int, int], int] = {}
-    else:
-        fd = hasse.build_hasse(fq, weight)
-        mult, scale = fd.mult, stratum.scale
-        flag_edges = {(phi_images[u], phi_images[w]): mult[r] * scale for u, w, r in fq.covers}
+    mult = hasse.build_hasse(fq).mult
+    factor = strata.h_prime_of(stratum) * stratum.scale
+    flag_edges = {(phi_images[u], phi_images[w]): mult[r] * factor for u, w, r in fq.covers}
     mismatches = []
     if flag_edges != x_edges:
         windows = stratum.pq.elements
@@ -164,7 +152,6 @@ def _compare_stratum(
     return StratumComparison(
         stratum=stratum,
         flag_quotient=fq,
-        flag_diagram=fd,
         phi=phi_images,
         mismatches=tuple(mismatches),
     )
@@ -173,7 +160,7 @@ def _compare_stratum(
 def build_decomposition(fix: Fixture) -> DecomposedDiagram:
     strat = strata.stratify(fix)
     sts, vs = strat.strata, strat.stratum_of
-    diagram = x_diagram(strat.pq)
+    diagram = hasse.build_hasse(strat.pq)
     mult = diagram.mult
     # one pass over X's edges, the covers of the diagram's quotient: each
     # within-stratum edge into its stratum's {(u, w): mult}, the rest in
@@ -308,4 +295,4 @@ def emit(dec: DecomposedDiagram, fmt: str) -> str:
 
 def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
-    return _emit(fmt, fix, x_diagram(cosets.build_quotient(fix.rs, fix.j_q)))
+    return _emit(fmt, fix, hasse.build_hasse(cosets.build_quotient(fix.rs, fix.j_q)))

@@ -123,15 +123,18 @@ def orbits(perm: Sequence[int]) -> List[List[int]]:
     return out
 
 
-def quantum_q_degree(fix: Fixture) -> int:
-    """Degree of q on the quotient: first Chern number on the basic curve."""
-    rs = fix.rs
-    total = 0
-    for k, beta in enumerate(rs.positive_roots):
-        if rs.root_support[k] <= fix.j_q:
-            continue
-        total += rootsys.pair(beta, rs.simple_coroot(fix.q_node))
-    return total
+@lru_cache(maxsize=None)
+def quantum_q_degree(rs: RootSystem, q_node: int) -> int:
+    """Degree of q on the quotient of node q_node: first Chern number on
+    the basic curve, the pairing with alpha_q^vee summed over the positive
+    roots outside Phi_Q, those whose support holds q_node.  It reads the
+    root system and the node alone, so it is summed once per (rs, q_node)."""
+    coroot = rs.simple_coroot(q_node)
+    return sum(
+        rootsys.pair(beta, coroot)
+        for beta, support in zip(rs.positive_roots, rs.root_support)
+        if q_node in support
+    )
 
 
 def table_rows(fix: Fixture) -> List[Dict[str, object]]:

@@ -251,19 +251,16 @@ class OrbitStratum(NamedTuple):
         return 2 if self.doubling else 1
 
 
-def h_prime_of(stratum: OrbitStratum) -> Dict[int, int]:
-    """Divisor weight on the stratum's flag.
+def h_prime_of(stratum: OrbitStratum) -> int:
+    """The coefficient of h' on the stratum's flag, as a multiple of the
+    flag's hyperplane class (1 on each marked ambient node).
 
-    The weight is 1 on each marked ambient node, with one degeneration:
-    on the Lagrangian Grassmannian (type C with q_node = rank) the two
-    isotropic flag steps of a stratum coincide, so the restricted divisor
-    is twice the single marked generator and the coefficient is 2.
+    It is 1, with one degeneration: on the Lagrangian Grassmannian (type C
+    with q_node = rank) the two isotropic flag steps of a stratum coincide,
+    so the restricted divisor is twice the hyperplane class.
     """
     fix = stratum.fixture
-    coeff = 1
-    if fix.type_label == "C" and fix.q_node == fix.rank and stratum.flag.marked_ambient:
-        coeff = 2
-    return {node: coeff for node in stratum.flag.marked_ambient}
+    return 2 if fix.type_label == "C" and fix.q_node == fix.rank else 1
 
 
 def _doubling(fix: Fixture, delta_value: int) -> bool:

@@ -2,9 +2,10 @@
 
 Each fixture runs the full battery: interval certification, stratum
 exponent laws (constancy, monotonicity, the window-statistic identity),
-the dimension ledger, the flag-diagram decomposition, divisor-diagram
-self-checks, and the Seidel operator laws.  Reports are deterministic
-dictionaries; nothing here depends on wall-clock or iteration order.
+the dimension ledger, the flag-diagram decomposition, the Chevalley
+self-checks of X's hyperplane-class diagram, and the Seidel operator
+laws.  Reports are deterministic dictionaries; nothing here depends on
+wall-clock or iteration order.
 """
 
 from __future__ import annotations
@@ -45,11 +46,8 @@ def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str
         "delta_equals_d": vertex_delta == labels,
         "delta_consecutive": deltas == list(range(len(sts))),
         "stratum_count": len(sts) == len(table),
-        "delta_monotone": all(
-            vertex_delta[c.w] > vertex_delta[c.u]
-            for c in pq.covers
-            if vertex_delta[c.u] != vertex_delta[c.w]
-        ),
+        # delta is constant on each stratum, so only a cross edge can lower it
+        "delta_monotone": all(vertex_delta[w] > vertex_delta[u] for u, w, _ in dec.cross_edges),
     }
 
 
@@ -75,13 +73,13 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
 def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
     """Each edge of X's diagram, a cover (u, w, beta) of its quotient, is
     u * s_beta = w, and the diagram's multiplicity of each witness beta is
-    <lambda, beta^vee>; s_beta and the pairing are read once per root,
+    <omega_q, beta^vee>; s_beta and the pairing are read once per root,
     not from the left table.  The window of u * s_beta is the window of
     s_beta gathered from the signed table of u (`weyl.signed_table`): one
     getter per root, one table per class, and no window product.
 
     The verdict is cached by the diagram object, which hashes by identity:
-    `decomp.x_diagram` gives every fixture on X the same diagram, so X is
+    `hasse.build_hasse` gives every fixture on X the same diagram, so X is
     certified once, and any other diagram object gets a verdict of its own."""
     pq = diagram.quotient
     roots = {r for _, _, r in pq.covers}
@@ -89,7 +87,7 @@ def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
     windows = pq.elements
     tables = [weyl.signed_table(x) for x in windows]
     return all(
-        diagram.mult[r] == hasse.pairing_with_coroot(pq, diagram.weight, r) for r in roots
+        diagram.mult[r] == hasse.pairing_with_coroot(pq, r) for r in roots
     ) and all(getters[r](tables[u]) == windows[w] for u, w, r in pq.covers)
 
 
@@ -123,7 +121,7 @@ def _check_seidel(dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...]) -> D
     closed = all(perm[c[-1]] == c[0] for c in orbits)
     totals = {order // len(c) * sum(qexp[k] for k in c) for c in orbits}
 
-    qdeg = seidel.quantum_q_degree(fix)
+    qdeg = seidel.quantum_q_degree(fix.rs, fix.q_node)
     lengths = pq.lengths
     v_length = lengths[perm[0]]  # class 0 is e, so perm[0] is [v]
     degree_ok = all(

@@ -89,6 +89,19 @@ def bumped_delta(real, target):
     return bumped
 
 
+def reversed_delta(real):
+    """`strata.delta` with each exponent d replaced by max - d, for
+    negative controls: still constant on each stratum, so `stratify`
+    accepts it, but every cross edge now lowers it."""
+
+    def reversed_(fix, pq):
+        out = real(fix, pq)
+        top = max(out)
+        return tuple(top - d for d in out)
+
+    return reversed_
+
+
 def offset_coweight_table(fix, twice):
     """A stand-in for `strata._coweight_table` under which the doubled
     exponent of every class of `fix` is shifted by `twice`, for negative

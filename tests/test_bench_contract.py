@@ -96,7 +96,7 @@ def test_cleared_caches_hold_no_certified_result(monkeypatch, capsys):
         "seidel.v_elt",
         "seidel._stripped_word",
         "strata.flag_descriptor",
-        "decomp.x_diagram",
+        "hasse.build_hasse",
         "verify._check_chevalley_witnesses",
     }
     assert shared <= set(caches)

@@ -197,10 +197,11 @@ def test_failed_certificates_exit_2(monkeypatch, capsys, cold):
     assert (code, out) == (2, "")
     assert err.startswith("error: cell map") and err.count("\n") == 1
     monkeypatch.undo()
-    monkeypatch.setattr(decomp.DecomposedDiagram, "all_pass", lambda self: False)
+    # a failed decomposition is reported by its one witness
+    monkeypatch.setattr(decomp.DecomposedDiagram, "witness", lambda self: "the witness")
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
-    assert err == "error: stratum/flag diagram mismatch in C4/P2+P4\n"
+    assert err == "error: stratum/flag diagram mismatch in C4/P2+P4: the witness\n"
     monkeypatch.undo()
     # a failed interval certificate is reported, then exits 2
     monkeypatch.setattr(cosets, "certify_interval", lambda pq, orbits: False)
@@ -282,14 +283,24 @@ def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
-def test_invalid_stratum_weight_exits_2(monkeypatch, capsys):
-    # the CLI builds every divisor weight itself, so a weight the flag
-    # quotient refuses is a failed invariant, not bad input
-    monkeypatch.setattr(strata, "h_prime_of", lambda st: {k: 1 for k in st.K})
+def test_flag_cover_without_an_edge_exits_2(monkeypatch, capsys):
+    # a flag quotient whose cover has its witness moved into Phi_J, where
+    # the hyperplane class pairs to 0: the CLI builds every quotient
+    # itself, so a cover with no edge is a failed certificate, not bad input
+    real = decomp.flag_quotient
+
+    def corrupted(stratum):
+        fq = real(stratum)
+        inside = [r for r, support in enumerate(fq.rs.root_support) if support <= fq.j_q]
+        if not fq.covers or not inside:
+            return fq
+        return fq._replace(covers=(fq.covers[0]._replace(root=inside[0]),) + fq.covers[1:])
+
+    monkeypatch.setattr(decomp, "flag_quotient", corrupted)
     code, out, err = run_cli(capsys, FIGURE_ARGV)
     assert (code, out) == (2, "")
-    assert err.startswith("error: weight support ") and err.count("\n") == 1
-    assert "is not the node set less Delta(Q)" in err
+    assert err.startswith("error: cover ") and err.count("\n") == 1
+    assert "has multiplicity 0: its witness lies in Phi_Q" in err
 
 
 def test_diagram_fails_on_cross_edge_lowering_delta(monkeypatch, capsys):

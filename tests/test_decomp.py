@@ -13,8 +13,8 @@ from parorbits.decomp import (
 )
 from parorbits.fixtures import Fixture, parse_fixture
 
-from caches import clear_caches
 from conftest import load_golden
+from weights import h_prime_weight
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -142,13 +142,13 @@ def test_cross_edges_increase_delta():
 
 
 def test_h_prime_matches_bottom_edges():
-    # the first layer of edges out of w_min recovers the h' coefficients
+    # the first layer of edges out of w_min recovers the h' weight
     for fix in FIXTURES:
         dec = build_decomposition(fix)
         vs = dec.strat.stratum_of
         for comp in dec.comparisons:
             st = comp.stratum
-            weight = strata.h_prime_of(st)
+            weight = h_prime_weight(st)
             scale = st.scale
             if not weight:
                 continue
@@ -250,12 +250,11 @@ def rescan_mismatches(dec, si):
     edge is named by the windows of its ends."""
     comp, vs, windows = dec.comparisons[si], dec.strat.stratum_of, dec.strat.pq.elements
     x_edges = {(u, w): mult for u, w, mult in edges(dec.diagram) if vs[u] == si and vs[w] == si}
-    flag_edges = {}
-    if comp.flag_diagram is not None:
-        scale = comp.stratum.scale
-        flag_edges = {
-            (comp.phi[u], comp.phi[w]): mult * scale for u, w, mult in edges(comp.flag_diagram)
-        }
+    factor = strata.h_prime_of(comp.stratum) * comp.stratum.scale
+    flag_edges = {
+        (comp.phi[u], comp.phi[w]): mult * factor
+        for u, w, mult in edges(hasse.build_hasse(comp.flag_quotient))
+    }
     out = []
     for key in sorted(set(flag_edges) | set(x_edges)):
         got, want = x_edges.get(key), flag_edges.get(key)
@@ -273,7 +272,7 @@ def _assert_matches_rescan(dec):
         assert comp.mismatches == rescan_mismatches(dec, si), (dec.fixture.label, si)
 
 
-def test_edge_buckets_match_rescan_oracle(monkeypatch, cold):
+def test_edge_buckets_match_rescan_oracle(monkeypatch):
     for fix in FIXTURES:
         _assert_matches_rescan(build_decomposition(fix))
     for label in ("C4/P2+P4", "B4/P3+P1"):
@@ -290,17 +289,15 @@ def _corrupted_decomposition(monkeypatch, fix):
     quotient without the dropped cover, in which each raised cover has a
     witness index of its own past the positive roots.
     Returns the decomposition, and the three covers as they were with the
-    true multiplicities.  It starts from cold caches, so that X's diagram
-    is built through the patched `build_hasse`; a test that calls it
-    takes the `cold` fixture, which drops that diagram again at its end."""
-    clear_caches()
+    true multiplicities.  `build_decomposition` reads X's diagram through
+    `hasse.build_hasse` on every build, so no cache hides the patch."""
     strat = strata.stratify(fix)
     pq, stratum_of = strat.pq, strat.stratum_of
     real = hasse.build_hasse
     picked = {}
 
-    def corrupted(quotient, weight):
-        diagram = real(quotient, weight)
+    def corrupted(quotient):
+        diagram = real(quotient)
         if quotient is not pq:
             return diagram  # a flag diagram
         covers, mult = list(pq.covers), list(diagram.mult)
@@ -321,7 +318,7 @@ def _corrupted_decomposition(monkeypatch, fix):
 
 
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1"])
-def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, cold, label):
+def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
     fix = parse_fixture(label)
     dec, picked = _corrupted_decomposition(monkeypatch, fix)
     si, dropped, raised, crossed = (picked[k] for k in ("si", "dropped", "raised", "crossed"))

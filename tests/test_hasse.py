@@ -5,13 +5,15 @@ from math import factorial
 
 import pytest
 
-from parorbits import cosets, decomp, hasse, weyl
+from parorbits import cosets, decomp, hasse, strata, weyl
 from parorbits import fixtures as fixtures_module
 from parorbits.cosets import build_quotient
 from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.hasse import HasseError, build_hasse
 from parorbits.rootsys import build
+
+from weights import h_prime_weight, weighted_mult
 
 FIXTURES = [
     Fixture("A", 3, 1, 1),
@@ -28,7 +30,7 @@ FIXTURES = [
 
 def _diagram(fix):
     pq = build_quotient(fix.rs, fix.j_q)
-    return pq, build_hasse(pq, {fix.q_node: 1})
+    return pq, build_hasse(pq)
 
 
 def edges(diagram):
@@ -107,27 +109,27 @@ def test_poincare_polys():
 
 def test_chevalley_edges_single_vertex():
     pq = build_quotient(build("A", 3), frozenset({1, 3}))
-    hd = build_hasse(pq, {2: 1})
+    hd = build_hasse(pq)
     assert [(w, mult) for u, w, mult, _ in edges(hd) if u == 0] == [(1, 1)]
 
 
 def test_weight_validation():
+    # the oracle's support rule: a weight on a node of Delta(Q) vanishes on
+    # the quotient, and in A3 with J_Q = {1}, weight on node 2 alone leaves
+    # the cover e -> s_3 without an edge
     pq = build_quotient(build("A", 3), frozenset({1, 3}))
-    with pytest.raises(HasseError):
-        build_hasse(pq, {1: 1})  # supported inside Delta(Q)
-    with pytest.raises(HasseError):
-        build_hasse(pq, {})
-    with pytest.raises(HasseError):
-        build_hasse(pq, {2: -1})
-    with pytest.raises(HasseError, match=re.escape("[2, 5] is not the node set less Delta(Q), [2]")):
-        build_hasse(pq, {2: 1, 5: 1})  # a node outside the node set
-    # the support must be every node outside Delta(Q): in A3 with J_Q = {1},
-    # weight on node 2 alone leaves the cover e -> s_3 without an edge
+    with pytest.raises(ValueError, match=re.escape("[1] is not the node set less Delta(Q), [2]")):
+        weighted_mult(pq, {1: 1})
     p3 = build_quotient(build("A", 3), frozenset({1}))
-    with pytest.raises(HasseError, match=re.escape("[2] is not the node set less Delta(Q), [2, 3]")):
-        build_hasse(p3, {2: 1})
-    hd = build_hasse(p3, {2: 1, 3: 1})
-    assert hd.weight == ((2, 1), (3, 1)) and all(mult > 0 for _, _, mult, _ in edges(hd))
+    with pytest.raises(ValueError, match=re.escape("[2] is not the node set less Delta(Q), [2, 3]")):
+        weighted_mult(p3, {2: 1})
+    hd = build_hasse(p3)
+    assert hd.mult == weighted_mult(p3, {2: 1, 3: 1})
+    assert all(mult > 0 for _, _, mult, _ in edges(hd))
+    # a point quotient has no cover, so nothing to refuse
+    point = build_quotient(build("A", 3), frozenset({1, 2}), frozenset({1, 2}))
+    assert len(point.elements) == 1 and not point.covers
+    assert build_hasse(point).mult == (0,) * len(point.rs.positive_roots)
 
 
 def test_cover_with_witness_inside_phi_q_is_refused():
@@ -139,10 +141,10 @@ def test_cover_with_witness_inside_phi_q_is_refused():
     u, w, _ = pq.covers[k]
     bad = pq.covers[k]._replace(root=inside)
     corrupted = pq._replace(covers=pq.covers[:k] + (bad,) + pq.covers[k + 1 :])
-    assert build_hasse(pq, {2: 1}).mult[pq.covers[k].root] > 0
+    assert build_hasse(pq).mult[pq.covers[k].root] > 0
     names = (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]))
     with pytest.raises(HasseError, match=re.escape("cover %s -> %s has multiplicity 0" % names)):
-        build_hasse(corrupted, {2: 1})
+        build_hasse(corrupted)
 
 
 def test_multiplicity_recomputation_from_witnesses():
@@ -151,33 +153,43 @@ def test_multiplicity_recomputation_from_witnesses():
         for u, w, mult, r in edges(hd):
             s = cosets.reflection_by_index(pq.rs, r)
             assert weyl.multiply(pq.elements[u], s) == pq.elements[w]
-            assert hasse.pairing_with_coroot(pq, hd.weight, r) == mult
+            assert hasse.pairing_with_coroot(pq, r) == mult
 
 
-def _per_root_edges(pq, weight):
-    """The edges by the path `build_hasse` replaced: `pairing_with_coroot`
-    once per positive root, the covers of positive multiplicity, then a
+def _per_root_edges(pq, mults):
+    """The edges by the path `build_hasse` replaced: the covers of
+    positive multiplicity under `mults`, one per positive root, then a
     sort; as (u, w, mult) triples."""
-    mults = [hasse.pairing_with_coroot(pq, weight, r) for r in range(len(pq.rs.positive_roots))]
     return sorted((c.u, c.w, mults[c.root]) for c in pq.covers if mults[c.root] > 0)
 
 
 def _check_every_diagram(fix):
     """X's diagram and every flag diagram of the fixture: edges strictly
-    increasing in (u, w), and equal to the per-root path's."""
+    increasing in (u, w), and equal to the oracle's, the weighted build
+    `weighted_mult`.  X's edges are the oracle's under {q: 1}; a flag's,
+    each times h', are the oracle's under the h' weight, on every cover.
+    Returns the number of flag diagrams."""
     dec = decomp.build_decomposition(fix)
-    flags = [c.flag_diagram for c in dec.comparisons if c.flag_diagram is not None]
-    for hd in [dec.diagram] + flags:
-        triples = [(u, w, mult) for u, w, mult, _ in edges(hd)]
-        assert all(a[:2] < b[:2] for a, b in zip(triples, triples[1:])), (fix.label, hd.weight)
-        assert triples == _per_root_edges(hd.quotient, hd.weight), (fix.label, hd.weight)
-    return len(flags)
+    pq = dec.strat.pq
+    assert dec.diagram is build_hasse(pq), fix.label
+    checks = [(dec.diagram, 1, weighted_mult(pq, {fix.q_node: 1}))]
+    for comp in dec.comparisons:
+        st, fq = comp.stratum, comp.flag_quotient
+        checks.append((build_hasse(fq), strata.h_prime_of(st), weighted_mult(fq, h_prime_weight(st))))
+    for hd, coeff, want in checks:
+        triples = [(u, w, coeff * mult) for u, w, mult, _ in edges(hd)]
+        assert all(a[:2] < b[:2] for a, b in zip(triples, triples[1:])), fix.label
+        assert triples == _per_root_edges(hd.quotient, want), (fix.label, hd.quotient)
+    return len(checks) - 1
 
 
 def test_edges_keep_cover_order_and_per_root_multiplicities():
     # build_hasse keeps the order of the covers, with no sort, and sums
-    # coroot columns; both are checked on every fixture of rank <= 6 and A7
-    flags = sum(_check_every_diagram(fix) for fix in sweep_fixtures(7, 6, 6, 6))
+    # coroot columns; both are checked on every fixture of rank <= 6 and A7,
+    # which hold the Lagrangian C4/P4+P4 and the doubling B4/P3+P1
+    fixtures = sweep_fixtures(7, 6, 6, 6)
+    assert {"C4/P4+P4", "B4/P3+P1"} <= {fix.label for fix in fixtures}
+    flags = sum(_check_every_diagram(fix) for fix in fixtures)
     assert flags > 0
 
 
@@ -192,7 +204,7 @@ def test_type_a_diagrams_are_multiplicity_free():
         rs = build("A", n)
         for q in range(1, n + 1):
             pq = build_quotient(rs, frozenset(rs.nodes) - {q})
-            hd = build_hasse(pq, {q: 1})
+            hd = build_hasse(pq)
             assert all(mult == 1 for _, _, mult, _ in edges(hd))
 
 
@@ -227,7 +239,8 @@ def test_levi_flag_diagram():
     # F(1,3;4) inside the Levi of C_4 with weight 1 on each marked node
     c4 = build("C", 4)
     fq = build_quotient(c4, frozenset({2}), frozenset({1, 2, 3}))
-    hd = build_hasse(fq, {1: 1, 3: 1})
+    hd = build_hasse(fq)
+    assert hd.mult == weighted_mult(fq, {1: 1, 3: 1})
     doubles = [(fq.lengths[u], fq.lengths[w]) for u, w, mult, _ in edges(hd) if mult == 2]
     assert doubles == [(2, 3)] * 3
     assert weighted_path_count(hd) == weighted_path_count(hd, reverse=True)

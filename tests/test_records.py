@@ -22,7 +22,7 @@ FIELDS = {
         "root_support",
     ),
     "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
-    "HasseDiagram": ("quotient", "weight", "mult"),
+    "HasseDiagram": ("quotient", "mult"),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
     "FlagDescriptor": ("components", "marked_ambient", "dim"),
     "OrbitStratum": (
@@ -37,7 +37,7 @@ FIELDS = {
         "doubling",
     ),
     "Stratification": ("pq", "strata", "stratum_of", "delta"),
-    "StratumComparison": ("stratum", "flag_quotient", "flag_diagram", "phi", "mismatches"),
+    "StratumComparison": ("stratum", "flag_quotient", "phi", "mismatches"),
     "DecomposedDiagram": ("fixture", "strat", "diagram", "cross_edges", "comparisons"),
     "Fixture": ("type_label", "rank", "q_node", "p_node", "rs"),
 }

@@ -16,6 +16,7 @@ from parorbits.seidel import (
 
 from cases import stratum_count
 from exponents import delta
+from weights import q_degree_by_fixture
 from windows import identity, strip_descents
 from words import from_word, reduced_word
 
@@ -338,9 +339,16 @@ def test_type_a_orders_commute_on_quantum_terms():
 
 
 def test_quantum_degree_values():
-    assert quantum_q_degree(Fixture("A", 3, 1, 1)) == 4  # projective 3-space
-    assert quantum_q_degree(Fixture("A", 3, 2, 2)) == 4
-    assert quantum_q_degree(Fixture("C", 4, 2, 4)) == 7  # 2n - m + 1 on IG(m,2n)
+    assert quantum_q_degree(build("A", 3), 1) == 4  # projective 3-space
+    assert quantum_q_degree(build("A", 3), 2) == 4
+    assert quantum_q_degree(build("C", 4), 2) == 7  # 2n - m + 1 on IG(m,2n)
+
+
+def test_quantum_degree_per_node_matches_the_per_fixture_sum():
+    # the degree read once per (rs, q_node) is the per-fixture sum over the
+    # roots outside Phi_Q, on every fixture of the caps-5 sweep
+    for fix in sweep_fixtures(5, 5, 5, 5):
+        assert quantum_q_degree(fix.rs, fix.q_node) == q_degree_by_fixture(fix), fix.label
 
 
 def test_degree_bookkeeping():
@@ -348,7 +356,7 @@ def test_degree_bookkeeping():
         v = v_elt(fix.rs, fix.p_node)
         pq, perm, qexp = _table(fix)
         v_class = weyl._length(fix.rs, weyl.min_rep(fix.rs, v, fix.j_q))
-        qdeg = quantum_q_degree(fix)
+        qdeg = quantum_q_degree(fix.rs, fix.q_node)
         length = [weyl._length(fix.rs, w) for w in pq.elements]
         for k, w_length in enumerate(length):
             assert v_class + w_length == qexp[k] * qdeg + length[perm[k]]

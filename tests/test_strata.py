@@ -250,21 +250,26 @@ def test_delta_constant_and_monotone_small():
 
 
 def test_h_prime():
+    # h' is its coefficient on the flag's hyperplane class, 1 on each
+    # marked node; the doubling flag is the stratum's own field
     ig = Fixture("C", 4, 2, 4)
     ig_sts = stratify(ig).strata
-    # the weight alone: the doubling flag is the stratum's own field
-    assert h_prime_of(ig_sts[1]) == {1: 1, 3: 1} and not ig_sts[1].doubling
-    assert h_prime_of(ig_sts[2]) == {2: 1}
+    assert h_prime_of(ig_sts[1]) == 1 and ig_sts[1].flag.marked_ambient == (1, 3)
+    assert not ig_sts[1].doubling
+    assert h_prime_of(ig_sts[2]) == 1 and ig_sts[2].flag.marked_ambient == (2,)
     og = Fixture("B", 4, 3, 1)
     og_sts = stratify(og).strata
-    assert h_prime_of(og_sts[1]) == {4: 1} and og_sts[1].doubling  # spinor node of the B3 Levi
+    # the spinor node of the B3 Levi
+    assert h_prime_of(og_sts[1]) == 1 and og_sts[1].flag.marked_ambient == (4,)
+    assert og_sts[1].doubling
     g24 = Fixture("A", 3, 2, 2)
     g_sts = stratify(g24).strata
-    assert h_prime_of(g_sts[0]) == {} and not g_sts[0].doubling
+    assert g_sts[0].flag.marked_ambient == () and not g_sts[0].doubling
     # Lagrangian degeneration: both flag steps coincide, coefficient 2
     lg = Fixture("C", 4, 4, 4)
     lg_sts = stratify(lg).strata
-    assert set(h_prime_of(lg_sts[1]).values()) == {2} and not lg_sts[1].doubling
+    assert h_prime_of(lg_sts[1]) == 2 and lg_sts[1].flag.marked_ambient
+    assert not lg_sts[1].doubling
 
 
 def test_doubling_flag_localized():

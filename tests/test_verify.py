@@ -13,7 +13,7 @@ from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from caches import clear_caches
 from cases import d_of, expected_fiber_dim
-from exponents import bumped_delta
+from exponents import bumped_delta, reversed_delta
 
 
 #: size and SHA-256 of the stdout of `parorbits verify` at the default caps,
@@ -35,6 +35,20 @@ def test_perturbed_delta_on_one_member_fails(monkeypatch):
     monkeypatch.setattr(strata, "delta", bumped_delta(strata.delta, target))
     with pytest.raises(strata.StrataError, match="not constant"):
         verify.verify_fixture(fix)
+
+
+def test_reversed_delta_fails_monotonicity_on_a_cross_edge(monkeypatch, capsys):
+    # max - delta passes stratify's constancy check, and only the cross
+    # edges, which `_check_delta_laws` reads, can tell it from delta
+    fix = parse_fixture("C4/P2+P4")
+    monkeypatch.setattr(strata, "delta", reversed_delta(strata.delta))
+    dec = decomp.build_decomposition(fix)
+    assert dec.cross_edges
+    assert not verify._check_delta_laws(dec, strata.orbit_table(fix))["delta_monotone"]
+    assert re.fullmatch(r"cross edge \S+->\S+ does not raise delta: \d+ -> \d+", dec.witness())
+    assert not verify.verify_fixture(fix)["checks"]["delta_monotone"]
+    assert cli.main(["verify", "--fixture", "C4/P2+P4"]) == 2
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
 
 def test_swapped_seidel_images_fail_composition(monkeypatch):
@@ -111,8 +125,9 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
 def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold):
     # one cold sweep at caps 5: each shared result is built once per key,
     # the Seidel element and its word per (rs, p_node), the flag descriptor
-    # per (rs, J_P, K), and X's diagram and its Chevalley verdict per
-    # quotient of X, one per (rs, q_node)
+    # per (rs, J_P, K), X's Chevalley verdict and the q-degree per quotient
+    # of X, one per (rs, q_node), and the diagram once per quotient: the 50
+    # of X and the 144 flag quotients
     report = verify.run_verify(5, 5, 5, 5)
     assert report["all_pass"] and report["count"] == 104
     fixtures = sweep_fixtures(5, 5, 5, 5)
@@ -124,10 +139,11 @@ def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold):
         seidel.v_elt,
         seidel._stripped_word,
         strata.flag_descriptor,
-        decomp.x_diagram,
+        hasse.build_hasse,
         verify._check_chevalley_witnesses,
+        seidel.quantum_q_degree,
     )
-    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144, 50, 50]
+    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144, 194, 50, 50]
 
 
 def test_quantum_runs_each_stage_once(monkeypatch, capsys):
@@ -313,7 +329,7 @@ def _chevalley_by_compose(dec):
     return all(
         weyl.multiply(pq.elements[c.u], cosets.reflection_by_index(pq.rs, c.root))
         == pq.elements[c.w]
-        and hasse.pairing_with_coroot(pq, diagram.weight, c.root) == diagram.mult[c.root]
+        and hasse.pairing_with_coroot(pq, c.root) == diagram.mult[c.root]
         for c in pq.covers
     )
 
@@ -329,8 +345,8 @@ def test_shared_x_diagrams_and_chevalley_verdicts_match_fresh_ones():
     for fix in fixtures:
         dec = decomp.build_decomposition(fix)
         diagram, pq = dec.diagram, dec.strat.pq
-        fresh = hasse.build_hasse(pq, {fix.q_node: 1})
-        assert diagram is decomp.x_diagram(pq) and tuple(diagram) == tuple(fresh), fix.label
+        fresh = hasse.build_hasse.__wrapped__(pq)
+        assert diagram is hasse.build_hasse(pq) and tuple(diagram) == tuple(fresh), fix.label
         assert check(diagram) and fresh_check(diagram) and _chevalley_by_compose(dec), fix.label
 
         first = pq.covers[0]
