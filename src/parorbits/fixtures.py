@@ -157,7 +157,10 @@ def sweep_fixtures(
     max_d: int = DEFAULT_MAX_RANK,
 ) -> List[Fixture]:
     """Every classical fixture (all maximal Q x all cominuscule P) up to caps;
-    caps that admit none are refused, as an empty sweep is not a pass."""
+    caps that admit none are refused, as an empty sweep is not a pass.
+
+    The order is (type, rank, q_node, p_node): types in `TYPE_LABELS` order,
+    the rest ascending, so each root system's fixtures are contiguous."""
     caps = dict(zip(TYPE_LABELS, (max_a, max_b, max_c, max_d)))
     fixtures = [
         Fixture(t, n, q, p)

@@ -1,7 +1,12 @@
+import functools
 import hashlib
 import json
 import re
+import sys
+from collections import Counter
+from itertools import groupby
 from math import factorial
+from operator import attrgetter
 
 import pytest
 
@@ -22,8 +27,6 @@ VERIFY_STDOUT = (146875, "aaf37ca7607371757337498a1f26bb0276c74f487d09d653ec6976
 
 
 def test_verify_stdout_is_pinned(sweep_reports):
-    # the sweep fixture has built every quotient of the default caps, so
-    # this run reads them from the caches
     data = (indented(verify.run_verify()) + "\n").encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == VERIFY_STDOUT
 
@@ -122,28 +125,88 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
     assert calls == {"stratify": 1, "delta": 1, "v_elt": 1, "seidel_table": 1}
 
 
-def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold):
+def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold, monkeypatch):
     # one cold sweep at caps 5: each shared result is built once per key,
     # the Seidel element and its word per (rs, p_node), the flag descriptor
     # per (rs, J_P, K), X's Chevalley verdict and the q-degree per quotient
-    # of X, one per (rs, q_node), and the diagram once per quotient: the 50
-    # of X and the 144 flag quotients
+    # of X, one per (rs, q_node), and the quotient, its enumeration and its
+    # diagram once per quotient: the 50 of X and the 144 flag quotients.
+    # The per-quotient caches are released before each root system, and a
+    # release resets their statistics, so their misses are summed across
+    # the releases: no root system's quotient is built twice
+    per_quotient = (
+        cosets.build_quotient,
+        weyl.enumerate_group,
+        hasse.build_hasse,
+        verify._check_chevalley_witnesses,
+    )
+    released = [0] * len(per_quotient)
+    real_release, real_verify = verify._release_quotients, verify.verify_fixture
+    held = []
+
+    def release():
+        for k, cache in enumerate(per_quotient):
+            released[k] += cache.cache_info().misses
+        real_release()
+
+    def verify_fixture(fix):
+        report = real_verify(fix)
+        held.append((fix.rs, cosets.build_quotient.cache_info().currsize))
+        return report
+
+    monkeypatch.setattr(verify, "_release_quotients", release)
+    monkeypatch.setattr(verify, "verify_fixture", verify_fixture)
     report = verify.run_verify(5, 5, 5, 5)
     assert report["all_pass"] and report["count"] == 104
+    built = [k + cache.cache_info().misses for k, cache in zip(released, per_quotient)]
+    assert built == [194, 194, 194, 50]
     fixtures = sweep_fixtures(5, 5, 5, 5)
     assert len({(fix.rs, fix.p_node) for fix in fixtures}) == 29
     assert len({(fix.rs, fix.q_node) for fix in fixtures}) == 50
     flags = {(fix.rs, fix.j_p, st.K) for fix in fixtures for st in strata.stratify(fix).strata}
     assert len(flags) == 144
-    shared = (
-        seidel.v_elt,
-        seidel._stripped_word,
-        strata.flag_descriptor,
-        hasse.build_hasse,
-        verify._check_chevalley_witnesses,
-        seidel.quantum_q_degree,
-    )
-    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144, 194, 50, 50]
+    shared = (seidel.v_elt, seidel._stripped_word, strata.flag_descriptor)
+    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144]
+    assert seidel.quantum_q_degree.cache_info().misses == 50
+
+    # one root system at a time: the sweep lists each root system's
+    # fixtures together, and at every fixture the quotients cached are at
+    # most its root system's, X for each q_node and each flag
+    systems = [rs for rs, _ in groupby(fixtures, key=attrgetter("rs"))]
+    assert len(systems) == len(set(systems))
+    quotients = Counter(rs for rs, _ in {(fix.rs, fix.j_q) for fix in fixtures})
+    quotients.update(rs for rs, _, _ in flags)
+    assert [rs for rs, _ in held] == [fix.rs for fix in fixtures]
+    assert all(size <= quotients[rs] for rs, size in held)
+
+
+def test_release_finds_the_caches_behind_a_tracer(cold, monkeypatch):
+    # a tracer rebinds each cached function, in every module that holds it,
+    # to a plain wrapper without `cache_clear`; the sweep's release still
+    # empties the real caches, so after A1, A2 and B2 they hold B2's
+    # quotients alone: X for each q_node and each stratum's flag
+    cached = (cosets.build_quotient, weyl.enumerate_group, hasse.build_hasse)
+    for fn in cached:
+        wrapper = functools.update_wrapper(lambda *args, _fn=fn: _fn(*args), fn)
+        assert not hasattr(wrapper, "cache_clear")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("parorbits."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    report = verify.run_verify(2, 2, 0, 0)
+    assert report["all_pass"]
+    assert {r["fixture"].split("/")[0] for r in report["fixtures"]} == {"A1", "A2", "B2"}
+    b2 = [fix for fix in sweep_fixtures(2, 2, 0, 0) if fix.type_label == "B"]
+    keys = {(fix.rs, fix.j_q) for fix in b2}
+    keys |= {(fix.rs, st.K, fix.j_p) for fix in b2 for st in strata.stratify(fix).strata}
+    build_quotient, enumerate_group, _ = cached
+    misses = build_quotient.cache_info().misses
+    for key in keys:
+        build_quotient(*key)
+    assert build_quotient.cache_info().misses == misses
+    assert build_quotient.cache_info().currsize == len(keys)
+    assert enumerate_group.cache_info().currsize == len(keys)
 
 
 def test_quantum_runs_each_stage_once(monkeypatch, capsys):
