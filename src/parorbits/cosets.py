@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import weyl
-from .rootsys import RootSystem, Vector
+from .rootsys import RootSystem
 from .weyl import Window
 
 
@@ -84,13 +83,15 @@ def reflection_by_index(rs: RootSystem, root_idx: int) -> Window:
 
 
 @lru_cache(maxsize=None)
-def root_tables(rs: RootSystem) -> Tuple[Dict[int, List[int]], Dict[Vector, int]]:
-    """The signed table of each simple root, keyed by node, and the index
-    of each positive root, built once per root system for the witnesses
-    of `build_quotient`.  They live here and not beside
+def root_tables(rs: RootSystem) -> Tuple[Dict[int, bytes], Dict[bytes, int]]:
+    """The translation table (`weyl.signed_table`) of each simple root,
+    keyed by node, and the index of each positive root, keyed by its
+    encoded bytes, built once per root system for the witnesses of
+    `build_quotient`.  They live here and not beside
     `weyl.generator_tables`, as `weyl` reads no root vector."""
-    alphas = {k: weyl.signed_table(rs.simple_root(k)) for k in rs.nodes}
-    return alphas, {beta: r for r, beta in enumerate(rs.positive_roots)}
+    d = rs.dim
+    alphas = {k: weyl.signed_table(weyl.encode(rs.simple_root(k), d)) for k in rs.nodes}
+    return alphas, {weyl.encode(beta, d): r for r, beta in enumerate(rs.positive_roots)}
 
 
 @lru_cache(maxsize=None)
@@ -112,8 +113,9 @@ def build_quotient(
     (s*y*s_beta = s*p = w).  These sources are distinct: left
     multiplication is injective, and s*y = p would make y = w.  Elements
     come in order of length, so p's covers are known before w's.  The
-    witness is read through the signed table of alpha_k and the root
-    index of `root_tables`, and the lengths are the pass's levels.
+    witness p^-1(alpha_k) is p's window translated through the table of
+    alpha_k, looked up in the root index of `root_tables`, and the lengths
+    are the pass's levels.
     """
     if nodes is None:
         nodes = frozenset(rs.nodes)
@@ -128,7 +130,7 @@ def build_quotient(
         k = descent[i]
         row = left[k]
         p = row[i]
-        beta = root_index[itemgetter(*elements[p])(alphas[k])]
+        beta = root_index[elements[p].translate(alphas[k])]
         lower[i] = [(p, beta)] + [
             (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
         ]

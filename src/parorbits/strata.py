@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import cosets, rootsys, weyl
@@ -49,10 +49,11 @@ class StrataError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], List[int]]:
-    """2 omega_node^vee and its signed table, built once per root system."""
+def _coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], bytes]:
+    """2 omega_node^vee and its translation table (`weyl.signed_table`),
+    built once per root system."""
     omega2 = rs.double_coweight(node)
-    return omega2, weyl.signed_table(omega2)
+    return omega2, weyl.signed_table(weyl.encode(omega2, rs.dim))
 
 
 def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
@@ -62,7 +63,10 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     q-th simple coroot.  As the coweights are dual to the simple roots,
     eta_Q(v) = |alpha_q|^2 <v, 2 omega_q^vee> / 4, so each class costs one
     gather of w^(-1) 2 omega_p^vee from the signed table and one pairing
-    with 2 omega_q^vee.
+    with 2 omega_q^vee.  The gather is one `bytes.translate` of the
+    window, so each moved entry carries the offset 128: the pairing and
+    the type-A coordinate sum are compared against constants that carry
+    it too, 128 times the sum of the weights and 128 times the dimension.
 
     Every class is certified: in type A the move lies in the span of the
     coroots (coordinate sum 0), its coefficient is an integer (the move
@@ -73,11 +77,11 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     weights = rs.double_coweight(q)
     alpha = rs.simple_root(q)
     scale = rootsys.pair(alpha, alpha)
-    top = rootsys.pair(omega2, weights)
-    span = sum(omega2) if rs.type_label == "A" else None
+    top = rootsys.pair(omega2, weights) + weyl.OFFSET * sum(weights)
+    span = sum(omega2) + weyl.OFFSET * rs.dim if rs.type_label == "A" else None
     out = []
     for x in pq.elements:
-        moved = itemgetter(*x)(table)  # w^-1(2 omega_p^vee)
+        moved = x.translate(table)  # w^-1(2 omega_p^vee), encoded
         if span is not None and sum(moved) != span:
             w = weyl.name(rs, x)
             raise StrataError("coweight move of %s is not in the span of the coroots" % w)
@@ -100,19 +104,21 @@ def d_geometric(fix: Fixture, windows: Sequence[Window]) -> List[int]:
     off the first m = q_node entries of the window: #{j <= m : w(j) <= i}
     in type A, #{j <= m : w(j) > 0} in type C and at the spin node n of D,
     the same count corrected by the entries n and -n at node n-1 of D, and
-    in type B and at node 1 of D whether 1 or -1 is among them.
+    in type B and at node 1 of D whether 1 or -1 is among them.  The heads
+    stay encoded, and are compared against encoded constants, x + 128.
     """
     t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
     heads = [b[:m] for b in windows]
+    zero = weyl.OFFSET
     if t == "A":
-        return [sum(map(i.__ge__, h)) for h in heads]
+        return [sum(map((zero + i).__ge__, h)) for h in heads]
     if t == "B" or (t == "D" and i == 1):
         top = 2 if m < n else 1
-        return [top if 1 in h else 0 if -1 in h else 1 for h in heads]
+        return [top if zero + 1 in h else 0 if zero - 1 in h else 1 for h in heads]
     if t == "C" or (t == "D" and i == n):
-        return [sum(map((0).__lt__, h)) for h in heads]
+        return [sum(map(zero.__lt__, h)) for h in heads]
     # D with i = n - 1
-    return [sum(map((0).__lt__, h)) - (n in h) + (-n in h) for h in heads]
+    return [sum(map(zero.__lt__, h)) - (zero + n in h) + (zero - n in h) for h in heads]
 
 
 def orbit_table(fix: Fixture) -> Dict[int, int]:

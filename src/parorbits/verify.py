@@ -76,20 +76,25 @@ def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
     u * s_beta = w, and the diagram's multiplicity of each witness beta is
     <omega_q, beta^vee>; s_beta and the pairing are read once per root,
     not from the left table.  The window of u * s_beta is the window of
-    s_beta gathered from the signed table of u (`weyl.signed_table`): one
-    getter per root, one table per class, and no window product.
+    s_beta translated through the table of u (`weyl.signed_table`): the
+    covers come sorted by source, so each class's table is built once,
+    when its first cover is read, and each cover costs one
+    `bytes.translate`.
 
     The verdict is cached by the diagram object, which hashes by identity:
     `hasse.build_hasse` gives every fixture on X the same diagram, so X is
     certified once, and any other diagram object gets a verdict of its own."""
     pq = diagram.quotient
     roots = {r for _, _, r in pq.covers}
-    getters = {r: itemgetter(*cosets.reflection_by_index(pq.rs, r)) for r in roots}
+    if any(diagram.mult[r] != hasse.pairing_with_coroot(pq, r) for r in roots):
+        return False
+    reflections = {r: cosets.reflection_by_index(pq.rs, r) for r in roots}
     windows = pq.elements
-    tables = [weyl.signed_table(x) for x in windows]
-    return all(
-        diagram.mult[r] == hasse.pairing_with_coroot(pq, r) for r in roots
-    ) and all(getters[r](tables[u]) == windows[w] for u, w, r in pq.covers)
+    for u, covers in groupby(pq.covers, itemgetter(0)):
+        table = weyl.signed_table(windows[u])
+        if any(reflections[r].translate(table) != windows[w] for _, w, r in covers):
+            return False
+    return True
 
 
 #: The caches that hold a quotient, its enumeration, or a result keyed by a
@@ -125,12 +130,12 @@ def _check_seidel(dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...]) -> D
     # type D, S_n for m = n; D_n has no fixture at m = n-1), so the signed
     # set of a window's first m = q_node entries is its class in W/W_Q
     # (Bjorner-Brenti 8.1-8.2).  The head of v^2 * w is the head of w
-    # read through the signed table of v^2
+    # translated through the table of v^2
     m = fix.q_node
     square = weyl.signed_table(weyl.multiply(v, v))
     windows = pq.elements
     compose_ok = all(
-        {square[b] for b in x[:m]} == set(windows[perm[perm[k]]][:m])
+        set(x[:m].translate(square)) == set(windows[perm[perm[k]]][:m])
         for k, x in enumerate(windows)
     )
 
@@ -202,7 +207,7 @@ def type_a_composition_report(max_rank: int = 4) -> dict:
     results = {}
     for n in range(1, max_rank + 1):
         rs = rootsys.build("A", n)
-        velems = {0: tuple(range(1, rs.dim + 1))}
+        velems = {0: weyl.identity(rs)}
         for i in range(1, n + 1):
             velems[i] = seidel.v_elt(rs, i)
         ok = True

@@ -1,56 +1,107 @@
-"""Weyl-group elements as (signed) permutation windows.
+"""Weyl-group elements as (signed) permutation windows, stored as bytes.
 
 A window (b_1, ..., b_d) encodes the map e_k -> sign(b_k) e_|b_k| on the
 ambient lattice of the root system.  Type A windows are plain permutations
 of {1..n+1}; types B and C allow any sign pattern; type D requires an even
 number of negative entries.
 
-Every statistic is read off the window's integers, never from a root
+Encoding.  A window is a `bytes` object of length d, entry x stored as
+the byte x + 128 (`OFFSET`).  The offset is fixed, so it keeps the order
+of tuples: two windows compare as bytes as their tuples of ints compare,
+and every `sorted` call and every (length, window) order is that of the
+tuples.  Entries -127..127 fit, so a window holds dimensions up to 127
+(`MAX_DIM`); `encode`, through which every window and table is made,
+refuses a larger one.  Vectors (roots, coweights) stay tuples of ints,
+and are encoded the same way only to be read through a table.  Nothing
+decodes a window except `window_str`, through one table of 256 strings,
+where a window is printed.
+
+Every statistic is read off the window's entries, never from a root
 vector (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1-8.2).  With
 key(x) = x mod (2d+1), which orders 1 < ... < d < -d < ... < -1, the
 window inverts e_i - e_j (i < j) iff key(b_i) > key(b_j), e_i + e_j iff
-key(b_i) > key(-b_j), and e_i (or 2 e_i) iff b_i < 0.  Length counts these
-inversions, and a right descent is an inverted simple root; the tests
-cross-check both against the count of positive roots sent to negative
-roots.
+key(b_i) > key(-b_j), and e_i (or 2 e_i) iff b_i < 0.  On bytes, key is
+one constant table for every d: (x - 1) mod 256 has the same order.
+Length counts these inversions, and a right descent is an inverted simple
+root; the tests cross-check both against the count of positive roots sent
+to negative roots.
 
 Right multiplication acts on positions: W_J permutes blocks of positions,
 so `min_rep` and `longest` put each block in its shortest or longest order
 in one pass (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping or adding
-descents.  Left multiplication acts on values: s_k changes only the
-entries +/-k and +/-(k+1), and `signed_table` turns s*w, and the vector
-w^-1(v), into one lookup per entry, indexed by signed value;
-`generator_tables` builds these tables for the simple reflections once per
-root system.  `enumerate_group` lists the windows of the minimal
-representatives of W_L / W_J in one breadth-first pass, without
-enumerating W_L: it keeps s*w by Deodhar's test (one such vector and one
-set lookup), builds no element, and keeps what the pass meets on the way,
-each window's breadth-first level (its length), the window index, the
-left action of every generator as rows of indices and each window's first
-left descent, for `cosets.build_quotient` to read.  Every function takes
-and returns bare windows; `name` prints one with its group, e.g.
-WC4(1,2,3,4), and `multiply` is the one window product.
+descents.  Left multiplication acts on values: `signed_table` turns s*w,
+and the vector w^-1(v), into a 256-byte translation table, so that each
+is one `bytes.translate` of w, done in C; `generator_tables` builds these
+tables for the simple reflections once per root system.
+`enumerate_group` lists the windows of the minimal representatives of
+W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps s*w
+by Deodhar's test (one translated vector and one set lookup), builds no
+element, and keeps what the pass meets on the way, each window's
+breadth-first level (its length), the window index, the left action of
+every generator as rows of indices and each window's first left descent,
+for `cosets.build_quotient` to read.  Every function takes and returns
+bare windows; `name` prints one with its group, e.g. WC4(1,2,3,4), and
+`multiply` is the one window product.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
-Window = Tuple[int, ...]
+Window = bytes
+
+#: Entry x of a window (or of a vector) is stored as the byte x + OFFSET.
+OFFSET = 128
+#: The largest dimension whose entries -d..d all fit in a byte.
+MAX_DIM = 127
+
+#: byte x + 128 -> the text of x, for `window_str`
+_TEXT = tuple(str(y - OFFSET) for y in range(256))
+#: translation table of negation: byte x + 128 -> byte -x + 128 (byte 0,
+#: x = -128, never occurs and is kept)
+_NEG = bytes([0]) + bytes(range(255, 0, -1))
+#: translation table of key(x) = x mod (2d+1), up to order: (x - 1) mod 256
+#: orders 1 < ... < d < -d < ... < -1 for every d <= MAX_DIM
+_KEY = bytes((y - OFFSET - 1) % 256 for y in range(256))
+#: key(-x) for byte x + 128
+_NEG_KEY = _NEG.translate(_KEY)
+#: translation table of the absolute value: byte x + 128 -> byte |x| + 128
+_ABS = bytes(max(y, z) for y, z in enumerate(_NEG))
+_ZERO = bytes([OFFSET])
+_IDENTITY = bytes(range(256))
+#: for each dimension d, the identity pieces of a translation table below
+#: byte -d + 128 and above byte d + 128, which no window entry reads
+_PIECES = tuple((_IDENTITY[: OFFSET - d], _IDENTITY[OFFSET + 1 + d :]) for d in range(MAX_DIM + 1))
 
 
 class WeylError(ValueError):
     """Invalid window or node, or mismatched operands."""
 
 
+def encode(values: Iterable[int], dim: int) -> Window:
+    """The bytes of a window or vector of dimension `dim`, entry x stored as
+    x + OFFSET.  Every window and table is encoded here, so this is where
+    a dimension past MAX_DIM, whose entries would not fit in a byte, is
+    refused."""
+    if dim > MAX_DIM:
+        raise WeylError(
+            "dimension %d exceeds %d, the largest a window of bytes holds" % (dim, MAX_DIM)
+        )
+    return bytes([x + OFFSET for x in values])
+
+
+def identity(rs: RootSystem) -> Window:
+    """The window of the identity, (1, ..., d)."""
+    return encode(range(1, rs.dim + 1), rs.dim)
+
+
 def window_str(window: Window) -> str:
-    """Canonical string form, e.g. "(3,-1,2)"."""
-    return "(" + ",".join(str(b) for b in window) + ")"
+    """Canonical string form, e.g. "(3,-1,2)": the one decoder of windows."""
+    return "(" + ",".join(map(_TEXT.__getitem__, window)) + ")"
 
 
 def name(rs: RootSystem, window: Window) -> str:
@@ -61,14 +112,16 @@ def name(rs: RootSystem, window: Window) -> str:
 def _validate_window(rs: RootSystem, window: Window) -> None:
     d = rs.dim
     if len(window) != d:
-        raise WeylError("window %s has length %d, expected %d" % (window, len(window), d))
-    if sorted(abs(b) for b in window) != list(range(1, d + 1)):
-        raise WeylError("window %s is not a signed permutation of 1..%d" % (window, d))
-    negatives = sum(1 for b in window if b < 0)
+        raise WeylError(
+            "window %s has length %d, expected %d" % (window_str(window), len(window), d)
+        )
+    if sorted(window.translate(_ABS)) != list(range(OFFSET + 1, OFFSET + d + 1)):
+        raise WeylError("window %s is not a signed permutation of 1..%d" % (window_str(window), d))
+    negatives = sum(y < OFFSET for y in window)
     if rs.type_label == "A" and negatives:
-        raise WeylError("type A windows carry no signs: %s" % (window,))
+        raise WeylError("type A windows carry no signs: %s" % window_str(window))
     if rs.type_label == "D" and negatives % 2:
-        raise WeylError("type D windows need an even number of signs: %s" % (window,))
+        raise WeylError("type D windows need an even number of signs: %s" % window_str(window))
 
 
 def _length(rs: RootSystem, window: Window) -> int:
@@ -76,18 +129,16 @@ def _length(rs: RootSystem, window: Window) -> int:
     also those with key(b_i) > key(-b_j); in B and C also negative entries.
     The keys of the entries before position j are kept sorted, so each
     count over i is one bisection."""
-    m = 2 * len(window) + 1
     signed = rs.type_label != "A"
     seen: List[int] = []
     total = 0
-    for j, b in enumerate(window):
-        key = b % m
+    for j, (key, neg) in enumerate(zip(window.translate(_KEY), window.translate(_NEG_KEY))):
         total += j - bisect_right(seen, key)
         if signed:
-            total += j - bisect_right(seen, -b % m)
+            total += j - bisect_right(seen, neg)
         insort(seen, key)
     if rs.type_label in ("B", "C"):
-        total += sum(b < 0 for b in window)
+        total += sum(y < OFFSET for y in window)
     return total
 
 
@@ -105,12 +156,11 @@ def _is_descent(rs: RootSystem, window: Window, k: int) -> bool:
     """Whether node k (in 1..rank) is a right descent, i.e. the window
     inverts alpha_k."""
     n = rs.rank
-    m = 2 * len(window) + 1
     if k < n or rs.type_label == "A":  # alpha_k = e_k - e_(k+1)
-        return window[k - 1] % m > window[k] % m
+        return _KEY[window[k - 1]] > _KEY[window[k]]
     if rs.type_label == "D":  # alpha_n = e_(n-1) + e_n
-        return window[n - 2] % m > -window[n - 1] % m
-    return window[n - 1] < 0  # alpha_n = e_n or 2 e_n
+        return _KEY[window[n - 2]] > _NEG_KEY[window[n - 1]]
+    return window[n - 1] < OFFSET  # alpha_n = e_n or 2 e_n
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +171,11 @@ def simple_reflection(rs: RootSystem, k: int) -> Window:
 
 
 class Generator(NamedTuple):
-    """A simple reflection s as lookup tables (see `signed_table`)."""
+    """A simple reflection s as translation tables (see `signed_table`)."""
 
-    table: List[int]  # signed table of the window of s
-    direction: Tuple[int, ...]  # `_root_direction` of s
-    direction_table: List[int]  # signed table of the direction
+    table: bytes  # signed table of the window of s
+    direction: bytes  # `_root_direction` of s, encoded
+    direction_table: bytes  # signed table of the direction
 
 
 @lru_cache(maxsize=None)
@@ -163,52 +213,54 @@ def reflection(rs: RootSystem, root: Vector) -> Window:
             raise WeylError("root %s does not act by signed permutation" % (root,))
         t, x = hits[0]
         window[k] = t + 1 if x > 0 else -(t + 1)
-    out = tuple(window)
+    out = encode(window, rs.dim)
     _validate_window(rs, out)
     return out
 
 
 def multiply(uw: Window, ww: Window) -> Window:
-    """Window of the product u*w, i.e. of the map v -> u(w(v))."""
-    return tuple([uw[b - 1] if b > 0 else -uw[-b - 1] for b in ww])
+    """Window of the product u*w, i.e. of the map v -> u(w(v)): w read
+    through the signed table of u."""
+    return ww.translate(signed_table(uw))
 
 
-def signed_table(v: Sequence[int]) -> List[int]:
-    """Lookup table t with t[b] = sign(b) * v[|b| - 1] for b in +/-1..+/-d
-    (a negative b reads from the end), so that (t[b] for b in w) is
-    multiply(v, w) without a branch per entry: the window of s*w when v is
-    the window of s, and the vector w^-1(v) when v is a vector, since
-    (w^-1 v)_j = sign(b_j) v_|b_j|.  `itemgetter(*w)(t)` gathers it as a
-    tuple in one call (every window has at least two entries, so the
-    getter returns a tuple), and one getter serves every table."""
-    return [0, *v, *[-x for x in reversed(v)]]
+def signed_table(v: bytes) -> bytes:
+    """Translation table t of the encoded window or vector v of dimension
+    d: byte b + 128 maps to sign(b) * v[|b| - 1] + 128 for b in
+    +/-1..+/-d, so that `w.translate(t)` is multiply(v, w) in one C call:
+    the window of s*w when v is the window of s, and the vector w^-1(v)
+    when v is a vector, since (w^-1 v)_j = sign(b_j) v_|b_j|.  It is
+    joined from constant pieces: the identity below -d and above d, the
+    negated v reversed, the zero entry, and v itself."""
+    below, above = _PIECES[len(v)]
+    return b"".join((below, v[::-1].translate(_NEG), _ZERO, v, above))
 
 
-def _root_direction(r: Window) -> Tuple[int, ...]:
+def _root_direction(r: Window) -> bytes:
     """e_i - s(e_i) for the first coordinate i that the reflection s with
     window r moves, which is <e_i, beta^vee> beta for the root beta of s.
     For a simple reflection this is alpha_s itself, except for alpha_n = e_n
     of B_n, which it doubles; alpha_n is the only short simple root of B_n
     and w^-1 keeps lengths, so w^-1(alpha_s) = alpha_t holds exactly when
     it holds for these vectors."""
-    i = next(i for i, b in enumerate(r) if b != i + 1)
+    i = next(i for i, y in enumerate(r) if y != OFFSET + 1 + i)
     v = [0] * len(r)
     v[i] += 1
-    v[abs(r[i]) - 1] -= 1 if r[i] > 0 else -1
-    return tuple(v)
+    v[_ABS[r[i]] - OFFSET - 1] -= 1 if r[i] > OFFSET else -1
+    return encode(v, len(r))
 
 
 def act(window: Window, v: Sequence) -> Tuple:
     """Signed-permutation action of the window on an ambient (co)weight
-    vector of the same dimension."""
+    vector of the same dimension, a tuple of ints."""
     if len(v) != len(window):
         raise WeylError("vector has dimension %d, expected %d" % (len(v), len(window)))
     out = [0] * len(window)
-    for pos, b in enumerate(window):
-        if b > 0:
-            out[b - 1] = v[pos]
+    for pos, y in enumerate(window):
+        if y > OFFSET:
+            out[y - OFFSET - 1] = v[pos]
         else:
-            out[-b - 1] = -v[pos]
+            out[OFFSET - 1 - y] = -v[pos]
     return tuple(out)
 
 
@@ -261,21 +313,20 @@ def _block_pass(rs: RootSystem, window: Window, nodes: List[int], longest: bool)
     flip = t == "D" and n in nodes and n - 1 not in nodes
     if flip:
         nodes = nodes[:-1] + [n - 1]  # n was the largest node, so the list stays sorted
-        b[-1] = -b[-1]
-    m = 2 * len(b) + 1
+        b[-1] = _NEG[b[-1]]
     for a, c in _runs(nodes):
         if c == n and t != "A":
             block = b[a - 1 :]
-            tail = sorted(abs(x) for x in block)
-            b[a - 1 :] = [-x for x in tail] if longest else tail
+            tail = sorted(map(_ABS.__getitem__, block))
+            b[a - 1 :] = map(_NEG.__getitem__, tail) if longest else tail
             # the count of negative entries changed by an odd number
-            if t == "D" and sum(x < 0 for x in block + b[a - 1 :]) % 2:
-                b[-1] = -b[-1]
+            if t == "D" and sum(y < OFFSET for y in block + b[a - 1 :]) % 2:
+                b[-1] = _NEG[b[-1]]
         else:
-            b[a - 1 : c + 1] = sorted(b[a - 1 : c + 1], key=lambda x: x % m, reverse=longest)
+            b[a - 1 : c + 1] = sorted(b[a - 1 : c + 1], key=_KEY.__getitem__, reverse=longest)
     if flip:
-        b[-1] = -b[-1]
-    return tuple(b)
+        b[-1] = _NEG[b[-1]]
+    return bytes(b)
 
 
 def min_rep(rs: RootSystem, window: Window, j_set: Iterable[int]) -> Window:
@@ -291,7 +342,7 @@ def longest(rs: RootSystem, j_set: Iterable[int]) -> Window:
     Certified: w_0(J) is the one element of W_J with every node of J as a
     right descent, and each node is checked on the result."""
     nodes = _checked_nodes(rs, j_set)
-    window = _block_pass(rs, tuple(range(1, rs.dim + 1)), nodes, True)
+    window = _block_pass(rs, identity(rs), nodes, True)
     for k in nodes:
         if not _is_descent(rs, window, k):
             raise WeylError(
@@ -353,14 +404,15 @@ def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]
     all of W_L for J empty), sorted by (length, window), in one breadth-first pass by left
     simple reflections s of L.  By Deodhar's lemma (Bjorner-Brenti Lemma
     2.4.3), for w in W^J either s*w is in W^J or s*w = w*t for a t in J,
-    and the latter holds exactly when w^-1(alpha_s) = alpha_t.  So one
-    getter per w reads both s*w and that vector through signed tables,
-    and the test is one set lookup.  This reaches all of W^J.  Each kept
-    step changes the length by exactly 1, and every w in W^J of length
-    l > 0 has a left descent s with s*w in W^J of length l - 1, so an
-    element's breadth-first level is its length: levels are emitted in
-    turn, each sorted by window, and each element's level is recorded as
-    its length.  Only windows are listed; no element is built.
+    and the latter holds exactly when w^-1(alpha_s) = alpha_t.  So s*w
+    and that vector are each one `bytes.translate` of w through the
+    generator's tables, and the test is one set lookup.  This reaches all
+    of W^J.  Each kept step changes the length by exactly 1, and every w
+    in W^J of length l > 0 has a left descent s with s*w in W^J of length
+    l - 1, so an element's breadth-first level is its length: levels are
+    emitted in turn, each sorted by window, and each element's level is
+    recorded as its length.  Only windows are listed; no element is
+    built.
 
     Each level is indexed when it is emitted, and its left rows start as
     placeholders, so every step from w_i is one of three (Deodhar's
@@ -384,7 +436,7 @@ def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]
     descent: List[int] = []
     out: List[Window] = []
     lengths: List[int] = []
-    level = [tuple(range(1, rs.dim + 1))]
+    level = [identity(rs)]
     length = 0
     while level:
         base = len(out)
@@ -396,13 +448,13 @@ def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]
             row.extend(placeholders)
         nxt = []
         for i, ww in enumerate(level, base):
-            gather = itemgetter(*ww)
+            translate = ww.translate
             first = 0
             for k, table, root, row in steps:
-                x = gather(table)
+                x = translate(table)
                 j = lookup(x)
                 if j is None:  # inside w_i W_J, or new in the next level
-                    if gather(root) in j_roots:
+                    if translate(root) in j_roots:
                         row[i] = i
                     else:
                         index[x] = -1

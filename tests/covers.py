@@ -11,10 +11,12 @@ products looked up in the quotient's index.
 
 from parorbits import cosets, weyl
 
+from windows import dec, enc
+
 
 def reflection_image(root):
-    """Map from the window of u to the window of u * s_root, or to None when
-    u sends the positive root `root` to a negative root.  Right
+    """Map from the tuple window of u to the window of u * s_root, or to
+    None when u sends the positive root `root` to a negative root.  Right
     multiplication by s_beta swaps positions i and j for e_i - e_j, swaps
     and negates them for e_i + e_j, and negates position i for e_i (or
     2 e_i).  With y = c b_j, where c = -1 for e_i + e_j and +1 for
@@ -52,12 +54,12 @@ def all_roots_covers(pq):
         if r not in q_roots
     ]
     covers = []
-    for u, window in enumerate(pq.elements):
+    for u, window in enumerate(map(dec, pq.elements)):
         for r, image in candidates:
             x = image(window)
             if x is None:
                 continue
-            w = pq.index.get(x)
+            w = pq.index.get(enc(x))
             if w is not None and lengths[w] == lengths[u] + 1:
                 covers.append(cosets.Cover(u, w, r))
     return tuple(sorted(covers))

@@ -4,16 +4,19 @@ the per-class paths that the library's one-pass functions replaced.
 `strata.delta(fix, pq)` returns every class's delta in one pass, pairing
 w^-1(2 omega_p^vee) with 2 omega_q^vee; here `eta` expands a vector's
 coefficient on one simple coroot with its own checks, and `delta` calls
-it once per class, gathering w^-1(2 omega_p^vee) from a signed table
-built afresh.  `strata.d_geometric(fix, windows)` dispatches on the
-fixture's case once per call; here `d_geometric` reads it for one window
-at a time.
+it once per class, gathering w^-1(2 omega_p^vee) from a tuple signed
+table (`tuples.py`) built afresh, on the decoded window.
+`strata.d_geometric(fix, windows)` dispatches on the fixture's case once
+per call; here `d_geometric` reads it for one decoded window at a time.
 """
 
 from operator import itemgetter, sub
 
 from parorbits import strata, weyl
 from parorbits.rootsys import RootSystemError, pair
+
+import tuples
+from windows import dec
 
 
 def eta(rs, v, j):
@@ -44,7 +47,7 @@ def delta(fix, w):
     """Stratum exponent of one window w: half of
     eta(2 omega_p^vee - w^(-1) 2 omega_p^vee), certified even and >= 0."""
     omega2 = fix.rs.double_coweight(fix.p_node)
-    moved = itemgetter(*w)(weyl.signed_table(omega2))  # w^-1(2 omega_p^vee)
+    moved = itemgetter(*dec(w))(tuples.signed_table(omega2))  # w^-1(2 omega_p^vee)
     twice = eta(fix.rs, tuple(map(sub, omega2, moved)), fix.q_node)
     if twice % 2 or twice < 0:
         name = weyl.name(fix.rs, w)
@@ -60,7 +63,7 @@ def d_geometric(fix, w):
     #{j <= m : w(j) <= i} in type A, #{j <= m : w(j) > 0} in type C.
     """
     t, n, m, i = fix.type_label, fix.rank, fix.q_node, fix.p_node
-    head = w[:m]
+    head = dec(w)[:m]
     if t == "A":
         return sum(1 for v in head if v <= i)
     if t == "B" or (t == "D" and i == 1):

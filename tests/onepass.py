@@ -8,11 +8,15 @@ replaced: a breadth-first search that keeps only the windows it meets
 it up in a fresh window index, and a search of each element's nodes for
 its first left descent.  The covers and witnesses that the recursion reads
 off these are checked against the all-roots loop in `test_covers.py`.
+`check_quotient` also compares the whole quotient with its tuple build
+in `tuples.py`, the enumerator and witness recursion as they ran before
+windows became bytes.
 """
 
-from operator import itemgetter
-
 from parorbits import weyl
+
+import tuples
+from windows import dec
 
 
 def seen_set_levels(rs, nodes, j_set):
@@ -22,7 +26,7 @@ def seen_set_levels(rs, nodes, j_set):
     tables = weyl.generator_tables(rs)
     gens = [(tables[k].table, tables[k].direction_table) for k in sorted(nodes)]
     j_roots = {tables[k].direction for k in j_set}
-    level = [tuple(range(1, rs.dim + 1))]
+    level = [weyl.identity(rs)]
     seen = set(level)
     windows, lengths = [], []
     length = 0
@@ -31,10 +35,9 @@ def seen_set_levels(rs, nodes, j_set):
         lengths += [length] * len(level)
         nxt = []
         for ww in level:
-            gather = itemgetter(*ww)
             for left, root in gens:
-                x = gather(left)
-                if x not in seen and gather(root) not in j_roots:
+                x = ww.translate(left)
+                if x not in seen and ww.translate(root) not in j_roots:
                     seen.add(x)
                     nxt.append(x)
         level = sorted(nxt)
@@ -46,10 +49,9 @@ def left_table(rs, windows, nodes):
     """The window index, and left[k][i] = the index of s_k * w_i, or i when
     s_k * w_i is not in the quotient, by recomputing every product."""
     index = {w: k for k, w in enumerate(windows)}
-    gathers = [itemgetter(*w) for w in windows]
     gens = weyl.generator_tables(rs)
     left = {
-        k: tuple([index.get(gather(gens[k].table), i) for i, gather in enumerate(gathers)])
+        k: tuple([index.get(w.translate(gens[k].table), i) for i, w in enumerate(windows)])
         for k in sorted(nodes)
     }
     return index, left
@@ -66,7 +68,9 @@ def first_descents(lengths, left):
 def check_quotient(pq):
     """Assert that the quotient and the enumeration it was built from agree
     with the oracles above: windows, lengths, index, left rows and first
-    descents; and that the covers come out sorted."""
+    descents; that the covers come out sorted; and that the decoded
+    windows, the lengths, left rows, first descents, covers and witnesses
+    are those of the tuple build."""
     rs, nodes, j_set = pq.rs, pq.nodes, pq.j_q
     windows, lengths = seen_set_levels(rs, nodes, j_set)
     index, left = left_table(rs, windows, nodes)
@@ -80,3 +84,9 @@ def check_quotient(pq):
     assert enumeration.left == left == pq.left, pq
     assert enumeration.descent == descents, pq
     assert pq.covers == tuple(sorted(pq.covers)), pq
+    t_windows, t_lengths, t_left, t_descent, t_covers = tuples.build_quotient(rs, j_set, nodes)
+    assert list(map(dec, pq.elements)) == t_windows, pq
+    assert list(pq.lengths) == t_lengths, pq
+    assert pq.left == t_left, pq
+    assert list(enumeration.descent) == t_descent, pq
+    assert pq.covers == t_covers, pq

@@ -121,9 +121,10 @@ def classical_systems():
 
 
 def fresh_signed_table(v):
-    """t[b] = sign(b) * v[|b| - 1] for b in +/-1..+/-d, a negative b read
-    from the end of the list, filled one entry at a time."""
-    t = [0] * (2 * len(v) + 1)
+    """The translation table of the vector or tuple window v: byte b + 128
+    holds sign(b) * v[|b| - 1] + 128 for b in +/-1..+/-d, and every other
+    byte maps to itself, filled one entry at a time."""
+    t = list(range(256))
     for b, x in enumerate(v, 1):
-        t[b], t[-b] = x, -x
-    return t
+        t[weyl.OFFSET + b], t[weyl.OFFSET - b] = weyl.OFFSET + x, weyl.OFFSET - x
+    return bytes(t)

@@ -16,7 +16,7 @@ from parorbits.rootsys import RANK_BOUNDS, build, components
 from caches import clear_caches
 from dynkin import subsets
 from roots import classical_systems, fresh_signed_table
-from windows import draw_window, identity
+from windows import draw_window, enc, identity
 
 FIXTURES = [
     Fixture("A", 3, 2, 2),
@@ -578,8 +578,8 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
 
 
 def test_root_tables_match_a_fresh_recomputation():
-    # A1-A8, B2-B8, C2-C8 and D4-D8: the signed table of each simple root
-    # and the index of each positive root
+    # A1-A8, B2-B8, C2-C8 and D4-D8: the translation table of each simple
+    # root and the index of each positive root, keyed by its bytes
     for rs in classical_systems():
         alphas, root_index = cosets.root_tables(rs)
         assert sorted(alphas) == list(rs.nodes), rs
@@ -587,7 +587,7 @@ def test_root_tables_match_a_fresh_recomputation():
             assert alphas[k] == fresh_signed_table(rs.simple_root(k)), (rs, k)
         assert len(root_index) == len(rs.positive_roots), rs
         for r, beta in enumerate(rs.positive_roots):
-            assert root_index[beta] == r, (rs, beta)
+            assert root_index[enc(beta)] == r, (rs, beta)
         assert cosets.root_tables(rs)[1] is root_index
 
 
@@ -655,7 +655,7 @@ def test_certificate_and_covers_reuse_enumerated_work(monkeypatch, cold):
     assert counts["bruhat_leq"] == 0
     assert counts["enumerated"] > 0 and counts["_length"] == 0, counts
     # the spies are live: a Bruhat comparison reads both lengths
-    assert weyl.bruhat_leq(fix.rs, identity(fix.rs), (2, 1, 3, 4, 5, 6))
+    assert weyl.bruhat_leq(fix.rs, identity(fix.rs), enc((2, 1, 3, 4, 5, 6)))
     assert counts["bruhat_leq"] == 1 and counts["_length"] == 2, counts
 
 

@@ -85,3 +85,25 @@ def test_every_recorded_json_output_is_reproduced():
         if (code, digest) != (0, outputs[key]) or indented(json.loads(text)) + "\n" != text:
             mismatched.append(key)
     assert not mismatched
+
+
+def test_every_recorded_dot_tikz_and_csv_output_is_reproduced():
+    # the benchmark's recorded DOT, TikZ and CSV argvs (diagram --format
+    # dot and tikz, with and without an acting node, and quantum --format
+    # csv), run in process with warm caches: each stdout has the recorded
+    # SHA-256, so the window labels these print are pinned here too
+    outputs = json.loads(EXPECTED.read_text())["outputs"]
+    counts = {}
+    mismatched = []
+    for key in sorted(outputs):
+        fmt = key.split()[-1]
+        if fmt not in ("dot", "tikz", "csv"):
+            continue
+        counts[fmt] = counts.get(fmt, 0) + 1
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(key.split())
+        if (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) != (0, outputs[key]):
+            mismatched.append(key)
+    assert counts == {"dot": 145, "tikz": 145, "csv": 103}
+    assert not mismatched

@@ -11,6 +11,7 @@ from parorbits.fixtures import sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build
 
 from onepass import check_quotient
+from windows import enc
 
 
 @pytest.mark.parametrize("t", "ABCD")
@@ -61,7 +62,7 @@ def test_unresolved_placeholder_names_node_and_window(monkeypatch):
     # involution; its step up from (2,3,1) is never stepped back down
     rs = build("A", 2)
     real = weyl.generator_tables(rs)
-    cycle = weyl.Generator(weyl.signed_table((2, 3, 1)), real[1].direction, real[1].direction_table)
+    cycle = weyl.Generator(weyl.signed_table(enc((2, 3, 1))), real[1].direction, real[1].direction_table)
     monkeypatch.setattr(weyl, "generator_tables", lambda rs: {**real, 1: cycle})
     with pytest.raises(weyl.WeylError, match=r"^left row of node 1 left unresolved at \(2,3,1\)$"):
         weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes), frozenset())
@@ -77,7 +78,7 @@ def test_enumeration_is_the_tuple_of_its_elements():
     assert isinstance(enumeration, tuple) and enumeration == windows
     assert len(enumeration) == 8 and list(enumeration) == list(windows)
     assert enumeration[1:] == windows[1:]
-    assert all(type(x) is tuple and len(x) == rs.dim for x in windows)
+    assert all(type(x) is bytes and len(x) == rs.dim for x in windows)
     pq = build_quotient(rs, frozenset({1, 2}))
     assert pq.elements == windows
     # `index` is the window index, shadowing the tuple method, and the

@@ -17,7 +17,7 @@ from parorbits.seidel import (
 from cases import stratum_count
 from exponents import delta
 from weights import q_degree_by_fixture
-from windows import identity, strip_descents
+from windows import enc, identity, strip_descents
 from words import from_word, reduced_word
 
 FIXTURES = [
@@ -45,12 +45,12 @@ def test_v_elt_examples():
     a1 = build("A", 1)
     assert v_elt(a1, 1) == from_word(a1, [1])
     a3 = build("A", 3)
-    assert v_elt(a3, 1) == (4, 1, 2, 3)
+    assert v_elt(a3, 1) == enc((4, 1, 2, 3))
     # type C: the minimal all-negating element is the sign-reversing
     # involution composed with the order reversal, of length 10
     c4 = build("C", 4)
     v4 = v_elt(c4, 4)
-    assert v4 == (-4, -3, -2, -1)
+    assert v4 == enc((-4, -3, -2, -1))
     assert weyl._length(c4, v4) == 10
     omega = c4.double_coweight(4)
     w0 = weyl.longest(c4, c4.nodes)
@@ -106,14 +106,14 @@ def test_v_elt_matches_brute_force_oracle():
 
 def test_v_elt_exact_beyond_rank_five():
     c7 = build("C", 7)
-    assert v_elt(c7, 7) == (-7, -6, -5, -4, -3, -2, -1)
+    assert v_elt(c7, 7) == enc((-7, -6, -5, -4, -3, -2, -1))
     d7 = build("D", 7)
     assert weyl._length(d7, v_elt(d7, 1)) == len(d7.positive_roots) - len(build("D", 6).positive_roots)
 
 
 def test_v_elt_certified_at_rank_five():
     v5 = v_elt(build("C", 5), 5)
-    assert v5 == (-5, -4, -3, -2, -1)
+    assert v5 == enc((-5, -4, -3, -2, -1))
     d5 = v_elt(build("D", 5), 1)
     assert weyl._length(build("D", 5), d5) == len(build("D", 5).positive_roots) - len(
         build("D", 4).positive_roots
@@ -125,7 +125,7 @@ def test_type_a_seidel_elements_are_rotations():
         rs = build("A", n)
         for i in range(1, n + 1):
             v = v_elt(rs, i)
-            expected = tuple((k - i - 1) % (n + 1) + 1 for k in range(1, n + 2))
+            expected = enc([(k - i - 1) % (n + 1) + 1 for k in range(1, n + 2)])
             assert v == expected
 
 
@@ -136,7 +136,7 @@ def test_seidel_apply_examples():
     k = pq.index[identity(fix.rs)]
     assert qexp[k] == 0
     assert pq.elements[perm[k]] == weyl.min_rep(fix.rs, v, fix.j_q)
-    top = pq.index[(3, 4, 1, 2)]
+    top = pq.index[enc((3, 4, 1, 2))]
     assert qexp[top] == 2 and pq.elements[perm[top]] == identity(fix.rs)
 
 

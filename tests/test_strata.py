@@ -24,7 +24,7 @@ from exponents import d_geometric as oracle_statistic
 from exponents import delta as oracle_delta
 from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
-from windows import identity, inverse, k_by_root_scan
+from windows import enc, identity, inverse, k_by_root_scan
 
 
 def _deltas(fix):
@@ -35,8 +35,8 @@ def _deltas(fix):
 
 def test_delta_examples():
     g24 = Fixture("A", 3, 2, 2)
-    assert _deltas(g24)[(1, 2, 3, 4)] == 0
-    assert _deltas(g24)[(3, 4, 1, 2)] == 2
+    assert _deltas(g24)[enc((1, 2, 3, 4))] == 0
+    assert _deltas(g24)[enc((3, 4, 1, 2))] == 2
     ig = Fixture("C", 4, 2, 4)
     assert set(_deltas(ig).values()) == {0, 1, 2}
 
@@ -80,13 +80,13 @@ def test_d_of_matches_delta_orientation():
     # d_of is the stratum label: 0 on the closed stratum through the base
     # point, maximal on the open stratum
     g24 = Fixture("A", 3, 2, 2)
-    assert d_of(g24, (3, 4, 1, 2)) == 2
+    assert d_of(g24, enc((3, 4, 1, 2))) == 2
     assert d_of(g24, identity(g24.rs)) == 0
     ig = Fixture("C", 4, 2, 4)
-    assert d_geometric(ig, [(1, 2, 3, 4)]) == [2]  # window count #{j<=m: w(j)>0}
+    assert d_geometric(ig, [enc((1, 2, 3, 4))]) == [2]  # window count #{j<=m: w(j)>0}
     assert d_of(ig, identity(ig.rs)) == 0
     og = Fixture("B", 4, 3, 1)
-    w = (-1, 2, 3, 4)
+    w = enc((-1, 2, 3, 4))
     assert d_geometric(og, [w]) == [0]  # some w(j) = -1 among the first m entries
     assert d_of(og, w) == 2
 

@@ -2,6 +2,7 @@ import ast
 import random
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,13 @@ from parorbits.weyl import (
     window_str,
 )
 
+import tuples
 from covers import reflection_image
 from roots import classical_systems, dense_reflection, fresh_signed_table
 from windows import (
+    dec,
     draw_window,
+    enc,
     identity,
     inverse,
     longest_by_adding_descents,
@@ -46,10 +50,10 @@ def parse_window(text):
 
 def test_from_word_examples():
     a3 = build("A", 3)
-    assert from_word(a3, []) == (1, 2, 3, 4)
-    assert from_word(a3, [1]) == (2, 1, 3, 4)
+    assert from_word(a3, []) == enc((1, 2, 3, 4))
+    assert from_word(a3, [1]) == enc((2, 1, 3, 4))
     c4 = build("C", 4)
-    assert from_word(c4, [4]) == (1, 2, 3, -4)
+    assert from_word(c4, [4]) == enc((1, 2, 3, -4))
     with pytest.raises(WeylError):
         from_word(a3, [4])
 
@@ -57,12 +61,14 @@ def test_from_word_examples():
 def test_window_validation():
     a3, c4, d4 = build("A", 3), build("C", 4), build("D", 4)
     with pytest.raises(WeylError):
-        weyl._validate_window(a3, (-1, 2, 3, 4))  # no signs in type A
+        weyl._validate_window(a3, enc((-1, 2, 3, 4)))  # no signs in type A
     with pytest.raises(WeylError):
-        weyl._validate_window(d4, (-1, 2, 3, 4))  # odd sign count in type D
-    with pytest.raises(WeylError):
-        weyl._validate_window(c4, (1, 1, 2, 3))
-    assert weyl._validate_window(d4, (-1, -2, 3, 4)) is None
+        weyl._validate_window(d4, enc((-1, 2, 3, 4)))  # odd sign count in type D
+    with pytest.raises(WeylError, match=r"window \(1,1,2,3\) is not a signed permutation"):
+        weyl._validate_window(c4, enc((1, 1, 2, 3)))
+    with pytest.raises(WeylError, match="length 3, expected 4"):
+        weyl._validate_window(c4, enc((1, 2, 3)))
+    assert weyl._validate_window(d4, enc((-1, -2, 3, 4))) is None
     with pytest.raises(WeylError):
         weyl.reflection(c4, (1, 1, 1, 0))  # not a root: 2x/|x|^2 is not integral
     with pytest.raises(WeylError):
@@ -93,7 +99,7 @@ def test_reflection_matches_dense_oracle(t):
     for n in range(RANK_BOUNDS[t], 9):
         rs = build(t, n)
         for beta in rs.positive_roots:
-            expected = dense_reflection(rs, beta)
+            expected = enc(dense_reflection(rs, beta))
             assert weyl.reflection(rs, beta) == expected, (t, n, beta)
             assert weyl.reflection(rs, tuple(-x for x in beta)) == expected, (t, n, beta)
 
@@ -153,7 +159,7 @@ def test_group_orders(t, n, order):
 
 def _length_by_inversion_formula(rs, window):
     """Type-specific inversion count, kept independent of the root scan."""
-    b = window
+    b = dec(window)
     d = len(b)
     if rs.type_label == "A":
         return sum(1 for i in range(d) for j in range(i + 1, d) if b[i] > b[j])
@@ -188,10 +194,11 @@ def test_length_matches_inversion_formula(t, n):
 
 
 def _check_against_root_scan(rs, window):
-    inverted = sum(root_is_negative(window, beta) for beta in rs.positive_roots)
-    assert weyl._length(rs, window) == inverted, window
+    w = dec(window)
+    inverted = sum(root_is_negative(w, beta) for beta in rs.positive_roots)
+    assert weyl._length(rs, window) == inverted, w
     for k in rs.nodes:
-        descent = root_is_negative(window, rs.simple_root(k))
+        descent = root_is_negative(w, rs.simple_root(k))
         assert weyl._is_descent(rs, window, k) == descent, (window, k)
 
 
@@ -222,15 +229,19 @@ def test_inversion_test_matches_root_scan(t, n):
         for beta in rs.positive_roots
     ]
     for w in _group(rs):
+        wt = dec(w)
         for image, s_beta, beta in tests:
-            x = image(w)
-            if root_is_negative(w, beta):
-                assert x is None, (w, beta)
+            x = image(wt)
+            if root_is_negative(wt, beta):
+                assert x is None, (wt, beta)
             else:
-                assert x == multiply(w, s_beta), (w, beta)
+                assert enc(x) == multiply(w, s_beta), (wt, beta)
 
 
 def test_window_statistics_on_random_windows():
+    # each bytes kernel against the root scan, descent stripping and its
+    # tuple oracle (`tuples.py`), and the encoding against tuples: the
+    # round trip through `window_str`, and sorted order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -241,20 +252,70 @@ def test_window_statistics_on_random_windows():
         rs = build(t, data.draw(st.integers(RANK_BOUNDS[t], 10)))
         window = draw_window(data, rs)
         _check_against_root_scan(rs, window)
+        w = dec(window)
         for beta in rs.positive_roots:
-            x = reflection_image(beta)(window)
-            assert (x is None) == root_is_negative(window, beta)
+            x = reflection_image(beta)(w)
+            assert (x is None) == root_is_negative(w, beta)
         j_set = data.draw(st.frozensets(st.sampled_from(rs.nodes)))
         expected = strip_descents(rs, window, j_set)
-        assert min_rep(rs, window, j_set) == expected, (window, sorted(j_set))
+        assert min_rep(rs, window, j_set) == expected, (w, sorted(j_set))
+        assert enc(w) == window and type(window) is bytes
+        assert parse_window(window_str(window)) == w
+        assert dec(min_rep(rs, window, j_set)) == tuples.min_rep(rs, w, j_set)
+        others = [draw_window(data, rs) for _ in range(data.draw(st.integers(1, 2)))]
+        assert list(map(dec, sorted(others + [window]))) == sorted(map(dec, others + [window]))
+        u = others[0]
+        assert dec(multiply(u, window)) == tuples.multiply(dec(u), w)
+        gens = weyl.generator_tables(rs)
+        for k, (table, _, direction_table) in tuples.generator_tables(rs).items():
+            assert weyl._is_descent(rs, window, k) == tuples.is_descent(rs, w, k), (w, k)
+            # s_k * w, and w^-1 of s_k's root direction
+            assert dec(window.translate(gens[k].table)) == itemgetter(*w)(table), (w, k)
+            assert dec(window.translate(gens[k].direction_table)) == itemgetter(*w)(
+                direction_table
+            ), (w, k)
+        v = rs.double_coweight(data.draw(st.sampled_from(rs.nodes)))
+        assert act(window, v) == tuples.act(w, v)
+        moved = window.translate(weyl.signed_table(enc(v)))  # w^-1(v)
+        assert dec(moved) == itemgetter(*w)(tuples.signed_table(v))
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.lists(
+            st.tuples(st.permutations(range(1, 128)), st.integers(0, 2**127 - 1)),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def check_dimension_127(drawn):
+        # signed permutations of the largest dimension a byte window holds,
+        # each entry negated where its bit of the mask is set
+        ws = [tuple(-b if mask >> (b - 1) & 1 else b for b in p) for p, mask in drawn]
+        windows = [weyl.encode(w, 127) for w in ws]
+        assert list(map(dec, windows)) == ws
+        assert [parse_window(window_str(x)) for x in windows] == ws
+        assert list(map(dec, sorted(windows))) == sorted(ws)
+        assert dec(multiply(windows[0], windows[1])) == tuples.multiply(ws[0], ws[1])
 
     check()
+    check_dimension_127()
+
+
+def test_encoding_refuses_dimensions_past_127():
+    # entry x is stored as the byte x + 128, which holds -127..127
+    entries = list(range(-127, 0)) + list(range(1, 128))
+    assert weyl.MAX_DIM == 127
+    assert weyl.encode(entries, 127) == bytes(range(1, 128)) + bytes(range(129, 256))
+    with pytest.raises(WeylError, match="^dimension 128 exceeds 127"):
+        weyl.encode(range(1, 129), 128)
+    with pytest.raises(WeylError, match="^dimension 128 exceeds 127"):
+        weyl.encode([1, 2], 128)  # the dimension decides, not the entries
 
 
 def test_out_of_range_nodes_raise():
     # node 0 would read simple_roots[-1] and return the "no descent" 0
     c3 = build("C", 3)
-    w = (1, 2, -3)
+    w = enc((1, 2, -3))
     for nodes in ({0}, {4}):
         with pytest.raises(WeylError, match="out of range"):
             weyl.first_descent(c3, w, sorted(nodes))
@@ -263,7 +324,7 @@ def test_out_of_range_nodes_raise():
         with pytest.raises(WeylError, match="out of range"):
             longest(c3, nodes)
     # a valid node first must not hide an invalid one after it
-    w = (2, 1, 3)
+    w = enc((2, 1, 3))
     with pytest.raises(WeylError, match="out of range"):
         weyl.first_descent(c3, w, [1, 9])
     with pytest.raises(WeylError, match="out of range"):
@@ -301,7 +362,7 @@ def test_generator_tables_match_a_fresh_recomputation():
             scale = 2 if rs.type_label == "B" and k == rs.rank else 1
             direction = tuple(scale * x for x in alpha)
             assert gen.table == fresh_signed_table(dense_reflection(rs, alpha)), (rs, k)
-            assert gen.direction == direction, (rs, k)
+            assert gen.direction == enc(direction), (rs, k)
             assert gen.direction_table == fresh_signed_table(direction), (rs, k)
         assert weyl.generator_tables(rs) is tables
 
@@ -318,7 +379,7 @@ def test_longest_examples():
     a3 = build("A", 3)
     assert longest(a3, []) == identity(a3)
     assert longest(a3, [1]) == from_word(a3, [1])
-    assert longest(a3, [1, 2, 3]) == (4, 3, 2, 1)
+    assert longest(a3, [1, 2, 3]) == enc((4, 3, 2, 1))
 
 
 def test_longest_matches_descent_adding_oracle():
@@ -370,7 +431,7 @@ def test_min_rep_examples():
     a3 = build("A", 3)
     assert min_rep(a3, identity(a3), [1, 3]) == identity(a3)
     w0 = longest(a3, a3.nodes)
-    assert min_rep(a3, w0, [1, 3]) == (3, 4, 1, 2)
+    assert min_rep(a3, w0, [1, 3]) == enc((3, 4, 1, 2))
 
 
 def _subsets(nodes):
@@ -461,10 +522,11 @@ def test_bruhat_basics():
 
 
 def test_window_str():
-    assert window_str((3, -1, 2)) == "(3,-1,2)"
+    assert window_str(enc((3, -1, 2))) == "(3,-1,2)"
     assert parse_window("(3,-1,2)") == (3, -1, 2)
-    assert weyl.name(build("C", 4), (1, 2, 3, -4)) == "WC4(1,2,3,-4)"
-    assert weyl.name(build("A", 2), (3, 1, 2)) == "WA2(3,1,2)"
+    assert weyl.name(build("C", 4), enc((1, 2, 3, -4))) == "WC4(1,2,3,-4)"
+    assert weyl.name(build("A", 2), enc((3, 1, 2))) == "WA2(3,1,2)"
+    assert window_str(enc((127, -127, 1))) == "(127,-127,1)"
 
 
 @pytest.mark.parametrize("t", "ABCD")

@@ -1,5 +1,12 @@
-"""Test-only window helpers: the identity, the root-scan and
-descent-stripping oracles, inverses, and random windows.
+"""Test-only window helpers: the converter between tuple and bytes
+windows, the identity, the root-scan and descent-stripping oracles,
+inverses, and random windows.
+
+The library stores a window as bytes, entry x as the byte x + 128
+(`weyl.encode`); tests write windows as tuples of ints and convert them
+with `enc`.  The oracles here that compute on the integers take the
+library's bytes and read them back with `dec`, except `root_is_negative`,
+which takes the tuple, so that a scan over every root decodes once.
 
 The library reads every window statistic off the window's integers; the
 tests check those closed forms against the definition, a scan of the root
@@ -17,10 +24,21 @@ so far; `pairwise_length` compares every pair of positions.
 from parorbits import weyl
 
 
+def enc(window):
+    """The library's bytes window of a tuple window (or any sequence of
+    ints): the one converter the tests write windows through."""
+    return weyl.encode(window, len(window))
+
+
+def dec(window):
+    """The tuple of ints of a bytes window, the inverse of `enc`."""
+    return tuple(y - weyl.OFFSET for y in window)
+
+
 def root_is_negative(window, root):
     """Whether the window sends `root` to a negative root: the image is
     +/- a positive root, whose sign is that of its lowest-index nonzero
-    coordinate in the classical realizations."""
+    coordinate in the classical realizations.  The window is a tuple."""
     best_index = None
     best_value = 0
     for pos, x in enumerate(root):
@@ -45,12 +63,12 @@ def draw_window(data, rs):
         window = [b * data.draw(st.sampled_from((1, -1))) for b in window]
         if rs.type_label == "D" and sum(b < 0 for b in window) % 2:
             window[-1] = -window[-1]
-    return tuple(window)
+    return enc(window)
 
 
 def identity(rs):
     """The window of the identity of the Weyl group of `rs`."""
-    return tuple(range(1, rs.dim + 1))
+    return enc(range(1, rs.dim + 1))
 
 
 def strip_descents(rs, window, j_set):
@@ -99,13 +117,14 @@ def longest_by_block_loop(rs, j_set):
             b[a - 1 : c + 1] = b[a - 1 : c + 1][::-1]
     if flip:
         b[-1] = -b[-1]
-    return tuple(b)
+    return enc(b)
 
 
 def pairwise_length(rs, window):
     """Oracle for `weyl._length`: pairs i < j with key(b_i) > key(b_j); in B,
     C and D also those with key(b_i) > key(-b_j); in B and C also negative
     entries, each pair compared on its own."""
+    window = dec(window)
     m = 2 * len(window) + 1
     keys = [b % m for b in window]
     total = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
@@ -120,7 +139,7 @@ def pairwise_length(rs, window):
 def inverse(w):
     """The window of the inverse: w^-1 sends e_|b_k| to sign(b_k) e_k, so
     it is w applied to (1, ..., d)."""
-    return weyl.act(w, tuple(range(1, len(w) + 1)))
+    return enc(weyl.act(w, tuple(range(1, len(w) + 1))))
 
 
 def k_by_root_scan(pq, j_p, i):

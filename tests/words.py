@@ -14,7 +14,7 @@ from parorbits import weyl
 
 def from_word(rs, word):
     """Window of the product of simple reflections, applied left to right."""
-    w = tuple(range(1, rs.dim + 1))
+    w = weyl.identity(rs)
     for k in word:
         w = weyl.multiply(w, weyl.simple_reflection(rs, k))
     return w
