@@ -13,7 +13,8 @@ Cross-stratum edges are reported and checked to increase the stratum
 exponent.  A decomposition holds no copy of the quotient's classes or
 covers: each class's stratum and delta are read from `strata.stratify`,
 each edge is a cover of X's quotient, and its multiplicity is read from
-the diagram by its witness.
+X's multiplicities by its witness.  A stratum's result is its mismatches
+alone; its flag quotient and cell map are `flag_quotient` and `phi_map`.
 
 Output formats: DOT, TikZ and JSON, all byte-deterministic.
 """
@@ -27,7 +28,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import cosets, hasse, strata, weyl
 from .cosets import Cover, ParabolicQuotient
 from .fixtures import Fixture
-from .hasse import HasseDiagram
 from .strata import OrbitStratum, Stratification
 from .weyl import Window
 
@@ -38,52 +38,41 @@ class DecompositionError(ValueError):
     """Cell-map certification failure; names the offending class."""
 
 
-class StratumComparison(NamedTuple):
-    """One stratum against its flag diagram; compares and hashes by
-    identity."""
-
-    stratum: OrbitStratum
-    flag_quotient: ParabolicQuotient
-    #: flag element index -> X element index
-    phi: Tuple[int, ...]
-    #: each differing edge, named by the windows of its ends
-    mismatches: Tuple[str, ...]
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-
 class DecomposedDiagram(NamedTuple):
     """A fixture's diagram split into strata; compares and hashes by
     identity."""
 
     fixture: Fixture
     strat: Stratification
-    diagram: HasseDiagram
+    #: X's multiplicities, `hasse.build_hasse(strat.pq)`, one per positive root
+    mult: Tuple[int, ...]
     #: the covers of X's quotient whose ends lie in different strata
     cross_edges: Tuple[Cover, ...]
-    comparisons: Tuple[StratumComparison, ...]
+    #: per stratum of `strat.strata`, each edge that differs from its flag diagram
+    mismatches: Tuple[Tuple[str, ...], ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def all_pass(self) -> bool:
-        """Every stratum matches its flag diagram and every cross edge raises delta."""
-        return self.witness() is None
+    def non_rising_cross_edge(self) -> Optional[Cover]:
+        """The first cross edge whose delta does not rise, or None."""
+        delta = self.strat.delta
+        return next((c for c in self.cross_edges if delta[c.w] <= delta[c.u]), None)
 
     def witness(self) -> Optional[str]:
-        """The first failure of `all_pass`, or None: the first stratum whose
-        edges differ from its flag diagram, with its delta and first
+        """The first failure of the decomposition, or None: the first stratum
+        whose edges differ from its flag diagram, with its delta and first
         mismatch, else the first cross edge that does not raise delta,
         with the windows and deltas of both ends."""
-        for c in self.comparisons:
-            if c.mismatches:
-                return "stratum delta=%d, %s" % (c.stratum.delta, c.mismatches[0])
+        for st, found in zip(self.strat.strata, self.mismatches):
+            if found:
+                return "stratum delta=%d, %s" % (st.delta, found[0])
+        if (edge := self.non_rising_cross_edge()) is None:
+            return None
+        u, w, _ = edge
         delta, windows = self.strat.delta, self.strat.pq.elements
-        for u, w, _ in self.cross_edges:
-            if delta[w] <= delta[u]:
-                return "cross edge %s->%s does not raise delta: %d -> %d" % (
-                    weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
-                )
-        return None
+        return "cross edge %s->%s does not raise delta: %d -> %d" % (
+            weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
+        )
 
 
 def flag_quotient(stratum: OrbitStratum) -> ParabolicQuotient:
@@ -127,74 +116,58 @@ def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     return fq, tuple(images)
 
 
-def _compare_stratum(
-    stratum: OrbitStratum, x_edges: Dict[Tuple[int, int], int]
-) -> StratumComparison:
+def _compare_stratum(stratum: OrbitStratum, x_edges: Dict[Tuple[int, int], int]) -> Tuple[str, ...]:
     """Match the stratum's within-stratum edges of X, `x_edges` as
     {(u, w): mult}, against its flag diagram carried over by the cell map;
-    the mismatch list, sorted by index and naming windows, is built only
+    the mismatches, sorted by index and naming windows, are listed only
     when the two differ."""
     fq, phi_images = phi_map(stratum)
-    mult = hasse.build_hasse(fq).mult
+    mult = hasse.build_hasse(fq)
     factor = strata.h_prime_of(stratum) * stratum.scale
     flag_edges = {(phi_images[u], phi_images[w]): mult[r] * factor for u, w, r in fq.covers}
     mismatches = []
     if flag_edges != x_edges:
         windows = stratum.pq.elements
         for key in sorted(set(flag_edges) | set(x_edges)):
-            got = x_edges.get(key)
-            want = flag_edges.get(key)
+            got, want = x_edges.get(key), flag_edges.get(key)
             if got != want:
                 u, w = (weyl.window_str(windows[k]) for k in key)
                 mismatches.append(
                     "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (u, w, got, want)
                 )
-    return StratumComparison(
-        stratum=stratum,
-        flag_quotient=fq,
-        phi=phi_images,
-        mismatches=tuple(mismatches),
-    )
+    return tuple(mismatches)
 
 
 def build_decomposition(fix: Fixture) -> DecomposedDiagram:
     strat = strata.stratify(fix)
-    sts, vs = strat.strata, strat.stratum_of
-    diagram = hasse.build_hasse(strat.pq)
-    mult = diagram.mult
-    # one pass over X's edges, the covers of the diagram's quotient: each
+    pq, sts, vs = strat.pq, strat.strata, strat.stratum_of
+    mult = hasse.build_hasse(pq)
+    # one pass over X's edges, the covers of its quotient: each
     # within-stratum edge into its stratum's {(u, w): mult}, the rest in
     # order into the cross edges
     within: List[Dict[Tuple[int, int], int]] = [{} for _ in sts]
     cross = []
-    for c in diagram.quotient.covers:
+    for c in pq.covers:
         u, w, r = c
         si = vs[u]
         if si == vs[w]:
             within[si][u, w] = mult[r]
         else:
             cross.append(c)
-    comparisons = tuple(_compare_stratum(st, within[si]) for si, st in enumerate(sts))
-    return DecomposedDiagram(fix, strat, diagram, tuple(cross), comparisons)
+    mismatches = tuple(_compare_stratum(st, within[si]) for si, st in enumerate(sts))
+    return DecomposedDiagram(fix, strat, mult, tuple(cross), mismatches)
 
 
 def decomposition_report(dec: DecomposedDiagram) -> dict:
     """Per-stratum pass/fail report for the flag-diagram identification."""
-    strata_report = []
-    for comp in dec.comparisons:
-        strata_report.append(
-            {
-                "delta": comp.stratum.delta,
-                "flag": comp.stratum.flag.label,
-                "scale": comp.stratum.scale,
-                "pass": not comp.mismatches,
-            }
-        )
     return {
         "fixture": dec.fixture.label,
-        "strata": strata_report,
+        "strata": [
+            {"delta": st.delta, "flag": st.flag.label, "scale": st.scale, "pass": not found}
+            for st, found in zip(dec.strat.strata, dec.mismatches)
+        ],
         "cross_edges": len(dec.cross_edges),
-        "all_pass": dec.all_pass(),
+        "all_pass": dec.witness() is None,
     }
 
 
@@ -202,8 +175,9 @@ def decomposition_report(dec: DecomposedDiagram) -> dict:
 # emission
 
 
-def _emit_json(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
-    pq, mult = diagram.quotient, diagram.mult
+def _emit_json(
+    fix: Fixture, pq: ParabolicQuotient, mult: Tuple[int, ...], strat: Optional[Stratification]
+) -> str:
     vertices = []
     for k, x in enumerate(pq.elements):
         entry = {"window": weyl.window_str(x), "length": pq.lengths[k]}
@@ -222,8 +196,9 @@ def _emit_json(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratificati
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_dot(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
-    pq, mult = diagram.quotient, diagram.mult
+def _emit_dot(
+    fix: Fixture, pq: ParabolicQuotient, mult: Tuple[int, ...], strat: Optional[Stratification]
+) -> str:
     lines = [
         'digraph "%s" {' % fix.label,
         "  rankdir=LR;",
@@ -245,8 +220,9 @@ def _emit_dot(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratificatio
     return "\n".join(lines) + "\n"
 
 
-def _emit_tikz(fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification]) -> str:
-    pq, mult = diagram.quotient, diagram.mult
+def _emit_tikz(
+    fix: Fixture, pq: ParabolicQuotient, mult: Tuple[int, ...], strat: Optional[Stratification]
+) -> str:
     colors = ("blue", "red", "green!60!black", "orange", "violet", "brown")
     # elements are sorted by length, so each degree is a run of indices
     counts = pq.rank_counts()
@@ -281,18 +257,23 @@ _EMITTERS = {"dot": _emit_dot, "tikz": _emit_tikz, "json": _emit_json}
 
 
 def _emit(
-    fmt: str, fix: Fixture, diagram: HasseDiagram, strat: Optional[Stratification] = None
+    fmt: str,
+    fix: Fixture,
+    pq: ParabolicQuotient,
+    mult: Tuple[int, ...],
+    strat: Optional[Stratification] = None,
 ) -> str:
     if fmt not in _EMITTERS:
         raise ValueError("unknown format %r (expected dot, tikz or json)" % fmt)
-    return _EMITTERS[fmt](fix, diagram, strat)
+    return _EMITTERS[fmt](fix, pq, mult, strat)
 
 
 def emit(dec: DecomposedDiagram, fmt: str) -> str:
     """Orbit-colored diagram of the decomposition in `fmt` (dot, tikz or json)."""
-    return _emit(fmt, dec.fixture, dec.diagram, dec.strat)
+    return _emit(fmt, dec.fixture, dec.strat.pq, dec.mult, dec.strat)
 
 
 def emit_plain(fix: Fixture, fmt: str) -> str:
     """Uncolored Hasse diagram of the fixture's space."""
-    return _emit(fmt, fix, hasse.build_hasse(cosets.build_quotient(fix.rs, fix.j_q)))
+    pq = cosets.build_quotient(fix.rs, fix.j_q)
+    return _emit(fmt, fix, pq, hasse.build_hasse(pq))

@@ -6,16 +6,17 @@ quotient the sum of its marked nodes.  Its diagram has an edge
 u -> u*s_beta of multiplicity <lambda, beta^vee> for every cover with
 positive-root witness beta.  A diagram is therefore one multiplicity per
 positive root, and its edges are the quotient's own covers, each read
-with the multiplicity of its witness.  The same rule runs unchanged
-inside a Levi subsystem, where <omega_t, beta^vee> is read off the
-coefficient of the t-th simple coroot in beta^vee.
+with the multiplicity of its witness; `build_hasse` returns that tuple
+alone.  The same rule runs unchanged inside a Levi subsystem, where
+<omega_t, beta^vee> is read off the coefficient of the t-th simple
+coroot in beta^vee.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from . import weyl
 from .cosets import ParabolicQuotient
@@ -23,18 +24,6 @@ from .cosets import ParabolicQuotient
 
 class HasseError(ValueError):
     """A cover of the quotient has no edge."""
-
-
-class HasseDiagram(NamedTuple):
-    """The hyperplane-class diagram of `quotient`: its edges are the
-    covers (u, w, r) of the quotient, each of multiplicity mult[r].  It
-    compares and hashes by identity, as the quotient does."""
-
-    quotient: ParabolicQuotient
-    #: mult[r] is <lambda, beta_r^vee> for each positive root beta_r
-    mult: Tuple[int, ...]
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def pairing_with_coroot(pq: ParabolicQuotient, root_idx: int) -> int:
@@ -45,13 +34,15 @@ def pairing_with_coroot(pq: ParabolicQuotient, root_idx: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_hasse(pq: ParabolicQuotient) -> HasseDiagram:
-    """The diagram of `pq`'s hyperplane class.  The multiplicities of all
-    positive roots are summed one node outside Delta(Q) at a time, each
-    adding that node's column of the coroot coordinates.  It reads the
-    quotient alone, so it is built once per quotient object: X's diagram
-    and each stratum's flag diagram are shared by every fixture that
-    reaches the same quotient.
+def build_hasse(pq: ParabolicQuotient) -> Tuple[int, ...]:
+    """The diagram of `pq`'s hyperplane class, as its multiplicities:
+    mult[r] is <lambda, beta_r^vee> for each positive root beta_r, and
+    the edges are the covers (u, w, r) of `pq`, each of multiplicity
+    mult[r].  The multiplicities of all positive roots are summed one
+    node outside Delta(Q) at a time, each adding that node's column of
+    the coroot coordinates.  It reads the quotient alone, so it is built
+    once per quotient object: X's diagram and each stratum's flag
+    diagram are shared by every fixture that reaches the same quotient.
 
     Every cover is an edge: its witness beta lies outside Phi_Q, as
     w = u*s_beta differs from u in W^Q, so beta^vee has a positive
@@ -68,4 +59,4 @@ def build_hasse(pq: ParabolicQuotient) -> HasseDiagram:
             "cover %s -> %s has multiplicity %d: its witness lies in Phi_Q"
             % (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]), mult[r])
         )
-    return HasseDiagram(pq, tuple(mult))
+    return tuple(mult)

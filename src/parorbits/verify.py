@@ -17,9 +17,9 @@ from operator import attrgetter, itemgetter
 from typing import Dict, Optional, Tuple
 
 from . import cosets, decomp, hasse, seidel, strata, weyl
+from .cosets import ParabolicQuotient
 from .decomp import DecomposedDiagram
 from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
-from .hasse import HasseDiagram
 from .weyl import Window
 
 
@@ -31,7 +31,6 @@ def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str
     the closed stratum gets 0 and the open stratum the maximal label.  A
     statistic missing from the table raises StrataError naming the window."""
     fix, pq, sts = dec.fixture, dec.strat.pq, dec.strat.strata
-    vertex_delta = list(dec.strat.delta)
     deltas = sorted(st.delta for st in sts)
     stats = strata.d_geometric(fix, pq.elements)
     labels = list(map({d: label for label, d in enumerate(table)}.get, stats))
@@ -44,49 +43,48 @@ def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str
     return {
         # stratify raises StrataError when delta is not constant on a stratum
         "delta_constant": True,
-        "delta_equals_d": vertex_delta == labels,
+        "delta_equals_d": list(dec.strat.delta) == labels,
         "delta_consecutive": deltas == list(range(len(sts))),
         "stratum_count": len(sts) == len(table),
         # delta is constant on each stratum, so only a cross edge can lower it
-        "delta_monotone": all(vertex_delta[w] > vertex_delta[u] for u, w, _ in dec.cross_edges),
+        "delta_monotone": dec.non_rising_cross_edge() is None,
     }
 
 
 def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bool:
     """Each stratum's fiber dimension is the one `table`, the fixture's
     `orbit_table`, gives its window statistic, and its length span and
-    class count are those of its flag variety."""
+    class count are those of its flag variety (`decomp.flag_quotient`)."""
     lengths = dec.strat.pq.lengths
-    for comp in dec.comparisons:
-        st = comp.stratum
+    for st in dec.strat.strata:
         if st.d_geom not in table:
             raise strata.StrataError("d=%d is not admissible for %s" % (st.d_geom, dec.fixture))
         if st.fiber_dim != table[st.d_geom]:
             return False
         if lengths[st.members[-1]] - lengths[st.members[0]] != st.flag.dim:
             return False
-        if len(comp.flag_quotient.elements) != st.size:
+        if len(decomp.flag_quotient(st).elements) != st.size:
             return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
-    """Each edge of X's diagram, a cover (u, w, beta) of its quotient, is
-    u * s_beta = w, and the diagram's multiplicity of each witness beta is
-    <omega_q, beta^vee>; s_beta and the pairing are read once per root,
-    not from the left table.  The window of u * s_beta is the window of
-    s_beta translated through the table of u (`weyl.signed_table`): the
-    covers come sorted by source, so each class's table is built once,
-    when its first cover is read, and each cover costs one
-    `bytes.translate`.
+def _check_chevalley_witnesses(pq: ParabolicQuotient, mult: Tuple[int, ...]) -> bool:
+    """Each edge of X's diagram, a cover (u, w, beta) of its quotient `pq`,
+    is u * s_beta = w, and the diagram's multiplicity `mult` of each
+    witness beta is <omega_q, beta^vee>; s_beta and the pairing are read
+    once per root, not from the left table.  The window of u * s_beta is
+    the window of s_beta translated through the table of u
+    (`weyl.signed_table`): the covers come sorted by source, so each
+    class's table is built once, when its first cover is read, and each
+    cover costs one `bytes.translate`.
 
-    The verdict is cached by the diagram object, which hashes by identity:
-    `hasse.build_hasse` gives every fixture on X the same diagram, so X is
-    certified once, and any other diagram object gets a verdict of its own."""
-    pq = diagram.quotient
+    The verdict is cached by the quotient, which hashes by identity, and
+    its multiplicities: `hasse.build_hasse` gives every fixture on X the
+    same ones, so X is certified once, and any other quotient object or
+    other multiplicities get a verdict of their own."""
     roots = {r for _, _, r in pq.covers}
-    if any(diagram.mult[r] != hasse.pairing_with_coroot(pq, r) for r in roots):
+    if any(mult[r] != hasse.pairing_with_coroot(pq, r) for r in roots):
         return False
     reflections = {r: cosets.reflection_by_index(pq.rs, r) for r in roots}
     windows = pq.elements
@@ -98,9 +96,9 @@ def _check_chevalley_witnesses(diagram: HasseDiagram) -> bool:
 
 
 #: The caches that hold a quotient, its enumeration, or a result keyed by a
-#: quotient or its diagram (which keeps the quotient alive).  They are bound
-#: here, at import, not looked up through the module attributes: a wrapper
-#: rebound over those (the benchmark's tracer) has no `cache_clear`.
+#: quotient (which keeps the quotient alive).  They are bound here, at
+#: import, not looked up through the module attributes: a wrapper rebound
+#: over those (the benchmark's tracer) has no `cache_clear`.
 _QUOTIENT_CACHES = (
     cosets.build_quotient,
     weyl.enumerate_group,
@@ -183,7 +181,7 @@ def verify_fixture(fix: Fixture) -> dict:
     checks.update(_check_delta_laws(dec, table))
     checks["dimension_ledger"] = _check_dimension_ledger(dec, table)
     checks["decomposition"] = decomposition["all_pass"]
-    checks["chevalley_witnesses"] = _check_chevalley_witnesses(dec.diagram)
+    checks["chevalley_witnesses"] = _check_chevalley_witnesses(pq, dec.mult)
     checks.update(_check_seidel(dec, v, perm))
     ok = all(bool(value) for value in checks.values())
     return {

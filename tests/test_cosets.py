@@ -548,13 +548,13 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
     # product
     fix = Fixture("B", 6, 5, 1)
     dec = decomp.build_decomposition(fix)
-    pq = dec.diagram.quotient
+    pq, mult = dec.strat.pq, dec.mult
     roots = {c.root for c in pq.covers}
     assert len(pq.covers) > len(roots)
     counts = _count_calls(monkeypatch, weyl, ("multiply", "reflection"))
-    assert verify._check_chevalley_witnesses(dec.diagram)
+    assert verify._check_chevalley_witnesses(pq, mult)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
-    assert verify._check_chevalley_witnesses(dec.diagram)
+    assert verify._check_chevalley_witnesses(pq, mult)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
     # the spy is live
     weyl.multiply(pq.elements[1], pq.elements[1])
@@ -569,12 +569,11 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
             edges[i] = e._replace(w=same[0])
             break
     assert edges != list(pq.covers)
-    bad = dec.diagram._replace(quotient=pq._replace(covers=tuple(edges)))
-    assert not verify._check_chevalley_witnesses(bad)
+    assert not verify._check_chevalley_witnesses(pq._replace(covers=tuple(edges)), mult)
     # and so does the multiplicity of one witness root, one too large
     r = pq.covers[0].root
-    mult = dec.diagram.mult[:r] + (dec.diagram.mult[r] + 1,) + dec.diagram.mult[r + 1 :]
-    assert not verify._check_chevalley_witnesses(dec.diagram._replace(mult=mult))
+    raised = mult[:r] + (mult[r] + 1,) + mult[r + 1 :]
+    assert not verify._check_chevalley_witnesses(pq, raised)
 
 
 def test_root_tables_match_a_fresh_recomputation():

@@ -30,17 +30,17 @@ FIXTURES = [
 ]
 
 
-def edges(diagram):
-    """The diagram's edges as (u, w, mult): each cover of its quotient,
-    with the multiplicity of its witness root."""
-    return tuple((u, w, diagram.mult[r]) for u, w, r in diagram.quotient.covers)
+def edges(pq, mult):
+    """The edges of the diagram `mult` of `pq` as (u, w, mult): each cover
+    of the quotient, with the multiplicity of its witness root."""
+    return tuple((u, w, mult[r]) for u, w, r in pq.covers)
 
 
 def computed_graph(fix):
     dec = build_decomposition(fix)
     sts, vs = dec.strat.strata, dec.strat.stratum_of
     vertices = tuple((length, sts[vs[k]].delta) for k, length in enumerate(dec.strat.pq.lengths))
-    return graphiso.ColoredGraph(vertices, edges(dec.diagram))
+    return graphiso.ColoredGraph(vertices, edges(dec.strat.pq, dec.mult))
 
 
 def test_phi_endpoints_and_bijection():
@@ -145,22 +145,21 @@ def test_h_prime_matches_bottom_edges():
     # the first layer of edges out of w_min recovers the h' weight
     for fix in FIXTURES:
         dec = build_decomposition(fix)
-        vs = dec.strat.stratum_of
-        for comp in dec.comparisons:
-            st = comp.stratum
+        vs, x_edges = dec.strat.stratum_of, edges(dec.strat.pq, dec.mult)
+        for st in dec.strat.strata:
             weight = h_prime_weight(st)
             scale = st.scale
             if not weight:
                 continue
             base = st.members[0]
-            x_out = {w: mult for u, w, mult in edges(dec.diagram) if u == base and vs[w] == vs[base]}
-            fq = comp.flag_quotient
+            x_out = {w: mult for u, w, mult in x_edges if u == base and vs[w] == vs[base]}
+            fq, phi_images = phi_map(st)
             derived = {}
             for u, w, r in fq.covers:
                 if u == 0:
                     root_support = fq.rs.root_support[r]
                     (node,) = tuple(root_support)
-                    derived[node] = x_out[comp.phi[w]] // scale
+                    derived[node] = x_out[phi_images[w]] // scale
             assert derived == weight
 
 
@@ -248,12 +247,13 @@ def rescan_mismatches(dec, si):
     edges found by a scan of all of X's edges, and every key of either side
     compared in sorted order, the path `build_decomposition` replaced; each
     edge is named by the windows of its ends."""
-    comp, vs, windows = dec.comparisons[si], dec.strat.stratum_of, dec.strat.pq.elements
-    x_edges = {(u, w): mult for u, w, mult in edges(dec.diagram) if vs[u] == si and vs[w] == si}
-    factor = strata.h_prime_of(comp.stratum) * comp.stratum.scale
+    st, vs, windows = dec.strat.strata[si], dec.strat.stratum_of, dec.strat.pq.elements
+    x_edges = {(u, w): mult for u, w, mult in edges(dec.strat.pq, dec.mult) if vs[u] == si and vs[w] == si}
+    factor = strata.h_prime_of(st) * st.scale
+    fq, phi_images = phi_map(st)
     flag_edges = {
-        (comp.phi[u], comp.phi[w]): mult * factor
-        for u, w, mult in edges(hasse.build_hasse(comp.flag_quotient))
+        (phi_images[u], phi_images[w]): mult * factor
+        for u, w, mult in edges(fq, hasse.build_hasse(fq))
     }
     out = []
     for key in sorted(set(flag_edges) | set(x_edges)):
@@ -266,10 +266,11 @@ def rescan_mismatches(dec, si):
 
 def _assert_matches_rescan(dec):
     vs = dec.strat.stratum_of
-    covers = dec.diagram.quotient.covers
+    covers = dec.strat.pq.covers
     assert dec.cross_edges == tuple(c for c in covers if vs[c.u] != vs[c.w])
-    for si, comp in enumerate(dec.comparisons):
-        assert comp.mismatches == rescan_mismatches(dec, si), (dec.fixture.label, si)
+    assert len(dec.mismatches) == len(dec.strat.strata)
+    for si, found in enumerate(dec.mismatches):
+        assert found == rescan_mismatches(dec, si), (dec.fixture.label, si)
 
 
 def test_edge_buckets_match_rescan_oracle(monkeypatch):
@@ -285,35 +286,34 @@ def _corrupted_decomposition(monkeypatch, fix):
     `build_decomposition`: in the middle stratum, the last within-stratum
     edge gets multiplicity + 1 and the first is dropped, and the first
     cross-stratum edge gets multiplicity + 1.  The edges are the covers of
-    the diagram's quotient, so the corrupted diagram holds a copy of the
-    quotient without the dropped cover, in which each raised cover has a
-    witness index of its own past the positive roots.
+    X's quotient, so `strata.stratify` hands `build_decomposition` a copy
+    of the quotient without the dropped cover, in which each raised cover
+    has a witness index of its own past the positive roots, and
+    `hasse.build_hasse` gives that copy the true multiplicities with one
+    more for each such index.
     Returns the decomposition, and the three covers as they were with the
-    true multiplicities.  `build_decomposition` reads X's diagram through
-    `hasse.build_hasse` on every build, so no cache hides the patch."""
+    true multiplicities.  `build_decomposition` reads X's quotient through
+    `strata.stratify` and its multiplicities through `hasse.build_hasse`
+    on every build, so no cache hides the patch."""
     strat = strata.stratify(fix)
     pq, stratum_of = strat.pq, strat.stratum_of
-    real = hasse.build_hasse
-    picked = {}
-
-    def corrupted(quotient):
-        diagram = real(quotient)
-        if quotient is not pq:
-            return diagram  # a flag diagram
-        covers, mult = list(pq.covers), list(diagram.mult)
-        si = len(strat.strata) // 2
-        within = [c for c in covers if stratum_of[c.u] == stratum_of[c.w] == si]
-        dropped, raised = within[0], within[-1]
-        crossed = next(c for c in covers if stratum_of[c.u] != stratum_of[c.w])
-        picked.update(si=si, dropped=dropped, raised=raised, crossed=crossed, mult=diagram.mult)
-        covers.remove(dropped)
-        for c in (raised, crossed):
-            covers[covers.index(c)] = c._replace(root=len(mult))
-            mult.append(diagram.mult[c.root] + 1)
-        return diagram._replace(quotient=pq._replace(covers=tuple(covers)), mult=tuple(mult))
-
-    monkeypatch.setattr(hasse, "build_hasse", corrupted)
+    true_mult = hasse.build_hasse(pq)
+    covers, mult = list(pq.covers), list(true_mult)
+    si = len(strat.strata) // 2
+    within = [c for c in covers if stratum_of[c.u] == stratum_of[c.w] == si]
+    dropped, raised = within[0], within[-1]
+    crossed = next(c for c in covers if stratum_of[c.u] != stratum_of[c.w])
+    covers.remove(dropped)
+    for c in (raised, crossed):
+        covers[covers.index(c)] = c._replace(root=len(mult))
+        mult.append(true_mult[c.root] + 1)
+    bad = strat._replace(pq=pq._replace(covers=tuple(covers)))
+    real_stratify, real_hasse = strata.stratify, hasse.build_hasse
+    # X's copy, and its multiplicities; every other fixture and quotient as it was
+    monkeypatch.setattr(strata, "stratify", lambda f: bad if f == fix else real_stratify(f))
+    monkeypatch.setattr(hasse, "build_hasse", lambda q: tuple(mult) if q is bad.pq else real_hasse(q))
     dec = build_decomposition(fix)
+    picked = dict(si=si, dropped=dropped, raised=raised, crossed=crossed, mult=true_mult)
     return dec, picked
 
 
@@ -325,7 +325,7 @@ def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
     mult = picked["mult"]
     assert dropped < raised
     if label == "B4/P3+P1":
-        assert dec.comparisons[si].stratum.scale == 2  # the doubled middle stratum
+        assert dec.strat.strata[si].scale == 2  # the doubled middle stratum
     # the dropped edge sorts first; the cross-stratum edge is in no stratum;
     # both ends of each are named by window
     name = {k: weyl.window_str(x) for k, x in enumerate(dec.strat.pq.elements)}
@@ -335,13 +335,13 @@ def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
         "edge %s->%s: diagram mult %d, flag mult (scaled) %d"
         % (name[raised.u], name[raised.w], mult[raised.root] + 1, mult[raised.root]),
     )
-    for sj, comp in enumerate(dec.comparisons):
-        assert comp.mismatches == (expected if sj == si else ())
+    for sj, found in enumerate(dec.mismatches):
+        assert found == (expected if sj == si else ())
     assert dec.strat.stratum_of[crossed.u] != dec.strat.stratum_of[crossed.w]
     assert (crossed.u, crossed.w) in [(u, w) for u, w, _ in dec.cross_edges]
     report = decomposition_report(dec)
     assert not report["all_pass"]
-    assert [s["pass"] for s in report["strata"]] == [sj != si for sj in range(len(dec.comparisons))]
+    assert [s["pass"] for s in report["strata"]] == [sj != si for sj in range(len(dec.mismatches))]
     # the witness is the first mismatch of the first failing stratum, and
     # `parorbits diagram` names it on its one error line
     witness = "stratum delta=%d, %s" % (dec.strat.strata[si].delta, expected[0])

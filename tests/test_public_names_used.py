@@ -5,6 +5,9 @@ method of a public class, that no code in `src/parorbits` refers to
 outside its own definition is either dead or serves only the tests, and
 test-only code lives under `tests/`.  References are matched by name
 (`f(...)`, `x.f`), so two definitions that share a name share their uses.
+Likewise every field of a `NamedTuple` record is read as an attribute
+(`x.field`) somewhere in `src/parorbits`: a field that only the tests read
+is a test-only wrapper around what its readers already hold.
 """
 
 import ast
@@ -48,3 +51,28 @@ def test_every_public_name_is_used_in_src():
         if qualified not in EXEMPT and uses[node.name] <= _references(node)[node.name]
     ]
     assert not unused, "public names that no code in src/parorbits uses: %s" % ", ".join(unused)
+
+
+def _named_tuple_fields(tree, module):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "NamedTuple"
+            for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield "%s.%s.%s" % (module, node.name, item.target.id), item.target.id
+
+
+def test_every_record_field_is_read_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    fields = [f for module, tree in trees.items() for f in _named_tuple_fields(tree, module)]
+    assert len(fields) > 30
+    unread = [qualified for qualified, name in fields if name not in reads]
+    assert not unread, "record fields that no code in src/parorbits reads: %s" % ", ".join(unread)

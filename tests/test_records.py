@@ -22,7 +22,6 @@ FIELDS = {
         "root_support",
     ),
     "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
-    "HasseDiagram": ("quotient", "mult"),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
     "FlagDescriptor": ("components", "marked_ambient", "dim"),
     "OrbitStratum": (
@@ -37,19 +36,11 @@ FIELDS = {
         "doubling",
     ),
     "Stratification": ("pq", "strata", "stratum_of", "delta"),
-    "StratumComparison": ("stratum", "flag_quotient", "phi", "mismatches"),
-    "DecomposedDiagram": ("fixture", "strat", "diagram", "cross_edges", "comparisons"),
+    "DecomposedDiagram": ("fixture", "strat", "mult", "cross_edges", "mismatches"),
     "Fixture": ("type_label", "rank", "q_node", "p_node", "rs"),
 }
 
-IDENTITY = (
-    "ParabolicQuotient",
-    "HasseDiagram",
-    "OrbitStratum",
-    "Stratification",
-    "StratumComparison",
-    "DecomposedDiagram",
-)
+IDENTITY = ("ParabolicQuotient", "OrbitStratum", "Stratification", "DecomposedDiagram")
 VALUE = ("FlagComponent", "FlagDescriptor")
 NAMED_TUPLES = ("RootSystem",) + IDENTITY + VALUE
 
@@ -62,12 +53,10 @@ def records():
     found = {
         "RootSystem": fix.rs,
         "ParabolicQuotient": dec.strat.pq,
-        "HasseDiagram": dec.diagram,
         "FlagComponent": stratum.flag.components[0],
         "FlagDescriptor": stratum.flag,
         "OrbitStratum": stratum,
         "Stratification": dec.strat,
-        "StratumComparison": dec.comparisons[1],
         "DecomposedDiagram": dec,
         "Fixture": fix,
     }

@@ -383,42 +383,40 @@ def test_signed_set_key_matches_min_rep_up_to_rank_8():
     assert products == 50076
 
 
-def _chevalley_by_compose(dec):
+def _chevalley_by_compose(pq, mult):
     """`verify._check_chevalley_witnesses` by the path it replaced: one
     window product u * s_beta and one pairing per edge, each edge a cover
-    of the diagram's quotient."""
-    diagram = dec.diagram
-    pq = diagram.quotient
+    of the quotient `pq` read with its multiplicity in `mult`."""
     return all(
         weyl.multiply(pq.elements[c.u], cosets.reflection_by_index(pq.rs, c.root))
         == pq.elements[c.w]
-        and hasse.pairing_with_coroot(pq, c.root) == diagram.mult[c.root]
+        and hasse.pairing_with_coroot(pq, c.root) == mult[c.root]
         for c in pq.covers
     )
 
 
 def test_shared_x_diagrams_and_chevalley_verdicts_match_fresh_ones():
     # every fixture of the rank <= 5 sweep, D6/P3+P6 and B6/P5+P1: X's
-    # diagram is the one cached per quotient, equal to one built afresh,
-    # and its cached verdict is a fresh one; a retargeted edge and a raised
-    # multiplicity, each a new diagram object, still fail once X's verdict
-    # is cached
+    # multiplicities are the ones cached per quotient, equal to ones built
+    # afresh, and its cached verdict is a fresh one; a retargeted edge, on a
+    # new quotient object, and a raised multiplicity, a new tuple, still
+    # fail once X's verdict is cached
     fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
     check, fresh_check = verify._check_chevalley_witnesses, verify._check_chevalley_witnesses.__wrapped__
     for fix in fixtures:
         dec = decomp.build_decomposition(fix)
-        diagram, pq = dec.diagram, dec.strat.pq
+        mult, pq = dec.mult, dec.strat.pq
         fresh = hasse.build_hasse.__wrapped__(pq)
-        assert diagram is hasse.build_hasse(pq) and tuple(diagram) == tuple(fresh), fix.label
-        assert check(diagram) and fresh_check(diagram) and _chevalley_by_compose(dec), fix.label
+        assert mult is hasse.build_hasse(pq) and mult == fresh, fix.label
+        assert check(pq, mult) and fresh_check(pq, mult) and _chevalley_by_compose(pq, mult), fix.label
 
         first = pq.covers[0]
         covers = (first._replace(w=first.u),) + pq.covers[1:]
-        retargeted = diagram._replace(quotient=pq._replace(covers=covers))
+        retargeted = (pq._replace(covers=covers), mult)
         r = first.root
-        raised = diagram._replace(mult=diagram.mult[:r] + (diagram.mult[r] + 1,) + diagram.mult[r + 1 :])
+        raised = (pq, mult[:r] + (mult[r] + 1,) + mult[r + 1 :])
         for bad in (retargeted, raised):
-            assert not check(bad) and not fresh_check(bad), fix.label
+            assert not check(*bad) and not fresh_check(*bad), fix.label
 
 
 def _seidel_composition_by_compose(dec, v, perm):
@@ -444,15 +442,15 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
         dec = decomp.build_decomposition(fix)
         v = seidel.v_elt(fix.rs, fix.p_node)
         perm = seidel.seidel_table(dec.strat, v)
-        assert verify._check_chevalley_witnesses(dec.diagram) and _chevalley_by_compose(dec), fix.label
+        pq, mult = dec.strat.pq, dec.mult
+        assert verify._check_chevalley_witnesses(pq, mult) and _chevalley_by_compose(pq, mult), fix.label
         assert verify._check_seidel(dec, v, perm)["seidel_composition"], fix.label
         assert _seidel_composition_by_compose(dec, v, perm), fix.label
 
-        pq = dec.diagram.quotient
         first = pq.covers[0]
         covers = (first._replace(w=first.u),) + pq.covers[1:]
-        bad = dec._replace(diagram=dec.diagram._replace(quotient=pq._replace(covers=covers)))
-        assert not verify._check_chevalley_witnesses(bad.diagram) and not _chevalley_by_compose(bad)
+        bad = pq._replace(covers=covers)
+        assert not verify._check_chevalley_witnesses(bad, mult) and not _chevalley_by_compose(bad, mult)
 
         swapped = list(perm)
         swapped[0], swapped[-1] = swapped[-1], swapped[0]
