@@ -31,15 +31,10 @@ DEFAULT_MAX_RANK = 5
 
 
 def group_order(type_label: str, rank: int) -> int:
-    """|W| = (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n, as a product that
-    stops once past `MAX_GROUP_ORDER` (then a lower bound): an absurd rank is refused at once."""
-    n = rank
-    if type_label == "A":
-        factors = range(2, n + 2)
-    else:  # 2k for k = 1..n (B, C) or k = 2..n (D)
-        factors = range(4 if type_label == "D" else 2, 2 * n + 1, 2)
+    """|W|, the product of `rootsys.degrees`, stopped once past `MAX_GROUP_ORDER`
+    (then a lower bound): an absurd rank is refused at once."""
     order = 1
-    for k in factors:
+    for k in rootsys.degrees(type_label, rank):
         order *= k
         if order > MAX_GROUP_ORDER:
             break

@@ -8,15 +8,15 @@ The fundamental coweights, the dual basis of the simple roots, are
 half-integral at node n of C_n and the spin nodes of D_n, so they are
 stored doubled as the integer vectors 2 omega_j^vee (<alpha_i, 2
 omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
-coordinates of a root are half its pairings with them: root heights,
-supports and coroot coordinates all come from that one pairing, and
+coordinates of a root are half its pairings with them: root heights and
+coroot coordinates both come from that one pairing, and
 `strata.delta` reads the stratum exponent off it the same way.
 A root has at most two nonzero entries, so its pairings are read from
 those entries against the columns of the doubled coweights, and one pass
-over them halves and checks them, rebuilds the root and reads its height,
-support and coroot coordinates: O(rank) per root.  Every certificate of
-the build raises RootSystemError naming the root or node at fault, so
-none is stripped by `python -O`.
+over them halves and checks them, rebuilds the root and reads its height
+and coroot coordinates (nonzero exactly on its support): O(rank) per
+root.  Every certificate of the build raises RootSystemError naming the
+root or node at fault, so none is stripped by `python -O`.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -29,6 +29,7 @@ Realizations (Bourbaki node numbering throughout):
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -75,8 +76,6 @@ class RootSystem(NamedTuple):
     positive_roots: Tuple[Vector, ...]
     #: expansion of each positive coroot over the simple coroots (integers)
     coroot_coords: Tuple[Tuple[int, ...], ...]
-    #: simple-root support of each positive root, as a frozenset of nodes
-    root_support: Tuple[FrozenSet[int], ...]
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,12 +105,6 @@ class RootSystem(NamedTuple):
 
     def double_coweight(self, i: int) -> Vector:
         return self.double_coweights[i - 1]
-
-    def positive_roots_of(self, nodes: FrozenSet[int]) -> Tuple[int, ...]:
-        """Indices of positive roots supported inside a node subset."""
-        return tuple(
-            k for k, supp in enumerate(self.root_support) if supp <= nodes
-        )
 
 
 def _simple_roots(type_label: str, rank: int) -> Tuple[Vector, ...]:
@@ -188,12 +181,11 @@ def build(type_label: str, rank: int) -> RootSystem:
                 scaled = [x * c for c in column]
                 twice = scaled if twice is None else [t + c for t, c in zip(twice, scaled)]
         # in one pass: halve them, check the signs, rebuild beta from the
-        # simple roots, and read the height, the support and the coroot
-        # coordinates, as beta^vee = 2 beta / |beta|^2 = sum_i c_i
-        # (|alpha_i|^2 / |beta|^2) alpha_i^vee
+        # simple roots, and read the height and the coroot coordinates, as
+        # beta^vee = 2 beta / |beta|^2 = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
         square = pair(beta, beta)
-        height, rebuilt, coroot, support = 0, [0] * dim, [], []
-        for i, (t, alpha, norm) in enumerate(zip(twice, entries, norms), 1):
+        height, rebuilt, coroot = 0, [0] * dim, []
+        for t, alpha, norm in zip(twice, entries, norms):
             if t & 1:
                 raise RootSystemError("root %s pairs oddly with a doubled coweight" % (beta,))
             if t < 0:
@@ -204,12 +196,11 @@ def build(type_label: str, rank: int) -> RootSystem:
                 for k, a in alpha:
                     rebuilt[k] += c * a
                 coroot.append(_div(c * norm, square, beta))
-                support.append(i)
             else:
                 coroot.append(0)
         if tuple(rebuilt) != beta:
             raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
-        found.append((height, beta, tuple(coroot), frozenset(support)))
+        found.append((height, beta, tuple(coroot)))
     found.sort()
     rs = RootSystem(
         type_label=type_label,
@@ -221,7 +212,6 @@ def build(type_label: str, rank: int) -> RootSystem:
         double_coweights=dcw,
         positive_roots=tuple(r[1] for r in found),
         coroot_coords=tuple(r[2] for r in found),
-        root_support=tuple(r[3] for r in found),
     )
     _check_invariants(rs)
     return rs
@@ -253,16 +243,22 @@ def _check_invariants(rs: RootSystem) -> None:
                     "coweight pairing broken: <alpha_%d, 2 omega_%d^vee> = %d"
                     % (i + 1, j + 1, pairing)
                 )
-    expected = {
-        "A": n * (n + 1) // 2,
-        "B": n * n,
-        "C": n * n,
-        "D": n * (n - 1),
-    }[rs.type_label]
+    expected = sum(d - 1 for d in degrees(rs.type_label, n))
     if len(rs.positive_roots) != expected:
         raise RootSystemError(
             "%r has %d positive roots, expected %d" % (rs, len(rs.positive_roots), expected)
         )
+
+
+def degrees(type_label: str, rank: int) -> Iterable[int]:
+    """Degrees of the basic invariants of W(X_n), lazily (Humphreys,
+    Reflection Groups and Coxeter Groups, 3.7): |W| is their product,
+    |Phi+| the sum of d - 1, and W's Poincare polynomial prod [d]_t."""
+    if type_label == "A":
+        return range(2, rank + 2)
+    if type_label == "D":
+        return chain(range(2, 2 * rank - 1, 2), (rank,))
+    return range(2, 2 * rank + 1, 2)
 
 
 def cominuscule_nodes(type_label: str, rank: int) -> FrozenSet[int]:

@@ -127,13 +127,14 @@ def orbits(perm: Sequence[int]) -> List[List[int]]:
 def quantum_q_degree(rs: RootSystem, q_node: int) -> int:
     """Degree of q on the quotient of node q_node: first Chern number on
     the basic curve, the pairing with alpha_q^vee summed over the positive
-    roots outside Phi_Q, those whose support holds q_node.  It reads the
-    root system and the node alone, so it is summed once per (rs, q_node)."""
+    roots outside Phi_Q, those with a nonzero coroot coordinate at q_node.
+    It reads the root system and the node alone, so it is summed once
+    per (rs, q_node)."""
     coroot = rs.simple_coroot(q_node)
     return sum(
         rootsys.pair(beta, coroot)
-        for beta, support in zip(rs.positive_roots, rs.root_support)
-        if q_node in support
+        for beta, coords in zip(rs.positive_roots, rs.coroot_coords)
+        if coords[q_node - 1]
     )
 
 

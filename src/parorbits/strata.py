@@ -205,6 +205,11 @@ def _symmetric_orders(type_label: str, order: Tuple[int, ...]) -> List[Tuple[int
     return [order]
 
 
+def _root_count(comps: Sequence[Tuple[str, Tuple[int, ...]]]) -> int:
+    """|Phi+| of a Levi from its Dynkin components: d - 1 over their degrees."""
+    return sum(d - 1 for t, nodes in comps for d in rootsys.degrees(t, len(nodes)))
+
+
 @lru_cache(maxsize=None)
 def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) -> FlagDescriptor:
     """One factor per component of J_P that holds a node of J_P - K, in the
@@ -212,9 +217,10 @@ def flag_descriptor(rs: RootSystem, j_p: FrozenSet[int], k_set: FrozenSet[int]) 
     It reads the root system and the two node sets alone, so it is built
     once per (rs, J_P, K), whichever fixture's stratum asks."""
     marked = frozenset(j_p) - k_set
-    dim = len(rs.positive_roots_of(frozenset(j_p))) - len(rs.positive_roots_of(k_set))
+    levi = rootsys.components(rs, j_p)
+    dim = _root_count(levi) - _root_count(rootsys.components(rs, k_set))
     comps = []
-    for t, nodes in rootsys.components(rs, j_p):
+    for t, nodes in levi:
         if not marked.isdisjoint(nodes):
             positions, order = min(
                 (tuple(sorted(o.index(x) + 1 for x in marked.intersection(o))), o)

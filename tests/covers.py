@@ -11,6 +11,7 @@ products looked up in the quotient's index.
 
 from parorbits import cosets, weyl
 
+from roots import roots_inside
 from windows import dec, enc
 
 
@@ -47,10 +48,10 @@ def all_roots_covers(pq):
     when u * s_beta is in the quotient and one longer than u."""
     rs = pq.rs
     lengths = pq.lengths
-    q_roots = set(rs.positive_roots_of(pq.j_q))
+    q_roots = set(roots_inside(rs, pq.j_q))
     candidates = [
         (r, reflection_image(rs.positive_roots[r]))
-        for r in rs.positive_roots_of(pq.nodes)
+        for r in roots_inside(rs, pq.nodes)
         if r not in q_roots
     ]
     covers = []

@@ -9,7 +9,11 @@ doubled coweight over every coordinate and is rebuilt as a full vector,
 and the reflection computes the image of every e_k as a full vector.
 `weyl.generator_tables` and `cosets.root_tables` are built once per root
 system; `fresh_signed_table` fills a signed table one entry at a time.
+The root system stores no supports: `supports` reads each root's support
+off its coroot coordinates, and `roots_inside` selects a Levi's roots by it.
 """
+
+from functools import lru_cache
 
 from parorbits import rootsys, weyl
 
@@ -61,10 +65,21 @@ def dense_build(type_label, rank):
             )
             for beta in positive
         ),
-        "root_support": tuple(
-            frozenset(i + 1 for i, c in enumerate(coords[beta]) if c) for beta in positive
-        ),
     }
+
+
+@lru_cache(maxsize=None)
+def supports(rs):
+    """Simple-root support of each positive root, as a frozenset of nodes:
+    the nonzero positions of its coroot coordinates."""
+    return tuple(
+        frozenset(i for i, c in enumerate(coords, 1) if c) for coords in rs.coroot_coords
+    )
+
+
+def roots_inside(rs, nodes):
+    """Indices of the positive roots supported inside a node set."""
+    return tuple(k for k, support in enumerate(supports(rs)) if support <= nodes)
 
 
 def dense_reflection(rs, root):

@@ -9,6 +9,7 @@ from parorbits import cli, cosets, decomp, seidel, strata, weyl
 from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 
 from exponents import bumped_delta, offset_coweight_table
+from roots import roots_inside
 
 
 def run_cli(capsys, argv):
@@ -291,7 +292,7 @@ def test_flag_cover_without_an_edge_exits_2(monkeypatch, capsys):
 
     def corrupted(stratum):
         fq = real(stratum)
-        inside = [r for r, support in enumerate(fq.rs.root_support) if support <= fq.j_q]
+        inside = roots_inside(fq.rs, fq.j_q)
         if not fq.covers or not inside:
             return fq
         return fq._replace(covers=(fq.covers[0]._replace(root=inside[0]),) + fq.covers[1:])

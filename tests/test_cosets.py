@@ -11,11 +11,11 @@ from parorbits.cosets import (
 )
 from parorbits.decomp import emit_plain
 from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
-from parorbits.rootsys import RANK_BOUNDS, build, components
+from parorbits.rootsys import RANK_BOUNDS, build, components, degrees
 
 from caches import clear_caches
 from dynkin import subsets
-from roots import classical_systems, fresh_signed_table
+from roots import classical_systems, fresh_signed_table, roots_inside
 from windows import draw_window, enc, identity
 
 FIXTURES = [
@@ -46,7 +46,7 @@ def test_quotient_grading_and_duality():
         counts = pq.rank_counts()
         assert counts[0] == 1 and counts[-1] == 1
         assert counts == counts[::-1]  # Poincare duality of the quotient
-        top = len(fix.rs.positive_roots) - len(fix.rs.positive_roots_of(fix.j_q))
+        top = len(fix.rs.positive_roots) - len(roots_inside(fix.rs, fix.j_q))
         assert pq.top_degree() == top
         for w in pq.elements:
             assert weyl.min_rep(fix.rs, w, fix.j_q) == w
@@ -356,17 +356,6 @@ def test_quotient_size_closed_forms(t, n):
         assert not any(weyl.first_descent(rs, w, sorted(j_q)) for w in windows)
 
 
-def _degrees(t, k):
-    """Degrees of the basic invariants of W(X_k); none for k = 0."""
-    if k == 0:
-        return []
-    if t == "A":
-        return list(range(2, k + 2))
-    if t in "BC":
-        return list(range(2, 2 * k + 1, 2))
-    return list(range(2, 2 * k - 1, 2)) + [k]
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -385,7 +374,7 @@ def _t_product(degrees):
 
 def _levi_degrees(rs, nodes):
     """Degrees of W_J, read off the Dynkin components of J."""
-    return [d for kind, comp in components(rs, nodes) for d in _degrees(kind, len(comp))]
+    return [d for kind, comp in components(rs, nodes) for d in degrees(kind, len(comp))]
 
 
 def _rank_counts(rs, windows):
@@ -407,7 +396,7 @@ def test_quotient_rank_generating_functions(t):
                 continue
             counts = _rank_counts(rs, weyl.enumerate_group(rs, nodes, nodes - {q}))
             levi = _levi_degrees(rs, nodes - {q})
-            assert _poly_mul(counts, _t_product(levi)) == _t_product(_degrees(t, n)), (n, q)
+            assert _poly_mul(counts, _t_product(levi)) == _t_product(degrees(t, n)), (n, q)
             checked += 1
     assert checked == {"A": 36, "B": 16, "C": 16, "D": 16}[t]  # 84 quotients in all
 

@@ -14,6 +14,7 @@ from parorbits.decomp import (
 from parorbits.fixtures import Fixture, parse_fixture
 
 from conftest import load_golden
+from roots import supports
 from weights import h_prime_weight
 
 FIXTURES = [
@@ -157,8 +158,7 @@ def test_h_prime_matches_bottom_edges():
             derived = {}
             for u, w, r in fq.covers:
                 if u == 0:
-                    root_support = fq.rs.root_support[r]
-                    (node,) = tuple(root_support)
+                    (node,) = supports(fq.rs)[r]
                     derived[node] = x_out[phi_images[w]] // scale
             assert derived == weight
 

@@ -13,6 +13,7 @@ from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.hasse import HasseError, build_hasse
 from parorbits.rootsys import build
 
+from roots import roots_inside, supports
 from weights import h_prime_weight, weighted_mult
 
 FIXTURES = [
@@ -136,7 +137,7 @@ def test_cover_with_witness_inside_phi_q_is_refused():
     # negative control for the positivity certificate: a cover whose witness
     # is moved to a root of Phi_Q pairs to 0 with the weight
     pq = build_quotient(build("C", 4), frozenset({1, 3, 4}))
-    inside = next(r for r, support in enumerate(pq.rs.root_support) if support <= pq.j_q)
+    inside = roots_inside(pq.rs, pq.j_q)[0]
     k = len(pq.covers) // 2
     u, w, _ = pq.covers[k]
     bad = pq.covers[k]._replace(root=inside)
@@ -219,8 +220,8 @@ def _borel_hirzebruch_degree(fix):
     rs = fix.rs
     value = Fraction(1)
     dim = 0
-    for k in range(len(rs.positive_roots)):
-        if rs.root_support[k] <= fix.j_q:
+    for k, support in enumerate(supports(rs)):
+        if support <= fix.j_q:
             continue
         dim += 1
         value *= Fraction(

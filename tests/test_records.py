@@ -19,7 +19,6 @@ FIELDS = {
         "double_coweights",
         "positive_roots",
         "coroot_coords",
-        "root_support",
     ),
     "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
 from parorbits import cosets, seidel, strata, weyl
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
-from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, pair
+from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, degrees, pair
 
 from dynkin import component_nodes, orderings, subsets
 from exponents import eta
@@ -242,8 +243,10 @@ def test_dual_basis_matches_gaussian_oracle(t, n):
     positive, coords = _oracle_positive_roots(rs)
     assert rs.positive_roots == positive
     for k, beta in enumerate(rs.positive_roots):
+        # the support is the nonzero positions of the coroot coordinates,
+        # which `seidel.quantum_q_degree` and the tests' `roots.supports` read
         support = frozenset(i + 1 for i, c in enumerate(coords[beta]) if c != 0)
-        assert rs.root_support[k] == support
+        assert support == frozenset(i + 1 for i, c in enumerate(rs.coroot_coords[k]) if c)
         norm = pair(beta, beta)
         coroot = tuple(Fraction(2 * x, norm) for x in beta)
         assert rs.coroot_coords[k] == solve_in_basis(rs.simple_coroots, coroot)
@@ -350,11 +353,16 @@ BUILD_ORACLE_SYSTEMS = (
 def test_build_matches_dense_oracle():
     # the sparse build (coordinates from each root's nonzero entries, the
     # rebuild one coordinate at a time) against the full pairings and full
-    # rebuilds it replaced, on every field
+    # rebuilds it replaced, on every field; and the degrees of W against
+    # the root count and the classical |W|
     for t, n in BUILD_ORACLE_SYSTEMS:
         rs = build(t, n)
         fields = {f: getattr(rs, f) for f in rs._fields}
         assert fields == dense_build(t, n), (t, n)
+        ds = list(degrees(t, n))
+        assert len(ds) == n and sum(d - 1 for d in ds) == len(rs.positive_roots), (t, n)
+        order = {"A": factorial(n + 1), "B": 2**n * factorial(n), "C": 2**n * factorial(n)}
+        assert prod(ds) == order.get(t, 2 ** (n - 1) * factorial(n)), (t, n)
 
 
 CONTROL_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]

@@ -24,6 +24,7 @@ from exponents import d_geometric as oracle_statistic
 from exponents import delta as oracle_delta
 from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
+from roots import roots_inside
 from windows import enc, identity, inverse, k_by_root_scan
 
 
@@ -297,6 +298,9 @@ def _check_flag_against_graph_search(rs, j_p, marked):
     flag = flag_descriptor(rs, j_p, j_p - marked)
     assert flag.components == flag_components(rs, j_p, marked), (rs, sorted(j_p), sorted(marked))
     assert flag.marked_ambient == tuple(sorted(marked))
+    # dim G_L/P_K = |Phi+_L| - |Phi+_K|, counted by root supports
+    dim = len(roots_inside(rs, j_p)) - len(roots_inside(rs, j_p - marked))
+    assert flag.dim == dim, (rs, sorted(j_p), sorted(marked))
 
 
 def test_flag_descriptor_matches_graph_search_up_to_rank_6():

@@ -343,7 +343,6 @@ def test_weyl_reads_no_root_vectors():
         for node in ast.walk(top):
             if isinstance(node, ast.Attribute) and node.attr in (
                 "positive_roots",
-                "positive_roots_of",
                 "simple_roots",
                 "simple_root",
             ):

@@ -11,6 +11,8 @@ its coefficient; and h' as a weight on the flag's marked nodes.
 
 from parorbits import rootsys
 
+from roots import supports
+
 
 def weighted_mult(pq, weight):
     """<lambda, beta^vee> for every positive root, lambda = `weight`: one
@@ -44,8 +46,8 @@ def q_degree_by_fixture(fix):
     alpha_q^vee."""
     rs = fix.rs
     total = 0
-    for k, beta in enumerate(rs.positive_roots):
-        if rs.root_support[k] <= fix.j_q:
+    for beta, support in zip(rs.positive_roots, supports(rs)):
+        if support <= fix.j_q:
             continue
         total += rootsys.pair(beta, rs.simple_coroot(fix.q_node))
     return total
