@@ -9,9 +9,12 @@ their lengths as one tuple, `lengths`, beside them.  Each quotient records
 how every simple reflection of its node set acts on it from the left, as
 a table of indices that the enumerator's breadth-first pass fills on the
 way; the covers, with a positive-root witness beta such that
-w = u * s_beta, and the W_P-orbits are both read from that table.  An
-orbit is the sorted tuple of its member indices and nothing more: each
-reader holds the quotient beside it.
+w = u * s_beta, and the W_P-orbits are both read from that table.  The
+covers are three parallel tuples of ints, `sources`, `targets` and
+`witnesses` (root indices), sorted by (source, target): a cover is a
+position in them, and no object is made per cover.  An orbit is the
+sorted tuple of its member indices and nothing more: each reader holds
+the quotient beside it.
 `fixtures.Fixture` alone decides which quotients belong to the supported
 family.
 """
@@ -19,8 +22,9 @@ family.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import weyl
 from .rootsys import RootSystem
@@ -29,12 +33,6 @@ from .weyl import Window
 
 class CosetError(ValueError):
     """Invalid quotient or double-coset request."""
-
-
-class Cover(NamedTuple):
-    u: int
-    w: int
-    root: int  # index into rs.positive_roots
 
 
 class ParabolicQuotient(NamedTuple):
@@ -49,7 +47,11 @@ class ParabolicQuotient(NamedTuple):
     nodes: FrozenSet[int]
     j_q: FrozenSet[int]
     elements: Tuple[Window, ...]
-    covers: Tuple[Cover, ...]
+    #: cover c is sources[c] -> targets[c], w = u * s_beta for the positive
+    #: root beta = rs.positive_roots[witnesses[c]]; sorted by (source, target)
+    sources: Tuple[int, ...]
+    targets: Tuple[int, ...]
+    witnesses: Tuple[int, ...]
     index: Dict[Window, int]
     #: left[k][i] is the index of s_k * w_i, or i when it lies in w_i W_J
     left: Dict[int, Tuple[int, ...]]
@@ -116,6 +118,12 @@ def build_quotient(
     witness p^-1(alpha_k) is p's window translated through the table of
     alpha_k, looked up in the root index of `root_tables`, and the lengths
     are the pass's levels.
+
+    The lower covers are kept flat, in order of target: those of w are
+    positions start[w] to start[w+1] of the lists of sources and
+    witnesses, so the recursion reads p's covers by position and makes no
+    list or tuple per class or per cover.  One stable sort of the positions
+    by source then orders the covers by (source, target).
     """
     if nodes is None:
         nodes = frozenset(rs.nodes)
@@ -125,26 +133,28 @@ def build_quotient(
     elements = tuple(enumeration)
     left, descent, lengths = enumeration.left, enumeration.descent, enumeration.lengths
     alphas, root_index = root_tables(rs)
-    lower: List[List[Tuple[int, int]]] = [[] for _ in elements]  # (source, witness)
+    sources, witnesses = [], []
+    start = [0, 0]  # the identity has no lower cover
     for i in range(1, len(elements)):
         k = descent[i]
         row = left[k]
         p = row[i]
-        beta = root_index[elements[p].translate(alphas[k])]
-        lower[i] = [(p, beta)] + [
-            (row[y], r) for y, r in lower[p] if lengths[row[y]] > lengths[y]
-        ]
-    # bucketed by source, each bucket filled in target order: as each
-    # (u, w) has one witness, the buckets read in turn are sorted; the
-    # tuples are made as `Cover._make` makes them, without the NamedTuple's
-    # Python-level __new__
-    new = tuple.__new__
-    upper: List[List[Cover]] = [[] for _ in elements]
-    for w, below in enumerate(lower):
-        for u, r in below:
-            upper[u].append(new(Cover, (u, w, r)))
-    covers = tuple(chain.from_iterable(upper))
-    return ParabolicQuotient(rs, nodes, j_q, elements, covers, enumeration.index, left, lengths)
+        sources.append(p)
+        witnesses.append(root_index[elements[p].translate(alphas[k])])
+        # every lower cover y of p is one shorter than p, so s*y is one
+        # longer than y when it is as long as p
+        length = lengths[p]
+        for c in range(start[p], start[p + 1]):
+            sy = row[sources[c]]
+            if lengths[sy] == length:
+                sources.append(sy)
+                witnesses.append(witnesses[c])
+        start.append(len(sources))
+    counts = map(sub, start[1:], start)
+    targets = list(chain.from_iterable(map(repeat, range(len(elements)), counts)))
+    order = sorted(range(len(sources)), key=sources.__getitem__)
+    columns = (tuple(map(column.__getitem__, order)) for column in (sources, targets, witnesses))
+    return ParabolicQuotient(rs, nodes, j_q, elements, *columns, enumeration.index, left, lengths)
 
 
 def double_cosets(pq: ParabolicQuotient, j_p: Iterable[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -216,8 +226,8 @@ def certify_interval(pq: ParabolicQuotient, orbits: Sequence[Sequence[int]]) -> 
         down[members[-1]] |= bit
         for k in members:
             want[k] |= bit
-    for c in pq.covers:
-        up[c.w] |= up[c.u]
-    for c in reversed(pq.covers):
-        down[c.u] |= down[c.w]
+    for u, w in zip(pq.sources, pq.targets):
+        up[w] |= up[u]
+    for u, w in zip(reversed(pq.sources), reversed(pq.targets)):
+        down[u] |= down[w]
     return all(u & d == x for u, d, x in zip(up, down, want))

@@ -12,9 +12,13 @@ stratum, each 1 otherwise.  X's diagram and every flag diagram are
 Cross-stratum edges are reported and checked to increase the stratum
 exponent.  A decomposition holds no copy of the quotient's classes or
 covers: each class's stratum and delta are read from `strata.stratify`,
-each edge is a cover of X's quotient, and its multiplicity is read from
-X's multiplicities by its witness.  A stratum's result is its mismatches
-alone; its flag quotient and cell map are `flag_quotient` and `phi_map`.
+each edge is a cover of X's quotient, named by its position in the
+quotient's cover columns, and its multiplicity is read from X's
+multiplicities by its witness.  A stratum's edges u -> w are compared
+with its flag diagram's as sorted integer keys u*N + w, N the number of
+X's classes, which sort as the pairs (u, w) do.  A stratum's result is
+its mismatches alone; its flag quotient and cell map are `flag_quotient`
+and `phi_map`.
 
 Output formats: DOT, TikZ and JSON, all byte-deterministic.
 """
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cosets, hasse, strata, weyl
-from .cosets import Cover, ParabolicQuotient
+from .cosets import ParabolicQuotient
 from .fixtures import Fixture
 from .strata import OrbitStratum, Stratification
 from .weyl import Window
@@ -46,17 +50,20 @@ class DecomposedDiagram(NamedTuple):
     strat: Stratification
     #: X's multiplicities, `hasse.build_hasse(strat.pq)`, one per positive root
     mult: Tuple[int, ...]
-    #: the covers of X's quotient whose ends lie in different strata
-    cross_edges: Tuple[Cover, ...]
+    #: the positions, in X's cover columns, of the covers whose ends lie in
+    #: different strata
+    cross_edges: Tuple[int, ...]
     #: per stratum of `strat.strata`, each edge that differs from its flag diagram
     mismatches: Tuple[Tuple[str, ...], ...]
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def non_rising_cross_edge(self) -> Optional[Cover]:
-        """The first cross edge whose delta does not rise, or None."""
-        delta = self.strat.delta
-        return next((c for c in self.cross_edges if delta[c.w] <= delta[c.u]), None)
+    def non_rising_cross_edge(self) -> Optional[int]:
+        """The position of the first cross edge whose delta does not rise,
+        or None."""
+        delta, pq = self.strat.delta, self.strat.pq
+        sources, targets = pq.sources, pq.targets
+        return next((c for c in self.cross_edges if delta[targets[c]] <= delta[sources[c]]), None)
 
     def witness(self) -> Optional[str]:
         """The first failure of the decomposition, or None: the first stratum
@@ -66,10 +73,10 @@ class DecomposedDiagram(NamedTuple):
         for st, found in zip(self.strat.strata, self.mismatches):
             if found:
                 return "stratum delta=%d, %s" % (st.delta, found[0])
-        if (edge := self.non_rising_cross_edge()) is None:
+        if (c := self.non_rising_cross_edge()) is None:
             return None
-        u, w, _ = edge
-        delta, windows = self.strat.delta, self.strat.pq.elements
+        pq, delta = self.strat.pq, self.strat.delta
+        u, w, windows = pq.sources[c], pq.targets[c], pq.elements
         return "cross edge %s->%s does not raise delta: %d -> %d" % (
             weyl.window_str(windows[u]), weyl.window_str(windows[w]), delta[u], delta[w]
         )
@@ -116,25 +123,34 @@ def phi_map(stratum: OrbitStratum) -> Tuple[ParabolicQuotient, Tuple[int, ...]]:
     return fq, tuple(images)
 
 
-def _compare_stratum(stratum: OrbitStratum, x_edges: Dict[Tuple[int, int], int]) -> Tuple[str, ...]:
-    """Match the stratum's within-stratum edges of X, `x_edges` as
-    {(u, w): mult}, against its flag diagram carried over by the cell map;
-    the mismatches, sorted by index and naming windows, are listed only
-    when the two differ."""
+def _compare_stratum(
+    stratum: OrbitStratum, keys: Sequence[int], mults: Sequence[int]
+) -> Tuple[str, ...]:
+    """Match the stratum's within-stratum edges of X, each edge u -> w as
+    the key u*N + w in ascending `keys` with its multiplicity in `mults`,
+    against its flag diagram carried over by the cell map; the mismatches,
+    sorted by index and naming windows, are listed only when the two
+    differ."""
     fq, phi_images = phi_map(stratum)
     mult = hasse.build_hasse(fq)
     factor = strata.h_prime_of(stratum) * stratum.scale
-    flag_edges = {(phi_images[u], phi_images[w]): mult[r] * factor for u, w, r in fq.covers}
+    n = len(stratum.pq.elements)
+    flag_keys = [phi_images[u] * n + phi_images[w] for u, w in zip(fq.sources, fq.targets)]
+    order = sorted(range(len(flag_keys)), key=flag_keys.__getitem__)
+    flag_mults = [mult[fq.witnesses[c]] * factor for c in order]
+    flag_keys = [flag_keys[c] for c in order]
+    if flag_keys == keys and flag_mults == mults:
+        return ()
+    x_edges, flag_edges = dict(zip(keys, mults)), dict(zip(flag_keys, flag_mults))
     mismatches = []
-    if flag_edges != x_edges:
-        windows = stratum.pq.elements
-        for key in sorted(set(flag_edges) | set(x_edges)):
-            got, want = x_edges.get(key), flag_edges.get(key)
-            if got != want:
-                u, w = (weyl.window_str(windows[k]) for k in key)
-                mismatches.append(
-                    "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (u, w, got, want)
-                )
+    windows = stratum.pq.elements
+    for key in sorted(x_edges.keys() | flag_edges.keys()):
+        got, want = x_edges.get(key), flag_edges.get(key)
+        if got != want:
+            u, w = (weyl.window_str(windows[k]) for k in divmod(key, n))
+            mismatches.append(
+                "edge %s->%s: diagram mult %s, flag mult (scaled) %s" % (u, w, got, want)
+            )
     return tuple(mismatches)
 
 
@@ -142,19 +158,23 @@ def build_decomposition(fix: Fixture) -> DecomposedDiagram:
     strat = strata.stratify(fix)
     pq, sts, vs = strat.pq, strat.strata, strat.stratum_of
     mult = hasse.build_hasse(pq)
+    n = len(pq.elements)
     # one pass over X's edges, the covers of its quotient: each
-    # within-stratum edge into its stratum's {(u, w): mult}, the rest in
-    # order into the cross edges
-    within: List[Dict[Tuple[int, int], int]] = [{} for _ in sts]
+    # within-stratum edge u -> w into its stratum's keys, as u*n + w, and
+    # multiplicities, the keys ascending as the covers are sorted by
+    # (u, w); the position of each other edge, in order, into the cross
+    # edges
+    keys: List[List[int]] = [[] for _ in sts]
+    mults: List[List[int]] = [[] for _ in sts]
     cross = []
-    for c in pq.covers:
-        u, w, r = c
+    for c, (u, w, r) in enumerate(zip(pq.sources, pq.targets, pq.witnesses)):
         si = vs[u]
         if si == vs[w]:
-            within[si][u, w] = mult[r]
+            keys[si].append(u * n + w)
+            mults[si].append(mult[r])
         else:
             cross.append(c)
-    mismatches = tuple(_compare_stratum(st, within[si]) for si, st in enumerate(sts))
+    mismatches = tuple(_compare_stratum(st, keys[si], mults[si]) for si, st in enumerate(sts))
     return DecomposedDiagram(fix, strat, mult, tuple(cross), mismatches)
 
 
@@ -185,7 +205,7 @@ def _emit_json(
             entry["stratum"] = strat.stratum_of[k]
         vertices.append(entry)
     edges = []
-    for u, w, r in pq.covers:
+    for u, w, r in zip(pq.sources, pq.targets, pq.witnesses):
         entry = {"from": u, "to": w, "mult": mult[r]}
         if strat is not None:
             entry["cross"] = strat.stratum_of[u] != strat.stratum_of[w]
@@ -211,7 +231,7 @@ def _emit_dot(
             attrs.append('class="stratum%d"' % strat.strata[si].delta)
             attrs.append('fillcolor="%s"' % PALETTE[si % len(PALETTE)])
         lines.append("  n%d [%s];" % (k, ", ".join(attrs)))
-    for u, w, r in pq.covers:
+    for u, w, r in zip(pq.sources, pq.targets, pq.witnesses):
         attrs = ["penwidth=%d" % mult[r]]
         if strat is not None and strat.stratum_of[u] == strat.stratum_of[w]:
             attrs.append('color="%s"' % PALETTE[strat.stratum_of[u] % len(PALETTE)])
@@ -241,7 +261,7 @@ def _emit_tikz(
         if strat is not None:
             fill = "fill=%s" % colors[strat.stratum_of[k] % len(colors)]
         lines.append("  \\node[%s] (n%d) at (%d, %s) {};" % (fill, k, degree, y))
-    for u, w, r in pq.covers:
+    for u, w, r in zip(pq.sources, pq.targets, pq.witnesses):
         style = []
         if strat is not None and strat.stratum_of[u] == strat.stratum_of[w]:
             style.append(colors[strat.stratum_of[u] % len(colors)])

@@ -15,7 +15,6 @@ coroot in beta^vee.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import Tuple
 
 from . import weyl
@@ -37,10 +36,10 @@ def pairing_with_coroot(pq: ParabolicQuotient, root_idx: int) -> int:
 def build_hasse(pq: ParabolicQuotient) -> Tuple[int, ...]:
     """The diagram of `pq`'s hyperplane class, as its multiplicities:
     mult[r] is <lambda, beta_r^vee> for each positive root beta_r, and
-    the edges are the covers (u, w, r) of `pq`, each of multiplicity
-    mult[r].  The multiplicities of all positive roots are summed one
-    node outside Delta(Q) at a time, each adding that node's column of
-    the coroot coordinates.  It reads the quotient alone, so it is built
+    the edges are the covers of `pq`, each cover u -> w with witness r of
+    multiplicity mult[r].  The multiplicities of all positive roots are
+    summed one node outside Delta(Q) at a time, each adding that node's
+    column of the coroot coordinates.  It reads the quotient alone, so it is built
     once per quotient object: X's diagram and each stratum's flag
     diagram are shared by every fixture that reaches the same quotient.
 
@@ -53,10 +52,11 @@ def build_hasse(pq: ParabolicQuotient) -> Tuple[int, ...]:
     mult = [0] * len(coords)
     for n in pq.nodes - pq.j_q:
         mult = [m + x[n - 1] for m, x in zip(mult, coords)]
-    if min(map(mult.__getitem__, map(itemgetter(2), pq.covers)), default=1) < 1:
-        u, w, r = next(c for c in pq.covers if mult[c.root] < 1)
+    if min(map(mult.__getitem__, pq.witnesses), default=1) < 1:
+        c = next(c for c, r in enumerate(pq.witnesses) if mult[r] < 1)
+        u, w = pq.elements[pq.sources[c]], pq.elements[pq.targets[c]]
         raise HasseError(
             "cover %s -> %s has multiplicity %d: its witness lies in Phi_Q"
-            % (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]), mult[r])
+            % (weyl.window_str(u), weyl.window_str(w), mult[pq.witnesses[c]])
         )
     return tuple(mult)

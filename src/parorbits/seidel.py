@@ -32,13 +32,21 @@ class SeidelError(ValueError):
 
 
 @lru_cache(maxsize=None)
+def _longest(rs: RootSystem) -> Window:
+    """w_0 of `rs`, built and certified by `weyl.longest` once per root
+    system and shared by the Seidel elements of all its nodes."""
+    return weyl.longest(rs, rs.nodes)
+
+
+@lru_cache(maxsize=None)
 def v_elt(rs: RootSystem, i: int) -> Window:
     """Window of the Seidel element of node i, the shortest element of
     w_0 W_J, with J the nodes other than i, computed as
-    `weyl.min_rep(rs, w_0, J)`; w_0 comes from `weyl.longest` in one pass
-    over the blocks of positions, with no descent stripped.  It depends on
-    the root system and the node alone, so it is built and certified once
-    per (rs, i) and shared by every fixture that acts by node i.
+    `weyl.min_rep(rs, w_0, J)`; w_0 comes from `_longest`, built once per
+    root system in one pass over the blocks of positions, with no descent
+    stripped.  The element depends on the root system and the node alone,
+    so it is built and certified once per (rs, i) and shared by every
+    fixture that acts by node i.
 
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
@@ -51,7 +59,7 @@ def v_elt(rs: RootSystem, i: int) -> Window:
             "node %d is not cominuscule for %s_%d" % (i, rs.type_label, rs.rank)
         )
     j_set = [k for k in rs.nodes if k != i]
-    w0 = weyl.longest(rs, rs.nodes)
+    w0 = _longest(rs)
     v = weyl.min_rep(rs, w0, j_set)
     omega2 = rs.double_coweight(i)
     if weyl.act(v, omega2) != weyl.act(w0, omega2):

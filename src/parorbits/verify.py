@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from . import cosets, decomp, hasse, seidel, strata, weyl
@@ -70,11 +70,11 @@ def _check_dimension_ledger(dec: DecomposedDiagram, table: Dict[int, int]) -> bo
 
 @lru_cache(maxsize=None)
 def _check_chevalley_witnesses(pq: ParabolicQuotient, mult: Tuple[int, ...]) -> bool:
-    """Each edge of X's diagram, a cover (u, w, beta) of its quotient `pq`,
-    is u * s_beta = w, and the diagram's multiplicity `mult` of each
-    witness beta is <omega_q, beta^vee>; s_beta and the pairing are read
-    once per root, not from the left table.  The window of u * s_beta is
-    the window of s_beta translated through the table of u
+    """Each edge of X's diagram, a cover u -> w of its quotient `pq` with
+    witness beta, is u * s_beta = w, and the diagram's multiplicity `mult`
+    of each witness beta is <omega_q, beta^vee>; s_beta and the pairing
+    are read once per root, not from the left table.  The window of
+    u * s_beta is the window of s_beta translated through the table of u
     (`weyl.signed_table`): the covers come sorted by source, so each
     class's table is built once, when its first cover is read, and each
     cover costs one `bytes.translate`.
@@ -83,14 +83,16 @@ def _check_chevalley_witnesses(pq: ParabolicQuotient, mult: Tuple[int, ...]) -> 
     its multiplicities: `hasse.build_hasse` gives every fixture on X the
     same ones, so X is certified once, and any other quotient object or
     other multiplicities get a verdict of their own."""
-    roots = {r for _, _, r in pq.covers}
+    roots = set(pq.witnesses)
     if any(mult[r] != hasse.pairing_with_coroot(pq, r) for r in roots):
         return False
     reflections = {r: cosets.reflection_by_index(pq.rs, r) for r in roots}
     windows = pq.elements
-    for u, covers in groupby(pq.covers, itemgetter(0)):
-        table = weyl.signed_table(windows[u])
-        if any(reflections[r].translate(table) != windows[w] for _, w, r in covers):
+    source, table = -1, b""
+    for u, w, r in zip(pq.sources, pq.targets, pq.witnesses):
+        if u != source:
+            source, table = u, weyl.signed_table(windows[u])
+        if reflections[r].translate(table) != windows[w]:
             return False
     return True
 

@@ -109,21 +109,6 @@ def name(rs: RootSystem, window: Window) -> str:
     return "W%s%d%s" % (rs.type_label, rs.rank, window_str(window))
 
 
-def _validate_window(rs: RootSystem, window: Window) -> None:
-    d = rs.dim
-    if len(window) != d:
-        raise WeylError(
-            "window %s has length %d, expected %d" % (window_str(window), len(window), d)
-        )
-    if sorted(window.translate(_ABS)) != list(range(OFFSET + 1, OFFSET + d + 1)):
-        raise WeylError("window %s is not a signed permutation of 1..%d" % (window_str(window), d))
-    negatives = sum(y < OFFSET for y in window)
-    if rs.type_label == "A" and negatives:
-        raise WeylError("type A windows carry no signs: %s" % window_str(window))
-    if rs.type_label == "D" and negatives % 2:
-        raise WeylError("type D windows need an even number of signs: %s" % window_str(window))
-
-
 def _length(rs: RootSystem, window: Window) -> int:
     """Inversion count: pairs i < j with key(b_i) > key(b_j); in B, C and D
     also those with key(b_i) > key(-b_j); in B and C also negative entries.
@@ -191,30 +176,38 @@ def generator_tables(rs: RootSystem) -> Dict[int, Generator]:
 
 
 def reflection(rs: RootSystem, root: Vector) -> Window:
-    """The window of the reflection in `root`, validated.
+    """The window of the reflection in `root`, read from its nonzero
+    entries.
 
-    s(e_k) = e_k - <e_k, root^vee> root, so s fixes e_k off the root's
-    support, and only the images of the support positions are computed,
-    each of which must be a signed unit vector.  A vector of the wrong
-    dimension, or zero, is refused before any arithmetic."""
-    if len(root) != rs.dim:
-        raise WeylError("vector %s has dimension %d, expected %d" % (root, len(root), rs.dim))
-    norm = sum(y * y for y in root)
-    if not norm:
-        raise WeylError("the zero vector has no reflection")
-    if any(2 * x % norm for x in root):
-        raise WeylError("%s has no integral coroot" % (root,))
+    s(e_k) = e_k - <e_k, root^vee> root, and root^vee = 2 root / |root|^2
+    is integral only when the root has one nonzero entry a = +/-1 or +/-2,
+    or two, a and b, both +/-1: each nonzero entry x needs |2x| >= |root|^2,
+    and summed over the entries that leaves at most two, both of size 1,
+    or one of size 1 or 2.  So s is a sign change of position i for a e_i,
+    and for a e_i + b e_j sends e_i to -ab e_j and e_j to -ab e_i: a
+    transposition for e_i - e_j, a signed one for e_i + e_j
+    (Bjorner-Brenti 8.1-8.2).  A vector of the wrong dimension, zero, or
+    without an integral coroot is refused before the window is built, and
+    a window with signs in type A, or with an odd number of signs in type
+    D, after."""
+    d = rs.dim
+    if len(root) != d:
+        raise WeylError("vector %s has dimension %d, expected %d" % (root, len(root), d))
     support = [t for t, x in enumerate(root) if x]
-    window = list(range(1, rs.dim + 1))
-    for k in support:
-        c = 2 * root[k] // norm
-        hits = [(t, x) for t in support if (x := (t == k) - c * root[t])]
-        if len(hits) != 1 or abs(hits[0][1]) != 1:
-            raise WeylError("root %s does not act by signed permutation" % (root,))
-        t, x = hits[0]
-        window[k] = t + 1 if x > 0 else -(t + 1)
-    out = encode(window, rs.dim)
-    _validate_window(rs, out)
+    if not support:
+        raise WeylError("the zero vector has no reflection")
+    i, j = support[0], support[-1]
+    a, b = root[i], root[j]
+    if len(support) > 2 or (abs(a) > 2 if i == j else abs(a) != 1 or abs(b) != 1):
+        raise WeylError("%s has no integral coroot" % (root,))
+    sign = -1 if i == j else -a * b
+    window = list(range(1, d + 1))
+    window[i], window[j] = sign * (j + 1), sign * (i + 1)
+    out = encode(window, d)
+    if sign < 0 and rs.type_label == "A":
+        raise WeylError("type A windows carry no signs: %s" % window_str(out))
+    if i == j and rs.type_label == "D":
+        raise WeylError("type D windows need an even number of signs: %s" % window_str(out))
     return out
 
 

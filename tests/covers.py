@@ -6,10 +6,12 @@ table by du Cloux's coatom recursion, and `cosets.double_cosets` closes
 each W_P-orbit by reading the same table.  These are the paths they
 replaced: every element tries every root of Phi_L^+ minus Phi_Q^+ by a
 swap of two window positions, and every orbit is closed by window
-products looked up in the quotient's index.
+products looked up in the quotient's index.  A quotient holds its covers
+as three columns; `cover_triples` and `with_covers` read and replace them
+as (source, target, witness) triples.
 """
 
-from parorbits import cosets, weyl
+from parorbits import weyl
 
 from roots import roots_inside
 from windows import dec, enc
@@ -42,10 +44,24 @@ def reflection_image(root):
     return image
 
 
+def cover_triples(pq):
+    """The covers of a quotient as (source, target, witness) triples, in
+    the order of its columns."""
+    return tuple(zip(pq.sources, pq.targets, pq.witnesses))
+
+
+def with_covers(pq, triples):
+    """The quotient with its cover columns read from (source, target,
+    witness) `triples`: the way a test damages or drops a cover."""
+    sources, targets, witnesses = map(tuple, zip(*triples)) if triples else ((), (), ())
+    return pq._replace(sources=sources, targets=targets, witnesses=witnesses)
+
+
 def all_roots_covers(pq):
-    """Covers of the quotient, sorted: u -> u * s_beta for every element u
-    and every beta in Phi_L^+ minus Phi_Q^+ that u does not invert, kept
-    when u * s_beta is in the quotient and one longer than u."""
+    """Covers of the quotient as sorted (source, target, witness)
+    triples: u -> u * s_beta for every element u and every beta in
+    Phi_L^+ minus Phi_Q^+ that u does not invert, kept when u * s_beta is
+    in the quotient and one longer than u."""
     rs = pq.rs
     lengths = pq.lengths
     q_roots = set(roots_inside(rs, pq.j_q))
@@ -62,7 +78,7 @@ def all_roots_covers(pq):
                 continue
             w = pq.index.get(enc(x))
             if w is not None and lengths[w] == lengths[u] + 1:
-                covers.append(cosets.Cover(u, w, r))
+                covers.append((u, w, r))
     return tuple(sorted(covers))
 
 

@@ -10,7 +10,7 @@ its first left descent.  The covers and witnesses that the recursion reads
 off these are checked against the all-roots loop in `test_covers.py`.
 `check_quotient` also compares the whole quotient with its tuple build
 in `tuples.py`, the enumerator and witness recursion as they ran before
-windows became bytes.
+windows became bytes and covers became columns.
 """
 
 from parorbits import weyl
@@ -68,9 +68,10 @@ def first_descents(lengths, left):
 def check_quotient(pq):
     """Assert that the quotient and the enumeration it was built from agree
     with the oracles above: windows, lengths, index, left rows and first
-    descents; that the covers come out sorted; and that the decoded
-    windows, the lengths, left rows, first descents, covers and witnesses
-    are those of the tuple build."""
+    descents; that the covers are flat columns (`check_cover_columns`);
+    and that the decoded windows, the lengths, left rows, first descents,
+    and the covers and witnesses, zipped from the columns, are those of
+    the tuple build."""
     rs, nodes, j_set = pq.rs, pq.nodes, pq.j_q
     windows, lengths = seen_set_levels(rs, nodes, j_set)
     index, left = left_table(rs, windows, nodes)
@@ -83,10 +84,24 @@ def check_quotient(pq):
     assert enumeration.index == index == pq.index, pq
     assert enumeration.left == left == pq.left, pq
     assert enumeration.descent == descents, pq
-    assert pq.covers == tuple(sorted(pq.covers)), pq
+    check_cover_columns(pq)
     t_windows, t_lengths, t_left, t_descent, t_covers = tuples.build_quotient(rs, j_set, nodes)
     assert list(map(dec, pq.elements)) == t_windows, pq
     assert list(pq.lengths) == t_lengths, pq
     assert pq.left == t_left, pq
     assert list(enumeration.descent) == t_descent, pq
-    assert pq.covers == t_covers, pq
+    assert tuple(zip(pq.sources, pq.targets, pq.witnesses)) == t_covers, pq
+
+
+def check_cover_columns(pq):
+    """Assert that the quotient holds its covers as three tuples of ints of
+    one length, sorted by (source, target) with no pair twice, and no
+    object per cover: every other tuple field holds ints or windows."""
+    columns = (pq.sources, pq.targets, pq.witnesses)
+    assert all(type(column) is tuple for column in columns), pq
+    assert len({len(column) for column in columns}) == 1, pq
+    pairs = list(zip(pq.sources, pq.targets))
+    assert all(a < b for a, b in zip(pairs, pairs[1:])), pq
+    for name, value in zip(pq._fields, pq):
+        if name != "rs" and isinstance(value, tuple):
+            assert all(type(x) in (int, bytes) for x in value), (pq, name)

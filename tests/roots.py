@@ -3,10 +3,13 @@ dense paths that the library replaced.
 
 `rootsys.build` reads each root's doubled pairings from its nonzero
 entries against the columns of the doubled coweights, and rebuilds the
-root from the simple roots' nonzero entries; `weyl.reflection` computes
-images only on the root's support.  Here each root pairs with every
-doubled coweight over every coordinate and is rebuilt as a full vector,
-and the reflection computes the image of every e_k as a full vector.
+root from the simple roots' nonzero entries; `weyl.reflection` reads the
+window in closed form from the root's one or two nonzero entries.  Here
+each root pairs with every doubled coweight over every coordinate and is
+rebuilt as a full vector; `dense_reflection` computes the image of every
+e_k as a full vector, and `support_reflection`, the generic path that the
+closed form replaced, the image of each e_k on the root's support, then
+validates the window.
 `weyl.generator_tables` and `cosets.root_tables` are built once per root
 system; `fresh_signed_table` fills a signed table one entry at a time.
 The root system stores no supports: `supports` reads each root's support
@@ -80,6 +83,55 @@ def supports(rs):
 def roots_inside(rs, nodes):
     """Indices of the positive roots supported inside a node set."""
     return tuple(k for k, support in enumerate(supports(rs)) if support <= nodes)
+
+
+def validate_window(rs, window):
+    """Refuse, with WeylError, a window of the wrong length, one that is
+    not a signed permutation, one with signs in type A, or one with an odd
+    number of signs in type D."""
+    d = rs.dim
+    if len(window) != d:
+        raise weyl.WeylError(
+            "window %s has length %d, expected %d" % (weyl.window_str(window), len(window), d)
+        )
+    if sorted(window.translate(weyl._ABS)) != list(range(weyl.OFFSET + 1, weyl.OFFSET + d + 1)):
+        raise weyl.WeylError(
+            "window %s is not a signed permutation of 1..%d" % (weyl.window_str(window), d)
+        )
+    negatives = sum(y < weyl.OFFSET for y in window)
+    if rs.type_label == "A" and negatives:
+        raise weyl.WeylError("type A windows carry no signs: %s" % weyl.window_str(window))
+    if rs.type_label == "D" and negatives % 2:
+        raise weyl.WeylError(
+            "type D windows need an even number of signs: %s" % weyl.window_str(window)
+        )
+
+
+def support_reflection(rs, root):
+    """The window of the reflection in `root`, validated, by the generic
+    path: s(e_k) = e_k - <e_k, root^vee> root for each k on the root's
+    support, each image required to be a signed unit vector, then
+    `validate_window`.  A vector of the wrong dimension, or zero, is
+    refused before any arithmetic."""
+    if len(root) != rs.dim:
+        raise weyl.WeylError("vector %s has dimension %d, expected %d" % (root, len(root), rs.dim))
+    norm = sum(y * y for y in root)
+    if not norm:
+        raise weyl.WeylError("the zero vector has no reflection")
+    if any(2 * x % norm for x in root):
+        raise weyl.WeylError("%s has no integral coroot" % (root,))
+    support = [t for t, x in enumerate(root) if x]
+    window = list(range(1, rs.dim + 1))
+    for k in support:
+        c = 2 * root[k] // norm
+        hits = [(t, x) for t in support if (x := (t == k) - c * root[t])]
+        if len(hits) != 1 or abs(hits[0][1]) != 1:
+            raise weyl.WeylError("root %s does not act by signed permutation" % (root,))
+        t, x = hits[0]
+        window[k] = t + 1 if x > 0 else -(t + 1)
+    out = weyl.encode(window, rs.dim)
+    validate_window(rs, out)
+    return out
 
 
 def dense_reflection(rs, root):

@@ -13,6 +13,7 @@ from parorbits.fixtures import Fixture
 from parorbits.rootsys import build
 
 from conftest import load_golden
+from covers import cover_triples
 
 
 def _verdict(num, label, ok):
@@ -24,7 +25,7 @@ def _computed_graph(fix):
     dec = decomp.build_decomposition(fix)
     sts, vs, mult = dec.strat.strata, dec.strat.stratum_of, dec.mult
     vertices = tuple((length, sts[vs[k]].delta) for k, length in enumerate(dec.strat.pq.lengths))
-    edges = tuple((u, w, mult[r]) for u, w, r in dec.strat.pq.covers)
+    edges = tuple((u, w, mult[r]) for u, w, r in cover_triples(dec.strat.pq))
     return dec, graphiso.ColoredGraph(vertices, edges)
 
 

@@ -11,11 +11,12 @@ import ast
 import functools
 import importlib
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from parorbits import cli, cosets, seidel, weyl
+from parorbits import cli, cosets, rootsys, seidel, weyl
 from parorbits.fixtures import parse_fixture
 
 from caches import clear_caches
@@ -51,9 +52,31 @@ def test_traced_layers_resolve_in_the_library():
 
 def test_reported_caches_are_lru_caches():
     caches = _constants("run.py", "CACHES")["CACHES"]
-    assert {"weyl.simple_reflection", "cosets.reflection_by_index"} <= set(caches)
+    pinned = {"weyl.simple_reflection", "cosets.reflection_by_index", "cosets.build_quotient"}
+    assert pinned <= set(caches)
     for layer in caches:
         assert isinstance(_resolve(layer), LRU_CACHE), layer
+
+
+def _order(type_label, rank):
+    """|W(X_rank)|, the product of its degrees."""
+    return prod(rootsys.degrees(type_label, rank))
+
+
+@pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1", "D6/P3+P6", "B6/P5+P1"])
+def test_traced_sizes_are_the_class_count(label):
+    # `bench/spans.py` sizes a miss of the enumerator by len() of its
+    # result and a miss of the quotient build by len(pq.elements): both
+    # are |W^Q| = |W| / |W_Q|, with |W_Q| the product over the Dynkin
+    # components of J_Q
+    fix = parse_fixture(label)
+    rs = fix.rs
+    classes = _order(rs.type_label, rs.rank) // prod(
+        _order(kind, len(nodes)) for kind, nodes in rootsys.components(rs, fix.j_q)
+    )
+    pq = cosets.build_quotient(rs, fix.j_q)
+    assert len(weyl.enumerate_group(rs, pq.nodes, fix.j_q)) == classes, label
+    assert len(pq.elements) == classes, label
 
 
 @pytest.mark.parametrize("label,classes", [("C3/P2+P3", 12), ("D5/P2+P5", 40)])

@@ -293,9 +293,9 @@ def test_flag_cover_without_an_edge_exits_2(monkeypatch, capsys):
     def corrupted(stratum):
         fq = real(stratum)
         inside = roots_inside(fq.rs, fq.j_q)
-        if not fq.covers or not inside:
+        if not fq.witnesses or not inside:
             return fq
-        return fq._replace(covers=(fq.covers[0]._replace(root=inside[0]),) + fq.covers[1:])
+        return fq._replace(witnesses=(inside[0],) + fq.witnesses[1:])
 
     monkeypatch.setattr(decomp, "flag_quotient", corrupted)
     code, out, err = run_cli(capsys, FIGURE_ARGV)

@@ -14,6 +14,7 @@ from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtu
 from parorbits.rootsys import RANK_BOUNDS, build, components, degrees
 
 from caches import clear_caches
+from covers import cover_triples, with_covers
 from dynkin import subsets
 from roots import classical_systems, fresh_signed_table, roots_inside
 from windows import draw_window, enc, identity
@@ -55,9 +56,9 @@ def test_quotient_grading_and_duality():
 def test_cover_witnesses():
     for fix in FIXTURES[:5]:
         pq = build_quotient(fix.rs, fix.j_q)
-        for c in pq.covers:
-            u, w = pq.elements[c.u], pq.elements[c.w]
-            s = cosets.reflection_by_index(pq.rs, c.root)
+        for u, w, r in cover_triples(pq):
+            u, w = pq.elements[u], pq.elements[w]
+            s = cosets.reflection_by_index(pq.rs, r)
             assert weyl.multiply(u, s) == w
             assert weyl._length(pq.rs, w) == weyl._length(pq.rs, u) + 1
 
@@ -215,8 +216,8 @@ def test_cover_closure_is_bruhat_order(t, n):
             continue
         pq = build_quotient(rs, nodes - {q})
         above = [[] for _ in pq.elements]
-        for c in pq.covers:
-            above[c.u].append(c.w)
+        for u, w in zip(pq.sources, pq.targets):
+            above[u].append(w)
         group = pq.elements
         for i, u in enumerate(group):
             reach, stack = {i}, [i]
@@ -252,7 +253,7 @@ def test_quotient_json_schema():
     for e in payload["edges"]:
         assert set(e) == {"from", "to", "mult"}
     # on the Grassmannian G(2,4) every Bruhat cover carries multiplicity 1
-    assert [(e["from"], e["to"]) for e in payload["edges"]] == [(c.u, c.w) for c in pq.covers]
+    assert [(e["from"], e["to"]) for e in payload["edges"]] == list(zip(pq.sources, pq.targets))
 
 
 def test_levi_subsystem_quotient():
@@ -311,7 +312,7 @@ def test_quotient_matches_full_group_oracle(t, n):
     nodes = frozenset(rs.nodes)
     for q in rs.nodes:
         pq = build_quotient(rs, nodes - {q})
-        assert (pq.elements, pq.covers) == full_group_quotient(rs, nodes - {q}, nodes), q
+        assert (pq.elements, cover_triples(pq)) == full_group_quotient(rs, nodes - {q}, nodes), q
 
 
 def test_flag_quotients_match_full_group_oracle():
@@ -321,7 +322,7 @@ def test_flag_quotients_match_full_group_oracle():
             key = (fq.rs, fq.j_q, fq.nodes)
             if key not in seen:
                 seen.add(key)
-                assert (fq.elements, fq.covers) == full_group_quotient(*key), fq
+                assert (fq.elements, cover_triples(fq)) == full_group_quotient(*key), fq
     assert len(seen) == 144
 
 
@@ -538,8 +539,8 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
     fix = Fixture("B", 6, 5, 1)
     dec = decomp.build_decomposition(fix)
     pq, mult = dec.strat.pq, dec.mult
-    roots = {c.root for c in pq.covers}
-    assert len(pq.covers) > len(roots)
+    roots = set(pq.witnesses)
+    assert len(pq.witnesses) > len(roots)
     counts = _count_calls(monkeypatch, weyl, ("multiply", "reflection"))
     assert verify._check_chevalley_witnesses(pq, mult)
     assert counts == {"multiply": 0, "reflection": len(roots)}, counts
@@ -551,16 +552,16 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
     # negative control: one edge, a cover of X's quotient, retargeted to
     # another class of the same length fails the check
     lengths = pq.lengths
-    edges = list(pq.covers)
-    for i, e in enumerate(edges):
-        same = [k for k, length in enumerate(lengths) if length == lengths[e.w] and k != e.w]
+    edges = list(cover_triples(pq))
+    for i, (u, w, r) in enumerate(edges):
+        same = [k for k, length in enumerate(lengths) if length == lengths[w] and k != w]
         if same:
-            edges[i] = e._replace(w=same[0])
+            edges[i] = (u, same[0], r)
             break
-    assert edges != list(pq.covers)
-    assert not verify._check_chevalley_witnesses(pq._replace(covers=tuple(edges)), mult)
+    assert edges != list(cover_triples(pq))
+    assert not verify._check_chevalley_witnesses(with_covers(pq, edges), mult)
     # and so does the multiplicity of one witness root, one too large
-    r = pq.covers[0].root
+    r = pq.witnesses[0]
     raised = mult[:r] + (mult[r] + 1,) + mult[r + 1 :]
     assert not verify._check_chevalley_witnesses(pq, raised)
 

@@ -9,7 +9,7 @@ from parorbits.cosets import build_quotient, certify_interval, double_cosets
 from parorbits.fixtures import Fixture, sweep_fixtures
 from parorbits.rootsys import build
 
-from covers import all_roots_covers, compose_closure
+from covers import all_roots_covers, compose_closure, cover_triples, with_covers
 from dynkin import subsets
 
 RANKS_TO_5 = (
@@ -37,7 +37,7 @@ def _quotients(t, n):
 def test_covers_match_all_roots_oracle(t, n):
     # covers and witnesses, as sorted tuples
     for pq in _quotients(t, n):
-        assert pq.covers == all_roots_covers(pq), pq
+        assert cover_triples(pq) == all_roots_covers(pq), pq
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t in "ABCD" for n in (7, 8)])
@@ -48,7 +48,7 @@ def test_covers_match_all_roots_oracle_on_maximal_quotients(t, n):
     nodes = frozenset(rs.nodes)
     for q in rs.nodes:
         pq = build_quotient(rs, nodes - {q})
-        assert pq.covers == all_roots_covers(pq), q
+        assert cover_triples(pq) == all_roots_covers(pq), q
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t, n in RANKS_TO_5 if n <= 4])
@@ -116,19 +116,19 @@ def test_dropped_cover_fails_decomposition_check(monkeypatch, fix):
     pq = build_quotient(fix.rs, fix.j_q)
     assert _checks_with_quotient(monkeypatch, fix, pq) == []
     stratum_of = strata.stratify(fix).stratum_of
-    dropped = next(c for c in pq.covers if stratum_of[c.u] == stratum_of[c.w])
-    corrupted = pq._replace(covers=tuple(c for c in pq.covers if c != dropped))
+    covers = cover_triples(pq)
+    dropped = next(c for c, (u, w, _) in enumerate(covers) if stratum_of[u] == stratum_of[w])
+    corrupted = with_covers(pq, covers[:dropped] + covers[dropped + 1 :])
     assert "decomposition" in _checks_with_quotient(monkeypatch, fix, corrupted)
 
 
 @pytest.mark.parametrize("fix", NEGATIVE_CONTROL_FIXTURES, ids=lambda fix: fix.label)
 def test_swapped_witness_fails_chevalley_witness_check(monkeypatch, fix):
     pq = build_quotient(fix.rs, fix.j_q)
-    covers = list(pq.covers)
-    a = covers[0]
-    b = next(k for k, c in enumerate(covers) if c.root != a.root)
-    covers[0], covers[b] = a._replace(root=covers[b].root), covers[b]._replace(root=a.root)
-    corrupted = pq._replace(covers=tuple(covers))
+    witnesses = list(pq.witnesses)
+    b = next(c for c, r in enumerate(witnesses) if r != witnesses[0])
+    witnesses[0], witnesses[b] = witnesses[b], witnesses[0]
+    corrupted = pq._replace(witnesses=tuple(witnesses))
     assert "chevalley_witnesses" in _checks_with_quotient(monkeypatch, fix, corrupted)
 
 

@@ -14,6 +14,7 @@ from parorbits.decomp import (
 from parorbits.fixtures import Fixture, parse_fixture
 
 from conftest import load_golden
+from covers import cover_triples, with_covers
 from roots import supports
 from weights import h_prime_weight
 
@@ -34,7 +35,7 @@ FIXTURES = [
 def edges(pq, mult):
     """The edges of the diagram `mult` of `pq` as (u, w, mult): each cover
     of the quotient, with the multiplicity of its witness root."""
-    return tuple((u, w, mult[r]) for u, w, r in pq.covers)
+    return tuple((u, w, mult[r]) for u, w, r in cover_triples(pq))
 
 
 def computed_graph(fix):
@@ -137,8 +138,9 @@ def test_scale_two_exactly_on_odd_orthogonal_middles(sweep_reports):
 def test_cross_edges_increase_delta():
     for fix in FIXTURES:
         dec = build_decomposition(fix)
-        sts, vs = dec.strat.strata, dec.strat.stratum_of
-        for u, w, _ in dec.cross_edges:
+        sts, vs, pq = dec.strat.strata, dec.strat.stratum_of, dec.strat.pq
+        for c in dec.cross_edges:
+            u, w = pq.sources[c], pq.targets[c]
             assert sts[vs[w]].delta > sts[vs[u]].delta
 
 
@@ -156,7 +158,7 @@ def test_h_prime_matches_bottom_edges():
             x_out = {w: mult for u, w, mult in x_edges if u == base and vs[w] == vs[base]}
             fq, phi_images = phi_map(st)
             derived = {}
-            for u, w, r in fq.covers:
+            for u, w, r in cover_triples(fq):
                 if u == 0:
                     (node,) = supports(fq.rs)[r]
                     derived[node] = x_out[phi_images[w]] // scale
@@ -266,8 +268,8 @@ def rescan_mismatches(dec, si):
 
 def _assert_matches_rescan(dec):
     vs = dec.strat.stratum_of
-    covers = dec.strat.pq.covers
-    assert dec.cross_edges == tuple(c for c in covers if vs[c.u] != vs[c.w])
+    covers = cover_triples(dec.strat.pq)
+    assert dec.cross_edges == tuple(c for c, (u, w, _) in enumerate(covers) if vs[u] != vs[w])
     assert len(dec.mismatches) == len(dec.strat.strata)
     for si, found in enumerate(dec.mismatches):
         assert found == rescan_mismatches(dec, si), (dec.fixture.label, si)
@@ -291,23 +293,23 @@ def _corrupted_decomposition(monkeypatch, fix):
     has a witness index of its own past the positive roots, and
     `hasse.build_hasse` gives that copy the true multiplicities with one
     more for each such index.
-    Returns the decomposition, and the three covers as they were with the
-    true multiplicities.  `build_decomposition` reads X's quotient through
+    Returns the decomposition, and the three covers as they were, as
+    (source, target, witness), with the true multiplicities.  `build_decomposition` reads X's quotient through
     `strata.stratify` and its multiplicities through `hasse.build_hasse`
     on every build, so no cache hides the patch."""
     strat = strata.stratify(fix)
     pq, stratum_of = strat.pq, strat.stratum_of
     true_mult = hasse.build_hasse(pq)
-    covers, mult = list(pq.covers), list(true_mult)
+    covers, mult = list(cover_triples(pq)), list(true_mult)
     si = len(strat.strata) // 2
-    within = [c for c in covers if stratum_of[c.u] == stratum_of[c.w] == si]
+    within = [c for c in covers if stratum_of[c[0]] == stratum_of[c[1]] == si]
     dropped, raised = within[0], within[-1]
-    crossed = next(c for c in covers if stratum_of[c.u] != stratum_of[c.w])
+    crossed = next(c for c in covers if stratum_of[c[0]] != stratum_of[c[1]])
     covers.remove(dropped)
-    for c in (raised, crossed):
-        covers[covers.index(c)] = c._replace(root=len(mult))
-        mult.append(true_mult[c.root] + 1)
-    bad = strat._replace(pq=pq._replace(covers=tuple(covers)))
+    for u, w, r in (raised, crossed):
+        covers[covers.index((u, w, r))] = (u, w, len(mult))
+        mult.append(true_mult[r] + 1)
+    bad = strat._replace(pq=with_covers(pq, covers))
     real_stratify, real_hasse = strata.stratify, hasse.build_hasse
     # X's copy, and its multiplicities; every other fixture and quotient as it was
     monkeypatch.setattr(strata, "stratify", lambda f: bad if f == fix else real_stratify(f))
@@ -331,14 +333,15 @@ def test_mismatch_report_names_each_corrupted_edge(monkeypatch, capsys, label):
     name = {k: weyl.window_str(x) for k, x in enumerate(dec.strat.pq.elements)}
     expected = (
         "edge %s->%s: diagram mult None, flag mult (scaled) %d"
-        % (name[dropped.u], name[dropped.w], mult[dropped.root]),
+        % (name[dropped[0]], name[dropped[1]], mult[dropped[2]]),
         "edge %s->%s: diagram mult %d, flag mult (scaled) %d"
-        % (name[raised.u], name[raised.w], mult[raised.root] + 1, mult[raised.root]),
+        % (name[raised[0]], name[raised[1]], mult[raised[2]] + 1, mult[raised[2]]),
     )
     for sj, found in enumerate(dec.mismatches):
         assert found == (expected if sj == si else ())
-    assert dec.strat.stratum_of[crossed.u] != dec.strat.stratum_of[crossed.w]
-    assert (crossed.u, crossed.w) in [(u, w) for u, w, _ in dec.cross_edges]
+    pq = dec.strat.pq
+    assert dec.strat.stratum_of[crossed[0]] != dec.strat.stratum_of[crossed[1]]
+    assert crossed[:2] in [(pq.sources[c], pq.targets[c]) for c in dec.cross_edges]
     report = decomposition_report(dec)
     assert not report["all_pass"]
     assert [s["pass"] for s in report["strata"]] == [sj != si for sj in range(len(dec.mismatches))]

@@ -13,6 +13,7 @@ from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.hasse import HasseError, build_hasse
 from parorbits.rootsys import build
 
+from covers import cover_triples
 from roots import roots_inside, supports
 from weights import h_prime_weight, weighted_mult
 
@@ -37,7 +38,7 @@ def _diagram(fix):
 def edges(pq, mult):
     """The edges of the diagram `mult` of `pq` as (u, w, mult, root): each
     cover of the quotient, with the multiplicity of its witness root."""
-    return [(u, w, mult[r], r) for u, w, r in pq.covers]
+    return [(u, w, mult[r], r) for u, w, r in cover_triples(pq)]
 
 
 def total_multiplicity(pq, mult):
@@ -129,7 +130,7 @@ def test_weight_validation():
     assert all(mult > 0 for _, _, mult, _ in edges(p3, hd))
     # a point quotient has no cover, so nothing to refuse
     point = build_quotient(build("A", 3), frozenset({1, 2}), frozenset({1, 2}))
-    assert len(point.elements) == 1 and not point.covers
+    assert len(point.elements) == 1 and not point.sources
     assert build_hasse(point) == (0,) * len(point.rs.positive_roots)
 
 
@@ -138,11 +139,10 @@ def test_cover_with_witness_inside_phi_q_is_refused():
     # is moved to a root of Phi_Q pairs to 0 with the weight
     pq = build_quotient(build("C", 4), frozenset({1, 3, 4}))
     inside = roots_inside(pq.rs, pq.j_q)[0]
-    k = len(pq.covers) // 2
-    u, w, _ = pq.covers[k]
-    bad = pq.covers[k]._replace(root=inside)
-    corrupted = pq._replace(covers=pq.covers[:k] + (bad,) + pq.covers[k + 1 :])
-    assert build_hasse(pq)[pq.covers[k].root] > 0
+    k = len(pq.witnesses) // 2
+    u, w = pq.sources[k], pq.targets[k]
+    corrupted = pq._replace(witnesses=pq.witnesses[:k] + (inside,) + pq.witnesses[k + 1 :])
+    assert build_hasse(pq)[pq.witnesses[k]] > 0
     names = (weyl.window_str(pq.elements[u]), weyl.window_str(pq.elements[w]))
     with pytest.raises(HasseError, match=re.escape("cover %s -> %s has multiplicity 0" % names)):
         build_hasse(corrupted)
@@ -161,7 +161,7 @@ def _per_root_edges(pq, mults):
     """The edges by the path `build_hasse` replaced: the covers of
     positive multiplicity under `mults`, one per positive root, then a
     sort; as (u, w, mult) triples."""
-    return sorted((c.u, c.w, mults[c.root]) for c in pq.covers if mults[c.root] > 0)
+    return sorted((u, w, mults[r]) for u, w, r in cover_triples(pq) if mults[r] > 0)
 
 
 def _check_every_diagram(fix):

@@ -20,7 +20,18 @@ FIELDS = {
         "positive_roots",
         "coroot_coords",
     ),
-    "ParabolicQuotient": ("rs", "nodes", "j_q", "elements", "covers", "index", "left", "lengths"),
+    "ParabolicQuotient": (
+        "rs",
+        "nodes",
+        "j_q",
+        "elements",
+        "sources",
+        "targets",
+        "witnesses",
+        "index",
+        "left",
+        "lengths",
+    ),
     "FlagComponent": ("type_label", "rank", "ambient_order", "marked"),
     "FlagDescriptor": ("components", "marked_ambient", "dim"),
     "OrbitStratum": (

@@ -1,8 +1,9 @@
+from collections import Counter
 from math import factorial, lcm
 
 import pytest
 
-from parorbits import cosets, rootsys, seidel, strata, weyl
+from parorbits import cosets, rootsys, seidel, strata, verify, weyl
 from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
@@ -80,6 +81,30 @@ def test_v_elt_not_minimal_names_the_element(monkeypatch, cold):
         with pytest.raises(SeidelError) as refused:
             v_elt(build(t, n), i)
         assert str(refused.value) == "Seidel element %s of node %d is not minimal in w_0 W_J" % (name, i)
+
+
+def test_longest_element_built_once_per_root_system(monkeypatch, cold):
+    # the type-A report asks for the 10 Seidel elements of A1-A4: w_0 is
+    # built and certified once per root system, and each element still
+    # runs its own certificate, two coweight images and one descent search
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(weyl, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("longest", "act", "first_descent"):
+        monkeypatch.setattr(weyl, name, spy(name))
+    assert verify.type_a_composition_report(4)["pass"]
+    assert calls == {"longest": 4, "act": 20, "first_descent": 10}, calls
+    # a second root system of the same rank gets its own w_0
+    assert v_elt(build("C", 4), 4) == enc((-4, -3, -2, -1))
+    assert calls["longest"] == 5, calls
 
 
 def _brute_force_seidel_element(rs, i):

@@ -245,9 +245,9 @@ def test_delta_constant_and_monotone_small():
             for k in st.members:
                 label[k] = st.delta
             assert {deltas[k] for k in st.members} == {st.delta}
-        for c in pq.covers:
-            if label[c.u] != label[c.w]:
-                assert label[c.w] > label[c.u]
+        for u, w in zip(pq.sources, pq.targets):
+            if label[u] != label[w]:
+                assert label[w] > label[u]
 
 
 def test_h_prime():

@@ -17,6 +17,7 @@ from parorbits.jsontext import indented
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
 
 from caches import clear_caches
+from covers import cover_triples
 from cases import d_of, expected_fiber_dim
 from exponents import bumped_delta, reversed_delta
 
@@ -388,10 +389,9 @@ def _chevalley_by_compose(pq, mult):
     window product u * s_beta and one pairing per edge, each edge a cover
     of the quotient `pq` read with its multiplicity in `mult`."""
     return all(
-        weyl.multiply(pq.elements[c.u], cosets.reflection_by_index(pq.rs, c.root))
-        == pq.elements[c.w]
-        and hasse.pairing_with_coroot(pq, c.root) == mult[c.root]
-        for c in pq.covers
+        weyl.multiply(pq.elements[u], cosets.reflection_by_index(pq.rs, r)) == pq.elements[w]
+        and hasse.pairing_with_coroot(pq, r) == mult[r]
+        for u, w, r in cover_triples(pq)
     )
 
 
@@ -410,10 +410,8 @@ def test_shared_x_diagrams_and_chevalley_verdicts_match_fresh_ones():
         assert mult is hasse.build_hasse(pq) and mult == fresh, fix.label
         assert check(pq, mult) and fresh_check(pq, mult) and _chevalley_by_compose(pq, mult), fix.label
 
-        first = pq.covers[0]
-        covers = (first._replace(w=first.u),) + pq.covers[1:]
-        retargeted = (pq._replace(covers=covers), mult)
-        r = first.root
+        retargeted = (pq._replace(targets=pq.sources[:1] + pq.targets[1:]), mult)
+        r = pq.witnesses[0]
         raised = (pq, mult[:r] + (mult[r] + 1,) + mult[r + 1 :])
         for bad in (retargeted, raised):
             assert not check(*bad) and not fresh_check(*bad), fix.label
@@ -447,9 +445,7 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
         assert verify._check_seidel(dec, v, perm)["seidel_composition"], fix.label
         assert _seidel_composition_by_compose(dec, v, perm), fix.label
 
-        first = pq.covers[0]
-        covers = (first._replace(w=first.u),) + pq.covers[1:]
-        bad = pq._replace(covers=covers)
+        bad = pq._replace(targets=pq.sources[:1] + pq.targets[1:])
         assert not verify._check_chevalley_witnesses(bad, mult) and not _chevalley_by_compose(bad, mult)
 
         swapped = list(perm)

@@ -1,6 +1,6 @@
 import ast
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from operator import itemgetter
 from pathlib import Path
@@ -22,7 +22,13 @@ from parorbits.weyl import (
 
 import tuples
 from covers import reflection_image
-from roots import classical_systems, dense_reflection, fresh_signed_table
+from roots import (
+    classical_systems,
+    dense_reflection,
+    fresh_signed_table,
+    support_reflection,
+    validate_window,
+)
 from windows import (
     dec,
     draw_window,
@@ -59,16 +65,18 @@ def test_from_word_examples():
 
 
 def test_window_validation():
+    # the validation of the support oracle, which the closed form of
+    # `weyl.reflection` must agree with
     a3, c4, d4 = build("A", 3), build("C", 4), build("D", 4)
     with pytest.raises(WeylError):
-        weyl._validate_window(a3, enc((-1, 2, 3, 4)))  # no signs in type A
+        validate_window(a3, enc((-1, 2, 3, 4)))  # no signs in type A
     with pytest.raises(WeylError):
-        weyl._validate_window(d4, enc((-1, 2, 3, 4)))  # odd sign count in type D
+        validate_window(d4, enc((-1, 2, 3, 4)))  # odd sign count in type D
     with pytest.raises(WeylError, match=r"window \(1,1,2,3\) is not a signed permutation"):
-        weyl._validate_window(c4, enc((1, 1, 2, 3)))
+        validate_window(c4, enc((1, 1, 2, 3)))
     with pytest.raises(WeylError, match="length 3, expected 4"):
-        weyl._validate_window(c4, enc((1, 2, 3)))
-    assert weyl._validate_window(d4, enc((-1, -2, 3, 4))) is None
+        validate_window(c4, enc((1, 2, 3)))
+    assert validate_window(d4, enc((-1, -2, 3, 4))) is None
     with pytest.raises(WeylError):
         weyl.reflection(c4, (1, 1, 1, 0))  # not a root: 2x/|x|^2 is not integral
     with pytest.raises(WeylError):
@@ -89,6 +97,35 @@ def test_reflection_refuses_malformed_vectors():
     for rs, vec, message in cases:
         with pytest.raises(WeylError, match=message):
             weyl.reflection(rs, vec)
+
+
+def _reflection_outcome(reflect, rs, vec):
+    """The window `reflect` gives, or the text of the WeylError it raises."""
+    try:
+        return reflect(rs, vec)
+    except WeylError as exc:
+        return "WeylError: %s" % exc
+
+
+def test_closed_form_reflection_matches_support_oracle():
+    # the same window, or the same refusal, as the generic support loop on
+    # every vector of dimension <= 4 with entries in -2..2 (and of
+    # dimension 2 with entries in -4..4), in every root system of that
+    # dimension, and on every positive root up to rank 8
+    small = [rs for rs in classical_systems() if rs.dim <= 4]
+    assert {rs.dim for rs in small} == {2, 3, 4}
+    cases = [(rs, vec) for rs in small for vec in product(range(-2, 3), repeat=rs.dim)]
+    cases += [(rs, vec) for rs in small if rs.dim == 2 for vec in product(range(-4, 5), repeat=2)]
+    cases += [(rs, beta) for rs in classical_systems() for beta in rs.positive_roots]
+    kinds = ("no integral coroot", "zero vector", "type A windows", "type D windows")
+    refused = set()
+    for rs, vec in cases:
+        got = _reflection_outcome(weyl.reflection, rs, vec)
+        assert got == _reflection_outcome(support_reflection, rs, vec), (rs, vec)
+        if isinstance(got, str):
+            refused.update(kind for kind in kinds if kind in got)
+    # each refusal but the dimension's is reached here
+    assert refused == set(kinds)
 
 
 @pytest.mark.parametrize("t", "ABCD")
