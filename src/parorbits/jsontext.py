@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
 
 def indented(obj: object) -> str:
     """`json.dumps(obj, indent=2)` for nested dicts, lists and tuples of
@@ -26,24 +24,58 @@ def indented(obj: object) -> str:
 
 
 def _text(obj: object, pad: str) -> str:
-    if isinstance(obj, str):
+    """The text of any value, at indentation `pad`.  The exact type is
+    dispatched first, and the container loops write `str` and `int` values
+    (and `bool` values in dicts) inline; a subclass, such as an IntEnum or
+    a NamedTuple, takes the path of its base through isinstance."""
+    kind = type(obj)
+    if kind is str:
         return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return _CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, str):
+            return _quote(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, dict):
+            kind = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(
+                "Object of type %s is not handled by the indented writer" % kind.__name__
+            )
     inner = pad + "  "
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
         items = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
-            items.append(_quote(key) + ": " + _text(value, inner))
+            cls = type(value)
+            if cls is str:
+                text = _quote(value)
+            elif cls is int:
+                text = repr(value)
+            elif cls is bool:
+                text = "true" if value else "false"
+            else:
+                text = _text(value, inner)
+            items.append(_quote(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_text(x, inner) for x in obj]) + pad + "]"
-    raise TypeError("Object of type %s is not handled by the indented writer" % type(obj).__name__)
+    if not obj:
+        return "[]"
+    items = []
+    for x in obj:
+        cls = type(x)
+        if cls is str:
+            items.append(_quote(x))
+        elif cls is int:
+            items.append(repr(x))
+        else:
+            items.append(_text(x, inner))
+    return "[" + inner + ("," + inner).join(items) + pad + "]"

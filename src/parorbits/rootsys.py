@@ -6,17 +6,40 @@ permutations.  Every vector and every result is `int`; no floats.
 
 The fundamental coweights, the dual basis of the simple roots, are
 half-integral at node n of C_n and the spin nodes of D_n, so they are
-stored doubled as the integer vectors 2 omega_j^vee (<alpha_i, 2
-omega_j^vee> = 2 delta_ij, checked on every build).  The simple-root
-coordinates of a root are half its pairings with them: root heights and
-coroot coordinates both come from that one pairing, and
-`strata.delta` reads the stratum exponent off it the same way.
-A root has at most two nonzero entries, so its pairings are read from
-those entries against the columns of the doubled coweights, and one pass
-over them halves and checks them, rebuilds the root and reads its height
-and coroot coordinates (nonzero exactly on its support): O(rank) per
-root.  Every certificate of the build raises RootSystemError naming the
-root or node at fault, so none is stripped by `python -O`.
+stored doubled as the integer vectors 2 omega_j^vee.  The simple-root
+coordinates of a root are half its pairings with them, and
+`strata.delta` reads the stratum exponent off that pairing the same way.
+
+`build` sets and certifies the simple data that every Weyl-group routine
+reads: the simple roots, their coroots, the Cartan matrix and the doubled
+coweights.  The duality <alpha_i, 2 omega_j^vee> = 2 delta_ij is read
+from each simple root's one or two nonzero entries against the columns of
+the doubled coweights, and in type A each simple root must sum to 0, so
+the build is O(rank^2).  The positive roots and their coroot coordinates
+are filled once, when either is first read, by one pass over their closed
+forms (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IV; e_i
+and e_j with i < j, nodes numbered from 1, runs of coordinates written
+x^m):
+
+    root              simple coordinates c          coroot coordinates d
+    e_i - e_j         0^(i-1) 1^(j-i) 0^(n+1-j)     c             (all)
+    e_i + e_j   (B)   0^(i-1) 1^(j-i) 2^(n+1-j)     0^(i-1) 1^(j-i) 2^(n-j) 1
+    e_i         (B)   0^(i-1) 1^(n+1-i)             0^(i-1) 2^(n-i) 1
+    e_i + e_j   (C)   0^(i-1) 1^(j-i) 2^(n-j) 1     0^(i-1) 1^(j-i) 2^(n+1-j)
+    2 e_i       (C)   0^(i-1) 2^(n-i) 1             0^(i-1) 1^(n+1-i)
+    e_i + e_n   (D)   0^(i-1) 1^(n-1-i) 0 1         c
+    e_i + e_j   (D)   0^(i-1) 1^(j-i) 2^(n-1-j) 1 1 c             (j < n)
+
+The pass certifies each root beta: its doubled pairings, read from its
+nonzero entries against the coweight columns, are 2c, and c >= 0; in type
+A its entries sum to 0; and d |beta|^2 = c |alpha_k|^2 entry by entry.
+Given the duality, the pairings and the span (all of Z^n in B, C and D,
+the sum-zero hyperplane in A) prove beta = sum_k c_k alpha_k, and the
+norms prove d the coordinates of beta^vee = 2 beta / |beta|^2 over the
+simple coroots.  Then the roots are sorted by (height, beta) and must be
+distinct and number sum(d - 1) over the degrees of W.  Every certificate
+raises RootSystemError naming the root or simple root at fault, so none
+is stripped by `python -O`.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -31,51 +54,78 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
+#: the nonzero entries (coordinate, value) of a vector, coordinates from 0
+Entries = Tuple[Tuple[int, int], ...]
 
 TYPE_LABELS = ("A", "B", "C", "D")
 
 #: minimal rank per type; below these bounds the Dynkin diagram degenerates
 RANK_BOUNDS: Dict[str, int] = {"A": 1, "B": 2, "C": 2, "D": 4}
 
+#: the fields that `RootSystem` fills on their first read
+_ROOT_FIELDS = ("positive_roots", "coroot_coords")
+
 
 class RootSystemError(ValueError):
     """Invalid root-system request (bad type label or rank out of range)."""
 
 
-def _unit(dim: int, k: int, value: int = 1) -> Vector:
-    return tuple(value if t == k else 0 for t in range(dim))
-
-
-def _div(a: int, b: int, root: Vector) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise RootSystemError("inexact division %d / %d at root %s" % (a, b, root))
-    return q
-
-
-class RootSystem(NamedTuple):
+class RootSystem:
     """Immutable exact data of one classical root system.
 
-    Nodes are numbered 1..rank (Bourbaki).  `positive_roots` is sorted by
-    height, then lexicographically, and that order is frozen: other modules
-    index roots by position in this tuple.  Equality and hashing read the
-    type and rank alone, not the tuple of fields.
+    Nodes are numbered 1..rank (Bourbaki).  The simple data, set at
+    construction, is the simple roots and coroots, the Cartan matrix and
+    `double_coweights`, the fundamental coweights doubled, 2 omega_j^vee,
+    as integer vectors.  `positive_roots` and `coroot_coords`, the
+    expansion of each positive coroot over the simple coroots, are filled
+    together, certified, when either is first read, and are plain slot
+    reads after that.  `positive_roots` is sorted by height, then
+    lexicographically, and that order is frozen: other modules index roots
+    by position in this tuple.  Equality and hashing read the type and
+    rank alone.  Assignment and deletion raise AttributeError.
     """
 
-    type_label: str
-    rank: int
-    dim: int
-    simple_roots: Tuple[Vector, ...]
-    simple_coroots: Tuple[Vector, ...]
-    cartan_matrix: Tuple[Tuple[int, ...], ...]
-    #: the fundamental coweights doubled, 2 omega_j^vee, as integer vectors
-    double_coweights: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
-    #: expansion of each positive coroot over the simple coroots (integers)
-    coroot_coords: Tuple[Tuple[int, ...], ...]
+    __slots__ = (
+        "type_label",
+        "rank",
+        "dim",
+        "simple_roots",
+        "simple_coroots",
+        "cartan_matrix",
+        "double_coweights",
+    ) + _ROOT_FIELDS
+
+    def __init__(
+        self,
+        type_label: str,
+        rank: int,
+        dim: int,
+        simple_roots: Tuple[Vector, ...],
+        simple_coroots: Tuple[Vector, ...],
+        cartan_matrix: Tuple[Tuple[int, ...], ...],
+        double_coweights: Tuple[Vector, ...],
+    ) -> None:
+        values = (type_label, rank, dim, simple_roots, simple_coroots, cartan_matrix, double_coweights)
+        for name, value in zip(RootSystem.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # reached only when the slot lookup fails: a root field not filled yet
+        if name not in _ROOT_FIELDS:
+            raise AttributeError("%r has no attribute %r" % (self, name))
+        filled = _certified_roots(self)
+        for field, value in zip(_ROOT_FIELDS, filled):
+            object.__setattr__(self, field, value)
+        return filled[_ROOT_FIELDS.index(name)]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootSystem is immutable: cannot assign %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("RootSystem is immutable: cannot delete %r" % name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -83,9 +133,6 @@ class RootSystem(NamedTuple):
             and self.type_label == other.type_label
             and self.rank == other.rank
         )
-
-    def __ne__(self, other) -> bool:  # tuple.__ne__ would compare every field
-        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.type_label, self.rank))
@@ -107,41 +154,105 @@ class RootSystem(NamedTuple):
         return self.double_coweights[i - 1]
 
 
-def _simple_roots(type_label: str, rank: int) -> Tuple[Vector, ...]:
+def _vector(entries: Entries, dim: int) -> Vector:
+    """The vector of dimension `dim` with the given nonzero entries."""
+    v = [0] * dim
+    for k, x in entries:
+        v[k] = x
+    return tuple(v)
+
+
+def _pairings(entries: Entries, columns: Sequence[Sequence[int]]) -> List[int]:
+    """The pairing of the vector with the given one or two nonzero entries
+    with every vector u_j, where columns[k] holds coordinate k of every u_j."""
+    if len(entries) == 1:
+        ((k, x),) = entries
+        return [x * u for u in columns[k]]
+    (k, x), (m, y) = entries
+    return [x * u + y * v for u, v in zip(columns[k], columns[m])]
+
+
+def _simple_entries(type_label: str, rank: int) -> Tuple[Entries, ...]:
+    """The nonzero entries of each simple root, in node order."""
     n = rank
     dim = n + 1 if type_label == "A" else n
-    chain = [
-        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
-        for i in range(dim - 1)
-    ]
-    if type_label == "A":
-        return tuple(chain)
+    out = [((i, 1), (i + 1, -1)) for i in range(dim - 1)]
     if type_label == "B":
-        last = _unit(n, n - 1, 1)
+        out.append(((n - 1, 1),))
     elif type_label == "C":
-        last = _unit(n, n - 1, 2)
-    else:  # D
-        last = tuple(1 if k >= n - 2 else 0 for k in range(n))
-    return tuple(chain + [last])
+        out.append(((n - 1, 2),))
+    elif type_label == "D":
+        out.append(((n - 2, 1), (n - 1, 1)))
+    return tuple(out)
 
 
-def _coroot(root: Vector) -> Vector:
-    norm = pair(root, root)
-    return tuple(_div(2 * x, norm, root) for x in root)
-
-
-def _positive_roots(type_label: str, dim: int) -> Iterable[Vector]:
-    """Positive roots of the fixed classical realization, unsorted."""
-    signs = (-1,) if type_label == "A" else (-1, 1)
+def _closed_forms(type_label: str, rank: int) -> Iterator[Tuple[Entries, List[int], List[int]]]:
+    """Each positive root as (its nonzero entries, its simple coordinates
+    c, its coroot coordinates d), unsorted, from the table of the module
+    docstring; coordinates and nodes counted from 0 here."""
+    n = rank
+    dim = n + 1 if type_label == "A" else n
     for i in range(dim):
         for j in range(i + 1, dim):
-            for sj in signs:
-                v = [0] * dim
-                v[i], v[j] = 1, sj
-                yield tuple(v)
-    if type_label in ("B", "C"):
-        for i in range(dim):
-            yield _unit(dim, i, 1 if type_label == "B" else 2)
+            c = [0] * i + [1] * (j - i) + [0] * (n - j)
+            yield ((i, 1), (j, -1)), c, c
+    if type_label == "A":
+        return
+    for i in range(n):
+        for j in range(i + 1, n):
+            head = [0] * i + [1] * (j - i)
+            if type_label == "B":
+                yield ((i, 1), (j, 1)), head + [2] * (n - j), head + [2] * (n - 1 - j) + [1]
+            elif type_label == "C":
+                yield ((i, 1), (j, 1)), head + [2] * (n - 1 - j) + [1], head + [2] * (n - j)
+            else:
+                c = head[:-1] + [0, 1] if j == n - 1 else head + [2] * (n - 2 - j) + [1, 1]
+                yield ((i, 1), (j, 1)), c, c
+        if type_label == "B":
+            yield ((i, 1),), [0] * i + [1] * (n - i), [0] * i + [2] * (n - 1 - i) + [1]
+        elif type_label == "C":
+            yield ((i, 2),), [0] * i + [2] * (n - 1 - i) + [1], [0] * i + [1] * (n - i)
+
+
+def _certified_roots(rs: RootSystem) -> Tuple[Tuple[Vector, ...], Tuple[Tuple[int, ...], ...]]:
+    """The positive roots of `rs`, sorted by (height, root), and the
+    coroot coordinates of each, from `_closed_forms`, every root certified
+    as the module docstring sets out."""
+    columns = tuple(zip(*rs.double_coweights))
+    norms = [pair(a, a) for a in rs.simple_roots]
+    sum_zero = rs.type_label == "A"
+    found = []
+    for entries, c, d in _closed_forms(rs.type_label, rs.rank):
+        beta = _vector(entries, rs.dim)
+        twice = _pairings(entries, columns)
+        if twice != [t + t for t in c]:
+            raise RootSystemError(
+                "root %s pairs with the doubled coweights as %s, not as twice its simple "
+                "coordinates %s" % (beta, twice, c)
+            )
+        if min(c) < 0:
+            raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
+        if sum_zero and sum(x for _, x in entries):
+            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
+        square = sum(x * x for _, x in entries)
+        if [t * square for t in d] != list(map(mul, c, norms)):
+            raise RootSystemError("root %s has wrong coroot coordinates %s" % (beta, d))
+        found.append((sum(c), beta, tuple(d)))
+    found.sort()
+    roots = tuple(r[1] for r in found)
+    expected = sum(d - 1 for d in degrees(rs.type_label, rs.rank))
+    if len(roots) != expected:
+        raise RootSystemError("%r has %d positive roots, expected %d" % (rs, len(roots), expected))
+    if len(set(roots)) != expected:
+        raise RootSystemError("%r lists a positive root twice" % (rs,))
+    return roots, tuple(r[2] for r in found)
+
+
+def _div(a: int, b: int, root: Vector) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise RootSystemError("inexact division %d / %d at root %s" % (a, b, root))
+    return q
 
 
 def check_rank(type_label: str, rank: int) -> None:
@@ -160,61 +271,38 @@ def check_rank(type_label: str, rank: int) -> None:
 
 @lru_cache(maxsize=None)
 def build(type_label: str, rank: int) -> RootSystem:
-    """Construct (and cache) the root system of the given classical type."""
+    """Construct (and cache) the root system of the given classical type,
+    its simple data certified; the roots are certified when first read."""
     check_rank(type_label, rank)
-    simple = _simple_roots(type_label, rank)
-    dim = len(simple[0])
-    coroots = tuple(_coroot(a) for a in simple)
-    cartan = tuple(tuple(pair(a, c) for c in coroots) for a in simple)
-    dcw = _double_coweights(type_label, rank, dim)
-    # columns[k] holds coordinate k of every doubled coweight, and
-    # entries[i] the nonzero entries (k, alpha_i[k]) of simple root i
-    columns = tuple(zip(*dcw))
-    entries = tuple(tuple((k, x) for k, x in enumerate(a) if x) for a in simple)
-    norms = tuple(pair(a, a) for a in simple)
-    found = []
-    for beta in _positive_roots(type_label, dim):
-        # the doubled pairings of beta, from its (at most two) nonzero entries
-        twice = None
-        for x, column in zip(beta, columns):
-            if x:
-                scaled = [x * c for c in column]
-                twice = scaled if twice is None else [t + c for t, c in zip(twice, scaled)]
-        # in one pass: halve them, check the signs, rebuild beta from the
-        # simple roots, and read the height and the coroot coordinates, as
-        # beta^vee = 2 beta / |beta|^2 = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
-        square = pair(beta, beta)
-        height, rebuilt, coroot = 0, [0] * dim, []
-        for t, alpha, norm in zip(twice, entries, norms):
-            if t & 1:
-                raise RootSystemError("root %s pairs oddly with a doubled coweight" % (beta,))
-            if t < 0:
-                raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
-            if t:
-                c = t >> 1
-                height += c
-                for k, a in alpha:
-                    rebuilt[k] += c * a
-                coroot.append(_div(c * norm, square, beta))
-            else:
-                coroot.append(0)
-        if tuple(rebuilt) != beta:
-            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
-        found.append((height, beta, tuple(coroot)))
-    found.sort()
-    rs = RootSystem(
-        type_label=type_label,
-        rank=rank,
-        dim=dim,
-        simple_roots=simple,
-        simple_coroots=coroots,
-        cartan_matrix=cartan,
-        double_coweights=dcw,
-        positive_roots=tuple(r[1] for r in found),
-        coroot_coords=tuple(r[2] for r in found),
+    entries = _simple_entries(type_label, rank)
+    dim = rank + 1 if type_label == "A" else rank
+    simple = tuple(_vector(e, dim) for e in entries)
+    norms = [sum(x * x for _, x in e) for e in entries]
+    coroots = tuple(
+        _vector(tuple((k, _div(2 * x, norm, alpha)) for k, x in e), dim)
+        for e, norm, alpha in zip(entries, norms, simple)
     )
-    _check_invariants(rs)
-    return rs
+    coroot_columns = tuple(zip(*coroots))
+    cartan = tuple(tuple(_pairings(e, coroot_columns)) for e in entries)
+    dcw = _double_coweights(type_label, rank, dim)
+    columns = tuple(zip(*dcw))
+    for i, e in enumerate(entries):
+        if cartan[i][i] != 2:
+            raise RootSystemError("Cartan diagonal broken at simple root alpha_%d" % (i + 1))
+        if type_label == "A" and sum(x for _, x in e):
+            raise RootSystemError(
+                "simple root alpha_%d = %s does not sum to 0" % (i + 1, simple[i])
+            )
+        twice = _pairings(e, columns)
+        dual = [0] * rank
+        dual[i] = 2
+        if twice != dual:
+            j = next(j for j, (t, u) in enumerate(zip(twice, dual)) if t != u)
+            raise RootSystemError(
+                "coweight pairing broken: simple root <alpha_%d, 2 omega_%d^vee> = %d"
+                % (i + 1, j + 1, twice[j])
+            )
+    return RootSystem(type_label, rank, dim, simple, coroots, cartan, dcw)
 
 
 def _double_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...]:
@@ -229,25 +317,6 @@ def _double_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...
     if type_label in ("C", "D"):
         out.append((1,) * n)
     return tuple(out)
-
-
-def _check_invariants(rs: RootSystem) -> None:
-    n = rs.rank
-    for i in range(n):
-        if rs.cartan_matrix[i][i] != 2:
-            raise RootSystemError("Cartan diagonal broken at node %d" % (i + 1))
-        for j in range(n):
-            pairing = pair(rs.simple_roots[i], rs.double_coweights[j])
-            if pairing != (2 if i == j else 0):
-                raise RootSystemError(
-                    "coweight pairing broken: <alpha_%d, 2 omega_%d^vee> = %d"
-                    % (i + 1, j + 1, pairing)
-                )
-    expected = sum(d - 1 for d in degrees(rs.type_label, n))
-    if len(rs.positive_roots) != expected:
-        raise RootSystemError(
-            "%r has %d positive roots, expected %d" % (rs, len(rs.positive_roots), expected)
-        )
 
 
 def degrees(type_label: str, rank: int) -> Iterable[int]:
@@ -290,13 +359,15 @@ def components(rs: RootSystem, nodes: Iterable[int]) -> Tuple[Tuple[str, Tuple[i
         if not 1 <= k <= n:
             raise RootSystemError("node %d out of range 1..%d" % (k, n))
     runs: List[List[int]] = []
+    run_of: Dict[int, List[int]] = {}  # each node read so far -> its run
     for k in ordered:
         neighbour = n - 2 if t == "D" and k == n else k - 1
-        home = next((run for run in runs if neighbour in run), None)
-        if home is None:
-            runs.append([k])
-        else:
-            home.append(k)
+        run = run_of.get(neighbour)
+        if run is None:
+            run = []
+            runs.append(run)
+        run.append(k)
+        run_of[k] = run
     out = []
     for run in runs:
         kind = t if run[-1] == n and (t != "D" or n - 1 in run) else "A"

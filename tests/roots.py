@@ -1,15 +1,16 @@
 """Test-only oracles for the root-system build and the reflections: the
-dense paths that the library replaced.
+dense paths and the generic loop that the library replaced.
 
-`rootsys.build` reads each root's doubled pairings from its nonzero
-entries against the columns of the doubled coweights, and rebuilds the
-root from the simple roots' nonzero entries; `weyl.reflection` reads the
-window in closed form from the root's one or two nonzero entries.  Here
-each root pairs with every doubled coweight over every coordinate and is
-rebuilt as a full vector; `dense_reflection` computes the image of every
-e_k as a full vector, and `support_reflection`, the generic path that the
-closed form replaced, the image of each e_k on the root's support, then
-validates the window.
+`rootsys.build` certifies the simple data and fills the positive roots,
+on first read, from their closed forms.  Here `dense_build` pairs each
+root of the ambient realization (`ambient_roots`) with every doubled
+coweight over every coordinate and rebuilds it as a full vector, and
+`loop_roots`, the generic per-root loop that the closed forms replaced,
+reads each root's pairings from its nonzero entries and rebuilds it from
+the simple roots' nonzero entries.  `dense_reflection` computes the image
+of every e_k as a full vector, and `support_reflection`, the generic path
+that `weyl.reflection`'s closed form replaced, the image of each e_k on
+the root's support, then validates the window.
 `weyl.generator_tables` and `cosets.root_tables` are built once per root
 system; `fresh_signed_table` fills a signed table one entry at a time.
 The root system stores no supports: `supports` reads each root's support
@@ -27,6 +28,43 @@ def _dense_div(a, b):
     return q
 
 
+def _unit(dim, k, value=1):
+    return tuple(value if t == k else 0 for t in range(dim))
+
+
+def simple_roots(type_label, rank):
+    """The simple roots of the Bourbaki realization, as full vectors."""
+    n = rank
+    dim = n + 1 if type_label == "A" else n
+    chain = [
+        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
+        for i in range(dim - 1)
+    ]
+    if type_label == "A":
+        return tuple(chain)
+    if type_label == "B":
+        last = _unit(n, n - 1, 1)
+    elif type_label == "C":
+        last = _unit(n, n - 1, 2)
+    else:  # D
+        last = tuple(1 if k >= n - 2 else 0 for k in range(n))
+    return tuple(chain + [last])
+
+
+def ambient_roots(type_label, dim):
+    """Positive roots of the fixed classical realization, unsorted."""
+    signs = (-1,) if type_label == "A" else (-1, 1)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sj in signs:
+                v = [0] * dim
+                v[i], v[j] = 1, sj
+                yield tuple(v)
+    if type_label in ("B", "C"):
+        for i in range(dim):
+            yield _unit(dim, i, 1 if type_label == "B" else 2)
+
+
 def _dense_coordinates(simple, dcw, beta):
     coords = tuple(_dense_div(rootsys.pair(beta, c), 2) for c in dcw)
     assert all(c >= 0 for c in coords), "not a positive root"
@@ -39,7 +77,7 @@ def dense_build(type_label, rank):
     """Every field of `rootsys.build(type_label, rank)`, as a dict, from
     full pairings and full rebuilds; uncached."""
     rootsys.check_rank(type_label, rank)
-    simple = rootsys._simple_roots(type_label, rank)
+    simple = simple_roots(type_label, rank)
     dim = len(simple[0])
     coroots = tuple(
         tuple(_dense_div(2 * x, rootsys.pair(a, a)) for x in a) for a in simple
@@ -48,7 +86,7 @@ def dense_build(type_label, rank):
     dcw = rootsys._double_coweights(type_label, rank, dim)
     coords = {
         beta: _dense_coordinates(simple, dcw, beta)
-        for beta in rootsys._positive_roots(type_label, dim)
+        for beta in ambient_roots(type_label, dim)
     }
     positive = tuple(sorted(coords, key=lambda beta: (sum(coords[beta]), beta)))
     norms = tuple(rootsys.pair(a, a) for a in simple)
@@ -69,6 +107,53 @@ def dense_build(type_label, rank):
             for beta in positive
         ),
     }
+
+
+def loop_roots(type_label, rank):
+    """(positive roots, coroot coordinates) by the generic per-root loop:
+    each root of `ambient_roots` pairs with the doubled coweights through
+    its (at most two) nonzero entries, and one pass over the pairings
+    halves and checks them, rebuilds the root from the simple roots'
+    nonzero entries, and reads its height and coroot coordinates, as
+    beta^vee = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee; sorted by
+    (height, root); uncached."""
+    simple = simple_roots(type_label, rank)
+    dim = len(simple[0])
+    # columns[k] holds coordinate k of every doubled coweight, and
+    # entries[i] the nonzero entries (k, alpha_i[k]) of simple root i
+    columns = tuple(zip(*rootsys._double_coweights(type_label, rank, dim)))
+    entries = tuple(tuple((k, x) for k, x in enumerate(a) if x) for a in simple)
+    norms = tuple(rootsys.pair(a, a) for a in simple)
+    found = []
+    for beta in ambient_roots(type_label, dim):
+        twice = None
+        for x, column in zip(beta, columns):
+            if x:
+                scaled = [x * c for c in column]
+                twice = scaled if twice is None else [t + c for t, c in zip(twice, scaled)]
+        square = rootsys.pair(beta, beta)
+        height, rebuilt, coroot = 0, [0] * dim, []
+        for t, alpha, norm in zip(twice, entries, norms):
+            assert t % 2 == 0 and t >= 0, beta
+            c = t // 2
+            height += c
+            for k, a in alpha:
+                rebuilt[k] += c * a
+            coroot.append(_dense_div(c * norm, square))
+        assert tuple(rebuilt) == beta, beta
+        found.append((height, beta, tuple(coroot)))
+    found.sort()
+    return tuple(r[1] for r in found), tuple(r[2] for r in found)
+
+
+def roots_filled(rs):
+    """Whether `rs` has filled its positive roots, read off the slot
+    itself, so that asking does not fill them."""
+    try:
+        rootsys.RootSystem.positive_roots.__get__(rs)
+    except AttributeError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -153,27 +238,30 @@ def dense_reflection(rs, root):
 
 def control_errors(type_label, rank):
     """Build the root system uncached under each of two negative controls
-    in turn and return, per control, the RootSystemError message, or None
-    where the build passed.  The first moves the first entry of the first
-    doubled coweight by 2; the second appends e_1 + 2 e_2 to the positive
-    roots, a vector outside the span of the roots in type A and inside it,
-    but not a root, in B, C and D.  Each helper is restored afterwards."""
-    real_dcw, real_roots = rootsys._double_coweights, rootsys._positive_roots
+    in turn, read its roots, and return, per control, the RootSystemError
+    message, or None where build and read passed.  The first moves the
+    first entry of the first doubled coweight by 2, which the build's
+    duality check refuses; the second adds 1 to the last simple coordinate
+    of the first closed-form root, which its first read refuses.  Each
+    helper is restored afterwards."""
+    real_dcw, real_forms = rootsys._double_coweights, rootsys._closed_forms
 
     def perturbed(*args):
         first, *rest = real_dcw(*args)
         return ((first[0] + 2,) + first[1:], *rest)
 
-    def extra(type_label, dim):
-        yield from real_roots(type_label, dim)
-        yield (1, 2) + (0,) * (dim - 2)
+    def miscounted(*args):
+        forms = real_forms(*args)
+        entries, c, d = next(forms)
+        yield entries, c[:-1] + [c[-1] + 1], d
+        yield from forms
 
     out = []
-    for name, replacement in (("_double_coweights", perturbed), ("_positive_roots", extra)):
+    for name, replacement in (("_double_coweights", perturbed), ("_closed_forms", miscounted)):
         real = getattr(rootsys, name)
         setattr(rootsys, name, replacement)
         try:
-            rootsys.build.__wrapped__(type_label, rank)
+            rootsys.build.__wrapped__(type_label, rank).positive_roots
             out.append(None)
         except rootsys.RootSystemError as exc:
             out.append(str(exc))

@@ -3,13 +3,15 @@
 `bench/spans.py` traces the functions it lists in `SPAN_LAYERS` and
 `COUNT_LAYERS`, and `bench/run.py` reports the hit ratio of each cache in
 `CACHES`; a name that no longer resolves is a layer the benchmark loses.
-The lists are read from the files' source, so nothing under `bench/` is
-imported or written.
+The lists are read from the files' source.  `bench/ops.py`, whose
+cold-state guard clears every cache between operations, is loaded from
+its source with no bytecode written; nothing under `bench/` is written.
 """
 
 import ast
 import functools
 import importlib
+import importlib.util
 import sys
 from math import prod
 from pathlib import Path
@@ -20,6 +22,7 @@ from parorbits import cli, cosets, rootsys, seidel, weyl
 from parorbits.fixtures import parse_fixture
 
 from caches import clear_caches
+from roots import roots_filled
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LRU_CACHE = type(functools.lru_cache(maxsize=None)(lambda: None))
@@ -35,6 +38,19 @@ def _constants(filename, *names):
                 found[target.id] = ast.literal_eval(node.value)
     assert sorted(found) == sorted(names), filename
     return found
+
+
+def _bench_ops():
+    """`bench/ops.py` as a fresh module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("bench_ops", BENCH / "ops.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def _resolve(layer):
@@ -128,3 +144,20 @@ def test_cleared_caches_hold_no_certified_result(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert "not minimal" in capsys.readouterr().err
+
+
+def test_cold_passes_certify_the_roots_again():
+    # the root-system build stays a cache that the cold-state guard finds
+    # and clears, and a root system built after it has not filled its
+    # roots: every cold pass certifies them again, on their first read
+    ops = _bench_ops()
+    rs = rootsys.build("D", 6)
+    rs.positive_roots
+    caches = ops.lru_caches()
+    assert caches["rootsys.build"] is rootsys.build
+    assert isinstance(rootsys.build, LRU_CACHE) and "rootsys.build" in _constants("run.py", "CACHES")["CACHES"]
+    ops.make_cold()
+    assert rootsys.build.cache_info().currsize == 0
+    fresh = rootsys.build("D", 6)
+    assert fresh is not rs and roots_filled(rs) and not roots_filled(fresh)
+    assert fresh.positive_roots == rs.positive_roots and roots_filled(fresh)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -26,6 +27,14 @@ class Point(NamedTuple):
     label: str
 
 
+class Name(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
 VALUES = [
     {},
     [],
@@ -44,6 +53,9 @@ VALUES = [
     [-1, -(2**70), 2**100, 10**30 + 7],
     {"nested": [{"deep": [{"deeper": [1, "x", None, [True]]}]}], "tail": "z"},
     [Kind.ONE, Point(2, "p"), {"point": Point(-3, "")}],  # int and tuple subclasses
+    # str, dict and list subclasses, as values and as a key
+    {Name("key"): Name("v\u00e9"), "d": OrderedDict(b=[Kind.ONE], a=Name(""))},
+    Items([Name("x"), OrderedDict(), Kind.ONE, None]),
 ]
 
 

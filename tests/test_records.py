@@ -1,11 +1,15 @@
 """The records of the package: every one refuses assignment; the ones that
 hold dicts compare and hash by identity; the rest keep their value
-equality, and `Fixture` its repr, with the root system left out."""
+equality, and `Fixture` its repr, with the root system left out.
+`RootSystem` and `Fixture` are slotted classes, the rest named tuples."""
 
 import pytest
 
 from parorbits import decomp, rootsys
 from parorbits.fixtures import Fixture
+from parorbits.rootsys import RootSystem
+
+from roots import roots_filled
 
 #: each record's fields, in order
 FIELDS = {
@@ -52,7 +56,7 @@ FIELDS = {
 
 IDENTITY = ("ParabolicQuotient", "OrbitStratum", "Stratification", "DecomposedDiagram")
 VALUE = ("FlagComponent", "FlagDescriptor")
-NAMED_TUPLES = ("RootSystem",) + IDENTITY + VALUE
+NAMED_TUPLES = IDENTITY + VALUE
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +121,50 @@ def test_flag_records_compare_by_value(records, name):
     assert _copy(rec, **{"FlagComponent": {"rank": 99}, "FlagDescriptor": {"dim": 99}}[name]) != rec
 
 
+def _simple_copy(rs, **changes):
+    """A new root system with the simple data of `rs`, by keyword."""
+    simple = FIELDS["RootSystem"][:7]
+    return RootSystem(**{**{f: getattr(rs, f) for f in simple}, **changes})
+
+
 def test_root_system_compares_by_type_and_rank(records):
     rs = records["RootSystem"]
     assert rs is rootsys.build("C", 4) and repr(rs) == "RootSystem(C4)"
     # a copy with another dimension still equals it: only type and rank count
-    twin = _copy(rs, dim=rs.dim + 1)
+    twin = _simple_copy(rs, dim=rs.dim + 1)
     assert twin == rs and not twin != rs and hash(twin) == hash(rs) == hash(("C", 4))
     assert rs != rootsys.build("C", 3) and rs != rootsys.build("B", 4)
     assert rs != ("C", 4)
+
+
+def test_root_system_is_a_slotted_record(records):
+    # slots and no instance dict, as `Fixture`: every field is a plain slot
+    # read, the two root fields once filled on their first read
+    rs = records["RootSystem"]
+    assert RootSystem.__slots__ == FIELDS["RootSystem"]
+    assert not hasattr(rs, "__dict__") and not isinstance(rs, tuple)
+    assert not hasattr(rs, "_replace") and not hasattr(rs, "_fields")
+    fresh = rootsys.build.__wrapped__("C", 4)
+    assert not roots_filled(fresh)
+    simple = FIELDS["RootSystem"][:7]
+    assert all(getattr(fresh, f) == getattr(rs, f) for f in simple)
+    assert not roots_filled(fresh)
+    coords = fresh.coroot_coords
+    assert roots_filled(fresh)
+    assert coords == rs.coroot_coords and fresh.positive_roots == rs.positive_roots
+    assert fresh.coroot_coords is coords and fresh.positive_roots is fresh.positive_roots
+    # a copy of the simple data fills its own roots, equal to the original's
+    twin = _simple_copy(rs)
+    assert twin.positive_roots == rs.positive_roots and twin.positive_roots is not rs.positive_roots
+    for field in FIELDS["RootSystem"]:
+        with pytest.raises(AttributeError):
+            setattr(fresh, field, None)
+        with pytest.raises(AttributeError):
+            delattr(fresh, field)
+    with pytest.raises(AttributeError, match="not_a_field"):
+        fresh.not_a_field
+    assert repr(fresh) == "RootSystem(C4)" and str(fresh) == "RootSystem(C4)"
+    assert fresh == rs and hash(fresh) == hash(rs) and fresh is not rs
 
 
 def test_fixture_compares_by_its_four_fields_only(records):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,13 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from parorbits import cosets, seidel, strata, weyl
+from parorbits import cosets, fixtures, rootsys, seidel, strata, verify, weyl
 from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, group_order
-from parorbits.rootsys import RootSystemError, build, cominuscule_nodes, components, degrees, pair
+from parorbits.rootsys import (
+    RootSystem,
+    RootSystemError,
+    build,
+    cominuscule_nodes,
+    components,
+    degrees,
+    pair,
+)
 
 from dynkin import component_nodes, orderings, subsets
 from exponents import eta
-from roots import control_errors, dense_build
+from caches import clear_caches
+from roots import control_errors, dense_build, loop_roots, roots_filled
 from windows import inverse
 from words import from_word
 
@@ -351,13 +361,12 @@ BUILD_ORACLE_SYSTEMS = (
 
 
 def test_build_matches_dense_oracle():
-    # the sparse build (coordinates from each root's nonzero entries, the
-    # rebuild one coordinate at a time) against the full pairings and full
-    # rebuilds it replaced, on every field; and the degrees of W against
-    # the root count and the classical |W|
+    # the build and the closed-form roots against the full pairings and
+    # full rebuilds of the dense path, on every field; and the degrees of W
+    # against the root count and the classical |W|
     for t, n in BUILD_ORACLE_SYSTEMS:
         rs = build(t, n)
-        fields = {f: getattr(rs, f) for f in rs._fields}
+        fields = {f: getattr(rs, f) for f in RootSystem.__slots__}
         assert fields == dense_build(t, n), (t, n)
         ds = list(degrees(t, n))
         assert len(ds) == n and sum(d - 1 for d in ds) == len(rs.positive_roots), (t, n)
@@ -365,12 +374,107 @@ def test_build_matches_dense_oracle():
         assert prod(ds) == order.get(t, 2 ** (n - 1) * factorial(n)), (t, n)
 
 
+@pytest.mark.parametrize("t", "ABCD")
+def test_closed_forms_match_the_generic_loop(t):
+    # the closed forms against the per-root loop they replaced, at rank 40
+    # and on every rank of the dense oracle
+    for n in (40,) + tuple(m for s, m in BUILD_ORACLE_SYSTEMS if s == t):
+        rs = build.__wrapped__(t, n)
+        assert (rs.positive_roots, rs.coroot_coords) == loop_roots(t, n), (t, n)
+
+
+def test_roots_are_filled_on_first_read_only(monkeypatch):
+    # the build certifies the simple data alone; the type-A composition
+    # report reads no root of A1-A4, and a fixture's validation none of its
+    # root system's (the bound on |W| lifted to |W(C40)|)
+    clear_caches()
+    verify.type_a_composition_report(4)
+    assert [roots_filled(build("A", n)) for n in range(1, 5)] == [False] * 4
+    monkeypatch.setattr(fixtures, "MAX_GROUP_ORDER", 2**40 * factorial(40))
+    fix = Fixture("C", 40, 20, 40)
+    assert fix.rs is build("C", 40) and not roots_filled(fix.rs)
+    roots = fix.rs.positive_roots
+    assert roots_filled(fix.rs) and len(roots) == 40 * 40
+    clear_caches()
+
+
+def _refusal(t, n, corrupt):
+    """The RootSystemError of the first read of the roots of X_n, built
+    uncached with `corrupt` applied to the list of closed forms, or None."""
+    real = rootsys._closed_forms
+    rootsys._closed_forms = lambda *args: iter(corrupt(list(real(*args))))
+    try:
+        build.__wrapped__(t, n).positive_roots
+    except RootSystemError as exc:
+        return str(exc)
+    finally:
+        rootsys._closed_forms = real
+    return None
+
+
+def _with_c(forms, k, c):
+    """The closed forms with root k's simple coordinates replaced by c."""
+    entries, _, d = forms[k]
+    return forms[:k] + [(entries, c, d)] + forms[k + 1 :]
+
+
+# each corruption breaks one certificate of the first read
+CORRUPTIONS = {
+    # a simple coordinate moved by one: the pairings are not twice c
+    "pairs with the doubled coweights": lambda f: _with_c(f, 0, [f[0][1][0] + 1] + f[0][1][1:]),
+    # the negated root, with its negated coordinates: pairings hold
+    "negative simple coordinate": lambda f: [
+        (tuple((k, -x) for k, x in f[0][0]), [-c for c in f[0][1]], f[0][2])
+    ] + f[1:],
+    # the coroot coordinates doubled
+    "wrong coroot coordinates": lambda f: [(f[0][0], f[0][1], [2 * d for d in f[0][2]])] + f[1:],
+    # a root dropped, or one listed twice in place of another
+    "positive roots, expected": lambda f: f[1:],
+    "lists a positive root twice": lambda f: f[:1] + f[:-1],
+}
+
+
+@pytest.mark.parametrize("t,n", [("A", 2), ("A", 6), ("B", 2), ("B", 7), ("C", 2), ("C", 12), ("D", 4), ("D", 9)])
+def test_every_root_certificate_runs_at_first_read(t, n):
+    for match, corrupt in CORRUPTIONS.items():
+        error = _refusal(t, n, corrupt)
+        assert error and match in error, (t, n, match, error)
+        assert "root" in error
+    assert _refusal(t, n, lambda forms: forms) is None
+
+
+def test_simple_data_certificates_run_at_build(monkeypatch):
+    # alpha_1 = e_1 in A_3 has an integral coroot and pairs as 2 delta_1j,
+    # but lies off the sum-zero hyperplane; alpha_1 = 2 e_1 + e_2 in B_3
+    # has no integral coroot; alpha_1 = e_1 - e_3 in C_3 pairs as 2 with
+    # 2 omega_2^vee
+    real = rootsys._simple_entries
+    for (t, n), first, match in (
+        (("A", 3), ((0, 1),), "does not sum to 0"),
+        (("B", 3), ((0, 2), (1, 1)), "inexact division"),
+        (("C", 3), ((0, 1), (2, -1)), "<alpha_1, 2 omega_2^vee> = 2"),
+    ):
+        monkeypatch.setattr(rootsys, "_simple_entries", lambda *args: (first,) + real(*args)[1:])
+        with pytest.raises(RootSystemError, match=re.escape(match)):
+            build.__wrapped__(t, n)
+    monkeypatch.setattr(rootsys, "_simple_entries", real)
+    assert build.__wrapped__("A", 3) == build("A", 3)
+
+
+def test_type_a_roots_must_sum_to_zero():
+    # e_1 in A_n pairs with every doubled coweight as 2, so it passes the
+    # pairing check with c = (1, ..., 1), but lies off the span of the roots
+    for n in (1, 3, 8):
+        error = _refusal("A", n, lambda f: [(((0, 1),), [1] * n, [1] * n)] + f[1:])
+        assert error and "outside the span" in error, (n, error)
+
+
 CONTROL_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
 
 
 def test_broken_root_data_refused():
-    # a perturbed doubled coweight, and a vector that is not a root among
-    # the positive roots, each make the build raise, naming a root
+    # a perturbed doubled coweight makes the build raise, naming a simple
+    # root, and a root with wrong coordinates its first read, naming it
     for t, n in CONTROL_SYSTEMS:
         errors = control_errors(t, n)
         assert len(errors) == 2 and all(e and "root" in e for e in errors), (t, n, errors)

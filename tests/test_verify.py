@@ -455,3 +455,33 @@ def test_gather_checks_agree_with_the_compose_path_up_to_rank_6():
         damaged_seidel.append((fix.q_node == 1, verdict))
     # the swap is caught with q_node = 1 and without
     assert {single for single, ok in damaged_seidel if not ok} == {True, False}
+
+
+def _products_law(velems):
+    """The law v_i * v_k = v_((i + k) mod (n + 1)) by all n^2 window
+    products: the loop that `verify.cyclic_law` replaced."""
+    n = len(velems) - 1
+    return all(
+        weyl.multiply(velems[i], velems[k]) == velems[(i + k) % (n + 1)]
+        for i in range(1, n + 1)
+        for k in range(1, n + 1)
+    )
+
+
+def test_cyclic_law_matches_the_products_loop():
+    # on the Seidel elements of A1-A8, and on every corruption that swaps
+    # two of them or replaces one by e.  A swap keeps the law only where it
+    # reverses v_1..v_n into the powers of v_1^-1, at n = 2 and n = 3
+    for n in range(1, 9):
+        rs = rootsys.build("A", n)
+        velems = (weyl.identity(rs),) + tuple(seidel.v_elt(rs, i) for i in range(1, n + 1))
+        assert verify.cyclic_law(velems) and _products_law(velems), n
+        e = velems[0]
+        for i in range(1, n + 1):
+            replaced = velems[:i] + (e,) + velems[i + 1 :]
+            assert verify.cyclic_law(replaced) == _products_law(replaced) == (n == 1), (n, i)
+            for j in range(i + 1, n + 1):
+                swapped = list(velems)
+                swapped[i], swapped[j] = velems[j], velems[i]
+                law = verify.cyclic_law(tuple(swapped))
+                assert law == _products_law(tuple(swapped)) == (i + j == n + 1 and n <= 3), (n, i, j)
