@@ -11,11 +11,12 @@ coordinates of a root are half its pairings with them, and
 `strata.delta` reads the stratum exponent off that pairing the same way.
 
 `build` sets and certifies the simple data that every Weyl-group routine
-reads: the simple roots, their coroots, the Cartan matrix and the doubled
-coweights.  The duality <alpha_i, 2 omega_j^vee> = 2 delta_ij is read
-from each simple root's one or two nonzero entries against the columns of
-the doubled coweights, and in type A each simple root must sum to 0, so
-the build is O(rank^2).  The positive roots and their coroot coordinates
+reads: the simple roots, their coroots and the doubled coweights.  The
+Cartan diagonal <alpha_i, alpha_i^vee> = 2 and the duality
+<alpha_i, 2 omega_j^vee> = 2 delta_ij are read from each simple root's
+one or two nonzero entries against the columns of the coroots and of the
+doubled coweights, and in type A each simple root must sum to 0, so the
+build is O(rank^2).  The positive roots and their coroot coordinates
 are filled once, when either is first read, by one pass over their closed
 forms (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IV; e_i
 and e_j with i < j, nodes numbered from 1, runs of coordinates written
@@ -77,7 +78,7 @@ class RootSystem:
     """Immutable exact data of one classical root system.
 
     Nodes are numbered 1..rank (Bourbaki).  The simple data, set at
-    construction, is the simple roots and coroots, the Cartan matrix and
+    construction, is the simple roots, their coroots and
     `double_coweights`, the fundamental coweights doubled, 2 omega_j^vee,
     as integer vectors.  `positive_roots` and `coroot_coords`, the
     expansion of each positive coroot over the simple coroots, are filled
@@ -94,7 +95,6 @@ class RootSystem:
         "dim",
         "simple_roots",
         "simple_coroots",
-        "cartan_matrix",
         "double_coweights",
     ) + _ROOT_FIELDS
 
@@ -105,10 +105,9 @@ class RootSystem:
         dim: int,
         simple_roots: Tuple[Vector, ...],
         simple_coroots: Tuple[Vector, ...],
-        cartan_matrix: Tuple[Tuple[int, ...], ...],
         double_coweights: Tuple[Vector, ...],
     ) -> None:
-        values = (type_label, rank, dim, simple_roots, simple_coroots, cartan_matrix, double_coweights)
+        values = (type_label, rank, dim, simple_roots, simple_coroots, double_coweights)
         for name, value in zip(RootSystem.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -283,11 +282,10 @@ def build(type_label: str, rank: int) -> RootSystem:
         for e, norm, alpha in zip(entries, norms, simple)
     )
     coroot_columns = tuple(zip(*coroots))
-    cartan = tuple(tuple(_pairings(e, coroot_columns)) for e in entries)
     dcw = _double_coweights(type_label, rank, dim)
     columns = tuple(zip(*dcw))
     for i, e in enumerate(entries):
-        if cartan[i][i] != 2:
+        if _pairings(e, coroot_columns)[i] != 2:  # row i of the Cartan matrix
             raise RootSystemError("Cartan diagonal broken at simple root alpha_%d" % (i + 1))
         if type_label == "A" and sum(x for _, x in e):
             raise RootSystemError(
@@ -302,7 +300,7 @@ def build(type_label: str, rank: int) -> RootSystem:
                 "coweight pairing broken: simple root <alpha_%d, 2 omega_%d^vee> = %d"
                 % (i + 1, j + 1, twice[j])
             )
-    return RootSystem(type_label, rank, dim, simple, coroots, cartan, dcw)
+    return RootSystem(type_label, rank, dim, simple, coroots, dcw)
 
 
 def _double_coweights(type_label: str, rank: int, dim: int) -> Tuple[Vector, ...]:

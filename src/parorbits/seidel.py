@@ -6,9 +6,9 @@ element; it acts on Schubert classes by
 
     sigma_v * sigma_w = q^delta(w) sigma_[v w],
 
-where [v w] is the class of v * w in W/W_Q.  The quotient's left-action
-table already holds the class of s_k * w for every node k and class w, so
-the table composes its rows along a reduced word of v, with no window
+where [v w] is the class of v * w in W/W_Q.  A class is named by the head
+of its window, the signed set of its first q entries, so the table maps
+each class's head through v and looks the image up, with no window
 product per class.  The q-exponent delta(w) is the label of the orbit
 stratum that holds w: it is the per-class `delta` of `strata.stratify`,
 which certifies it constant on each stratum.  The induced map on classes
@@ -32,21 +32,13 @@ class SeidelError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _longest(rs: RootSystem) -> Window:
-    """w_0 of `rs`, built and certified by `weyl.longest` once per root
-    system and shared by the Seidel elements of all its nodes."""
-    return weyl.longest(rs, rs.nodes)
-
-
-@lru_cache(maxsize=None)
 def v_elt(rs: RootSystem, i: int) -> Window:
     """Window of the Seidel element of node i, the shortest element of
     w_0 W_J, with J the nodes other than i, computed as
-    `weyl.min_rep(rs, w_0, J)`; w_0 comes from `_longest`, built once per
-    root system in one pass over the blocks of positions, with no descent
-    stripped.  The element depends on the root system and the node alone,
-    so it is built and certified once per (rs, i) and shared by every
-    fixture that acts by node i.
+    `weyl.min_rep(rs, w_0, J)`; w_0 is `weyl.longest`, one pass over the
+    blocks of positions, with no descent stripped.  The element depends
+    on the root system and the node alone, so it is built and certified
+    once per (rs, i) and shared by every fixture that acts by node i.
 
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
@@ -59,7 +51,7 @@ def v_elt(rs: RootSystem, i: int) -> Window:
             "node %d is not cominuscule for %s_%d" % (i, rs.type_label, rs.rank)
         )
     j_set = [k for k in rs.nodes if k != i]
-    w0 = _longest(rs)
+    w0 = weyl.longest(rs, rs.nodes)
     v = weyl.min_rep(rs, w0, j_set)
     omega2 = rs.double_coweight(i)
     if weyl.act(v, omega2) != weyl.act(w0, omega2):
@@ -71,20 +63,6 @@ def v_elt(rs: RootSystem, i: int) -> Window:
     return v
 
 
-@lru_cache(maxsize=None)
-def _stripped_word(rs: RootSystem, v: Window) -> Tuple[int, ...]:
-    """A reduced word v = s_(k_1) ... s_(k_l) read from its end: v's right
-    descents stripped one at a time, the first of the nodes each step, so
-    the tuple is (k_l, ..., k_1), in the order the letters act on a class.
-    It costs l(v) + 1 descent searches and l(v) window products, once per
-    root system and Seidel element."""
-    word = []
-    while k := weyl.first_descent(rs, v, rs.nodes):
-        word.append(k)
-        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
-    return tuple(word)
-
-
 def seidel_table(strat: Stratification, v: Window) -> Tuple[int, ...]:
     """The Seidel operator on the classes of X's quotient `strat.pq`, as
     the permutation perm: perm[k] is the index of the class of v * w_k.
@@ -93,21 +71,30 @@ def seidel_table(strat: Stratification, v: Window) -> Tuple[int, ...]:
     its Seidel element, `v_elt(fix.rs, fix.p_node)`; the root system is
     `strat.pq.rs`.  The q-exponent of class k is `strat.delta[k]`.
 
-    The table composes the left rows along `_stripped_word(rs, v)`, v's
-    reduced word from its end, cached per root system and v: its first
-    node, the last letter of v, acts on w first, and each node k maps
-    perm[c] to pq.left[k][perm[c]], starting from the identity.  That
-    costs no window product and block sort per class.  The table is thus
-    only as sound as the left rows; `verify._check_seidel` does not read
-    them, as it names the class of v^2 w for every class w by the signed
-    set of the first q_node entries of the window product.
+    The head rule.  W_Q, for Q the nodes other than q, permutes positions
+    1..q among themselves and re-signs or permutes the rest, so the class
+    of a window in W/W_Q is its head, the signed set of its first q
+    entries (the set, in type A; Bjorner-Brenti 8.1-8.2).  A minimal
+    window holds its head in the key order 1 < ... < d < -d < ... < -1,
+    not in byte order, as `weyl.min_rep` sorts that block of positions
+    so.  So one dict maps each class's head to its index, and each class's
+    head is carried through the signed table of v, sorted in the key order
+    (`weyl.moved_heads`) and looked up: no window product and no left row
+    per class.  Two classes that share a head, or an image head that names
+    no class, raise SeidelError naming the window.
     """
     pq = strat.pq
-    perm = range(len(pq.elements))
-    for k in _stripped_word(pq.rs, v):
-        row = pq.left[k]
-        perm = [row[c] for c in perm]
-    return tuple(perm)
+    windows = pq.elements
+    (m,) = set(pq.rs.nodes) - pq.j_q
+    index = {w[:m]: k for k, w in enumerate(windows)}
+    if len(index) < len(windows):
+        w = next(w for k, w in enumerate(windows) if index[w[:m]] != k)
+        raise SeidelError("%s shares its head with a later class of %r" % (weyl.name(pq.rs, w), pq))
+    perm = tuple(map(index.get, weyl.moved_heads(v, windows, m)))
+    if None in perm:
+        w = windows[perm.index(None)]
+        raise SeidelError("the head of v * %s names no class of %r" % (weyl.name(pq.rs, w), pq))
+    return perm
 
 
 def orbits(perm: Sequence[int]) -> List[List[int]]:

@@ -122,15 +122,15 @@ def _check_seidel(dec: DecomposedDiagram, v: Window, perm: Tuple[int, ...]) -> D
 
     # two applications land on the class of the squared element; the
     # q-exponents of the two steps are qexp[k] and qexp[perm[k]] by definition.
-    # perm is composed from the left-action rows, and this names the class
-    # of v^2 * w from windows alone, so it is the check on the table that
-    # does not read the table.  W_Q permutes positions 1..m among themselves
-    # and re-signs or permutes the rest (S_m x W(X_(n-m)), S_m x S_(n+1-m)
-    # in type A, the sign parity keeping the second factor in W(D_(n-m)) in
-    # type D, S_n for m = n; D_n has no fixture at m = n-1), so the signed
-    # set of a window's first m = q_node entries is its class in W/W_Q
-    # (Bjorner-Brenti 8.1-8.2).  The head of v^2 * w is the head of w
-    # translated through the table of v^2
+    # perm looks each image head up in a dict of heads, and this compares
+    # the heads of v^2 * w and of perm[perm[k]] as sets, so it is the check
+    # on the table that does not go through its dict.  W_Q permutes
+    # positions 1..m among themselves and re-signs or permutes the rest
+    # (S_m x W(X_(n-m)), S_m x S_(n+1-m) in type A, the sign parity keeping
+    # the second factor in W(D_(n-m)) in type D, S_n for m = n; D_n has no
+    # fixture at m = n-1), so the signed set of a window's first m = q_node
+    # entries is its class in W/W_Q (Bjorner-Brenti 8.1-8.2).  The head of
+    # v^2 * w is the head of w translated through the table of v^2
     m = fix.q_node
     square = weyl.signed_table(weyl.multiply(v, v))
     windows = pq.elements

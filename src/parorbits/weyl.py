@@ -32,7 +32,8 @@ in one pass (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping or adding
 descents.  Left multiplication acts on values: `signed_table` turns s*w,
 and the vector w^-1(v), into a 256-byte translation table, so that each
 is one `bytes.translate` of w, done in C; `generator_tables` builds these
-tables for the simple reflections once per root system.
+tables for the simple reflections once per root system, and `moved_heads`
+reads the first m entries of v*w off one, sorted in key order.
 `enumerate_group` lists the windows of the minimal representatives of
 W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps s*w
 by Deodhar's test (one translated vector and one set lookup), builds no
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 
@@ -67,6 +68,8 @@ _NEG = bytes([0]) + bytes(range(255, 0, -1))
 #: translation table of key(x) = x mod (2d+1), up to order: (x - 1) mod 256
 #: orders 1 < ... < d < -d < ... < -1 for every d <= MAX_DIM
 _KEY = bytes((y - OFFSET - 1) % 256 for y in range(256))
+#: the inverse of _KEY: key(x) -> byte x + 128
+_UNKEY = bytes((y + OFFSET + 1) % 256 for y in range(256))
 #: key(-x) for byte x + 128
 _NEG_KEY = _NEG.translate(_KEY)
 #: translation table of the absolute value: byte x + 128 -> byte |x| + 128
@@ -241,6 +244,15 @@ def _root_direction(r: Window) -> bytes:
     v[i] += 1
     v[_ABS[r[i]] - OFFSET - 1] -= 1 if r[i] > OFFSET else -1
     return encode(v, len(r))
+
+
+def moved_heads(v: Window, windows: Iterable[Window], m: int) -> Iterator[bytes]:
+    """For each window w, the first m entries of v * w sorted in the key
+    order, the order `min_rep` leaves a block of positions in: v's table
+    is composed with the key table once, so the sort runs on the keys."""
+    table = signed_table(v).translate(_KEY)
+    for w in windows:
+        yield bytes(sorted(w[:m].translate(table))).translate(_UNKEY)
 
 
 def act(window: Window, v: Sequence) -> Tuple:

@@ -20,10 +20,17 @@ def subsets(nodes: Iterable[int]) -> List[FrozenSet[int]]:
     return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
 
 
+def cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """The Cartan matrix, entry (i, j) the pairing <alpha_i, alpha_j^vee>
+    of the simple roots with the simple coroots, nodes counted from 0."""
+    return tuple(tuple(pair(a, c) for c in rs.simple_coroots) for a in rs.simple_roots)
+
+
 def adjacency(rs: RootSystem) -> Dict[int, FrozenSet[int]]:
     """Dynkin-diagram adjacency from the Cartan matrix."""
+    cartan = cartan_matrix(rs)
     return {
-        i: frozenset(j for j in rs.nodes if j != i and rs.cartan_matrix[i - 1][j - 1] != 0)
+        i: frozenset(j for j in rs.nodes if j != i and cartan[i - 1][j - 1] != 0)
         for i in rs.nodes
     }
 

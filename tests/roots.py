@@ -82,7 +82,6 @@ def dense_build(type_label, rank):
     coroots = tuple(
         tuple(_dense_div(2 * x, rootsys.pair(a, a)) for x in a) for a in simple
     )
-    cartan = tuple(tuple(rootsys.pair(a, c) for c in coroots) for a in simple)
     dcw = rootsys._double_coweights(type_label, rank, dim)
     coords = {
         beta: _dense_coordinates(simple, dcw, beta)
@@ -96,7 +95,6 @@ def dense_build(type_label, rank):
         "dim": dim,
         "simple_roots": simple,
         "simple_coroots": coroots,
-        "cartan_matrix": cartan,
         "double_coweights": dcw,
         "positive_roots": positive,
         "coroot_coords": tuple(

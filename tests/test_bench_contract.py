@@ -133,7 +133,6 @@ def test_cleared_caches_hold_no_certified_result(monkeypatch, capsys):
     caches = clear_caches()
     shared = {
         "seidel.v_elt",
-        "seidel._stripped_word",
         "strata.flag_descriptor",
         "hasse.build_hasse",
         "verify._check_chevalley_witnesses",

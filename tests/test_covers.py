@@ -4,11 +4,12 @@ from it, against the test-only oracles of `covers.py`; and the checks of
 
 import pytest
 
-from parorbits import cosets, strata, verify, weyl
+from parorbits import cosets, seidel, strata, verify, weyl
 from parorbits.cosets import build_quotient, certify_interval, double_cosets
 from parorbits.fixtures import Fixture, sweep_fixtures
 from parorbits.rootsys import build
 
+from affine import law_holds, sigma
 from covers import all_roots_covers, compose_closure, cover_triples, with_covers
 from dynkin import subsets
 
@@ -133,17 +134,23 @@ def test_swapped_witness_fails_chevalley_witness_check(monkeypatch, fix):
 
 
 @pytest.mark.parametrize("fix", NEGATIVE_CONTROL_FIXTURES, ids=lambda fix: fix.label)
-def test_swapped_acting_row_entries_fail_seidel_composition(monkeypatch, fix):
-    # row p, of the acting node outside J_P, is read by the Seidel table
-    # alone.  The images of the first class that s_p moves and the first it
-    # fixes, swapped, keep the row a permutation, so the table stays a
-    # bijection; but v^2 * w rebuilt from windows no longer agrees with it,
-    # and neither do the lengths
+def test_swapped_acting_row_entries_reach_no_check(monkeypatch, fix):
+    # row p, of the acting node outside J_P, is read by no `verify` check
+    # once the covers are built: the Seidel table names each image by its
+    # head, not by the left rows.  The images of the first class that s_p
+    # moves and the first it fixes, swapped after the covers are built,
+    # leave the table as it was and every check passing.  On these three
+    # fixtures sigma swaps p with node 0, so the affine-symmetry law of
+    # `test_affine_symmetry.py` does not read row p either
     pq = build_quotient(fix.rs, fix.j_q)
     row = list(pq.left[fix.p_node])
     a = next(i for i, m in enumerate(row) if m != i)
     b = next(i for i, m in enumerate(row) if m == i)
     row[a], row[b] = row[b], row[a]
     corrupted = pq._replace(left={**pq.left, fix.p_node: tuple(row)})
-    failed = _checks_with_quotient(monkeypatch, fix, corrupted)
-    assert failed == ["seidel_composition", "seidel_degree_bookkeeping"]
+    strat = strata.stratify(fix)
+    v = seidel.v_elt(fix.rs, fix.p_node)
+    perm = seidel.seidel_table(strat, v)
+    assert seidel.seidel_table(strat._replace(pq=corrupted), v) == perm
+    assert law_holds(corrupted.left, perm, sigma(fix.rs, v, fix.p_node))
+    assert _checks_with_quotient(monkeypatch, fix, corrupted) == []

@@ -5,12 +5,14 @@ method of a public class, that no code in `src/parorbits` refers to
 outside its own definition is either dead or serves only the tests, and
 test-only code lives under `tests/`.  References are matched by name
 (`f(...)`, `x.f`), so two definitions that share a name share their uses.
-Likewise every field of a `NamedTuple` record is read as an attribute
-(`x.field`) somewhere in `src/parorbits`: a field that only the tests read
-is a test-only wrapper around what its readers already hold.
+Likewise every field of a record, a `NamedTuple` or a class with
+`__slots__`, is read as an attribute (`x.field`) somewhere in
+`src/parorbits`: a field that only the tests read is a test-only wrapper
+around what its readers already hold.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -64,6 +66,20 @@ def _named_tuple_fields(tree, module):
                     yield "%s.%s.%s" % (module, node.name, item.target.id), item.target.id
 
 
+def _slotted_fields(tree, module):
+    """The fields of each class that assigns `__slots__`, read from the
+    class itself, as the tuple may be built from names."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+            for item in node.body
+        ):
+            cls = getattr(importlib.import_module("parorbits." + module), node.name)
+            for field in cls.__slots__:
+                yield "%s.%s.%s" % (module, node.name, field), field
+
+
 def test_every_record_field_is_read_in_src():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads = {
@@ -73,6 +89,9 @@ def test_every_record_field_is_read_in_src():
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     fields = [f for module, tree in trees.items() for f in _named_tuple_fields(tree, module)]
+    slotted = [f for module, tree in trees.items() for f in _slotted_fields(tree, module)]
     assert len(fields) > 30
+    assert {q.rsplit(".", 1)[0] for q, _ in slotted} == {"rootsys.RootSystem", "fixtures.Fixture"}
+    fields += slotted
     unread = [qualified for qualified, name in fields if name not in reads]
     assert not unread, "record fields that no code in src/parorbits reads: %s" % ", ".join(unread)

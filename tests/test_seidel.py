@@ -3,7 +3,7 @@ from math import factorial, lcm
 
 import pytest
 
-from parorbits import cosets, rootsys, seidel, strata, verify, weyl
+from parorbits import cli, cosets, rootsys, seidel, strata, verify, weyl
 from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
@@ -19,7 +19,7 @@ from cases import stratum_count
 from exponents import delta
 from weights import q_degree_by_fixture
 from windows import enc, identity, strip_descents
-from words import from_word, reduced_word
+from words import from_word, reduced_word, table_by_rows
 
 FIXTURES = [
     Fixture("A", 3, 1, 3),
@@ -83,10 +83,10 @@ def test_v_elt_not_minimal_names_the_element(monkeypatch, cold):
         assert str(refused.value) == "Seidel element %s of node %d is not minimal in w_0 W_J" % (name, i)
 
 
-def test_longest_element_built_once_per_root_system(monkeypatch, cold):
-    # the type-A report asks for the 10 Seidel elements of A1-A4: w_0 is
-    # built and certified once per root system, and each element still
-    # runs its own certificate, two coweight images and one descent search
+def test_seidel_element_built_once_per_node(monkeypatch, cold):
+    # the type-A report asks for the 10 Seidel elements of A1-A4: each is
+    # built once, w_0 by one block pass, and runs its own certificate, two
+    # coweight images and one descent search; asked again, it is cached
     calls = Counter()
 
     def spy(name):
@@ -101,10 +101,12 @@ def test_longest_element_built_once_per_root_system(monkeypatch, cold):
     for name in ("longest", "act", "first_descent"):
         monkeypatch.setattr(weyl, name, spy(name))
     assert verify.type_a_composition_report(4)["pass"]
-    assert calls == {"longest": 4, "act": 20, "first_descent": 10}, calls
-    # a second root system of the same rank gets its own w_0
+    assert calls == {"longest": 10, "act": 20, "first_descent": 10}, calls
+    assert verify.type_a_composition_report(4)["pass"]
+    assert calls == {"longest": 10, "act": 20, "first_descent": 10}, calls
+    # a second root system of the same rank gets its own
     assert v_elt(build("C", 4), 4) == enc((-4, -3, -2, -1))
-    assert calls["longest"] == 5, calls
+    assert calls == {"longest": 11, "act": 22, "first_descent": 11}, calls
 
 
 def _brute_force_seidel_element(rs, i):
@@ -198,8 +200,8 @@ def _seidel_apply_oracle(v, w, fix):
 def test_seidel_table_matches_per_class_oracle(monkeypatch):
     fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
     assert len(fixtures) == 106
-    # past rank 6, with the bound on |W| lifted: the left rows composed
-    # along a word of v are checked where the sweep does not reach
+    # past rank 6, with the bound on |W| lifted: the head rule is checked
+    # where the sweep does not reach
     monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
     fixtures += [parse_fixture(label) for label in ("C7/P3+P7", "D7/P3+P7", "B8/P7+P1")]
     for fix in fixtures:
@@ -219,63 +221,82 @@ def test_seidel_table_strips_no_descents(monkeypatch, cold):
     strat = strata.stratify(fix)
     pq = strat.pq
     v = v_elt(fix.rs, fix.p_node)
-    calls, products = [], []
-    for name, log in (
-        ("simple_reflection", calls),
-        ("first_descent", calls),
-        ("min_rep", products),
-        ("multiply", products),
-    ):
+    calls = []
+    for name in ("simple_reflection", "first_descent", "min_rep", "multiply"):
         real = getattr(weyl, name)
         monkeypatch.setattr(
-            weyl, name, lambda *args, _real=real, _name=name, _log=log: _log.append(_name) or _real(*args)
+            weyl, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
         )
     images = [pq.index[weyl.min_rep(fix.rs, weyl.multiply(v, w), fix.j_q)] for w in pq.elements]
-    assert sorted(images) == list(range(len(images))) and calls == []
-    # the table strips v's descents once, one window product v * s_k per
-    # letter of a reduced word of v, and builds no window product per
-    # class; the product spies are live, as the path above calls both
-    assert set(products) == {"min_rep", "multiply"}
-    products.clear()
-    perm = seidel_table(strat, v)
-    v_length = weyl._length(fix.rs, v)
-    assert list(perm) == images and products == ["multiply"] * v_length
-    assert v_length < len(images)
-    assert 0 < calls.count("first_descent") <= v_length + 1
-    # the spies are live: the stripping oracle calls both
-    calls.clear()
+    assert sorted(images) == list(range(len(images)))
+    # the spies are live: that path calls both products, and the
+    # stripping oracle both descent helpers
     strip_descents(fix.rs, weyl.longest(fix.rs, fix.rs.nodes), fix.j_q)
-    assert set(calls) == {"simple_reflection", "first_descent"}
+    assert set(calls) == {"simple_reflection", "first_descent", "min_rep", "multiply"}
+    calls.clear()
+    # the table names each image by its head: no window product, block
+    # sort, descent search or simple reflection, and no left row, as the
+    # quotient it reads has none
+    blind = strat._replace(pq=pq._replace(left=None))
+    assert list(seidel_table(blind, v)) == images and calls == []
 
 
-def _table_by_stripping(strat, v):
-    """Oracle for `seidel_table`: the loop it replaced, which strips v's
-    right descents one at a time, the first node each step, and maps every
-    class through the left row of each stripped node as it goes."""
-    pq = strat.pq
-    rs, perm = pq.rs, range(len(pq.elements))
-    while k := weyl.first_descent(rs, v, rs.nodes):
-        row = pq.left[k]
-        perm = [row[c] for c in perm]
-        v = weyl.multiply(v, weyl.simple_reflection(rs, k))
-    return tuple(perm)
-
-
-def test_shared_seidel_elements_and_words_match_fresh_ones():
-    # every fixture of the rank <= 5 sweep, D6/P3+P6 and B6/P5+P1: the
-    # cached Seidel element is the one built afresh, its cached word is the
-    # reduced word that stripping descents reads, last letter first, and
-    # the table composed along it is the one the stripping loop builds
-    fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
+def test_shared_seidel_elements_and_words_match_fresh_ones(monkeypatch):
+    # every fixture of the caps-8 sweep, with the bound on |W| lifted: the
+    # cached Seidel element is the one built afresh, and the table read
+    # off the heads is the one composed from the left rows along a reduced
+    # word of it
+    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
+    fixtures = sweep_fixtures(8, 8, 8, 8)
+    assert len(fixtures) == 349
     for fix in fixtures:
         rs = fix.rs
         v = v_elt(rs, fix.p_node)
         assert v == v_elt.__wrapped__(rs, fix.p_node), fix.label
-        word = seidel._stripped_word(rs, v)
-        assert word == reduced_word(rs, v)[::-1], fix.label
-        assert from_word(rs, word[::-1]) == v and len(word) == weyl._length(rs, v), fix.label
+        word = reduced_word(rs, v)
+        assert from_word(rs, word) == v and len(word) == weyl._length(rs, v), fix.label
         strat = strata.stratify(fix)
-        assert seidel_table(strat, v) == _table_by_stripping(strat, v), fix.label
+        assert seidel_table(strat, v) == table_by_rows(strat.pq, v), fix.label
+
+
+def _head_fault(pq, fault):
+    """X's quotient with a fault in its heads: "shared" gives the last
+    window the head of the one before it, "missing" drops the last class,
+    so the images that land on it name no class."""
+    (m,) = set(pq.rs.nodes) - pq.j_q
+    windows = list(pq.elements)
+    if fault == "shared":
+        windows[-1] = windows[-2][:m] + windows[-1][m:]
+    else:
+        del windows[-1]
+    return pq._replace(elements=tuple(windows))
+
+
+HEAD_FAULTS = {"shared": "shares its head", "missing": "names no class"}
+
+
+@pytest.mark.parametrize("fault", sorted(HEAD_FAULTS))
+def test_head_faults_raise_seidel_error(monkeypatch, capsys, fault):
+    # a head lookup that fails is a SeidelError naming the window, never a
+    # bare KeyError, and the CLI reports it as one `error:` line, exit 2
+    fix = Fixture("C", 4, 2, 4)
+    strat = strata.stratify(fix)
+    v = v_elt(fix.rs, fix.p_node)
+    with pytest.raises(SeidelError, match=HEAD_FAULTS[fault]) as refused:
+        seidel_table(strat._replace(pq=_head_fault(strat.pq, fault)), v)
+    assert "WC4(" in str(refused.value)
+    real = seidel.seidel_table
+    monkeypatch.setattr(
+        seidel, "seidel_table", lambda strat, v: real(strat._replace(pq=_head_fault(strat.pq, fault)), v)
+    )
+    for argv in (
+        ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"],
+        ["verify", "--fixture", "C4/P2+P4"],
+    ):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err == "error: %s\n" % refused.value, argv
 
 
 def test_top_class_q_exresponse():

@@ -128,8 +128,8 @@ def test_each_stage_runs_once_per_fixture(monkeypatch):
 
 def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold, monkeypatch):
     # one cold sweep at caps 5: each shared result is built once per key,
-    # the Seidel element and its word per (rs, p_node), the flag descriptor
-    # per (rs, J_P, K), X's Chevalley verdict and the q-degree per quotient
+    # the Seidel element per (rs, p_node), the flag descriptor per
+    # (rs, J_P, K), X's Chevalley verdict and the q-degree per quotient
     # of X, one per (rs, q_node), and the quotient, its enumeration and its
     # diagram once per quotient: the 50 of X and the 144 flag quotients.
     # The per-quotient caches are released before each root system, and a
@@ -166,8 +166,8 @@ def test_sweep_shares_what_one_node_or_one_quotient_fixes(cold, monkeypatch):
     assert len({(fix.rs, fix.q_node) for fix in fixtures}) == 50
     flags = {(fix.rs, fix.j_p, st.K) for fix in fixtures for st in strata.stratify(fix).strata}
     assert len(flags) == 144
-    shared = (seidel.v_elt, seidel._stripped_word, strata.flag_descriptor)
-    assert [cache.cache_info().misses for cache in shared] == [29, 29, 144]
+    shared = (seidel.v_elt, strata.flag_descriptor)
+    assert [cache.cache_info().misses for cache in shared] == [29, 144]
     assert seidel.quantum_q_degree.cache_info().misses == 50
 
     # one root system at a time: the sweep lists each root system's

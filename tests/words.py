@@ -1,12 +1,12 @@
 """Test-only words in the simple reflections.
 
 The library writes Weyl elements as windows and never multiplies out a
-word, but it reads words off windows by stripping descents: `bruhat_leq`
-for the subword property, and `seidel._stripped_word`, the reduced word of
-the Seidel element along which `seidel.seidel_table` composes the
-quotient's left-action rows.  Tests use words to write small elements by
-hand, to check lengths against reduced words, and `reduced_word` as the
-oracle for `seidel._stripped_word`.
+word; it reads a word off a window only in `bruhat_leq`, which strips
+descents for the subword property.  Tests use words to write small
+elements by hand, to check lengths against reduced words, and, in
+`table_by_rows`, to compose a quotient's left-action rows along a
+reduced word of the Seidel element: the oracle for `seidel.seidel_table`,
+which names the class of v * w by its head instead.
 """
 
 from parorbits import weyl
@@ -28,3 +28,15 @@ def reduced_word(rs, window):
         window = weyl.multiply(window, weyl.simple_reflection(rs, k))
     word.reverse()
     return tuple(word)
+
+
+def table_by_rows(pq, v):
+    """The Seidel table of v on the quotient `pq` from its left-action
+    rows: the letters of `reduced_word(pq.rs, v)` act on a class from the
+    last, each node k mapping perm[c] to pq.left[k][perm[c]], starting
+    from the identity."""
+    perm = range(len(pq.elements))
+    for k in reversed(reduced_word(pq.rs, v)):
+        row = pq.left[k]
+        perm = [row[c] for c in perm]
+    return tuple(perm)
