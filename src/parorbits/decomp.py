@@ -25,13 +25,13 @@ Output formats: DOT, TikZ and JSON, all byte-deterministic.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cosets, hasse, strata, weyl
 from .cosets import ParabolicQuotient
 from .fixtures import Fixture
+from .jsontext import indented
 from .strata import OrbitStratum, Stratification
 from .weyl import Window
 
@@ -213,7 +213,7 @@ def _emit_json(
     payload = {"fixture": fix.label, "space": fix.space_label, "vertices": vertices, "edges": edges}
     if strat is not None:
         payload["strata"] = [strata.stratum_json(st) for st in strat.strata]
-    return json.dumps(payload, indent=2) + "\n"
+    return indented(payload) + "\n"
 
 
 def _emit_dot(

@@ -137,6 +137,9 @@ def parse_fixture(text: str) -> Fixture:
             if q[:1] != "P" or p[:1] != "P":
                 raise ValueError("node fields must start with P")
             t, n, q, p = head[0], head[1:], q[1:], p[1:]
+        if not all(f.isascii() and f.isdigit() for f in (n, q, p)):
+            # int() would take a sign, inner spaces, underscores and non-ASCII digits
+            raise ValueError("numeric fields must be ASCII decimal digits")
         fields = t, int(n), int(q), int(p)
     except (ValueError, IndexError) as exc:
         raise FixtureError(

@@ -5,10 +5,11 @@ CPython's C encoder serves only compact output; with `indent` set,
 value through nested generators.  `indented` builds the same text by
 joining each container's items, and escapes strings with
 `json.encoder.encode_basestring_ascii`, the C escaper `json.dumps` uses.
-It serves the values the reports hold: dicts with `str` keys, lists and
-tuples, `str`, `int`, `bool` and `None`.  Anything else raises TypeError,
-a float included, so a value `json.dumps` would write differently (or
-refuse) cannot slip through.
+It serves the values the reports hold (`verify`, `strata`, and `diagram`
+and `quantum` with `--format json`): dicts with `str` keys, lists and
+tuples, `str`, `int`, `bool` and `None`, each of exactly that type.
+Anything else raises TypeError, a float or a subclass included, so a value
+`json.dumps` would write differently (or refuse) cannot slip through.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from json.encoder import encode_basestring_ascii as _quote
 
 def indented(obj: object) -> str:
     """`json.dumps(obj, indent=2)` for nested dicts, lists and tuples of
-    `str`, `int`, `bool` and `None`; TypeError on any other value or on a
-    key that is not a `str`."""
+    `str`, `int`, `bool` and `None`; TypeError on any other value, a
+    subclass included, or on a key whose type is not exactly `str`."""
     return _text(obj, "\n")
 
 
 def _text(obj: object, pad: str) -> str:
-    """The text of any value, at indentation `pad`.  The exact type is
-    dispatched first, and the container loops write `str` and `int` values
-    (and `bool` values in dicts) inline; a subclass, such as an IntEnum or
-    a NamedTuple, takes the path of its base through isinstance."""
+    """The text of any value, at indentation `pad`, dispatched on its exact
+    type; the container loops write `str` and `int` values (and `bool`
+    values in dicts) inline."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -38,23 +38,14 @@ def _text(obj: object, pad: str) -> str:
     if obj is None:
         return "null"
     if kind is not dict and kind is not list and kind is not tuple:
-        if isinstance(obj, str):
-            return _quote(obj)
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, dict):
-            kind = dict
-        elif not isinstance(obj, (list, tuple)):
-            raise TypeError(
-                "Object of type %s is not handled by the indented writer" % kind.__name__
-            )
+        raise TypeError("Object of type %s is not handled by the indented writer" % kind.__name__)
     inner = pad + "  "
     if kind is dict:
         if not obj:
             return "{}"
         items = []
         for key, value in obj.items():
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
             cls = type(value)
             if cls is str:

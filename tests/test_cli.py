@@ -394,7 +394,12 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         code, out, err = run_cli_exiting(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    for label in ("C,x,2,4", "", "C4/X2+Y4", "C4/22+34"):
+    # int() takes each of the last four (a space, a sign, an Arabic-Indic
+    # four and an underscore), but a numeric field holds ASCII digits only
+    for label in (
+        "C,x,2,4", "", "C4/X2+Y4", "C4/22+34",
+        "C4/P 2+P4", "C,+4,2,4", "B\u0664/P1+P1", "A3/P1_0+P1",
+    ):
         code, out, err = run_cli(capsys, ["verify", "--fixture", label])
         assert (code, out) == (1, ""), label
         assert err.startswith("error: cannot parse fixture") and err.count("\n") == 1

@@ -73,17 +73,9 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out == "[]\n"
 
 
-# `decomp._emit_json` still writes `diagram --format json` with
-# `json.dumps(indent=2)`: the benchmark's tracer test needs that op to last
-# longer than its 2 ms probe interval (ROADMAP item 2), so the move to
-# `jsontext.indented` waits for that test's mending.
-INDENT_HELD_BACK = [("decomp.py", "_emit_json")]
-
-
 def test_indented_json_has_one_writer():
     # `json.dumps` with `indent` runs CPython's pure-Python encoder; the
-    # package writes indented JSON through `jsontext.indented`, apart from
-    # the one site held back above
+    # package writes all its indented JSON through `jsontext.indented`
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     sites = []
@@ -98,4 +90,16 @@ def test_indented_json_has_one_writer():
                     and any(kw.arg == "indent" for kw in node.keywords)
                 ):
                     sites.append((path.name, getattr(top, "name", None)))
-    assert sites == INDENT_HELD_BACK
+    assert sites == []
+
+
+def test_only_jsontext_imports_json():
+    # a second module with `json` at hand could grow a second writer
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    importers = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(name.split(".")[0] == "json" for name in _imported_modules(tree)):
+            importers.append(path.name)
+    assert importers == ["jsontext.py"]
