@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from . import cosets, decomp, hasse, rootsys, seidel, strata, verify
-from .fixtures import DEFAULT_MAX_RANK, Fixture, FixtureError, parse_fixture, sweep_fixtures
+from .fixtures import DEFAULT_MAX_RANK, Fixture, FixtureError, decimal, parse_fixture, sweep_fixtures
 from .jsontext import indented
 from .rootsys import RootSystemError
 from .weyl import WeylError
@@ -144,18 +144,6 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _rank_cap(text: str) -> int:
-    """A sweep's rank cap: 0 sweeps no fixture of the type, and a negative
-    cap, which would sweep none either and still pass, is refused."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError("a rank cap must be >= 0, got %d" % cap)
-    return cap
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse answers a malformed command line with a usage block and exit
     # 2; report it like any other bad input: one `error:` line, exit 1.
@@ -174,12 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fixture_flags(p):
         p.add_argument("--type", choices=["A", "B", "C", "D"], help="Dynkin type")
-        p.add_argument("--rank", type=int, help="rank of the root system")
+        # numbers are ASCII digits, as in a fixture label
+        p.add_argument("--rank", type=decimal, help="rank of the root system")
         p.add_argument(
-            "--grassmannian", type=int, help="node of the maximal parabolic defining X"
+            "--grassmannian", type=decimal, help="node of the maximal parabolic defining X"
         )
         p.add_argument(
-            "--cominuscule", type=int, help="cominuscule node of the acting parabolic"
+            "--cominuscule", type=decimal, help="cominuscule node of the acting parabolic"
         )
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -198,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantum)
 
     def add_sweep_flags(p):
-        # no default here, so that cmd_verify can tell a cap given from none
+        # no default here, so that cmd_verify can tell a cap given from none;
+        # a cap of digits is never negative, which would sweep nothing and pass
         for cap in SWEEP_CAPS:
-            p.add_argument("--" + cap.replace("_", "-"), type=_rank_cap)
+            p.add_argument("--" + cap.replace("_", "-"), type=decimal)
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="run every invariant suite over a sweep")

@@ -85,15 +85,11 @@ def reflection_by_index(rs: RootSystem, root_idx: int) -> Window:
 
 
 @lru_cache(maxsize=None)
-def root_tables(rs: RootSystem) -> Tuple[Dict[int, bytes], Dict[bytes, int]]:
-    """The translation table (`weyl.signed_table`) of each simple root,
-    keyed by node, and the index of each positive root, keyed by its
-    encoded bytes, built once per root system for the witnesses of
-    `build_quotient`.  They live here and not beside
-    `weyl.generator_tables`, as `weyl` reads no root vector."""
+def root_index(rs: RootSystem) -> Dict[bytes, int]:
+    """The index of each positive root, keyed by its encoded bytes, built
+    once per root system for the witnesses of `build_quotient`."""
     d = rs.dim
-    alphas = {k: weyl.signed_table(weyl.encode(rs.simple_root(k), d)) for k in rs.nodes}
-    return alphas, {weyl.encode(beta, d): r for r, beta in enumerate(rs.positive_roots)}
+    return {weyl.encode(beta, d): r for r, beta in enumerate(rs.positive_roots)}
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +112,8 @@ def build_quotient(
     multiplication is injective, and s*y = p would make y = w.  Elements
     come in order of length, so p's covers are known before w's.  The
     witness p^-1(alpha_k) is p's window translated through the table of
-    alpha_k, looked up in the root index of `root_tables`, and the lengths
-    are the pass's levels.
+    alpha_k, read from `weyl.generator_tables` as Deodhar's test reads it,
+    and looked up in `root_index`; the lengths are the pass's levels.
 
     The lower covers are kept flat, in order of target: those of w are
     positions start[w] to start[w+1] of the lists of sources and
@@ -132,7 +128,7 @@ def build_quotient(
     enumeration = weyl.enumerate_group(rs, nodes, j_q)
     elements = tuple(enumeration)
     left, descent, lengths = enumeration.left, enumeration.descent, enumeration.lengths
-    alphas, root_index = root_tables(rs)
+    tables, roots = weyl.generator_tables(rs), root_index(rs)
     sources, witnesses = [], []
     start = [0, 0]  # the identity has no lower cover
     for i in range(1, len(elements)):
@@ -140,7 +136,7 @@ def build_quotient(
         row = left[k]
         p = row[i]
         sources.append(p)
-        witnesses.append(root_index[elements[p].translate(alphas[k])])
+        witnesses.append(roots[elements[p].translate(tables[k].root_table)])
         # every lower cover y of p is one shorter than p, so s*y is one
         # longer than y when it is as long as p
         length = lengths[p]

@@ -125,6 +125,15 @@ class Fixture:
         return self.label
 
 
+def decimal(text: str) -> int:
+    """The int that `text` writes in ASCII decimal digits alone, for the
+    numeric fields of a label and the CLI's numeric flags: int() would
+    also take a sign, spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("not ASCII decimal digits: %r" % text)
+    return int(text)
+
+
 def parse_fixture(text: str) -> Fixture:
     """Parse "C,4,2,4" or "C4/P2+P4" into a fixture."""
     text = text.strip()
@@ -137,10 +146,7 @@ def parse_fixture(text: str) -> Fixture:
             if q[:1] != "P" or p[:1] != "P":
                 raise ValueError("node fields must start with P")
             t, n, q, p = head[0], head[1:], q[1:], p[1:]
-        if not all(f.isascii() and f.isdigit() for f in (n, q, p)):
-            # int() would take a sign, inner spaces, underscores and non-ASCII digits
-            raise ValueError("numeric fields must be ASCII decimal digits")
-        fields = t, int(n), int(q), int(p)
+        fields = t, decimal(n), decimal(q), decimal(p)
     except (ValueError, IndexError) as exc:
         raise FixtureError(
             "cannot parse fixture %r: expected TYPE,RANK,Q_NODE,P_NODE or e.g. C4/P2+P4" % text

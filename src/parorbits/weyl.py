@@ -32,8 +32,9 @@ in one pass (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping or adding
 descents.  Left multiplication acts on values: `signed_table` turns s*w,
 and the vector w^-1(v), into a 256-byte translation table, so that each
 is one `bytes.translate` of w, done in C; `generator_tables` builds these
-tables for the simple reflections once per root system, and `moved_heads`
-reads the first m entries of v*w off one, sorted in key order.
+tables for the simple reflections and their simple roots once per root
+system, and `moved_heads` reads the first m entries of v*w off one,
+sorted in key order.
 `enumerate_group` lists the windows of the minimal representatives of
 W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps s*w
 by Deodhar's test (one translated vector and one set lookup), builds no
@@ -159,22 +160,22 @@ def simple_reflection(rs: RootSystem, k: int) -> Window:
 
 
 class Generator(NamedTuple):
-    """A simple reflection s as translation tables (see `signed_table`)."""
+    """A simple reflection s_k and its simple root alpha_k as translation
+    tables (see `signed_table`), the one home of both."""
 
-    table: bytes  # signed table of the window of s
-    direction: bytes  # `_root_direction` of s, encoded
-    direction_table: bytes  # signed table of the direction
+    table: bytes  # signed table of the window of s_k
+    root: bytes  # alpha_k, encoded
+    root_table: bytes  # signed table of alpha_k
 
 
 @lru_cache(maxsize=None)
 def generator_tables(rs: RootSystem) -> Dict[int, Generator]:
-    """The tables of every simple reflection of `rs`, keyed by node, built
-    once per root system from the windows of `simple_reflection`."""
+    """The tables of every simple reflection of `rs` and of its simple
+    root, keyed by node, built once per root system."""
     out = {}
     for k in rs.nodes:
-        r = simple_reflection(rs, k)
-        direction = _root_direction(r)
-        out[k] = Generator(signed_table(r), direction, signed_table(direction))
+        root = encode(rs.simple_roots[k - 1], rs.dim)
+        out[k] = Generator(signed_table(simple_reflection(rs, k)), root, signed_table(root))
     return out
 
 
@@ -230,20 +231,6 @@ def signed_table(v: bytes) -> bytes:
     negated v reversed, the zero entry, and v itself."""
     below, above = _PIECES[len(v)]
     return b"".join((below, v[::-1].translate(_NEG), _ZERO, v, above))
-
-
-def _root_direction(r: Window) -> bytes:
-    """e_i - s(e_i) for the first coordinate i that the reflection s with
-    window r moves, which is <e_i, beta^vee> beta for the root beta of s.
-    For a simple reflection this is alpha_s itself, except for alpha_n = e_n
-    of B_n, which it doubles; alpha_n is the only short simple root of B_n
-    and w^-1 keeps lengths, so w^-1(alpha_s) = alpha_t holds exactly when
-    it holds for these vectors."""
-    i = next(i for i, y in enumerate(r) if y != OFFSET + 1 + i)
-    v = [0] * len(r)
-    v[i] += 1
-    v[_ABS[r[i]] - OFFSET - 1] -= 1 if r[i] > OFFSET else -1
-    return encode(v, len(r))
 
 
 def moved_heads(v: Window, windows: Iterable[Window], m: int) -> Iterator[bytes]:
@@ -411,7 +398,7 @@ def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]
     2.4.3), for w in W^J either s*w is in W^J or s*w = w*t for a t in J,
     and the latter holds exactly when w^-1(alpha_s) = alpha_t.  So s*w
     and that vector are each one `bytes.translate` of w through the
-    generator's tables, and the test is one set lookup.  This reaches all
+    tables of s and alpha_s, and the test is one set lookup.  This reaches all
     of W^J.  Each kept step changes the length by exactly 1, and every w
     in W^J of length l > 0 has a left descent s with s*w in W^J of length
     l - 1, so an element's breadth-first level is its length: levels are
@@ -433,9 +420,9 @@ def enumerate_group(rs: RootSystem, nodes: FrozenSet[int], j_set: FrozenSet[int]
     index and not `tuple.index`."""
     tables = generator_tables(rs)
     ks = _checked_nodes(rs, nodes)
-    j_roots = {tables[k].direction for k in _checked_nodes(rs, j_set)}
+    j_roots = {tables[t].root for t in _checked_nodes(rs, j_set)}
     rows: List[List[int]] = [[] for _ in ks]
-    steps = [(k, tables[k].table, tables[k].direction_table, row) for k, row in zip(ks, rows)]
+    steps = [(k, tables[k].table, tables[k].root_table, row) for k, row in zip(ks, rows)]
     index: Dict[Window, int] = {}
     lookup = index.get
     descent: List[int] = []

@@ -10,7 +10,9 @@ its first left descent.  The covers and witnesses that the recursion reads
 off these are checked against the all-roots loop in `test_covers.py`.
 `check_quotient` also compares the whole quotient with its tuple build
 in `tuples.py`, the enumerator and witness recursion as they ran before
-windows became bytes and covers became columns.
+windows became bytes and covers became columns, whose Deodhar test still
+reads the root directions of the simple reflections (alpha_s, doubled at
+the short node of B_n) where the library reads the simple roots.
 """
 
 from parorbits import weyl
@@ -24,8 +26,8 @@ def seen_set_levels(rs, nodes, j_set):
     breadth-first levels: keep s * w when it is new and Deodhar's test puts
     it in W^J."""
     tables = weyl.generator_tables(rs)
-    gens = [(tables[k].table, tables[k].direction_table) for k in sorted(nodes)]
-    j_roots = {tables[k].direction for k in j_set}
+    gens = [(tables[k].table, tables[k].root_table) for k in sorted(nodes)]
+    j_roots = {tables[k].root for k in j_set}
     level = [weyl.identity(rs)]
     seen = set(level)
     windows, lengths = [], []

@@ -11,8 +11,9 @@ the simple roots' nonzero entries.  `dense_reflection` computes the image
 of every e_k as a full vector, and `support_reflection`, the generic path
 that `weyl.reflection`'s closed form replaced, the image of each e_k on
 the root's support, then validates the window.
-`weyl.generator_tables` and `cosets.root_tables` are built once per root
-system; `fresh_signed_table` fills a signed table one entry at a time.
+`weyl.generator_tables`, each simple reflection with its simple root, and
+`cosets.root_index` are built once per root system; `fresh_signed_table`
+fills a signed table one entry at a time.
 The root system stores no supports: `supports` reads each root's support
 off its coroot coordinates, and `roots_inside` selects a Levi's roots by it.
 """

@@ -388,6 +388,16 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         # a negative cap would sweep no fixture of its type and still pass
         ["verify", "--max-rank-b", "-1"],
         ["list", "--max-rank-a", "-5"],
+        # a numeric flag holds ASCII digits only, as a label's fields do:
+        # int() takes an Arabic-Indic digit, a sign, a space and an underscore
+        ["strata", "--type", "C", "--rank", "\u0664", "--grassmannian", "2", "--cominuscule", "4"],
+        ["strata", "--type", "C", "--rank", "+4", "--grassmannian", "2", "--cominuscule", "4"],
+        ["diagram", "--type", "C", "--rank", "4", "--grassmannian", " 2", "--cominuscule", "4"],
+        ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2", "--cominuscule", "0_4"],
+        ["list", "--max-rank-a", "\u0662"],
+        ["list", "--max-rank-c", "+2"],
+        ["list", "--max-rank-b", " 3"],
+        ["list", "--max-rank-d", "0_4"],
         ["strata", "--type", "C", "--rank", "4", "--grassmannian", "2", "--certify", "off"],
         [],
     ):

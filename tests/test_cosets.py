@@ -16,7 +16,7 @@ from parorbits.rootsys import RANK_BOUNDS, build, components, degrees
 from caches import clear_caches
 from covers import cover_triples, with_covers
 from dynkin import subsets
-from roots import classical_systems, fresh_signed_table, roots_inside
+from roots import classical_systems, roots_inside
 from windows import draw_window, enc, identity
 
 FIXTURES = [
@@ -565,33 +565,31 @@ def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):
 
 
 def test_root_tables_match_a_fresh_recomputation():
-    # A1-A8, B2-B8, C2-C8 and D4-D8: the translation table of each simple
-    # root and the index of each positive root, keyed by its bytes
+    # A1-A8, B2-B8, C2-C8 and D4-D8: the index of each positive root, keyed
+    # by its bytes; the simple roots' tables are checked with the
+    # generators' in test_weyl.py
     for rs in classical_systems():
-        alphas, root_index = cosets.root_tables(rs)
-        assert sorted(alphas) == list(rs.nodes), rs
-        for k in rs.nodes:
-            assert alphas[k] == fresh_signed_table(rs.simple_root(k)), (rs, k)
+        root_index = cosets.root_index(rs)
         assert len(root_index) == len(rs.positive_roots), rs
         for r, beta in enumerate(rs.positive_roots):
             assert root_index[enc(beta)] == r, (rs, beta)
-        assert cosets.root_tables(rs)[1] is root_index
+        assert cosets.root_index(rs) is root_index
 
 
 def test_quotient_builds_make_no_signed_table(monkeypatch):
     # cold B6/P5+P1: X's quotient and its flag quotients read the tables
-    # that each root system builds once, 2 per node for the generators and
-    # 1 per node for the simple roots, and make no signed table themselves
+    # that each root system builds once, 2 per node, of the simple
+    # reflection and of the simple root, and make no signed table themselves
     fix = Fixture("B", 6, 5, 1)
     k_sets = sorted({frozenset(st.K) for st in strata.stratify(fix).strata}, key=sorted)
     assert len(k_sets) > 1
-    tables = (weyl.generator_tables, cosets.root_tables)
+    tables = (weyl.generator_tables, cosets.root_index)
     clear_caches()
     counts = _count_calls(monkeypatch, weyl, ("signed_table",))
     build_quotient(fix.rs, fix.j_q)
     for k_set in k_sets:
         build_quotient(fix.rs, k_set, fix.j_p)
-    assert counts["signed_table"] == 3 * fix.rs.rank, counts
+    assert counts["signed_table"] == 2 * fix.rs.rank, counts
     assert [t.cache_info().misses for t in tables] == [1, 1]
 
 

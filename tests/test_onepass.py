@@ -10,6 +10,7 @@ from parorbits.cosets import build_quotient
 from parorbits.fixtures import sweep_fixtures
 from parorbits.rootsys import RANK_BOUNDS, build
 
+from caches import clear_caches
 from onepass import check_quotient
 from windows import enc
 
@@ -62,12 +63,42 @@ def test_unresolved_placeholder_names_node_and_window(monkeypatch):
     # involution; its step up from (2,3,1) is never stepped back down
     rs = build("A", 2)
     real = weyl.generator_tables(rs)
-    cycle = weyl.Generator(weyl.signed_table(enc((2, 3, 1))), real[1].direction, real[1].direction_table)
+    cycle = real[1]._replace(table=weyl.signed_table(enc((2, 3, 1))))
     monkeypatch.setattr(weyl, "generator_tables", lambda rs: {**real, 1: cycle})
     with pytest.raises(weyl.WeylError, match=r"^left row of node 1 left unresolved at \(2,3,1\)$"):
         weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes), frozenset())
     monkeypatch.undo()
     assert len(weyl.enumerate_group.__wrapped__(rs, frozenset(rs.nodes), frozenset())) == 6
+
+
+@pytest.mark.parametrize(
+    "t, n, a, b, nodes, j_set",
+    [
+        # s_1 reads alpha_2: Deodhar's test keeps 4 windows where W^J has 2
+        ("A", 3, 1, 2, {1, 3}, {1}),
+        # s_3 of B3 reads alpha_2: the windows are right, the witnesses not
+        ("B", 3, 2, 3, {1, 3}, {1}),
+    ],
+    ids=["deodhar", "witnesses"],
+)
+def test_swapped_simple_roots_fail_the_oracle(monkeypatch, t, n, a, b, nodes, j_set):
+    # negative control: nodes a and b trade their simple roots in
+    # generator_tables; the tuple build, whose Deodhar test reads the root
+    # directions of the simple reflections, refuses the quotient
+    rs = build(t, n)
+    real = weyl.generator_tables(rs)
+
+    def trade(k, other):
+        return real[k]._replace(root=real[other].root, root_table=real[other].root_table)
+
+    swapped = {**real, a: trade(a, b), b: trade(b, a)}
+    clear_caches()
+    monkeypatch.setattr(weyl, "generator_tables", lambda rs: swapped)
+    with pytest.raises((AssertionError, weyl.WeylError)):
+        check_quotient(build_quotient(rs, frozenset(j_set), frozenset(nodes)))
+    monkeypatch.undo()
+    clear_caches()
+    check_quotient(build_quotient(rs, frozenset(j_set), frozenset(nodes)))
 
 
 def test_enumeration_is_the_tuple_of_its_elements():

@@ -304,13 +304,12 @@ def test_window_statistics_on_random_windows():
         u = others[0]
         assert dec(multiply(u, window)) == tuples.multiply(dec(u), w)
         gens = weyl.generator_tables(rs)
-        for k, (table, _, direction_table) in tuples.generator_tables(rs).items():
+        for k, (table, _, _) in tuples.generator_tables(rs).items():
             assert weyl._is_descent(rs, window, k) == tuples.is_descent(rs, w, k), (w, k)
-            # s_k * w, and w^-1 of s_k's root direction
+            # s_k * w, and w^-1(alpha_k)
             assert dec(window.translate(gens[k].table)) == itemgetter(*w)(table), (w, k)
-            assert dec(window.translate(gens[k].direction_table)) == itemgetter(*w)(
-                direction_table
-            ), (w, k)
+            alpha_table = tuples.signed_table(rs.simple_root(k))
+            assert dec(window.translate(gens[k].root_table)) == itemgetter(*w)(alpha_table), (w, k)
         v = rs.double_coweight(data.draw(st.sampled_from(rs.nodes)))
         assert act(window, v) == tuples.act(w, v)
         moved = window.translate(weyl.signed_table(enc(v)))  # w^-1(v)
@@ -372,8 +371,9 @@ def test_out_of_range_nodes_raise():
 
 
 def test_weyl_reads_no_root_vectors():
-    # the window statistics use the window's integers alone; the simple
-    # roots are read only to build the simple reflections
+    # the window statistics still use the window's integers alone; the
+    # simple roots are read only to build the simple reflections and, in
+    # generator_tables, the simple roots' own tables beside them
     tree = ast.parse(Path(weyl.__file__).read_text())
     readers = {}
     for top in tree.body:
@@ -384,22 +384,49 @@ def test_weyl_reads_no_root_vectors():
                 "simple_root",
             ):
                 readers.setdefault(node.attr, set()).add(getattr(top, "name", None))
-    assert readers == {"simple_roots": {"simple_reflection"}}
+    assert readers == {"simple_roots": {"simple_reflection", "generator_tables"}}
+
+
+def test_root_vectors_are_read_in_pinned_functions():
+    # outside rootsys, only these functions read a root vector: the simple
+    # reflections and generator_tables, the one home of the simple roots'
+    # tables (so cosets grows no second one), the norm of alpha_q in delta,
+    # the reflections in and the index of the positive roots, and the sum
+    # over them in the quantum degree
+    readers = {}
+    for path in Path(weyl.__file__).parent.glob("*.py"):
+        if path.stem == "rootsys":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                    "positive_roots",
+                    "simple_roots",
+                    "simple_root",
+                ):
+                    key = "%s.%s" % (path.stem, getattr(top, "name", None))
+                    readers.setdefault(key, set()).add(node.attr)
+    assert readers == {
+        "weyl.simple_reflection": {"simple_roots"},
+        "weyl.generator_tables": {"simple_roots"},
+        "strata.delta": {"simple_root"},
+        "cosets.reflection_by_index": {"positive_roots"},
+        "cosets.root_index": {"positive_roots"},
+        "seidel.quantum_q_degree": {"positive_roots"},
+    }
 
 
 def test_generator_tables_match_a_fresh_recomputation():
-    # each node's tables, from the dense reflection in alpha_k; the root
-    # direction is alpha_k itself, doubled only at the short node n of B_n
+    # each node's tables, from the dense reflection in alpha_k and from
+    # alpha_k itself, at every node, the short node n of B_n included
     for rs in classical_systems():
         tables = weyl.generator_tables(rs)
         assert sorted(tables) == list(rs.nodes), rs
         for k, gen in tables.items():
             alpha = rs.simple_root(k)
-            scale = 2 if rs.type_label == "B" and k == rs.rank else 1
-            direction = tuple(scale * x for x in alpha)
             assert gen.table == fresh_signed_table(dense_reflection(rs, alpha)), (rs, k)
-            assert gen.direction == enc(direction), (rs, k)
-            assert gen.direction_table == fresh_signed_table(direction), (rs, k)
+            assert gen.root == enc(alpha), (rs, k)
+            assert gen.root_table == fresh_signed_table(alpha), (rs, k)
         assert weyl.generator_tables(rs) is tables
 
 

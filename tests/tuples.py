@@ -78,6 +78,13 @@ def min_rep(rs, window, j_set):
 
 
 def _root_direction(r):
+    """e_i - s(e_i) for the first coordinate i that the reflection with
+    window r moves: alpha_s for a simple reflection s, except alpha_n = e_n
+    of B_n, which it doubles.  alpha_n is B_n's only short simple root and
+    w^-1 keeps lengths, so Deodhar's test w^-1(alpha_s) = alpha_t holds
+    exactly when it holds for these vectors; the enumerator here keeps
+    this rule, which the library ran before it read the simple roots, as
+    an oracle for the one it runs."""
     i = next(i for i, b in enumerate(r) if b != i + 1)
     v = [0] * len(r)
     v[i] += 1
