@@ -113,7 +113,8 @@ def build_quotient(
     come in order of length, so p's covers are known before w's.  The
     witness p^-1(alpha_k) is p's window translated through the table of
     alpha_k, read from `weyl.generator_tables` as Deodhar's test reads it,
-    and looked up in `root_index`; the lengths are the pass's levels.
+    and looked up in `root_index`, where a miss raises CosetError naming
+    node k, the class p and the vector; the lengths are the pass's levels.
 
     The lower covers are kept flat, in order of target: those of w are
     positions start[w] to start[w+1] of the lists of sources and
@@ -136,7 +137,14 @@ def build_quotient(
         row = left[k]
         p = row[i]
         sources.append(p)
-        witnesses.append(roots[elements[p].translate(tables[k].root_table)])
+        beta = elements[p].translate(tables[k].root_table)
+        r = roots.get(beta)
+        if r is None:
+            raise CosetError(
+                "witness %s of node %d at %s is not a positive root"
+                % (weyl.window_str(beta), k, weyl.name(rs, elements[p]))
+            )
+        witnesses.append(r)
         # every lower cover y of p is one shorter than p, so s*y is one
         # longer than y when it is as long as p
         length = lengths[p]

@@ -5,8 +5,10 @@ with a cominuscule node p_node defining the acting parabolic P.  Fixture
 labels follow the convention "<Type><rank>/P<q_node>+P<p_node>".  The
 family's Picard-rank-two exclusion, sweep and space names live only here.
 
-A quotient is enumerated without its Weyl group, yet |W| > `MAX_GROUP_ORDER` is refused:
-the covers and the interval certificates have no measured budget past rank 6.
+Every set a fixture enumerates, X's quotient W^Q or a flag quotient inside
+a stratum (a bijective image of part of W^Q), has at most |W^Q| elements,
+so a fixture is refused by |W^Q| (`quotient_size`) and by its rank, before
+its root system is built.
 """
 
 from __future__ import annotations
@@ -21,24 +23,41 @@ class FixtureError(ValueError):
     """Fixture outside the supported classical families."""
 
 
-#: Largest Weyl group a fixture may enumerate: |W(B6)| = |W(C6)| = 46,080.
-#: It admits every fixture of rank <= 6 and A7 (|W| = 40,320); A8 and every
-#: B, C, D of rank >= 7 are refused.
-MAX_GROUP_ORDER = 46_080
+#: Largest quotient W^Q a fixture may enumerate.  It admits every fixture of
+#: rank <= 10 (the largest is C10/P7, 15,360 classes) and C11/P5.
+MAX_QUOTIENT_SIZE = 16_384
+
+#: Largest rank a fixture may have: the bound on |W^Q| alone would admit
+#: C2000/P1, 4,000 classes, whose first read of the roots grows as rank^3.
+MAX_RANK = 64
 
 #: Default rank cap of each type in a sweep.
 DEFAULT_MAX_RANK = 5
 
 
-def group_order(type_label: str, rank: int) -> int:
-    """|W|, the product of `rootsys.degrees`, stopped once past `MAX_GROUP_ORDER`
-    (then a lower bound): an absurd rank is refused at once."""
-    order = 1
-    for k in rootsys.degrees(type_label, rank):
-        order *= k
-        if order > MAX_GROUP_ORDER:
+def quotient_size(type_label: str, rank: int, q_node: int) -> int:
+    """|W^Q| for Q = P_(q_node), in closed form: C(n+1, m) in type A,
+    2^(n-1) at the spin nodes m >= n-1 of D_n, and 2^m C(n, m) otherwise,
+    with m = q_node.  It is a product stopped once past `MAX_QUOTIENT_SIZE`
+    (then a lower bound), so that an absurd rank is refused at once."""
+    n, m = rank, q_node
+    if type_label == "A":
+        top, doubling = n + 1, 0
+    elif type_label == "D" and m >= n - 1:
+        top, doubling, m = n, n - 1, 0
+    else:
+        top, doubling = n, m
+    m = min(m, top - m)  # C(top, j) for j <= m doubles at least every step
+    size = 1
+    for j in range(1, m + 1):
+        size = size * (top - m + j) // j
+        if size > MAX_QUOTIENT_SIZE:
+            return size
+    for _ in range(doubling):
+        size *= 2
+        if size > MAX_QUOTIENT_SIZE:
             break
-    return order
+    return size
 
 
 def _picard_rank_two(type_label: str, rank: int, q_node: int) -> bool:
@@ -70,22 +89,25 @@ class Fixture:
 
     def __init__(self, type_label: str, rank: int, q_node: int, p_node: int) -> None:
         rootsys.check_rank(type_label, rank)
-        if group_order(type_label, rank) > MAX_GROUP_ORDER:
-            raise FixtureError(
-                "%s%d: |W| exceeds the enumeration bound %d" % (type_label, rank, MAX_GROUP_ORDER)
-            )
-        rs = rootsys.build(type_label, rank)
         n = rank
+        if n > MAX_RANK:
+            raise FixtureError("%s%d: rank exceeds the bound %d" % (type_label, n, MAX_RANK))
         if not 1 <= q_node <= n:
             raise FixtureError("q_node %d out of range 1..%d" % (q_node, n))
         if _picard_rank_two(type_label, n, q_node):
             raise FixtureError("D_%d with q_node %d has Picard rank 2 -- excluded" % (n, n - 1))
+        if quotient_size(type_label, n, q_node) > MAX_QUOTIENT_SIZE:
+            raise FixtureError(
+                "%s%d/P%d: |W^Q| exceeds the enumeration bound %d"
+                % (type_label, n, q_node, MAX_QUOTIENT_SIZE)
+            )
         allowed = rootsys.cominuscule_nodes(type_label, n)
         if p_node not in allowed:
             raise FixtureError(
                 "node %d is not cominuscule for %s_%d (allowed: %s)"
                 % (p_node, type_label, n, sorted(allowed))
             )
+        rs = rootsys.build(type_label, rank)
         nodes = frozenset(rs.nodes)
         # in the order of __slots__
         values = (type_label, rank, q_node, p_node, rs, nodes - {q_node}, nodes - {p_node})

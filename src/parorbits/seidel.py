@@ -43,8 +43,8 @@ def v_elt(rs: RootSystem, i: int) -> Window:
     Certified exactly at every rank.  The stabiliser of the dominant
     coweight omega_i^vee is W_J, so the solutions u of u * omega_i^vee =
     w_0 * omega_i^vee form the coset w_0 W_J; its shortest element is the
-    unique one with no right descent in J.  Both conditions are checked,
-    the first on 2 omega_i^vee, the second by `weyl.first_descent`.
+    unique one with no right descent in J.  Both conditions are checked, the
+    first by `strata.coweight_table`, the second by `weyl.first_descent`.
     """
     if i not in rootsys.cominuscule_nodes(rs.type_label, rs.rank):
         raise SeidelError(
@@ -53,8 +53,10 @@ def v_elt(rs: RootSystem, i: int) -> Window:
     j_set = [k for k in rs.nodes if k != i]
     w0 = weyl.longest(rs, rs.nodes)
     v = weyl.min_rep(rs, w0, j_set)
-    omega2 = rs.double_coweight(i)
-    if weyl.act(v, omega2) != weyl.act(w0, omega2):
+    omega2, table = strata.coweight_table(rs, i)
+    # w_0 is an involution, so (w_0 v)^-1 = v^-1 w_0, which fixes
+    # 2 omega_i^vee exactly when v and w_0 move it alike
+    if weyl.multiply(w0, v).translate(table) != weyl.encode(omega2, rs.dim):
         raise SeidelError("Seidel element fails its coweight equation at node %d" % i)
     if weyl.first_descent(rs, v, j_set):
         raise SeidelError(

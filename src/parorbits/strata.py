@@ -49,9 +49,10 @@ class StrataError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], bytes]:
+def coweight_table(rs: RootSystem, node: int) -> Tuple[Tuple[int, ...], bytes]:
     """2 omega_node^vee and its translation table (`weyl.signed_table`),
-    built once per root system."""
+    built once per root system: a window w moves it to w^-1(2 omega_node^vee)
+    by one `bytes.translate` through the table, for `delta` and `seidel.v_elt`."""
     omega2 = rs.double_coweight(node)
     return omega2, weyl.signed_table(weyl.encode(omega2, rs.dim))
 
@@ -73,7 +74,7 @@ def delta(fix: Fixture, pq: ParabolicQuotient) -> Tuple[int, ...]:
     lies in the coroot lattice), and twice the exponent is even and
     >= 0.  A failure raises StrataError naming the class by `weyl.name`."""
     rs, q = fix.rs, fix.q_node
-    omega2, table = _coweight_table(rs, fix.p_node)
+    omega2, table = coweight_table(rs, fix.p_node)
     weights = rs.double_coweight(q)
     alpha = rs.simple_root(q)
     scale = rootsys.pair(alpha, alpha)

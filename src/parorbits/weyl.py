@@ -31,10 +31,10 @@ so `min_rep` and `longest` put each block in its shortest or longest order
 in one pass (Bjorner-Brenti 2.4, 8.1-8.2) instead of stripping or adding
 descents.  Left multiplication acts on values: `signed_table` turns s*w,
 and the vector w^-1(v), into a 256-byte translation table, so that each
-is one `bytes.translate` of w, done in C; `generator_tables` builds these
-tables for the simple reflections and their simple roots once per root
-system, and `moved_heads` reads the first m entries of v*w off one,
-sorted in key order.
+is one `bytes.translate` of w, done in C, the one action of a window on a
+vector; `generator_tables` builds the tables of the simple reflections and
+roots once per root system, `strata.coweight_table` those of the doubled
+coweights, and `moved_heads` reads the first m entries of v*w off one.
 `enumerate_group` lists the windows of the minimal representatives of
 W_L / W_J in one breadth-first pass, without enumerating W_L: it keeps s*w
 by Deodhar's test (one translated vector and one set lookup), builds no
@@ -240,20 +240,6 @@ def moved_heads(v: Window, windows: Iterable[Window], m: int) -> Iterator[bytes]
     table = signed_table(v).translate(_KEY)
     for w in windows:
         yield bytes(sorted(w[:m].translate(table))).translate(_UNKEY)
-
-
-def act(window: Window, v: Sequence) -> Tuple:
-    """Signed-permutation action of the window on an ambient (co)weight
-    vector of the same dimension, a tuple of ints."""
-    if len(v) != len(window):
-        raise WeylError("vector has dimension %d, expected %d" % (len(v), len(window)))
-    out = [0] * len(window)
-    for pos, y in enumerate(window):
-        if y > OFFSET:
-            out[y - OFFSET - 1] = v[pos]
-        else:
-            out[OFFSET - 1 - y] = -v[pos]
-    return tuple(out)
 
 
 def first_descent(rs: RootSystem, window: Window, nodes: Sequence[int]) -> int:

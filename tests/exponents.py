@@ -106,11 +106,11 @@ def reversed_delta(real):
 
 
 def offset_coweight_table(fix, twice):
-    """A stand-in for `strata._coweight_table` under which the doubled
+    """A stand-in for `strata.coweight_table` under which the doubled
     exponent of every class of `fix` is shifted by `twice`, for negative
     controls on the checks of `strata.delta`: 2 omega_p^vee moves along a
     coordinate where 2 omega_q^vee is nonzero, and its signed table stays."""
-    real = strata._coweight_table
+    real = strata.coweight_table
     rs = fix.rs
     weights = rs.double_coweight(fix.q_node)
     alpha = rs.simple_root(fix.q_node)

@@ -4,12 +4,9 @@ controls: two images swapped, sigma shifted by one node, and one
 left-row pair fixed.
 """
 
-from math import factorial
-
 import pytest
 
 from parorbits import rootsys, seidel, strata, weyl
-from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import parse_fixture, sweep_fixtures
 
 from affine import law_holds, sigma
@@ -21,17 +18,14 @@ RANK_EIGHT = ("C8/P4+P8", "D8/P4+P8", "B8/P7+P1")
 @pytest.fixture(scope="module")
 def tables():
     """(fixture, X's left rows, the Seidel table, v, sigma) for every
-    fixture of the caps-6 sweep and three of rank 8, the bound on |W|
-    lifted while they are built."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
-        fixtures = sweep_fixtures(6, 6, 6, 6) + [parse_fixture(label) for label in RANK_EIGHT]
-        out = []
-        for fix in fixtures:
-            strat = strata.stratify(fix)
-            v = seidel.v_elt(fix.rs, fix.p_node)
-            perm = seidel.seidel_table(strat, v)
-            out.append((fix, strat.pq.left, perm, v, sigma(fix.rs, v, fix.p_node)))
+    fixture of the caps-6 sweep and three of rank 8."""
+    fixtures = sweep_fixtures(6, 6, 6, 6) + [parse_fixture(label) for label in RANK_EIGHT]
+    out = []
+    for fix in fixtures:
+        strat = strata.stratify(fix)
+        v = seidel.v_elt(fix.rs, fix.p_node)
+        perm = seidel.seidel_table(strat, v)
+        out.append((fix, strat.pq.left, perm, v, sigma(fix.rs, v, fix.p_node)))
     assert len(out) == 170
     return out
 

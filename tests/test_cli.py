@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from parorbits import cli, cosets, decomp, seidel, strata, weyl
+from parorbits import cli, cosets, decomp, rootsys, seidel, strata, weyl
 from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtures
 
+from corruptions import simple_root_tables_swapped
 from exponents import bumped_delta, offset_coweight_table
 from roots import roots_inside
 
@@ -260,6 +261,15 @@ def test_non_additive_cell_map_refused(monkeypatch, capsys):
     _refused_by_phi_map_and_diagram(capsys, "cell map is not length-additive")
 
 
+def test_witness_outside_the_positive_roots_exits_2(monkeypatch, capsys, cold):
+    # a CosetError, so a failed verification: one error line, no traceback
+    assert simple_root_tables_swapped(Fixture("C", 3, 3, 3), monkeypatch)
+    argv = ["diagram", "--type", "C", "--rank", "3", "--grassmannian", "3", "--cominuscule", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: witness (-1,1,0) of node 2 at WC3(2,1,-3) is not a positive root\n"
+
+
 def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     # a valid fixture reaches StrataError only as a failed invariant
     fix = Fixture("C", 4, 2, 4)
@@ -270,7 +280,7 @@ def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: stratum exponent not constant") and err.count("\n") == 1
     monkeypatch.undo()
-    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(fix, 3))
+    monkeypatch.setattr(strata, "coweight_table", offset_coweight_table(fix, 3))
     code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: stratum exponent 3/2") and err.count("\n") == 1
@@ -435,21 +445,41 @@ def test_help_exits_0(capsys):
 
 
 def test_group_size_bound_refused_before_enumeration(monkeypatch, capsys):
-    def unreachable(*args):
-        raise AssertionError("enumerate_group reached for %r" % (args,))
+    # a quotient past the bound on |W^Q|, or a rank past the cap, is refused
+    # before its root system is built, let alone a quotient enumerated
+    def unreachable(name):
+        def refuse(*args):
+            raise AssertionError("%s reached for %r" % (name, args))
 
-    monkeypatch.setattr(weyl, "enumerate_group", unreachable)
-    for argv in (
-        ["diagram", "--type", "C", "--rank", "12", "--grassmannian", "3", "--cominuscule", "12"],
-        ["strata", "--type", "A", "--rank", "8", "--grassmannian", "4"],
-        ["verify", "--fixture", "B7/P3+P1"],
-        # refused without computing |W| = 2^n n! or printing its thousands of digits
-        ["diagram", "--type", "C", "--rank", "2000", "--grassmannian", "1"],
-        ["strata", "--type", "D", "--rank", str(10**6), "--grassmannian", "2", "--cominuscule", "1"],
+        return refuse
+
+    monkeypatch.setattr(rootsys, "build", unreachable("rootsys.build"))
+    monkeypatch.setattr(weyl, "enumerate_group", unreachable("enumerate_group"))
+    for argv, refusal in (
+        (
+            ["diagram", "--type", "C", "--rank", "11", "--grassmannian", "6", "--cominuscule", "11"],
+            "C11/P6: |W^Q| exceeds the enumeration bound 16384",
+        ),
+        (
+            ["strata", "--type", "A", "--rank", "16", "--grassmannian", "8"],
+            "A16/P8: |W^Q| exceeds the enumeration bound 16384",
+        ),
+        (["verify", "--fixture", "B12/P6+P1"], "B12/P6: |W^Q| exceeds the enumeration bound 16384"),
+        # |W^Q| = 4,000 is within the bound, but the rank is not
+        (
+            ["diagram", "--type", "C", "--rank", "2000", "--grassmannian", "1"],
+            "C2000: rank exceeds the bound 64",
+        ),
+        (
+            ["strata", "--type", "D", "--rank", str(10**6), "--grassmannian", "2", "--cominuscule", "1"],
+            "D1000000: rank exceeds the bound 64",
+        ),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1.0, argv
-        assert (code, out) == (1, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        assert "exceeds the enumeration bound 46080" in err
+        assert (code, out, err) == (1, "", "error: %s\n" % refusal), argv
+    monkeypatch.undo()
+    # a sweep is refused at its first fixture past the bound
+    code, out, err = run_cli(capsys, ["list", "--max-rank-c", "11"])
+    assert (code, out, err) == (1, "", "error: C11/P6: |W^Q| exceeds the enumeration bound 16384\n")

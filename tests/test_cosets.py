@@ -14,6 +14,7 @@ from parorbits.fixtures import Fixture, FixtureError, parse_fixture, sweep_fixtu
 from parorbits.rootsys import RANK_BOUNDS, build, components, degrees
 
 from caches import clear_caches
+from corruptions import simple_root_tables_swapped
 from covers import cover_triples, with_covers
 from dynkin import subsets
 from roots import classical_systems, roots_inside
@@ -61,6 +62,17 @@ def test_cover_witnesses():
             s = cosets.reflection_by_index(pq.rs, r)
             assert weyl.multiply(u, s) == w
             assert weyl._length(pq.rs, w) == weyl._length(pq.rs, u) + 1
+
+
+def test_witness_outside_the_positive_roots_is_refused(monkeypatch, cold):
+    # the simple roots of nodes 1 and 2 swapped in the generator tables: a
+    # cover's witness p^-1(alpha_k) of C3/P3 leaves Phi^+, and is refused
+    # by node, class and vector rather than escaping as a KeyError
+    fix = Fixture("C", 3, 3, 3)
+    assert simple_root_tables_swapped(fix, monkeypatch)
+    with pytest.raises(cosets.CosetError) as refused:
+        build_quotient(fix.rs, fix.j_q)
+    assert str(refused.value) == "witness (-1,1,0) of node 2 at WC3(2,1,-3) is not a positive root"
 
 
 def test_double_coset_examples():
@@ -497,8 +509,9 @@ def test_quotients_build_no_throwaway_elements(monkeypatch):
 @pytest.mark.parametrize("label", ["C4/P2+P4", "B4/P3+P1", "D5/P5+P1"])
 def test_subcommand_paths_build_no_element_per_class(monkeypatch, cold, label):
     # from cold caches, the strata report, the Seidel table and the plain
-    # diagrams make no window product: classes stay windows, and the Seidel
-    # table carries each class's head through the signed table of v
+    # diagrams make no window product per class: classes stay windows, and
+    # the Seidel table carries each class's head through the signed table
+    # of v; the one product is w_0 v, the Seidel element's certificate
     fix = parse_fixture(label)
     counts = _count_calls(monkeypatch, weyl, ("multiply",))
     strat = strata.stratify(fix)
@@ -508,26 +521,25 @@ def test_subcommand_paths_build_no_element_per_class(monkeypatch, cold, label):
     assert len(seidel.table_rows(fix)) == len(pq.elements)
     for fmt in ("dot", "tikz", "json"):
         assert emit_plain(fix, fmt), fmt
-    assert counts["multiply"] == 0, counts
+    assert counts["multiply"] == 1, counts
     # the spy is live
     weyl.multiply(pq.elements[1], pq.elements[1])
-    assert counts["multiply"] == 1, counts
+    assert counts["multiply"] == 2, counts
 
 
 def test_stratify_makes_no_window_product(monkeypatch, cold):
     # cold B6/P5+P1: delta reads w^-1 through a signed table, and K and the
     # orbits come off the left-action table
     fix = Fixture("B", 6, 5, 1)
-    counts = _count_calls(monkeypatch, weyl, ("act", "multiply"))
+    counts = _count_calls(monkeypatch, weyl, ("multiply",))
     strat = strata.stratify(fix)
     pq = strat.pq
     assert len(pq.elements) == 192 and len(strat.strata) == 3
-    assert counts == {"act": 0, "multiply": 0}, counts
-    # the spies are live
+    assert counts == {"multiply": 0}, counts
+    # the spy is live
     w = pq.elements[1]
-    weyl.act(w, fix.rs.simple_root(1))
     weyl.multiply(w, w)
-    assert counts == {"act": 1, "multiply": 1}, counts
+    assert counts == {"multiply": 1}, counts
 
 
 def test_chevalley_witness_check_builds_no_element(monkeypatch, cold):

@@ -43,8 +43,8 @@ def test_covers_match_all_roots_oracle(t, n):
 
 @pytest.mark.parametrize("t,n", [(t, n) for t in "ABCD" for n in (7, 8)])
 def test_covers_match_all_roots_oracle_on_maximal_quotients(t, n):
-    # built through rootsys.build, not a Fixture, so the bound on |W| that
-    # fixtures apply does not stop rank 7 or 8
+    # built through rootsys.build, not a Fixture, so every q is reached,
+    # D_n/P_(n-1) included
     rs = build(t, n)
     nodes = frozenset(rs.nodes)
     for q in rs.nodes:

@@ -17,9 +17,8 @@ from windows import enc
 
 @pytest.mark.parametrize("t", "ABCD")
 def test_one_pass_matches_oracle_on_maximal_quotients(t):
-    # A1-A8, B2-B8, C2-C8 and D4-D8, every q (D_n/P_(n-1) included); built
-    # through rootsys.build, not a Fixture, so the bound on |W| that
-    # fixtures apply does not stop rank 7 or 8
+    # A1-A8, B2-B8, C2-C8 and D4-D8, every q (D_n/P_(n-1) included, as
+    # they are built through rootsys.build, not a Fixture)
     for n in range(RANK_BOUNDS[t], 9):
         rs = build(t, n)
         nodes = frozenset(rs.nodes)

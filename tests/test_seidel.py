@@ -1,10 +1,9 @@
 from collections import Counter
-from math import factorial, lcm
+from math import lcm
 
 import pytest
 
 from parorbits import cli, cosets, rootsys, seidel, strata, verify, weyl
-from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.rootsys import build
 from parorbits.seidel import (
@@ -15,10 +14,11 @@ from parorbits.seidel import (
     v_elt,
 )
 
+import tuples
 from cases import stratum_count
 from exponents import delta
 from weights import q_degree_by_fixture
-from windows import enc, identity, strip_descents
+from windows import dec, enc, identity, strip_descents
 from words import from_word, reduced_word, table_by_rows
 
 FIXTURES = [
@@ -55,7 +55,7 @@ def test_v_elt_examples():
     assert weyl._length(c4, v4) == 10
     omega = c4.double_coweight(4)
     w0 = weyl.longest(c4, c4.nodes)
-    assert weyl.act(v4, omega) == weyl.act(w0, omega)
+    assert tuples.act(dec(v4), omega) == tuples.act(dec(w0), omega)
 
 
 def test_v_elt_rejects_non_cominuscule():
@@ -83,10 +83,22 @@ def test_v_elt_not_minimal_names_the_element(monkeypatch, cold):
         assert str(refused.value) == "Seidel element %s of node %d is not minimal in w_0 W_J" % (name, i)
 
 
+def test_v_elt_off_its_coweight_equation_is_refused(monkeypatch, cold):
+    # min_rep returning the identity leaves v = e, with no right descent at
+    # all, but e fixes 2 omega_i^vee and w_0 does not: the product w_0 v
+    # read through the coweight's table is refused
+    monkeypatch.setattr(weyl, "min_rep", lambda rs, window, j_set: weyl.identity(rs))
+    for t, n, i in (("C", 4, 4), ("A", 3, 1), ("D", 5, 1), ("B", 3, 1)):
+        with pytest.raises(SeidelError) as refused:
+            v_elt(build(t, n), i)
+        assert str(refused.value) == "Seidel element fails its coweight equation at node %d" % i
+
+
 def test_seidel_element_built_once_per_node(monkeypatch, cold):
     # the type-A report asks for the 10 Seidel elements of A1-A4: each is
-    # built once, w_0 by one block pass, and runs its own certificate, two
-    # coweight images and one descent search; asked again, it is cached
+    # built once, w_0 by one block pass, and runs its own certificate, one
+    # product w_0 v read through the coweight's table and one descent
+    # search; asked again, it is cached
     calls = Counter()
 
     def spy(name):
@@ -98,24 +110,24 @@ def test_seidel_element_built_once_per_node(monkeypatch, cold):
 
         return counted
 
-    for name in ("longest", "act", "first_descent"):
+    for name in ("longest", "multiply", "first_descent"):
         monkeypatch.setattr(weyl, name, spy(name))
     assert verify.type_a_composition_report(4)["pass"]
-    assert calls == {"longest": 10, "act": 20, "first_descent": 10}, calls
+    assert calls == {"longest": 10, "multiply": 10, "first_descent": 10}, calls
     assert verify.type_a_composition_report(4)["pass"]
-    assert calls == {"longest": 10, "act": 20, "first_descent": 10}, calls
+    assert calls == {"longest": 10, "multiply": 10, "first_descent": 10}, calls
     # a second root system of the same rank gets its own
     assert v_elt(build("C", 4), 4) == enc((-4, -3, -2, -1))
-    assert calls == {"longest": 11, "act": 22, "first_descent": 11}, calls
+    assert calls == {"longest": 11, "multiply": 11, "first_descent": 11}, calls
 
 
 def _brute_force_seidel_element(rs, i):
     """Test-only oracle: the shortest solution of the coweight equation,
     found by scanning the whole group, with the number of such solutions."""
     omega = rs.double_coweight(i)
-    target = weyl.act(weyl.longest(rs, rs.nodes), omega)
+    target = tuples.act(dec(weyl.longest(rs, rs.nodes)), omega)
     group = weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset())
-    solutions = [u for u in group if weyl.act(u, omega) == target]
+    solutions = [u for u in group if tuples.act(dec(u), omega) == target]
     shortest = min(weyl._length(rs, u) for u in solutions)
     return [u for u in solutions if weyl._length(rs, u) == shortest]
 
@@ -197,12 +209,10 @@ def _seidel_apply_oracle(v, w, fix):
     return delta(fix, w), strip_descents(fix.rs, weyl.multiply(v, w), fix.j_q)
 
 
-def test_seidel_table_matches_per_class_oracle(monkeypatch):
+def test_seidel_table_matches_per_class_oracle():
     fixtures = sweep_fixtures(5, 5, 5, 5) + [parse_fixture("D6/P3+P6"), parse_fixture("B6/P5+P1")]
     assert len(fixtures) == 106
-    # past rank 6, with the bound on |W| lifted: the head rule is checked
-    # where the sweep does not reach
-    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
+    # past rank 6: the head rule is checked where the sweep does not reach
     fixtures += [parse_fixture(label) for label in ("C7/P3+P7", "D7/P3+P7", "B8/P7+P1")]
     for fix in fixtures:
         v = v_elt(fix.rs, fix.p_node)
@@ -241,12 +251,10 @@ def test_seidel_table_strips_no_descents(monkeypatch, cold):
     assert list(seidel_table(blind, v)) == images and calls == []
 
 
-def test_shared_seidel_elements_and_words_match_fresh_ones(monkeypatch):
-    # every fixture of the caps-8 sweep, with the bound on |W| lifted: the
-    # cached Seidel element is the one built afresh, and the table read
-    # off the heads is the one composed from the left rows along a reduced
-    # word of it
-    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))  # |W(B8)|
+def test_shared_seidel_elements_and_words_match_fresh_ones():
+    # every fixture of the caps-8 sweep: the cached Seidel element is the
+    # one built afresh, and the table read off the heads is the one
+    # composed from the left rows along a reduced word of it
     fixtures = sweep_fixtures(8, 8, 8, 8)
     assert len(fixtures) == 349
     for fix in fixtures:

@@ -6,7 +6,14 @@ import pytest
 
 from parorbits import cosets, rootsys, strata, weyl
 from parorbits import fixtures as fixtures_module
-from parorbits.fixtures import MAX_GROUP_ORDER, Fixture, FixtureError, group_order, sweep_fixtures
+from parorbits.fixtures import (
+    MAX_QUOTIENT_SIZE,
+    MAX_RANK,
+    Fixture,
+    FixtureError,
+    quotient_size,
+    sweep_fixtures,
+)
 from parorbits.strata import (
     K_of,
     StrataError,
@@ -19,13 +26,14 @@ from parorbits.strata import (
     stratum_json,
 )
 
+import tuples
 from cases import d_of, expected_fiber_dim, ladder_table, stratum_count
 from exponents import d_geometric as oracle_statistic
 from exponents import delta as oracle_delta
 from exponents import eta, offset_coweight_table
 from dynkin import flag_components, subsets
 from roots import roots_inside
-from windows import enc, identity, inverse, k_by_root_scan
+from windows import dec, enc, identity, inverse, k_by_root_scan
 
 
 def _deltas(fix):
@@ -48,12 +56,12 @@ def test_delta_rejects_odd_doubled_exponent(monkeypatch):
     # identity, its first class, gets 3, then -2
     ig = Fixture("C", 4, 2, 4)
     pq = cosets.build_quotient(ig.rs, ig.j_q)
-    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, 3))
+    monkeypatch.setattr(strata, "coweight_table", offset_coweight_table(ig, 3))
     with pytest.raises(StrataError, match=r"3/2 at WC4\(1,2,3,4\)") as refused:
         delta(ig, pq)
     assert str(refused.value) == "stratum exponent 3/2 at WC4(1,2,3,4) is not a non-negative integer"
     monkeypatch.undo()
-    monkeypatch.setattr(strata, "_coweight_table", offset_coweight_table(ig, -2))
+    monkeypatch.setattr(strata, "coweight_table", offset_coweight_table(ig, -2))
     with pytest.raises(StrataError, match="-2/2 at .* not a non-negative integer"):
         delta(ig, pq)
 
@@ -63,13 +71,13 @@ def test_delta_rejects_moves_off_the_coroot_lattice_and_span(monkeypatch):
     # the move pairs to a half-integer coefficient on alpha_4^vee = 2 e_4
     # of B4, and in type A it leaves the sum-zero span of the coroots
     og = Fixture("B", 4, 4, 1)
-    real = strata._coweight_table
+    real = strata.coweight_table
 
     def shifted(rs, node):
         omega2, signed = real(rs, node)
         return (omega2[0] + 1,) + omega2[1:], signed
 
-    monkeypatch.setattr(strata, "_coweight_table", shifted)
+    monkeypatch.setattr(strata, "coweight_table", shifted)
     with pytest.raises(StrataError, match=r"WB4\(1,2,3,4\) is outside the coroot lattice at node 4"):
         delta(og, cosets.build_quotient(og.rs, og.j_q))
     g24 = Fixture("A", 3, 2, 2)
@@ -120,9 +128,9 @@ def test_stratum_count_matches_strata():
 
 def test_orbit_table_matches_case_ladders_up_to_rank_12(monkeypatch):
     # every (type, n, q, p) of the family up to rank 12, with the bound on
-    # |W| lifted: the table needs no quotient, so it is checked far past
-    # the ranks that the sweep enumerates
-    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**12 * factorial(12))  # |W(B12)|
+    # |W^Q| lifted to |W(B12)|: the table needs no quotient, so it is
+    # checked past the quotients that the bound admits
+    monkeypatch.setattr(fixtures_module, "MAX_QUOTIENT_SIZE", 2**12 * factorial(12))
     fixtures = sweep_fixtures(12, 12, 12, 12)
     assert len(fixtures) == 993
     for fix in fixtures:
@@ -213,7 +221,7 @@ def test_K_and_delta_match_root_vector_scans():
             assert st.K == K_of(pq, fix.j_p, w_min) == k_by_root_scan(pq, fix.j_p, w_min), (fix.label, st.delta)
             for k in st.members:
                 w = pq.elements[k]
-                moved = weyl.act(inverse(w), omega2)
+                moved = tuples.act(dec(inverse(w)), omega2)
                 twice = eta(fix.rs, tuple(a - b for a, b in zip(omega2, moved)), fix.q_node)
                 assert 2 * deltas[k] == twice, (fix.label, w)
 
@@ -368,26 +376,43 @@ def test_invalid_fixtures_rejected():
         Fixture("C", 4, 5, 4)  # q_node out of range
 
 
-def test_group_order_bound():
-    for t, n in (("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4)):
+def test_quotient_size_bound(monkeypatch):
+    # the closed form of |W^Q| against the enumerated quotient at every
+    # node, the spin nodes of D_4 and D_5 among them
+    for t, n in (("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5)):
         rs = rootsys.build(t, n)
-        assert group_order(t, n) == len(weyl.enumerate_group(rs, frozenset(rs.nodes), frozenset()))
-    assert max(group_order(t, 6) for t in "BCD") == group_order("C", 6) == MAX_GROUP_ORDER
-    assert group_order("A", 7) == 40320
-    sweep_fixtures(7, 6, 6, 6)  # every fixture of rank <= 6 and of A7 is admitted
-    for args in (("A", 8, 4, 4), ("B", 7, 3, 1), ("C", 7, 3, 7), ("D", 7, 3, 7)):
-        with pytest.raises(FixtureError):
-            Fixture(*args)
+        for q in rs.nodes:
+            pq = cosets.build_quotient(rs, frozenset(rs.nodes) - {q})
+            assert quotient_size(t, n, q) == len(pq.elements), (t, n, q)
+    # every fixture of rank <= 10 is admitted; the largest quotients are
+    # those of node 7 in B10, C10 and D10
+    sizes = {(t, q): quotient_size(t, 10, q) for t in "ABCD" for q in range(1, 11)}
+    assert max(sizes.values()) == sizes["C", 7] == sizes["D", 7] == 15360 <= MAX_QUOTIENT_SIZE
+    assert len(sweep_fixtures(10, 10, 10, 10)) == 619
+    assert quotient_size("C", 11, 5) == 14784 <= MAX_QUOTIENT_SIZE < quotient_size("C", 11, 6) == 29568
+    # once past the bound the product stops, at a lower bound: after one
+    # binomial step at C_(10^6)/P_(5*10^5), after 15 doublings at D_(10^6)/P_(10^6)
+    assert quotient_size("C", 10**6, 5 * 10**5) == 5 * 10**5 + 1
+    assert quotient_size("D", 10**6, 10**6) == 2**15 == 2 * MAX_QUOTIENT_SIZE
+    # the rank cap holds at any |W^Q|, and the bound is inclusive
+    Fixture("A", MAX_RANK, 1, 1)
+    with pytest.raises(FixtureError, match=r"^A65: rank exceeds the bound 64$"):
+        Fixture("A", MAX_RANK + 1, 1, 1)
+    monkeypatch.setattr(fixtures_module, "MAX_QUOTIENT_SIZE", quotient_size("C", 4, 2))
+    Fixture("C", 4, 2, 4)
+    monkeypatch.setattr(fixtures_module, "MAX_QUOTIENT_SIZE", quotient_size("C", 4, 2) - 1)
+    with pytest.raises(FixtureError, match=r"^C4/P2: \|W\^Q\| exceeds the enumeration bound 23$"):
+        Fixture("C", 4, 2, 4)
+    Fixture("C", 4, 1, 4)
 
 
-def test_delta_and_statistic_passes_match_per_class_oracles(monkeypatch):
+def test_delta_and_statistic_passes_match_per_class_oracles():
     # every fixture of the rank <= 6 sweep with A7 (216), and three past
-    # rank 7 with the bound on |W| lifted to |W(B8)|: the pass's delta and
-    # window statistic of every class against the per-class paths they
-    # replaced, which expand eta and read the case once per element
+    # rank 7: the pass's delta and window statistic of every class against
+    # the per-class paths they replaced, which expand eta and read the case
+    # once per element
     fixtures = sweep_fixtures(7, 6, 6, 6)
     assert len(fixtures) == 216
-    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))
     fixtures += [fixtures_module.parse_fixture(label) for label in ("C8/P4+P8", "D8/P4+P8", "B8/P7+P1")]
     classes = 0
     for fix in fixtures:

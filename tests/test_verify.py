@@ -5,13 +5,11 @@ import re
 import sys
 from collections import Counter
 from itertools import groupby
-from math import factorial
 from operator import attrgetter
 
 import pytest
 
 from parorbits import cli, cosets, decomp, hasse, rootsys, seidel, strata, verify, weyl
-from parorbits import fixtures as fixtures_module
 from parorbits.fixtures import Fixture, parse_fixture, sweep_fixtures
 from parorbits.jsontext import indented
 from parorbits.rootsys import RANK_BOUNDS, cominuscule_nodes
@@ -330,13 +328,21 @@ def test_inadmissible_fiber_statistic_raises_in_the_ledger():
 
 
 @pytest.mark.parametrize("label", ["C8/P4+P8", "D8/P4+P8", "B8/P7+P1"])
-def test_verify_fixture_passes_every_check_at_rank_8(monkeypatch, label):
-    # the full battery past rank 7, with the bound on |W| lifted to |W(B8)|;
-    # B8/P7+P1 carries the doubling stratum of the odd orthogonal family
-    monkeypatch.setattr(fixtures_module, "MAX_GROUP_ORDER", 2**8 * factorial(8))
+def test_verify_fixture_passes_every_check_at_rank_8(label):
+    # the full battery past rank 7, within the bound on |W^Q|; B8/P7+P1
+    # carries the doubling stratum of the odd orthogonal family
     report = verify.verify_fixture(parse_fixture(label))
     assert report["pass"], [name for name, ok in report["checks"].items() if not ok]
     assert (2 in [st["scale"] for st in report["strata"]]) == (label == "B8/P7+P1")
+
+
+def test_verify_sweep_passes_at_caps_8(capsys):
+    # every fixture of rank <= 8 is within the bound on |W^Q|: the sweep
+    # verifies all 349 and exits 0
+    caps = ["--max-rank-a", "8", "--max-rank-b", "8", "--max-rank-c", "8", "--max-rank-d", "8"]
+    code = cli.main(["verify"] + caps)
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["count"], report["all_pass"]) == (0, 349, True)
 
 
 def test_inadmissible_window_statistic_names_the_window(monkeypatch):

@@ -11,7 +11,6 @@ from parorbits import weyl
 from parorbits.rootsys import RANK_BOUNDS, build
 from parorbits.weyl import (
     WeylError,
-    act,
     bruhat_leq,
     enumerate_group,
     longest,
@@ -47,6 +46,12 @@ from words import from_word, reduced_word
 def _group(rs):
     """The window of every element of the Weyl group of `rs`."""
     return list(enumerate_group(rs, frozenset(rs.nodes), frozenset()))
+
+
+def _moved(window, v):
+    """w^-1(v) for the window w and the vector v, through v's signed table:
+    the one action of a window on a vector."""
+    return dec(window.translate(weyl.signed_table(enc(v))))
 
 
 def parse_window(text):
@@ -142,17 +147,23 @@ def test_reflection_matches_dense_oracle(t):
 
 
 def test_act_examples():
+    # the table action moves v to w^-1(v), which is w(v) for an involution
     a3 = build("A", 3)
     omega1 = a3.double_coweight(1)
-    assert act(identity(a3), omega1) == omega1
+    assert _moved(identity(a3), omega1) == omega1
     s1 = from_word(a3, [1])
     # s_1 (2 omega_1^vee) = 2 omega_1^vee - <alpha_1, 2 omega_1^vee> alpha_1^vee
     expected = tuple(x - 2 * y for x, y in zip(omega1, a3.simple_coroot(1)))
-    assert act(s1, omega1) == expected
+    assert _moved(s1, omega1) == expected
     c4 = build("C", 4)
     w0 = longest(c4, c4.nodes)
     omega4 = c4.double_coweight(4)
-    assert act(w0, omega4) == tuple(-x for x in omega4)
+    assert _moved(w0, omega4) == tuple(-x for x in omega4)
+    # the 4-cycle e_1 -> e_4 -> e_3 -> e_2 -> e_1 is no involution: it
+    # moves (1, 2, 3, 4) to (2, 3, 4, 1), and its inverse to (4, 1, 2, 3)
+    cycle = enc((4, 1, 2, 3))
+    assert tuples.act(dec(cycle), (1, 2, 3, 4)) == (2, 3, 4, 1)
+    assert _moved(cycle, (1, 2, 3, 4)) == (4, 1, 2, 3)
 
 
 def test_length_and_group_axioms():
@@ -311,9 +322,8 @@ def test_window_statistics_on_random_windows():
             alpha_table = tuples.signed_table(rs.simple_root(k))
             assert dec(window.translate(gens[k].root_table)) == itemgetter(*w)(alpha_table), (w, k)
         v = rs.double_coweight(data.draw(st.sampled_from(rs.nodes)))
-        assert act(window, v) == tuples.act(w, v)
-        moved = window.translate(weyl.signed_table(enc(v)))  # w^-1(v)
-        assert dec(moved) == itemgetter(*w)(tuples.signed_table(v))
+        moved = _moved(window, v)  # w^-1(v)
+        assert moved == itemgetter(*w)(tuples.signed_table(v)) == tuples.act(dec(inverse(window)), v)
 
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
@@ -414,6 +424,21 @@ def test_root_vectors_are_read_in_pinned_functions():
         "cosets.root_index": {"positive_roots"},
         "seidel.quantum_q_degree": {"positive_roots"},
     }
+
+
+def test_coweights_are_read_in_pinned_functions():
+    # outside rootsys, a doubled coweight is read only by coweight_table,
+    # the one home of its signed table, and by delta, which pairs with
+    # 2 omega_q^vee: seidel.v_elt moves its coweight through that table
+    readers = set()
+    for path in Path(weyl.__file__).parent.glob("*.py"):
+        if path.stem == "rootsys":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("double_coweight", "double_coweights"):
+                    readers.add("%s.%s" % (path.stem, getattr(top, "name", None)))
+    assert readers == {"strata.coweight_table", "strata.delta"}
 
 
 def test_generator_tables_match_a_fresh_recomputation():
@@ -536,6 +561,7 @@ def test_min_rep_idempotent_and_shorter():
 
 
 def test_act_is_group_action():
+    # the table action is a right action: (u w)^-1 v = w^-1 (u^-1 v)
     rs = build("B", 3)
     rng = random.Random(11)
     group = _group(rs)
@@ -543,7 +569,7 @@ def test_act_is_group_action():
     for _ in range(200):
         u, w = rng.choice(group), rng.choice(group)
         for v in coweights:
-            assert act(multiply(u, w), v) == act(u, act(w, v))
+            assert _moved(multiply(u, w), v) == _moved(w, _moved(u, v))
 
 
 def _cover_closure_leq(rs):

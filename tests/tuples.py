@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from parorbits import weyl
 
-from windows import dec
+import windows
 
 
 def signed_table(v):
@@ -97,7 +97,7 @@ def generator_tables(rs):
     the direction's signed table."""
     out = {}
     for k in rs.nodes:
-        r = dec(weyl.simple_reflection(rs, k))
+        r = windows.dec(weyl.simple_reflection(rs, k))
         direction = _root_direction(r)
         out[k] = (signed_table(r), direction, signed_table(direction))
     return out

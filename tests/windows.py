@@ -23,6 +23,8 @@ so far; `pairwise_length` compares every pair of positions.
 
 from parorbits import weyl
 
+import tuples
+
 
 def enc(window):
     """The library's bytes window of a tuple window (or any sequence of
@@ -139,7 +141,7 @@ def pairwise_length(rs, window):
 def inverse(w):
     """The window of the inverse: w^-1 sends e_|b_k| to sign(b_k) e_k, so
     it is w applied to (1, ..., d)."""
-    return enc(weyl.act(w, tuple(range(1, len(w) + 1))))
+    return enc(tuples.act(dec(w), tuple(range(1, len(w) + 1))))
 
 
 def k_by_root_scan(pq, j_p, i):
@@ -150,5 +152,5 @@ def k_by_root_scan(pq, j_p, i):
     winv = inverse(pq.elements[i])
     q_simples = {rs.simple_root(t) for t in pq.j_q}
     return frozenset(
-        s for s in j_p if tuple(weyl.act(winv, rs.simple_root(s))) in q_simples
+        s for s in j_p if tuples.act(dec(winv), rs.simple_root(s)) in q_simples
     )
