@@ -24,8 +24,11 @@ from .weyl import WeylError
 # an --out path it cannot write), 2 for a failed certificate or invariant; a
 # validated Fixture reaches CosetError and StrataError only as the latter, and
 # HasseError too, as a cover of a quotient with no edge is a failed certificate.
+# RootDataError is a RootSystemError, so `main` tests the second tuple first.
 INPUT_ERRORS = (FixtureError, RootSystemError, WeylError, OSError)
 VERIFICATION_ERRORS = (
+    rootsys.RootDataError,
+    verify.VerifyError,
     seidel.SeidelError,
     decomp.DecompositionError,
     cosets.CosetError,
@@ -220,12 +223,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except VERIFICATION_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except INPUT_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,30 +17,22 @@ Cartan diagonal <alpha_i, alpha_i^vee> = 2 and the duality
 one or two nonzero entries against the columns of the coroots and of the
 doubled coweights, and in type A each simple root must sum to 0, so the
 build is O(rank^2).  The positive roots and their coroot coordinates
-are filled once, when either is first read, by one pass over their closed
-forms (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IV; e_i
-and e_j with i < j, nodes numbered from 1, runs of coordinates written
-x^m):
+are filled once, when either is first read, from the root families
+(Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IV; i < j):
+e_i - e_j in every type, e_i + e_j in B, C and D, e_i in B and 2 e_i in C.
 
-    root              simple coordinates c          coroot coordinates d
-    e_i - e_j         0^(i-1) 1^(j-i) 0^(n+1-j)     c             (all)
-    e_i + e_j   (B)   0^(i-1) 1^(j-i) 2^(n+1-j)     0^(i-1) 1^(j-i) 2^(n-j) 1
-    e_i         (B)   0^(i-1) 1^(n+1-i)             0^(i-1) 2^(n-i) 1
-    e_i + e_j   (C)   0^(i-1) 1^(j-i) 2^(n-j) 1     0^(i-1) 1^(j-i) 2^(n+1-j)
-    2 e_i       (C)   0^(i-1) 2^(n-i) 1             0^(i-1) 1^(n+1-i)
-    e_i + e_n   (D)   0^(i-1) 1^(n-1-i) 0 1         c
-    e_i + e_j   (D)   0^(i-1) 1^(j-i) 2^(n-1-j) 1 1 c             (j < n)
-
-The pass certifies each root beta: its doubled pairings, read from its
-nonzero entries against the coweight columns, are 2c, and c >= 0; in type
-A its entries sum to 0; and d |beta|^2 = c |alpha_k|^2 entry by entry.
-Given the duality, the pairings and the span (all of Z^n in B, C and D,
-the sum-zero hyperplane in A) prove beta = sum_k c_k alpha_k, and the
-norms prove d the coordinates of beta^vee = 2 beta / |beta|^2 over the
-simple coroots.  Then the roots are sorted by (height, beta) and must be
-distinct and number sum(d - 1) over the degrees of W.  Every certificate
-raises RootSystemError naming the root or simple root at fault, so none
-is stripped by `python -O`.
+Each root beta's simple coordinates c and coroot coordinates d are read
+off its doubled pairings with the coweights, taken from its nonzero
+entries against the coweight columns: each pairing must be even and
+>= 0, and c_k is half of it; d_k = c_k |alpha_k|^2 / |beta|^2 must be an
+exact division; and in type A the entries of beta must sum to 0.  Given
+the duality, the pairings and the span (all of Z^n in B, C and D, the
+sum-zero hyperplane in A) prove beta = sum_k c_k alpha_k, and so
+beta^vee = 2 beta / |beta|^2 = sum_k d_k alpha_k^vee.  Then the roots are
+sorted by (height, beta) and must be distinct and number sum(d - 1) over
+the degrees of W.  Every certificate of the build and of the first read
+raises RootDataError, a RootSystemError naming the root or simple root
+at fault, so none is stripped by `python -O`.
 
 Realizations (Bourbaki node numbering throughout):
 
@@ -72,6 +64,10 @@ _ROOT_FIELDS = ("positive_roots", "coroot_coords")
 
 class RootSystemError(ValueError):
     """Invalid root-system request (bad type label or rank out of range)."""
+
+
+class RootDataError(RootSystemError):
+    """A failed certificate of the simple data or of the positive roots."""
 
 
 class RootSystem:
@@ -185,72 +181,65 @@ def _simple_entries(type_label: str, rank: int) -> Tuple[Entries, ...]:
     return tuple(out)
 
 
-def _closed_forms(type_label: str, rank: int) -> Iterator[Tuple[Entries, List[int], List[int]]]:
-    """Each positive root as (its nonzero entries, its simple coordinates
-    c, its coroot coordinates d), unsorted, from the table of the module
-    docstring; coordinates and nodes counted from 0 here."""
+def _root_entries(type_label: str, rank: int) -> Iterator[Entries]:
+    """The nonzero entries of each positive root, unsorted, family by family
+    as the module docstring lists them; coordinates counted from 0 here."""
     n = rank
     dim = n + 1 if type_label == "A" else n
     for i in range(dim):
         for j in range(i + 1, dim):
-            c = [0] * i + [1] * (j - i) + [0] * (n - j)
-            yield ((i, 1), (j, -1)), c, c
+            yield ((i, 1), (j, -1))
     if type_label == "A":
         return
     for i in range(n):
         for j in range(i + 1, n):
-            head = [0] * i + [1] * (j - i)
-            if type_label == "B":
-                yield ((i, 1), (j, 1)), head + [2] * (n - j), head + [2] * (n - 1 - j) + [1]
-            elif type_label == "C":
-                yield ((i, 1), (j, 1)), head + [2] * (n - 1 - j) + [1], head + [2] * (n - j)
-            else:
-                c = head[:-1] + [0, 1] if j == n - 1 else head + [2] * (n - 2 - j) + [1, 1]
-                yield ((i, 1), (j, 1)), c, c
+            yield ((i, 1), (j, 1))
         if type_label == "B":
-            yield ((i, 1),), [0] * i + [1] * (n - i), [0] * i + [2] * (n - 1 - i) + [1]
+            yield ((i, 1),)
         elif type_label == "C":
-            yield ((i, 2),), [0] * i + [2] * (n - 1 - i) + [1], [0] * i + [1] * (n - i)
+            yield ((i, 2),)
 
 
 def _certified_roots(rs: RootSystem) -> Tuple[Tuple[Vector, ...], Tuple[Tuple[int, ...], ...]]:
     """The positive roots of `rs`, sorted by (height, root), and the
-    coroot coordinates of each, from `_closed_forms`, every root certified
-    as the module docstring sets out."""
+    coroot coordinates of each, from `_root_entries`, each root's c and d
+    read off its pairings and certified as the module docstring sets out."""
     columns = tuple(zip(*rs.double_coweights))
     norms = [pair(a, a) for a in rs.simple_roots]
     sum_zero = rs.type_label == "A"
     found = []
-    for entries, c, d in _closed_forms(rs.type_label, rs.rank):
+    for entries in _root_entries(rs.type_label, rs.rank):
         beta = _vector(entries, rs.dim)
-        twice = _pairings(entries, columns)
-        if twice != [t + t for t in c]:
-            raise RootSystemError(
-                "root %s pairs with the doubled coweights as %s, not as twice its simple "
-                "coordinates %s" % (beta, twice, c)
-            )
-        if min(c) < 0:
-            raise RootSystemError("root %s has a negative simple coordinate" % (beta,))
         if sum_zero and sum(x for _, x in entries):
-            raise RootSystemError("root %s is outside the span of the simple roots" % (beta,))
+            raise RootDataError("root %s is outside the span of the simple roots" % (beta,))
         square = sum(x * x for _, x in entries)
-        if [t * square for t in d] != list(map(mul, c, norms)):
-            raise RootSystemError("root %s has wrong coroot coordinates %s" % (beta, d))
-        found.append((sum(c), beta, tuple(d)))
+        height, d = 0, [0] * rs.rank
+        for k, twice in enumerate(_pairings(entries, columns)):
+            if twice:  # most pairings are 0 at high rank, and so are c_k and d_k
+                c, odd = divmod(twice, 2)
+                if odd:
+                    raise RootDataError("root %s: odd pairing with 2 omega_%d^vee" % (beta, k + 1))
+                if c < 0:
+                    raise RootDataError("root %s: negative simple coordinate c_%d" % (beta, k + 1))
+                d[k], inexact = divmod(c * norms[k], square)
+                if inexact:
+                    raise RootDataError("root %s: inexact coroot coordinate d_%d" % (beta, k + 1))
+                height += c
+        found.append((height, beta, tuple(d)))
     found.sort()
     roots = tuple(r[1] for r in found)
     expected = sum(d - 1 for d in degrees(rs.type_label, rs.rank))
     if len(roots) != expected:
-        raise RootSystemError("%r has %d positive roots, expected %d" % (rs, len(roots), expected))
+        raise RootDataError("%r has %d positive roots, expected %d" % (rs, len(roots), expected))
     if len(set(roots)) != expected:
-        raise RootSystemError("%r lists a positive root twice" % (rs,))
+        raise RootDataError("%r lists a positive root twice" % (rs,))
     return roots, tuple(r[2] for r in found)
 
 
 def _div(a: int, b: int, root: Vector) -> int:
     q, r = divmod(a, b)
     if r:
-        raise RootSystemError("inexact division %d / %d at root %s" % (a, b, root))
+        raise RootDataError("inexact division %d / %d at root %s" % (a, b, root))
     return q
 
 
@@ -286,9 +275,9 @@ def build(type_label: str, rank: int) -> RootSystem:
     columns = tuple(zip(*dcw))
     for i, e in enumerate(entries):
         if _pairings(e, coroot_columns)[i] != 2:  # row i of the Cartan matrix
-            raise RootSystemError("Cartan diagonal broken at simple root alpha_%d" % (i + 1))
+            raise RootDataError("Cartan diagonal broken at simple root alpha_%d" % (i + 1))
         if type_label == "A" and sum(x for _, x in e):
-            raise RootSystemError(
+            raise RootDataError(
                 "simple root alpha_%d = %s does not sum to 0" % (i + 1, simple[i])
             )
         twice = _pairings(e, columns)
@@ -296,7 +285,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         dual[i] = 2
         if twice != dual:
             j = next(j for j, (t, u) in enumerate(zip(twice, dual)) if t != u)
-            raise RootSystemError(
+            raise RootDataError(
                 "coweight pairing broken: simple root <alpha_%d, 2 omega_%d^vee> = %d"
                 % (i + 1, j + 1, twice[j])
             )

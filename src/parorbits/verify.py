@@ -11,9 +11,7 @@ wall-clock or iteration order.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from math import lcm
-from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import cosets, decomp, hasse, rootsys, seidel, strata, weyl
@@ -21,6 +19,11 @@ from .cosets import ParabolicQuotient
 from .decomp import DecomposedDiagram
 from .fixtures import DEFAULT_MAX_RANK, Fixture, sweep_fixtures
 from .weyl import Window
+
+
+class VerifyError(ValueError):
+    """A fixture's verification raised StopIteration, which a loop over the
+    fixtures would read as the end of the sweep."""
 
 
 def _check_delta_laws(dec: DecomposedDiagram, table: Dict[int, int]) -> Dict[str, bool]:
@@ -238,14 +241,24 @@ def run_verify(
     verified one root system at a time, each after `_release_quotients`:
     no quotient is shared across root systems, so at most one root system's
     quotients are alive at once.  The caches keyed by a root system or a
-    node (the Seidel elements, the flag descriptors) stay."""
+    node (the Seidel elements, the flag descriptors) stay.  A StopIteration
+    out of a fixture's checks is raised as VerifyError naming the fixture,
+    never read as the end of the sweep, and `all_pass` needs a report for
+    every fixture asked for."""
     fixtures = [fixture] if fixture is not None else sweep_fixtures(max_a, max_b, max_c, max_d)
-    reports = []
-    for _, group in groupby(fixtures, key=attrgetter("rs")):
-        _release_quotients()
-        reports.extend(map(verify_fixture, group))
+    reports, rs = [], None
+    for fix in fixtures:
+        if fix.rs != rs:
+            rs = fix.rs
+            _release_quotients()
+        try:
+            reports.append(verify_fixture(fix))
+        except StopIteration as exc:
+            raise VerifyError("verification of %s stopped on StopIteration" % fix.label) from exc
     type_a = type_a_composition_report(min(max_a, 4))
-    all_pass = all(r["pass"] for r in reports) and type_a["pass"]
+    all_pass = (
+        len(reports) == len(fixtures) and all(r["pass"] for r in reports) and type_a["pass"]
+    )
     return {
         "fixtures": reports,
         "type_a_composition": type_a,

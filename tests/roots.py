@@ -2,12 +2,13 @@
 dense paths and the generic loop that the library replaced.
 
 `rootsys.build` certifies the simple data and fills the positive roots,
-on first read, from their closed forms.  Here `dense_build` pairs each
-root of the ambient realization (`ambient_roots`) with every doubled
-coweight over every coordinate and rebuilds it as a full vector, and
-`loop_roots`, the generic per-root loop that the closed forms replaced,
-reads each root's pairings from its nonzero entries and rebuilds it from
-the simple roots' nonzero entries.  `dense_reflection` computes the image
+on first read, from the root families, each root's coordinates read off
+its pairings.  Here `dense_build` pairs each root of the ambient
+realization (`ambient_roots`) with every doubled coweight over every
+coordinate and rebuilds it as a full vector, and `loop_roots`, the
+generic per-root loop, reads each root's pairings from its nonzero
+entries and rebuilds it from the simple roots' nonzero entries.
+`dense_reflection` computes the image
 of every e_k as a full vector, and `support_reflection`, the generic path
 that `weyl.reflection`'s closed form replaced, the image of each e_k on
 the root's support, then validates the window.
@@ -240,23 +241,22 @@ def control_errors(type_label, rank):
     in turn, read its roots, and return, per control, the RootSystemError
     message, or None where build and read passed.  The first moves the
     first entry of the first doubled coweight by 2, which the build's
-    duality check refuses; the second adds 1 to the last simple coordinate
-    of the first closed-form root, which its first read refuses.  Each
-    helper is restored afterwards."""
-    real_dcw, real_forms = rootsys._double_coweights, rootsys._closed_forms
+    duality check refuses; the second doubles the entries of the first
+    root, 2 e_1 - 2 e_2, whose coroot coordinate d_1 = 2 * 2 / 8 its first
+    read refuses as inexact.  Each helper is restored afterwards."""
+    real_dcw, real_entries = rootsys._double_coweights, rootsys._root_entries
 
     def perturbed(*args):
         first, *rest = real_dcw(*args)
         return ((first[0] + 2,) + first[1:], *rest)
 
-    def miscounted(*args):
-        forms = real_forms(*args)
-        entries, c, d = next(forms)
-        yield entries, c[:-1] + [c[-1] + 1], d
-        yield from forms
+    def doubled(*args):
+        entries = real_entries(*args)
+        yield tuple((k, 2 * x) for k, x in next(entries))
+        yield from entries
 
     out = []
-    for name, replacement in (("_double_coweights", perturbed), ("_closed_forms", miscounted)):
+    for name, replacement in (("_double_coweights", perturbed), ("_root_entries", doubled)):
         real = getattr(rootsys, name)
         setattr(rootsys, name, replacement)
         try:

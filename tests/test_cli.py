@@ -270,6 +270,47 @@ def test_witness_outside_the_positive_roots_exits_2(monkeypatch, capsys, cold):
     assert err == "error: witness (-1,1,0) of node 2 at WC3(2,1,-3) is not a positive root\n"
 
 
+def test_leaked_stop_iteration_exits_2(monkeypatch, capsys, cold):
+    # a StopIteration out of a fixture's checks stops the run naming the
+    # fixture; it no longer ends the type-C group as though it were done
+    real = seidel.seidel_table
+
+    def leaky(strat, v):
+        if strat.pq.rs.type_label == "C":
+            raise StopIteration
+        return real(strat, v)
+
+    monkeypatch.setattr(seidel, "seidel_table", leaky)
+    for argv, label in ((["verify"], "C2/P1+P2"), (["verify", "--fixture", "C4/P2+P4"], "C4/P2+P4")):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: verification of %s stopped on StopIteration\n" % label, argv
+
+
+def test_failed_build_certificate_exits_2(monkeypatch, capsys, cold):
+    # a broken duality fails the build: a failed certificate, not bad input
+    real = rootsys._double_coweights
+
+    def perturbed(*args):
+        first, *rest = real(*args)
+        return ((first[0] + 2,) + first[1:], *rest)
+
+    monkeypatch.setattr(rootsys, "_double_coweights", perturbed)
+    argv = ["strata", "--type", "A", "--rank", "3", "--grassmannian", "1", "--cominuscule", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: coweight pairing broken: simple root <alpha_1, 2 omega_1^vee> = 4\n"
+
+
+def test_failed_first_read_certificate_exits_2(monkeypatch, capsys, cold):
+    # a dropped root fails the count of the first read of the roots
+    real = rootsys._root_entries
+    monkeypatch.setattr(rootsys, "_root_entries", lambda *args: list(real(*args))[1:])
+    code, out, err = run_cli(capsys, ["quantum", "--type", "C", "--rank", "4", "--grassmannian", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: RootSystem(C4) has 15 positive roots, expected 16\n"
+
+
 def test_failed_stratum_invariants_exit_2(monkeypatch, capsys):
     # a valid fixture reaches StrataError only as a failed invariant
     fix = Fixture("C", 4, 2, 4)

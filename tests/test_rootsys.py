@@ -13,6 +13,7 @@ import pytest
 from parorbits import cosets, fixtures, rootsys, seidel, strata, verify, weyl
 from parorbits.fixtures import Fixture
 from parorbits.rootsys import (
+    RootDataError,
     RootSystem,
     RootSystemError,
     build,
@@ -378,9 +379,10 @@ def test_build_matches_dense_oracle():
 
 
 @pytest.mark.parametrize("t", "ABCD")
-def test_closed_forms_match_the_generic_loop(t):
-    # the closed forms against the per-root loop they replaced, at rank 40
-    # and on every rank of the dense oracle
+def test_first_read_matches_the_generic_loop(t):
+    # the roots and coroot coordinates read off the pairings against the
+    # per-root loop that also rebuilds each root from the simple roots, at
+    # rank 40 and on every rank of the dense oracle
     for n in (40,) + tuple(m for s, m in BUILD_ORACLE_SYSTEMS if s == t):
         rs = build.__wrapped__(t, n)
         assert (rs.positive_roots, rs.coroot_coords) == loop_roots(t, n), (t, n)
@@ -402,48 +404,52 @@ def test_roots_are_filled_on_first_read_only(monkeypatch):
 
 
 def _refusal(t, n, corrupt):
-    """The RootSystemError of the first read of the roots of X_n, built
-    uncached with `corrupt` applied to the list of closed forms, or None."""
-    real = rootsys._closed_forms
-    rootsys._closed_forms = lambda *args: iter(corrupt(list(real(*args))))
+    """The RootDataError of the first read of the roots of X_n, built
+    uncached with `corrupt` applied to the list of root entries, or None."""
+    real = rootsys._root_entries
+    rootsys._root_entries = lambda *args: iter(corrupt(list(real(*args))))
     try:
         build.__wrapped__(t, n).positive_roots
-    except RootSystemError as exc:
+    except RootDataError as exc:
         return str(exc)
     finally:
-        rootsys._closed_forms = real
+        rootsys._root_entries = real
     return None
 
 
-def _with_c(forms, k, c):
-    """The closed forms with root k's simple coordinates replaced by c."""
-    entries, _, d = forms[k]
-    return forms[:k] + [(entries, c, d)] + forms[k + 1 :]
+def _scaled_first(entries, factor):
+    """The root entries with the first root's entries multiplied by `factor`."""
+    return [tuple((k, factor * x) for k, x in entries[0])] + entries[1:]
 
 
-# each corruption breaks one certificate of the first read
+# each corruption breaks one certificate of the first read, in every type
 CORRUPTIONS = {
-    # a simple coordinate moved by one: the pairings are not twice c
-    "pairs with the doubled coweights": lambda f: _with_c(f, 0, [f[0][1][0] + 1] + f[0][1][1:]),
-    # the negated root, with its negated coordinates: pairings hold
-    "negative simple coordinate": lambda f: [
-        (tuple((k, -x) for k, x in f[0][0]), [-c for c in f[0][1]], f[0][2])
-    ] + f[1:],
-    # the coroot coordinates doubled
-    "wrong coroot coordinates": lambda f: [(f[0][0], f[0][1], [2 * d for d in f[0][2]])] + f[1:],
+    # the negated first root pairs as -2c
+    "negative simple coordinate": lambda f: _scaled_first(f, -1),
+    # the doubled first root 2 e_1 - 2 e_2 has c_1 = 2 and d_1 = 2 * 2 / 8
+    "inexact coroot coordinate": lambda f: _scaled_first(f, 2),
     # a root dropped, or one listed twice in place of another
     "positive roots, expected": lambda f: f[1:],
     "lists a positive root twice": lambda f: f[:1] + f[:-1],
 }
 
+# e_1 in place of the first root pairs with a spin coweight of C or D as 1,
+# lies off the span in A, and is a root of B listed twice
+LONE_E1 = {
+    "A": "outside the span",
+    "B": "lists a positive root twice",
+    "C": "odd pairing",
+    "D": "odd pairing",
+}
+
 
 @pytest.mark.parametrize("t,n", [("A", 2), ("A", 6), ("B", 2), ("B", 7), ("C", 2), ("C", 12), ("D", 4), ("D", 9)])
 def test_every_root_certificate_runs_at_first_read(t, n):
-    for match, corrupt in CORRUPTIONS.items():
+    for match, corrupt in list(CORRUPTIONS.items()) + [(LONE_E1[t], lambda f: [((0, 1),)] + f[1:])]:
         error = _refusal(t, n, corrupt)
         assert error and match in error, (t, n, match, error)
         assert "root" in error
-    assert _refusal(t, n, lambda forms: forms) is None
+    assert _refusal(t, n, lambda entries: entries) is None
 
 
 def test_simple_data_certificates_run_at_build(monkeypatch):
@@ -458,17 +464,17 @@ def test_simple_data_certificates_run_at_build(monkeypatch):
         (("C", 3), ((0, 1), (2, -1)), "<alpha_1, 2 omega_2^vee> = 2"),
     ):
         monkeypatch.setattr(rootsys, "_simple_entries", lambda *args: (first,) + real(*args)[1:])
-        with pytest.raises(RootSystemError, match=re.escape(match)):
+        with pytest.raises(RootDataError, match=re.escape(match)):
             build.__wrapped__(t, n)
     monkeypatch.setattr(rootsys, "_simple_entries", real)
     assert build.__wrapped__("A", 3) == build("A", 3)
 
 
 def test_type_a_roots_must_sum_to_zero():
-    # e_1 in A_n pairs with every doubled coweight as 2, so it passes the
-    # pairing check with c = (1, ..., 1), but lies off the span of the roots
+    # e_1 in A_n pairs with every doubled coweight as 2, so its pairings
+    # give c = (1, ..., 1), but it lies off the span of the roots
     for n in (1, 3, 8):
-        error = _refusal("A", n, lambda f: [(((0, 1),), [1] * n, [1] * n)] + f[1:])
+        error = _refusal("A", n, lambda f: [((0, 1),)] + f[1:])
         assert error and "outside the span" in error, (n, error)
 
 
